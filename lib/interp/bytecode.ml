@@ -161,7 +161,14 @@ let op_jeqk_not = 130
 let op_jnek_not = 131
 let op_iinc = 132  (* slot, k, name idx: int local += k in place *)
 
-let n_opcodes = 133
+(* Register locals: int/bool locals kept unboxed in the call's register
+   file (the first [bf_nregs] words of its int-stack window) instead of a
+   frame cell.  See {!Emit.register_slots} for which locals qualify. *)
+let op_rload = 133  (* reg, name idx: push register -> I *)
+let op_rstore = 134  (* reg, name idx: pop I into register *)
+let op_rinc = 135  (* reg, k, name idx: register += k *)
+
+let n_opcodes = 136
 
 (** A map-key site's cache contents, immutable so a reader sees one
     coherent snapshot through a single pointer load — goroutines on
@@ -215,6 +222,7 @@ type fn = {
   bf_fn : Tast.func;
   bf_name : string;
   bf_nslots : int;
+  bf_nregs : int;  (* register locals, ahead of the int operand stack *)
   bf_max_v : int;  (* value operand stack depth *)
   bf_max_i : int;  (* unboxed int/bool operand stack depth *)
   bf_code : int array;
@@ -371,6 +379,9 @@ let op_name = function
   | 130 -> "jeqk_not"
   | 131 -> "jnek_not"
   | 132 -> "iinc"
+  | 133 -> "rload"
+  | 134 -> "rstore"
+  | 135 -> "rinc"
   | op -> Printf.sprintf "op%d" op
 
 (** Operand count per opcode (instruction width − 1). *)
@@ -382,9 +393,9 @@ let arity op =
     1
   | 10 | 11 | 12 | 13 | 14 | 15 | 44 | 45 | 46 | 47 | 48 | 49 | 50 | 61
   | 62 | 63 | 73 | 74 | 75 | 76 | 77 | 78 | 82 | 83 | 85 | 86 | 87 | 88
-  | 93 | 97 | 102 | 126 | 127 | 128 | 129 | 130 | 131 ->
+  | 93 | 97 | 102 | 126 | 127 | 128 | 129 | 130 | 131 | 133 | 134 ->
     2
-  | 58 | 59 | 60 | 80 | 91 | 92 | 132 -> 3
+  | 58 | 59 | 60 | 80 | 91 | 92 | 132 | 135 -> 3
   | 117 | 118 -> 5
   | _ -> 0
 
@@ -416,8 +427,9 @@ let binop_name : Ast.binop -> string = function
   | Ast.Bor -> "||"
 
 let disasm_fn (b : Buffer.t) (f : fn) =
-  Printf.bprintf b "func %s: slots=%d stack=%d/%d code=%d caches=%d\n"
-    f.bf_name f.bf_nslots f.bf_max_v f.bf_max_i (Array.length f.bf_code)
+  Printf.bprintf b
+    "func %s: slots=%d regs=%d stack=%d/%d code=%d caches=%d\n" f.bf_name
+    f.bf_nslots f.bf_nregs f.bf_max_v f.bf_max_i (Array.length f.bf_code)
     (Array.length f.bf_caches);
   let code = f.bf_code in
   let name i =
@@ -434,7 +446,7 @@ let disasm_fn (b : Buffer.t) (f : fn) =
     | 7 | 8 | 84 | 94 | 95 -> Printf.bprintf b "%d" (o 0)
     | 9 -> Printf.bprintf b "%d  ; %s" (o 0) (Value.to_string f.bf_consts.(o 0))
     | 10 | 11 | 12 | 13 | 14 | 15 | 45 | 46 | 47 | 48 | 49 | 50 | 87 | 88
-      ->
+    | 133 | 134 ->
       Printf.bprintf b "%d  ; %s" (o 0) (name (o 1))
     | 41 ->
       Printf.bprintf b "%d  ; %s" (o 0) (binop_name f.bf_binops.(o 0))
@@ -475,7 +487,7 @@ let disasm_fn (b : Buffer.t) (f : fn) =
     | 120 | 121 | 122 | 123 | 124 | 125 -> Printf.bprintf b "-> %d" (o 0)
     | 126 | 127 | 128 | 129 | 130 | 131 ->
       Printf.bprintf b "%d -> %d" (o 0) (o 1)
-    | 132 -> Printf.bprintf b "%d %+d  ; %s" (o 0) (o 1) (name (o 2))
+    | 132 | 135 -> Printf.bprintf b "%d %+d  ; %s" (o 0) (o 1) (name (o 2))
     | _ -> ());
     Buffer.add_char b '\n';
     pc := !pc + 1 + arity op

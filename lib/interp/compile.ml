@@ -637,7 +637,7 @@ and compile_stmt ctx (s : Tast.stmt) : ex =
     in
     fun st fr ->
       safepoint st;
-      ignore (push_scope st fr);
+      push_scope fr;
       let cleanup f =
         match f () with
         | x ->
@@ -768,7 +768,7 @@ and compile_block ctx (b : Tast.block) : ex =
   let stmts = Array.of_list (List.map (compile_stmt ctx) b.Tast.b_stmts) in
   let n = Array.length stmts in
   fun st fr ->
-    ignore (push_scope st fr);
+    push_scope fr;
     match
       for i = 0 to n - 1 do
         stmts.(i) st fr

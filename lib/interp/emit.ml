@@ -14,7 +14,11 @@
     constructs get dedicated opcodes whose {!Vm} implementations
     replicate {!Compile} line by line — the differential suite holds the
     two lowered engines and the reference walker to byte-identical
-    observable behaviour. *)
+    observable behaviour.  Two storage decisions depart from that
+    mirroring without changing anything observable: int/bool locals
+    that nothing but this function's bytecode can see live in native
+    registers ({!register_slots}), and blocks that cannot stack-allocate
+    open no scope ({!stack_allocates}). *)
 
 open Minigo
 module B = Bytecode
@@ -69,6 +73,9 @@ type fctx = {
   mutable nlabels : int;
   mutable patches : (int * int) list;  (* code offset to patch, label *)
   mutable scopes : scope_kind list;
+      (* emitted scopes only: an elided block scope is absent, so the
+         break/continue unwinders pop exactly what was pushed *)
+  regs : int array;  (* frame slot -> register, or -1 *)
   mutable cur_v : int;
   mutable max_v : int;
   mutable cur_i : int;
@@ -79,9 +86,10 @@ type fctx = {
          compare into one compare-and-branch instruction *)
 }
 
-let fctx ctx =
+let fctx ctx regs =
   {
     ctx;
+    regs;
     code = ivec ();
     consts = tbl ();
     sites = tbl ();
@@ -216,6 +224,9 @@ let slot f v = Layout.slot f.ctx.Compile.layout v
 
 let is_global (v : Tast.var) = v.Tast.v_kind = Tast.Vglobal
 
+(* The register holding local [v], or -1 when it lives in a frame cell. *)
+let reg f v = if is_global v then -1 else f.regs.(slot f v)
+
 let new_cache f =
   let i = f.ncaches in
   f.ncaches <- i + 1;
@@ -276,6 +287,107 @@ let mirror_cmp = function
   | op -> op
 
 (* ------------------------------------------------------------------ *)
+(* Storage decisions                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Whether the address of [lv] needs the closure engine's owner-spine
+   re-evaluation ({!Compile.compile_addr}): a field of a struct value
+   that is neither behind a pointer nor a variable.  [emit_addr] falls
+   back to that closure in exactly this case. *)
+let closure_addr (lv : Tast.lvalue) =
+  match lv with
+  | Tast.Lfield (base, _, _) -> begin
+    match (base.Tast.ty, base.Tast.desc) with
+    | Types.Ptr _, _ | _, Tast.Tvar _ -> false
+    | _ -> true
+  end
+  | _ -> false
+
+(* Register locals: which int/bool locals of [fn] live in VM registers
+   (slots of the call's int-stack window, read and written only by
+   [rload]/[rstore]/[rinc]) instead of frame cells.  A local qualifies
+   when nothing but this function's bytecode reaches its storage:
+   - it is declared by a plain [Sdecl], with type int or bool, and
+     {!Decisions} leaves it unboxed (a boxed local is a heap object);
+   - it is never address-taken and never a target of a multi-value
+     assignment (both reach the cell through its frame binding);
+   - [fn] has no {!closure_addr} fallback, whose closure reads every
+     variable of its spine from the frame.
+   An int or bool cell holds no heap pointer, so the frame slot it leaves
+   unbound was never a GC root, and every read of a local is lexically
+   preceded by its declaration, which writes the register.  Returns the
+   frame slot -> register map (-1 = frame cell) and the register count. *)
+let register_slots (ctx : Compile.ctx) (fn : Tast.func) nslots =
+  let regs = Array.make nslots (-1) in
+  let candidates = ref [] in
+  let excluded = Hashtbl.create 8 in
+  let fallback = ref false in
+  let spine lv = if closure_addr lv then fallback := true in
+  let exclude (lv : Tast.lvalue) =
+    match lv with
+    | Tast.Lvar v -> Hashtbl.replace excluded v.Tast.v_id ()
+    | _ -> ()
+  in
+  let expr =
+    Tast.iter_expr (fun e ->
+        match e.Tast.desc with
+        | Tast.Taddr lv ->
+          spine lv;
+          exclude lv
+        | _ -> ())
+  in
+  Tast.iter_stmts
+    (fun s ->
+      (match s with
+      | Tast.Sdecl (v, _)
+        when (v.Tast.v_ty = Types.Int || v.Tast.v_ty = Types.Bool)
+             && v.Tast.v_kind = Tast.Vlocal
+             && not (Decisions.var_is_boxed ctx.Compile.decisions v) ->
+        candidates := v :: !candidates
+      | Tast.Sassign (lv, _) -> spine lv
+      | Tast.Smulti_assign (lvs, _) ->
+        List.iter
+          (fun lv ->
+            spine lv;
+            exclude lv)
+          lvs
+      | _ -> ());
+      Tast.iter_stmt_exprs expr s)
+    fn.Tast.f_body;
+  let n = ref 0 in
+  if not !fallback then
+    List.iter
+      (fun (v : Tast.var) ->
+        if not (Hashtbl.mem excluded v.Tast.v_id) then begin
+          regs.(Layout.slot ctx.Compile.layout v) <- !n;
+          incr n
+        end)
+      (List.rev !candidates);
+  (regs, !n)
+
+(* Whether [b] contains, at any depth, an allocation site {!Decisions}
+   places on the stack.  Only such a site registers an object in the
+   innermost open scope ({!Interp.alloc_obj}; [append] growth is always
+   heap-allocated, so its site never does).  Any other block would push
+   and pop a scope that stays empty, which nothing can observe: the
+   emitter leaves it out. *)
+let stack_allocates f (b : Tast.block) =
+  let decisions = f.ctx.Compile.decisions in
+  let found = ref false in
+  let site (e : Tast.expr) =
+    match e.Tast.desc with
+    | Tast.Tmake_slice (site, _, _, _)
+    | Tast.Tmake_map (site, _, _)
+    | Tast.Tnew (site, _)
+    | Tast.Tslice_lit (site, _, _)
+    | Tast.Taddr_struct_lit (site, _, _) ->
+      if not (Decisions.site_is_heap decisions site) then found := true
+    | _ -> ()
+  in
+  Tast.iter_stmts (Tast.iter_stmt_exprs (Tast.iter_expr site)) b;
+  !found
+
+(* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -290,8 +402,7 @@ let rec emit_i f (e : Tast.expr) =
   match e.Tast.desc with
   | Tast.Tint n -> op1 f ~dv:0 ~di:1 B.op_iconst n
   | Tast.Tvar v when is_int e ->
-    let opc = if is_global v then B.op_giload else B.op_iload in
-    op2 f ~dv:0 ~di:1 opc (slot f v) (name_idx f v.Tast.v_name)
+    emit_load_i f v ~local:B.op_iload ~global:B.op_giload
   | Tast.Tbinop (op, a, b) when is_int e && int_binop_opcode op <> None
     -> begin
     match (a.Tast.desc, b.Tast.desc, int_binop_k_opcode op) with
@@ -355,8 +466,7 @@ and emit_b f (e : Tast.expr) =
   match e.Tast.desc with
   | Tast.Tbool b -> op1 f ~dv:0 ~di:1 B.op_iconst (if b then 1 else 0)
   | Tast.Tvar v when is_bool e ->
-    let opc = if is_global v then B.op_gbload else B.op_bload in
-    op2 f ~dv:0 ~di:1 opc (slot f v) (name_idx f v.Tast.v_name)
+    emit_load_i f v ~local:B.op_bload ~global:B.op_gbload
   | Tast.Tbinop (Ast.Band, a, b) ->
     (* lazy: if a then b else false, like the reference walker *)
     emit_b f a;
@@ -450,6 +560,10 @@ and emit_v_raw f (e : Tast.expr) =
   | Tast.Tstring s ->
     op1 f ~dv:1 ~di:0 B.op_const (tbl_add f.consts (Value.VStr s))
   | Tast.Tnil -> op1 f ~dv:1 ~di:0 B.op_const (tbl_add f.consts Value.VNil)
+  | Tast.Tvar v when reg f v >= 0 ->
+    op2 f ~dv:0 ~di:1 B.op_rload (reg f v) (name_idx f v.Tast.v_name);
+    op0 f ~dv:1 ~di:(-1)
+      (if v.Tast.v_ty = Types.Bool then B.op_box_b else B.op_box_i)
   | Tast.Tvar v ->
     let opc = if is_global v then B.op_gvload else B.op_vload in
     op2 f ~dv:1 ~di:0 opc (slot f v) (name_idx f v.Tast.v_name)
@@ -604,6 +718,16 @@ and emit_v_raw f (e : Tast.expr) =
     op1 f ~dv:(-1) ~di:0 B.op_mapget_ok z
   | Tast.Trecover -> op0 f ~dv:1 ~di:0 B.op_recover
 
+(* An int or bool variable onto the I stack: its register, or its frame
+   or global cell through [local]/[global]. *)
+and emit_load_i f (v : Tast.var) ~local ~global =
+  let r = reg f v in
+  if r >= 0 then op2 f ~dv:0 ~di:1 B.op_rload r (name_idx f v.Tast.v_name)
+  else
+    op2 f ~dv:0 ~di:1
+      (if is_global v then global else local)
+      (slot f v) (name_idx f v.Tast.v_name)
+
 (* Address-of an lvalue, mirroring Compile.compile_addr case for case;
    the nested struct-value spine falls back to the shared closure. *)
 and emit_addr f (lv : Tast.lvalue) =
@@ -623,23 +747,20 @@ and emit_addr f (lv : Tast.lvalue) =
     in
     op1 f ~dv:1 ~di:0 B.op_thunk_v t
   | Tast.Lfield (base, idx, _) -> begin
-    match base.Tast.ty with
-    | Types.Ptr _ ->
+    match (base.Tast.ty, base.Tast.desc) with
+    | Types.Ptr _, _ ->
       emit_v f base;
       op1 f ~dv:0 ~di:0 B.op_addr_field_ptr idx
-    | _ -> begin
-      match base.Tast.desc with
-      | Tast.Tvar v ->
-        let opc =
-          if is_global v then B.op_addr_field_gslot else B.op_addr_field_slot
-        in
-        op3 f ~dv:1 ~di:0 opc (slot f v) idx (name_idx f v.Tast.v_name)
-      | _ ->
-        (* nested struct-value base: owner spine re-evaluation, shared
-           with the closure engine *)
-        let t = tbl_add f.thunks (Compile.compile_addr f.ctx lv) in
-        op1 f ~dv:1 ~di:0 B.op_thunk_v t
-    end
+    | _, Tast.Tvar v ->
+      let opc =
+        if is_global v then B.op_addr_field_gslot else B.op_addr_field_slot
+      in
+      op3 f ~dv:1 ~di:0 opc (slot f v) idx (name_idx f v.Tast.v_name)
+    | _ ->
+      (* [closure_addr lv]: nested struct-value base, owner spine
+         re-evaluation shared with the closure engine *)
+      let t = tbl_add f.thunks (Compile.compile_addr f.ctx lv) in
+      op1 f ~dv:1 ~di:0 B.op_thunk_v t
   end
 
 (* Store the value on top of the V stack into an lvalue: resolve the
@@ -696,8 +817,18 @@ let iinc_delta f (v : Tast.var) (e : Tast.expr) : int option =
       Some (-k)
     | _ -> None
 
+(* The value of [e] onto the I stack for a store into register local [v]. *)
+let emit_reg_value f (v : Tast.var) e =
+  if v.Tast.v_ty = Types.Bool then emit_b f e else emit_i f e
+
 let rec emit_stmt f (s : Tast.stmt) =
   match s with
+  | Tast.Sdecl (v, init) when reg f v >= 0 ->
+    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    (match init with
+    | Some e -> emit_reg_value f v e
+    | None -> op1 f ~dv:0 ~di:1 B.op_iconst 0);
+    op2 f ~dv:0 ~di:(-1) B.op_rstore (reg f v) (name_idx f v.Tast.v_name)
   | Tast.Sdecl (v, init) -> begin
     op0 f ~dv:0 ~di:0 B.op_safepoint;
     let d = tbl_add f.decls (Compile.compile_declare f.ctx v) in
@@ -729,6 +860,15 @@ let rec emit_stmt f (s : Tast.stmt) =
     op0 f ~dv:0 ~di:0 B.op_safepoint;
     (* right-hand side first, then target resolution *)
     match lv with
+    | Tast.Lvar v when reg f v >= 0 -> begin
+      match iinc_delta f v e with
+      | Some k ->
+        op3 f ~dv:0 ~di:0 B.op_rinc (reg f v) k (name_idx f v.Tast.v_name)
+      | None ->
+        emit_reg_value f v e;
+        op2 f ~dv:0 ~di:(-1) B.op_rstore (reg f v)
+          (name_idx f v.Tast.v_name)
+    end
     | Tast.Lvar v when iinc_delta f v e <> None -> begin
       match iinc_delta f v e with
       | Some k ->
@@ -801,7 +941,9 @@ let rec emit_stmt f (s : Tast.stmt) =
   end
   | Tast.Sfor (init, cond, post, body) ->
     op0 f ~dv:0 ~di:0 B.op_safepoint;
-    op0 f ~dv:0 ~di:0 B.op_push_scope;
+    (* the for scope covers init, condition, post and body *)
+    let scoped = stack_allocates f { body with Tast.b_stmts = [ s ] } in
+    if scoped then op0 f ~dv:0 ~di:0 B.op_push_scope;
     let l_head = new_label f in
     let l_post = new_label f in
     let l_exit = new_label f in
@@ -819,7 +961,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     (match post with Some s -> emit_stmt f s | None -> ());
     opjmp f ~dv:0 ~di:0 B.op_jmp [] l_head;
     mark f l_exit;
-    op0 f ~dv:0 ~di:0 B.op_pop_scope;
+    if scoped then op0 f ~dv:0 ~di:0 B.op_pop_scope;
     f.scopes <- List.tl f.scopes
   | Tast.Sforrange_map (v, m, body) ->
     op0 f ~dv:0 ~di:0 B.op_safepoint;
@@ -932,11 +1074,14 @@ let rec emit_stmt f (s : Tast.stmt) =
       op2 f ~dv:0 ~di:0 B.op_tcfree (slot f v) (free_kind_code kind)
 
 and emit_block f (b : Tast.block) =
-  op0 f ~dv:0 ~di:0 B.op_push_scope;
-  f.scopes <- Kblock :: f.scopes;
-  List.iter (fun s -> emit_stmt f s) b.Tast.b_stmts;
-  op0 f ~dv:0 ~di:0 B.op_pop_scope;
-  f.scopes <- List.tl f.scopes
+  if stack_allocates f b then begin
+    op0 f ~dv:0 ~di:0 B.op_push_scope;
+    f.scopes <- Kblock :: f.scopes;
+    List.iter (fun s -> emit_stmt f s) b.Tast.b_stmts;
+    op0 f ~dv:0 ~di:0 B.op_pop_scope;
+    f.scopes <- List.tl f.scopes
+  end
+  else List.iter (fun s -> emit_stmt f s) b.Tast.b_stmts
 
 (* ------------------------------------------------------------------ *)
 (* Functions and programs                                              *)
@@ -960,7 +1105,9 @@ let patch_and_thread f =
   List.iter (fun (pos, _) -> code.(pos) <- resolve code.(pos)) f.patches
 
 let emit_func (ctx : Compile.ctx) (fn : Tast.func) fid : B.fn =
-  let f = fctx ctx in
+  let nslots = ctx.Compile.layout.Layout.l_nslots.(fid) in
+  let regs, nregs = register_slots ctx fn nslots in
+  let f = fctx ctx regs in
   emit_block f fn.Tast.f_body;
   op0 f ~dv:0 ~di:0 B.op_halt;
   patch_and_thread f;
@@ -970,7 +1117,8 @@ let emit_func (ctx : Compile.ctx) (fn : Tast.func) fid : B.fn =
   {
     B.bf_fn = fn;
     bf_name = fn.Tast.f_name;
-    bf_nslots = ctx.Compile.layout.Layout.l_nslots.(fid);
+    bf_nslots = nslots;
+    bf_nregs = nregs;
     bf_max_v = f.max_v;
     bf_max_i = f.max_i;
     bf_code = Array.sub f.code.iv_a 0 f.code.iv_n;

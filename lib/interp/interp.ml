@@ -148,7 +148,6 @@ type state = {
   mutable current : goroutine;
   mutable steps : int;
   mutable rng : int64;
-  mutable next_scope_token : int;
   mutable unwinding : Value.value option;
       (** the active panic value while defers run during unwinding;
           [recover] clears it *)
@@ -290,10 +289,7 @@ let cur_thread st =
    stack object registers (most scopes register none).  LIFO order is
    preserved because registration materializes every pending scope as
    an empty list before prepending to the innermost. *)
-let push_scope st fr =
-  fr.lazy_scopes <- fr.lazy_scopes + 1;
-  st.next_scope_token <- st.next_scope_token + 1;
-  st.next_scope_token
+let push_scope fr = fr.lazy_scopes <- fr.lazy_scopes + 1
 
 let rec release_all heap objs =
   match objs with
@@ -460,7 +456,7 @@ let fiber_task (p : parctx) (gst : state) (body : unit -> unit) : ptask =
 
 (** Parallel-mode goroutine spawn.  Each goroutine gets its own [state]
     copy — per-goroutine execution context (current goroutine, step/yield
-    counters, scope tokens, IC stats) over physically shared program,
+    counters, IC stats) over physically shared program,
     heap, globals, output and scheduler — so a stolen fiber carries its
     context with it.  The new task lands on the spawning domain's local
     queue, Go-style. *)
@@ -476,7 +472,7 @@ let spawn_parallel st (p : parctx) fid args =
   ignore (Sched.fresh_gid st.sched);
   let gst =
     { st with current = g; steps = 0; yield_at = st.config.yield_every;
-      next_scope_token = 0; unwinding = None; ic_hits = 0; ic_misses = 0 }
+      unwinding = None; ic_hits = 0; ic_misses = 0 }
   in
   p.p_regs <- (g, gst) :: p.p_regs;
   p.p_live <- p.p_live + 1;
@@ -606,8 +602,8 @@ let alloc_obj st fr ~(site : Tast.alloc_site) ~category ~size ~payload :
       ~payload
   else begin
     let obj =
-      Rt.Heap.alloc_stack ~thread:(cur_thread st) st.heap
-        ~scope:st.next_scope_token ~category ~size ~payload
+      Rt.Heap.alloc_stack ~thread:(cur_thread st) st.heap ~category ~size
+        ~payload
     in
     register_stack_obj fr obj;
     obj
@@ -1452,7 +1448,7 @@ and call_by_id st fid (args : Value.value list) : Value.value list =
 (* ------------------------------------------------------------------ *)
 
 and exec_block st (b : Tast.block) =
-  ignore (push_scope st (cur_frame st));
+  push_scope (cur_frame st);
   match List.iter (exec_stmt st) b.Tast.b_stmts with
   | () -> pop_scope st (cur_frame st)
   | exception e ->
@@ -1490,7 +1486,7 @@ and exec_stmt st (s : Tast.stmt) =
     if truthy (eval st c) then exec_block st b1
     else Option.iter (exec_block st) b2
   | Tast.Sfor (init, cond, post, body) ->
-    ignore (push_scope st (cur_frame st));
+    push_scope (cur_frame st);
     let cleanup f = match f () with
       | x -> pop_scope st (cur_frame st); x
       | exception e -> pop_scope st (cur_frame st); raise e

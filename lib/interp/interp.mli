@@ -107,7 +107,6 @@ type state = {
   mutable current : goroutine;
   mutable steps : int;
   mutable rng : int64;
-  mutable next_scope_token : int;
   mutable unwinding : Value.value option;
       (** the active panic value while defers run during unwinding *)
   mutable ic_hits : int;
@@ -212,7 +211,7 @@ val safepoint : state -> unit
     bytecode VM, whose fast path replicates {!safepoint}'s guard. *)
 val safepoint_slow : state -> unit
 
-val push_scope : state -> frame -> int
+val push_scope : frame -> unit
 
 val pop_scope : state -> frame -> unit
 

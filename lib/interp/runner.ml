@@ -65,7 +65,6 @@ let run_program ?(config = Interp.default_config)
       current = main_g;
       steps = 0;
       rng = config.Interp.seed;
-      next_scope_token = 0;
       unwinding = None;
       ic_hits = 0;
       ic_misses = 0;

@@ -22,16 +22,21 @@
     allocation a call makes beyond the shared frame: the operand stacks
     themselves are LIFO windows carved out of per-goroutine pooled
     arrays ([g_stk_v]/[g_stk_i]).  Calls within a goroutine are
-    strictly LIFO even across yields, and the windows are dead at every
-    safepoint and invisible to the simulated GC, so pooling cannot
+    strictly LIFO even across yields, and the windows are invisible to
+    the simulated GC (value windows are dead at every safepoint; int
+    windows, registers included, hold no pointers), so pooling cannot
     change observable behaviour.
 
     Every opcode's implementation replicates the corresponding
     {!Compile} closure line by line and calls the same shared {!Interp}
     helpers in the same order, so allocation counts, free attempts, GC
     cycle points and scheduler interleavings are bit-identical across
-    all three engines.  The opcode numbering is frozen in {!Bytecode};
-    the literal patterns below must stay in sync. *)
+    all three engines.  The one departure is storage the program cannot
+    observe: register locals ([rload]/[rstore]/[rinc]) live in the first
+    [bf_nregs] words of the call's int-stack window rather than in frame
+    cells, and blocks with no stack-allocation site open no scope (see
+    {!Emit}).  The opcode numbering is frozen in {!Bytecode}; the literal
+    patterns below must stay in sync. *)
 
 open Minigo
 module B = Bytecode
@@ -48,6 +53,7 @@ type regs = {
   x_code : int array;
   x_stk_v : Value.value array;  (* this call's window of g_stk_v *)
   x_stk_i : int array;  (* this call's window of g_stk_i *)
+  x_rb : int;  (* register 0 in x_stk_i; the operand stack follows *)
   x_slots : binding array;
   mutable x_scopes : int;  (* open lexical scopes, for the unwind path *)
   mutable x_iters : Value.value list list;
@@ -215,7 +221,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 1)
     else loop r (pc + 2) sp_v (sp_i - 1)
   | 5 (* push_scope *) ->
-    ignore (push_scope r.x_st r.x_fr);
+    push_scope r.x_fr;
     r.x_scopes <- r.x_scopes + 1;
     loop r (pc + 1) sp_v sp_i
   | 6 (* pop_scope *) ->
@@ -1312,6 +1318,23 @@ let rec loop (r : regs) pc sp_v sp_i =
       loop r (pc + 4) sp_v sp_i
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 3))
   end
+  (* Register locals: no frame cell, no boxing, no binding check — the
+     emitter only registerizes locals whose every read follows their
+     declaration's [rstore]. *)
+  | 133 (* rload *) ->
+    Array.unsafe_set stk_i sp_i
+      (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1)));
+    loop r (pc + 3) sp_v (sp_i + 1)
+  | 134 (* rstore *) ->
+    Array.unsafe_set stk_i
+      (r.x_rb + Array.unsafe_get code (pc + 1))
+      (Array.unsafe_get stk_i (sp_i - 1));
+    loop r (pc + 3) sp_v (sp_i - 1)
+  | 135 (* rinc *) ->
+    let i = r.x_rb + Array.unsafe_get code (pc + 1) in
+    Array.unsafe_set stk_i i
+      (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
+    loop r (pc + 4) sp_v sp_i
   | op -> raise (Runtime_error ("vm: bad opcode " ^ string_of_int op))
 
 let exec (f : B.fn) (st : state) (fr : frame) : unit =
@@ -1331,7 +1354,7 @@ let exec (f : B.fn) (st : state) (fr : frame) : unit =
     end
   in
   g.g_top_v <- base_v + need_v;
-  let need_i = f.B.bf_max_i in
+  let need_i = f.B.bf_nregs + f.B.bf_max_i in
   let base_i =
     if g.g_top_i + need_i <= Array.length g.g_stk_i then g.g_top_i
     else begin
@@ -1349,12 +1372,13 @@ let exec (f : B.fn) (st : state) (fr : frame) : unit =
       x_code = f.B.bf_code;
       x_stk_v = g.g_stk_v;
       x_stk_i = g.g_stk_i;
+      x_rb = base_i;
       x_slots = fr.slots;
       x_scopes = 0;
       x_iters = [];
     }
   in
-  (try loop r 0 base_v base_i
+  (try loop r 0 base_v (base_i + f.B.bf_nregs)
    with e ->
      (* release open scopes innermost-first, exactly like the closure
         engine's nested per-block handlers, before the exception reaches

@@ -86,17 +86,18 @@ let sweep (heap : Heap.t) =
           span.Mspan.state <- Mspan.Free;
           Pageheap.free_pages heap.Heap.pages span.Mspan.npages
         end
-      | Heap.On_stack _ -> assert false);
+      | Heap.On_stack -> assert false);
       o.Heap.freed <- true;
       if heap.Heap.config.Heap.poison_on_free then begin
         o.Heap.poisoned <- true;
-        heap.Heap.poison_payload o.Heap.payload
+        heap.Heap.poison_payload o.Heap.payload;
+        (* the tombstone string is only kept in poison mode *)
+        Heap.bury heap o.Heap.addr
+          (Printf.sprintf "swept by GC cycle %d"
+             (metrics.Metrics.gc_cycles + 1))
       end;
       Metrics.count_gc_free metrics ~category:o.Heap.category
         ~bytes:o.Heap.size;
-      Heap.bury heap o.Heap.addr
-        (Printf.sprintf "swept by GC cycle %d"
-           (metrics.Metrics.gc_cycles + 1));
       Objtable.remove heap.Heap.objects o.Heap.addr)
     dead;
   (* Step 2 of the large-object tcfree (fig. 9): dangling span structs
@@ -335,18 +336,18 @@ module Par = struct
             span.Mspan.state <- Mspan.Free;
             Pageheap.free_pages heap.Heap.pages span.Mspan.npages
           end
-        | Heap.On_stack _ -> assert false);
+        | Heap.On_stack -> assert false);
         o.Heap.freed <- true;
         if heap.Heap.config.Heap.poison_on_free then begin
           o.Heap.poisoned <- true;
-          heap.Heap.poison_payload o.Heap.payload
+          heap.Heap.poison_payload o.Heap.payload;
+          Heap.bury heap o.Heap.addr
+            (Printf.sprintf "swept by GC cycle %d"
+               (metrics.Metrics.gc_cycles + 1))
         end;
         Metrics.count_gc_free metrics ~category:o.Heap.category
           ~bytes:o.Heap.size;
         Heap.drop_live heap o.Heap.size;
-        Heap.bury heap o.Heap.addr
-          (Printf.sprintf "swept by GC cycle %d"
-             (metrics.Metrics.gc_cycles + 1));
         Objtable.remove heap.Heap.objects o.Heap.addr)
       c.dead;
     List.iter

@@ -19,7 +19,7 @@ type payload += No_payload
 
 type placement =
   | On_heap of Mspan.t * int  (** span and slot *)
-  | On_stack of int  (** owning scope token *)
+  | On_stack  (** released when its scope exits *)
 
 type obj = {
   addr : int;
@@ -115,7 +115,7 @@ let dummy_obj =
     size = 0;
     category = Metrics.Cat_other;
     payload = No_payload;
-    placement = On_stack 0;
+    placement = On_stack;
     marked = false;
     freed = true;
     poisoned = false;
@@ -249,16 +249,16 @@ let alloc_heap t ~thread ~category ~size ~payload : obj =
   if t.shared then bump_live t size;
   obj
 
-(** Allocate a stack object: no span, no GC cost; released when scope
-    [scope] exits. *)
-let alloc_stack ?(thread = 0) t ~scope ~category ~size ~payload : obj =
+(** Allocate a stack object: no span, no GC cost; released when its
+    scope exits. *)
+let alloc_stack ?(thread = 0) t ~category ~size ~payload : obj =
   let obj =
     {
       addr = fresh_addr t;
       size;
       category;
       payload;
-      placement = On_stack scope;
+      placement = On_stack;
       marked = false;
       freed = false;
       poisoned = false;
@@ -269,7 +269,7 @@ let alloc_stack ?(thread = 0) t ~scope ~category ~size ~payload : obj =
   obj
 
 let is_stack_obj obj =
-  match obj.placement with On_stack _ -> true | On_heap _ -> false
+  match obj.placement with On_stack -> true | On_heap _ -> false
 
 (* Tombstones are diagnostic detail for corruption reports; they are only
    recorded in poison mode, where wrong frees are being hunted — normal

@@ -10,7 +10,7 @@ type payload += No_payload
 
 type placement =
   | On_heap of Mspan.t * int  (** span and slot *)
-  | On_stack of int  (** owning scope token *)
+  | On_stack  (** released when its scope exits *)
 
 type obj = {
   addr : int;
@@ -112,7 +112,7 @@ val alloc_heap :
 (** Allocate a stack object: no span, no GC cost; released at scope
     exit.  [thread] only selects the metric stripe. *)
 val alloc_stack :
-  ?thread:int -> t -> scope:int -> category:Metrics.category -> size:int ->
+  ?thread:int -> t -> category:Metrics.category -> size:int ->
   payload:payload -> obj
 
 val is_stack_obj : obj -> bool

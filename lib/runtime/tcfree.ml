@@ -141,7 +141,7 @@ let tcfree_impl (heap : Heap.t) ~thread ~source addr : outcome =
       else if Heap.gc_running heap then give_up Metrics.Gc_running
       else begin
         match obj.Heap.placement with
-        | Heap.On_stack _ -> give_up Metrics.Stack_object
+        | Heap.On_stack -> give_up Metrics.Stack_object
         | Heap.On_heap (span, slot) ->
           if span.Mspan.class_idx >= 0 then
             let outcome =

@@ -57,7 +57,7 @@ let test_repeated_cycles_through_stack_objects () =
   let heap = make_heap () in
   let inner = alloc heap [] in
   let holder =
-    Heap.alloc_stack heap ~scope:1 ~category:Metrics.Cat_other ~size:8
+    Heap.alloc_stack heap ~category:Metrics.Cat_other ~size:8
       ~payload:(Children (ref [ inner.Heap.addr ]))
   in
   let roots = ref [ holder.Heap.addr ] in
@@ -92,7 +92,7 @@ let test_heap_to_stack_pointer_detection () =
      counted as a violation *)
   let heap = make_heap () in
   let stack_obj =
-    Heap.alloc_stack heap ~scope:1 ~category:Metrics.Cat_other ~size:8
+    Heap.alloc_stack heap ~category:Metrics.Cat_other ~size:8
       ~payload:(Children (ref []))
   in
   let bad = alloc heap [ stack_obj.Heap.addr ] in

@@ -159,7 +159,7 @@ let prop_span_slots_never_negative =
             (match obj.Rt.Heap.placement with
             | Rt.Heap.On_heap (span, _) ->
               Hashtbl.replace spans span.Rt.Mspan.span_id span
-            | Rt.Heap.On_stack _ -> ());
+            | Rt.Heap.On_stack -> ());
             live := obj :: !live
           | `Free i ->
             if !live <> [] then begin

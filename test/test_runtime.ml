@@ -128,7 +128,7 @@ let test_heap_alloc_and_metrics () =
   Alcotest.(check int) "heap slice count" 1
     heap.Heap.metrics.Metrics.heap_allocs.(0);
   let sobj =
-    Heap.alloc_stack heap ~scope:1 ~category:Metrics.Cat_other ~size:50
+    Heap.alloc_stack heap ~category:Metrics.Cat_other ~size:50
       ~payload:Heap.No_payload
   in
   Alcotest.(check int) "stack allocs don't count bytes" 100

@@ -54,7 +54,7 @@ let test_double_free_tolerated () =
 let test_stack_object_ignored () =
   let heap = Heap.create () in
   let obj =
-    Heap.alloc_stack heap ~scope:1 ~category:Metrics.Cat_slice ~size:64
+    Heap.alloc_stack heap ~category:Metrics.Cat_slice ~size:64
       ~payload:Heap.No_payload
   in
   check_gave_up "stack ignored" (free heap obj.Heap.addr)
