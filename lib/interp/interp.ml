@@ -327,10 +327,10 @@ let pin _st fr v =
 let trace_binding b k =
   match b with
   | Bunbound -> ()
-  | Bdirect c -> Value.trace c.Value.v k
+  | Bdirect c -> Value.trace (Value.get c) k
   | Bboxed (addr, c) ->
     k addr;
-    Value.trace c.Value.v k
+    Value.trace (Value.get c) k
 
 let iter_roots st (k : int -> unit) =
   Array.iter (fun b -> trace_binding b k) st.globals;
@@ -614,10 +614,11 @@ let alloc_heap_obj st ~category ~size ~payload =
   Rt.Heap.alloc_heap st.heap ~thread:(cur_thread st) ~category ~size
     ~payload
 
-let make_slice_obj st fr ~site ~elem_size ~len ~cap ~zero_of : Value.value =
+let make_slice_obj st fr ~(site : Tast.alloc_site) ~len ~cap ~zero_of :
+    Value.value =
   let cap = max cap len in
-  let cells = Array.init cap (fun _ -> Value.cell (zero_of ())) in
-  let size = max 1 (cap * elem_size) in
+  let cells = Value.make_store cap zero_of in
+  let size = max 1 (cap * site.Tast.site_elem_size) in
   let obj =
     alloc_obj st fr ~site ~category:Rt.Metrics.Cat_slice ~size
       ~payload:(Value.Pcells cells)
@@ -677,7 +678,7 @@ let map_data st addr : Value.map_data * (Value.value * Value.value) list array =
             (Rt.Heap.death_of st.heap addr)))
   | Some _ -> raise (Runtime_error "not a map")
 
-let map_grow st addr (md : Value.map_data) old_buckets =
+let map_grow st (md : Value.map_data) old_buckets =
   let nbuckets = md.Value.md_nbuckets * 2 in
   let buckets = Array.make nbuckets [] in
   Array.iter
@@ -703,7 +704,6 @@ let map_grow st addr (md : Value.map_data) old_buckets =
   md.Value.md_buckets <- new_obj.Rt.Heap.addr;
   md.Value.md_nbuckets <- nbuckets;
   md.Value.md_version <- md.Value.md_version + 1;
-  ignore addr;
   (* GrowMapAndFreeOld (§4.6.2): the abandoned bucket array is in the
      map's exclusive ownership — free it explicitly.  Only the GoFree
      runtime does this; stock Go leaves the old array to GC. *)
@@ -757,7 +757,7 @@ let map_store st addr key v =
     md.Value.md_count <- md.Value.md_count + 1;
     (* Go grows at load factor 6.5 entries per bucket. *)
     if md.Value.md_count * 2 > 13 * md.Value.md_nbuckets then
-      map_grow st addr md buckets
+      map_grow st md buckets
 
 let rec bucket_get key entries ~zero =
   match entries with
@@ -826,7 +826,7 @@ let declare_var st fr (v : Tast.var) (value : Value.value) =
       let size = Types.size_of st.program.Tast.p_tenv v.Tast.v_ty in
       let obj =
         alloc_heap_obj st ~category:Rt.Metrics.Cat_other ~size:(max 8 size)
-          ~payload:(Value.Pcells [| c |])
+          ~payload:(Value.Pcells c)
       in
       Bboxed (obj.Rt.Heap.addr, c)
     end
@@ -895,7 +895,7 @@ and value_eq (a : Value.value) (b : Value.value) =
   | VNil, (VPtr _ | VSlice _ | VMap _) | (VPtr _ | VSlice _ | VMap _), VNil
     ->
     false
-  | VPtr x, VPtr y -> x.p_cell == y.p_cell
+  | VPtr x, VPtr y -> x.p_arr == y.p_arr && x.p_idx = y.p_idx
   | VMap x, VMap y -> x = y
   | VSlice x, VSlice y ->
     x.s_cells == y.s_cells && x.s_off = y.s_off && x.s_len = y.s_len
@@ -907,7 +907,7 @@ and value_eq (a : Value.value) (b : Value.value) =
    matching tcfree variant (Table 4).  Shared by both execution modes. *)
 let tcfree_binding st (b : binding) (kind : Tast.free_kind) =
   let thread = cur_thread st in
-  match (binding_cell b).Value.v with
+  match Value.get (binding_cell b) with
   | Value.VSlice s when kind = Tast.Free_slice ->
     (* TcfreeSlice: unwrap the backing array's address *)
     ignore
@@ -1051,7 +1051,7 @@ let rec eval st (e : Tast.expr) : Value.value =
   | Tast.Taddr lv -> eval_addr st lv
   | Tast.Tderef a -> begin
     match eval st a with
-    | Value.VPtr p -> Value.read_cell p.Value.p_cell
+    | Value.VPtr p -> Value.read_ptr p
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "dereference of a non-pointer")
   end
@@ -1062,7 +1062,7 @@ let rec eval st (e : Tast.expr) : Value.value =
     | Value.VSlice s ->
       if vi < 0 || vi >= s.Value.s_len then
         raise (Panic (Value.VStr "index out of range"));
-      Value.read_cell s.Value.s_cells.(s.Value.s_off + vi)
+      Value.read_elem s.Value.s_cells (s.Value.s_off + vi)
     | Value.VStr s ->
       if vi < 0 || vi >= String.length s then
         raise (Panic (Value.VStr "index out of range"));
@@ -1082,7 +1082,7 @@ let rec eval st (e : Tast.expr) : Value.value =
   | Tast.Tfield (a, idx, name) -> begin
     let base =
       match eval st a with
-      | Value.VPtr p -> Value.read_cell p.Value.p_cell
+      | Value.VPtr p -> Value.read_ptr p
       | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
       | v -> v
     in
@@ -1102,21 +1102,19 @@ let rec eval st (e : Tast.expr) : Value.value =
     let cap =
       match cap with Some c -> as_int (eval st c) | None -> len
     in
-    make_slice_obj st (cur_frame st) ~site
-      ~elem_size:site.Tast.site_elem_size ~len ~cap ~zero_of:(zero_of st elem)
+    make_slice_obj st (cur_frame st) ~site ~len ~cap
+      ~zero_of:(zero_of st elem)
   | Tast.Tmake_map (site, _, _) -> make_map_obj st (cur_frame st) ~site
   | Tast.Tnew (site, ty) ->
     let c = Value.cell (Value.zero st.program.Tast.p_tenv ty) in
     let obj =
       alloc_obj st (cur_frame st) ~site ~category:Rt.Metrics.Cat_other
         ~size:(max 8 site.Tast.site_elem_size)
-        ~payload:(Value.Pcells [| c |])
+        ~payload:(Value.Pcells c)
     in
-    pin st (cur_frame st)
-      (Value.VPtr { Value.p_owner = obj.Rt.Heap.addr; p_cell = c })
+    pin st (cur_frame st) (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c))
   | Tast.Tslice_lit (site, _, es) ->
-    let vs = List.map (fun e -> Value.copy (eval st e)) es in
-    let cells = Array.of_list (List.map Value.cell vs) in
+    let cells = Array.of_list (List.map (fun e -> Value.copy (eval st e)) es) in
     let size = max 1 (Array.length cells * site.Tast.site_elem_size) in
     let obj =
       alloc_obj st (cur_frame st) ~site ~category:Rt.Metrics.Cat_slice ~size
@@ -1140,10 +1138,9 @@ let rec eval st (e : Tast.expr) : Value.value =
     let obj =
       alloc_obj st (cur_frame st) ~site ~category:Rt.Metrics.Cat_other
         ~size:(max 8 site.Tast.site_elem_size)
-        ~payload:(Value.Pcells [| c |])
+        ~payload:(Value.Pcells c)
     in
-    pin st (cur_frame st)
-      (Value.VPtr { Value.p_owner = obj.Rt.Heap.addr; p_cell = c })
+    pin st (cur_frame st) (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c))
   | Tast.Tappend (site, s, vs) ->
     let base = eval st s in
     let elems = List.map (fun v -> Value.copy (eval st v)) vs in
@@ -1207,7 +1204,7 @@ let rec eval st (e : Tast.expr) : Value.value =
     let vd = eval st dst in
     let vs = eval st src in
     match (vd, vs) with
-    | Value.VSlice d, Value.VSlice s -> slice_copy d s
+    | Value.VSlice d, Value.VSlice s -> Value.VInt (slice_copy d s)
     | (Value.VNil, _ | _, Value.VNil) -> Value.VInt 0
     | _ -> raise (Runtime_error "copy on non-slices")
   end
@@ -1237,18 +1234,18 @@ and recover st =
     Value.VStr (Value.to_string v)
   | None -> Value.VStr ""
 
-and slice_copy (d : Value.slice) (s : Value.slice) : Value.value =
+and slice_copy (d : Value.slice) (s : Value.slice) : int =
   (* memmove semantics: snapshot the source first so overlapping views
      of one backing array copy correctly, like Go *)
   let n = min d.Value.s_len s.Value.s_len in
   let snapshot =
     Array.init n (fun i ->
-        Value.copy (Value.read_cell s.Value.s_cells.(s.Value.s_off + i)))
+        Value.copy (Value.read_elem s.Value.s_cells (s.Value.s_off + i)))
   in
   for i = 0 to n - 1 do
-    d.Value.s_cells.(d.Value.s_off + i).Value.v <- snapshot.(i)
+    d.Value.s_cells.(d.Value.s_off + i) <- snapshot.(i)
   done;
-  Value.VInt n
+  n
 
 and eval_append st fr ~site base elems : Value.value =
   let open Value in
@@ -1263,9 +1260,7 @@ and eval_append st fr ~site base elems : Value.value =
   let new_len = old_len + n in
   if old_off + new_len <= Array.length old_cells then begin
     (* room within the view's capacity: write in place *)
-    List.iteri
-      (fun i v -> old_cells.(old_off + old_len + i).v <- v)
-      elems;
+    List.iteri (fun i v -> old_cells.(old_off + old_len + i) <- v) elems;
     match base with
     | VSlice s -> VSlice { s with s_len = new_len }
     | _ -> assert false
@@ -1273,20 +1268,17 @@ and eval_append st fr ~site base elems : Value.value =
   else begin
     let old_cap = Array.length old_cells - old_off in
     let new_cap = max (max (2 * old_cap) new_len) 4 in
-    let cells =
-      Array.init new_cap (fun i ->
-          if i < old_len then
-            Value.cell (Value.read_cell old_cells.(old_off + i))
-          else Value.cell VNil)
-    in
-    List.iteri (fun i v -> cells.(old_len + i).v <- v) elems;
+    let cells = Array.make new_cap VNil in
+    for i = 0 to old_len - 1 do
+      cells.(i) <- Value.read_elem old_cells (old_off + i)
+    done;
+    List.iteri (fun i v -> cells.(old_len + i) <- v) elems;
     let size = max 1 (new_cap * site.Tast.site_elem_size) in
     (* growth arrays always come from the heap (§4.6.1) *)
     let obj =
       alloc_heap_obj st ~category:Rt.Metrics.Cat_slice ~size
         ~payload:(Pcells cells)
     in
-    ignore site;
     pin st fr
       (VSlice
          { s_addr = obj.Rt.Heap.addr; s_cells = cells; s_off = 0;
@@ -1298,8 +1290,8 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
   match lv with
   | Tast.Lvar v -> begin
     match lookup_binding st v with
-    | Bdirect c -> Value.VPtr { Value.p_owner = 0; p_cell = c }
-    | Bboxed (addr, c) -> Value.VPtr { Value.p_owner = addr; p_cell = c }
+    | Bdirect c -> Value.VPtr (Value.cell_ptr 0 c)
+    | Bboxed (addr, c) -> Value.VPtr (Value.cell_ptr addr c)
     | Bunbound -> raise (Runtime_error "unbound variable")
   end
   | Tast.Lderef e -> eval st e
@@ -1311,8 +1303,8 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
       if vi < 0 || vi >= s.Value.s_len then
         raise (Panic (Value.VStr "index out of range"));
       Value.VPtr
-        { Value.p_owner = s.Value.s_addr;
-          p_cell = s.Value.s_cells.(s.Value.s_off + vi) }
+        { Value.p_owner = s.Value.s_addr; p_arr = s.Value.s_cells;
+          p_idx = s.Value.s_off + vi }
     | _ -> raise (Runtime_error "cannot take address of this element")
   end
   | Tast.Lmap _ -> raise (Runtime_error "cannot take address of map element")
@@ -1323,7 +1315,7 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
         (* pointer base: the field cell lives inside the pointee *)
         match eval st base with
         | Value.VPtr p -> begin
-          match Value.read_cell p.Value.p_cell with
+          match Value.read_ptr p with
           | Value.VStruct cells -> (p.Value.p_owner, cells)
           | _ -> raise (Runtime_error "field of non-struct")
         end
@@ -1356,7 +1348,7 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
         end
       end
     in
-    Value.VPtr { Value.p_owner = owner; p_cell = cells.(idx) }
+    Value.VPtr (Value.cell_ptr owner cells.(idx))
   end
 
 (* The heap object owning the storage of a struct-valued expression, for
@@ -1382,12 +1374,12 @@ and owner_of_struct_base st (e : Tast.expr) : int =
 
 (* An lvalue resolved to mutable storage. *)
 and eval_lvalue_target st (lv : Tast.lvalue) :
-    [ `Cell of Value.cell | `Map of int * Value.value ] =
+    [ `Elem of Value.value array * int | `Map of int * Value.value ] =
   match lv with
-  | Tast.Lvar v -> `Cell (binding_cell (lookup_binding st v))
+  | Tast.Lvar v -> `Elem (binding_cell (lookup_binding st v), 0)
   | Tast.Lderef e -> begin
     match eval st e with
-    | Value.VPtr p -> `Cell p.Value.p_cell
+    | Value.VPtr p -> `Elem (p.Value.p_arr, p.Value.p_idx)
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "assignment through non-pointer")
   end
@@ -1398,7 +1390,7 @@ and eval_lvalue_target st (lv : Tast.lvalue) :
     | Value.VSlice s ->
       if vi < 0 || vi >= s.Value.s_len then
         raise (Panic (Value.VStr "index out of range"));
-      `Cell s.Value.s_cells.(s.Value.s_off + vi)
+      `Elem (s.Value.s_cells, s.Value.s_off + vi)
     | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
     | _ -> raise (Runtime_error "cannot assign into this value")
   end
@@ -1413,13 +1405,13 @@ and eval_lvalue_target st (lv : Tast.lvalue) :
   end
   | Tast.Lfield (base, idx, _) -> begin
     match eval_addr st (Tast.Lfield (base, idx, "")) with
-    | Value.VPtr p -> `Cell p.Value.p_cell
+    | Value.VPtr p -> `Elem (p.Value.p_arr, p.Value.p_idx)
     | _ -> raise (Runtime_error "bad field target")
   end
 
 and assign st (lv : Tast.lvalue) (v : Value.value) =
   match eval_lvalue_target st lv with
-  | `Cell c -> c.Value.v <- Value.copy v
+  | `Elem (a, i) -> a.(i) <- Value.copy v
   | `Map (addr, key) -> map_store st addr key (Value.copy v)
 
 and call_function st name (args : Value.value list) : Value.value list =

@@ -24,9 +24,10 @@ exception Break_loop
 
 exception Continue_loop
 
-(** A variable's storage: a frame cell, or a 1-cell heap box when its
-    address escapes (the analysis decides).  [Bunbound] marks a slot
-    whose declaration has not executed on this path. *)
+(** A variable's storage: a frame cell, or a heap box whose payload is
+    the cell itself when its address escapes (the analysis decides).
+    [Bunbound] marks a slot whose declaration has not executed on this
+    path. *)
 type binding =
   | Bunbound
   | Bdirect of Value.cell
@@ -259,7 +260,6 @@ val make_slice_obj :
   state ->
   frame ->
   site:Tast.alloc_site ->
-  elem_size:int ->
   len:int ->
   cap:int ->
   zero_of:(unit -> Value.value) ->
@@ -295,6 +295,12 @@ val eval_append :
   Value.value ->
   Value.value list ->
   Value.value
+
+(** [copy(dst, src)] on two live slices, returning the count copied.
+    Memmove semantics: the source is snapshot (poison-checked, deep
+    copied) first, so overlapping views of one backing store copy
+    correctly. *)
+val slice_copy : Value.slice -> Value.slice -> int
 
 (** Apply a tcfree of the given kind to an already-resolved binding
     (callers filter [Bunbound] — never executed — as a no-op). *)

@@ -1,21 +1,22 @@
 (** Runtime values of MiniGo and their payload representation inside the
     simulated heap.
 
-    All mutable storage is a {!cell}; a pointer is an (owner address,
-    cell) pair so the GC can keep the owning heap object alive while the
-    interpreter mutates through the cell directly.  Struct values are cell
-    arrays copied on assignment (Go value semantics); slice values are
-    headers (backing-array address + cells + length) copied freely while
-    sharing the backing store.
+    Mutable storage is a flat [value array]: a slice's backing store
+    holds its elements directly, and every other mutable location (a
+    frame variable, a heap box, a struct field) is a {!cell}, a
+    one-element array.  A pointer is an (owner address, array, index)
+    triple, so [&s[i]], [&local], [&x.f], [new(T)] and [&T{}] all
+    dereference the same way while the GC keeps the owning heap object
+    alive.  Struct values are cell arrays copied on assignment (Go value
+    semantics); slice values are headers (backing-array address + store
+    + offset + length) copied freely while sharing the backing store.
 
     Strings are modelled as static immutable data (no heap object): GoFree
     never frees strings, and the paper's reclaim comes from slices and
     maps, so this keeps the value model small without changing any
     measured behaviour (recorded as a substitution in DESIGN.md). *)
 
-type cell = { mutable v : value }
-
-and value =
+type value =
   | VUnit
   | VInt of int
   | VFloat of float
@@ -29,14 +30,17 @@ and value =
   | VTuple of value list
   | VPoison  (** contents of mock-freed memory (§6.8) *)
 
+and cell = value array  (** always exactly one element *)
+
 and ptr = {
-  p_owner : int;  (** heap/stack object owning the cell; 0 = frame slot *)
-  p_cell : cell;
+  p_owner : int;  (** heap/stack object owning the storage; 0 = frame slot *)
+  p_arr : value array;  (** a cell, or a slice backing store *)
+  p_idx : int;  (** the element of [p_arr] pointed at *)
 }
 
 and slice = {
   s_addr : int;  (** backing-array object *)
-  s_cells : cell array;  (** the shared backing array *)
+  s_cells : value array;  (** the shared backing store, one element each *)
   s_off : int;  (** view offset into the backing array *)
   s_len : int;  (** view length; capacity = Array.length s_cells − s_off *)
 }
@@ -55,14 +59,25 @@ type map_data = {
 
 (** Heap payloads carrying interpreter values. *)
 type Gofree_runtime.Heap.payload +=
-  | Pcells of cell array  (** slice backing array, or a 1-cell box *)
+  | Pcells of value array
+      (** slice backing store, or a box (whose payload is its own cell) *)
   | Pmap of map_data
   | Pbuckets of (value * value) list array
 
 exception Corruption of string
     (** read of poisoned memory: a wrong explicit free was observed *)
 
-let cell v = { v }
+let cell v : cell = [| v |]
+
+(* Raw cell and pointer accesses.  Unchecked: a cell always has one
+   element, and a pointer's index was bounds-checked when it was made. *)
+let get (c : cell) = Array.unsafe_get c 0
+
+let set (c : cell) v = Array.unsafe_set c 0 v
+
+let cell_ptr owner (c : cell) = { p_owner = owner; p_arr = c; p_idx = 0 }
+
+let ptr_set p v = Array.unsafe_set p.p_arr p.p_idx v
 
 (* Shared boxes for small ints.  [VInt] is immutable and compared
    structurally everywhere (maps, ==, caches), so one box can appear in
@@ -75,14 +90,31 @@ let vint n =
   if n >= 0 && n < 1024 then Array.unsafe_get small_ints n else VInt n
 
 let read_cell c =
-  match c.v with
+  match get c with
   | VPoison -> raise (Corruption "read of freed memory")
   | v -> v
+
+let read_elem (a : value array) i =
+  match a.(i) with
+  | VPoison -> raise (Corruption "read of freed memory")
+  | v -> v
+
+let read_ptr p =
+  match Array.unsafe_get p.p_arr p.p_idx with
+  | VPoison -> raise (Corruption "read of freed memory")
+  | v -> v
+
+(** A backing store of [n] zero values.  A struct zero is mutable, so
+    each element gets its own; any other zero is immutable and shared. *)
+let make_store n (zero_of : unit -> value) : value array =
+  match zero_of () with
+  | VStruct _ -> Array.init n (fun _ -> zero_of ())
+  | z -> Array.make n z
 
 (** Deep-copy for assignment: struct values copy their cells; everything
     else has reference or immutable semantics. *)
 let rec copy = function
-  | VStruct cells -> VStruct (Array.map (fun c -> cell (copy c.v)) cells)
+  | VStruct cells -> VStruct (Array.map (fun c -> cell (copy (get c))) cells)
   | ( VUnit | VInt _ | VFloat _ | VBool _ | VStr _ | VNil | VPtr _
     | VSlice _ | VMap _ | VTuple _ | VPoison ) as v ->
     v
@@ -111,13 +143,13 @@ let rec trace (v : value) (k : int -> unit) =
     (* owner 0: pointer to a frame slot; the frame is scanned as a root *)
   | VSlice s -> if s.s_addr > 0 then k s.s_addr
   | VMap addr -> if addr > 0 then k addr
-  | VStruct cells -> Array.iter (fun c -> trace c.v k) cells
+  | VStruct cells -> Array.iter (fun c -> trace (get c) k) cells
   | VTuple vs -> List.iter (fun v -> trace v k) vs
 
 (** Payload tracer registered with the heap. *)
 let trace_payload (p : Gofree_runtime.Heap.payload) (k : int -> unit) =
   match p with
-  | Pcells cells -> Array.iter (fun c -> trace c.v k) cells
+  | Pcells elems -> Array.iter (fun v -> trace v k) elems
   | Pmap md -> if md.md_buckets > 0 then k md.md_buckets
   | Pbuckets buckets ->
     Array.iter
@@ -131,12 +163,12 @@ let trace_payload (p : Gofree_runtime.Heap.payload) (k : int -> unit) =
   | _ -> ()
 
 (** Poison-mode payload corruption (§6.8's bit-flipping mock, made
-    deterministic): every cell the payload owns becomes [VPoison], so any
+    deterministic): every element the payload owns becomes [VPoison], so any
     read through a stale reference raises {!Corruption} instead of
     silently yielding the old data. *)
 let poison_payload (p : Gofree_runtime.Heap.payload) =
   match p with
-  | Pcells cells -> Array.iter (fun c -> c.v <- VPoison) cells
+  | Pcells elems -> Array.fill elems 0 (Array.length elems) VPoison
   | Pbuckets buckets ->
     Array.iteri (fun i _ -> buckets.(i) <- [ (VPoison, VPoison) ]) buckets
   | Pmap md ->
@@ -174,7 +206,7 @@ let rec to_string = function
   | VSlice s ->
     let elems =
       List.init s.s_len (fun i ->
-          to_string (read_cell s.s_cells.(s.s_off + i)))
+          to_string (read_elem s.s_cells (s.s_off + i)))
     in
     "[" ^ String.concat " " elems ^ "]"
   | VMap _ -> "map"

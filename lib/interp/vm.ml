@@ -27,6 +27,11 @@
     windows, registers included, hold no pointers), so pooling cannot
     change observable behaviour.
 
+    Storage is {!Value}'s: a slice element sits directly in its backing
+    store, and a frame variable, heap box or struct field is a
+    one-element cell, so a load or store through a slot, an index or a
+    pointer is a single array access.
+
     Every opcode's implementation replicates the corresponding
     {!Compile} closure line by line and calls the same shared {!Interp}
     helpers in the same order, so allocation counts, free attempts, GC
@@ -88,6 +93,19 @@ let vm_safepoint (r : regs) =
     || steps > st.config.max_steps
   then safepoint_slow r
 
+(* {!Value.get}/{!Value.set} and raw pointer access, restated here so
+   the dispatch loop inlines them: dune's default profile compiles with
+   [-opaque], which rules out cross-module inlining. *)
+let[@inline] cget (c : Value.cell) = Array.unsafe_get c 0
+
+let[@inline] cset (c : Value.cell) v = Array.unsafe_set c 0 v
+
+let[@inline] pget (p : Value.ptr) =
+  Array.unsafe_get p.Value.p_arr p.Value.p_idx
+
+let[@inline] pset (p : Value.ptr) v =
+  Array.unsafe_set p.Value.p_arr p.Value.p_idx v
+
 (* The n values most recently pushed, oldest first. *)
 let popped (stk_v : Value.value array) sp_v n =
   let rec build i acc =
@@ -103,7 +121,7 @@ let index_value (va : Value.value) (vi : int) : Value.value =
   | Value.VSlice s ->
     if vi < 0 || vi >= s.Value.s_len then
       raise (Panic (Value.VStr "index out of range"));
-    Value.read_cell s.Value.s_cells.(s.Value.s_off + vi)
+    Value.read_elem s.Value.s_cells (s.Value.s_off + vi)
   | Value.VStr s ->
     if vi < 0 || vi >= String.length s then
       raise (Panic (Value.VStr "index out of range"));
@@ -117,7 +135,7 @@ let index_value (va : Value.value) (vi : int) : Value.value =
 let field_value (r : regs) (va : Value.value) fidx cidx nidx : Value.value =
   let shape, base =
     match va with
-    | Value.VPtr p -> (2, Value.read_cell p.Value.p_cell)
+    | Value.VPtr p -> (2, Value.read_ptr p)
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | v -> (1, v)
   in
@@ -240,7 +258,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 10 (* iload *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      (match c.Value.v with
+      (match cget c with
       | Value.VInt n -> Array.unsafe_set stk_i sp_i n
       | _ -> Array.unsafe_set stk_i sp_i (as_int (Value.read_cell c)));
       loop r (pc + 3) sp_v (sp_i + 1)
@@ -249,7 +267,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 11 (* bload *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      (match c.Value.v with
+      (match cget c with
       | Value.VBool b -> Array.unsafe_set stk_i sp_i (if b then 1 else 0)
       | _ ->
         Array.unsafe_set stk_i sp_i
@@ -261,7 +279,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
       (* Value.read_cell, inlined *)
-      (match c.Value.v with
+      (match cget c with
       | Value.VPoison -> raise (Value.Corruption "read of freed memory")
       | v -> Array.unsafe_set stk_v sp_v v);
       loop r (pc + 3) (sp_v + 1) sp_i
@@ -270,7 +288,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 13 (* giload *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      (match c.Value.v with
+      (match cget c with
       | Value.VInt n -> Array.unsafe_set stk_i sp_i n
       | _ -> Array.unsafe_set stk_i sp_i (as_int (Value.read_cell c)));
       loop r (pc + 3) sp_v (sp_i + 1)
@@ -279,7 +297,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 14 (* gbload *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      (match c.Value.v with
+      (match cget c with
       | Value.VBool b -> Array.unsafe_set stk_i sp_i (if b then 1 else 0)
       | _ ->
         Array.unsafe_set stk_i sp_i
@@ -290,7 +308,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 15 (* gvload *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      (match c.Value.v with
+      (match cget c with
       | Value.VPoison -> raise (Value.Corruption "read of freed memory")
       | v -> Array.unsafe_set stk_v sp_v v);
       loop r (pc + 3) (sp_v + 1) sp_i
@@ -439,42 +457,42 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 45 (* store_slot *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      c.Value.v <- Value.copy (Array.unsafe_get stk_v (sp_v - 1));
+      cset c (Value.copy (Array.unsafe_get stk_v (sp_v - 1)));
       loop r (pc + 3) (sp_v - 1) sp_i
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2))
   end
   | 46 (* store_gslot *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      c.Value.v <- Value.copy (Array.unsafe_get stk_v (sp_v - 1));
+      cset c (Value.copy (Array.unsafe_get stk_v (sp_v - 1)));
       loop r (pc + 3) (sp_v - 1) sp_i
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2))
   end
   | 47 (* store_slot_i *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      c.Value.v <- Value.vint (Array.unsafe_get stk_i (sp_i - 1));
+      cset c (Value.vint (Array.unsafe_get stk_i (sp_i - 1)));
       loop r (pc + 3) sp_v (sp_i - 1)
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2))
   end
   | 48 (* store_gslot_i *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      c.Value.v <- Value.vint (Array.unsafe_get stk_i (sp_i - 1));
+      cset c (Value.vint (Array.unsafe_get stk_i (sp_i - 1)));
       loop r (pc + 3) sp_v (sp_i - 1)
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2))
   end
   | 49 (* store_slot_b *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      c.Value.v <- Value.VBool (Array.unsafe_get stk_i (sp_i - 1) <> 0);
+      cset c (Value.VBool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
       loop r (pc + 3) sp_v (sp_i - 1)
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2))
   end
   | 50 (* store_gslot_b *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      c.Value.v <- Value.VBool (Array.unsafe_get stk_i (sp_i - 1) <> 0);
+      cset c (Value.VBool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
       loop r (pc + 3) sp_v (sp_i - 1)
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2))
   end
@@ -482,7 +500,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     let p = Array.unsafe_get stk_v (sp_v - 1) in
     let v = Array.unsafe_get stk_v (sp_v - 2) in
     (match p with
-    | Value.VPtr p -> p.Value.p_cell.Value.v <- Value.copy v
+    | Value.VPtr p -> pset p (Value.copy v)
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "assignment through non-pointer"));
     loop r (pc + 1) (sp_v - 2) sp_i
@@ -494,7 +512,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     | Value.VSlice s ->
       if vi < 0 || vi >= s.Value.s_len then
         raise (Panic (Value.VStr "index out of range"));
-      s.Value.s_cells.(s.Value.s_off + vi).Value.v <- Value.copy v
+      s.Value.s_cells.(s.Value.s_off + vi) <- Value.copy v
     | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
     | _ -> raise (Runtime_error "cannot assign into this value"));
     loop r (pc + 1) (sp_v - 2) (sp_i - 1)
@@ -511,7 +529,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     let p = Array.unsafe_get stk_v (sp_v - 1) in
     let v = Array.unsafe_get stk_v (sp_v - 2) in
     (match p with
-    | Value.VPtr p -> p.Value.p_cell.Value.v <- Value.copy v
+    | Value.VPtr p -> pset p (Value.copy v)
     | _ -> raise (Runtime_error "bad field target"));
     loop r (pc + 1) (sp_v - 2) sp_i
   | 55 (* index_v *) ->
@@ -525,10 +543,11 @@ let rec loop (r : regs) pc sp_v sp_i =
     (* the common case inlined: int element of a live slice *)
     (match va with
     | Value.VSlice s when vi >= 0 && vi < s.Value.s_len -> begin
-      let c = Array.unsafe_get s.Value.s_cells (s.Value.s_off + vi) in
-      match c.Value.v with
+      match Array.unsafe_get s.Value.s_cells (s.Value.s_off + vi) with
       | Value.VInt n -> Array.unsafe_set stk_i (sp_i - 1) n
-      | _ -> Array.unsafe_set stk_i (sp_i - 1) (as_int (Value.read_cell c))
+      | _ ->
+        Array.unsafe_set stk_i (sp_i - 1)
+          (as_int (Value.read_elem s.Value.s_cells (s.Value.s_off + vi)))
     end
     | Value.VStr s when vi >= 0 && vi < String.length s ->
       (* byte of a string, sans the boxed VInt the generic path makes *)
@@ -545,7 +564,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     (* field_value, inlined for the two cached shapes *)
     match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
-      match p.Value.p_cell.Value.v with
+      match pget p with
       | Value.VStruct cells ->
         let st = r.x_st in
         let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 2)) in
@@ -554,7 +573,7 @@ let rec loop (r : regs) pc sp_v sp_i =
           st.ic_misses <- st.ic_misses + 1;
           c.B.c_a <- 2
         end;
-        (match cells.(Array.unsafe_get code (pc + 1)).Value.v with
+        (match cget cells.(Array.unsafe_get code (pc + 1)) with
         | Value.VPoison -> raise (Value.Corruption "read of freed memory")
         | v -> Array.unsafe_set stk_v (sp_v - 1) v);
         loop r (pc + 4) sp_v sp_i
@@ -574,7 +593,7 @@ let rec loop (r : regs) pc sp_v sp_i =
         st.ic_misses <- st.ic_misses + 1;
         c.B.c_a <- 1
       end;
-      (match cells.(Array.unsafe_get code (pc + 1)).Value.v with
+      (match cget cells.(Array.unsafe_get code (pc + 1)) with
       | Value.VPoison -> raise (Value.Corruption "read of freed memory")
       | v -> Array.unsafe_set stk_v (sp_v - 1) v);
       loop r (pc + 4) sp_v sp_i
@@ -589,7 +608,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 59 (* field_i *) -> begin
     match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
-      match p.Value.p_cell.Value.v with
+      match pget p with
       | Value.VStruct cells ->
         let st = r.x_st in
         let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 2)) in
@@ -598,7 +617,7 @@ let rec loop (r : regs) pc sp_v sp_i =
           st.ic_misses <- st.ic_misses + 1;
           c.B.c_a <- 2
         end;
-        (match cells.(Array.unsafe_get code (pc + 1)).Value.v with
+        (match cget cells.(Array.unsafe_get code (pc + 1)) with
         | Value.VInt n -> Array.unsafe_set stk_i sp_i n
         | Value.VPoison -> raise (Value.Corruption "read of freed memory")
         | v -> Array.unsafe_set stk_i sp_i (as_int v));
@@ -619,7 +638,7 @@ let rec loop (r : regs) pc sp_v sp_i =
         st.ic_misses <- st.ic_misses + 1;
         c.B.c_a <- 1
       end;
-      (match cells.(Array.unsafe_get code (pc + 1)).Value.v with
+      (match cget cells.(Array.unsafe_get code (pc + 1)) with
       | Value.VInt n -> Array.unsafe_set stk_i sp_i n
       | Value.VPoison -> raise (Value.Corruption "read of freed memory")
       | v -> Array.unsafe_set stk_i sp_i (as_int v));
@@ -773,18 +792,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     let vd = Array.unsafe_get stk_v (sp_v - 2) in
     let n =
       match (vd, vs) with
-      | Value.VSlice d, Value.VSlice s ->
-        (* memmove semantics: snapshot the source first *)
-        let n = min d.Value.s_len s.Value.s_len in
-        let snapshot =
-          Array.init n (fun i ->
-              Value.copy
-                (Value.read_cell s.Value.s_cells.(s.Value.s_off + i)))
-        in
-        for i = 0 to n - 1 do
-          d.Value.s_cells.(d.Value.s_off + i).Value.v <- snapshot.(i)
-        done;
-        n
+      | Value.VSlice d, Value.VSlice s -> slice_copy d s
       | Value.VNil, _ | _, Value.VNil -> 0
       | _ -> raise (Runtime_error "copy on non-slices")
     in
@@ -793,7 +801,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 72 (* deref *) ->
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p ->
-      Array.unsafe_set stk_v (sp_v - 1) (Value.read_cell p.Value.p_cell)
+      Array.unsafe_set stk_v (sp_v - 1) (Value.read_ptr p)
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "dereference of a non-pointer"));
     loop r (pc + 1) sp_v sp_i
@@ -847,8 +855,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     let len = Array.unsafe_get stk_i (sp_i - npop) in
     let cap = if has_cap then Array.unsafe_get stk_i (sp_i - 1) else len in
     Array.unsafe_set stk_v sp_v
-      (make_slice_obj r.x_st r.x_fr ~site ~elem_size:site.Tast.site_elem_size
-         ~len ~cap ~zero_of);
+      (make_slice_obj r.x_st r.x_fr ~site ~len ~cap ~zero_of);
     loop r (pc + 4) (sp_v + 1) (sp_i - npop)
   | 81 (* make_map *) ->
     Array.unsafe_set stk_v sp_v
@@ -863,16 +870,16 @@ let rec loop (r : regs) pc sp_v sp_i =
     let obj =
       alloc_obj r.x_st r.x_fr ~site ~category:Rt.Metrics.Cat_other
         ~size:(max 8 site.Tast.site_elem_size)
-        ~payload:(Value.Pcells [| c |])
+        ~payload:(Value.Pcells c)
     in
     Array.unsafe_set stk_v sp_v
       (pin r.x_st r.x_fr
-         (Value.VPtr { Value.p_owner = obj.Rt.Heap.addr; p_cell = c }));
+         (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c)));
     loop r (pc + 3) (sp_v + 1) sp_i
   | 83 (* slice_lit *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
-    let cells = Array.of_list (List.map Value.cell (popped stk_v sp_v n)) in
+    let cells = Array.sub stk_v (sp_v - n) n in
     let size = max 1 (n * site.Tast.site_elem_size) in
     let obj =
       alloc_obj r.x_st r.x_fr ~site ~category:Rt.Metrics.Cat_slice ~size
@@ -901,11 +908,11 @@ let rec loop (r : regs) pc sp_v sp_i =
     let obj =
       alloc_obj r.x_st r.x_fr ~site ~category:Rt.Metrics.Cat_other
         ~size:(max 8 site.Tast.site_elem_size)
-        ~payload:(Value.Pcells [| c |])
+        ~payload:(Value.Pcells c)
     in
     Array.unsafe_set stk_v (sp_v - n)
       (pin r.x_st r.x_fr
-         (Value.VPtr { Value.p_owner = obj.Rt.Heap.addr; p_cell = c }));
+         (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c)));
     loop r (pc + 3) (sp_v - n + 1) sp_i
   | 86 (* append *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
@@ -919,20 +926,20 @@ let rec loop (r : regs) pc sp_v sp_i =
     (match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = 0; p_cell = c })
+        (Value.VPtr (Value.cell_ptr 0 c))
     | Bboxed (addr, c) ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = addr; p_cell = c })
+        (Value.VPtr (Value.cell_ptr addr c))
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v + 1) sp_i
   | 88 (* addr_gslot *) ->
     (match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = 0; p_cell = c })
+        (Value.VPtr (Value.cell_ptr 0 c))
     | Bboxed (addr, c) ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = addr; p_cell = c })
+        (Value.VPtr (Value.cell_ptr addr c))
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v + 1) sp_i
   | 89 (* addr_index *) ->
@@ -943,19 +950,18 @@ let rec loop (r : regs) pc sp_v sp_i =
         raise (Panic (Value.VStr "index out of range"));
       Array.unsafe_set stk_v (sp_v - 1)
         (Value.VPtr
-           { Value.p_owner = s.Value.s_addr;
-             p_cell = s.Value.s_cells.(s.Value.s_off + vi) })
+           { Value.p_owner = s.Value.s_addr; p_arr = s.Value.s_cells;
+             p_idx = s.Value.s_off + vi })
     | _ -> raise (Runtime_error "cannot take address of this element"));
     loop r (pc + 1) sp_v (sp_i - 1)
   | 90 (* addr_field_ptr *) ->
     let fidx = Array.unsafe_get code (pc + 1) in
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
-      match Value.read_cell p.Value.p_cell with
+      match Value.read_ptr p with
       | Value.VStruct cells ->
         Array.unsafe_set stk_v (sp_v - 1)
-          (Value.VPtr
-             { Value.p_owner = p.Value.p_owner; p_cell = cells.(fidx) })
+          (Value.VPtr (Value.cell_ptr p.Value.p_owner cells.(fidx)))
       | _ -> raise (Runtime_error "field of non-struct")
     end
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
@@ -972,7 +978,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     (match Value.read_cell c with
     | Value.VStruct cells ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = owner; p_cell = cells.(fidx) })
+        (Value.VPtr (Value.cell_ptr owner cells.(fidx)))
     | _ -> raise (Runtime_error "field of non-struct"));
     loop r (pc + 4) (sp_v + 1) sp_i
   | 92 (* addr_field_gslot *) ->
@@ -988,7 +994,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     (match Value.read_cell c with
     | Value.VStruct cells ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = owner; p_cell = cells.(fidx) })
+        (Value.VPtr (Value.cell_ptr owner cells.(fidx)))
     | _ -> raise (Runtime_error "field of non-struct"));
     loop r (pc + 4) (sp_v + 1) sp_i
   | 93 (* tuple_check *) ->
@@ -1145,9 +1151,9 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 117 (* sfield_v = vload; field_v *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
-      match c.Value.v with
+      match cget c with
       | Value.VPtr p -> begin
-        match p.Value.p_cell.Value.v with
+        match pget p with
         | Value.VStruct cells ->
           let st = r.x_st in
           let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
@@ -1156,7 +1162,7 @@ let rec loop (r : regs) pc sp_v sp_i =
             st.ic_misses <- st.ic_misses + 1;
             c.B.c_a <- 2
           end;
-          (match cells.(Array.unsafe_get code (pc + 2)).Value.v with
+          (match cget cells.(Array.unsafe_get code (pc + 2)) with
           | Value.VPoison -> raise (Value.Corruption "read of freed memory")
           | v -> Array.unsafe_set stk_v sp_v v);
           loop r (pc + 6) (sp_v + 1) sp_i
@@ -1176,7 +1182,7 @@ let rec loop (r : regs) pc sp_v sp_i =
           st.ic_misses <- st.ic_misses + 1;
           c.B.c_a <- 1
         end;
-        (match cells.(Array.unsafe_get code (pc + 2)).Value.v with
+        (match cget cells.(Array.unsafe_get code (pc + 2)) with
         | Value.VPoison -> raise (Value.Corruption "read of freed memory")
         | v -> Array.unsafe_set stk_v sp_v v);
         loop r (pc + 6) (sp_v + 1) sp_i
@@ -1194,9 +1200,9 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 118 (* sfield_i = vload; field_i *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
-      match c.Value.v with
+      match cget c with
       | Value.VPtr p -> begin
-        match p.Value.p_cell.Value.v with
+        match pget p with
         | Value.VStruct cells ->
           let st = r.x_st in
           let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
@@ -1205,7 +1211,7 @@ let rec loop (r : regs) pc sp_v sp_i =
             st.ic_misses <- st.ic_misses + 1;
             c.B.c_a <- 2
           end;
-          (match cells.(Array.unsafe_get code (pc + 2)).Value.v with
+          (match cget cells.(Array.unsafe_get code (pc + 2)) with
           | Value.VInt n -> Array.unsafe_set stk_i sp_i n
           | Value.VPoison -> raise (Value.Corruption "read of freed memory")
           | v -> Array.unsafe_set stk_i sp_i (as_int v));
@@ -1226,7 +1232,7 @@ let rec loop (r : regs) pc sp_v sp_i =
           st.ic_misses <- st.ic_misses + 1;
           c.B.c_a <- 1
         end;
-        (match cells.(Array.unsafe_get code (pc + 2)).Value.v with
+        (match cget cells.(Array.unsafe_get code (pc + 2)) with
         | Value.VInt n -> Array.unsafe_set stk_i sp_i n
         | Value.VPoison -> raise (Value.Corruption "read of freed memory")
         | v -> Array.unsafe_set stk_i sp_i (as_int v));
@@ -1247,10 +1253,9 @@ let rec loop (r : regs) pc sp_v sp_i =
     let fidx = Array.unsafe_get code (pc + 1) in
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
-      match p.Value.p_cell.Value.v with
+      match pget p with
       | Value.VStruct cells ->
-        cells.(fidx).Value.v <-
-          Value.vint (Array.unsafe_get stk_i (sp_i - 1))
+        cset cells.(fidx) (Value.vint (Array.unsafe_get stk_i (sp_i - 1)))
       | Value.VPoison -> raise (Value.Corruption "read of freed memory")
       | _ -> raise (Runtime_error "field of non-struct")
     end
@@ -1308,13 +1313,12 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 132 (* iinc = iload; addk_i; store_slot_i, same slot *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      (match c.Value.v with
-      | Value.VInt n ->
-        c.Value.v <- Value.vint (n + Array.unsafe_get code (pc + 2))
+      (match cget c with
+      | Value.VInt n -> cset c (Value.vint (n + Array.unsafe_get code (pc + 2)))
       | _ ->
-        c.Value.v <-
-          Value.VInt
-            (as_int (Value.read_cell c) + Array.unsafe_get code (pc + 2)));
+        cset c
+          (Value.VInt
+             (as_int (Value.read_cell c) + Array.unsafe_get code (pc + 2))));
       loop r (pc + 4) sp_v sp_i
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 3))
   end

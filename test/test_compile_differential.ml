@@ -640,6 +640,99 @@ let storage_cases =
         [ Scopes ("worker", 0); Reg ("worker", "acc"); Reg ("worker", "odd") ];
   ]
 
+(* ---- slice aliasing ------------------------------------------------ *)
+
+(* Slice elements live directly in one backing array and a pointer is
+   (array, index), so every view, element pointer and field pointer must
+   alias exactly the storage Go says it does: sub-slices share elements,
+   a pointer taken before a reallocating append keeps writing the old
+   array while an in-capacity append shares it, each element of
+   [make([]P, n)] is its own struct, and [copy] between overlapping
+   views behaves like memmove in both directions. *)
+let src_aliasing =
+  {|
+type P struct { x int; y int }
+
+func views() {
+  s := make([]int, 4)
+  t := s[1:]
+  println(&t[0] == &s[1], &s[0] == &s[1])
+  t[0] = 7
+  p := &t[2]
+  *p = 5
+  println(s[1], s[3], s)
+}
+
+func grow() {
+  s := make([]int, 2, 2)
+  p := &s[0]
+  s2 := append(s, 5)
+  *p = 9
+  println(s[0], s2[0], len(s2), &s2[0] == p)
+  u := make([]int, 1, 4)
+  q := &u[0]
+  u2 := append(u, 3)
+  *q = 6
+  println(u[0], u2[0], u2[1], &u2[0] == q)
+}
+
+func fields() {
+  ps := make([]P, 3)
+  ps[0].x = 5
+  f := &ps[1].y
+  *f = 8
+  ps[2] = P{x: 1, y: 2}
+  g := &ps[2].x
+  *g = *g + 10
+  println(ps[0].x, ps[0].y, ps[1].x, ps[1].y, ps[2].x, ps[2].y)
+}
+
+func zeros() {
+  ps := make([]P, 4)
+  ps[0].x = 3
+  ps[2].y = 4
+  println(ps[0].x, ps[1].x, ps[2].x, ps[3].x, ps[0].y, ps[1].y, ps[2].y)
+}
+
+func overlap() {
+  a := []int{1, 2, 3, 4, 5, 6}
+  n := copy(a[1:], a[0:5])
+  println(n, a)
+  b := []int{1, 2, 3, 4, 5, 6}
+  m := copy(b[0:5], b[1:])
+  println(m, b)
+}
+
+func main() {
+  views()
+  grow()
+  fields()
+  zeros()
+  overlap()
+}
+|}
+
+let aliasing_expected =
+  "true false\n7 5 [0 7 0 5]\n9 0 3 false\n6 6 3 true\n5 0 0 8 11 2\n\
+   3 0 0 0 0 0 4\n5 [1 1 2 3 4 5]\n5 [2 3 4 5 6 6]\n"
+
+let aliasing_cases =
+  [
+    Alcotest.test_case "slice aliasing" `Quick (fun () ->
+        let name = "slice aliasing" in
+        List.iter
+          (fun (ename, engine) ->
+            Alcotest.(check string)
+              (name ^ ": output (" ^ ename ^ ")")
+              aliasing_expected
+              (run_mode ~engine src_aliasing).Gofree_interp.Runner.output)
+          engines;
+        check_identical ~name src_aliasing;
+        check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
+          src_aliasing;
+        check_poison_silent ~name src_aliasing);
+  ]
+
 (* ---- random programs ----------------------------------------------- *)
 
 let prop_random_identical =
@@ -679,5 +772,5 @@ let prop_random_identical =
       true)
 
 let suite =
-  workload_cases @ feature_cases @ storage_cases
+  workload_cases @ feature_cases @ storage_cases @ aliasing_cases
   @ [ QCheck_alcotest.to_alcotest prop_random_identical ]

@@ -597,4 +597,47 @@ func main() {
 }
 |}
       "3\n1\n";
+    Alcotest.test_case "poisoned slice store faults s[i] and &s[i]" `Quick
+      (fun () ->
+        let open Gofree_interp.Value in
+        let store = make_store 4 (fun () -> VInt 0) in
+        store.(2) <- VInt 7;
+        let s = { s_addr = 1; s_cells = store; s_off = 1; s_len = 3 } in
+        let p = { p_owner = 1; p_arr = s.s_cells; p_idx = s.s_off + 1 } in
+        Alcotest.(check bool)
+          "s[1] before" true
+          (read_elem s.s_cells 2 = VInt 7);
+        Alcotest.(check bool) "*p before" true (read_ptr p = VInt 7);
+        poison_payload (Pcells store);
+        let faults name f =
+          match f () with
+          | _ -> Alcotest.failf "%s read freed memory silently" name
+          | exception Corruption _ -> ()
+        in
+        faults "s[1]" (fun () -> read_elem s.s_cells (s.s_off + 1));
+        faults "*(&s[1])" (fun () -> read_ptr p);
+        faults "println(s)" (fun () -> to_string (VSlice s)));
+    Alcotest.test_case "slice store holds elements unboxed" `Quick (fun () ->
+        let open Gofree_interp.Value in
+        let tenv = Minigo.Types.create_env () in
+        (* make([]int, 1000): one header word plus one word per element,
+           with no per-element cell; the one zero box all elements share
+           is not counted *)
+        let zero_int = zero tenv Minigo.Types.Int in
+        let store = make_store 1000 (fun () -> zero_int) in
+        let words =
+          Obj.reachable_words (Obj.repr store)
+          - Obj.reachable_words (Obj.repr zero_int)
+        in
+        if words > 1001 then
+          Alcotest.failf "make([]int, 1000) store is %d words, want <= 1001"
+            words;
+        (* make([]P, 2): each element is its own struct *)
+        Minigo.Types.add_struct tenv "P" [ ("x", Minigo.Types.Int) ];
+        let ps = make_store 2 (fun () -> zero tenv (Minigo.Types.Struct "P")) in
+        (match ps with
+        | [| VStruct a; VStruct b |] ->
+          set a.(0) (VInt 3);
+          Alcotest.(check bool) "s[1].x untouched" true (get b.(0) = VInt 0)
+        | _ -> Alcotest.fail "make([]P, 2) store"));
   ]
