@@ -123,12 +123,12 @@ let domains_arg =
   Arg.(value
        & opt int Gofree_api.default_run_options.Gofree_api.domains
        & info [ "domains" ] ~docv:"N"
-           ~doc:"Run goroutines across $(docv) OCaml domains: \
-                 work-stealing scheduler, domain-safe allocator, \
-                 parallel stop-the-world GC.  0 (the default) keeps \
-                 the sequential cooperative scheduler; 1 runs the \
-                 domain scheduler single-threaded, byte-identical to \
-                 sequential.")
+           ~doc:"Run goroutines across $(docv) OCaml domains on the \
+                 work-stealing scheduler, one P (mcache) per domain.  \
+                 The default, 1, runs every goroutine on one domain, \
+                 deterministically; from 2 up the allocator is \
+                 domain-safe and GC is a parallel stop-the-world \
+                 collection.  Values below 1 are taken as 1.")
 
 let run_options_term : Gofree_api.run_options Term.t =
   Term.(

@@ -1,11 +1,12 @@
 (** Concurrency example: goroutines allocating from per-P mcaches, with
     the tcfree ownership checks of §5 visibly exercised.
 
-    Each worker builds per-request scratch buffers; the scheduler
-    migrates goroutines between logical processors, so some tcfree calls
-    find their mspan owned by a different P (or swapped into mcentral)
-    and give up — exactly the best-effort behaviour the paper designs
-    for: the GC picks up whatever tcfree declines.
+    Each worker builds per-request scratch buffers.  The program runs on
+    two domains (two Ps), and idle domains steal goroutines from busy
+    ones, so some tcfree calls find their mspan owned by a different P
+    (or swapped into mcentral) and give up — exactly the best-effort
+    behaviour the paper designs for: the GC picks up whatever tcfree
+    declines.  The counts vary from run to run with the interleaving.
 
     Run with:  dune exec examples/goroutines.exe *)
 
@@ -37,7 +38,19 @@ func main() {
 
 let () =
   let run config =
-    Gofree_interp.Runner.compile_and_run ~gofree_config:config program
+    let run_config =
+      {
+        Gofree_interp.Interp.default_config with
+        domains = 2;
+        heap_config =
+          {
+            Rt.Heap.default_config with
+            grow_map_free_old = config.Gofree_core.Config.insert_tcfree;
+          };
+      }
+    in
+    Gofree_interp.Runner.compile_and_run ~gofree_config:config ~run_config
+      program
   in
   let go = run Gofree_core.Config.go in
   let gofree = run Gofree_core.Config.gofree in

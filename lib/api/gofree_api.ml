@@ -238,10 +238,9 @@ type run_options = {
   sample_every : int;  (** 0 = no time series *)
   engine : engine;  (** which engine executes function bodies *)
   domains : int;
-      (** 0 = sequential scheduler; N >= 1 = run goroutines across N
-          OCaml domains (work-stealing scheduler, domain-safe
-          allocator, parallel GC).  [domains = 1] is byte-identical to
-          sequential. *)
+      (** run goroutines across N >= 1 OCaml domains (work-stealing
+          scheduler, one P per domain; from 2 up, domain-safe allocator
+          and parallel GC).  Values below 1 are taken as 1. *)
 }
 
 let default_run_options =
@@ -252,7 +251,7 @@ let default_run_options =
     seed = 42;
     sample_every = 0;
     engine = Eng_bytecode;
-    domains = 0;
+    domains = 1;
   }
 
 let run_config_of_options ~(config : config) (o : run_options) :
@@ -270,7 +269,7 @@ let run_config_of_options ~(config : config) (o : run_options) :
     seed = Int64.of_int o.seed;
     sample_every = o.sample_every;
     engine = o.engine;
-    domains = max 0 o.domains;
+    domains = max 1 o.domains;
   }
 
 (* ---------------------------------------------------------------- *)

@@ -13,8 +13,9 @@
       still holding in OCaml locals;
     - [Stcfree] statements call the runtime's tcfree family; map growth
       calls GrowMapAndFreeOld internally (§4.6.2);
-    - goroutines are cooperative fibers, each allocating from the mcache
-      of its current logical processor.
+    - goroutines are cooperative fibers on the work-stealing domain
+      scheduler ({!Par}), each allocating from the mcache of the domain
+      executing it.
 
     Variables are resolved through a per-program {!Layout}: every frame
     is a pre-sized slot array and every call goes through an interned
@@ -71,10 +72,9 @@ type goroutine = {
   mutable g_stk_i : int array;
   mutable g_top_i : int;
   mutable g_pending : Value.value list;
-      (** arguments of a spawned goroutine that has not started yet.
-          Multi-domain runs root these (the goroutine may sit queued
-          across a GC); cleared when the body starts.  The sequential
-          scheduler leaves this empty — its root set is unchanged. *)
+      (** arguments of a spawned goroutine that has not started yet,
+          rooted because it may sit queued across a GC; cleared when
+          the body starts *)
 }
 
 (** Which execution engine interprets function bodies.  All three share
@@ -91,8 +91,6 @@ type run_config = {
   seed : int64;
   max_steps : int;  (** hard budget; exceeded = Runtime_error *)
   yield_every : int;
-  nprocs : int;
-  migrate_every : int;
   sample_every : int;
       (** snapshot the heap counters every N steps (0 = off); the runner
           attaches the {!Gofree_runtime.Sampler} this feeds *)
@@ -100,10 +98,8 @@ type run_config = {
       (** which engine executes function bodies; the reference
           tree-walker is slowest but is the semantic ground truth *)
   domains : int;
-      (** 0 = sequential effect-handler scheduler (the legacy path);
-          N >= 1 = run goroutines on N OCaml domains through the
-          work-stealing scheduler.  [domains = 1] is byte-identical to
-          sequential by construction. *)
+      (** N >= 1: run goroutines on N OCaml domains through the
+          work-stealing scheduler; each domain is one P (mcache) *)
 }
 
 let default_config =
@@ -112,42 +108,32 @@ let default_config =
     seed = 42L;
     max_steps = 500_000_000;
     yield_every = 512;
-    nprocs = 4;
-    (* Goroutine-to-P migration is rare in Go; the ownership-change
-       give-up path is still exercised by multi-goroutine programs whose
-       fibers share spans through mcentral. *)
-    migrate_every = 2048;
     sample_every = 0;
     engine = Eng_bytecode;
-    domains = 0;
+    domains = 1;
   }
 
-(** Execution state.  Sequential runs share one record across every
-    goroutine ([current] switches on yield).  Multi-domain runs give
-    each goroutine its own copy — [current] is then fixed for the
-    goroutine's lifetime and the per-goroutine mutable fields (steps,
-    yield pacing, unwinding, IC counters, rng shadow) are private to
-    it, while [program]/[heap]/[globals]/[output]/[sched] stay
-    physically shared.  The copy's [dom] is updated by the scheduler
-    before every slice, so a stolen goroutine allocates through the
-    thief domain's mcache — which is what makes the paper's
+(** Execution state.  Each goroutine has its own copy — [current] is
+    fixed for the goroutine's lifetime and the per-goroutine mutable
+    fields (steps, yield pacing, unwinding, IC counters) are private to
+    it, while [program]/[heap]/[globals]/[output]/[par] stay physically
+    shared.  The copy's [dom] is updated by the scheduler before every
+    slice, so a stolen goroutine allocates through the thief domain's
+    mcache — which is what makes the paper's
     give-up-on-ownership-change tcfree path a real race. *)
 type state = {
   program : Tast.program;
   decisions : Decisions.t;
   layout : Layout.t;
   heap : Rt.Heap.t;
-  sched : Sched.t;
   output : Buffer.t;
   globals : binding array;  (** by {!Layout} global slot *)
   config : run_config;
   mutable dispatch : state -> int -> Value.value list -> Value.value list;
       (** how calls execute: {!call_by_id} (reference) or the compiled
           bodies; defers and goroutine entry points route through it *)
-  mutable goroutines : goroutine list;
   mutable current : goroutine;
   mutable steps : int;
-  mutable rng : int64;
   mutable unwinding : Value.value option;
       (** the active panic value while defers run during unwinding;
           [recover] clears it *)
@@ -161,14 +147,12 @@ type state = {
           without the division on the safepoint fast path *)
   mutable dom : int;
       (** index of the domain currently executing this state's
-          goroutine (multi-domain runs; 0 otherwise).  Set by the
+          goroutine — its P, whose mcache it allocates from.  Set by the
           work-stealing scheduler before each slice. *)
-  mutable par : parctx option;
-      (** the shared parallel-runtime context, when goroutines run on
-          the work-stealing domain scheduler ([--domains >= 1]) *)
+  par : parctx;  (** the shared scheduler context *)
 }
 
-(** Shared context of one multi-domain run: per-domain run queues, the
+(** Shared context of one run: per-domain run queues, the
     goroutine registry (the GC root set), scheduler bookkeeping, and
     the stop-the-world handshake state.  [p_mutex]/[p_work] guard every
     mutable field except the queues (internally locked) and [p_rng]
@@ -182,23 +166,14 @@ and parctx = {
   mutable p_live : int;  (** goroutines queued or running *)
   mutable p_running : int;  (** domains currently executing a slice *)
   mutable p_regs : (goroutine * state) list;
-      (** every live goroutine with its state copy — the parallel GC's
-          root registry (newest first, like the sequential list) *)
-  mutable p_yields : int;
-      (** total yields; drives the simulated-P drift at [--domains 1]
-          so thread ids reproduce the sequential [Sched.pid_for] *)
-  mutable p_budget : int;
-      (** [--domains 1] only: steps left in the current shared slice.
-          The sequential scheduler checks one global step counter
-          against one global yield threshold, so a goroutine that
-          finishes mid-slice passes its leftover budget to the next
-          task; the single-domain worker replays that by loading this
-          into each state copy's [yield_at] before every slice. *)
+      (** every live goroutine with its state copy — the GC's root
+          registry (newest first) *)
+  mutable p_yields : int;  (** total yields (telemetry) *)
   mutable p_steals : int;  (** goroutines moved by work stealing *)
-  mutable p_spawns : int;
+  mutable p_spawns : int;  (** goroutines spawned; also the last gid *)
   mutable p_steps_done : int;
       (** summed step counts of finished goroutines; plus the live
-          states' counters this reproduces the sequential total *)
+          states' counters this is the run's total *)
   mutable p_ic_hits : int;  (** inline-cache hits of finished goroutines *)
   mutable p_ic_misses : int;
   mutable p_abort : exn option;
@@ -211,9 +186,7 @@ and parctx = {
   p_out_mutex : Mutex.t;  (** serializes [output] appends when nd > 1 *)
   p_rng : int64 Atomic.t;
       (** the shared splitmix64 stream: all goroutines draw from one
-          sequence, CAS-claimed — at one domain this reproduces the
-          sequential stream exactly *)
-  p_dls : int Domain.DLS.key;  (** executing domain's index *)
+          sequence, CAS-claimed *)
 }
 
 and ptask = {
@@ -232,23 +205,17 @@ let mix64 z =
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Multi-domain runs draw from one shared stream (CAS-claimed) so the
-   sequence of dispensed values is a permutation of the sequential one;
-   at one domain the claim order equals program order, reproducing the
-   sequential stream exactly. *)
+(* All goroutines draw from one shared stream (CAS-claimed), so the
+   dispensed values are the seed's sequence in claim order; at one
+   domain the claim order is program order. *)
 let rng_next st =
-  match st.par with
-  | None ->
-    let z = Int64.add st.rng 0x9E3779B97F4A7C15L in
-    st.rng <- z;
-    mix64 z
-  | Some p ->
-    let rec claim () =
-      let cur = Atomic.get p.p_rng in
-      let z = Int64.add cur 0x9E3779B97F4A7C15L in
-      if Atomic.compare_and_set p.p_rng cur z then z else claim ()
-    in
-    mix64 (claim ())
+  let p = st.par in
+  let rec claim () =
+    let cur = Atomic.get p.p_rng in
+    let z = Int64.add cur 0x9E3779B97F4A7C15L in
+    if Atomic.compare_and_set p.p_rng cur z then z else claim ()
+  in
+  mix64 (claim ())
 
 let rand_int st bound =
   if bound <= 0 then 0
@@ -264,25 +231,6 @@ let cur_frame st =
   match st.current.g_frames with
   | f :: _ -> f
   | [] -> raise (Runtime_error "no active frame")
-
-(* Which simulated P (mcache index) the current goroutine allocates
-   through.  Sequential runs simulate migration via [Sched.pid_for]; a
-   single-domain parallel run reproduces that formula bit-for-bit from
-   the parctx yield counter (its only writer is the one domain, so the
-   unlocked read is exact); true multi-domain runs use the executing
-   domain's index — ownership then really changes when a goroutine is
-   stolen. *)
-let cur_thread st =
-  match st.par with
-  | None -> Sched.pid_for st.sched ~gid:st.current.g_id
-  | Some p ->
-    if p.p_nd = 1 then
-      let drift =
-        if st.config.migrate_every <= 0 then 0
-        else p.p_yields / st.config.migrate_every
-      in
-      (st.current.g_id + drift) mod st.config.nprocs
-    else st.dom
 
 (* Scopes are materialized lazily: entering one only bumps a counter,
    and the per-scope object list springs into existence when the first
@@ -332,27 +280,14 @@ let trace_binding b k =
     k addr;
     Value.trace (Value.get c) k
 
-let iter_roots st (k : int -> unit) =
-  Array.iter (fun b -> trace_binding b k) st.globals;
-  List.iter
-    (fun g ->
-      List.iter
-        (fun f ->
-          Array.iter (fun b -> trace_binding b k) f.slots;
-          List.iter (fun v -> Value.trace v k) f.temps;
-          List.iter
-            (fun (_, args) -> List.iter (fun v -> Value.trace v k) args)
-            f.defers)
-        g.g_frames)
-    st.goroutines
-
 (* ------------------------------------------------------------------ *)
-(* Multi-domain runtime: context, output, fibers, STW handshake        *)
+(* Goroutine runtime: context, output, fibers, STW handshake           *)
 (* ------------------------------------------------------------------ *)
 
 module Wsq = Gofree_sched.Wsq
+module Trace = Gofree_obs.Trace
 
-let make_parctx ~nd ~seed ~yield_every : parctx =
+let make_parctx ~nd ~seed : parctx =
   {
     p_nd = nd;
     p_queues = Array.init nd (fun _ -> Wsq.create ());
@@ -362,7 +297,6 @@ let make_parctx ~nd ~seed ~yield_every : parctx =
     p_running = 0;
     p_regs = [];
     p_yields = 0;
-    p_budget = yield_every;
     p_steals = 0;
     p_spawns = 0;
     p_steps_done = 0;
@@ -373,24 +307,23 @@ let make_parctx ~nd ~seed ~yield_every : parctx =
     p_gc_cycle = None;
     p_out_mutex = Mutex.create ();
     p_rng = Atomic.make seed;
-    p_dls = Domain.DLS.new_key (fun () -> 0);
   }
 
 (* Append to the program's output.  Goroutines on different domains
    interleave whole lines (each print site builds one string), not
    bytes. *)
 let emit_str st s =
-  match st.par with
-  | Some p when p.p_nd > 1 ->
+  let p = st.par in
+  if p.p_nd > 1 then begin
     Mutex.lock p.p_out_mutex;
     Buffer.add_string st.output s;
     Mutex.unlock p.p_out_mutex
-  | _ -> Buffer.add_string st.output s
+  end
+  else Buffer.add_string st.output s
 
-(* Root enumeration for parallel runs: the registry in [p_regs] replaces
-   the sequential [st.goroutines] list (same newest-first order), and —
-   only when goroutines can actually sit queued across a GC, nd > 1 —
-   pending spawn arguments are rooted too. *)
+(* Root enumeration: globals, then every registered goroutine's frames
+   (newest goroutine first) and the arguments of goroutines that were
+   spawned but have not started — they may sit queued across a GC. *)
 let iter_roots_par (p : parctx) ~(globals : binding array) (k : int -> unit) =
   Array.iter (fun b -> trace_binding b k) globals;
   List.iter
@@ -403,7 +336,7 @@ let iter_roots_par (p : parctx) ~(globals : binding array) (k : int -> unit) =
             (fun (_, args) -> List.iter (fun v -> Value.trace v k) args)
             f.defers)
         g.g_frames;
-      if p.p_nd > 1 then List.iter (fun v -> Value.trace v k) g.g_pending)
+      List.iter (fun v -> Value.trace v k) g.g_pending)
     p.p_regs
 
 let fiber_done p (g : goroutine) =
@@ -420,31 +353,58 @@ let fiber_done p (g : goroutine) =
   Condition.broadcast p.p_work;
   Mutex.unlock p.p_mutex
 
+(** Performed at a safepoint to end the current goroutine's slice. *)
+type _ Effect.t += Yield : unit Effect.t
+
 (** Package a goroutine body as a schedulable task.  The effect handler
-    turns every [Sched.yield] into "re-enqueue my continuation on the
-    domain that is running me right now" — read from domain-local
-    storage at perform time, so a stolen goroutine requeues on the
-    thief, not on the domain that first started it. *)
+    turns every {!Yield} into "re-enqueue my continuation on the domain
+    that is running me right now" — [gst.dom], which the scheduler sets
+    before each slice, so a stolen goroutine requeues on the thief, not
+    on the domain that first started it.  In a captured trace every
+    slice is a [run gN] span on the goroutine's own track: it opens on
+    each resumption and closes at the yield, completion or exception
+    that ends it. *)
 let fiber_task (p : parctx) (gst : state) (body : unit -> unit) : ptask =
   let open Effect.Deep in
   let g = gst.current in
+  let tid = Trace.tid_fiber g.g_id in
+  let slice_name = "run g" ^ string_of_int g.g_id in
+  let slice_begin () =
+    if Trace.enabled () then Trace.begin_span ~tid slice_name
+  in
+  let slice_end () =
+    if Trace.enabled () then Trace.end_span ~tid slice_name
+  in
   let run () =
+    if Trace.enabled () then
+      Trace.name_thread ~tid ("goroutine " ^ string_of_int g.g_id);
+    slice_begin ();
     match_with body ()
       {
-        retc = (fun () -> fiber_done p g);
+        retc =
+          (fun () ->
+            slice_end ();
+            fiber_done p g);
         exnc =
           (fun e ->
+            slice_end ();
             fiber_done p g;
             raise e);
         effc =
           (fun (type c) (eff : c Effect.t) ->
             match eff with
-            | Sched.Yield ->
+            | Yield ->
               Some
                 (fun (k : (c, _) continuation) ->
-                  let d = Domain.DLS.get p.p_dls in
-                  Wsq.push p.p_queues.(d)
-                    { tk_st = gst; tk_run = (fun () -> continue k ()) };
+                  slice_end ();
+                  Wsq.push p.p_queues.(gst.dom)
+                    {
+                      tk_st = gst;
+                      tk_run =
+                        (fun () ->
+                          slice_begin ();
+                          continue k ());
+                    };
                   Mutex.lock p.p_mutex;
                   p.p_yields <- p.p_yields + 1;
                   Condition.broadcast p.p_work;
@@ -454,29 +414,26 @@ let fiber_task (p : parctx) (gst : state) (body : unit -> unit) : ptask =
   in
   { tk_st = gst; tk_run = run }
 
-(** Parallel-mode goroutine spawn.  Each goroutine gets its own [state]
-    copy — per-goroutine execution context (current goroutine, step/yield
-    counters, IC stats) over physically shared program,
-    heap, globals, output and scheduler — so a stolen fiber carries its
-    context with it.  The new task lands on the spawning domain's local
-    queue, Go-style. *)
-let spawn_parallel st (p : parctx) fid args =
+(** Goroutine spawn ([go f(args)]).  Each goroutine gets its own
+    [state] copy — per-goroutine execution context (current goroutine,
+    step/yield counters, IC stats) over physically shared program, heap,
+    globals, output and scheduler — so a stolen fiber carries its
+    context with it.  Goroutine ids count spawns (main is 0).  The new
+    task lands on the spawning domain's local queue, Go-style. *)
+let spawn_goroutine st fid args =
+  let p = st.par in
   Mutex.lock p.p_mutex;
+  p.p_spawns <- p.p_spawns + 1;
   let g =
-    { g_id = Sched.fresh_gid st.sched; g_frames = []; g_pending = args;
+    { g_id = p.p_spawns; g_frames = []; g_pending = args;
       g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 }
   in
-  (* The sequential path burns a second counter value per spawn
-     ([Sched.spawn] also increments it); replay that so goroutine ids —
-     and through [cur_thread] their mcache assignment — coincide. *)
-  ignore (Sched.fresh_gid st.sched);
   let gst =
     { st with current = g; steps = 0; yield_at = st.config.yield_every;
       unwinding = None; ic_hits = 0; ic_misses = 0 }
   in
   p.p_regs <- (g, gst) :: p.p_regs;
   p.p_live <- p.p_live + 1;
-  p.p_spawns <- p.p_spawns + 1;
   let body () =
     g.g_pending <- [];
     match gst.dispatch gst fid args with
@@ -489,8 +446,8 @@ let spawn_parallel st (p : parctx) fid args =
   Condition.broadcast p.p_work;
   Mutex.unlock p.p_mutex
 
-(* Stop-the-world GC rendezvous (nd > 1; single-domain runs collect
-   sequentially).  Reached from a safepoint, i.e. from a domain counted
+(* Stop-the-world GC rendezvous (nd > 1; a single domain collects
+   in place).  Reached from a safepoint, i.e. from a domain counted
    in [p_running]:
 
    - If no handshake is active, this domain becomes the leader: it
@@ -564,19 +521,22 @@ let safepoint_slow st =
   let heap = st.heap in
   if heap.Rt.Heap.gc_requested && not heap.Rt.Heap.config.Rt.Heap.gc_disabled
   then begin
-    match st.par with
-    | Some p when p.p_nd > 1 -> par_gc st p
-    | _ -> Rt.Gc_collector.collect heap
+    if st.par.p_nd > 1 then par_gc st st.par
+    else Rt.Gc_collector.collect heap
   end;
+  (* An attached sampler sends every safepoint here, so its own clock
+     counts the run's safepoints across all goroutines. *)
   (match heap.Rt.Heap.sampler with
-  | Some sampler when Rt.Sampler.due sampler ~step:st.steps ->
-    Rt.Sampler.record sampler ~step:st.steps
-      ~span_bytes:(Rt.Pageheap.used_bytes heap.Rt.Heap.pages)
-      (Rt.Heap.merged_metrics heap)
-  | _ -> ());
+  | Some sampler ->
+    let step = Rt.Sampler.tick sampler in
+    if Rt.Sampler.due sampler ~step then
+      Rt.Sampler.record sampler ~step
+        ~span_bytes:(Rt.Pageheap.used_bytes heap.Rt.Heap.pages)
+        (Rt.Heap.merged_metrics heap)
+  | None -> ());
   if st.steps >= st.yield_at then begin
     st.yield_at <- st.steps + st.config.yield_every;
-    Sched.yield ()
+    Effect.perform Yield
   end
 
 (* Safepoint: maybe run a GC cycle; also the yield point. *)
@@ -598,11 +558,11 @@ let safepoint st =
 let alloc_obj st fr ~(site : Tast.alloc_site) ~category ~size ~payload :
     Rt.Heap.obj =
   if Decisions.site_is_heap st.decisions site then
-    Rt.Heap.alloc_heap st.heap ~thread:(cur_thread st) ~category ~size
+    Rt.Heap.alloc_heap st.heap ~thread:st.dom ~category ~size
       ~payload
   else begin
     let obj =
-      Rt.Heap.alloc_stack ~thread:(cur_thread st) st.heap ~category ~size
+      Rt.Heap.alloc_stack ~thread:st.dom st.heap ~category ~size
         ~payload
     in
     register_stack_obj fr obj;
@@ -611,7 +571,7 @@ let alloc_obj st fr ~(site : Tast.alloc_site) ~category ~size ~payload :
 
 (* Heap allocation regardless of site (append growth, map growth). *)
 let alloc_heap_obj st ~category ~size ~payload =
-  Rt.Heap.alloc_heap st.heap ~thread:(cur_thread st) ~category ~size
+  Rt.Heap.alloc_heap st.heap ~thread:st.dom ~category ~size
     ~payload
 
 let make_slice_obj st fr ~(site : Tast.alloc_site) ~len ~cap ~zero_of :
@@ -709,7 +669,7 @@ let map_grow st (md : Value.map_data) old_buckets =
      runtime does this; stock Go leaves the old array to GC. *)
   if st.heap.Rt.Heap.config.Rt.Heap.grow_map_free_old then
     ignore
-      (Rt.Tcfree.tcfree st.heap ~thread:(cur_thread st)
+      (Rt.Tcfree.tcfree st.heap ~thread:st.dom
          ~source:Rt.Metrics.Src_map_grow old_addr)
 
 (* Bucket-chain scans, written as top-level recursions so a map
@@ -906,7 +866,7 @@ and value_eq (a : Value.value) (b : Value.value) =
    binding: read the pointer's current value and hand the referent to the
    matching tcfree variant (Table 4).  Shared by both execution modes. *)
 let tcfree_binding st (b : binding) (kind : Tast.free_kind) =
-  let thread = cur_thread st in
+  let thread = st.dom in
   match Value.get (binding_cell b) with
   | Value.VSlice s when kind = Tast.Free_slice ->
     (* TcfreeSlice: unwrap the backing array's address *)
@@ -1558,21 +1518,4 @@ and resolve_func st name : int =
   | Some fid -> fid
   | None -> raise (Runtime_error ("undefined function " ^ name))
 
-and spawn_goroutine st fid args =
-  match st.par with
-  | Some p -> spawn_parallel st p fid args
-  | None ->
-    let g =
-      { g_id = Sched.fresh_gid st.sched; g_frames = []; g_pending = [];
-        g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 }
-    in
-    st.goroutines <- g :: st.goroutines;
-    Sched.spawn st.sched ~gid:g.g_id
-      ~on_resume:(fun () -> st.current <- g)
-      (fun () ->
-        (match st.dispatch st fid args with
-        | _ -> ()
-        | exception Panic v ->
-          Buffer.add_string st.output ("panic: " ^ Value.to_string v ^ "\n");
-          raise (Panic v));
-        st.goroutines <- List.filter (fun g' -> g' != g) st.goroutines)
+

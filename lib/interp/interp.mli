@@ -57,9 +57,7 @@ type goroutine = {
   mutable g_stk_i : int array;
   mutable g_top_i : int;
   mutable g_pending : Value.value list;
-      (** spawn arguments of a not-yet-started goroutine; rooted by
-          multi-domain runs, always empty under the sequential
-          scheduler *)
+      (** spawn arguments of a not-yet-started goroutine (GC roots) *)
 }
 
 (** Which execution engine interprets function bodies.  All three share
@@ -76,18 +74,14 @@ type run_config = {
   seed : int64;  (** PRNG seed for MiniGo's [rand] *)
   max_steps : int;  (** hard budget; exceeded = [Runtime_error] *)
   yield_every : int;  (** steps between goroutine switches *)
-  nprocs : int;  (** logical processors (mcaches) *)
-  migrate_every : int;  (** yields between simulated P migrations *)
   sample_every : int;
       (** snapshot the heap counters every N steps (0 = off) *)
   engine : engine;
       (** which engine executes function bodies; the reference
           tree-walker is slowest but is the semantic ground truth *)
   domains : int;
-      (** 0 = sequential effect-handler scheduler (the legacy path);
-          N >= 1 = run goroutines on N OCaml domains through the
-          work-stealing scheduler.  [domains = 1] is byte-identical to
-          sequential by construction. *)
+      (** N >= 1 (default 1): run goroutines on N OCaml domains through
+          the work-stealing scheduler; each domain is one P (mcache) *)
 }
 
 val default_config : run_config
@@ -97,17 +91,14 @@ type state = {
   decisions : Decisions.t;
   layout : Layout.t;
   heap : Rt.Heap.t;
-  sched : Sched.t;
   output : Buffer.t;
   globals : binding array;  (** by {!Layout} global slot *)
   config : run_config;
   mutable dispatch : state -> int -> Value.value list -> Value.value list;
       (** how calls execute: {!call_by_id} or compiled bodies; defers
           and goroutine entry points route through it *)
-  mutable goroutines : goroutine list;
   mutable current : goroutine;
   mutable steps : int;
-  mutable rng : int64;
   mutable unwinding : Value.value option;
       (** the active panic value while defers run during unwinding *)
   mutable ic_hits : int;
@@ -118,15 +109,13 @@ type state = {
       (** next step count at which to yield (advances by
           [config.yield_every]) *)
   mutable dom : int;
-      (** index of the domain currently executing this state's goroutine
-          (multi-domain runs; 0 otherwise) *)
-  mutable par : parctx option;
-      (** the shared parallel-runtime context when goroutines run on the
-          work-stealing domain scheduler ([--domains >= 1]) *)
+      (** index of the domain currently executing this state's
+          goroutine — the P whose mcache it allocates from *)
+  par : parctx;  (** the shared scheduler context *)
 }
 
-(** Shared context of one multi-domain run: per-domain run queues, the
-    goroutine registry (the parallel GC's root set), scheduler
+(** Shared context of one run: per-domain run queues, the goroutine
+    registry (the GC's root set), scheduler
     bookkeeping and the stop-the-world handshake state.
     [p_mutex]/[p_work] guard every mutable field except the queues
     (internally locked) and [p_rng] (atomic). *)
@@ -139,10 +128,8 @@ and parctx = {
   mutable p_running : int;  (** domains currently executing a slice *)
   mutable p_regs : (goroutine * state) list;
   mutable p_yields : int;
-  mutable p_budget : int;
-      (** nd = 1 only: steps left in the shared sequential-replay slice *)
   mutable p_steals : int;  (** goroutines moved by work stealing *)
-  mutable p_spawns : int;
+  mutable p_spawns : int;  (** goroutines spawned; also the last gid *)
   mutable p_steps_done : int;
       (** summed step counts of finished goroutines *)
   mutable p_ic_hits : int;  (** inline-cache hits of finished goroutines *)
@@ -152,7 +139,6 @@ and parctx = {
   mutable p_gc_cycle : Rt.Gc_collector.Par.cycle option;
   p_out_mutex : Mutex.t;
   p_rng : int64 Atomic.t;
-  p_dls : int Domain.DLS.key;
 }
 
 and ptask = {
@@ -160,15 +146,12 @@ and ptask = {
   tk_run : unit -> unit;  (** start the fiber or resume its continuation *)
 }
 
-(** Enumerate every root address: globals, all goroutines' frame slots,
-    statement pins and pending defer arguments. *)
-val iter_roots : state -> (int -> unit) -> unit
+val make_parctx : nd:int -> seed:int64 -> parctx
 
-val make_parctx : nd:int -> seed:int64 -> yield_every:int -> parctx
-
-(** Root enumeration for parallel runs (the [p_regs] registry replaces
-    [state.goroutines]; pending spawn arguments are rooted when
-    nd > 1). *)
+(** Enumerate every root address: globals, then each registered
+    goroutine's frame slots, statement pins, pending defer arguments
+    and — for a goroutine that has not started — its spawn
+    arguments. *)
 val iter_roots_par :
   parctx -> globals:binding array -> (int -> unit) -> unit
 
@@ -176,7 +159,8 @@ val iter_roots_par :
 val emit_str : state -> string -> unit
 
 (** Package a goroutine body as a schedulable task whose yields
-    re-enqueue on the domain executing it. *)
+    re-enqueue on the domain executing it.  A captured trace shows each
+    of its slices as a [run gN] span on the goroutine's own track. *)
 val fiber_task : parctx -> state -> (unit -> unit) -> ptask
 
 val eval : state -> Tast.expr -> Value.value
@@ -200,8 +184,6 @@ val exec_block : state -> Tast.block -> unit
     allocator-visible event. *)
 
 val cur_frame : state -> frame
-
-val cur_thread : state -> int
 
 (** Statement boundary: step accounting, pin reset, GC poll, sampler
     poll, cooperative yield. *)

@@ -1,6 +1,7 @@
-(** The multi-domain goroutine scheduler: N worker loops (one per OCaml
-    domain, domain 0 inline on the caller), each draining its own run
-    queue and stealing half a victim's queue when empty.
+(** The goroutine scheduler: N worker loops (one per OCaml domain,
+    domain 0 inline on the caller), each draining its own run queue and
+    stealing half a victim's queue when empty.  Each domain is one P:
+    goroutines allocate from the mcache of the domain running them.
 
     Scheduling protocol:
     - a task is one goroutine slice — it runs until the goroutine yields
@@ -14,10 +15,8 @@
       transitions.  During a handshake they help mark/sweep rather than
       sleep.
 
-    At [--domains 1] no domain is spawned, nothing can be stolen, and
-    the single FIFO queue replays the sequential scheduler's order
-    exactly — that is the byte-identity gate's mechanism, not a tuned
-    coincidence. *)
+    At [--domains 1] no domain is spawned and nothing can be stolen: the
+    single FIFO queue round-robins the goroutines deterministically. *)
 
 module Rt = Gofree_runtime
 module Wsq = Gofree_sched.Wsq
@@ -46,28 +45,10 @@ let take_task (p : Interp.parctx) d =
     end
 
 (* Execute one slice of [task] on domain [d].  Returns the escaping
-   exception, if any.  At nd = 1 the sequential scheduler's shared slice
-   budget is replayed: the state copy's yield threshold is loaded from
-   the global budget before the slice, and a completion mid-slice hands
-   its leftover steps to the next task (a yield refills the budget). *)
-let run_slice (p : Interp.parctx) (task : Interp.ptask) d =
-  let gst = task.Interp.tk_st in
-  gst.Interp.dom <- d;
-  if p.Interp.p_nd = 1 then begin
-    let steps0 = gst.Interp.steps and yields0 = p.Interp.p_yields in
-    gst.Interp.yield_at <- gst.Interp.steps + p.Interp.p_budget;
-    let r =
-      match task.Interp.tk_run () with () -> None | exception e -> Some e
-    in
-    if p.Interp.p_yields > yields0 then
-      p.Interp.p_budget <- gst.Interp.config.Interp.yield_every
-    else
-      p.Interp.p_budget <-
-        max 1 (p.Interp.p_budget - (gst.Interp.steps - steps0));
-    r
-  end
-  else
-    match task.Interp.tk_run () with () -> None | exception e -> Some e
+   exception, if any. *)
+let run_slice (task : Interp.ptask) d =
+  task.Interp.tk_st.Interp.dom <- d;
+  match task.Interp.tk_run () with () -> None | exception e -> Some e
 
 (* Park for an in-progress stop-the-world handshake: wait for the
    leader to publish the cycle, help mark/sweep, wait for release.
@@ -88,7 +69,6 @@ let park_for_gc (p : Interp.parctx) =
   done
 
 let worker_loop (p : Interp.parctx) d =
-  Domain.DLS.set p.Interp.p_dls d;
   Mutex.lock p.Interp.p_mutex;
   let quit = ref false in
   while not !quit do
@@ -103,7 +83,7 @@ let worker_loop (p : Interp.parctx) d =
       | Some task ->
         p.Interp.p_running <- p.Interp.p_running + 1;
         Mutex.unlock p.Interp.p_mutex;
-        let err = run_slice p task d in
+        let err = run_slice task d in
         Mutex.lock p.Interp.p_mutex;
         p.Interp.p_running <- p.Interp.p_running - 1;
         (match err with

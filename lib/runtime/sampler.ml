@@ -1,6 +1,8 @@
 (** Periodic metrics sampler: every [every] interpreter steps, snapshot
     the heap counters into a bounded ring so long runs still dump a
-    tractable time series (`--metrics-json` includes it). *)
+    tractable time series (`--metrics-json` includes it).  The step
+    clock is the sampler's own: one run-wide count of the safepoints
+    that reached it, across all goroutines and domains. *)
 
 module Json = Gofree_obs.Json
 module Ring = Gofree_obs.Ring
@@ -18,14 +20,27 @@ type sample = {
 (* [lock] guards the ring: with goroutines running on multiple domains,
    several mutators can reach a sampling safepoint concurrently, and
    [Ring.push] mutates head/length state that would corrupt under a
-   race.  Uncontended in sequential runs. *)
-type t = { every : int; ring : sample Ring.t; lock : Mutex.t }
+   race.  Uncontended at one domain.  [clock] is atomic for the same
+   reason, so every tick gets a distinct step. *)
+type t = {
+  every : int;
+  ring : sample Ring.t;
+  lock : Mutex.t;
+  clock : int Atomic.t;
+}
 
 let create ?(capacity = 4096) ~every () =
   if every <= 0 then invalid_arg "Sampler.create: every must be positive";
-  { every; ring = Ring.create ~capacity; lock = Mutex.create () }
+  {
+    every;
+    ring = Ring.create ~capacity;
+    lock = Mutex.create ();
+    clock = Atomic.make 0;
+  }
 
 let every t = t.every
+
+let tick t = Atomic.fetch_and_add t.clock 1 + 1
 
 (** Should a snapshot be taken at interpreter step [step]? *)
 let due t ~step = step mod t.every = 0

@@ -1,5 +1,6 @@
 (** Periodic metrics sampler: bounded time series of heap counters,
-    snapshotted every N interpreter steps. *)
+    snapshotted every N interpreter steps, counted on the sampler's own
+    run-wide clock ({!tick}). *)
 
 type sample = {
   sm_step : int;
@@ -19,6 +20,11 @@ type t
 val create : ?capacity:int -> every:int -> unit -> t
 
 val every : t -> int
+
+(** Advance the run-wide step clock by one and return the new step.
+    Safe from several domains at once: each tick gets a distinct
+    step. *)
+val tick : t -> int
 
 (** Should a snapshot be taken at interpreter step [step]? *)
 val due : t -> step:int -> bool

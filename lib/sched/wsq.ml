@@ -2,8 +2,8 @@
 
    A mutex-protected deque: the owning domain pushes freshly spawned /
    yielded goroutines at the back and pops runnable work from the
-   front (FIFO, matching the sequential scheduler's [Queue]), while
-   thief domains steal half the queue from the front.  Stealing from
+   front (FIFO), while thief domains steal half the queue from the
+   front.  Stealing from
    the front means thieves take the *oldest* goroutines — the ones the
    owner would run last — which keeps the owner's cache-warm recent
    work local, the classic Go-runtime split.

@@ -34,7 +34,8 @@
       decodes), a preset name string ([gofree] | [go] | [all-targets]
       | [no-ipa] | [field-sensitive] | [last-use] | [precise]).
     Execution knobs ([gc_off], [poison], [gogc], [seed],
-    [sample_every], [engine], [domains]) mirror the CLI flags.
+    [sample_every], [engine], [domains]) mirror the CLI flags;
+    ["domains"] must be in 1..64 (default 1).
     ["engine"] selects
     the execution engine by name ([reference] | [closure] | [bytecode],
     default [bytecode]); the historical boolean ["reference"] param is
@@ -181,7 +182,7 @@ let options_of_params params =
         else d.Gofree_api.engine);
     domains =
       (let n = opt_int ~default:d.Gofree_api.domains "domains" params in
-       if n < 0 || n > 64 then bad "param \"domains\" must be in 0..64"
+       if n < 1 || n > 64 then bad "param \"domains\" must be in 1..64"
        else n);
   }
 

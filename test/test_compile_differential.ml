@@ -21,7 +21,7 @@ let engines =
   ]
 
 let run_mode ~engine ?(config = Gofree_core.Config.gofree) ?(poison = false)
-    ?(domains = 0) src =
+    src =
   let run_config =
     {
       Gofree_interp.Interp.default_config with
@@ -33,7 +33,6 @@ let run_mode ~engine ?(config = Gofree_core.Config.gofree) ?(poison = false)
           poison_on_free = poison;
         };
       engine;
-      domains;
     }
   in
   Gofree_interp.Runner.compile_and_run ~gofree_config:config ~run_config src
@@ -590,15 +589,15 @@ func main() {
 }
 |}
 
-(* [--domains 1] runs each engine byte-identically to the sequential
-   scheduler. *)
-let check_domains_identity ~name src =
+(* Each engine runs deterministically on the default single domain:
+   two runs are byte-identical. *)
+let check_repeatable ~name src =
   List.iter
     (fun (ename, engine) ->
       let seq = run_mode ~engine src in
-      let par = run_mode ~engine ~domains:1 src in
+      let par = run_mode ~engine src in
       let label what =
-        Printf.sprintf "%s: %s at --domains 1 (%s)" name what ename
+        Printf.sprintf "%s: %s of a repeated run (%s)" name what ename
       in
       Alcotest.(check string)
         (label "output")
@@ -620,7 +619,7 @@ let storage_cases =
         check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
           src;
         check_poison_silent ~name src;
-        check_domains_identity ~name src)
+        check_repeatable ~name src)
   in
   [
     case "register locals" src_registers

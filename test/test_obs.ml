@@ -101,6 +101,50 @@ let test_trace_stream () =
         (Hashtbl.mem names phase))
     [ "lex"; "parse"; "typecheck"; "escape"; "instrument"; "run g0" ]
 
+(** A goroutine program traced at [--domains 2]: every goroutine gets
+    its own track, and on each track the [run gN] slice spans nest
+    properly and all close, even when a goroutine is stolen between
+    slices. *)
+let test_trace_goroutine_tracks () =
+  let src = Gofree_workloads.Workloads.(source_of ~size:4 fanout) in
+  let run_config = { Gofree_interp.Interp.default_config with domains = 2 } in
+  Trace.start ();
+  ignore (Helpers.run ~run_config src);
+  let doc = Json.parse (Trace.stop ()) in
+  let stacks : (int, string list) Hashtbl.t = Hashtbl.create 16 in
+  let slices = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      let tid = Json.get_int "tid" e in
+      if tid >= Trace.tid_fiber 0 && tid < Trace.tid_reader 0 then begin
+        let name = Json.get_string "name" e in
+        let stack = Option.value (Hashtbl.find_opt stacks tid) ~default:[] in
+        match Json.get_string "ph" e with
+        | "B" ->
+          Alcotest.(check string) "slice named after its track"
+            (Printf.sprintf "run g%d" (tid - Trace.tid_fiber 0))
+            name;
+          Hashtbl.replace slices tid ();
+          Hashtbl.replace stacks tid (name :: stack)
+        | "E" -> begin
+          match stack with
+          | top :: rest ->
+            Alcotest.(check string) "E closes innermost B" top name;
+            Hashtbl.replace stacks tid rest
+          | [] -> Alcotest.fail (Printf.sprintf "tid %d: E without open B" tid)
+        end
+        | _ -> ()
+      end)
+    (Json.get_list "traceEvents" doc);
+  Hashtbl.iter
+    (fun tid stack ->
+      Alcotest.(check int)
+        (Printf.sprintf "tid %d spans all closed" tid)
+        0 (List.length stack))
+    stacks;
+  Alcotest.(check bool) "main and several goroutines traced" true
+    (Hashtbl.mem slices (Trace.tid_fiber 0) && Hashtbl.length slices > 2)
+
 let test_trace_disabled () =
   Alcotest.(check bool) "disabled by default" false (Trace.enabled ());
   (* emissions while disabled must be no-ops, and stop yields "{}" *)
@@ -360,6 +404,8 @@ let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "trace stream invariants" `Quick test_trace_stream;
+    Alcotest.test_case "trace goroutine tracks" `Quick
+      test_trace_goroutine_tracks;
     Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
     Alcotest.test_case "metrics json round-trip" `Quick test_metrics_roundtrip;
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;

@@ -1,14 +1,16 @@
-(** The multi-domain runtime ([--domains N]).
+(** The domain scheduler ([--domains N]).
 
-    The hard gate: [--domains 1] must be byte-identical to the
-    sequential scheduler — same output, same step count, same metrics
+    The gate at the default single domain: two runs of the same program
+    are byte-identical — same output, same step count, same metrics
     JSON (modulo the one wall-clock field) — across every Table 6
     workload, the goroutine fan-out workload and all three engines.
     Multi-domain runs are nondeterministically interleaved, so they are
     held to conservation invariants instead: every allocation is
     accounted for by exactly one of tcfree / GC / still-live, outputs
-    are a line permutation of the sequential run, and the work-stealing
-    scheduler actually moves goroutines. *)
+    are a line permutation of the single-domain run, and the
+    work-stealing scheduler actually moves goroutines.  Arguments of
+    spawned goroutines that have not started yet are GC roots at every
+    domain count, and the sampler's step clock is run-wide. *)
 
 module Rt = Gofree_runtime
 module W = Gofree_workloads.Workloads
@@ -22,7 +24,7 @@ let engines =
     ("bytecode", Gofree_interp.Interp.Eng_bytecode);
   ]
 
-let run_mode ~engine ~domains ?(seed = 42) src =
+let run_mode ~engine ~domains ?(seed = 42) ?(sample_every = 0) src =
   let run_config =
     {
       Gofree_interp.Interp.default_config with
@@ -34,6 +36,7 @@ let run_mode ~engine ~domains ?(seed = 42) src =
       engine;
       domains;
       seed = Int64.of_int seed;
+      sample_every;
     }
   in
   Gofree_interp.Runner.compile_and_run ~run_config src
@@ -43,11 +46,11 @@ let metrics_fingerprint (m : Rt.Metrics.t) : string =
   Gofree_obs.Json.to_string_pretty (Rt.Metrics.to_json m)
 
 (* ---------------------------------------------------------------- *)
-(* The hard gate: --domains 1 == sequential, byte for byte           *)
+(* The gate: two --domains 1 runs are identical, byte for byte        *)
 (* ---------------------------------------------------------------- *)
 
 let check_identity ~name ~engine src =
-  let seq = run_mode ~engine ~domains:0 src in
+  let seq = run_mode ~engine ~domains:1 src in
   let par = run_mode ~engine ~domains:1 src in
   Alcotest.(check string)
     (name ^ ": output")
@@ -75,9 +78,8 @@ let test_identity_workloads () =
     W.all
 
 let test_identity_fanout () =
-  (* goroutine-bearing program: the single-domain scheduler must replay
-     the sequential interleaving exactly — slice budgets, goroutine ids,
-     mcache assignment and all *)
+  (* goroutine-bearing program: the single-domain interleaving is
+     deterministic — slice order, goroutine ids and all *)
   let src = W.source_of W.fanout in
   List.iter
     (fun (ename, engine) ->
@@ -95,13 +97,13 @@ let sum = Array.fold_left ( + ) 0
 
 let test_multi_domain_conservation () =
   let src = W.source_of W.fanout in
-  let seq = run_mode ~engine:Gofree_interp.Interp.Eng_bytecode ~domains:0 src
+  let seq = run_mode ~engine:Gofree_interp.Interp.Eng_bytecode ~domains:1 src
   and par = run_mode ~engine:Gofree_interp.Interp.Eng_bytecode ~domains:4 src in
   let sm = seq.Gofree_interp.Runner.metrics
   and pm = par.Gofree_interp.Runner.metrics in
   (* same program, different interleaving: outputs are permutations *)
   Alcotest.(check string)
-    "output is a line permutation of sequential"
+    "output is a line permutation of one domain"
     (sorted_lines seq.Gofree_interp.Runner.output)
     (sorted_lines par.Gofree_interp.Runner.output);
   (* allocation volume is interleaving-independent *)
@@ -119,6 +121,129 @@ let test_multi_domain_conservation () =
   Alcotest.(check int)
     "no heap-to-stack pointers" 0 pm.Rt.Metrics.heap_to_stack_pointers;
   Alcotest.(check bool) "ran some GC" true (pm.Rt.Metrics.gc_cycles > 0)
+
+(* Goroutines spawned with freshly allocated arguments, then enough
+   allocation in main to force GC cycles before any of them starts: the
+   queued arguments must survive as roots. *)
+let src_pending_args =
+  {|
+var a []int
+var b []int
+var c []int
+var d []int
+var e []int
+var f []int
+
+func mk(n int, v int) []int {
+  s := make([]int, n)
+  for i := 0; i < n; i++ {
+    s[i] = v * (i + 1)
+  }
+  return s
+}
+
+func use(s []int, g int) {
+  t := 0
+  for i := 0; i < len(s); i++ {
+    t = t + s[i]
+  }
+  println(g, t)
+}
+
+func main() {
+  for g := 0; g < 4; g++ {
+    go use(mk(8, g+1), g)
+  }
+  a = make([]int, 200000)
+  b = make([]int, 200000)
+  c = make([]int, 200000)
+  d = make([]int, 200000)
+  e = make([]int, 200000)
+  f = make([]int, 200000)
+  println("main done")
+}
+|}
+
+let test_pending_args_rooted () =
+  let run ~config ~engine ~domains ~poison =
+    let run_config =
+      {
+        Gofree_interp.Interp.default_config with
+        heap_config =
+          {
+            Rt.Heap.default_config with
+            poison_on_free = poison;
+            grow_map_free_old = config.Gofree_core.Config.insert_tcfree;
+          };
+        engine;
+        domains;
+      }
+    in
+    (Gofree_interp.Runner.compile_and_run ~gofree_config:config ~run_config
+       src_pending_args)
+      .Gofree_interp.Runner.output
+  in
+  let expected =
+    sorted_lines
+      (run ~config:Gofree_core.Config.go
+         ~engine:Gofree_interp.Interp.Eng_reference ~domains:1 ~poison:false)
+  in
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun (ename, engine) ->
+          List.iter
+            (fun domains ->
+              let label =
+                Printf.sprintf "%s/%s/domains %d" cname ename domains
+              in
+              match run ~config ~engine ~domains ~poison:true with
+              | out ->
+                Alcotest.(check string) label expected (sorted_lines out)
+              | exception Gofree_interp.Value.Corruption msg ->
+                Alcotest.fail (label ^ ": poison read: " ^ msg))
+            [ 1; 2 ])
+        engines)
+    [ ("gofree", Gofree_core.Config.gofree); ("go", Gofree_core.Config.go) ]
+
+let sampled_steps (r : Gofree_interp.Runner.result) =
+  match r.Gofree_interp.Runner.sampler with
+  | None -> Alcotest.fail "no sampler attached"
+  | Some s -> List.map (fun sm -> sm.Rt.Sampler.sm_step) (Rt.Sampler.samples s)
+
+let test_sampler_run_wide_clock () =
+  (* One step clock for the whole run: at one domain the series is
+     strictly increasing, on the cadence, and has one sample per
+     [every] steps of the run's total; at two domains the recording
+     order may interleave, but the set of steps is the same. *)
+  let src = W.source_of W.fanout and every = 500 in
+  List.iter
+    (fun domains ->
+      let r =
+        run_mode ~engine:Gofree_interp.Interp.Eng_bytecode ~domains
+          ~sample_every:every src
+      in
+      let steps = sampled_steps r in
+      let total = r.Gofree_interp.Runner.steps in
+      let label what = Printf.sprintf "domains %d: %s" domains what in
+      if domains = 1 then
+        ignore
+          (List.fold_left
+             (fun prev st ->
+               Alcotest.(check bool) (label "strictly increasing") true
+                 (st > prev);
+               st)
+             0 steps);
+      List.iter
+        (fun st -> Alcotest.(check int) (label "on the cadence") 0 (st mod every))
+        steps;
+      Alcotest.(check int) (label "one sample per every steps") (total / every)
+        (List.length steps);
+      Alcotest.(check (list int))
+        (label "steps every..total")
+        (List.init (total / every) (fun i -> (i + 1) * every))
+        (List.sort compare steps))
+    [ 1; 2 ]
 
 let sched_counter name =
   Reg.counter_value (Reg.counter Reg.runtime name)
@@ -243,6 +368,10 @@ let suite =
       test_multi_domain_conservation;
     Alcotest.test_case "work stealing moves goroutines" `Quick
       test_work_stealing_observable;
+    Alcotest.test_case "pending goroutine arguments are GC roots" `Quick
+      test_pending_args_rooted;
+    Alcotest.test_case "sampler steps on one run-wide clock" `Quick
+      test_sampler_run_wide_clock;
     Alcotest.test_case "wsq: concurrent push/pop/steal conserve items"
       `Quick test_wsq_concurrent;
     Alcotest.test_case "metrics stripes merge to exact sums" `Quick
