@@ -33,7 +33,6 @@ let default_options =
 
 let engine_name = function
   | Gofree_interp.Interp.Eng_reference -> "reference"
-  | Gofree_interp.Interp.Eng_closure -> "closure"
   | Gofree_interp.Interp.Eng_bytecode -> "bytecode"
 
 type run_result = {

@@ -9,7 +9,7 @@
 
     Experiments: table3, fig10, fig11, table7, table8, table9,
     compile_speed, robustness, ablation, serve, load, telemetry,
-    incremental, engines, parallel, precision,
+    incremental, parallel, precision,
     bench_json.
 
     [--only bench_json] writes BENCH_gofree.json: per-workload free
@@ -31,11 +31,10 @@ let parse_args () =
   let bechamel = ref false in
   let set_engine = function
     | "reference" -> engine := Gofree_interp.Interp.Eng_reference
-    | "closure" -> engine := Gofree_interp.Interp.Eng_closure
     | "bytecode" -> engine := Gofree_interp.Interp.Eng_bytecode
     | s ->
       raise
-        (Arg.Bad ("unknown engine " ^ s ^ " (reference|closure|bytecode)"))
+        (Arg.Bad ("unknown engine " ^ s ^ " (reference|bytecode)"))
   in
   let spec =
     [
@@ -44,7 +43,7 @@ let parse_args () =
        "PCT workload size, percent of default (default 100)");
       ("--seed", Arg.Set_int seed, "N PRNG seed for the workloads");
       ("--engine", Arg.String set_engine,
-       "NAME execution engine: reference | closure | bytecode (default)");
+       "NAME execution engine: reference | bytecode (default)");
       ("--only", Arg.String (fun s -> only := s :: !only),
        "NAME run only this experiment (repeatable)");
       ("--bechamel", Arg.Set bechamel, " run bechamel pass timings");
@@ -107,7 +106,6 @@ let () =
     if want "load" then Exp_load.run ~options ();
     if want "telemetry" then Exp_telemetry.run ~options ();
     if want "incremental" then Exp_incremental.run ~options ();
-    if want "engines" then Exp_engines.run ~options ();
     if want "parallel" then Exp_parallel.run ~options ();
     if want "precision" then Exp_precision.run ~options ();
     if want "bench_json" then Exp_bench_json.run ~options ()

@@ -32,10 +32,15 @@ let no_ipa_flag =
   Arg.(value & flag & info [ "no-ipa" ]
          ~doc:"Disable inter-procedural content tags (ablation)")
 
-let preset_term : Gofree_api.preset Term.t =
+let preset_term : Gofree_api.Preset.t Term.t =
   Term.(
     const (fun go all_targets no_ipa ->
-        Gofree_api.preset_of_flags ~go ~all_targets ~no_ipa)
+        let open Gofree_api.Preset in
+        if go then stock_go
+        else if all_targets then
+          with_targets Gofree_core.Config.All_pointers default
+        else if no_ipa then with_ipa false default
+        else default)
     $ go_flag $ all_targets_flag $ no_ipa_flag)
 
 (* --precision: the opt-in analysis precision modes, composable with the
@@ -67,9 +72,7 @@ let precision_arg =
 let config_term : Gofree_api.config Term.t =
   Term.(
     const (fun preset precision ->
-        Gofree_api.Preset.(
-          of_config (Gofree_api.config_of_preset preset)
-          |> with_precision precision |> to_config))
+        Gofree_api.Preset.(preset |> with_precision precision |> to_config))
     $ preset_term $ precision_arg)
 
 (* ---------------------------------------------------------------- *)
@@ -99,7 +102,6 @@ let engine_conv : Gofree_api.engine Arg.conv =
   Arg.enum
     [
       ("reference", Gofree_api.Eng_reference);
-      ("closure", Gofree_api.Eng_closure);
       ("bytecode", Gofree_api.Eng_bytecode);
     ]
 
@@ -107,17 +109,10 @@ let engine_arg =
   Arg.(value
        & opt engine_conv Gofree_api.default_run_options.Gofree_api.engine
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: $(b,reference) (tree-walking), \
-                 $(b,closure) (closure-compiled) or $(b,bytecode) (flat \
-                 bytecode VM with inline caches, the default).  All \
-                 three produce identical output and metrics; they \
-                 differ only in speed.")
-
-let reference_flag =
-  Arg.(value & flag & info [ "reference" ]
-         ~doc:"Alias for $(b,--engine reference): execute with the \
-               reference tree-walking interpreter (slower; observable \
-               behaviour and metrics are identical)")
+           ~doc:"Execution engine: $(b,reference) (the tree-walking \
+                 oracle) or $(b,bytecode) (flat bytecode VM with inline \
+                 caches, the default).  Both produce identical output \
+                 and metrics; they differ only in speed.")
 
 let domains_arg =
   Arg.(value
@@ -132,13 +127,11 @@ let domains_arg =
 
 let run_options_term : Gofree_api.run_options Term.t =
   Term.(
-    const (fun gc_off poison gogc seed sample_every engine reference domains
-           ->
-        let engine = if reference then Gofree_api.Eng_reference else engine in
+    const (fun gc_off poison gogc seed sample_every engine domains ->
         { Gofree_api.gc_off; poison; gogc; seed; sample_every; engine;
           domains })
     $ gcoff_flag $ poison_flag $ gogc_arg $ seed_arg $ sample_every_arg
-    $ engine_arg $ reference_flag $ domains_arg)
+    $ engine_arg $ domains_arg)
 
 (* ---------------------------------------------------------------- *)
 (* Observability outputs (--trace / --metrics-json / --metrics)       *)

@@ -172,14 +172,9 @@ let disasm_cmd =
 let compare_cmd =
   let compare_run file options =
     let source = read_source file in
-    let run preset =
-      ok
-        (Gofree_api.run_string
-           ~config:(Gofree_api.config_of_preset preset)
-           ~options source)
-    in
-    let go = run Gofree_api.Go in
-    let gf = run Gofree_api.Gofree in
+    let run config = ok (Gofree_api.run_string ~config ~options source) in
+    let go = run Gofree_api.Preset.stock_go in
+    let gf = run Gofree_api.Preset.default in
     Format.printf "== Go ==@.%a@.@.== GoFree ==@.%a@.@."
       Gofree_api.pp_metrics go.Gofree_api.metrics Gofree_api.pp_metrics
       gf.Gofree_api.metrics;

@@ -33,11 +33,7 @@ type config = Gofree_core.Config.t
       Preset.(default |> with_field_sensitivity true
                       |> with_placement Gofree_core.Config.Last_use
                       |> to_config)
-    ]}
-
-    This replaces the ad-hoc preset globals ([Config.all_targets],
-    [Config.no_ipa], ...) which remain available one more release as
-    deprecated aliases (see {!preset} below). *)
+    ]} *)
 module Preset = struct
   module C = Gofree_core.Config
 
@@ -84,44 +80,6 @@ module Preset = struct
 
   let of_name (n : string) : t option = List.assoc_opt n named
 end
-
-(** Deprecated (API v1): the closed preset variant.  Kept one release
-    for callers of the historical flag triple; new code should use
-    {!Preset}. *)
-type preset =
-  | Gofree  (** the paper's shipped configuration *)
-  | Go  (** stock Go: no tcfree insertion *)
-  | All_targets  (** also free objects through raw pointers *)
-  | No_ipa  (** ablation: no inter-procedural content tags *)
-
-(** Deprecated: use {!Preset.to_config}. *)
-let config_of_preset = function
-  | Gofree -> Preset.default
-  | Go -> Preset.stock_go
-  | All_targets -> Preset.(with_targets Gofree_core.Config.All_pointers default)
-  | No_ipa -> Preset.(with_ipa false default)
-
-(** The CLI's historical flag triple, also used by the v1 RPC layer. *)
-let preset_of_flags ~go ~all_targets ~no_ipa =
-  if go then Go
-  else if all_targets then All_targets
-  else if no_ipa then No_ipa
-  else Gofree
-
-let preset_name = function
-  | Gofree -> "gofree"
-  | Go -> "go"
-  | All_targets -> "all-targets"
-  | No_ipa -> "no-ipa"
-
-(** Deprecated: use {!Preset.of_name}, which also knows the precision
-    presets. *)
-let preset_of_name = function
-  | "gofree" -> Some Gofree
-  | "go" -> Some Go
-  | "all-targets" -> Some All_targets
-  | "no-ipa" -> Some No_ipa
-  | _ -> None
 
 (* ---- config <-> JSON (the RPC v2 "config" object) ---- *)
 
@@ -208,23 +166,20 @@ let config_of_json (j : Json.t) : (config, string) result =
     fold C.gofree fields
   | _ -> Error "config: expected object"
 
-(** Which execution engine interprets function bodies.  All three are
+(** Which execution engine interprets function bodies.  Both are
     observationally identical (output, metrics JSON, GC events) by
     construction — they share the interpreter's allocation/map/call
     helpers — and differ only in speed. *)
 type engine = Gofree_interp.Interp.engine =
   | Eng_reference  (** tree-walking reference interpreter *)
-  | Eng_closure  (** closure-compiled bodies *)
   | Eng_bytecode  (** flat bytecode VM with inline caches (default) *)
 
 let engine_name = function
   | Eng_reference -> "reference"
-  | Eng_closure -> "closure"
   | Eng_bytecode -> "bytecode"
 
 let engine_of_name = function
   | "reference" -> Some Eng_reference
-  | "closure" -> Some Eng_closure
   | "bytecode" -> Some Eng_bytecode
   | _ -> None
 

@@ -1,13 +1,13 @@
-(** The flat bytecode ISA of the third execution engine.
+(** The flat bytecode ISA of the fast execution engine.
 
     A lowered function is one [int array]: each instruction is an opcode
     followed by its inline operands (slot indices, interned function
     ids, absolute jump targets — resolved at emission time by {!Emit},
     with jump-to-jump chains threaded).  Values that cannot be encoded
     as ints live in per-function side tables: a constant pool, the
-    allocation sites, zero-value makers, declaration/assignment closures
-    reused from {!Compile} for the long tail, and the inline-cache
-    records for map-key and struct-field access sites.
+    allocation sites, zero-value makers, per-variable declaration
+    closures ({!Emit.declare}), the error-path thunks, and the
+    inline-cache records for map-key and struct-field access sites.
 
     The dispatch loop itself lives in {!Vm}; the opcode numbering here
     and the literal patterns of its [match] must stay in sync (the
@@ -126,7 +126,7 @@ let op_range_start = 101  (* exit target: pop map V, push key iterator *)
 let op_range_next = 102  (* decl idx, end target *)
 let op_range_pop = 103  (* drop the top key iterator (break) *)
 let op_thunk_v = 104  (* thunk idx: push V *)
-let op_assign_thunk = 105  (* assign idx: pop value V *)
+(* 105: retired; opcode numbers are never reused *)
 
 (* Superinstructions: fusions of the sequences above that dominate hot
    loops.  Each replicates its unfused expansion exactly (same
@@ -168,7 +168,13 @@ let op_rload = 133  (* reg, name idx: push register -> I *)
 let op_rstore = 134  (* reg, name idx: pop I into register *)
 let op_rinc = 135  (* reg, k, name idx: register += k *)
 
-let n_opcodes = 136
+(* Address of a field of a nested struct value ([a[i].p.x], [f().q.y]):
+   the base struct is evaluated, then its owner spine again, exactly like
+   [Interp.eval_addr] and [owner_of_struct_base]. *)
+let op_owner = 136  (* pop V; push its owner I (slice/pointer, else 0) *)
+let op_addr_field_val = 137  (* field idx: pop owner I, struct V; push VPtr *)
+
+let n_opcodes = 138
 
 (** A map-key site's cache contents, immutable so a reader sees one
     coherent snapshot through a single pointer load — goroutines on
@@ -232,7 +238,6 @@ type fn = {
   bf_binops : Ast.binop array;
   bf_names : string array;  (* variable/callee names for errors/disasm *)
   bf_decls : (Interp.state -> Interp.frame -> Value.value -> unit) array;
-  bf_assigns : (Interp.state -> Interp.frame -> Value.value -> unit) array;
   bf_thunks : (Interp.state -> Interp.frame -> Value.value) array;
   bf_caches : cache array;
   bf_bind : Interp.state -> Interp.frame -> Value.value list -> unit;
@@ -351,7 +356,6 @@ let op_name = function
   | 102 -> "range_next"
   | 103 -> "range_pop"
   | 104 -> "thunk_v"
-  | 105 -> "assign_thunk"
   | 106 -> "addk_i"
   | 107 -> "subk_i"
   | 108 -> "mulk_i"
@@ -382,14 +386,16 @@ let op_name = function
   | 133 -> "rload"
   | 134 -> "rstore"
   | 135 -> "rinc"
+  | 136 -> "owner"
+  | 137 -> "addr_field_val"
   | op -> Printf.sprintf "op%d" op
 
 (** Operand count per opcode (instruction width − 1). *)
 let arity op =
   match op with
   | 2 | 3 | 4 | 7 | 8 | 9 | 41 | 43 | 64 | 70 | 81 | 84 | 90 | 94 | 95
-  | 101 | 104 | 105 | 106 | 107 | 108 | 109 | 110 | 111 | 112 | 113 | 114
-  | 115 | 116 | 119 | 120 | 121 | 122 | 123 | 124 | 125 ->
+  | 101 | 104 | 106 | 107 | 108 | 109 | 110 | 111 | 112 | 113 | 114
+  | 115 | 116 | 119 | 120 | 121 | 122 | 123 | 124 | 125 | 137 ->
     1
   | 10 | 11 | 12 | 13 | 14 | 15 | 44 | 45 | 46 | 47 | 48 | 49 | 50 | 61
   | 62 | 63 | 73 | 74 | 75 | 76 | 77 | 78 | 82 | 83 | 85 | 86 | 87 | 88
@@ -477,13 +483,12 @@ let disasm_fn (b : Buffer.t) (f : fn) =
     | 101 -> Printf.bprintf b "exit -> %d" (o 0)
     | 102 -> Printf.bprintf b "decl#%d end -> %d" (o 0) (o 1)
     | 104 -> Printf.bprintf b "thunk#%d" (o 0)
-    | 105 -> Printf.bprintf b "assign#%d" (o 0)
     | 106 | 107 | 108 | 109 | 110 | 111 | 112 | 113 | 114 | 115 | 116 ->
       Printf.bprintf b "%d" (o 0)
     | 117 | 118 ->
       Printf.bprintf b "%d .%d ic#%d  ; %s.%s" (o 0) (o 1) (o 2)
         (name (o 3)) (name (o 4))
-    | 119 -> Printf.bprintf b ".%d" (o 0)
+    | 119 | 137 -> Printf.bprintf b ".%d" (o 0)
     | 120 | 121 | 122 | 123 | 124 | 125 -> Printf.bprintf b "-> %d" (o 0)
     | 126 | 127 | 128 | 129 | 130 | 131 ->
       Printf.bprintf b "%d -> %d" (o 0) (o 1)

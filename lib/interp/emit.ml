@@ -8,20 +8,48 @@
     on the VM's unboxed native-int stack, everything else on the boxed
     value stack, with explicit box/unbox instructions at the boundary.
 
-    Rare constructs (nested struct-field address spines, break outside a
-    loop) fall back to closures built by {!Compile}, so the long tail
-    shares the closure engine's single audited semantics.  Hot
-    constructs get dedicated opcodes whose {!Vm} implementations
-    replicate {!Compile} line by line — the differential suite holds the
-    two lowered engines and the reference walker to byte-identical
-    observable behaviour.  Two storage decisions depart from that
-    mirroring without changing anything observable: int/bool locals
-    that nothing but this function's bytecode can see live in native
-    registers ({!register_slots}), and blocks that cannot stack-allocate
-    open no scope ({!stack_allocates}). *)
+    Every construct gets opcodes whose {!Vm} implementations replicate
+    the reference walker ({!Interp.eval}, [Interp.exec_stmt],
+    [Interp.eval_addr]) step by step and call the same shared helpers
+    in the same order — the differential suite holds the VM and the
+    walker to byte-identical observable behaviour.  Declarations run a
+    per-variable closure ({!declare}) with the boxing decision baked in;
+    three error paths (the address of a map element, break/continue
+    outside a loop) raise from a [thunk_v] closure.  Two storage
+    decisions depart from the walker without changing anything
+    observable: int/bool locals that nothing but this function's
+    bytecode can see live in native registers ({!register_slots}), and
+    blocks that cannot stack-allocate open no scope
+    ({!stack_allocates}). *)
 
 open Minigo
 module B = Bytecode
+module Rt = Gofree_runtime
+
+(* Per-program emission context. *)
+type ctx = {
+  tenv : Types.env;
+  decisions : Decisions.t;
+  layout : Layout.t;
+}
+
+(* Binding a declared variable: boxing decision, heap-box size and slot
+   resolved at emission time (mirrors [Interp.declare_var]). *)
+let declare ctx (v : Tast.var) :
+    Interp.state -> Interp.frame -> Value.value -> unit =
+  let s = Layout.slot ctx.layout v in
+  if Decisions.var_is_boxed ctx.decisions v then begin
+    let size = max 8 (Types.size_of ctx.tenv v.Tast.v_ty) in
+    fun st fr value ->
+      let c = Value.cell value in
+      let obj =
+        Interp.alloc_heap_obj st ~category:Rt.Metrics.Cat_other ~size
+          ~payload:(Value.Pcells c)
+      in
+      fr.Interp.slots.(s) <- Interp.Bboxed (obj.Rt.Heap.addr, c)
+  end
+  else fun _st fr value ->
+    fr.Interp.slots.(s) <- Interp.Bdirect (Value.cell value)
 
 (* Growable int vector (the code buffer). *)
 type ivec = { mutable iv_a : int array; mutable iv_n : int }
@@ -57,7 +85,7 @@ type scope_kind =
   | Krange of int * int  (* next label, end label *)
 
 type fctx = {
-  ctx : Compile.ctx;
+  ctx : ctx;
   code : ivec;
   consts : Value.value tbl;
   sites : Tast.alloc_site tbl;
@@ -66,7 +94,6 @@ type fctx = {
   names : string tbl;
   names_tbl : (string, int) Hashtbl.t;
   decls : (Interp.state -> Interp.frame -> Value.value -> unit) tbl;
-  assigns : (Interp.state -> Interp.frame -> Value.value -> unit) tbl;
   thunks : (Interp.state -> Interp.frame -> Value.value) tbl;
   mutable ncaches : int;
   mutable labels : int array;  (* label id -> code offset, -1 unset *)
@@ -98,7 +125,6 @@ let fctx ctx regs =
     names = tbl ();
     names_tbl = Hashtbl.create 16;
     decls = tbl ();
-    assigns = tbl ();
     thunks = tbl ();
     ncaches = 0;
     labels = Array.make 16 (-1);
@@ -220,7 +246,7 @@ let name_idx f s =
     Hashtbl.add f.names_tbl s i;
     i
 
-let slot f v = Layout.slot f.ctx.Compile.layout v
+let slot f v = Layout.slot f.ctx.layout v
 
 let is_global (v : Tast.var) = v.Tast.v_kind = Tast.Vglobal
 
@@ -290,19 +316,6 @@ let mirror_cmp = function
 (* Storage decisions                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Whether the address of [lv] needs the closure engine's owner-spine
-   re-evaluation ({!Compile.compile_addr}): a field of a struct value
-   that is neither behind a pointer nor a variable.  [emit_addr] falls
-   back to that closure in exactly this case. *)
-let closure_addr (lv : Tast.lvalue) =
-  match lv with
-  | Tast.Lfield (base, _, _) -> begin
-    match (base.Tast.ty, base.Tast.desc) with
-    | Types.Ptr _, _ | _, Tast.Tvar _ -> false
-    | _ -> true
-  end
-  | _ -> false
-
 (* Register locals: which int/bool locals of [fn] live in VM registers
    (slots of the call's int-stack window, read and written only by
    [rload]/[rstore]/[rinc]) instead of frame cells.  A local qualifies
@@ -310,19 +323,15 @@ let closure_addr (lv : Tast.lvalue) =
    - it is declared by a plain [Sdecl], with type int or bool, and
      {!Decisions} leaves it unboxed (a boxed local is a heap object);
    - it is never address-taken and never a target of a multi-value
-     assignment (both reach the cell through its frame binding);
-   - [fn] has no {!closure_addr} fallback, whose closure reads every
-     variable of its spine from the frame.
+     assignment (both reach the cell through its frame binding).
    An int or bool cell holds no heap pointer, so the frame slot it leaves
    unbound was never a GC root, and every read of a local is lexically
    preceded by its declaration, which writes the register.  Returns the
    frame slot -> register map (-1 = frame cell) and the register count. *)
-let register_slots (ctx : Compile.ctx) (fn : Tast.func) nslots =
+let register_slots (ctx : ctx) (fn : Tast.func) nslots =
   let regs = Array.make nslots (-1) in
   let candidates = ref [] in
   let excluded = Hashtbl.create 8 in
-  let fallback = ref false in
-  let spine lv = if closure_addr lv then fallback := true in
   let exclude (lv : Tast.lvalue) =
     match lv with
     | Tast.Lvar v -> Hashtbl.replace excluded v.Tast.v_id ()
@@ -331,9 +340,7 @@ let register_slots (ctx : Compile.ctx) (fn : Tast.func) nslots =
   let expr =
     Tast.iter_expr (fun e ->
         match e.Tast.desc with
-        | Tast.Taddr lv ->
-          spine lv;
-          exclude lv
+        | Tast.Taddr lv -> exclude lv
         | _ -> ())
   in
   Tast.iter_stmts
@@ -342,27 +349,20 @@ let register_slots (ctx : Compile.ctx) (fn : Tast.func) nslots =
       | Tast.Sdecl (v, _)
         when (v.Tast.v_ty = Types.Int || v.Tast.v_ty = Types.Bool)
              && v.Tast.v_kind = Tast.Vlocal
-             && not (Decisions.var_is_boxed ctx.Compile.decisions v) ->
+             && not (Decisions.var_is_boxed ctx.decisions v) ->
         candidates := v :: !candidates
-      | Tast.Sassign (lv, _) -> spine lv
-      | Tast.Smulti_assign (lvs, _) ->
-        List.iter
-          (fun lv ->
-            spine lv;
-            exclude lv)
-          lvs
+      | Tast.Smulti_assign (lvs, _) -> List.iter exclude lvs
       | _ -> ());
       Tast.iter_stmt_exprs expr s)
     fn.Tast.f_body;
   let n = ref 0 in
-  if not !fallback then
-    List.iter
-      (fun (v : Tast.var) ->
-        if not (Hashtbl.mem excluded v.Tast.v_id) then begin
-          regs.(Layout.slot ctx.Compile.layout v) <- !n;
-          incr n
-        end)
-      (List.rev !candidates);
+  List.iter
+    (fun (v : Tast.var) ->
+      if not (Hashtbl.mem excluded v.Tast.v_id) then begin
+        regs.(Layout.slot ctx.layout v) <- !n;
+        incr n
+      end)
+    (List.rev !candidates);
   (regs, !n)
 
 (* Whether [b] contains, at any depth, an allocation site {!Decisions}
@@ -372,7 +372,7 @@ let register_slots (ctx : Compile.ctx) (fn : Tast.func) nslots =
    and pop a scope that stays empty, which nothing can observe: the
    emitter leaves it out. *)
 let stack_allocates f (b : Tast.block) =
-  let decisions = f.ctx.Compile.decisions in
+  let decisions = f.ctx.decisions in
   let found = ref false in
   let site (e : Tast.expr) =
     match e.Tast.desc with
@@ -589,7 +589,7 @@ and emit_v_raw f (e : Tast.expr) =
   | Tast.Tmap_get (m, k) ->
     emit_v f m;
     emit_v f k;
-    let tenv = f.ctx.Compile.tenv in
+    let tenv = f.ctx.tenv in
     let ty = e.Tast.ty in
     let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
     op2 f ~dv:(-1) ~di:0 B.op_mapget_v z (new_cache f)
@@ -606,12 +606,12 @@ and emit_v_raw f (e : Tast.expr) =
   | Tast.Tcall (name, args) -> begin
     List.iter (fun a -> emit_v f a) args;
     let n = List.length args in
-    match Layout.func_id f.ctx.Compile.layout name with
+    match Layout.func_id f.ctx.layout name with
     | Some fid -> op2 f ~dv:(1 - n) ~di:0 B.op_call fid n
     | None -> op2 f ~dv:(1 - n) ~di:0 B.op_call_undef (name_idx f name) n
   end
   | Tast.Tmake_slice (site, elem, len, cap) -> begin
-    let tenv = f.ctx.Compile.tenv in
+    let tenv = f.ctx.tenv in
     let z = tbl_add f.zeros (fun () -> Value.zero tenv elem) in
     let s = tbl_add f.sites site in
     emit_i f len;
@@ -626,7 +626,7 @@ and emit_v_raw f (e : Tast.expr) =
   | Tast.Tmake_map (site, _, _) ->
     op1 f ~dv:1 ~di:0 B.op_make_map (tbl_add f.sites site)
   | Tast.Tnew (site, ty) ->
-    let tenv = f.ctx.Compile.tenv in
+    let tenv = f.ctx.tenv in
     let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
     op2 f ~dv:1 ~di:0 B.op_new (tbl_add f.sites site) z
   | Tast.Tslice_lit (site, _, es) ->
@@ -705,7 +705,7 @@ and emit_v_raw f (e : Tast.expr) =
   | Tast.Tmap_get_ok (m, k) ->
     emit_v f m;
     emit_v f k;
-    let tenv = f.ctx.Compile.tenv in
+    let tenv = f.ctx.tenv in
     let zty =
       match e.Tast.ty with Types.Tuple [ vt; _ ] -> Some vt | _ -> None
     in
@@ -728,8 +728,7 @@ and emit_load_i f (v : Tast.var) ~local ~global =
       (if is_global v then global else local)
       (slot f v) (name_idx f v.Tast.v_name)
 
-(* Address-of an lvalue, mirroring Compile.compile_addr case for case;
-   the nested struct-value spine falls back to the shared closure. *)
+(* Address-of an lvalue, mirroring [Interp.eval_addr] case for case. *)
 and emit_addr f (lv : Tast.lvalue) =
   match lv with
   | Tast.Lvar v ->
@@ -757,11 +756,30 @@ and emit_addr f (lv : Tast.lvalue) =
       in
       op3 f ~dv:1 ~di:0 opc (slot f v) idx (name_idx f v.Tast.v_name)
     | _ ->
-      (* [closure_addr lv]: nested struct-value base, owner spine
-         re-evaluation shared with the closure engine *)
-      let t = tbl_add f.thunks (Compile.compile_addr f.ctx lv) in
-      op1 f ~dv:1 ~di:0 B.op_thunk_v t
+      (* nested struct value (a[i].p, f().q, ...): the VStruct shares its
+         cells, so its value aliases the storage; the owner spine then
+         evaluates again, allocating calls included *)
+      emit_v f base;
+      emit_owner f base;
+      op1 f ~dv:0 ~di:(-1) B.op_addr_field_val idx
   end
+
+(* The heap object owning a struct-valued expression's storage onto the
+   I stack, re-evaluating exactly the subexpressions
+   [Interp.owner_of_struct_base] does; 0 for frame-local storage. *)
+and emit_owner f (e : Tast.expr) =
+  match e.Tast.desc with
+  | Tast.Tfield (inner, _, _) -> begin
+    match inner.Tast.ty with
+    | Types.Ptr _ ->
+      emit_v f inner;
+      op0 f ~dv:(-1) ~di:1 B.op_owner
+    | _ -> emit_owner f inner
+  end
+  | Tast.Tindex (a, _) | Tast.Tderef a ->
+    emit_v f a;
+    op0 f ~dv:(-1) ~di:1 B.op_owner
+  | _ -> op1 f ~dv:0 ~di:1 B.op_iconst 0
 
 (* Store the value on top of the V stack into an lvalue: resolve the
    target (its sub-expressions evaluate now, after the right-hand side,
@@ -831,14 +849,14 @@ let rec emit_stmt f (s : Tast.stmt) =
     op2 f ~dv:0 ~di:(-1) B.op_rstore (reg f v) (name_idx f v.Tast.v_name)
   | Tast.Sdecl (v, init) -> begin
     op0 f ~dv:0 ~di:0 B.op_safepoint;
-    let d = tbl_add f.decls (Compile.compile_declare f.ctx v) in
+    let d = tbl_add f.decls (declare f.ctx v) in
     match init with
     | Some e ->
       emit_v f e;
       op0 f ~dv:0 ~di:0 B.op_copy;
       op1 f ~dv:(-1) ~di:0 B.op_decl d
     | None ->
-      let tenv = f.ctx.Compile.tenv in
+      let tenv = f.ctx.tenv in
       let ty = v.Tast.v_ty in
       let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
       op2 f ~dv:0 ~di:0 B.op_decl_zero d z
@@ -850,7 +868,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     op2 f ~dv:0 ~di:0 B.op_tuple_check n 0;
     List.iteri
       (fun i v ->
-        let d = tbl_add f.decls (Compile.compile_declare f.ctx v) in
+        let d = tbl_add f.decls (declare f.ctx v) in
         op1 f ~dv:1 ~di:0 B.op_tuple_get i;
         op0 f ~dv:0 ~di:0 B.op_copy;
         op1 f ~dv:(-1) ~di:0 B.op_decl d)
@@ -970,7 +988,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     let l_end = new_label f in
     opjmp f ~dv:(-1) ~di:0 B.op_range_start [] l_end;
     f.scopes <- Krange (l_next, l_end) :: f.scopes;
-    let d = tbl_add f.decls (Compile.compile_declare f.ctx v) in
+    let d = tbl_add f.decls (declare f.ctx v) in
     mark f l_next;
     opjmp f ~dv:0 ~di:0 B.op_range_next [ d ] l_end;
     emit_block f body;
@@ -986,7 +1004,7 @@ let rec emit_stmt f (s : Tast.stmt) =
       es;
     let n = List.length es in
     (* open scopes are popped by the VM's unwind handler, in the same
-       innermost-first order the nested closure handlers would use *)
+       innermost-first order as the reference walker's block handlers *)
     op1 f ~dv:(-n) ~di:0 B.op_ret n
   | Tast.Sblock b ->
     op0 f ~dv:0 ~di:0 B.op_safepoint;
@@ -999,7 +1017,7 @@ let rec emit_stmt f (s : Tast.stmt) =
         op0 f ~dv:0 ~di:0 B.op_copy)
       args;
     let n = List.length args in
-    match Layout.func_id f.ctx.Compile.layout name with
+    match Layout.func_id f.ctx.layout name with
     | Some fid -> op2 f ~dv:(-n) ~di:0 B.op_go fid n
     | None -> op2 f ~dv:(-n) ~di:0 B.op_go_undef (name_idx f name) n
   end
@@ -1011,7 +1029,7 @@ let rec emit_stmt f (s : Tast.stmt) =
         op0 f ~dv:0 ~di:0 B.op_copy)
       args;
     let n = List.length args in
-    match Layout.func_id f.ctx.Compile.layout name with
+    match Layout.func_id f.ctx.layout name with
     | Some fid -> op2 f ~dv:(-n) ~di:0 B.op_defer fid n
     | None -> op2 f ~dv:(-n) ~di:0 B.op_defer_undef (name_idx f name) n
   end
@@ -1104,15 +1122,15 @@ let patch_and_thread f =
   in
   List.iter (fun (pos, _) -> code.(pos) <- resolve code.(pos)) f.patches
 
-let emit_func (ctx : Compile.ctx) (fn : Tast.func) fid : B.fn =
-  let nslots = ctx.Compile.layout.Layout.l_nslots.(fid) in
+let emit_func (ctx : ctx) (fn : Tast.func) fid : B.fn =
+  let nslots = ctx.layout.Layout.l_nslots.(fid) in
   let regs, nregs = register_slots ctx fn nslots in
   let f = fctx ctx regs in
   emit_block f fn.Tast.f_body;
   op0 f ~dv:0 ~di:0 B.op_halt;
   patch_and_thread f;
-  let pdecls = List.map (Compile.compile_declare ctx) fn.Tast.f_params in
-  let tenv = ctx.Compile.tenv in
+  let pdecls = List.map (declare ctx) fn.Tast.f_params in
+  let tenv = ctx.tenv in
   let rtys = fn.Tast.f_results in
   {
     B.bf_fn = fn;
@@ -1128,7 +1146,6 @@ let emit_func (ctx : Compile.ctx) (fn : Tast.func) fid : B.fn =
     bf_binops = tbl_array f.binops;
     bf_names = tbl_array f.names;
     bf_decls = tbl_array f.decls;
-    bf_assigns = tbl_array f.assigns;
     bf_thunks = tbl_array f.thunks;
     bf_caches = Array.init f.ncaches (fun _ -> B.fresh_cache ());
     bf_bind =
@@ -1138,10 +1155,10 @@ let emit_func (ctx : Compile.ctx) (fn : Tast.func) fid : B.fn =
   }
 
 (** Lower every function of the program to bytecode (emits an ["emit"]
-    trace span next to parse/typecheck/escape/instrument/lower). *)
+    trace span next to parse/typecheck/escape/instrument). *)
 let lower (program : Tast.program) (decisions : Decisions.t)
     (layout : Layout.t) : B.program =
   let module Trace = Gofree_obs.Trace in
   Trace.with_span ~tid:(Trace.domain_tid ()) "emit" (fun () ->
-      let ctx = { Compile.tenv = program.Tast.p_tenv; decisions; layout } in
+      let ctx = { tenv = program.Tast.p_tenv; decisions; layout } in
       Array.mapi (fun i fn -> emit_func ctx fn i) layout.Layout.l_funcs)

@@ -21,9 +21,9 @@
     is a pre-sized slot array and every call goes through an interned
     function id.  The [dispatch] hook on the state selects the execution
     mode per call: this module's recursive tree-walker (the reference
-    semantics), or the closure-compiled bodies {!Compile} installs.  Both
-    modes share every allocation/map/tcfree helper below, so they are
-    observationally identical by construction. *)
+    semantics), or the bytecode bodies {!Vm} installs.  Both modes share
+    every allocation/map/tcfree helper below, so they are observationally
+    identical by construction. *)
 
 open Minigo
 module Rt = Gofree_runtime
@@ -77,13 +77,12 @@ type goroutine = {
           the body starts *)
 }
 
-(** Which execution engine interprets function bodies.  All three share
-    the allocation/map/call/safepoint helpers in this module through the
-    state's [dispatch] hook, so observable behaviour (output, metrics,
-    GC) is identical by construction. *)
+(** Which execution engine interprets function bodies.  Both share the
+    allocation/map/call/safepoint helpers in this module through the state's
+    [dispatch] hook, so observable behaviour (output, metrics, GC) is
+    identical by construction. *)
 type engine =
   | Eng_reference  (** tree-walking reference interpreter (this module) *)
-  | Eng_closure  (** closure-compiled bodies ({!Compile}) *)
   | Eng_bytecode  (** flat bytecode VM ({!Emit}/{!Vm}) *)
 
 type run_config = {
@@ -512,7 +511,7 @@ let par_gc st (p : parctx) =
     Mutex.unlock p.p_mutex
 
 (* Safepoint slow path: budget, GC, sampling, yield.  Shared by the
-   reference/closure engines (via [safepoint]) and the bytecode VM
+   reference walker (via [safepoint]) and the bytecode VM
    (whose fast path replicates [safepoint]'s guard on its own step
    counter). *)
 let safepoint_slow st =

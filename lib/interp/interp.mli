@@ -6,10 +6,10 @@
     Variables resolve through a per-program {!Layout} into pre-sized
     frame slot arrays; calls go through interned function ids.  The
     state's [dispatch] hook selects the execution mode per call:
-    {!call_by_id}, this module's reference tree-walker, or the
-    closure-compiled bodies installed by {!Compile}.  Both modes share
-    the allocation/map/call helpers exported below, so they are
-    observationally identical by construction. *)
+    {!call_by_id}, this module's reference tree-walker, or the bytecode
+    bodies installed by {!Vm}.  Both modes share the allocation/map/call
+    helpers exported below, so they are observationally identical by
+    construction. *)
 
 open Minigo
 module Rt = Gofree_runtime
@@ -60,13 +60,12 @@ type goroutine = {
       (** spawn arguments of a not-yet-started goroutine (GC roots) *)
 }
 
-(** Which execution engine interprets function bodies.  All three share
-    the allocation/map/call/safepoint helpers exported below through the
-    state's [dispatch] hook, so observable behaviour (output, metrics,
-    GC) is identical by construction. *)
+(** Which execution engine interprets function bodies.  Both share the
+    allocation/map/call/safepoint helpers exported below through the state's
+    [dispatch] hook, so observable behaviour (output, metrics, GC) is
+    identical by construction. *)
 type engine =
   | Eng_reference  (** tree-walking reference interpreter (this module) *)
-  | Eng_closure  (** closure-compiled bodies ({!Compile}) *)
   | Eng_bytecode  (** flat bytecode VM ({!Emit}/{!Vm}) *)
 
 type run_config = {
@@ -174,13 +173,11 @@ val call_function : state -> string -> Value.value list -> Value.value list
     default value of [dispatch]. *)
 val call_by_id : state -> int -> Value.value list -> Value.value list
 
-val exec_block : state -> Tast.block -> unit
-
 (** {2 Shared execution machinery}
 
     Everything below is the single implementation of the runtime
-    semantics used by both the reference walker and the closure compiler
-    — keeping them shared is what makes the two modes agree on every
+    semantics used by both the reference walker and the bytecode VM —
+    keeping them shared is what makes the two modes agree on every
     allocator-visible event. *)
 
 val cur_frame : state -> frame
@@ -204,14 +201,6 @@ val pin : state -> frame -> Value.value -> Value.value
 val rand_int : state -> int -> int
 
 val zero_of : state -> Types.t -> unit -> Value.value
-
-val binding_cell : binding -> Value.cell
-
-val lookup_binding : state -> Tast.var -> binding
-
-(** Bind [var] in [frame], heap-boxing it when the analysis says its
-    address escapes. *)
-val declare_var : state -> frame -> Tast.var -> Value.value -> unit
 
 val truthy : Value.value -> bool
 
@@ -300,9 +289,6 @@ val call_fn :
   zeros:(state -> Value.value list) ->
   Value.value list ->
   Value.value list
-
-(** Interned id for a function name; [Runtime_error] if undefined. *)
-val resolve_func : state -> string -> int
 
 (** Start a goroutine running function [fid] (through dispatch). *)
 val spawn_goroutine : state -> int -> Value.value list -> unit

@@ -1,5 +1,5 @@
 (** Top-level execution of a compiled MiniGo program: sets up the heap,
-    scheduler and globals, lowers the program to closures (unless the
+    scheduler and globals, lowers the program to bytecode (unless the
     config asks for the reference tree-walker), runs [main] (plus all
     goroutines) to completion, performs the final accounting sweep and
     returns the collected output and metrics. *)
@@ -59,11 +59,9 @@ let run_program ?(config = Interp.default_config)
     }
   in
   (* Lower once, before anything executes, so even the global
-     initializers' calls run compiled bodies. *)
+     initializers' calls run bytecode. *)
   (match config.Interp.engine with
   | Interp.Eng_reference -> ()  (* the default dispatch, call_by_id *)
-  | Interp.Eng_closure ->
-    Compile.install st (Compile.lower program decisions layout)
   | Interp.Eng_bytecode ->
     Vm.install st (Emit.lower program decisions layout));
   heap.Rt.Heap.trace_payload <- Value.trace_payload;

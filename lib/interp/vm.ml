@@ -1,4 +1,4 @@
-(** The bytecode dispatch loop: the third execution engine.
+(** The bytecode dispatch loop: the fast execution engine.
 
     Each call runs one flat [int array] ({!Bytecode.fn}) over two
     operand stacks — boxed values and unboxed native ints (MiniGo ints
@@ -32,11 +32,11 @@
     one-element cell, so a load or store through a slot, an index or a
     pointer is a single array access.
 
-    Every opcode's implementation replicates the corresponding
-    {!Compile} closure line by line and calls the same shared {!Interp}
-    helpers in the same order, so allocation counts, free attempts, GC
-    cycle points and scheduler interleavings are bit-identical across
-    all three engines.  The one departure is storage the program cannot
+    Every opcode's implementation replicates the corresponding step of
+    the reference walker ({!Interp.eval}, [Interp.exec_stmt]) and calls
+    the same shared {!Interp} helpers in the same order, so allocation
+    counts, free attempts, GC cycle points and scheduler interleavings
+    are bit-identical across both engines.  The one departure is storage the program cannot
     observe: register locals ([rload]/[rstore]/[rinc]) live in the first
     [bf_nregs] words of the call's int-stack window rather than in frame
     cells, and blocks with no stack-allocation site open no scope (see
@@ -1083,10 +1083,6 @@ let rec loop (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v sp_v
       (r.x_f.B.bf_thunks.(Array.unsafe_get code (pc + 1)) r.x_st r.x_fr);
     loop r (pc + 2) (sp_v + 1) sp_i
-  | 105 (* assign_thunk *) ->
-    r.x_f.B.bf_assigns.(Array.unsafe_get code (pc + 1)) r.x_st r.x_fr
-      (Array.unsafe_get stk_v (sp_v - 1));
-    loop r (pc + 2) (sp_v - 1) sp_i
   (* Superinstructions.  Each case is the literal composition of its
      unfused expansion above — same evaluation order, same panics. *)
   | 106 (* addk_i *) ->
@@ -1339,6 +1335,27 @@ let rec loop (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_i i
       (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
     loop r (pc + 4) sp_v sp_i
+  (* Nested struct-value field address: the owner spine re-evaluated
+     after the base, like [Interp.owner_of_struct_base].  The walker
+     checks the base for a struct before the spine runs; the base's
+     static type is a struct, so that error cannot fire in either. *)
+  | 136 (* owner *) ->
+    Array.unsafe_set stk_i sp_i
+      (match Array.unsafe_get stk_v (sp_v - 1) with
+      | Value.VSlice s -> s.Value.s_addr
+      | Value.VPtr p -> p.Value.p_owner
+      | _ -> 0);
+    loop r (pc + 1) (sp_v - 1) (sp_i + 1)
+  | 137 (* addr_field_val *) ->
+    (match Array.unsafe_get stk_v (sp_v - 1) with
+    | Value.VStruct cells ->
+      Array.unsafe_set stk_v (sp_v - 1)
+        (Value.VPtr
+           (Value.cell_ptr
+              (Array.unsafe_get stk_i (sp_i - 1))
+              cells.(Array.unsafe_get code (pc + 1))))
+    | _ -> raise (Runtime_error "field of non-struct"));
+    loop r (pc + 2) sp_v (sp_i - 1)
   | op -> raise (Runtime_error ("vm: bad opcode " ^ string_of_int op))
 
 let exec (f : B.fn) (st : state) (fr : frame) : unit =
@@ -1384,8 +1401,8 @@ let exec (f : B.fn) (st : state) (fr : frame) : unit =
   in
   (try loop r 0 base_v (base_i + f.B.bf_nregs)
    with e ->
-     (* release open scopes innermost-first, exactly like the closure
-        engine's nested per-block handlers, before the exception reaches
+     (* release open scopes innermost-first, exactly like the reference
+        walker's nested per-block handlers, before the exception reaches
         call_fn (whose defers must see the blocks already dead) *)
      while r.x_scopes > 0 do
        pop_scope st fr;

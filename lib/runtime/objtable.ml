@@ -1,7 +1,7 @@
 (** Open-addressing hash table from positive int keys to ['a], the
     heap's object store.  Every simulated allocation (heap or stack)
     inserts here and every free removes, so this sits on the hottest
-    mutator path of all three execution engines; unlike [Hashtbl] an
+    mutator path of both execution engines; unlike [Hashtbl] an
     insert allocates nothing (no bucket cons, no boxed key) and a probe
     touches two flat arrays.
 

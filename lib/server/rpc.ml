@@ -36,10 +36,9 @@
     Execution knobs ([gc_off], [poison], [gogc], [seed],
     [sample_every], [engine], [domains]) mirror the CLI flags;
     ["domains"] must be in 1..64 (default 1).
-    ["engine"] selects
-    the execution engine by name ([reference] | [closure] | [bytecode],
-    default [bytecode]); the historical boolean ["reference"] param is
-    kept as an alias for [{"engine":"reference"}].
+    ["engine"] selects the execution engine by name ([reference] |
+    [bytecode], default [bytecode]); any other name is a [bad_request]
+    error.
 
     Any pooled request may carry an optional ["deadline_ms"] param: if
     the request is still {e queued} when that much time has passed since
@@ -172,14 +171,9 @@ let options_of_params params =
       | Some name -> begin
         match Gofree_api.engine_of_name name with
         | Some e -> e
-        | None ->
-          bad "unknown engine %S (reference | closure | bytecode)" name
+        | None -> bad "unknown engine %S (reference | bytecode)" name
       end
-      | None ->
-        (* historical boolean alias for the reference tree-walker *)
-        if opt_bool ~default:false "reference" params then
-          Gofree_api.Eng_reference
-        else d.Gofree_api.engine);
+      | None -> d.Gofree_api.engine);
     domains =
       (let n = opt_int ~default:d.Gofree_api.domains "domains" params in
        if n < 1 || n > 64 then bad "param \"domains\" must be in 1..64"

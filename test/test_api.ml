@@ -54,19 +54,30 @@ let test_run_matches_interpreter () =
   Alcotest.(check bool) "no panic" false outcome.Gofree_api.panicked
 
 let test_presets () =
+  let module P = Gofree_api.Preset in
+  let module C = Gofree_core.Config in
+  (* the four v1 wire names resolve to the configurations they always
+     named *)
   List.iter
-    (fun p ->
-      Alcotest.(check bool)
-        (Gofree_api.preset_name p ^ " round-trips")
-        true
-        (Gofree_api.preset_of_name (Gofree_api.preset_name p) = Some p))
-    [ Gofree_api.Gofree; Gofree_api.Go; Gofree_api.All_targets;
-      Gofree_api.No_ipa ];
+    (fun (name, expected) ->
+      match P.of_name name with
+      | None -> Alcotest.failf "v1 preset %S not resolvable" name
+      | Some p ->
+        Alcotest.(check string)
+          (name ^ " resolves")
+          (C.signature (P.to_config expected))
+          (C.signature (P.to_config p)))
+    [
+      ("gofree", P.default);
+      ("go", P.stock_go);
+      ("all-targets", P.(with_targets C.All_pointers default));
+      ("no-ipa", P.(with_ipa false default));
+    ];
   (* --go really disables insertion *)
   let c =
     ok
       (Gofree_api.compile_string
-         ~config:(Gofree_api.config_of_preset Gofree_api.Go)
+         ~config:Gofree_api.Preset.(to_config stock_go)
          src_free)
   in
   Alcotest.(check int) "stock Go inserts nothing" 0
@@ -162,10 +173,29 @@ let test_error_discipline () =
     Alcotest.(check int) "runtime errors exit 2" 2
       (Gofree_api.error_exit_code e)
 
+(* The retired closure engine is a command-line error from [gofreec]
+   itself (cmdliner's enum), not a silent fallback; the same invocation
+   with a known engine runs. *)
+let test_cli_rejects_closure_engine () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "gofreec.exe" in
+  let src = Filename.temp_file "gofree-engine" ".go" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove src)
+    (fun () ->
+      Out_channel.with_open_bin src (fun oc -> output_string oc src_free);
+      let run engine =
+        Sys.command
+          (Printf.sprintf "%s run %s --engine %s > %s 2>&1"
+             (Filename.quote exe) (Filename.quote src) engine Filename.null)
+      in
+      Alcotest.(check int) "--engine bytecode exits 0" 0 (run "bytecode");
+      Alcotest.(check bool) "--engine closure exits non-zero" true
+        (run "closure" <> 0))
+
 (* ---- content keys ---- *)
 
 let test_source_key () =
-  let config = Gofree_api.config_of_preset Gofree_api.Gofree in
+  let config = Gofree_api.Preset.(to_config default) in
   let k1 = Gofree_api.source_key ~config src_free in
   Alcotest.(check string) "key is deterministic" k1
     (Gofree_api.source_key ~config src_free);
@@ -174,7 +204,7 @@ let test_source_key () =
   Alcotest.(check bool) "key covers the config" true
     (k1
     <> Gofree_api.source_key
-         ~config:(Gofree_api.config_of_preset Gofree_api.Go)
+         ~config:Gofree_api.Preset.(to_config stock_go)
          src_free)
 
 (* ---- schema registry ---- *)
@@ -280,6 +310,8 @@ let suite =
     Alcotest.test_case "config json round-trip" `Quick
       test_config_json_roundtrip;
     Alcotest.test_case "error discipline" `Quick test_error_discipline;
+    Alcotest.test_case "cli rejects --engine closure" `Quick
+      test_cli_rejects_closure_engine;
     Alcotest.test_case "source key" `Quick test_source_key;
     Alcotest.test_case "schema tags" `Quick test_schema_tags;
     Alcotest.test_case "schema check diagnostics" `Quick test_schema_check;

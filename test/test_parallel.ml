@@ -3,7 +3,7 @@
     The gate at the default single domain: two runs of the same program
     are byte-identical — same output, same step count, same metrics
     JSON (modulo the one wall-clock field) — across every Table 6
-    workload, the goroutine fan-out workload and all three engines.
+    workload, the goroutine fan-out workload and both engines.
     Multi-domain runs are nondeterministically interleaved, so they are
     held to conservation invariants instead: every allocation is
     accounted for by exactly one of tcfree / GC / still-live, outputs
@@ -20,7 +20,6 @@ module Wsq = Gofree_sched.Wsq
 let engines =
   [
     ("reference", Gofree_interp.Interp.Eng_reference);
-    ("closure", Gofree_interp.Interp.Eng_closure);
     ("bytecode", Gofree_interp.Interp.Eng_bytecode);
   ]
 
@@ -360,7 +359,7 @@ let test_sampler_locked () =
 
 let suite =
   [
-    Alcotest.test_case "domains=1 identical: six workloads x three engines"
+    Alcotest.test_case "domains=1 identical: six workloads x two engines"
       `Slow test_identity_workloads;
     Alcotest.test_case "domains=1 identical: goroutine fan-out" `Slow
       test_identity_fanout;

@@ -2,7 +2,7 @@
     (baseline, field-sensitive, last-use, precise) must behave like a
     {e mode} of one compiler, not a fork —
 
-    - the three execution engines stay byte-identical to each other
+    - the two execution engines stay byte-identical to each other
       {e within} each mode (output, step count, metrics JSON);
     - analysis is deterministic across pooled and sequential builds,
       and warm cache replays are byte-identical to cold builds, in
@@ -35,7 +35,6 @@ let refined_modes = List.filter (fun (n, _) -> n <> "baseline") modes
 let engines =
   [
     ("reference", Gofree_interp.Interp.Eng_reference);
-    ("closure", Gofree_interp.Interp.Eng_closure);
     ("bytecode", Gofree_interp.Interp.Eng_bytecode);
   ]
 

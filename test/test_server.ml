@@ -336,6 +336,44 @@ let test_malformed_line_keeps_serving () =
       | Ok _ -> ()
       | Error (code, m) -> Alcotest.failf "daemon wedged: %s %s" code m)
 
+(* the retired closure engine is an unknown engine name: a bad_request
+   error response, and the connection keeps serving *)
+let test_unknown_engine_rejected () =
+  with_server (fun _ socket ->
+      let c = Client.connect ~socket in
+      let run_with engine =
+        Json.to_string
+          (Json.Obj
+             [
+              ("schema", Json.Str Rpc.schema_tag);
+              ("id", Json.Int 1);
+              ("method", Json.Str "run");
+              ( "params",
+                Json.Obj
+                  [ ("source", Json.Str src_free); ("engine", Json.Str engine) ]
+              );
+            ])
+      in
+      Client.send_line c (run_with "closure");
+      (match Client.recv c with
+      | Some r ->
+        Alcotest.(check bool) "closure engine gets ok=false" true
+          (Json.get "ok" r = Json.Bool false);
+        let err = Json.get "error" r in
+        Alcotest.(check string) "code is bad_request" "bad_request"
+          (Json.get_string "code" err);
+        Alcotest.(check bool) "message names the engine" true
+          (String.starts_with ~prefix:"unknown engine \"closure\""
+             (Json.get_string "message" err))
+      | None -> Alcotest.fail "server dropped the connection");
+      Client.send_line c (run_with "bytecode");
+      (match Client.recv c with
+      | Some r ->
+        Alcotest.(check bool) "bytecode engine accepted" true
+          (Json.get "ok" r = Json.Bool true)
+      | None -> Alcotest.fail "server dropped the connection");
+      Client.close c)
+
 let test_disconnect_mid_request_keeps_serving () =
   with_server (fun _ socket ->
       (* fire a request and hang up before the response can be written *)
@@ -648,6 +686,8 @@ let suite =
       test_pipelined_ids_correlate;
     Alcotest.test_case "malformed line keeps serving" `Quick
       test_malformed_line_keeps_serving;
+    Alcotest.test_case "unknown engine rejected" `Quick
+      test_unknown_engine_rejected;
     Alcotest.test_case "disconnect mid-request keeps serving" `Quick
       test_disconnect_mid_request_keeps_serving;
     Alcotest.test_case "shed on overload" `Quick test_shed_on_overload;
