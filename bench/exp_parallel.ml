@@ -7,7 +7,10 @@
     The Table 6 proxies have goroutine-free mains, so only the fan-out
     workload exercises the work-stealing scheduler; it is also excluded
     from the committed single-domain baselines, which keeps this section
-    additive.  Run with [dune exec bench/main.exe -- --only parallel]. *)
+    additive.  The section records the host's core count, and marks
+    every row with more domains than cores as oversubscribed: such a
+    row measures contention, not scaling.  Run with
+    [dune exec bench/main.exe -- --only parallel]. *)
 
 module W = Gofree_workloads.Workloads
 module Json = Gofree_obs.Json
@@ -17,6 +20,8 @@ module Stats = Gofree_stats.Stats
 open Bench_common
 
 let domain_counts = [ 1; 2; 4 ]
+
+let host_cores () = Domain.recommended_domain_count ()
 
 let run_domains ~options ~domains source =
   (* settle the host OCaml GC so its pauses don't pollute the sample *)
@@ -87,10 +92,12 @@ let measure ~options () : Json.t =
   let base_wall =
     match rows with r :: _ -> r.p_wall_ns | [] -> 0.0
   in
+  let cores = host_cores () in
   Json.Obj
     [
       ("workload", Json.Str w.W.w_name);
       ("size", Json.Int size);
+      ("host_cores", Json.Int cores);
       ( "scaling",
         Json.List
           (List.map
@@ -98,6 +105,7 @@ let measure ~options () : Json.t =
                Json.Obj
                  [
                    ("domains", Json.Int r.p_domains);
+                   ("oversubscribed", Json.Bool (r.p_domains > cores));
                    ("wall_ns", Json.Float r.p_wall_ns);
                    ( "speedup_vs_1",
                      Json.Float
@@ -122,14 +130,17 @@ let run ~options () =
   let base_wall =
     match rows with r :: _ -> r.p_wall_ns | [] -> 0.0
   in
+  let cores = host_cores () in
+  Printf.printf "  host cores: %d\n" cores;
   Printf.printf "  %-8s %12s %9s %8s %10s %10s\n" "domains" "wall"
     "speedup" "GCs" "steals" "spawns";
   List.iter
     (fun r ->
-      Printf.printf "  %-8d %10.2fms %7.2fx %8d %10.1f %10.1f\n" r.p_domains
+      Printf.printf "  %-8d %10.2fms %7.2fx %8d %10.1f %10.1f%s\n" r.p_domains
         (r.p_wall_ns /. 1e6)
         (if r.p_wall_ns > 0.0 then base_wall /. r.p_wall_ns else 0.0)
-        r.p_gcs r.p_steals r.p_spawns)
+        r.p_gcs r.p_steals r.p_spawns
+        (if r.p_domains > cores then "  (oversubscribed)" else ""))
     rows;
   (* gate, restated here so a bench run also exercises it: one domain
      runs the same schedule every time *)

@@ -373,14 +373,41 @@ let entry_path ~dir ~pkg = Filename.concat dir (pkg ^ ".sum")
 
 let units_path ~dir ~pkg = Filename.concat dir (pkg ^ ".units")
 
+let ensure_dir dir =
+  if not (Sys.file_exists dir) then
+    try Sys.mkdir dir 0o755
+    with Sys_error _ when Sys.file_exists dir -> ()  (* lost a race *)
+
+let tmp_seq = Atomic.make 0
+
+(* Replace [path]'s contents atomically.  Several writers may save the
+   same package at once (two daemon workers, or the daemon and the
+   CLI), so each writes its own temp file in the same directory — named
+   by process and a per-process counter, created exclusively — and
+   renames it over [path].  A reader sees one whole file or another,
+   never an interleaving. *)
+let write_atomically path contents =
+  let tmp =
+    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
+      (Atomic.fetch_and_add tmp_seq 1)
+  in
+  let oc =
+    open_out_gen [ Open_wronly; Open_creat; Open_excl; Open_binary ] 0o666 tmp
+  in
+  match
+    output_string oc contents;
+    close_out oc;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 let save ~dir (e : entry) : unit =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = entry_path ~dir ~pkg:e.e_pkg in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (to_string e);
-  close_out oc;
-  Sys.rename tmp path
+  ensure_dir dir;
+  write_atomically (entry_path ~dir ~pkg:e.e_pkg) (to_string e)
 
 (** Load a package's stored entry; [None] when absent, unreadable or in
     a stale format (all three just mean "cache miss"). *)
@@ -404,13 +431,8 @@ let load ~dir ~pkg : entry option =
     set from the latest analysis, so the file never accumulates dead
     units). *)
 let save_units ~dir ~pkg (records : unit_record list) : unit =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = units_path ~dir ~pkg in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (units_to_string records);
-  close_out oc;
-  Sys.rename tmp path
+  ensure_dir dir;
+  write_atomically (units_path ~dir ~pkg) (units_to_string records)
 
 (** Load a package's unit records; [None] is just "no unit cache". *)
 let load_units ~dir ~pkg : unit_record list option =

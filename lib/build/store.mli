@@ -33,6 +33,10 @@ val of_string : string -> (entry, string) result
 
 val entry_path : dir:string -> pkg:string -> string
 
+(** Write a package's entry, replacing any stored one atomically: each
+    call writes its own temp file and renames it into place, so
+    concurrent writers (daemon workers, the CLI) never interleave and a
+    reader always sees one whole entry. *)
 val save : dir:string -> entry -> unit
 
 (** [None] when absent, unreadable or stale-format — all just "miss". *)

@@ -28,7 +28,7 @@ let op_jmpifnot = 3  (* target; pops I *)
 let op_jmpif = 4  (* target; pops I *)
 let op_push_scope = 5
 let op_pop_scope = 6
-let op_ret = 7  (* n: pop n values, raise Return_values *)
+let op_ret = 7  (* n: pop n values, return them packed *)
 let op_iconst = 8  (* n: push I *)
 let op_const = 9  (* const idx: push V *)
 let op_iload = 10  (* slot, name idx: int local -> I *)
@@ -176,25 +176,22 @@ let op_addr_field_val = 137  (* field idx: pop owner I, struct V; push VPtr *)
 
 let n_opcodes = 138
 
-(** A map-key site's cache contents, immutable so a reader sees one
-    coherent snapshot through a single pointer load — goroutines on
-    different domains may race on the cache, and a torn
-    address/key/value combination would return a wrong value.  A hit
-    requires the same header address (addresses are never reused), an
-    unchanged [md_version] (bumped by every store/delete/grow/free) and
-    an equal key, and returns the cached value — the same physical
-    value the full lookup would find, so aliasing is unchanged and no
-    allocator event is skipped (map reads never allocate). *)
+(** A map-key site's cache contents: the identity of the map the site
+    last read.  Immutable, so a reader sees one coherent snapshot
+    through a single pointer load — goroutines on different domains may
+    race on the cache, and a torn address/buckets combination would
+    probe the wrong map.  A hit requires the same header address
+    (addresses are never reused) and an unchanged [md_version] (bumped
+    by every store/delete/grow/free); the cached bucket array is then
+    by construction the map's current one, so the key is probed there
+    directly, skipping both heap-object lookups.  Only a miss replaces
+    the snapshot, so reading a map with ever new keys allocates
+    nothing. *)
 type centry = {
   ce_a : int;  (* map header address; -1 empty *)
   ce_md : Value.map_data;  (* header payload; version read directly *)
   ce_ver : int;
-  ce_key : Value.value;
-  ce_val : Value.value;
-  ce_b : (Value.value * Value.value) list array;
-      (* the map's bucket array as of [ce_ver]; lets a same-map
-         different-key miss probe the buckets directly, skipping both
-         header/buckets object lookups *)
+  ce_b : Value.buckets;  (* the map's bucket array as of [ce_ver] *)
 }
 
 (** A monomorphic inline-cache record.  Map-key sites replace the whole
@@ -216,8 +213,7 @@ let empty_md : Value.map_data =
   }
 
 let empty_centry =
-  { ce_a = -1; ce_md = empty_md; ce_ver = -1; ce_key = Value.VUnit;
-    ce_val = Value.VUnit; ce_b = [||] }
+  { ce_a = -1; ce_md = empty_md; ce_ver = -1; ce_b = Value.make_buckets 1 }
 
 let fresh_cache () = { c_a = -1; c_e = empty_centry }
 
@@ -225,7 +221,6 @@ let fresh_cache () = { c_a = -1; c_e = empty_centry }
     header fields pre-size the frame slot array and both operand stacks
     for the whole call. *)
 type fn = {
-  bf_fn : Tast.func;
   bf_name : string;
   bf_nslots : int;
   bf_nregs : int;  (* register locals, ahead of the int operand stack *)
@@ -240,8 +235,12 @@ type fn = {
   bf_decls : (Interp.state -> Interp.frame -> Value.value -> unit) array;
   bf_thunks : (Interp.state -> Interp.frame -> Value.value) array;
   bf_caches : cache array;
-  bf_bind : Interp.state -> Interp.frame -> Value.value list -> unit;
-  bf_zeros_ret : Interp.state -> Value.value list;
+  bf_bind : Interp.state -> Interp.frame -> Value.value array -> int -> unit;
+      (* binds the parameters from the arguments at an offset, through
+         the per-parameter declarers *)
+  bf_zeros_ret : Interp.state -> Value.value;
+      (* the packed zero results, for falling off the end or a
+         recovered panic *)
 }
 
 type program = fn array

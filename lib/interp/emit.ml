@@ -41,15 +41,14 @@ let declare ctx (v : Tast.var) :
   if Decisions.var_is_boxed ctx.decisions v then begin
     let size = max 8 (Types.size_of ctx.tenv v.Tast.v_ty) in
     fun st fr value ->
-      let c = Value.cell value in
+      let c = [| value |] in
       let obj =
         Interp.alloc_heap_obj st ~category:Rt.Metrics.Cat_other ~size
           ~payload:(Value.Pcells c)
       in
       fr.Interp.slots.(s) <- Interp.Bboxed (obj.Rt.Heap.addr, c)
   end
-  else fun _st fr value ->
-    fr.Interp.slots.(s) <- Interp.Bdirect (Value.cell value)
+  else fun _st fr value -> fr.Interp.slots.(s) <- Interp.Bdirect [| value |]
 
 (* Growable int vector (the code buffer). *)
 type ivec = { mutable iv_a : int array; mutable iv_n : int }
@@ -1003,8 +1002,8 @@ let rec emit_stmt f (s : Tast.stmt) =
         op0 f ~dv:0 ~di:0 B.op_copy)
       es;
     let n = List.length es in
-    (* open scopes are popped by the VM's unwind handler, in the same
-       innermost-first order as the reference walker's block handlers *)
+    (* the VM pops the open scopes as it returns, innermost first like
+       the reference walker's block handlers *)
     op1 f ~dv:(-n) ~di:0 B.op_ret n
   | Tast.Sblock b ->
     op0 f ~dv:0 ~di:0 B.op_safepoint;
@@ -1129,12 +1128,11 @@ let emit_func (ctx : ctx) (fn : Tast.func) fid : B.fn =
   emit_block f fn.Tast.f_body;
   op0 f ~dv:0 ~di:0 B.op_halt;
   patch_and_thread f;
-  let pdecls = List.map (declare ctx) fn.Tast.f_params in
+  let pdecls = Array.of_list (List.map (declare ctx) fn.Tast.f_params) in
   let tenv = ctx.tenv in
   let rtys = fn.Tast.f_results in
   {
-    B.bf_fn = fn;
-    bf_name = fn.Tast.f_name;
+    B.bf_name = fn.Tast.f_name;
     bf_nslots = nslots;
     bf_nregs = nregs;
     bf_max_v = f.max_v;
@@ -1149,9 +1147,18 @@ let emit_func (ctx : ctx) (fn : Tast.func) fid : B.fn =
     bf_thunks = tbl_array f.thunks;
     bf_caches = Array.init f.ncaches (fun _ -> B.fresh_cache ());
     bf_bind =
-      (fun st fr args ->
-        List.iter2 (fun d arg -> d st fr (Value.copy arg)) pdecls args);
-    bf_zeros_ret = (fun _st -> List.map (fun ty -> Value.zero tenv ty) rtys);
+      (fun st fr args off ->
+        for i = 0 to Array.length pdecls - 1 do
+          match args.(off + i) with
+          | Value.VStruct _ as v -> pdecls.(i) st fr (Value.copy v)
+          | v -> pdecls.(i) st fr v  (* Value.copy is the identity here *)
+        done);
+    bf_zeros_ret =
+      (match rtys with
+      | [] -> fun _st -> Value.VUnit
+      | _ ->
+        fun _st ->
+          Interp.pack_results (List.map (fun ty -> Value.zero tenv ty) rtys));
   }
 
 (** Lower every function of the program to bytecode (emits an ["emit"]

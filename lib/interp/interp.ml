@@ -32,8 +32,9 @@ exception Runtime_error of string
 
 exception Panic of Value.value
 
-(* Function return carrier. *)
-exception Return_values of Value.value list
+(* The reference walker's return carrier: the results packed like a
+   call's value ({!pack_results}).  The bytecode VM returns without it. *)
+exception Return_values of Value.value
 
 (* Loop control carriers. *)
 exception Break_loop
@@ -46,9 +47,8 @@ type binding =
   | Bboxed of int * Value.cell  (** heap box address + its cell *)
 
 type frame = {
-  fn : Tast.func;
   slots : binding array;  (** locals by {!Layout} frame slot *)
-  mutable defers : (int * Value.value list) list;
+  mutable defers : (int * Value.value array) list;
       (** interned function id + evaluated arguments *)
   mutable stack_objs : Rt.Heap.obj list list;
       (** per open scope, innermost first *)
@@ -56,7 +56,6 @@ type frame = {
       (** open scopes inside the innermost entry of [stack_objs] that
           have no registered objects yet (see {!push_scope}) *)
   mutable temps : Value.value list;  (** GC pins for the current statement *)
-  gid : int;
 }
 
 type goroutine = {
@@ -71,7 +70,7 @@ type goroutine = {
   mutable g_top_v : int;
   mutable g_stk_i : int array;
   mutable g_top_i : int;
-  mutable g_pending : Value.value list;
+  mutable g_pending : Value.value array;
       (** arguments of a spawned goroutine that has not started yet,
           rooted because it may sit queued across a GC; cleared when
           the body starts *)
@@ -128,9 +127,12 @@ type state = {
   output : Buffer.t;
   globals : binding array;  (** by {!Layout} global slot *)
   config : run_config;
-  mutable dispatch : state -> int -> Value.value list -> Value.value list;
+  mutable dispatch :
+    state -> int -> Value.value array -> int -> Value.value;
       (** how calls execute: {!call_by_id} (reference) or the compiled
-          bodies; defers and goroutine entry points route through it *)
+          bodies; defers and goroutine entry points route through it.
+          Arguments are read from the array at the offset; the result
+          is packed by {!pack_results}. *)
   mutable current : goroutine;
   mutable steps : int;
   mutable unwinding : Value.value option;
@@ -183,9 +185,10 @@ and parctx = {
       (** published by the leader once every mutator is stopped, so
           parked domains can help mark and sweep *)
   p_out_mutex : Mutex.t;  (** serializes [output] appends when nd > 1 *)
-  p_rng : int64 Atomic.t;
-      (** the shared splitmix64 stream: all goroutines draw from one
-          sequence, CAS-claimed *)
+  p_seed : int64;
+  p_rng : int Atomic.t;
+      (** values claimed so far from the shared splitmix64 stream of
+          [p_seed]: all goroutines draw from one sequence *)
 }
 
 and ptask = {
@@ -197,30 +200,30 @@ and ptask = {
 (* RNG: splitmix64, deterministic per run                              *)
 (* ------------------------------------------------------------------ *)
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* All goroutines draw from one shared stream (CAS-claimed), so the
-   dispensed values are the seed's sequence in claim order; at one
-   domain the claim order is program order. *)
-let rng_next st =
-  let p = st.par in
-  let rec claim () =
-    let cur = Atomic.get p.p_rng in
-    let z = Int64.add cur 0x9E3779B97F4A7C15L in
-    if Atomic.compare_and_set p.p_rng cur z then z else claim ()
-  in
-  mix64 (claim ())
-
+(* All goroutines draw from one shared stream, so the dispensed values
+   are the seed's sequence in claim order; at one domain the claim
+   order is program order.  The state after [k] claims is
+   [seed + k * gamma], so a claim is one atomic increment of [k], and
+   the 64-bit arithmetic stays unboxed. *)
 let rand_int st bound =
   if bound <= 0 then 0
-  else
-    Int64.to_int (Int64.rem (Int64.logand (rng_next st) Int64.max_int)
-        (Int64.of_int bound))
+  else begin
+    let p = st.par in
+    let k = Atomic.fetch_and_add p.p_rng 1 + 1 in
+    let z =
+      mix64
+        (Int64.add p.p_seed (Int64.mul (Int64.of_int k) 0x9E3779B97F4A7C15L))
+    in
+    Int64.to_int
+      (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int bound))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Frames, scopes and roots                                            *)
@@ -266,10 +269,18 @@ let register_stack_obj fr obj =
   | [] -> fr.stack_objs <- [ [ obj ] ]
 
 (* Pin a value for the rest of the current statement so an in-callee GC
-   cannot reclaim it before it reaches rooted storage. *)
+   cannot reclaim it before it reaches rooted storage.  A value that
+   references no heap address would add nothing to the roots, so it is
+   not pinned. *)
 let pin _st fr v =
-  fr.temps <- v :: fr.temps;
-  v
+  match v with
+  | Value.VUnit | Value.VInt _ | Value.VFloat _ | Value.VBool _ | Value.VStr _
+  | Value.VNil ->
+    v
+  | Value.VPtr _ | Value.VSlice _ | Value.VMap _ | Value.VStruct _
+  | Value.VTuple _ | Value.VPoison ->
+    fr.temps <- v :: fr.temps;
+    v
 
 let trace_binding b k =
   match b with
@@ -305,7 +316,8 @@ let make_parctx ~nd ~seed : parctx =
     p_gc_active = false;
     p_gc_cycle = None;
     p_out_mutex = Mutex.create ();
-    p_rng = Atomic.make seed;
+    p_seed = seed;
+    p_rng = Atomic.make 0;
   }
 
 (* Append to the program's output.  Goroutines on different domains
@@ -332,15 +344,15 @@ let iter_roots_par (p : parctx) ~(globals : binding array) (k : int -> unit) =
           Array.iter (fun b -> trace_binding b k) f.slots;
           List.iter (fun v -> Value.trace v k) f.temps;
           List.iter
-            (fun (_, args) -> List.iter (fun v -> Value.trace v k) args)
+            (fun (_, args) -> Array.iter (fun v -> Value.trace v k) args)
             f.defers)
         g.g_frames;
-      List.iter (fun v -> Value.trace v k) g.g_pending)
+      Array.iter (fun v -> Value.trace v k) g.g_pending)
     p.p_regs
 
 let fiber_done p (g : goroutine) =
   Mutex.lock p.p_mutex;
-  g.g_pending <- [];
+  g.g_pending <- [||];
   (match List.assq_opt g p.p_regs with
   | Some gst ->
     p.p_steps_done <- p.p_steps_done + gst.steps;
@@ -434,8 +446,8 @@ let spawn_goroutine st fid args =
   p.p_regs <- (g, gst) :: p.p_regs;
   p.p_live <- p.p_live + 1;
   let body () =
-    g.g_pending <- [];
-    match gst.dispatch gst fid args with
+    g.g_pending <- [||];
+    match gst.dispatch gst fid args 0 with
     | _ -> ()
     | exception Panic v ->
       emit_str gst ("panic: " ^ Value.to_string v ^ "\n");
@@ -541,7 +553,8 @@ let safepoint_slow st =
 (* Safepoint: maybe run a GC cycle; also the yield point. *)
 let safepoint st =
   st.steps <- st.steps + 1;
-  (cur_frame st).temps <- [];
+  let fr = cur_frame st in
+  if fr.temps != [] then fr.temps <- [];
   let heap = st.heap in
   if
     st.steps >= st.yield_at
@@ -597,7 +610,7 @@ let make_map_obj st fr ~(site : Tast.alloc_site) : Value.value =
   let bsize = buckets_bytes ~entry_size ~nbuckets in
   let buckets_obj =
     alloc_obj st fr ~site ~category:Rt.Metrics.Cat_map ~size:bsize
-      ~payload:(Value.Pbuckets (Array.make nbuckets []))
+      ~payload:(Value.Pbuckets (Value.make_buckets nbuckets))
   in
   let md =
     {
@@ -618,36 +631,39 @@ let make_map_obj st fr ~(site : Tast.alloc_site) : Value.value =
 (* Map operations (§4.6.2)                                             *)
 (* ------------------------------------------------------------------ *)
 
-let map_data st addr : Value.map_data * (Value.value * Value.value) list array =
-  match Rt.Heap.find_obj st.heap addr with
-  | Some { Rt.Heap.payload = Value.Pmap md; _ } -> begin
-    match Rt.Heap.find_obj st.heap md.Value.md_buckets with
-    | Some { Rt.Heap.payload = Value.Pbuckets buckets; _ } -> (md, buckets)
-    | Some { Rt.Heap.poisoned = true; _ } | None ->
+(* A map operation finds the header object, then the buckets object it
+   names, each by one closure-free object-table probe; nothing here
+   allocates unless the map grows or a bucket outgrows its capacity.
+   Freed objects have left the table, so an absent header or buckets
+   object is a read of freed memory. *)
+
+let map_data st addr : Value.map_data =
+  let o = Rt.Heap.find st.heap addr in
+  match o.Rt.Heap.payload with
+  | Value.Pmap md -> md
+  | _ ->
+    if o == Rt.Heap.no_obj || o.Rt.Heap.poisoned then
+      raise
+        (Value.Corruption
+           (Printf.sprintf "map header %d freed while map is live (%s)" addr
+              (Rt.Heap.death_of st.heap addr)))
+    else raise (Runtime_error "not a map")
+
+let map_buckets st (md : Value.map_data) : Value.buckets =
+  let o = Rt.Heap.find st.heap md.Value.md_buckets in
+  match o.Rt.Heap.payload with
+  | Value.Pbuckets bk -> bk
+  | _ ->
+    if o == Rt.Heap.no_obj || o.Rt.Heap.poisoned then
       raise
         (Value.Corruption
            (Printf.sprintf "map buckets freed while map is live (%s)"
               (Rt.Heap.death_of st.heap md.Value.md_buckets)))
-    | Some _ -> raise (Runtime_error "corrupt map buckets")
-  end
-  | Some { Rt.Heap.poisoned = true; _ } | None ->
-    raise
-      (Value.Corruption
-         (Printf.sprintf "map header %d freed while map is live (%s)" addr
-            (Rt.Heap.death_of st.heap addr)))
-  | Some _ -> raise (Runtime_error "not a map")
+    else raise (Runtime_error "corrupt map buckets")
 
 let map_grow st (md : Value.map_data) old_buckets =
   let nbuckets = md.Value.md_nbuckets * 2 in
-  let buckets = Array.make nbuckets [] in
-  Array.iter
-    (fun entries ->
-      List.iter
-        (fun (k, v) ->
-          let idx = Value.hash_key k land max_int mod nbuckets in
-          buckets.(idx) <- (k, v) :: buckets.(idx))
-        entries)
-    old_buckets;
+  let buckets = Value.rehash old_buckets nbuckets in
   let bsize =
     buckets_bytes ~entry_size:md.Value.md_entry_size ~nbuckets
   in
@@ -671,87 +687,52 @@ let map_grow st (md : Value.map_data) old_buckets =
       (Rt.Tcfree.tcfree st.heap ~thread:st.dom
          ~source:Rt.Metrics.Src_map_grow old_addr)
 
-(* Bucket-chain scans, written as top-level recursions so a map
-   operation allocates no predicate closures.  Chains stay short (Go's
-   load factor caps them at ~6.5 entries), so recursion depth is
-   trivial.  Insert keeps the original key of a replaced entry and the
-   entry order, exactly like the List.map formulation it replaces. *)
-
-let rec bucket_replace key v entries =
-  match entries with
-  | [] -> None
-  | ((k, _) as hd) :: rest ->
-    if Value.equal_key k key then Some ((k, v) :: rest)
-    else begin
-      match bucket_replace key v rest with
-      | Some rest' -> Some (hd :: rest')
-      | None -> None
-    end
-
-let rec bucket_mem key entries =
-  match entries with
-  | [] -> false
-  | (k, _) :: rest -> Value.equal_key k key || bucket_mem key rest
-
-(* Drop [key]'s entry; only called when present (no duplicate keys can
-   exist in a chain, so dropping the first match is dropping them
-   all). *)
-let rec bucket_drop key entries =
-  match entries with
-  | [] -> []
-  | ((k, _) as hd) :: rest ->
-    if Value.equal_key k key then rest else hd :: bucket_drop key rest
-
+(* A store to a present key overwrites the value in place, keeping the
+   entry's original key and its place in iteration order. *)
 let map_store st addr key v =
-  let md, buckets = map_data st addr in
-  let idx = Value.hash_key key land max_int mod md.Value.md_nbuckets in
-  let entries = buckets.(idx) in
-  match bucket_replace key v entries with
-  | Some entries' ->
-    buckets.(idx) <- entries';
+  let md = map_data st addr in
+  let bk = map_buckets st md in
+  let b = Value.bucket_index bk key in
+  let j = Value.bucket_find bk b key in
+  if j >= 0 then begin
+    Value.bucket_set bk b j v;
     md.Value.md_version <- md.Value.md_version + 1
-  | None ->
-    buckets.(idx) <- (key, v) :: entries;
+  end
+  else begin
+    Value.bucket_add bk b key v;
     md.Value.md_version <- md.Value.md_version + 1;
     md.Value.md_count <- md.Value.md_count + 1;
     (* Go grows at load factor 6.5 entries per bucket. *)
     if md.Value.md_count * 2 > 13 * md.Value.md_nbuckets then
-      map_grow st md buckets
-
-let rec bucket_get key entries ~zero =
-  match entries with
-  | [] -> zero ()
-  | (k, v) :: rest ->
-    if Value.equal_key k key then v else bucket_get key rest ~zero
+      map_grow st md bk
+  end
 
 let map_get st addr key ~zero =
-  let md, buckets = map_data st addr in
-  let idx = Value.hash_key key land max_int mod md.Value.md_nbuckets in
-  bucket_get key buckets.(idx) ~zero
+  let bk = map_buckets st (map_data st addr) in
+  let b = Value.bucket_index bk key in
+  let j = Value.bucket_find bk b key in
+  if j >= 0 then Value.bucket_value bk b j else zero ()
 
 let map_delete st addr key =
-  let md, buckets = map_data st addr in
-  let idx = Value.hash_key key land max_int mod md.Value.md_nbuckets in
+  let md = map_data st addr in
+  let bk = map_buckets st md in
+  let b = Value.bucket_index bk key in
   md.Value.md_version <- md.Value.md_version + 1;
-  if bucket_mem key buckets.(idx) then begin
-    buckets.(idx) <- bucket_drop key buckets.(idx);
+  let j = Value.bucket_find bk b key in
+  if j >= 0 then begin
+    Value.bucket_remove bk b j;
     md.Value.md_count <- md.Value.md_count - 1
   end
 
 let map_len st addr =
-  let md, _ = map_data st addr in
+  let md = map_data st addr in
+  ignore (map_buckets st md : Value.buckets);
   md.Value.md_count
 
 (* Key snapshot for [for k := range m]: deterministic bucket order,
    mutation during iteration is well-defined. *)
 let map_range_keys st addr : Value.value list =
-  let _, buckets = map_data st addr in
-  let keys =
-    Array.fold_left
-      (fun acc entries -> List.rev_append (List.map fst entries) acc)
-      [] buckets
-  in
-  List.rev keys
+  Value.bucket_keys (map_buckets st (map_data st addr))
 
 (* ------------------------------------------------------------------ *)
 (* Bindings                                                            *)
@@ -825,20 +806,20 @@ let rec eval_binop op (a : Value.value) (b : Value.value) : Value.value =
   | Ast.Bshr, VInt _, VInt y when y < 0 ->
     raise (Panic (VStr "negative shift amount"))
   | Ast.Bshr, VInt x, VInt y -> VInt (if y >= 63 then 0 else x asr y)
-  | Ast.Blt, VInt x, VInt y -> VBool (x < y)
-  | Ast.Ble, VInt x, VInt y -> VBool (x <= y)
-  | Ast.Bgt, VInt x, VInt y -> VBool (x > y)
-  | Ast.Bge, VInt x, VInt y -> VBool (x >= y)
-  | Ast.Blt, VFloat x, VFloat y -> VBool (x < y)
-  | Ast.Ble, VFloat x, VFloat y -> VBool (x <= y)
-  | Ast.Bgt, VFloat x, VFloat y -> VBool (x > y)
-  | Ast.Bge, VFloat x, VFloat y -> VBool (x >= y)
-  | Ast.Blt, VStr x, VStr y -> VBool (String.compare x y < 0)
-  | Ast.Ble, VStr x, VStr y -> VBool (String.compare x y <= 0)
-  | Ast.Bgt, VStr x, VStr y -> VBool (String.compare x y > 0)
-  | Ast.Bge, VStr x, VStr y -> VBool (String.compare x y >= 0)
-  | Ast.Beq, x, y -> VBool (value_eq x y)
-  | Ast.Bne, x, y -> VBool (not (value_eq x y))
+  | Ast.Blt, VInt x, VInt y -> vbool (x < y)
+  | Ast.Ble, VInt x, VInt y -> vbool (x <= y)
+  | Ast.Bgt, VInt x, VInt y -> vbool (x > y)
+  | Ast.Bge, VInt x, VInt y -> vbool (x >= y)
+  | Ast.Blt, VFloat x, VFloat y -> vbool (x < y)
+  | Ast.Ble, VFloat x, VFloat y -> vbool (x <= y)
+  | Ast.Bgt, VFloat x, VFloat y -> vbool (x > y)
+  | Ast.Bge, VFloat x, VFloat y -> vbool (x >= y)
+  | Ast.Blt, VStr x, VStr y -> vbool (String.compare x y < 0)
+  | Ast.Ble, VStr x, VStr y -> vbool (String.compare x y <= 0)
+  | Ast.Bgt, VStr x, VStr y -> vbool (String.compare x y > 0)
+  | Ast.Bge, VStr x, VStr y -> vbool (String.compare x y >= 0)
+  | Ast.Beq, x, y -> vbool (value_eq x y)
+  | Ast.Bne, x, y -> vbool (not (value_eq x y))
   | (Ast.Band | Ast.Bor), _, _ ->
     raise (Runtime_error "logical operators are handled lazily")
   | _ -> raise (Runtime_error "invalid binary operands")
@@ -901,7 +882,7 @@ let rec dispatch_defers st defers =
   match defers with
   | [] -> ()
   | (fid, args) :: rest ->
-    ignore (st.dispatch st fid args);
+    ignore (st.dispatch st fid args 0 : Value.value);
     dispatch_defers st rest
 
 let run_defers st frame =
@@ -926,43 +907,46 @@ let pop_all_scopes st frame =
     frame.stack_objs <- [];
     release_scopes st.heap scopes
 
-(** The shared call protocol: push a pre-sized frame, bind parameters,
-    run the body, then run defers / pop scopes on every exit path —
-    normal fall-through (zero results), [return], and panic unwinding
-    with its recover handshake.  Both execution modes call functions
-    through here, parameterized by how the body runs. *)
-let call_fn st (f : Tast.func) ~nslots
-    ~(bind : state -> frame -> Value.value list -> unit)
-    ~(body : state -> frame -> unit) ~(zeros : state -> Value.value list)
-    (args : Value.value list) : Value.value list =
+(** A call's results as one value: [VUnit] for none, the value itself
+    for one, a [VTuple] for more. *)
+let pack_results = function
+  | [] -> Value.VUnit
+  | [ v ] -> v
+  | vs -> Value.VTuple vs
+
+(** The shared call protocol: push a pre-sized frame, bind the
+    arguments ([args] from [off] on), run the body to its results, then
+    run defers / pop scopes on every exit path — a normal return, and
+    panic unwinding with its recover handshake.  Both execution modes
+    call functions through here, parameterized by how the body runs.
+    The normal path raises nothing: the body hands back its packed
+    results ({!pack_results}), the zero values when it fell off the
+    end. *)
+let call_fn st ~nslots
+    ~(bind : state -> frame -> Value.value array -> int -> unit)
+    ~(body : state -> frame -> Value.value) ~(zeros : state -> Value.value)
+    (args : Value.value array) (off : int) : Value.value =
   let frame =
     {
-      fn = f;
       slots = Array.make nslots Bunbound;
       defers = [];
       stack_objs = [];
       lazy_scopes = 0;
-      temps = args;  (* keep args pinned until bound *)
-      gid = st.current.g_id;
+      (* no GC can run before the arguments are bound: the first
+         safepoint is the body's *)
+      temps = [];
     }
   in
   st.current.g_frames <- frame :: st.current.g_frames;
   match
-    bind st frame args;
+    bind st frame args off;
     body st frame
   with
-  | () ->
-    (* fell off the end: zero values if the function declares results *)
-    let results = zeros st in
+  | results ->
     run_defers st frame;
     pop_all_scopes st frame;
     st.current.g_frames <- List.tl st.current.g_frames;
     results
-  | exception Return_values vs ->
-    run_defers st frame;
-    pop_all_scopes st frame;
-    st.current.g_frames <- List.tl st.current.g_frames;
-    vs
   | exception Panic v ->
     (* run this frame's defers while unwinding; a recover() inside one of
        them clears the panic and the function returns zero values *)
@@ -1006,7 +990,7 @@ let rec eval st (e : Tast.expr) : Value.value =
     | Value.VFloat f -> Value.VFloat (-.f)
     | _ -> raise (Runtime_error "cannot negate")
   end
-  | Tast.Tunop (Ast.Unot, a) -> Value.VBool (not (truthy (eval st a)))
+  | Tast.Tunop (Ast.Unot, a) -> Value.vbool (not (truthy (eval st a)))
   | Tast.Taddr lv -> eval_addr st lv
   | Tast.Tderef a -> begin
     match eval st a with
@@ -1049,12 +1033,10 @@ let rec eval st (e : Tast.expr) : Value.value =
     | Value.VStruct cells -> Value.read_cell cells.(idx)
     | _ -> raise (Runtime_error ("field access ." ^ name ^ " on non-struct"))
   end
-  | Tast.Tcall (name, args) -> begin
-    match call_function st name (List.map (fun a -> eval st a) args) with
-    | [] -> Value.VUnit
-    | [ v ] -> pin st (cur_frame st) v
-    | vs -> pin st (cur_frame st) (Value.VTuple vs)
-  end
+  | Tast.Tcall (name, args) ->
+    let args = Array.of_list (List.map (fun a -> eval st a) args) in
+    let v = call_function st name args in
+    pin st (cur_frame st) v
   | Tast.Tmake_slice (site, elem, len, cap) ->
     let len = as_int (eval st len) in
     if len < 0 then raise (Panic (Value.VStr "makeslice: negative length"));
@@ -1102,8 +1084,8 @@ let rec eval st (e : Tast.expr) : Value.value =
     pin st (cur_frame st) (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c))
   | Tast.Tappend (site, s, vs) ->
     let base = eval st s in
-    let elems = List.map (fun v -> Value.copy (eval st v)) vs in
-    eval_append st (cur_frame st) ~site base elems
+    let elems = Array.of_list (List.map (fun v -> Value.copy (eval st v)) vs) in
+    eval_append st (cur_frame st) ~site base elems 0 (Array.length elems)
   | Tast.Tlen a -> begin
     match eval st a with
     | Value.VSlice s -> Value.VInt s.Value.s_len
@@ -1206,7 +1188,8 @@ and slice_copy (d : Value.slice) (s : Value.slice) : int =
   done;
   n
 
-and eval_append st fr ~site base elems : Value.value =
+and eval_append st fr ~site base (elems : Value.value array) off n :
+    Value.value =
   let open Value in
   let old_len, old_off, old_cells =
     match base with
@@ -1215,11 +1198,10 @@ and eval_append st fr ~site base elems : Value.value =
     | VPoison -> raise (Corruption "append to freed slice")
     | _ -> raise (Runtime_error "append to non-slice")
   in
-  let n = List.length elems in
   let new_len = old_len + n in
   if old_off + new_len <= Array.length old_cells then begin
     (* room within the view's capacity: write in place *)
-    List.iteri (fun i v -> old_cells.(old_off + old_len + i) <- v) elems;
+    Array.blit elems off old_cells (old_off + old_len) n;
     match base with
     | VSlice s -> VSlice { s with s_len = new_len }
     | _ -> assert false
@@ -1231,7 +1213,7 @@ and eval_append st fr ~site base elems : Value.value =
     for i = 0 to old_len - 1 do
       cells.(i) <- Value.read_elem old_cells (old_off + i)
     done;
-    List.iteri (fun i v -> cells.(old_len + i) <- v) elems;
+    Array.blit elems off cells old_len n;
     let size = max 1 (new_cap * site.Tast.site_elem_size) in
     (* growth arrays always come from the heap (§4.6.1) *)
     let obj =
@@ -1373,26 +1355,32 @@ and assign st (lv : Tast.lvalue) (v : Value.value) =
   | `Elem (a, i) -> a.(i) <- Value.copy v
   | `Map (addr, key) -> map_store st addr key (Value.copy v)
 
-and call_function st name (args : Value.value list) : Value.value list =
+and call_function st name (args : Value.value array) : Value.value =
   match Layout.func_id st.layout name with
-  | Some fid -> st.dispatch st fid args
+  | Some fid -> st.dispatch st fid args 0
   | None -> raise (Runtime_error ("undefined function " ^ name))
 
 (** Reference call path: interpret the function body by tree-walking.
     The default [dispatch] of a state. *)
-and call_by_id st fid (args : Value.value list) : Value.value list =
+and call_by_id st fid (args : Value.value array) off : Value.value =
   let f = st.layout.Layout.l_funcs.(fid) in
-  call_fn st f ~nslots:st.layout.Layout.l_nslots.(fid)
-    ~bind:(fun st frame args ->
-      List.iter2
-        (fun p arg -> declare_var st frame p (Value.copy arg))
-        f.Tast.f_params args)
-    ~body:(fun st _frame -> exec_block st f.Tast.f_body)
-    ~zeros:(fun st ->
-      List.map
-        (fun ty -> Value.zero st.program.Tast.p_tenv ty)
-        f.Tast.f_results)
-    args
+  let zeros st =
+    pack_results
+      (List.map
+         (fun ty -> Value.zero st.program.Tast.p_tenv ty)
+         f.Tast.f_results)
+  in
+  call_fn st ~nslots:st.layout.Layout.l_nslots.(fid)
+    ~bind:(fun st frame args off ->
+      List.iteri
+        (fun i p -> declare_var st frame p (Value.copy args.(off + i)))
+        f.Tast.f_params)
+    ~body:(fun st _frame ->
+      (* falling off the end yields the zero values *)
+      match exec_block st f.Tast.f_body with
+      | () -> zeros st
+      | exception Return_values vs -> vs)
+    ~zeros args off
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -1479,13 +1467,17 @@ and exec_stmt st (s : Tast.stmt) =
   end
   | Tast.Sreturn es ->
     let vs = List.map (fun e -> Value.copy (eval st e)) es in
-    raise (Return_values vs)
+    raise (Return_values (pack_results vs))
   | Tast.Sblock b -> exec_block st b
   | Tast.Sgo (name, args) ->
-    let args = List.map (fun a -> Value.copy (eval st a)) args in
+    let args =
+      Array.of_list (List.map (fun a -> Value.copy (eval st a)) args)
+    in
     spawn_goroutine st (resolve_func st name) args
   | Tast.Sdefer (name, args) ->
-    let args = List.map (fun a -> Value.copy (eval st a)) args in
+    let args =
+      Array.of_list (List.map (fun a -> Value.copy (eval st a)) args)
+    in
     let fid = resolve_func st name in
     let f = cur_frame st in
     f.defers <- (fid, args) :: f.defers

@@ -18,8 +18,6 @@ exception Runtime_error of string
 
 exception Panic of Value.value
 
-exception Return_values of Value.value list
-
 exception Break_loop
 
 exception Continue_loop
@@ -34,9 +32,8 @@ type binding =
   | Bboxed of int * Value.cell
 
 type frame = {
-  fn : Tast.func;
   slots : binding array;  (** locals by {!Layout} frame slot *)
-  mutable defers : (int * Value.value list) list;
+  mutable defers : (int * Value.value array) list;
       (** interned function id + evaluated arguments *)
   mutable stack_objs : Rt.Heap.obj list list;
   mutable lazy_scopes : int;
@@ -44,7 +41,6 @@ type frame = {
           stack object has registered in them *)
   mutable temps : Value.value list;
       (** GC pins for values produced in the current statement *)
-  gid : int;
 }
 
 type goroutine = {
@@ -56,7 +52,7 @@ type goroutine = {
   mutable g_top_v : int;
   mutable g_stk_i : int array;
   mutable g_top_i : int;
-  mutable g_pending : Value.value list;
+  mutable g_pending : Value.value array;
       (** spawn arguments of a not-yet-started goroutine (GC roots) *)
 }
 
@@ -93,9 +89,12 @@ type state = {
   output : Buffer.t;
   globals : binding array;  (** by {!Layout} global slot *)
   config : run_config;
-  mutable dispatch : state -> int -> Value.value list -> Value.value list;
+  mutable dispatch :
+    state -> int -> Value.value array -> int -> Value.value;
       (** how calls execute: {!call_by_id} or compiled bodies; defers
-          and goroutine entry points route through it *)
+          and goroutine entry points route through it.  Arguments are
+          read from the array at the offset; the result is packed by
+          {!pack_results}. *)
   mutable current : goroutine;
   mutable steps : int;
   mutable unwinding : Value.value option;
@@ -137,7 +136,8 @@ and parctx = {
   mutable p_gc_active : bool;
   mutable p_gc_cycle : Rt.Gc_collector.Par.cycle option;
   p_out_mutex : Mutex.t;
-  p_rng : int64 Atomic.t;
+  p_seed : int64;
+  p_rng : int Atomic.t;  (** values claimed from [p_seed]'s stream *)
 }
 
 and ptask = {
@@ -167,11 +167,11 @@ val eval : state -> Tast.expr -> Value.value
 (** Call a MiniGo function with already-evaluated arguments through the
     state's dispatch; runs its defers on both normal exit and panic
     unwind. *)
-val call_function : state -> string -> Value.value list -> Value.value list
+val call_function : state -> string -> Value.value array -> Value.value
 
 (** The reference (tree-walking) call path, by interned function id; the
     default value of [dispatch]. *)
-val call_by_id : state -> int -> Value.value list -> Value.value list
+val call_by_id : state -> int -> Value.value array -> int -> Value.value
 
 (** {2 Shared execution machinery}
 
@@ -238,12 +238,15 @@ val make_slice_obj :
 
 val make_map_obj : state -> frame -> site:Tast.alloc_site -> Value.value
 
-(** The live header and buckets of the map at an address; raises
-    {!Value.Corruption} when either has been freed.  Exported for the
-    bytecode VM's map-site inline caches, which key on
+(** The live header of the map at an address; raises
+    {!Value.Corruption} when it has been freed.  Allocates nothing.
+    Exported for the bytecode VM's map-site inline caches, which key on
     [Value.map_data.md_version]. *)
-val map_data :
-  state -> int -> Value.map_data * (Value.value * Value.value) list array
+val map_data : state -> int -> Value.map_data
+
+(** The live buckets a map header names; raises {!Value.Corruption}
+    when they have been freed.  Allocates nothing. *)
+val map_buckets : state -> Value.map_data -> Value.buckets
 
 val map_store : state -> int -> Value.value -> Value.value -> unit
 
@@ -257,14 +260,17 @@ val map_len : state -> int -> int
 (** Key snapshot for [for k := range m], in iteration order. *)
 val map_range_keys : state -> int -> Value.value list
 
-(** Grow a slice by already-evaluated elements (append semantics:
-    in-place within capacity, else heap reallocation). *)
+(** [eval_append st fr ~site base elems off n]: grow a slice by the [n]
+    already-evaluated elements of [elems] from [off] on (append
+    semantics: in-place within capacity, else heap reallocation). *)
 val eval_append :
   state ->
   frame ->
   site:Tast.alloc_site ->
   Value.value ->
-  Value.value list ->
+  Value.value array ->
+  int ->
+  int ->
   Value.value
 
 (** [copy(dst, src)] on two live slices, returning the count copied.
@@ -277,18 +283,26 @@ val slice_copy : Value.slice -> Value.slice -> int
     (callers filter [Bunbound] — never executed — as a no-op). *)
 val tcfree_binding : state -> binding -> Tast.free_kind -> unit
 
+(** A call's results as one value: [VUnit] for none, the value itself
+    for one, a [VTuple] for more. *)
+val pack_results : Value.value list -> Value.value
+
 (** The shared call protocol: push a pre-sized frame, [bind] the
-    arguments, run [body]; defers, scope release and the panic/recover
-    handshake happen on every exit path. *)
+    arguments (read from the array at the offset), run [body] to its
+    packed results; defers, scope release and the panic/recover
+    handshake happen on every exit path.  [zeros] gives the packed zero
+    results a recovered panic returns.  A normal return raises
+    nothing. *)
 val call_fn :
   state ->
-  Tast.func ->
   nslots:int ->
-  bind:(state -> frame -> Value.value list -> unit) ->
-  body:(state -> frame -> unit) ->
-  zeros:(state -> Value.value list) ->
-  Value.value list ->
-  Value.value list
+  bind:(state -> frame -> Value.value array -> int -> unit) ->
+  body:(state -> frame -> Value.value) ->
+  zeros:(state -> Value.value) ->
+  Value.value array ->
+  int ->
+  Value.value
 
-(** Start a goroutine running function [fid] (through dispatch). *)
-val spawn_goroutine : state -> int -> Value.value list -> unit
+(** Start a goroutine running function [fid] (through dispatch) on the
+    given arguments, which it keeps. *)
+val spawn_goroutine : state -> int -> Value.value array -> unit

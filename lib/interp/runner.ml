@@ -34,7 +34,7 @@ let run_program ?(config = Interp.default_config)
   in
   let layout = Layout.of_program program in
   let main_g =
-    { Interp.g_id = 0; g_frames = []; g_pending = [];
+    { Interp.g_id = 0; g_frames = []; g_pending = [||];
       g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 }
   in
   let par = Interp.make_parctx ~nd ~seed:config.Interp.seed in
@@ -75,18 +75,15 @@ let run_program ?(config = Interp.default_config)
   let t0 = now_ns () in
   (* Globals are evaluated in a synthetic frame of main's goroutine. *)
   let boot () =
+    if Layout.func_id layout "main" = None then
+      raise (Interp.Runtime_error "no main function");
     let boot_frame =
       {
-        Interp.fn =
-          (match Layout.func_id layout "main" with
-          | Some fid -> layout.Layout.l_funcs.(fid)
-          | None -> raise (Interp.Runtime_error "no main function"));
-        slots = [||];  (* initializers only reference globals *)
+        Interp.slots = [||];  (* initializers only reference globals *)
         defers = [];
         stack_objs = [];
         lazy_scopes = 0;
         temps = [];
-        gid = 0;
       }
     in
     main_g.Interp.g_frames <- [ boot_frame ];
@@ -101,7 +98,7 @@ let run_program ?(config = Interp.default_config)
           Interp.Bdirect (Value.cell value))
       program.Tast.p_globals;
     main_g.Interp.g_frames <- [];
-    match Interp.call_function st "main" [] with
+    match Interp.call_function st "main" [||] with
     | _ -> ()
     | exception Interp.Panic v ->
       Buffer.add_string st.Interp.output

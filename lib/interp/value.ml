@@ -57,12 +57,20 @@ type map_data = {
           behaviour reads it *)
 }
 
+(** A map's bucket array, flat: bucket [b] holds [bk_n.(b)] entries in
+    [bk_kv.(b)], oldest first, each a key at [2j] and its value at
+    [2j + 1].  Slots past them are spare capacity holding [VUnit], and
+    every bucket that never held an entry shares {!no_entries}.
+    Iteration visits the buckets in index order and each bucket newest
+    entry first. *)
+type buckets = { bk_n : int array; bk_kv : value array array }
+
 (** Heap payloads carrying interpreter values. *)
 type Gofree_runtime.Heap.payload +=
   | Pcells of value array
       (** slice backing store, or a box (whose payload is its own cell) *)
   | Pmap of map_data
-  | Pbuckets of (value * value) list array
+  | Pbuckets of buckets
 
 exception Corruption of string
     (** read of poisoned memory: a wrong explicit free was observed *)
@@ -88,6 +96,13 @@ let small_ints = Array.init 1024 (fun i -> VInt i)
 
 let vint n =
   if n >= 0 && n < 1024 then Array.unsafe_get small_ints n else VInt n
+
+(* The two bool boxes, shared for the same reason. *)
+let vtrue = VBool true
+
+let vfalse = VBool false
+
+let vbool b = if b then vtrue else vfalse
 
 let read_cell c =
   match get c with
@@ -151,15 +166,14 @@ let trace_payload (p : Gofree_runtime.Heap.payload) (k : int -> unit) =
   match p with
   | Pcells elems -> Array.iter (fun v -> trace v k) elems
   | Pmap md -> if md.md_buckets > 0 then k md.md_buckets
-  | Pbuckets buckets ->
-    Array.iter
-      (fun entries ->
-        List.iter
-          (fun (key, v) ->
-            trace key k;
-            trace v k)
-          entries)
-      buckets
+  | Pbuckets bk ->
+    Array.iteri
+      (fun b kv ->
+        for j = bk.bk_n.(b) - 1 downto 0 do
+          trace kv.(2 * j) k;
+          trace kv.((2 * j) + 1) k
+        done)
+      bk.bk_kv
   | _ -> ()
 
 (** Poison-mode payload corruption (§6.8's bit-flipping mock, made
@@ -169,8 +183,13 @@ let trace_payload (p : Gofree_runtime.Heap.payload) (k : int -> unit) =
 let poison_payload (p : Gofree_runtime.Heap.payload) =
   match p with
   | Pcells elems -> Array.fill elems 0 (Array.length elems) VPoison
-  | Pbuckets buckets ->
-    Array.iteri (fun i _ -> buckets.(i) <- [ (VPoison, VPoison) ]) buckets
+  | Pbuckets bk ->
+    (* every bucket becomes one poisoned entry *)
+    Array.iteri
+      (fun b _ ->
+        bk.bk_kv.(b) <- [| VPoison; VPoison |];
+        bk.bk_n.(b) <- 1)
+      bk.bk_kv
   | Pmap md ->
     md.md_buckets <- -1;
     md.md_count <- -1;
@@ -192,6 +211,87 @@ let hash_key = function
   | VBool b -> Hashtbl.hash b
   | VFloat f -> Hashtbl.hash f
   | _ -> 0
+
+(* ---- Flat map buckets ----------------------------------------------
+
+   The operations behind a map read, store, delete and growth.  None of
+   them allocates except when a bucket outgrows its capacity.  Bucket
+   reads re-check each index against the array they read, so a map
+   mutated by goroutines on two domains at once (a racy MiniGo
+   program) can read stale entries but never outside an array. *)
+
+let no_entries : value array = [||]
+
+let make_buckets n = { bk_n = Array.make n 0; bk_kv = Array.make n no_entries }
+
+(** The bucket [key] hashes to. *)
+let bucket_index bk key = hash_key key land max_int mod Array.length bk.bk_kv
+
+let rec scan kv key j =
+  if j < 0 then -1
+  else if equal_key (Array.unsafe_get kv (2 * j)) key then j
+  else scan kv key (j - 1)
+
+(** The slot of [key]'s entry in bucket [b], newest first, or [-1]. *)
+let bucket_find bk b key =
+  let kv = bk.bk_kv.(b) in
+  scan kv key (min bk.bk_n.(b) (Array.length kv / 2) - 1)
+
+let bucket_value bk b j = bk.bk_kv.(b).((2 * j) + 1)
+
+let bucket_set bk b j v = bk.bk_kv.(b).((2 * j) + 1) <- v
+
+(** Add an entry for a key the bucket does not hold; it becomes the
+    bucket's newest.  Capacity doubles, from two entries. *)
+let bucket_add bk b key v =
+  let n = bk.bk_n.(b) in
+  let kv = bk.bk_kv.(b) in
+  let kv =
+    if 2 * n < Array.length kv then kv
+    else begin
+      let grown = Array.make (max 4 (4 * n)) VUnit in
+      Array.blit kv 0 grown 0 (2 * n);
+      bk.bk_kv.(b) <- grown;
+      grown
+    end
+  in
+  kv.(2 * n) <- key;
+  kv.((2 * n) + 1) <- v;
+  bk.bk_n.(b) <- n + 1
+
+(** Drop the entry at slot [j], keeping the others in order. *)
+let bucket_remove bk b j =
+  let n = bk.bk_n.(b) in
+  let kv = bk.bk_kv.(b) in
+  Array.blit kv ((2 * j) + 2) kv (2 * j) (2 * (n - 1 - j));
+  kv.((2 * n) - 2) <- VUnit;
+  kv.((2 * n) - 1) <- VUnit;
+  bk.bk_n.(b) <- n - 1
+
+(** The entries of [old] rehashed into [n] buckets, visited in
+    iteration order, so within a new bucket the last one visited is the
+    newest. *)
+let rehash old n =
+  let bk = make_buckets n in
+  Array.iteri
+    (fun b kv ->
+      for j = old.bk_n.(b) - 1 downto 0 do
+        let key = kv.(2 * j) in
+        bucket_add bk (bucket_index bk key) key kv.((2 * j) + 1)
+      done)
+    old.bk_kv;
+  bk
+
+(** Every key, in iteration order. *)
+let bucket_keys bk =
+  let keys = ref [] in
+  for b = Array.length bk.bk_kv - 1 downto 0 do
+    let kv = bk.bk_kv.(b) in
+    for j = 0 to bk.bk_n.(b) - 1 do
+      keys := kv.(2 * j) :: !keys
+    done
+  done;
+  !keys
 
 (** Deterministic textual form for println (pointer addresses are hidden
     so output is identical across Go/GoFree settings). *)

@@ -46,11 +46,18 @@ type map_data = {
           bytecode engine's map-site inline caches *)
 }
 
+(** A map's bucket array, flat: bucket [b] holds [bk_n.(b)] entries in
+    [bk_kv.(b)], oldest first, each a key at [2j] and its value at
+    [2j + 1]; slots past them are spare capacity.  Every bucket that
+    never held an entry shares one empty array.  Iteration order is the
+    buckets in index order, each newest entry first. *)
+type buckets = { bk_n : int array; bk_kv : value array array }
+
 type Gofree_runtime.Heap.payload +=
   | Pcells of value array
       (** slice backing store, or a box (whose payload is its own cell) *)
   | Pmap of map_data
-  | Pbuckets of (value * value) list array
+  | Pbuckets of buckets
 
 exception Corruption of string
 (** read of poisoned memory: a wrong explicit free was observed *)
@@ -72,6 +79,9 @@ val ptr_set : ptr -> value -> unit
     immutable and compared structurally everywhere, so sharing is
     invisible; small ints dominate cell stores. *)
 val vint : int -> value
+
+(** [VBool b], one of two shared boxes; invisible for the same reason. *)
+val vbool : bool -> value
 
 (** Read a cell; raises {!Corruption} on poison. *)
 val read_cell : cell -> value
@@ -105,6 +115,40 @@ val poison_payload : Gofree_runtime.Heap.payload -> unit
 val equal_key : value -> value -> bool
 
 val hash_key : value -> int
+
+(** {2 Map buckets}
+
+    None of these allocates except when a bucket outgrows its
+    capacity. *)
+
+(** [n] empty buckets. *)
+val make_buckets : int -> buckets
+
+(** The bucket a key hashes to. *)
+val bucket_index : buckets -> value -> int
+
+(** [bucket_find bk b key]: the slot of [key]'s entry in bucket [b], or
+    [-1]. *)
+val bucket_find : buckets -> int -> value -> int
+
+(** The value at a slot of a bucket. *)
+val bucket_value : buckets -> int -> int -> value
+
+(** Overwrite the value at a slot; the entry keeps its key and place. *)
+val bucket_set : buckets -> int -> int -> value -> unit
+
+(** Add an entry for a key the bucket does not hold, as its newest. *)
+val bucket_add : buckets -> int -> value -> value -> unit
+
+(** Drop the entry at a slot, keeping the others in order. *)
+val bucket_remove : buckets -> int -> int -> unit
+
+(** [rehash old n]: [old]'s entries in [n] buckets, each moved in
+    iteration order and becoming the newest of its new bucket. *)
+val rehash : buckets -> int -> buckets
+
+(** Every key, in iteration order. *)
+val bucket_keys : buckets -> value list
 
 (** Deterministic textual form for [println] (addresses hidden so output
     is identical across compiler settings). *)

@@ -4,12 +4,22 @@
     operand stacks — boxed values and unboxed native ints (MiniGo ints
     and bools), so hot arithmetic/compare/branch sequences never touch
     the OCaml allocator.  Map-key and struct-field sites carry
-    monomorphic inline caches; a map-site hit returns the same physical
-    value a full lookup would find, guarded by the header address
-    (never reused) and [md_version] (bumped on every
-    store/delete/grow/free).  A same-map different-key miss still skips
-    both heap-object lookups by probing the cached bucket array
-    directly.
+    monomorphic inline caches.  A map-site cache holds only the map's
+    identity (header address, header, version, bucket array): when the
+    address matches (addresses are never reused) and [md_version] is
+    unchanged (it is bumped on every store/delete/grow/free), the key is
+    probed in the cached bucket array directly, skipping both heap-object
+    lookups, and the search finds the same physical value a full lookup
+    would.
+
+    Calls go through the one protocol, {!Interp.call_fn}.  The [call]
+    opcode hands the callee its own operand-stack window, from which the
+    callee's parameter declarers bind the arguments; [ret] returns the
+    packed results from the dispatch loop, and [halt] (falling off the
+    end) the zero results.  Nothing is raised on a normal return: only a
+    panic unwinds by exception.  On either path {!exec} first releases
+    the scopes still open, innermost first, so the defers [call_fn] runs
+    next see the blocks already dead, as in the reference walker.
 
     The dispatch loop is registerized: the program counter and both
     stack pointers are parameters of a self-tail-recursive top-level
@@ -19,13 +29,13 @@
     ([bf_max_v]/[bf_max_i]) and every jump operand is a patched label —
     invariants the differential suite exercises end to end.  Everything
     else the loop needs travels in one mutable {!regs} record, the only
-    allocation a call makes beyond the shared frame: the operand stacks
-    themselves are LIFO windows carved out of per-goroutine pooled
-    arrays ([g_stk_v]/[g_stk_i]).  Calls within a goroutine are
-    strictly LIFO even across yields, and the windows are invisible to
-    the simulated GC (value windows are dead at every safepoint; int
-    windows, registers included, hold no pointers), so pooling cannot
-    change observable behaviour.
+    allocation a call makes beyond the shared frame and its bindings:
+    the operand stacks themselves are LIFO windows carved out of
+    per-goroutine pooled arrays ([g_stk_v]/[g_stk_i]).  Calls within a
+    goroutine are strictly LIFO even across yields, and the windows are
+    invisible to the simulated GC (value windows are dead at every
+    safepoint; int windows, registers included, hold no pointers), so
+    pooling cannot change observable behaviour.
 
     Storage is {!Value}'s: a slice element sits directly in its backing
     store, and a frame variable, heap box or struct field is a
@@ -36,12 +46,13 @@
     the reference walker ({!Interp.eval}, [Interp.exec_stmt]) and calls
     the same shared {!Interp} helpers in the same order, so allocation
     counts, free attempts, GC cycle points and scheduler interleavings
-    are bit-identical across both engines.  The one departure is storage the program cannot
-    observe: register locals ([rload]/[rstore]/[rinc]) live in the first
-    [bf_nregs] words of the call's int-stack window rather than in frame
-    cells, and blocks with no stack-allocation site open no scope (see
-    {!Emit}).  The opcode numbering is frozen in {!Bytecode}; the literal
-    patterns below must stay in sync. *)
+    are bit-identical across both engines.  The one departure is
+    storage the program cannot observe: register locals
+    ([rload]/[rstore]/[rinc]) live in the first [bf_nregs] words of the
+    call's int-stack window rather than in frame cells, and blocks with
+    no stack-allocation site open no scope (see {!Emit}).  The opcode
+    numbering is frozen in {!Bytecode}; the literal patterns below must
+    stay in sync. *)
 
 open Minigo
 module B = Bytecode
@@ -50,7 +61,7 @@ module Rt = Gofree_runtime
 open Interp
 
 (* Everything the dispatch loop needs besides pc and the two stack
-   pointers.  One of these is the only per-call allocation. *)
+   pointers; one per call. *)
 type regs = {
   x_f : B.fn;
   x_st : state;
@@ -60,7 +71,9 @@ type regs = {
   x_stk_i : int array;  (* this call's window of g_stk_i *)
   x_rb : int;  (* register 0 in x_stk_i; the operand stack follows *)
   x_slots : binding array;
-  mutable x_scopes : int;  (* open lexical scopes, for the unwind path *)
+  mutable x_scopes : int;
+      (* open lexical scopes, released by [exec] after a [ret] or an
+         exception *)
   mutable x_iters : Value.value list list;
       (* active range-loop key iterators, innermost first *)
 }
@@ -85,7 +98,8 @@ let vm_safepoint (r : regs) =
   let st = r.x_st in
   let steps = st.steps + 1 in
   st.steps <- steps;
-  r.x_fr.temps <- [];
+  (* most statements pin nothing: skip the write barrier then *)
+  if r.x_fr.temps != [] then r.x_fr.temps <- [];
   let heap = st.heap in
   if
     steps >= st.yield_at || heap.Rt.Heap.gc_requested
@@ -113,6 +127,15 @@ let popped (stk_v : Value.value array) sp_v n =
     else build (i - 1) (Array.unsafe_get stk_v i :: acc)
   in
   build (sp_v - 1) []
+
+(* The n values most recently pushed, oldest first, each in a fresh
+   cell: the fields of a struct literal. *)
+let field_cells (stk_v : Value.value array) sp_v n : Value.cell array =
+  let cells = Array.make n [||] in
+  for i = 0 to n - 1 do
+    Array.unsafe_set cells i [| Array.unsafe_get stk_v (sp_v - n + i) |]
+  done;
+  cells
 
 (* Shared by the three index opcodes: the full base match of the
    reference walker, yielding the element value. *)
@@ -154,23 +177,15 @@ let field_value (r : regs) (va : Value.value) fidx cidx nidx : Value.value =
       (Runtime_error
          ("field access ." ^ r.x_f.B.bf_names.(nidx) ^ " on non-struct"))
 
-(* Shared by the three map-get opcodes.  The inline cache caches the
-   map's identity (header address, version, bucket array) plus one
-   present (key, value) pair per site.  A hit needs the same header
-   address, an unchanged version and an equal key, and yields the
-   cached value — the identical physical value the bucket search would
-   find (map reads never allocate, so no heap event is skipped).  When
-   the map matches but the key differs, the cached bucket array is by
-   construction the map's current one, so the probe runs on it directly
-   and skips the header and buckets object lookups.  Absent keys never
-   populate the (key, value) pair: their zero value is freshly made per
-   read. *)
-let rec bucket_probe vk entries =
-  match entries with
-  | [] -> None
-  | (k, v) :: rest ->
-    if Value.equal_key k vk then Some v else bucket_probe vk rest
-
+(* Shared by the three map-get opcodes.  The inline cache holds the
+   identity of the map the site last read (header address, header,
+   version, bucket array; see {!Bytecode.centry}).  On a hit the key is
+   probed in the cached bucket array directly, skipping both heap-object
+   lookups; a miss finds them like [Interp.map_get] and replaces the
+   snapshot.  Either way the lookup is [Interp.map_get]'s bucket search,
+   so it finds the identical physical value, and map reads allocate
+   nothing in the simulated heap.  An absent key's zero value is freshly
+   made per read. *)
 let mapget_value (r : regs) (vm : Value.value) (vk : Value.value) zidx cidx :
     Value.value =
   match vm with
@@ -180,43 +195,25 @@ let mapget_value (r : regs) (vm : Value.value) (vk : Value.value) zidx cidx :
     (* one pointer load = one coherent snapshot, even when goroutines
        on other domains are racing to repopulate this site *)
     let e = c.B.c_e in
-    if e.B.ce_a = addr && e.B.ce_ver = e.B.ce_md.Value.md_version then begin
-      if Value.equal_key vk e.B.ce_key then begin
+    let bk =
+      if e.B.ce_a = addr && e.B.ce_ver = e.B.ce_md.Value.md_version then begin
         st.ic_hits <- st.ic_hits + 1;
-        e.B.ce_val
+        e.B.ce_b
       end
       else begin
         st.ic_misses <- st.ic_misses + 1;
-        (* same map, same version: probe the cached buckets directly *)
-        let idx =
-          Value.hash_key vk land max_int mod e.B.ce_md.Value.md_nbuckets
-        in
-        match bucket_probe vk e.B.ce_b.(idx) with
-        | Some v ->
-          c.B.c_e <- { e with B.ce_key = vk; ce_val = v };
-          v
-        | None -> r.x_f.B.bf_zeros.(zidx) ()
-      end
-    end
-    else begin
-      st.ic_misses <- st.ic_misses + 1;
-      (* the same probe + bucket search as Interp.map_get *)
-      let md, buckets = Interp.map_data st addr in
-      let idx = Value.hash_key vk land max_int mod md.Value.md_nbuckets in
-      let fill ~key ~v =
+        let md = Interp.map_data st addr in
+        let bk = Interp.map_buckets st md in
         c.B.c_e <-
           { B.ce_a = addr; ce_md = md; ce_ver = md.Value.md_version;
-            ce_key = key; ce_val = v; ce_b = buckets }
-      in
-      match bucket_probe vk buckets.(idx) with
-      | Some v ->
-        fill ~key:vk ~v;
-        v
-      | None ->
-        (* remember the map but no pair; VUnit never equals a key *)
-        fill ~key:Value.VUnit ~v:Value.VUnit;
-        r.x_f.B.bf_zeros.(zidx) ()
-    end
+            ce_b = bk };
+        bk
+      end
+    in
+    let b = Value.bucket_index bk vk in
+    let j = Value.bucket_find bk b vk in
+    if j >= 0 then Value.bucket_value bk b j
+    else r.x_f.B.bf_zeros.(zidx) ()
   | Value.VNil -> r.x_f.B.bf_zeros.(zidx) ()
   | _ -> raise (Runtime_error "not a map")
 
@@ -225,7 +222,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   let stk_v = r.x_stk_v in
   let stk_i = r.x_stk_i in
   match Array.unsafe_get code pc with
-  | 0 (* halt *) -> ()
+  | 0 (* halt: fell off the end *) -> r.x_f.B.bf_zeros_ret r.x_st
   | 1 (* safepoint *) ->
     vm_safepoint r;
     loop r (pc + 1) sp_v sp_i
@@ -246,8 +243,12 @@ let rec loop (r : regs) pc sp_v sp_i =
     pop_scope r.x_st r.x_fr;
     r.x_scopes <- r.x_scopes - 1;
     loop r (pc + 1) sp_v sp_i
-  | 7 (* ret *) ->
-    raise (Return_values (popped stk_v sp_v (Array.unsafe_get code (pc + 1))))
+  | 7 (* ret: the results, packed like Interp.pack_results *) -> begin
+    match Array.unsafe_get code (pc + 1) with
+    | 1 -> Array.unsafe_get stk_v (sp_v - 1)
+    | 0 -> Value.VUnit
+    | n -> Value.VTuple (popped stk_v sp_v n)
+  end
   | 8 (* iconst *) ->
     Array.unsafe_set stk_i sp_i (Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v (sp_i + 1)
@@ -320,7 +321,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     loop r (pc + 1) (sp_v + 1) (sp_i - 1)
   | 17 (* box_b *) ->
     Array.unsafe_set stk_v sp_v
-      (Value.VBool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
+      (Value.vbool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
     loop r (pc + 1) (sp_v + 1) (sp_i - 1)
   | 18 (* unbox_i *) ->
     Array.unsafe_set stk_i sp_i (as_int (Array.unsafe_get stk_v (sp_v - 1)));
@@ -485,14 +486,14 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 49 (* store_slot_b *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      cset c (Value.VBool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
+      cset c (Value.vbool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
       loop r (pc + 3) sp_v (sp_i - 1)
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2))
   end
   | 50 (* store_gslot_b *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      cset c (Value.VBool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
+      cset c (Value.vbool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
       loop r (pc + 3) sp_v (sp_i - 1)
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2))
   end
@@ -700,15 +701,15 @@ let rec loop (r : regs) pc sp_v sp_i =
     let res =
       match vm with
       | Value.VMap addr ->
-        let present = ref true in
-        let v =
-          map_get r.x_st addr vk ~zero:(fun () ->
-              present := false;
-              r.x_f.B.bf_zeros.(zidx) ())
-        in
-        Value.VTuple [ v; Value.VBool !present ]
+        (* Interp.map_get's search, keeping the slot to tell presence *)
+        let bk = map_buckets r.x_st (map_data r.x_st addr) in
+        let b = Value.bucket_index bk vk in
+        let j = Value.bucket_find bk b vk in
+        if j >= 0 then
+          Value.VTuple [ Value.bucket_value bk b j; Value.vbool true ]
+        else Value.VTuple [ r.x_f.B.bf_zeros.(zidx) (); Value.vbool false ]
       | Value.VNil ->
-        Value.VTuple [ r.x_f.B.bf_zeros.(zidx) (); Value.VBool false ]
+        Value.VTuple [ r.x_f.B.bf_zeros.(zidx) (); Value.vbool false ]
       | _ -> raise (Runtime_error "not a map")
     in
     Array.unsafe_set stk_v (sp_v - 2) res;
@@ -808,15 +809,10 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 73 (* call *) ->
     let fid = Array.unsafe_get code (pc + 1) in
     let n = Array.unsafe_get code (pc + 2) in
-    let args = popped stk_v sp_v n in
     let st = r.x_st in
-    let res =
-      match st.dispatch st fid args with
-      | [] -> Value.VUnit
-      | [ v ] -> pin st r.x_fr v
-      | vs -> pin st r.x_fr (Value.VTuple vs)
-    in
-    Array.unsafe_set stk_v (sp_v - n) res;
+    (* the callee binds its arguments straight from this window *)
+    Array.unsafe_set stk_v (sp_v - n)
+      (pin st r.x_fr (st.dispatch st fid stk_v (sp_v - n)));
     loop r (pc + 3) (sp_v - n + 1) sp_i
   | 74 (* call_undef *) ->
     raise
@@ -826,7 +822,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 75 (* go *) ->
     let fid = Array.unsafe_get code (pc + 1) in
     let n = Array.unsafe_get code (pc + 2) in
-    spawn_goroutine r.x_st fid (popped stk_v sp_v n);
+    spawn_goroutine r.x_st fid (Array.sub stk_v (sp_v - n) n);
     loop r (pc + 3) (sp_v - n) sp_i
   | 76 (* go_undef *) ->
     raise
@@ -836,7 +832,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 77 (* defer *) ->
     let fid = Array.unsafe_get code (pc + 1) in
     let n = Array.unsafe_get code (pc + 2) in
-    r.x_fr.defers <- (fid, popped stk_v sp_v n) :: r.x_fr.defers;
+    r.x_fr.defers <- (fid, Array.sub stk_v (sp_v - n) n) :: r.x_fr.defers;
     loop r (pc + 3) (sp_v - n) sp_i
   | 78 (* defer_undef *) ->
     raise
@@ -894,16 +890,12 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 84 (* struct_lit *) ->
     let n = Array.unsafe_get code (pc + 1) in
     Array.unsafe_set stk_v (sp_v - n)
-      (Value.VStruct
-         (Array.of_list (List.map Value.cell (popped stk_v sp_v n))));
+      (Value.VStruct (field_cells stk_v sp_v n));
     loop r (pc + 2) (sp_v - n + 1) sp_i
   | 85 (* addr_struct_lit *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
-    let v =
-      Value.VStruct
-        (Array.of_list (List.map Value.cell (popped stk_v sp_v n)))
-    in
+    let v = Value.VStruct (field_cells stk_v sp_v n) in
     let c = Value.cell v in
     let obj =
       alloc_obj r.x_st r.x_fr ~site ~category:Rt.Metrics.Cat_other
@@ -917,10 +909,9 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 86 (* append *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
-    let elems = popped stk_v sp_v n in
     let base = Array.unsafe_get stk_v (sp_v - n - 1) in
     Array.unsafe_set stk_v (sp_v - n - 1)
-      (eval_append r.x_st r.x_fr ~site base elems);
+      (eval_append r.x_st r.x_fr ~site base stk_v (sp_v - n) n);
     loop r (pc + 3) (sp_v - n) sp_i
   | 87 (* addr_slot *) ->
     (match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
@@ -1358,7 +1349,17 @@ let rec loop (r : regs) pc sp_v sp_i =
     loop r (pc + 2) sp_v (sp_i - 1)
   | op -> raise (Runtime_error ("vm: bad opcode " ^ string_of_int op))
 
-let exec (f : B.fn) (st : state) (fr : frame) : unit =
+(* Release the scopes a [ret] or an exception left open, innermost
+   first, exactly like the reference walker's nested per-block handlers,
+   before call_fn runs the defers (which must see the blocks already
+   dead). *)
+let release_scopes (r : regs) =
+  while r.x_scopes > 0 do
+    pop_scope r.x_st r.x_fr;
+    r.x_scopes <- r.x_scopes - 1
+  done
+
+let exec (f : B.fn) (st : state) (fr : frame) : Value.value =
   let g = st.current in
   (* Acquire LIFO windows from the goroutine's pooled operand stacks.
      On growth the array is replaced without copying: outer calls keep
@@ -1399,31 +1400,29 @@ let exec (f : B.fn) (st : state) (fr : frame) : unit =
       x_iters = [];
     }
   in
-  (try loop r 0 base_v (base_i + f.B.bf_nregs)
-   with e ->
-     (* release open scopes innermost-first, exactly like the reference
-        walker's nested per-block handlers, before the exception reaches
-        call_fn (whose defers must see the blocks already dead) *)
-     while r.x_scopes > 0 do
-       pop_scope st fr;
-       r.x_scopes <- r.x_scopes - 1
-     done;
-     g.g_top_v <- base_v;
-     g.g_top_i <- base_i;
-     raise e);
-  g.g_top_v <- base_v;
-  g.g_top_i <- base_i
+  match loop r 0 base_v (base_i + f.B.bf_nregs) with
+  | results ->
+    release_scopes r;
+    g.g_top_v <- base_v;
+    g.g_top_i <- base_i;
+    results
+  | exception e ->
+    release_scopes r;
+    g.g_top_v <- base_v;
+    g.g_top_i <- base_i;
+    raise e
 
 (** A dispatch function executing bytecode bodies, suitable for
-    [state.dispatch].  Body closures are built once per function here
-    rather than per call. *)
+    [state.dispatch].  The program table lives in this closure, one per
+    run, and body closures are built once per function here rather than
+    per call. *)
 let dispatch (prog : B.program) :
-    state -> int -> Value.value list -> Value.value list =
+    state -> int -> Value.value array -> int -> Value.value =
   let bodies = Array.map (fun f -> exec f) prog in
-  fun st fid args ->
+  fun st fid args off ->
     let f = prog.(fid) in
-    call_fn st f.B.bf_fn ~nslots:f.B.bf_nslots ~bind:f.B.bf_bind
-      ~body:(Array.unsafe_get bodies fid) ~zeros:f.B.bf_zeros_ret args
+    call_fn st ~nslots:f.B.bf_nslots ~bind:f.B.bf_bind
+      ~body:(Array.unsafe_get bodies fid) ~zeros:f.B.bf_zeros_ret args off
 
 (** Point [state.dispatch] at the bytecode. *)
 let install (st : state) (prog : B.program) = st.dispatch <- dispatch prog

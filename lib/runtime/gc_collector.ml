@@ -19,9 +19,9 @@ let mark (heap : Heap.t) =
   let stack = Stack.create () in
   let push_addr from_heap addr =
     if addr > 0 then
-      match Heap.find_obj heap addr with
-      | None -> ()  (* dangling value: object already freed *)
-      | Some obj ->
+      (* an absent object is a dangling value, already freed *)
+      let obj = Heap.find heap addr in
+      if obj != Heap.no_obj then begin
         if from_heap && Heap.is_stack_obj obj then
           heap.Heap.metrics.Metrics.heap_to_stack_pointers <-
             heap.Heap.metrics.Metrics.heap_to_stack_pointers + 1;
@@ -31,6 +31,7 @@ let mark (heap : Heap.t) =
             heap.Heap.metrics.Metrics.gc_marked_objects + 1;
           Stack.push obj stack
         end
+      end
   in
   (if Sys.getenv_opt "GOFREE_GC_DEBUG" <> None then begin
      let n = ref 0 in
@@ -218,15 +219,16 @@ module Par = struct
      when no other domain can see the cycle yet). *)
   let push_addr c from_heap addr =
     if addr > 0 then
-      match Heap.find_obj c.heap addr with
-      | None -> ()  (* dangling value: object already freed *)
-      | Some obj ->
+      (* an absent object is a dangling value, already freed *)
+      let obj = Heap.find c.heap addr in
+      if obj != Heap.no_obj then begin
         if from_heap && Heap.is_stack_obj obj then c.h2s <- c.h2s + 1;
         if not obj.Heap.marked then begin
           obj.Heap.marked <- true;
           c.marked <- c.marked + 1;
           c.grey <- obj :: c.grey
         end
+      end
 
   (** Build a cycle and seed the grey list from the roots.  Leader-only,
       before the cycle is published to helpers. *)

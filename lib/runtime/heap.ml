@@ -107,9 +107,9 @@ type t = {
           reports *)
 }
 
-(* A placeholder filling the object table's empty value slots; never
-   returned by a lookup (its address 0 is not a valid key). *)
-let dummy_obj =
+(* A placeholder filling the object table's empty value slots, and what
+   {!find} returns for an absent address (0 is not a valid key). *)
+let no_obj =
   {
     addr = 0;
     size = 0;
@@ -138,7 +138,7 @@ let create ?(config = default_config) ?(nprocs = 4) ?(shared = false) () =
     objects =
       Objtable.create ~capacity:4096
         ~shards:(if shared then max 2 nprocs else 1)
-        ~locked:shared ~dummy:dummy_obj ();
+        ~locked:shared ~dummy:no_obj ();
     shared;
     metric_shards =
       (if shared then
@@ -167,7 +167,11 @@ let nprocs t = Array.length t.caches
     refuses to race it (§5). *)
 let gc_running t = t.gc_window_left > 0
 
-let find_obj t addr = Objtable.find_opt t.objects addr
+let find t addr = Objtable.find t.objects addr
+
+let find_obj t addr =
+  let o = find t addr in
+  if o == no_obj then None else Some o
 
 let fresh_addr t = Atomic.fetch_and_add t.next_addr 1
 

@@ -101,6 +101,14 @@ val gc_running : t -> bool
 
 val find_obj : t -> int -> obj option
 
+(** The object at an address, or {!no_obj} when there is none.  Unlike
+    {!find_obj} it allocates nothing, for hot paths: GC marking and the
+    interpreter's map operations. *)
+val find : t -> int -> obj
+
+(** What {!find} returns for an absent address (its [addr] is 0). *)
+val no_obj : obj
+
 (** Allocate on the heap: picks a span via the thread's mcache (or a
     dedicated span for large objects), updates metrics, and requests a GC
     cycle when pacing demands one (the cycle itself runs at the

@@ -69,35 +69,35 @@ let slot_of s k =
 
 let[@inline] shard_idx t k = k land t.smask
 
-let[@inline] with_shard t k f =
+(* The probes are top-level recursions over explicit arguments, and
+   every public operation takes its shard's lock by hand rather than
+   through a higher-order helper: a probe, insert or removal allocates
+   nothing on the OCaml heap, not even a closure. *)
+
+let rec probe keys mask k i =
+  let key = Array.unsafe_get keys i in
+  if key = k then i
+  else if key = 0 then -1
+  else probe keys mask k ((i + 1) land mask)
+
+(** Index of [k]'s slot in its shard, or [-1] if absent. *)
+let find_slot s k = probe s.keys s.mask k (slot_of s k)
+
+let s_find s k =
+  let i = find_slot s k in
+  if i < 0 then s.dummy else Array.unsafe_get s.vals i
+
+let find t k =
   let i = shard_idx t k in
   let s = Array.unsafe_get t.shards i in
   if t.locked then begin
     let l = Array.unsafe_get t.locks i in
     Mutex.lock l;
-    let r = f s k in
+    let v = s_find s k in
     Mutex.unlock l;
-    r
+    v
   end
-  else f s k
-
-(** Index of [k]'s slot in its shard, or [-1] if absent. *)
-let find_slot s k =
-  let keys = s.keys in
-  let mask = s.mask in
-  let rec probe i =
-    let key = Array.unsafe_get keys i in
-    if key = k then i else if key = 0 then -1 else probe ((i + 1) land mask)
-  in
-  probe (slot_of s k)
-
-let s_find_opt s k =
-  let i = find_slot s k in
-  if i < 0 then None else Some (Array.unsafe_get s.vals i)
-
-let find_opt t k = with_shard t k s_find_opt
-
-let mem t k = with_shard t k (fun s k -> find_slot s k >= 0)
+  else s_find s k
 
 let length t =
   Array.fold_left (fun acc s -> acc + s.live) 0 t.shards
@@ -158,30 +158,36 @@ let rehash s =
     if key > 0 then add_fresh s key (Array.unsafe_get old_vals i)
   done
 
-let s_replace s k v =
-  let keys = s.keys in
-  let mask = s.mask in
-  (* Probe for [k], remembering the first reusable (tombstone) slot. *)
-  let rec probe i reuse =
-    let key = Array.unsafe_get keys i in
-    if key = k then Array.unsafe_set s.vals i v
-    else if key = 0 then begin
-      let target = if reuse >= 0 then reuse else i in
-      Array.unsafe_set keys target k;
-      Array.unsafe_set s.vals target v;
-      s.live <- s.live + 1;
-      if reuse < 0 then begin
-        s.used <- s.used + 1;
-        if s.used * 2 >= Array.length keys then rehash s
-      end
+(* Probe for [k], remembering the first reusable (tombstone) slot. *)
+let rec probe_insert s k v keys mask i reuse =
+  let key = Array.unsafe_get keys i in
+  if key = k then Array.unsafe_set s.vals i v
+  else if key = 0 then begin
+    let target = if reuse >= 0 then reuse else i in
+    Array.unsafe_set keys target k;
+    Array.unsafe_set s.vals target v;
+    s.live <- s.live + 1;
+    if reuse < 0 then begin
+      s.used <- s.used + 1;
+      if s.used * 2 >= Array.length keys then rehash s
     end
-    else
-      probe ((i + 1) land mask)
-        (if reuse < 0 && key = -1 then i else reuse)
-  in
-  probe (slot_of s k) (-1)
+  end
+  else
+    probe_insert s k v keys mask ((i + 1) land mask)
+      (if reuse < 0 && key = -1 then i else reuse)
 
-let replace t k v = with_shard t k (fun s k -> s_replace s k v)
+let s_replace s k v = probe_insert s k v s.keys s.mask (slot_of s k) (-1)
+
+let replace t k v =
+  let i = shard_idx t k in
+  let s = Array.unsafe_get t.shards i in
+  if t.locked then begin
+    let l = Array.unsafe_get t.locks i in
+    Mutex.lock l;
+    s_replace s k v;
+    Mutex.unlock l
+  end
+  else s_replace s k v
 
 let s_remove s k =
   let i = find_slot s k in
@@ -191,4 +197,13 @@ let s_remove s k =
     s.live <- s.live - 1
   end
 
-let remove t k = with_shard t k s_remove
+let remove t k =
+  let i = shard_idx t k in
+  let s = Array.unsafe_get t.shards i in
+  if t.locked then begin
+    let l = Array.unsafe_get t.locks i in
+    Mutex.lock l;
+    s_remove s k;
+    Mutex.unlock l
+  end
+  else s_remove s k

@@ -1,6 +1,7 @@
 (** Open-addressing hash table from positive int keys to ['a] — the
-    heap's object store.  Allocation-free inserts and probes; see the
-    implementation for the tombstone scheme.  Keys must be positive.
+    heap's object store.  Inserts, probes and removals allocate nothing
+    (no option, no closure); see the implementation for the tombstone
+    scheme.  Keys must be positive.
 
     Internally sharded by the key's low bits.  The default is one
     unlocked shard (the sequential configuration); the multi-domain
@@ -20,9 +21,9 @@ val nshards : 'a t -> int
     only when no domain is mutating). *)
 val length : 'a t -> int
 
-val find_opt : 'a t -> int -> 'a option
-
-val mem : 'a t -> int -> bool
+(** The entry for a key, or the table's [dummy] when there is none.
+    Allocates nothing. *)
+val find : 'a t -> int -> 'a
 
 (** Insert, overwriting any existing entry for the key. *)
 val replace : 'a t -> int -> 'a -> unit

@@ -583,6 +583,46 @@ let test_store_save_load () =
   Alcotest.(check bool) "stale format misses" true
     (B.Store.load ~dir ~pkg:"util" = None)
 
+(* Two writers saving the same package at once (two daemon workers, or
+   the daemon and the CLI) each go through their own temp file, so a
+   reader racing them always loads one whole entry, and no temp file is
+   left behind. *)
+let test_store_concurrent_saves () =
+  let root = make_tree [] in
+  let dir = Filename.concat root "cache" in
+  let other = { sample_entry with B.Store.e_key = "fedcba9876543210" } in
+  B.Store.save ~dir sample_entry;
+  let writing = Atomic.make 2 in
+  let writer e =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr writing)
+          (fun () ->
+            for _ = 1 to 200 do
+              B.Store.save ~dir e
+            done))
+  in
+  let w1 = writer sample_entry and w2 = writer other in
+  let loads = ref 0 and bad = ref 0 in
+  let check () =
+    incr loads;
+    match B.Store.load ~dir ~pkg:"util" with
+    | Some e when e = sample_entry || e = other -> ()
+    | _ -> incr bad
+  in
+  while Atomic.get writing > 0 do
+    check ()
+  done;
+  Domain.join w1;
+  Domain.join w2;
+  check ();
+  Alcotest.(check int)
+    (Printf.sprintf "loads that did not parse (of %d)" !loads)
+    0 !bad;
+  Alcotest.(check (list string))
+    "no temp file left" [ "util.sum" ]
+    (Array.to_list (Sys.readdir dir))
+
 let test_stored_summary_survives_store () =
   (* a summary produced by real analysis, through the store and back *)
   let root = make_tree tree_files in
@@ -637,6 +677,8 @@ let suite =
     Alcotest.test_case "store golden file" `Quick test_store_golden;
     Alcotest.test_case "store round-trip" `Quick test_store_roundtrip;
     Alcotest.test_case "store save/load/miss" `Quick test_store_save_load;
+    Alcotest.test_case "store concurrent saves" `Quick
+      test_store_concurrent_saves;
     Alcotest.test_case "stored summary survives the store" `Quick
       test_stored_summary_survives_store;
   ]

@@ -18,22 +18,24 @@ let engines =
     ("bytecode", Gofree_interp.Interp.Eng_bytecode);
   ]
 
+let run_config ~engine ~config ~poison =
+  {
+    Gofree_interp.Interp.default_config with
+    heap_config =
+      {
+        Rt.Heap.default_config with
+        min_heap = 96 * 1024;  (* small heap: force real GC activity *)
+        grow_map_free_old = config.Gofree_core.Config.insert_tcfree;
+        poison_on_free = poison;
+      };
+    engine;
+  }
+
 let run_mode ~engine ?(config = Gofree_core.Config.gofree) ?(poison = false)
     src =
-  let run_config =
-    {
-      Gofree_interp.Interp.default_config with
-      heap_config =
-        {
-          Rt.Heap.default_config with
-          min_heap = 96 * 1024;  (* small heap: force real GC activity *)
-          grow_map_free_old = config.Gofree_core.Config.insert_tcfree;
-          poison_on_free = poison;
-        };
-      engine;
-    }
-  in
-  Gofree_interp.Runner.compile_and_run ~gofree_config:config ~run_config src
+  Gofree_interp.Runner.compile_and_run ~gofree_config:config
+    ~run_config:(run_config ~engine ~config ~poison)
+    src
 
 (* Metrics comparison via the JSON export (covers every counter,
    including per-category and per-giveup arrays), with the one
@@ -809,6 +811,287 @@ let struct_addr_cases =
         check_repeatable ~name src_struct_addr);
   ]
 
+(* ---- the call protocol -------------------------------------------- *)
+
+(* A VM-to-VM call binds its arguments straight from the caller's
+   operand stack and returns its results from the dispatch loop; only a
+   panic unwinds by exception.  These programs take every exit a call
+   can take: a panic through three frames with pending defers and a
+   recover in the outermost, one, two and three results, a return from
+   inside a map range loop and from blocks holding stack objects,
+   falling off the end of a function with results, and recursion deep
+   enough to grow the pooled operand stacks many times. *)
+let src_calls =
+  {|
+var trail []int
+
+func note(tag int) {
+  trail = append(trail, tag)
+}
+
+func guard(tag int) {
+  msg := recover()
+  if msg != "" {
+    println("recovered", tag, msg)
+  }
+}
+
+// panics two calls down; every frame on the way has a pending defer
+func level3(n int) int {
+  defer note(3)
+  buf := make([]int, 4)
+  buf[0] = n
+  if n%3 == 0 {
+    panic("deep " + itoa(n))
+  }
+  return buf[0] * 2
+}
+
+func level2(n int) int {
+  defer note(2)
+  keep := make([]int, 2)
+  keep[1] = level3(n)
+  return keep[1] + 1
+}
+
+func level1(n int) int {
+  defer guard(1)
+  defer note(1)
+  return level2(n) + 1
+}
+
+func divmod(a int, b int) (int, int, bool) {
+  if b == 0 {
+    return 0, 0, false
+  }
+  return a / b, a % b, true
+}
+
+func swap(a int, b int) (int, int) {
+  q, r, ok := divmod(a, b)
+  if !ok {
+    return b, a
+  }
+  return r, q
+}
+
+// return from inside a range loop, with a stack slice live
+func findKey(m map[int]int, want int) int {
+  seen := make([]int, 1)
+  for k := range m {
+    seen[0] = seen[0] + 1
+    if m[k] == want {
+      return k*1000 + seen[0]
+    }
+  }
+  return -1
+}
+
+// return from nested blocks that hold stack-allocated objects
+func nestedReturn(n int) int {
+  outer := make([]int, 3)
+  outer[0] = n
+  for i := 0; i < 10; i = i + 1 {
+    inner := make([]int, 2)
+    inner[0] = i
+    if i == n {
+      tmp := make([]int, 2)
+      tmp[1] = inner[0] + outer[0]
+      return tmp[1]
+    }
+  }
+  return outer[0]
+}
+
+// no return on the n <= 0 path: the zero values come back
+func fallOff(n int) (int, string) {
+  if n > 0 {
+    return n, "pos"
+  }
+}
+
+func fallOne(n int) []int {
+  if n > 0 {
+    return make([]int, n)
+  }
+}
+
+func sumTo(n int, tag string) (int, string) {
+  if n == 0 {
+    return 0, tag
+  }
+  s, t := sumTo(n-1, tag)
+  return s + n, t
+}
+
+func main() {
+  trail = make([]int, 0)
+  for i := 1; i <= 7; i = i + 1 {
+    println("level1", i, level1(i))
+  }
+  println(len(trail), trail[0], trail[len(trail)-1])
+  a, b := swap(17, 5)
+  c, d := swap(3, 0)
+  q, r, ok := divmod(100, 7)
+  println(a, b, c, d, q, r, ok)
+  m := make(map[int]int)
+  for i := 0; i < 50; i = i + 1 {
+    m[i*3] = i
+  }
+  println(findKey(m, 17), findKey(m, 99))
+  println(nestedReturn(4), nestedReturn(20))
+  x, y := fallOff(5)
+  z, w := fallOff(-1)
+  println(x, y, z, w == "", len(fallOne(3)), fallOne(0) == nil)
+  s, t := sumTo(3000, "deep")
+  println(s, t)
+}
+|}
+
+let calls_expected =
+  "level1 1 4\n\
+   level1 2 6\n\
+   recovered 1 deep 3\n\
+   level1 3 0\n\
+   level1 4 10\n\
+   level1 5 12\n\
+   recovered 1 deep 6\n\
+   level1 6 0\n\
+   level1 7 16\n\
+   21 3 1\n\
+   2 3 0 3 14 2 true\n\
+   51025 -1\n\
+   8 20\n\
+   5 pos 0 true 3 true\n\
+   4501500 deep\n"
+
+let call_cases =
+  [
+    Alcotest.test_case "call protocol" `Quick (fun () ->
+        let name = "call protocol" in
+        List.iter
+          (fun (ename, engine) ->
+            Alcotest.(check string)
+              (name ^ ": output (" ^ ename ^ ")")
+              calls_expected
+              (run_mode ~engine src_calls).Gofree_interp.Runner.output)
+          engines;
+        check_identical ~name src_calls;
+        check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
+          src_calls;
+        check_poison_silent ~name src_calls);
+  ]
+
+(* ---- map iteration order ------------------------------------------- *)
+
+(* [for k := range m] visits buckets in index order and each bucket
+   newest entry first, and growth rehashes in that order.  The golden
+   output was captured before maps moved to flat buckets; every engine,
+   under GoFree and stock Go, with and without the poison heap, must
+   keep reproducing it. *)
+let range_order_cases =
+  [
+    Alcotest.test_case "map range order (golden)" `Quick (fun () ->
+        let name = "map range order" in
+        let golden name = Test_disasm.read_file (Test_disasm.golden name) in
+        let src = golden "map_range_order.go" in
+        let expected = golden "map_range_order.out" in
+        List.iter
+          (fun (ename, engine) ->
+            List.iter
+              (fun (cname, config) ->
+                List.iter
+                  (fun poison ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s: %s %s%s" name ename cname
+                         (if poison then " poison" else ""))
+                      expected
+                      (run_mode ~engine ~config ~poison src)
+                        .Gofree_interp.Runner.output)
+                  [ false; true ])
+              [ ("gofree", Gofree_core.Config.gofree);
+                ("go", Gofree_core.Config.go) ])
+          engines;
+        check_identical ~name src);
+  ]
+
+(* ---- two programs at once ------------------------------------------ *)
+
+(* Everything a run needs travels with the run — the program table in
+   its state's dispatch closure, the operand stacks in its goroutines —
+   so two different programs running at the same time on two domains of
+   one process each get their own output and metrics. *)
+let concurrent_cases =
+  [
+    Alcotest.test_case "two programs at once" `Quick (fun () ->
+        let config = Gofree_core.Config.gofree in
+        let run compiled =
+          (* a run executing the other program's code fails fast *)
+          let rc =
+            run_config ~engine:Gofree_interp.Interp.Eng_bytecode ~config
+              ~poison:false
+          in
+          match
+            Gofree_interp.Runner.run
+              ~config:{ rc with Gofree_interp.Interp.max_steps = 5_000_000 }
+              compiled
+          with
+          | r -> Ok r
+          | exception e -> Error (Printexc.to_string e)
+        in
+        let progs =
+          [| ("calls", src_calls); ("goroutines", src_goroutines) |]
+        in
+        let compiled =
+          Array.map
+            (fun (_, src) -> Gofree_core.Pipeline.compile ~config src)
+            progs
+        in
+        let solo =
+          Array.map
+            (fun c ->
+              match run c with
+              | Ok r -> r
+              | Error e -> Alcotest.failf "solo run failed: %s" e)
+            compiled
+        in
+        (* each round starts both runs together, so both programs are
+           lowered, installed and running at the same time *)
+        let arrived = Atomic.make 0 in
+        let together =
+          Array.map
+            (fun c ->
+              Domain.spawn (fun () ->
+                  List.init 3 (fun round ->
+                      Atomic.incr arrived;
+                      while Atomic.get arrived < 2 * (round + 1) do
+                        Domain.cpu_relax ()
+                      done;
+                      run c)))
+            compiled
+        in
+        let results = Array.map Domain.join together in
+        Array.iteri
+          (fun i runs ->
+            let name = fst progs.(i) in
+            List.iter
+              (function
+                | Error e ->
+                  Alcotest.failf "%s beside another program: %s" name e
+                | Ok (r : Gofree_interp.Runner.result) ->
+                  Alcotest.(check string)
+                    (name ^ ": output beside another program")
+                    solo.(i).Gofree_interp.Runner.output
+                    r.Gofree_interp.Runner.output;
+                  Alcotest.(check string)
+                    (name ^ ": metrics beside another program")
+                    (metrics_fingerprint
+                       solo.(i).Gofree_interp.Runner.metrics)
+                    (metrics_fingerprint r.Gofree_interp.Runner.metrics))
+              runs)
+          results);
+  ]
+
 (* ---- random programs ----------------------------------------------- *)
 
 let prop_random_identical =
@@ -849,5 +1132,5 @@ let prop_random_identical =
 
 let suite =
   workload_cases @ feature_cases @ storage_cases @ aliasing_cases
-  @ struct_addr_cases
+  @ struct_addr_cases @ call_cases @ range_order_cases @ concurrent_cases
   @ [ QCheck_alcotest.to_alcotest prop_random_identical ]

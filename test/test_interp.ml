@@ -597,6 +597,84 @@ func main() {
 }
 |}
       "3\n1\n";
+    Alcotest.test_case "bytecode hot paths allocate within budget" `Quick
+      (fun () ->
+        (* Host words the bytecode engine allocates per loop iteration:
+           the difference between a 20k- and a 10k-iteration run of the
+           same program, over 10k.  A map store to a present key and a
+           map read allocate nothing (the loop itself stays under a
+           word); a VM-to-VM call allocates only its frame, bindings and
+           dispatch registers. *)
+        let words_per_op src_of =
+          let run n =
+            let compiled = Helpers.compile (src_of n) in
+            let config =
+              { Gofree_interp.Interp.default_config with
+                engine = Gofree_interp.Interp.Eng_bytecode }
+            in
+            let w0 = Gc.minor_words () in
+            ignore (Gofree_interp.Runner.run ~config compiled);
+            Gc.minor_words () -. w0
+          in
+          let w10 = run 10_000 in
+          let w20 = run 20_000 in
+          (w20 -. w10) /. 10_000.
+        in
+        let cases =
+          [
+            ( "map store", 1.0,
+              Printf.sprintf
+                {|
+func main() {
+  m := make(map[int]int)
+  for i := 0; i < 64; i = i + 1 {
+    m[i] = i
+  }
+  for i := 0; i < %d; i = i + 1 {
+    m[i%%64] = i %% 64
+  }
+  println(len(m))
+}
+|} );
+            ( "map get", 1.0,
+              Printf.sprintf
+                {|
+func main() {
+  m := make(map[int]int)
+  for i := 0; i < 64; i = i + 1 {
+    m[i] = i
+  }
+  s := 0
+  for i := 0; i < %d; i = i + 1 {
+    s = (s + m[i%%64]) %% 1000
+  }
+  println(s)
+}
+|} );
+            ( "call", 45.0,
+              Printf.sprintf
+                {|
+func add(a int, b int) int {
+  return a + b
+}
+
+func main() {
+  s := 0
+  for i := 0; i < %d; i = i + 1 {
+    s = add(s, i%%7) %% 1000
+  }
+  println(s)
+}
+|} );
+          ]
+        in
+        List.iter
+          (fun (name, bound, src_of) ->
+            let w = words_per_op src_of in
+            if w > bound then
+              Alcotest.failf "%s: %.2f host words per iteration, bound %.0f"
+                name w bound)
+          cases);
     Alcotest.test_case "poisoned slice store faults s[i] and &s[i]" `Quick
       (fun () ->
         let open Gofree_interp.Value in
