@@ -133,6 +133,17 @@ let run_options_term : Gofree_api.run_options Term.t =
     $ gcoff_flag $ poison_flag $ gogc_arg $ seed_arg $ sample_every_arg
     $ engine_arg $ domains_arg)
 
+(* More domains than cores time-slice on the host: the run stays
+   correct, but its timings measure the OS scheduler, not the runtime.
+   One line on stderr says so; nothing else changes. *)
+let warn_oversubscribed (options : Gofree_api.run_options) =
+  let cores = Domain.recommended_domain_count () in
+  if options.Gofree_api.domains > cores then
+    Printf.eprintf
+      "gofreec: warning: --domains %d exceeds the %d cores of this host; \
+       timings will not be representative\n%!"
+      options.Gofree_api.domains cores
+
 (* ---------------------------------------------------------------- *)
 (* Observability outputs (--trace / --metrics-json / --metrics)       *)
 (* ---------------------------------------------------------------- *)

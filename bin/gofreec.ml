@@ -30,6 +30,7 @@ let file_arg =
 (* run *)
 let run_cmd =
   let run file config options metrics obs =
+    warn_oversubscribed options;
     let options = with_effective_sampling obs options in
     let source = read_source file in
     start_trace obs;

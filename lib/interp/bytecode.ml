@@ -16,165 +16,251 @@
 
 open Minigo
 
-(* Opcode values.  Grouped: control flow, stack shuffling, the unboxed
-   int/bool fast path (operands on a native-int stack, so hot
-   arithmetic/compare/branch never allocates), generic value ops,
-   memory/call/allocation ops.  The numbering is frozen by the Vm match
-   and the disasm goldens — append only. *)
-let op_halt = 0
-let op_safepoint = 1
-let op_jmp = 2  (* target *)
-let op_jmpifnot = 3  (* target; pops I *)
-let op_jmpif = 4  (* target; pops I *)
-let op_push_scope = 5
-let op_pop_scope = 6
-let op_ret = 7  (* n: pop n values, return them packed *)
-let op_iconst = 8  (* n: push I *)
-let op_const = 9  (* const idx: push V *)
-let op_iload = 10  (* slot, name idx: int local -> I *)
-let op_bload = 11  (* slot, name idx: bool local -> I *)
-let op_vload = 12  (* slot, name idx: local -> V *)
-let op_giload = 13  (* global slot, name idx *)
-let op_gbload = 14
-let op_gvload = 15
-let op_box_i = 16  (* I -> V *)
-let op_box_b = 17
-let op_unbox_i = 18  (* V -> I (expects an int) *)
-let op_unbox_b = 19  (* V -> I (truthy) *)
-let op_copy = 20  (* top of V := Value.copy top *)
-let op_pop_v = 21
-let op_pop_i = 22
-let op_add_i = 23
-let op_sub_i = 24
-let op_mul_i = 25
-let op_div_i = 26
-let op_mod_i = 27
-let op_and_i = 28
-let op_or_i = 29
-let op_xor_i = 30
-let op_shl_i = 31
-let op_shr_i = 32
-let op_neg_i = 33
-let op_lt_i = 34
-let op_le_i = 35
-let op_gt_i = 36
-let op_ge_i = 37
-let op_eq_i = 38
-let op_ne_i = 39
-let op_not_b = 40
-let op_binop = 41  (* binop idx: generic eval_binop on two V *)
-let op_neg_v = 42
-let op_decl = 43  (* decl idx: pop V, run the declaration closure *)
-let op_decl_zero = 44  (* decl idx, zero idx *)
-let op_store_slot = 45  (* slot, name idx: pop V, copy, write *)
-let op_store_gslot = 46
-let op_store_slot_i = 47  (* slot, name idx: pop I, write VInt *)
-let op_store_gslot_i = 48
-let op_store_slot_b = 49
-let op_store_gslot_b = 50
-let op_store_deref = 51  (* pop ptr V, pop value V *)
-let op_store_index = 52  (* pop idx I, pop base V, pop value V *)
-let op_store_map = 53  (* pop key V, pop map V, pop value V *)
-let op_store_thru = 54  (* pop ptr V, pop value V (field target) *)
-let op_index_v = 55  (* pop idx I, pop base V, push V *)
-let op_index_i = 56  (* same, push I (also string byte) *)
-let op_index_b = 57
-let op_field_v = 58  (* field idx, cache idx, name idx: pop base V *)
-let op_field_i = 59
-let op_field_b = 60
-let op_mapget_v = 61  (* zero idx, cache idx: pop key V, map V *)
-let op_mapget_i = 62
-let op_mapget_b = 63
-let op_mapget_ok = 64  (* zero idx: pop key V, map V, push VTuple *)
-let op_len = 65  (* pop V, push I *)
-let op_cap = 66
-let op_itoa = 67  (* pop I, push V *)
-let op_rand = 68  (* pop I, push I *)
-let op_substr = 69  (* pop hi I, lo I, string V; push V *)
-let op_slice_sub = 70  (* flags (bit0 lo, bit1 hi): pop bounds I, base V *)
-let op_slice_copy = 71  (* pop src V, dst V; push I *)
-let op_deref = 72  (* pop V, push V *)
-let op_call = 73  (* fn id, nargs: pop args V, push pinned result V *)
-let op_call_undef = 74  (* name idx, nargs *)
-let op_go = 75  (* fn id, nargs (args already copied) *)
-let op_go_undef = 76
-let op_defer = 77
-let op_defer_undef = 78
-let op_check_len = 79  (* peek I: negative-length panic before cap eval *)
-let op_make_slice = 80  (* site idx, zero idx, has_cap: pop [cap I,] len I *)
-let op_make_map = 81  (* site idx *)
-let op_new = 82  (* site idx, zero idx *)
-let op_slice_lit = 83  (* site idx, n: pop n copied V *)
-let op_struct_lit = 84  (* n: pop n copied V *)
-let op_addr_struct_lit = 85  (* site idx, n *)
-let op_append = 86  (* site idx, n: pop n copied elems V, base V *)
-let op_addr_slot = 87  (* slot, name idx: push VPtr *)
-let op_addr_gslot = 88
-let op_addr_index = 89  (* pop idx I, base V; push VPtr *)
-let op_addr_field_ptr = 90  (* field idx: pop ptr-base V; push VPtr *)
-let op_addr_field_slot = 91  (* slot, field idx, name idx *)
-let op_addr_field_gslot = 92
-let op_tuple_check = 93  (* n, kind (0 decl / 1 assign): peek V *)
-let op_tuple_get = 94  (* i: peek tuple V, push element V *)
-let op_print = 95  (* n: pop n strings V *)
-let op_tostr = 96  (* pop V, push VStr *)
-let op_tcfree = 97  (* slot, free kind (0 slice / 1 map / 2 obj) *)
-let op_delete = 98  (* pop key V, map V *)
-let op_panic = 99  (* pop V *)
-let op_recover = 100  (* push V *)
-let op_range_start = 101  (* exit target: pop map V, push key iterator *)
-let op_range_next = 102  (* decl idx, end target *)
-let op_range_pop = 103  (* drop the top key iterator (break) *)
-let op_thunk_v = 104  (* thunk idx: push V *)
-(* 105: retired; opcode numbers are never reused *)
+(* ------------------------------------------------------------------ *)
+(* The opcode table                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** What an inline operand denotes: the disassembler shows each kind its
+    own way, and an instruction's width is 1 + its operand count. *)
+type operand =
+  | Int  (* an immediate: a count, a constant, an element count *)
+  | Delta  (* a signed increment, shown with its sign *)
+  | Slot  (* frame or global slot *)
+  | Reg  (* register local *)
+  | Name  (* [bf_names] index, shown in the trailing comment *)
+  | Target  (* absolute jump target *)
+  | Cache  (* inline-cache record *)
+  | Field  (* struct field index *)
+  | Const  (* [bf_consts] index; the constant goes in the comment *)
+  | Binop  (* [bf_binops] index; the operator goes in the comment *)
+  | Site  (* [bf_sites] index, shown as the allocation site id *)
+  | Tbl of string  (* index into another side table, shown as tbl#N *)
+  | Key of string  (* an immediate shown as key=N *)
+  | Enum of string array  (* a small code shown by its meaning *)
+
+(* One entry per opcode: its name and operand kinds.  [def] registers
+   the entry and returns the opcode, so a number, its name and its
+   operands are written once, on one line. *)
+let specs : (string * operand array) option array = Array.make 256 None
+
+let def op name operands =
+  assert (specs.(op) = None);
+  specs.(op) <- Some (name, Array.of_list operands);
+  op
+
+(* Grouped: control flow, stack shuffling, the unboxed int/bool fast
+   path (operands on a native-int stack, so hot arithmetic/compare/branch
+   never allocates), generic value ops, memory/call/allocation ops.  The
+   numbering is frozen by the Vm match and the disasm goldens — append
+   only.  Stack effects: I = the native-int stack, V = the value stack. *)
+let op_halt = def 0 "halt" []
+let op_safepoint = def 1 "safepoint" []
+let op_jmp = def 2 "jmp" [ Target ]
+let op_jmpifnot = def 3 "jmpifnot" [ Target ]  (* pops I *)
+let op_jmpif = def 4 "jmpif" [ Target ]  (* pops I *)
+let op_push_scope = def 5 "push_scope" []
+let op_pop_scope = def 6 "pop_scope" []
+let op_ret = def 7 "ret" [ Int ]  (* pop n values, return them packed *)
+let op_iconst = def 8 "iconst" [ Int ]  (* push I *)
+let op_const = def 9 "const" [ Const ]  (* push V *)
+let op_iload = def 10 "iload" [ Slot; Name ]  (* int local -> I *)
+let op_bload = def 11 "bload" [ Slot; Name ]  (* bool local -> I *)
+let op_vload = def 12 "vload" [ Slot; Name ]  (* local -> V *)
+let op_giload = def 13 "giload" [ Slot; Name ]
+let op_gbload = def 14 "gbload" [ Slot; Name ]
+let op_gvload = def 15 "gvload" [ Slot; Name ]
+let op_box_i = def 16 "box_i" []  (* I -> V *)
+let op_box_b = def 17 "box_b" []
+let op_unbox_i = def 18 "unbox_i" []  (* V -> I (expects an int) *)
+let op_unbox_b = def 19 "unbox_b" []  (* V -> I (truthy) *)
+let op_copy = def 20 "copy" []  (* top of V := Value.copy top *)
+let op_pop_v = def 21 "pop_v" []
+let op_pop_i = def 22 "pop_i" []
+let op_add_i = def 23 "add_i" []
+let op_sub_i = def 24 "sub_i" []
+let op_mul_i = def 25 "mul_i" []
+let op_div_i = def 26 "div_i" []
+let op_mod_i = def 27 "mod_i" []
+let op_and_i = def 28 "and_i" []
+let op_or_i = def 29 "or_i" []
+let op_xor_i = def 30 "xor_i" []
+let op_shl_i = def 31 "shl_i" []
+let op_shr_i = def 32 "shr_i" []
+let op_neg_i = def 33 "neg_i" []
+let op_lt_i = def 34 "lt_i" []
+let op_le_i = def 35 "le_i" []
+let op_gt_i = def 36 "gt_i" []
+let op_ge_i = def 37 "ge_i" []
+let op_eq_i = def 38 "eq_i" []
+let op_ne_i = def 39 "ne_i" []
+let op_not_b = def 40 "not_b" []
+let op_binop = def 41 "binop" [ Binop ]  (* generic eval_binop on two V *)
+let op_neg_v = def 42 "neg_v" []
+let op_decl = def 43 "decl" [ Tbl "decl" ]  (* pop V, run the declarer *)
+let op_decl_zero = def 44 "decl_zero" [ Tbl "decl"; Tbl "zero" ]
+let op_store_slot = def 45 "store_slot" [ Slot; Name ]  (* pop V, copy *)
+let op_store_gslot = def 46 "store_gslot" [ Slot; Name ]
+let op_store_slot_i = def 47 "store_slot_i" [ Slot; Name ]  (* pop I *)
+let op_store_gslot_i = def 48 "store_gslot_i" [ Slot; Name ]
+let op_store_slot_b = def 49 "store_slot_b" [ Slot; Name ]
+let op_store_gslot_b = def 50 "store_gslot_b" [ Slot; Name ]
+let op_store_deref = def 51 "store_deref" []  (* pop ptr V, value V *)
+let op_store_index = def 52 "store_index" []  (* pop idx I, base V, value V *)
+let op_store_map = def 53 "store_map" []  (* pop key V, map V, value V *)
+let op_store_thru = def 54 "store_thru" []  (* pop ptr V, value V *)
+let op_index_v = def 55 "index_v" []  (* pop idx I, base V, push V *)
+let op_index_i = def 56 "index_i" []  (* same, push I (also string byte) *)
+let op_index_b = def 57 "index_b" []
+let op_field_v = def 58 "field_v" [ Field; Cache; Name ]  (* pop base V *)
+let op_field_i = def 59 "field_i" [ Field; Cache; Name ]
+let op_field_b = def 60 "field_b" [ Field; Cache; Name ]
+let op_mapget_v = def 61 "mapget_v" [ Tbl "zero"; Cache ]  (* pop key, map V *)
+let op_mapget_i = def 62 "mapget_i" [ Tbl "zero"; Cache ]
+let op_mapget_b = def 63 "mapget_b" [ Tbl "zero"; Cache ]
+let op_mapget_ok = def 64 "mapget_ok" [ Tbl "zero" ]  (* push VTuple *)
+let op_len = def 65 "len" []  (* pop V, push I *)
+let op_cap = def 66 "cap" []
+let op_itoa = def 67 "itoa" []  (* pop I, push V *)
+let op_rand = def 68 "rand" []  (* pop I, push I *)
+let op_substr = def 69 "substr" []  (* pop hi I, lo I, string V; push V *)
+let op_slice_sub = def 70 "slice_sub" [ Key "flags" ]
+    (* bit0 lo, bit1 hi: pop those bounds I, base V *)
+let op_slice_copy = def 71 "slice_copy" []  (* pop src V, dst V; push I *)
+let op_deref = def 72 "deref" []  (* pop V, push V *)
+let op_call = def 73 "call" [ Tbl "fn"; Key "nargs" ]
+    (* pop args V, push pinned result V *)
+let op_call_undef = def 74 "call_undef" [ Name; Key "nargs" ]
+let op_go = def 75 "go" [ Tbl "fn"; Key "nargs" ]  (* args already copied *)
+let op_go_undef = def 76 "go_undef" [ Name; Key "nargs" ]
+let op_defer = def 77 "defer" [ Tbl "fn"; Key "nargs" ]
+let op_defer_undef = def 78 "defer_undef" [ Name; Key "nargs" ]
+let op_check_len = def 79 "check_len" []
+    (* peek I: negative-length panic before cap eval *)
+let op_make_slice = def 80 "make_slice" [ Site; Tbl "zero"; Key "cap" ]
+    (* pop [cap I,] len I *)
+let op_make_map = def 81 "make_map" [ Site ]
+let op_new = def 82 "new" [ Site; Tbl "zero" ]
+let op_slice_lit = def 83 "slice_lit" [ Site; Int ]  (* pop n copied V *)
+let op_struct_lit = def 84 "struct_lit" [ Int ]  (* pop n copied V *)
+let op_addr_struct_lit = def 85 "addr_struct_lit" [ Site; Int ]
+let op_append = def 86 "append" [ Site; Int ]
+    (* pop n copied elems V, base V *)
+let op_addr_slot = def 87 "addr_slot" [ Slot; Name ]  (* push VPtr *)
+let op_addr_gslot = def 88 "addr_gslot" [ Slot; Name ]
+let op_addr_index = def 89 "addr_index" []  (* pop idx I, base V; push VPtr *)
+let op_addr_field_ptr = def 90 "addr_field_ptr" [ Field ]
+    (* pop ptr-base V; push VPtr *)
+let op_addr_field_slot = def 91 "addr_field_slot" [ Slot; Field; Name ]
+let op_addr_field_gslot = def 92 "addr_field_gslot" [ Slot; Field; Name ]
+let op_tuple_check =
+  def 93 "tuple_check" [ Int; Enum [| "decl"; "assign" |] ]  (* peek V *)
+let op_tuple_get = def 94 "tuple_get" [ Int ]  (* peek tuple V, push elt V *)
+let op_print = def 95 "print" [ Int ]  (* pop n strings V *)
+let op_tostr = def 96 "tostr" []  (* pop V, push VStr *)
+let op_tcfree = def 97 "tcfree" [ Slot; Enum [| "slice"; "map"; "obj" |] ]
+let op_delete = def 98 "delete" []  (* pop key V, map V *)
+let op_panic = def 99 "panic" []  (* pop V *)
+let op_recover = def 100 "recover" []  (* push V *)
+let op_range_start = def 101 "range_start" [ Target ]
+    (* the exit: pop map V, push key iterator *)
+let op_range_next = def 102 "range_next" [ Tbl "decl"; Target ]  (* the end *)
+let op_range_pop = def 103 "range_pop" []  (* drop the top iterator (break) *)
+let op_thunk_v = def 104 "thunk_v" [ Tbl "thunk" ]  (* push V *)
+(* retired: opcode numbers are never reused *)
+let _ = def 105 "retired" []
 
 (* Superinstructions: fusions of the sequences above that dominate hot
    loops.  Each replicates its unfused expansion exactly (same
    evaluation order, same panics in the same order), so observable
    behaviour cannot differ; they only cut dispatches and the
    allocations the expansion's boxing steps would make. *)
-let op_addk_i = 106  (* k: top of I += k *)
-let op_subk_i = 107
-let op_mulk_i = 108
-let op_divk_i = 109  (* k: keeps the divide-by-zero panic when k = 0 *)
-let op_modk_i = 110
-let op_ltk_i = 111  (* k: top of I := top < k *)
-let op_lek_i = 112
-let op_gtk_i = 113
-let op_gek_i = 114
-let op_eqk_i = 115
-let op_nek_i = 116
-let op_sfield_v = 117  (* slot, field, cache, var name, field name *)
-let op_sfield_i = 118  (* = [vload slot; field_i f] fused *)
-let op_fstore_i = 119  (* field idx: pop ptr-base V, value I; store *)
-let op_jlt_not = 120  (* target: pop 2 I, jump unless a < b *)
-let op_jle_not = 121
-let op_jgt_not = 122
-let op_jge_not = 123
-let op_jeq_not = 124
-let op_jne_not = 125
-let op_jltk_not = 126  (* k, target: pop 1 I, jump unless a < k *)
-let op_jlek_not = 127
-let op_jgtk_not = 128
-let op_jgek_not = 129
-let op_jeqk_not = 130
-let op_jnek_not = 131
-let op_iinc = 132  (* slot, k, name idx: int local += k in place *)
+let op_addk_i = def 106 "addk_i" [ Int ]  (* top of I += k *)
+let op_subk_i = def 107 "subk_i" [ Int ]
+let op_mulk_i = def 108 "mulk_i" [ Int ]
+let op_divk_i = def 109 "divk_i" [ Int ]
+    (* keeps the divide-by-zero panic when k = 0 *)
+let op_modk_i = def 110 "modk_i" [ Int ]
+let op_ltk_i = def 111 "ltk_i" [ Int ]  (* top of I := top < k *)
+let op_lek_i = def 112 "lek_i" [ Int ]
+let op_gtk_i = def 113 "gtk_i" [ Int ]
+let op_gek_i = def 114 "gek_i" [ Int ]
+let op_eqk_i = def 115 "eqk_i" [ Int ]
+let op_nek_i = def 116 "nek_i" [ Int ]
+let op_sfield_v = def 117 "sfield_v" [ Slot; Field; Cache; Name; Name ]
+let op_sfield_i = def 118 "sfield_i" [ Slot; Field; Cache; Name; Name ]
+    (* = [vload slot; field_i f] fused *)
+let op_fstore_i = def 119 "fstore_i" [ Field ]
+    (* pop ptr-base V, value I; store *)
+let op_jlt_not = def 120 "jlt_not" [ Target ]  (* pop 2 I, jump unless a < b *)
+let op_jle_not = def 121 "jle_not" [ Target ]
+let op_jgt_not = def 122 "jgt_not" [ Target ]
+let op_jge_not = def 123 "jge_not" [ Target ]
+let op_jeq_not = def 124 "jeq_not" [ Target ]
+let op_jne_not = def 125 "jne_not" [ Target ]
+let op_jltk_not = def 126 "jltk_not" [ Int; Target ]
+    (* pop 1 I, jump unless a < k *)
+let op_jlek_not = def 127 "jlek_not" [ Int; Target ]
+let op_jgtk_not = def 128 "jgtk_not" [ Int; Target ]
+let op_jgek_not = def 129 "jgek_not" [ Int; Target ]
+let op_jeqk_not = def 130 "jeqk_not" [ Int; Target ]
+let op_jnek_not = def 131 "jnek_not" [ Int; Target ]
+let op_iinc = def 132 "iinc" [ Slot; Delta; Name ]  (* int local += k *)
 
 (* Register locals: int/bool locals kept unboxed in the call's register
    file (the first [bf_nregs] words of its int-stack window) instead of a
    frame cell.  See {!Emit.register_slots} for which locals qualify. *)
-let op_rload = 133  (* reg, name idx: push register -> I *)
-let op_rstore = 134  (* reg, name idx: pop I into register *)
-let op_rinc = 135  (* reg, k, name idx: register += k *)
+let op_rload = def 133 "rload" [ Reg; Name ]  (* push register -> I *)
+let op_rstore = def 134 "rstore" [ Reg; Name ]  (* pop I into register *)
+let op_rinc = def 135 "rinc" [ Reg; Delta; Name ]  (* register += k *)
 
 (* Address of a field of a nested struct value ([a[i].p.x], [f().q.y]):
    the base struct is evaluated, then its owner spine again, exactly like
    [Interp.eval_addr] and [owner_of_struct_base]. *)
-let op_owner = 136  (* pop V; push its owner I (slice/pointer, else 0) *)
-let op_addr_field_val = 137  (* field idx: pop owner I, struct V; push VPtr *)
+let op_owner = def 136 "owner" []
+    (* pop V; push its owner I (slice/pointer, else 0) *)
+let op_addr_field_val = def 137 "addr_field_val" [ Field ]
+    (* pop owner I, struct V; push VPtr *)
 
-let n_opcodes = 138
+(* Loop and indexing superinstructions over register and frame-slot
+   operands, read in place.  Each performs exactly the safepoints of the
+   sequence it replaces, through the same [Vm.vm_safepoint], in the same
+   order, and raises the same errors in the same order. *)
+let op_safepoints = def 138 "safepoints" [ Int ]  (* n safepoints in a row *)
+let op_loop_rinc = def 139 "loop_rinc" [ Reg; Delta; Name; Target ]
+    (* = safepoint; rinc; jmp head; safepoint (the head's), then on to
+       the condition *)
+let op_jlt_rlen_not =
+  def 140 "jlt_rlen_not" [ Reg; Name; Slot; Name; Target ]
+    (* = rload; vload; len; jlt_not *)
+let op_jlt_rr_not = def 141 "jlt_rr_not" [ Reg; Name; Reg; Name; Target ]
+    (* = rload; rload; jlt_not *)
+let op_jle_rr_not = def 142 "jle_rr_not" [ Reg; Name; Reg; Name; Target ]
+let op_jgt_rr_not = def 143 "jgt_rr_not" [ Reg; Name; Reg; Name; Target ]
+let op_jge_rr_not = def 144 "jge_rr_not" [ Reg; Name; Reg; Name; Target ]
+let op_jeq_rr_not = def 145 "jeq_rr_not" [ Reg; Name; Reg; Name; Target ]
+let op_jne_rr_not = def 146 "jne_rr_not" [ Reg; Name; Reg; Name; Target ]
+let op_index_i_sr = def 147 "index_i_sr" [ Slot; Name; Reg; Name ]
+    (* = vload; rload; index_i *)
+let op_store_index_sr = def 148 "store_index_sr" [ Slot; Name; Reg; Name ]
+    (* = vload; rload; store_index: pop value V *)
+
+let n_opcodes =
+  let n = ref 0 in
+  Array.iteri (fun op s -> if s <> None then n := op + 1) specs;
+  !n
+
+let spec op = if op >= 0 && op < n_opcodes then specs.(op) else None
+
+let op_name op =
+  match spec op with
+  | Some (name, _) -> name
+  | None -> Printf.sprintf "op%d" op
+
+(** Operand kinds of an opcode; empty for an undefined one. *)
+let operands op = match spec op with Some (_, kinds) -> kinds | None -> [||]
+
+(** Operand count per opcode (instruction width − 1). *)
+let arity op = Array.length (operands op)
 
 (** A map-key site's cache contents: the identity of the map the site
     last read.  Immutable, so a reader sees one coherent snapshot
@@ -249,168 +335,6 @@ type program = fn array
 (* Disassembler                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let op_name = function
-  | 0 -> "halt"
-  | 1 -> "safepoint"
-  | 2 -> "jmp"
-  | 3 -> "jmpifnot"
-  | 4 -> "jmpif"
-  | 5 -> "push_scope"
-  | 6 -> "pop_scope"
-  | 7 -> "ret"
-  | 8 -> "iconst"
-  | 9 -> "const"
-  | 10 -> "iload"
-  | 11 -> "bload"
-  | 12 -> "vload"
-  | 13 -> "giload"
-  | 14 -> "gbload"
-  | 15 -> "gvload"
-  | 16 -> "box_i"
-  | 17 -> "box_b"
-  | 18 -> "unbox_i"
-  | 19 -> "unbox_b"
-  | 20 -> "copy"
-  | 21 -> "pop_v"
-  | 22 -> "pop_i"
-  | 23 -> "add_i"
-  | 24 -> "sub_i"
-  | 25 -> "mul_i"
-  | 26 -> "div_i"
-  | 27 -> "mod_i"
-  | 28 -> "and_i"
-  | 29 -> "or_i"
-  | 30 -> "xor_i"
-  | 31 -> "shl_i"
-  | 32 -> "shr_i"
-  | 33 -> "neg_i"
-  | 34 -> "lt_i"
-  | 35 -> "le_i"
-  | 36 -> "gt_i"
-  | 37 -> "ge_i"
-  | 38 -> "eq_i"
-  | 39 -> "ne_i"
-  | 40 -> "not_b"
-  | 41 -> "binop"
-  | 42 -> "neg_v"
-  | 43 -> "decl"
-  | 44 -> "decl_zero"
-  | 45 -> "store_slot"
-  | 46 -> "store_gslot"
-  | 47 -> "store_slot_i"
-  | 48 -> "store_gslot_i"
-  | 49 -> "store_slot_b"
-  | 50 -> "store_gslot_b"
-  | 51 -> "store_deref"
-  | 52 -> "store_index"
-  | 53 -> "store_map"
-  | 54 -> "store_thru"
-  | 55 -> "index_v"
-  | 56 -> "index_i"
-  | 57 -> "index_b"
-  | 58 -> "field_v"
-  | 59 -> "field_i"
-  | 60 -> "field_b"
-  | 61 -> "mapget_v"
-  | 62 -> "mapget_i"
-  | 63 -> "mapget_b"
-  | 64 -> "mapget_ok"
-  | 65 -> "len"
-  | 66 -> "cap"
-  | 67 -> "itoa"
-  | 68 -> "rand"
-  | 69 -> "substr"
-  | 70 -> "slice_sub"
-  | 71 -> "slice_copy"
-  | 72 -> "deref"
-  | 73 -> "call"
-  | 74 -> "call_undef"
-  | 75 -> "go"
-  | 76 -> "go_undef"
-  | 77 -> "defer"
-  | 78 -> "defer_undef"
-  | 79 -> "check_len"
-  | 80 -> "make_slice"
-  | 81 -> "make_map"
-  | 82 -> "new"
-  | 83 -> "slice_lit"
-  | 84 -> "struct_lit"
-  | 85 -> "addr_struct_lit"
-  | 86 -> "append"
-  | 87 -> "addr_slot"
-  | 88 -> "addr_gslot"
-  | 89 -> "addr_index"
-  | 90 -> "addr_field_ptr"
-  | 91 -> "addr_field_slot"
-  | 92 -> "addr_field_gslot"
-  | 93 -> "tuple_check"
-  | 94 -> "tuple_get"
-  | 95 -> "print"
-  | 96 -> "tostr"
-  | 97 -> "tcfree"
-  | 98 -> "delete"
-  | 99 -> "panic"
-  | 100 -> "recover"
-  | 101 -> "range_start"
-  | 102 -> "range_next"
-  | 103 -> "range_pop"
-  | 104 -> "thunk_v"
-  | 106 -> "addk_i"
-  | 107 -> "subk_i"
-  | 108 -> "mulk_i"
-  | 109 -> "divk_i"
-  | 110 -> "modk_i"
-  | 111 -> "ltk_i"
-  | 112 -> "lek_i"
-  | 113 -> "gtk_i"
-  | 114 -> "gek_i"
-  | 115 -> "eqk_i"
-  | 116 -> "nek_i"
-  | 117 -> "sfield_v"
-  | 118 -> "sfield_i"
-  | 119 -> "fstore_i"
-  | 120 -> "jlt_not"
-  | 121 -> "jle_not"
-  | 122 -> "jgt_not"
-  | 123 -> "jge_not"
-  | 124 -> "jeq_not"
-  | 125 -> "jne_not"
-  | 126 -> "jltk_not"
-  | 127 -> "jlek_not"
-  | 128 -> "jgtk_not"
-  | 129 -> "jgek_not"
-  | 130 -> "jeqk_not"
-  | 131 -> "jnek_not"
-  | 132 -> "iinc"
-  | 133 -> "rload"
-  | 134 -> "rstore"
-  | 135 -> "rinc"
-  | 136 -> "owner"
-  | 137 -> "addr_field_val"
-  | op -> Printf.sprintf "op%d" op
-
-(** Operand count per opcode (instruction width − 1). *)
-let arity op =
-  match op with
-  | 2 | 3 | 4 | 7 | 8 | 9 | 41 | 43 | 64 | 70 | 81 | 84 | 90 | 94 | 95
-  | 101 | 104 | 106 | 107 | 108 | 109 | 110 | 111 | 112 | 113 | 114
-  | 115 | 116 | 119 | 120 | 121 | 122 | 123 | 124 | 125 | 137 ->
-    1
-  | 10 | 11 | 12 | 13 | 14 | 15 | 44 | 45 | 46 | 47 | 48 | 49 | 50 | 61
-  | 62 | 63 | 73 | 74 | 75 | 76 | 77 | 78 | 82 | 83 | 85 | 86 | 87 | 88
-  | 93 | 97 | 102 | 126 | 127 | 128 | 129 | 130 | 131 | 133 | 134 ->
-    2
-  | 58 | 59 | 60 | 80 | 91 | 92 | 132 | 135 -> 3
-  | 117 | 118 -> 5
-  | _ -> 0
-
-(* Which operand slots hold jump targets, per opcode. *)
-let jump_operand op =
-  match op with
-  | 2 | 3 | 4 | 101 | 120 | 121 | 122 | 123 | 124 | 125 -> Some 0
-  | 102 | 126 | 127 | 128 | 129 | 130 | 131 -> Some 1
-  | _ -> None
-
 let binop_name : Ast.binop -> string = function
   | Ast.Badd -> "+"
   | Ast.Bsub -> "-"
@@ -431,70 +355,58 @@ let binop_name : Ast.binop -> string = function
   | Ast.Band -> "&&"
   | Ast.Bor -> "||"
 
+(* One operand as the listing shows it: inline text, plus text for the
+   trailing comment (variable names, constants, operators). *)
+let show_operand (f : fn) kind v : string option * string option =
+  let idx tbl n =
+    if v >= 0 && v < Array.length tbl then Some (n tbl.(v)) else None
+  in
+  match kind with
+  | Int | Slot | Reg -> (Some (string_of_int v), None)
+  | Delta -> (Some (Printf.sprintf "%+d" v), None)
+  | Name -> (None, Some (Option.value (idx f.bf_names Fun.id) ~default:"?"))
+  | Target -> (Some (Printf.sprintf "-> %d" v), None)
+  | Cache -> (Some (Printf.sprintf "ic#%d" v), None)
+  | Field -> (Some (Printf.sprintf ".%d" v), None)
+  | Const -> (Some (string_of_int v), idx f.bf_consts Value.to_string)
+  | Binop -> (Some (string_of_int v), idx f.bf_binops binop_name)
+  | Site ->
+    ( Some
+        (Printf.sprintf "site#%d"
+           (Option.value (idx f.bf_sites (fun s -> s.Tast.site_id))
+              ~default:(-1))),
+      None )
+  | Tbl t -> (Some (Printf.sprintf "%s#%d" t v), None)
+  | Key k -> (Some (Printf.sprintf "%s=%d" k v), None)
+  | Enum names ->
+    (Some (if v >= 0 && v < Array.length names then names.(v) else "?"), None)
+
 let disasm_fn (b : Buffer.t) (f : fn) =
   Printf.bprintf b
     "func %s: slots=%d regs=%d stack=%d/%d code=%d caches=%d\n" f.bf_name
     f.bf_nslots f.bf_nregs f.bf_max_v f.bf_max_i (Array.length f.bf_code)
     (Array.length f.bf_caches);
   let code = f.bf_code in
-  let name i =
-    if i >= 0 && i < Array.length f.bf_names then f.bf_names.(i) else "?"
-  in
   let pc = ref 0 in
   while !pc < Array.length code do
     let op = code.(!pc) in
-    let o k = code.(!pc + 1 + k) in
-    Printf.bprintf b "  %4d  %-16s" !pc (op_name op);
-    (match op with
-    | 2 (* jmp *) -> Printf.bprintf b "-> %d" (o 0)
-    | 3 | 4 -> Printf.bprintf b "-> %d" (o 0)
-    | 7 | 8 | 84 | 94 | 95 -> Printf.bprintf b "%d" (o 0)
-    | 9 -> Printf.bprintf b "%d  ; %s" (o 0) (Value.to_string f.bf_consts.(o 0))
-    | 10 | 11 | 12 | 13 | 14 | 15 | 45 | 46 | 47 | 48 | 49 | 50 | 87 | 88
-    | 133 | 134 ->
-      Printf.bprintf b "%d  ; %s" (o 0) (name (o 1))
-    | 41 ->
-      Printf.bprintf b "%d  ; %s" (o 0) (binop_name f.bf_binops.(o 0))
-    | 43 -> Printf.bprintf b "decl#%d" (o 0)
-    | 44 -> Printf.bprintf b "decl#%d zero#%d" (o 0) (o 1)
-    | 58 | 59 | 60 ->
-      Printf.bprintf b ".%d ic#%d  ; %s" (o 0) (o 1) (name (o 2))
-    | 61 | 62 | 63 -> Printf.bprintf b "zero#%d ic#%d" (o 0) (o 1)
-    | 64 -> Printf.bprintf b "zero#%d" (o 0)
-    | 70 -> Printf.bprintf b "flags=%d" (o 0)
-    | 73 | 75 | 77 -> Printf.bprintf b "fn#%d nargs=%d" (o 0) (o 1)
-    | 74 | 76 | 78 -> Printf.bprintf b "%s nargs=%d" (name (o 0)) (o 1)
-    | 80 ->
-      Printf.bprintf b "site#%d zero#%d cap=%b"
-        f.bf_sites.(o 0).Tast.site_id (o 1) (o 2 = 1)
-    | 81 -> Printf.bprintf b "site#%d" f.bf_sites.(o 0).Tast.site_id
-    | 82 | 83 | 85 | 86 ->
-      Printf.bprintf b "site#%d %d" f.bf_sites.(o 0).Tast.site_id (o 1)
-    | 90 -> Printf.bprintf b ".%d" (o 0)
-    | 91 | 92 ->
-      Printf.bprintf b "%d .%d  ; %s" (o 0) (o 1) (name (o 2))
-    | 93 ->
-      Printf.bprintf b "%d %s" (o 0)
-        (if o 1 = 0 then "decl" else "assign")
-    | 97 ->
-      Printf.bprintf b "%d %s" (o 0)
-        (match o 1 with 0 -> "slice" | 1 -> "map" | _ -> "obj")
-    | 101 -> Printf.bprintf b "exit -> %d" (o 0)
-    | 102 -> Printf.bprintf b "decl#%d end -> %d" (o 0) (o 1)
-    | 104 -> Printf.bprintf b "thunk#%d" (o 0)
-    | 106 | 107 | 108 | 109 | 110 | 111 | 112 | 113 | 114 | 115 | 116 ->
-      Printf.bprintf b "%d" (o 0)
-    | 117 | 118 ->
-      Printf.bprintf b "%d .%d ic#%d  ; %s.%s" (o 0) (o 1) (o 2)
-        (name (o 3)) (name (o 4))
-    | 119 | 137 -> Printf.bprintf b ".%d" (o 0)
-    | 120 | 121 | 122 | 123 | 124 | 125 -> Printf.bprintf b "-> %d" (o 0)
-    | 126 | 127 | 128 | 129 | 130 | 131 ->
-      Printf.bprintf b "%d -> %d" (o 0) (o 1)
-    | 132 | 135 -> Printf.bprintf b "%d %+d  ; %s" (o 0) (o 1) (name (o 2))
-    | _ -> ());
+    let kinds = operands op in
+    let shown =
+      Array.to_list
+        (Array.mapi
+           (fun k kind ->
+             let at = !pc + 1 + k in
+             show_operand f kind
+               (if at < Array.length code then code.(at) else 0))
+           kinds)
+    in
+    Printf.bprintf b "  %4d  %-16s%s" !pc (op_name op)
+      (String.concat " " (List.filter_map fst shown));
+    (match List.filter_map snd shown with
+    | [] -> ()
+    | notes -> Printf.bprintf b "  ; %s" (String.concat " " notes));
     Buffer.add_char b '\n';
-    pc := !pc + 1 + arity op
+    pc := !pc + 1 + Array.length kinds
   done
 
 let disasm (p : program) : string =

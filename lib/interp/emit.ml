@@ -237,6 +237,21 @@ let opjmpifnot f l =
   end
   else opjmp f ~dv:0 ~di:(-1) B.op_jmpifnot [] l
 
+(* Emit a statement safepoint, merging it into an immediately preceding
+   [safepoint] or [safepoints n] (same reasoning as {!opjmpifnot}: no
+   label points between them).  The merged instruction runs the same
+   safepoints, in the same order, in one dispatch. *)
+let opsafepoint f =
+  let code = f.code in
+  let p = f.last_pos in
+  if p >= 0 && p = code.iv_n - 1 && code.iv_a.(p) = B.op_safepoint then begin
+    code.iv_a.(p) <- B.op_safepoints;
+    ipush code 2
+  end
+  else if p >= 0 && p = code.iv_n - 2 && code.iv_a.(p) = B.op_safepoints then
+    code.iv_a.(p + 1) <- code.iv_a.(p + 1) + 1
+  else op0 f ~dv:0 ~di:0 B.op_safepoint
+
 let name_idx f s =
   match Hashtbl.find_opt f.names_tbl s with
   | Some i -> i
@@ -251,6 +266,10 @@ let is_global (v : Tast.var) = v.Tast.v_kind = Tast.Vglobal
 
 (* The register holding local [v], or -1 when it lives in a frame cell. *)
 let reg f v = if is_global v then -1 else f.regs.(slot f v)
+
+(* A local that lives in a frame cell: the slice or string operand an
+   indexing or [len] superinstruction reads in place. *)
+let frame_local f v = (not (is_global v)) && reg f v < 0
 
 let new_cache f =
   let i = f.ncaches in
@@ -424,6 +443,11 @@ let rec emit_i f (e : Tast.expr) =
   | Tast.Tunop (Ast.Uneg, a) when is_int e ->
     emit_i f a;
     op0 f ~dv:0 ~di:0 B.op_neg_i
+  | Tast.Tindex
+      ({ Tast.desc = Tast.Tvar a; _ }, { Tast.desc = Tast.Tvar i; _ })
+    when is_int e && frame_local f a && reg f i >= 0 ->
+    opn f ~dv:0 ~di:1 B.op_index_i_sr
+      [ slot f a; name_idx f a.Tast.v_name; reg f i; name_idx f i.Tast.v_name ]
   | Tast.Tindex (a, i) when is_int e ->
     emit_v f a;
     emit_i f i;
@@ -468,10 +492,9 @@ and emit_b f (e : Tast.expr) =
     emit_load_i f v ~local:B.op_bload ~global:B.op_gbload
   | Tast.Tbinop (Ast.Band, a, b) ->
     (* lazy: if a then b else false, like the reference walker *)
-    emit_b f a;
     let l_false = new_label f in
     let l_end = new_label f in
-    opjmpifnot f l_false;
+    emit_cond f a l_false;
     let base_i = f.cur_i in
     emit_b f b;
     opjmp f ~dv:0 ~di:0 B.op_jmp [] l_end;
@@ -717,6 +740,41 @@ and emit_v_raw f (e : Tast.expr) =
     op1 f ~dv:(-1) ~di:0 B.op_mapget_ok z
   | Tast.Trecover -> op0 f ~dv:1 ~di:0 B.op_recover
 
+(* Branch to [l] unless [c] holds.  A register compared with a register,
+   or with the length of a frame local, is read in place by one
+   compare-and-branch superinstruction; [a && b] branches on each operand
+   in turn, short-circuiting like the reference walker, without
+   materializing the flag; anything else is evaluated onto the I stack
+   for a (compare-fused) [jmpifnot]. *)
+and emit_cond f (c : Tast.expr) l =
+  match c.Tast.desc with
+  | Tast.Tbinop (Ast.Band, a, b) ->
+    emit_cond f a l;
+    emit_cond f b l
+  | Tast.Tbinop
+      ( Ast.Blt,
+        { Tast.desc = Tast.Tvar a; _ },
+        { Tast.desc = Tast.Tlen { Tast.desc = Tast.Tvar x; _ }; _ } )
+    when a.Tast.v_ty = Types.Int && reg f a >= 0 && frame_local f x ->
+    opjmp f ~dv:0 ~di:0 B.op_jlt_rlen_not
+      [ reg f a; name_idx f a.Tast.v_name; slot f x; name_idx f x.Tast.v_name ]
+      l
+  | Tast.Tbinop
+      (op, { Tast.desc = Tast.Tvar a; _ }, { Tast.desc = Tast.Tvar b; _ })
+    when a.Tast.v_ty = Types.Int && b.Tast.v_ty = Types.Int && reg f a >= 0
+         && reg f b >= 0 && int_cmp_opcode op <> None ->
+    let opc =
+      match int_cmp_opcode op with
+      | Some opc -> B.op_jlt_rr_not + (opc - B.op_lt_i)
+      | None -> assert false
+    in
+    opjmp f ~dv:0 ~di:0 opc
+      [ reg f a; name_idx f a.Tast.v_name; reg f b; name_idx f b.Tast.v_name ]
+      l
+  | _ ->
+    emit_b f c;
+    opjmpifnot f l
+
 (* An int or bool variable onto the I stack: its register, or its frame
    or global cell through [local]/[global]. *)
 and emit_load_i f (v : Tast.var) ~local ~global =
@@ -791,6 +849,11 @@ and emit_assign f (lv : Tast.lvalue) =
   | Tast.Lderef e ->
     emit_v f e;
     op0 f ~dv:(-2) ~di:0 B.op_store_deref
+  | Tast.Lindex
+      ({ Tast.desc = Tast.Tvar a; _ }, { Tast.desc = Tast.Tvar i; _ })
+    when frame_local f a && reg f i >= 0 ->
+    opn f ~dv:(-1) ~di:0 B.op_store_index_sr
+      [ slot f a; name_idx f a.Tast.v_name; reg f i; name_idx f i.Tast.v_name ]
   | Tast.Lindex (a, i) ->
     emit_v f a;
     emit_i f i;
@@ -841,13 +904,13 @@ let emit_reg_value f (v : Tast.var) e =
 let rec emit_stmt f (s : Tast.stmt) =
   match s with
   | Tast.Sdecl (v, init) when reg f v >= 0 ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     (match init with
     | Some e -> emit_reg_value f v e
     | None -> op1 f ~dv:0 ~di:1 B.op_iconst 0);
     op2 f ~dv:0 ~di:(-1) B.op_rstore (reg f v) (name_idx f v.Tast.v_name)
   | Tast.Sdecl (v, init) -> begin
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     let d = tbl_add f.decls (declare f.ctx v) in
     match init with
     | Some e ->
@@ -861,7 +924,7 @@ let rec emit_stmt f (s : Tast.stmt) =
       op2 f ~dv:0 ~di:0 B.op_decl_zero d z
   end
   | Tast.Smulti_decl (vars, e) ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     emit_v f e;
     let n = List.length vars in
     op2 f ~dv:0 ~di:0 B.op_tuple_check n 0;
@@ -874,7 +937,7 @@ let rec emit_stmt f (s : Tast.stmt) =
       vars;
     op0 f ~dv:(-1) ~di:0 B.op_pop_v
   | Tast.Sassign (lv, e) -> begin
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     (* right-hand side first, then target resolution *)
     match lv with
     | Tast.Lvar v when reg f v >= 0 -> begin
@@ -923,7 +986,7 @@ let rec emit_stmt f (s : Tast.stmt) =
       emit_assign f lv
   end
   | Tast.Smulti_assign (lvs, e) ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     emit_v f e;
     let n = List.length lvs in
     op2 f ~dv:0 ~di:0 B.op_tuple_check n 1;
@@ -934,22 +997,21 @@ let rec emit_stmt f (s : Tast.stmt) =
       lvs;
     op0 f ~dv:(-1) ~di:0 B.op_pop_v
   | Tast.Sexpr e ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     emit_v f e;
     op0 f ~dv:(-1) ~di:0 B.op_pop_v
   | Tast.Sif (c, b1, b2) -> begin
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
-    emit_b f c;
+    opsafepoint f;
     match b2 with
     | None ->
       let l_end = new_label f in
-      opjmpifnot f l_end;
+      emit_cond f c l_end;
       emit_block f b1;
       mark f l_end
     | Some b2 ->
       let l_else = new_label f in
       let l_end = new_label f in
-      opjmpifnot f l_else;
+      emit_cond f c l_else;
       emit_block f b1;
       opjmp f ~dv:0 ~di:0 B.op_jmp [] l_end;
       mark f l_else;
@@ -957,7 +1019,7 @@ let rec emit_stmt f (s : Tast.stmt) =
       mark f l_end
   end
   | Tast.Sfor (init, cond, post, body) ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     (* the for scope covers init, condition, post and body *)
     let scoped = stack_allocates f { body with Tast.b_stmts = [ s ] } in
     if scoped then op0 f ~dv:0 ~di:0 B.op_push_scope;
@@ -968,20 +1030,33 @@ let rec emit_stmt f (s : Tast.stmt) =
     (match init with Some s -> emit_stmt f s | None -> ());
     mark f l_head;
     op0 f ~dv:0 ~di:0 B.op_safepoint;
-    (match cond with
-    | Some c ->
-      emit_b f c;
-      opjmpifnot f l_exit
-    | None -> ());
+    (* a post statement [v += k] on a register local, the jump back and
+       the head's safepoint fuse into one [loop_rinc] that lands just
+       past that safepoint *)
+    let back =
+      match post with
+      | Some (Tast.Sassign (Tast.Lvar v, e)) when reg f v >= 0 ->
+        Option.map (fun k -> (v, k)) (iinc_delta f v e)
+      | _ -> None
+    in
+    let l_cond = new_label f in
+    if back <> None then mark f l_cond;
+    (match cond with Some c -> emit_cond f c l_exit | None -> ());
     emit_block f body;
     mark f l_post;
-    (match post with Some s -> emit_stmt f s | None -> ());
-    opjmp f ~dv:0 ~di:0 B.op_jmp [] l_head;
+    (match back with
+    | Some (v, k) ->
+      opjmp f ~dv:0 ~di:0 B.op_loop_rinc
+        [ reg f v; k; name_idx f v.Tast.v_name ]
+        l_cond
+    | None ->
+      Option.iter (emit_stmt f) post;
+      opjmp f ~dv:0 ~di:0 B.op_jmp [] l_head);
     mark f l_exit;
     if scoped then op0 f ~dv:0 ~di:0 B.op_pop_scope;
     f.scopes <- List.tl f.scopes
   | Tast.Sforrange_map (v, m, body) ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     emit_v f m;
     let l_next = new_label f in
     let l_end = new_label f in
@@ -995,7 +1070,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     mark f l_end;
     f.scopes <- List.tl f.scopes
   | Tast.Sreturn es ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     List.iter
       (fun e ->
         emit_v f e;
@@ -1006,10 +1081,10 @@ let rec emit_stmt f (s : Tast.stmt) =
        the reference walker's block handlers *)
     op1 f ~dv:(-n) ~di:0 B.op_ret n
   | Tast.Sblock b ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     emit_block f b
   | Tast.Sgo (name, args) -> begin
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     List.iter
       (fun e ->
         emit_v f e;
@@ -1021,7 +1096,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     | None -> op2 f ~dv:(-n) ~di:0 B.op_go_undef (name_idx f name) n
   end
   | Tast.Sdefer (name, args) -> begin
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     List.iter
       (fun e ->
         emit_v f e;
@@ -1033,11 +1108,11 @@ let rec emit_stmt f (s : Tast.stmt) =
     | None -> op2 f ~dv:(-n) ~di:0 B.op_defer_undef (name_idx f name) n
   end
   | Tast.Spanic e ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     emit_v f e;
     op0 f ~dv:(-1) ~di:0 B.op_panic
   | Tast.Sbreak -> begin
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     (* pop the block scopes between here and the loop; the loop's own
        scope (Sfor) pops at its exit label *)
     let rec unwind = function
@@ -1058,7 +1133,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     unwind f.scopes
   end
   | Tast.Scontinue -> begin
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     let rec unwind = function
       | Kblock :: rest ->
         op0 f ~dv:0 ~di:0 B.op_pop_scope;
@@ -1073,12 +1148,12 @@ let rec emit_stmt f (s : Tast.stmt) =
     unwind f.scopes
   end
   | Tast.Sdelete (m, k) ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     emit_v f m;
     emit_v f k;
     op0 f ~dv:(-2) ~di:0 B.op_delete
   | Tast.Sprint es ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     List.iter
       (fun e ->
         emit_v f e;
@@ -1086,7 +1161,7 @@ let rec emit_stmt f (s : Tast.stmt) =
       es;
     op1 f ~dv:(-List.length es) ~di:0 B.op_print (List.length es)
   | Tast.Stcfree (v, kind) ->
-    op0 f ~dv:0 ~di:0 B.op_safepoint;
+    opsafepoint f;
     if v.Tast.v_kind <> Tast.Vglobal then
       op2 f ~dv:0 ~di:0 B.op_tcfree (slot f v) (free_kind_code kind)
 

@@ -50,9 +50,21 @@
     storage the program cannot observe: register locals
     ([rload]/[rstore]/[rinc]) live in the first [bf_nregs] words of the
     call's int-stack window rather than in frame cells, and blocks with
-    no stack-allocation site open no scope (see {!Emit}).  The opcode
-    numbering is frozen in {!Bytecode}; the literal patterns below must
-    stay in sync. *)
+    no stack-allocation site open no scope (see {!Emit}).
+
+    Superinstructions fuse the hot sequences the emitter recognises:
+    constant-operand arithmetic and compares, compare-and-branch, field
+    reads and stores, and the loop and indexing forms that read a
+    register or frame slot in place — a counted loop's back edge
+    ([loop_rinc]), [reg < len(local)] and register-register branches,
+    slot-indexed reads and stores, and runs of statement safepoints
+    ([safepoints n]).  Each fused case is the literal composition of
+    the cases it replaces and obeys the safepoint-exact rule: it calls
+    {!vm_safepoint} exactly as often, in the same order relative to its
+    other effects, as the unfused sequence, and raises the same errors
+    in the same order, so step counts, yield points, GC points and the
+    sampler's clock do not move.  The opcode numbering is frozen in
+    {!Bytecode}; the literal patterns below must stay in sync. *)
 
 open Minigo
 module B = Bytecode
@@ -94,7 +106,7 @@ let safepoint_slow (r : regs) = Interp.safepoint_slow r.x_st
    body the innermost frame of the current goroutine is [r.x_fr], so
    the [cur_frame] list walk is unnecessary.  The common step touches
    three fields and falls through. *)
-let vm_safepoint (r : regs) =
+let[@inline] vm_safepoint (r : regs) =
   let st = r.x_st in
   let steps = st.steps + 1 in
   st.steps <- steps;
@@ -151,6 +163,41 @@ let index_value (va : Value.value) (vi : int) : Value.value =
     Value.vint (Char.code s.[vi])
   | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
   | _ -> raise (Runtime_error "cannot index this value")
+
+(* [index_i]'s element read, shared with [index_i_sr]: the common case
+   (an int element of a live slice, a byte of a string) inline, the rest
+   through the full base match. *)
+let[@inline] index_int (va : Value.value) (vi : int) : int =
+  match va with
+  | Value.VSlice s when vi >= 0 && vi < s.Value.s_len -> begin
+    match Array.unsafe_get s.Value.s_cells (s.Value.s_off + vi) with
+    | Value.VInt n -> n
+    | _ -> as_int (Value.read_elem s.Value.s_cells (s.Value.s_off + vi))
+  end
+  | Value.VStr s when vi >= 0 && vi < String.length s ->
+    (* byte of a string, sans the boxed VInt the generic path makes *)
+    Char.code (String.unsafe_get s vi)
+  | _ -> as_int (index_value va vi)
+
+(* [store_index]'s write, shared with [store_index_sr]. *)
+let[@inline] store_index (va : Value.value) (vi : int) (v : Value.value) =
+  match va with
+  | Value.VSlice s ->
+    if vi < 0 || vi >= s.Value.s_len then
+      raise (Panic (Value.VStr "index out of range"));
+    s.Value.s_cells.(s.Value.s_off + vi) <- Value.copy v
+  | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
+  | _ -> raise (Runtime_error "cannot assign into this value")
+
+(* [vload]'s read of a frame slot, for the superinstructions that read
+   their slice operand in place: the same unbound and poison checks. *)
+let[@inline] slot_value (r : regs) s nidx : Value.value =
+  match Array.unsafe_get r.x_slots s with
+  | Bdirect c | Bboxed (_, c) -> (
+    match cget c with
+    | Value.VPoison -> raise (Value.Corruption "read of freed memory")
+    | v -> v)
+  | Bunbound -> unbound_local r nidx
 
 (* Shared by the three field opcodes: base normalization (implicit
    pointer dereference), the struct-shape inline-cache bookkeeping, and
@@ -506,16 +553,10 @@ let rec loop (r : regs) pc sp_v sp_i =
     | _ -> raise (Runtime_error "assignment through non-pointer"));
     loop r (pc + 1) (sp_v - 2) sp_i
   | 52 (* store_index *) ->
-    let vi = Array.unsafe_get stk_i (sp_i - 1) in
-    let va = Array.unsafe_get stk_v (sp_v - 1) in
-    let v = Array.unsafe_get stk_v (sp_v - 2) in
-    (match va with
-    | Value.VSlice s ->
-      if vi < 0 || vi >= s.Value.s_len then
-        raise (Panic (Value.VStr "index out of range"));
-      s.Value.s_cells.(s.Value.s_off + vi) <- Value.copy v
-    | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
-    | _ -> raise (Runtime_error "cannot assign into this value"));
+    store_index
+      (Array.unsafe_get stk_v (sp_v - 1))
+      (Array.unsafe_get stk_i (sp_i - 1))
+      (Array.unsafe_get stk_v (sp_v - 2));
     loop r (pc + 1) (sp_v - 2) (sp_i - 1)
   | 53 (* store_map *) ->
     let vk = Array.unsafe_get stk_v (sp_v - 1) in
@@ -539,21 +580,10 @@ let rec loop (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v (sp_v - 1) (index_value va vi);
     loop r (pc + 1) sp_v (sp_i - 1)
   | 56 (* index_i *) ->
-    let vi = Array.unsafe_get stk_i (sp_i - 1) in
-    let va = Array.unsafe_get stk_v (sp_v - 1) in
-    (* the common case inlined: int element of a live slice *)
-    (match va with
-    | Value.VSlice s when vi >= 0 && vi < s.Value.s_len -> begin
-      match Array.unsafe_get s.Value.s_cells (s.Value.s_off + vi) with
-      | Value.VInt n -> Array.unsafe_set stk_i (sp_i - 1) n
-      | _ ->
-        Array.unsafe_set stk_i (sp_i - 1)
-          (as_int (Value.read_elem s.Value.s_cells (s.Value.s_off + vi)))
-    end
-    | Value.VStr s when vi >= 0 && vi < String.length s ->
-      (* byte of a string, sans the boxed VInt the generic path makes *)
-      Array.unsafe_set stk_i (sp_i - 1) (Char.code (String.unsafe_get s vi))
-    | _ -> Array.unsafe_set stk_i (sp_i - 1) (as_int (index_value va vi)));
+    Array.unsafe_set stk_i (sp_i - 1)
+      (index_int
+         (Array.unsafe_get stk_v (sp_v - 1))
+         (Array.unsafe_get stk_i (sp_i - 1)));
     loop r (pc + 1) (sp_v - 1) sp_i
   | 57 (* index_b *) ->
     let vi = Array.unsafe_get stk_i (sp_i - 1) in
@@ -1347,6 +1377,90 @@ let rec loop (r : regs) pc sp_v sp_i =
               cells.(Array.unsafe_get code (pc + 1))))
     | _ -> raise (Runtime_error "field of non-struct"));
     loop r (pc + 2) sp_v (sp_i - 1)
+  (* Loop and indexing superinstructions.  Each performs the safepoints
+     of the sequence it replaces, in the same order relative to its other
+     effects, and raises the same errors in the same order. *)
+  | 138 (* safepoints n *) ->
+    for _ = 1 to Array.unsafe_get code (pc + 1) do
+      vm_safepoint r
+    done;
+    loop r (pc + 2) sp_v sp_i
+  | 139 (* loop_rinc = safepoint; rinc; jmp head; safepoint *) ->
+    vm_safepoint r;
+    let i = r.x_rb + Array.unsafe_get code (pc + 1) in
+    Array.unsafe_set stk_i i
+      (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
+    vm_safepoint r;
+    loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
+  | 140 (* jlt_rlen_not = rload; vload; len; jlt_not *) ->
+    let a = Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1)) in
+    let n =
+      match
+        slot_value r (Array.unsafe_get code (pc + 3))
+          (Array.unsafe_get code (pc + 4))
+      with
+      | Value.VSlice s -> s.Value.s_len
+      | Value.VStr s -> String.length s
+      | Value.VMap addr -> map_len r.x_st addr
+      | Value.VNil -> 0
+      | _ -> raise (Runtime_error "len of unsupported value")
+    in
+    if a < n then loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 141 (* jlt_rr_not = rload; rload; jlt_not *) ->
+    if
+      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
+      < Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+    then loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 142 (* jle_rr_not *) ->
+    if
+      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
+      <= Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+    then loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 143 (* jgt_rr_not *) ->
+    if
+      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
+      > Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+    then loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 144 (* jge_rr_not *) ->
+    if
+      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
+      >= Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+    then loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 145 (* jeq_rr_not *) ->
+    if
+      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
+      = Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+    then loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 146 (* jne_rr_not *) ->
+    if
+      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
+      <> Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+    then loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 147 (* index_i_sr = vload; rload; index_i *) ->
+    let va =
+      slot_value r (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get code (pc + 2))
+    in
+    Array.unsafe_set stk_i sp_i
+      (index_int va
+         (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))));
+    loop r (pc + 5) sp_v (sp_i + 1)
+  | 148 (* store_index_sr = vload; rload; store_index *) ->
+    let va =
+      slot_value r (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get code (pc + 2))
+    in
+    store_index va
+      (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
+      (Array.unsafe_get stk_v (sp_v - 1));
+    loop r (pc + 5) (sp_v - 1) sp_i
   | op -> raise (Runtime_error ("vm: bad opcode " ^ string_of_int op))
 
 (* Release the scopes a [ret] or an exception left open, innermost

@@ -192,6 +192,41 @@ let test_cli_rejects_closure_engine () =
       Alcotest.(check bool) "--engine closure exits non-zero" true
         (run "closure" <> 0))
 
+(* [--domains] above the host's core count prints one warning line on
+   stderr and changes nothing else: same exit code, same output.  At the
+   core count there is no warning. *)
+let test_cli_warns_oversubscribed_domains () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "gofreec.exe" in
+  let src = Filename.temp_file "gofree-domains" ".go" in
+  let out = Filename.temp_file "gofree-domains" ".out" in
+  let err = Filename.temp_file "gofree-domains" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; out; err ])
+    (fun () ->
+      Out_channel.with_open_bin src (fun oc -> output_string oc src_free);
+      let run domains =
+        let code =
+          Sys.command
+            (Printf.sprintf "%s run %s --domains %d > %s 2> %s"
+               (Filename.quote exe) (Filename.quote src) domains
+               (Filename.quote out) (Filename.quote err))
+        in
+        let read f = In_channel.with_open_bin f In_channel.input_all in
+        (code, read out, read err)
+      in
+      let cores = Domain.recommended_domain_count () in
+      let code_ok, out_ok, err_ok = run cores in
+      let code_over, out_over, err_over = run (cores + 1) in
+      Alcotest.(check int) "exits 0 at the core count" 0 code_ok;
+      Alcotest.(check string) "no warning at the core count" "" err_ok;
+      Alcotest.(check int) "same exit code above it" code_ok code_over;
+      Alcotest.(check string) "same output above it" out_ok out_over;
+      match String.split_on_char '\n' err_over with
+      | [ line; "" ] ->
+        Alcotest.(check bool) "one warning line naming --domains" true
+          (String.starts_with ~prefix:"gofreec: warning: --domains" line)
+      | _ -> Alcotest.failf "expected one warning line, got %S" err_over)
+
 (* ---- content keys ---- *)
 
 let test_source_key () =
@@ -312,6 +347,8 @@ let suite =
     Alcotest.test_case "error discipline" `Quick test_error_discipline;
     Alcotest.test_case "cli rejects --engine closure" `Quick
       test_cli_rejects_closure_engine;
+    Alcotest.test_case "cli warns when --domains exceeds the cores" `Quick
+      test_cli_warns_oversubscribed_domains;
     Alcotest.test_case "source key" `Quick test_source_key;
     Alcotest.test_case "schema tags" `Quick test_schema_tags;
     Alcotest.test_case "schema check diagnostics" `Quick test_schema_check;

@@ -1092,6 +1092,299 @@ let concurrent_cases =
           results);
   ]
 
+(* ---- loop and indexing superinstructions -------------------------- *)
+
+(* The emitter fuses a counted loop's back edge ([loop_rinc]), register
+   compares and [i < len(x)] ([j*_rr_not], [jlt_rlen_not]), slot-indexed
+   reads and stores ([index_i_sr], [store_index_sr]) and runs of
+   statement safepoints ([safepoints n]).  Each fused form must perform
+   exactly the safepoints of the sequence it replaces, so besides the
+   output and metrics the sampled series (one sample every few steps)
+   must match step for step, and a small [yield_every] makes the
+   goroutine switches land inside the fused instructions. *)
+
+let sampled_run ~engine ~yield_every src =
+  let config = Gofree_core.Config.gofree in
+  let run_config =
+    {
+      (run_config ~engine ~config ~poison:false) with
+      Gofree_interp.Interp.yield_every;
+      sample_every = 7;
+    }
+  in
+  Gofree_interp.Runner.compile_and_run ~gofree_config:config ~run_config src
+
+(* The sampled series without its wall-clock field. *)
+let series (r : Gofree_interp.Runner.result) =
+  match r.Gofree_interp.Runner.sampler with
+  | None -> Alcotest.fail "no sampled series"
+  | Some s ->
+    List.map
+      (fun (x : Rt.Sampler.sample) ->
+        Printf.sprintf "%d %d %d %d %d %d" x.Rt.Sampler.sm_step
+          x.Rt.Sampler.sm_heap_live x.Rt.Sampler.sm_span_bytes
+          x.Rt.Sampler.sm_gc_cycles x.Rt.Sampler.sm_alloced_bytes
+          x.Rt.Sampler.sm_freed_bytes)
+      (Rt.Sampler.samples s)
+
+let check_sampled_identical ~name ?(yield_every = 512) src =
+  let run engine = sampled_run ~engine ~yield_every src in
+  let r_ref = run Gofree_interp.Interp.Eng_reference in
+  let r_vm = run Gofree_interp.Interp.Eng_bytecode in
+  let label what =
+    Printf.sprintf "%s: %s (yield_every %d)" name what yield_every
+  in
+  Alcotest.(check string)
+    (label "output") r_ref.Gofree_interp.Runner.output
+    r_vm.Gofree_interp.Runner.output;
+  Alcotest.(check int)
+    (label "steps") r_ref.Gofree_interp.Runner.steps
+    r_vm.Gofree_interp.Runner.steps;
+  Alcotest.(check string)
+    (label "metrics")
+    (metrics_fingerprint r_ref.Gofree_interp.Runner.metrics)
+    (metrics_fingerprint r_vm.Gofree_interp.Runner.metrics);
+  Alcotest.(check (list string))
+    (label "sampled series") (series r_ref) (series r_vm)
+
+(* The opcodes a function's listing must contain. *)
+let check_fused ~name src expected =
+  List.iter
+    (fun (fn, op) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s emits %s" name fn op)
+        true
+        (List.exists (fun l -> opcode l = op) (listing src fn)))
+    expected
+
+let src_fused_loops =
+  {|
+// continue jumps to the fused back edge
+func skip(n int) int {
+  total := 0
+  for i := 0; i < n; i++ {
+    if i%3 == 0 {
+      continue
+    }
+    total += i
+  }
+  return total
+}
+
+// i-- and i += 3 back edges, register-register conditions
+func steps(n int) int {
+  s := 0
+  for i := n; i > 0; i-- {
+    s += i
+  }
+  m := n * 2
+  for i := 0; i < m; i += 3 {
+    s = s*3 + i
+  }
+  lo := n / 2
+  for i := m; i >= lo; i -= 2 {
+    s -= i
+  }
+  k := 4
+  for i := 0; i != k; i++ {
+    s += k
+  }
+  return s
+}
+
+// i < len(x) over a string, a map that grows, a nil slice and a slice
+// the body reassigns
+func lens(n int) int {
+  s := 0
+  str := "fused"
+  for i := 0; i < len(str); i++ {
+    s += str[i]
+  }
+  m := make(map[int]int)
+  m[0] = 1
+  for i := 0; i < len(m); i++ {
+    if i < n {
+      m[i+1] = i
+    }
+    s += i
+  }
+  var ns []int
+  for i := 0; i < len(ns); i++ {
+    s += 1000
+  }
+  xs := make([]int, 2)
+  for i := 0; i < len(xs); i++ {
+    if len(xs) < n {
+      xs = append(xs, i)
+    }
+    xs[i] = xs[i] + i*2
+    s += xs[i]
+  }
+  return s
+}
+
+// a loop with no condition, and statements that open with a run of
+// safepoints
+func forever(n int) int {
+  c := 0
+  for i := 0; ; i++ {
+    {
+      {
+        c += i
+      }
+    }
+    if i == n {
+      break
+    }
+  }
+  return c
+}
+
+// && in a loop condition and in an if: each operand branches on its
+// own, the right one only when the left one held
+func scan(n int) int {
+  xs := make([]int, n)
+  for i := 0; i < n; i++ {
+    xs[i] = (i * 7) % 5
+  }
+  c := 0
+  for i := 0; i < len(xs) && xs[i] != 4; i++ {
+    c++
+  }
+  for i := 0; i < n; i++ {
+    if xs[i] > 0 && c > 1 && i%2 == 0 {
+      c += xs[i]
+    }
+  }
+  return c
+}
+
+func main() {
+  println(skip(40), steps(30), lens(9), forever(25), scan(12))
+}
+|}
+
+let src_fused_panics =
+  {|
+func guard() {
+  msg := recover()
+  println("recovered:", msg)
+}
+
+func readPast(n int) int {
+  defer guard()
+  s := make([]int, 3)
+  t := 0
+  for i := 0; i < n; i++ {
+    t += s[i]
+  }
+  return t
+}
+
+func writePast(n int) int {
+  defer guard()
+  s := make([]int, 3)
+  for i := 0; i < n; i++ {
+    s[i] = i
+  }
+  return s[2]
+}
+
+func readNil() int {
+  defer guard()
+  var s []int
+  i := 0
+  return s[i]
+}
+
+func writeNil() int {
+  defer guard()
+  var s []int
+  i := 1
+  s[i] = 5
+  return 1
+}
+
+func below() int {
+  defer guard()
+  s := make([]int, 4)
+  i := -1
+  s[i] = 2
+  return 0
+}
+
+func main() {
+  println(readPast(2), readPast(5))
+  println(writePast(3), writePast(4))
+  println(readNil(), writeNil(), below())
+}
+|}
+
+let src_fused_goroutines =
+  {|
+var out map[int]int
+
+func worker(id int, xs []int) {
+  acc := 0
+  for i := 0; i < len(xs); i++ {
+    xs[i] = xs[i] + id
+    acc += xs[i]
+  }
+  n := id + 5
+  for j := 0; j < n; j++ {
+    {
+      acc += j
+    }
+  }
+  out[id] = acc
+}
+
+func main() {
+  out = make(map[int]int)
+  for g := 0; g < 5; g++ {
+    xs := make([]int, 40+g)
+    go worker(g, xs)
+  }
+  total := 0
+  for g := 0; g < 5; g++ {
+    total += out[g]
+  }
+  println(total, len(out))
+}
+|}
+
+let fused_cases =
+  let case name src ~fused ~yields =
+    Alcotest.test_case name `Quick (fun () ->
+        check_fused ~name src fused;
+        check_identical ~name src;
+        check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
+          src;
+        check_poison_silent ~name src;
+        List.iter
+          (fun yield_every -> check_sampled_identical ~name ~yield_every src)
+          yields)
+  in
+  [
+    case "fused loops" src_fused_loops ~yields:[ 512; 3 ]
+      ~fused:
+        [ ("skip", "loop_rinc"); ("steps", "jlt_rr_not");
+          ("steps", "jne_rr_not"); ("steps", "jge_rr_not");
+          ("lens", "jlt_rlen_not"); ("lens", "index_i_sr");
+          ("forever", "safepoints"); ("forever", "loop_rinc");
+          ("scan", "jlt_rlen_not"); ("scan", "jnek_not") ];
+    case "fused index panics" src_fused_panics ~yields:[ 512 ]
+      ~fused:
+        [ ("readPast", "index_i_sr"); ("writePast", "store_index_sr");
+          ("readNil", "index_i_sr"); ("writeNil", "store_index_sr") ];
+    case "fused forms under goroutines" src_fused_goroutines
+      ~yields:[ 1; 2; 5 ]
+      ~fused:
+        [ ("worker", "jlt_rlen_not"); ("worker", "store_index_sr");
+          ("worker", "loop_rinc"); ("worker", "safepoints");
+          ("worker", "jlt_rr_not") ];
+  ]
+
 (* ---- random programs ----------------------------------------------- *)
 
 let prop_random_identical =
@@ -1133,4 +1426,5 @@ let prop_random_identical =
 let suite =
   workload_cases @ feature_cases @ storage_cases @ aliasing_cases
   @ struct_addr_cases @ call_cases @ range_order_cases @ concurrent_cases
+  @ fused_cases
   @ [ QCheck_alcotest.to_alcotest prop_random_identical ]

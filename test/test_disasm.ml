@@ -55,6 +55,98 @@ let test_disasm_matches_run () =
          > 100)
   | Error e -> Alcotest.fail (Gofree_api.error_message e)
 
+(* ---- the opcode table ---------------------------------------------- *)
+
+module B = Gofree_interp.Bytecode
+
+(* Every opcode has its own real name in the one table. *)
+let test_opcode_names () =
+  let seen = Hashtbl.create 64 in
+  for op = 0 to B.n_opcodes - 1 do
+    let name = B.op_name op in
+    Alcotest.(check bool)
+      (Printf.sprintf "opcode %d has a name" op)
+      false
+      (name = Printf.sprintf "op%d" op);
+    Alcotest.(check bool)
+      (Printf.sprintf "opcode %d's name %s is unique" op name)
+      false (Hashtbl.mem seen name);
+    Hashtbl.add seen name ()
+  done
+
+let lower src =
+  let config = Gofree_core.Config.gofree in
+  let c = Gofree_core.Pipeline.compile ~config src in
+  let program = c.Gofree_core.Pipeline.c_program in
+  let decisions =
+    Gofree_interp.Decisions.of_analysis c.Gofree_core.Pipeline.c_analysis
+      program
+  in
+  Gofree_interp.Emit.lower program decisions
+    (Gofree_interp.Layout.of_program program)
+
+(* Walking a function by the table's widths lands exactly on the end of
+   its code, every opcode met is defined, and every jump target is the
+   start of an instruction. *)
+let check_walk name (f : B.fn) =
+  let code = f.B.bf_code in
+  let n = Array.length code in
+  let starts = Hashtbl.create 64 in
+  let targets = ref [] in
+  let pc = ref 0 in
+  while !pc < n do
+    let op = code.(!pc) in
+    if op < 0 || op >= B.n_opcodes then
+      Alcotest.failf "%s.%s: undefined opcode %d at %d" name f.B.bf_name op
+        !pc;
+    Hashtbl.replace starts !pc ();
+    Array.iteri
+      (fun k kind ->
+        if kind = B.Target && !pc + 1 + k < n then
+          targets := code.(!pc + 1 + k) :: !targets)
+      (B.operands op);
+    pc := !pc + 1 + B.arity op
+  done;
+  Alcotest.(check int)
+    (Printf.sprintf "%s.%s: walk ends at the end of the code" name
+       f.B.bf_name)
+    n !pc;
+  List.iter
+    (fun t ->
+      if not (Hashtbl.mem starts t) then
+        Alcotest.failf "%s.%s: jump target %d is not an instruction" name
+          f.B.bf_name t)
+    !targets;
+  let b = Buffer.create 256 in
+  B.disasm_fn b f;
+  Alcotest.(check int)
+    (Printf.sprintf "%s.%s: one listing line per instruction" name
+       f.B.bf_name)
+    (Hashtbl.length starts + 1)
+    (List.length
+       (String.split_on_char '\n' (String.trim (Buffer.contents b))))
+
+(* The seven benchmark programs sit beside the repository's sources. *)
+let perfbench_programs =
+  let dir =
+    let beside =
+      Filename.concat (Filename.dirname Sys.executable_name)
+        "../perfbench/programs"
+    in
+    if Sys.file_exists beside then beside else "../perfbench/programs"
+  in
+  List.map
+    (fun p -> Filename.concat dir (p ^ ".go"))
+    [ "gocompiler"; "hugo"; "badger"; "json"; "scheck"; "slayout"; "fanout" ]
+
+let test_walks () =
+  List.iter
+    (fun path ->
+      let name = Filename.basename path in
+      Array.iter (check_walk name) (lower (read_file path)))
+    (perfbench_programs
+    @ [ golden "arith_loop.go"; golden "maps_structs.go" ])
+
 let suite =
   [
     Alcotest.test_case "golden arith_loop" `Quick
@@ -63,4 +155,6 @@ let suite =
       (check_golden "maps_structs");
     Alcotest.test_case "disasm consistent with run" `Quick
       test_disasm_matches_run;
+    Alcotest.test_case "every opcode named" `Quick test_opcode_names;
+    Alcotest.test_case "listings walk to the end" `Quick test_walks;
   ]
