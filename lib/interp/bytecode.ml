@@ -5,8 +5,8 @@
     ids, absolute jump targets — resolved at emission time by {!Emit},
     with jump-to-jump chains threaded).  Values that cannot be encoded
     as ints live in per-function side tables: a constant pool, the
-    allocation sites, zero-value makers, per-variable declaration
-    closures ({!Emit.declare}), the error-path thunks, and the
+    allocation sites, zero-value makers, the homes of declared
+    variables ({!home}), the error-path thunks, and the
     inline-cache records for map-key and struct-field access sites.
 
     The dispatch loop itself lives in {!Vm}; the opcode numbering here
@@ -303,6 +303,18 @@ let empty_centry =
 
 let fresh_cache () = { c_a = -1; c_e = empty_centry }
 
+(** Where a variable lives for the call, resolved at emission time: an
+    int or bool register (see {!Emit.register_slots}), or a frame slot
+    holding a fresh cell — [Hbox] when {!Decisions} boxes the variable,
+    with the heap box's size.  Parameters are bound to their homes on
+    entry ([bf_params]); declared locals by [decl] ([bf_decls], never a
+    register: register locals are written by [rstore]). *)
+type home =
+  | Hint of int  (* register *)
+  | Hbool of int  (* register *)
+  | Hcell of int  (* frame slot *)
+  | Hbox of int * int  (* frame slot, heap-box size in bytes *)
+
 (** One lowered function: the flat code plus its side tables.  The
     header fields pre-size the frame slot array and both operand stacks
     for the whole call. *)
@@ -318,15 +330,17 @@ type fn = {
   bf_zeros : (unit -> Value.value) array;
   bf_binops : Ast.binop array;
   bf_names : string array;  (* variable/callee names for errors/disasm *)
-  bf_decls : (Interp.state -> Interp.frame -> Value.value -> unit) array;
+  bf_decls : home array;  (* [decl] operands *)
   bf_thunks : (Interp.state -> Interp.frame -> Value.value) array;
   bf_caches : cache array;
-  bf_bind : Interp.state -> Interp.frame -> Value.value array -> int -> unit;
-      (* binds the parameters from the arguments at an offset, through
-         the per-parameter declarers *)
+  bf_params : home array;  (* in declaration order *)
+  bf_pnames : string array;
   bf_zeros_ret : Interp.state -> Value.value;
       (* the packed zero results, for falling off the end or a
          recovered panic *)
+  mutable bf_prog : fn array;
+      (* the program this function belongs to: [call] operands index
+         it.  Set once, right after the whole program is lowered. *)
 }
 
 type program = fn array
@@ -381,11 +395,22 @@ let show_operand (f : fn) kind v : string option * string option =
   | Enum names ->
     (Some (if v >= 0 && v < Array.length names then names.(v) else "?"), None)
 
+(* A parameter's home as the function header shows it. *)
+let show_param name = function
+  | Hint r | Hbool r -> Printf.sprintf "%s:r%d" name r
+  | Hcell s -> Printf.sprintf "%s:s%d" name s
+  | Hbox (s, _) -> Printf.sprintf "%s:box%d" name s
+
 let disasm_fn (b : Buffer.t) (f : fn) =
   Printf.bprintf b
-    "func %s: slots=%d regs=%d stack=%d/%d code=%d caches=%d\n" f.bf_name
+    "func %s: slots=%d regs=%d stack=%d/%d code=%d caches=%d%s\n" f.bf_name
     f.bf_nslots f.bf_nregs f.bf_max_v f.bf_max_i (Array.length f.bf_code)
-    (Array.length f.bf_caches);
+    (Array.length f.bf_caches)
+    (if f.bf_params = [||] then ""
+     else
+       " params="
+       ^ String.concat ","
+           (Array.to_list (Array.map2 show_param f.bf_pnames f.bf_params)));
   let code = f.bf_code in
   let pc = ref 0 in
   while !pc < Array.length code do

@@ -12,15 +12,16 @@
     the reference walker ({!Interp.eval}, [Interp.exec_stmt],
     [Interp.eval_addr]) step by step and call the same shared helpers
     in the same order — the differential suite holds the VM and the
-    walker to byte-identical observable behaviour.  Declarations run a
-    per-variable closure ({!declare}) with the boxing decision baked in;
+    walker to byte-identical observable behaviour.  A declaration names
+    its variable's home ({!declare}: slot, boxing decision, box size);
     three error paths (the address of a map element, break/continue
     outside a loop) raise from a [thunk_v] closure.  Two storage
     decisions depart from the walker without changing anything
-    observable: int/bool locals that nothing but this function's
-    bytecode can see live in native registers ({!register_slots}), and
-    blocks that cannot stack-allocate open no scope
-    ({!stack_allocates}). *)
+    observable: int/bool locals and parameters that nothing but this
+    function's bytecode can see live in native registers
+    ({!register_slots}), and blocks that cannot stack-allocate open no
+    scope ({!stack_allocates}).  {!param_homes} tells the VM where
+    each parameter goes. *)
 
 open Minigo
 module B = Bytecode
@@ -33,22 +34,14 @@ type ctx = {
   layout : Layout.t;
 }
 
-(* Binding a declared variable: boxing decision, heap-box size and slot
-   resolved at emission time (mirrors [Interp.declare_var]). *)
-let declare ctx (v : Tast.var) :
-    Interp.state -> Interp.frame -> Value.value -> unit =
+(* Where a declared variable that is not a register lives: its frame
+   slot, with the boxing decision and heap-box size resolved at emission
+   time (mirrors [Interp.declare_var]). *)
+let declare ctx (v : Tast.var) : B.home =
   let s = Layout.slot ctx.layout v in
-  if Decisions.var_is_boxed ctx.decisions v then begin
-    let size = max 8 (Types.size_of ctx.tenv v.Tast.v_ty) in
-    fun st fr value ->
-      let c = [| value |] in
-      let obj =
-        Interp.alloc_heap_obj st ~category:Rt.Metrics.Cat_other ~size
-          ~payload:(Value.Pcells c)
-      in
-      fr.Interp.slots.(s) <- Interp.Bboxed (obj.Rt.Heap.addr, c)
-  end
-  else fun _st fr value -> fr.Interp.slots.(s) <- Interp.Bdirect [| value |]
+  if Decisions.var_is_boxed ctx.decisions v then
+    B.Hbox (s, max 8 (Types.size_of ctx.tenv v.Tast.v_ty))
+  else B.Hcell s
 
 (* Growable int vector (the code buffer). *)
 type ivec = { mutable iv_a : int array; mutable iv_n : int }
@@ -92,7 +85,7 @@ type fctx = {
   binops : Ast.binop tbl;
   names : string tbl;
   names_tbl : (string, int) Hashtbl.t;
-  decls : (Interp.state -> Interp.frame -> Value.value -> unit) tbl;
+  decls : B.home tbl;
   thunks : (Interp.state -> Interp.frame -> Value.value) tbl;
   mutable ncaches : int;
   mutable labels : int array;  (* label id -> code offset, -1 unset *)
@@ -280,6 +273,10 @@ let is_int (e : Tast.expr) = e.Tast.ty = Types.Int
 
 let is_bool (e : Tast.expr) = e.Tast.ty = Types.Bool
 
+(* Only a struct value has copy semantics: {!Value.copy} is the identity
+   on every other value, so [copy] is emitted for struct types alone. *)
+let is_struct = function Types.Struct _ -> true | _ -> false
+
 let int_binop_opcode = function
   | Ast.Badd -> Some B.op_add_i
   | Ast.Bsub -> Some B.op_sub_i
@@ -334,21 +331,32 @@ let mirror_cmp = function
 (* Storage decisions                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Register locals: which int/bool locals of [fn] live in VM registers
-   (slots of the call's int-stack window, read and written only by
-   [rload]/[rstore]/[rinc]) instead of frame cells.  A local qualifies
-   when nothing but this function's bytecode reaches its storage:
-   - it is declared by a plain [Sdecl], with type int or bool, and
-     {!Decisions} leaves it unboxed (a boxed local is a heap object);
+(* Register locals: which int/bool locals and parameters of [fn] live
+   in VM registers (slots of the call's int-stack window, read and
+   written only by [rload]/[rstore]/[rinc]) instead of frame cells.  A
+   variable qualifies when nothing but this function's bytecode reaches
+   its storage:
+   - it is a parameter, or a local declared by a plain [Sdecl], with
+     type int or bool, and {!Decisions} leaves it unboxed (a boxed one is
+     a heap object);
    - it is never address-taken and never a target of a multi-value
      assignment (both reach the cell through its frame binding).
    An int or bool cell holds no heap pointer, so the frame slot it leaves
-   unbound was never a GC root, and every read of a local is lexically
-   preceded by its declaration, which writes the register.  Returns the
-   frame slot -> register map (-1 = frame cell) and the register count. *)
+   unbound was never a GC root.  A parameter's register is written from
+   the argument window on entry, before the body runs, and every read of
+   a local is lexically preceded by its declaration, which writes the
+   register.  Parameters take the first registers, in order.  Returns
+   the frame slot -> register map (-1 = frame cell) and the register
+   count. *)
 let register_slots (ctx : ctx) (fn : Tast.func) nslots =
   let regs = Array.make nslots (-1) in
-  let candidates = ref [] in
+  let unboxed_scalar (v : Tast.var) =
+    (v.Tast.v_ty = Types.Int || v.Tast.v_ty = Types.Bool)
+    && not (Decisions.var_is_boxed ctx.decisions v)
+  in
+  let candidates =
+    ref (List.rev (List.filter unboxed_scalar fn.Tast.f_params))
+  in
   let excluded = Hashtbl.create 8 in
   let exclude (lv : Tast.lvalue) =
     match lv with
@@ -364,10 +372,8 @@ let register_slots (ctx : ctx) (fn : Tast.func) nslots =
   Tast.iter_stmts
     (fun s ->
       (match s with
-      | Tast.Sdecl (v, _)
-        when (v.Tast.v_ty = Types.Int || v.Tast.v_ty = Types.Bool)
-             && v.Tast.v_kind = Tast.Vlocal
-             && not (Decisions.var_is_boxed ctx.decisions v) ->
+      | Tast.Sdecl (v, _) when v.Tast.v_kind = Tast.Vlocal && unboxed_scalar v
+        ->
         candidates := v :: !candidates
       | Tast.Smulti_assign (lvs, _) -> List.iter exclude lvs
       | _ -> ());
@@ -569,6 +575,11 @@ and emit_v f (e : Tast.expr) =
     op0 f ~dv:1 ~di:(-1) B.op_box_b
   | _ -> emit_v_raw f e
 
+(* [emit_v], then the assignment copy of a struct value. *)
+and emit_v_copy f (e : Tast.expr) =
+  emit_v f e;
+  if is_struct e.Tast.ty then op0 f ~dv:0 ~di:0 B.op_copy
+
 and emit_v_raw f (e : Tast.expr) =
   match e.Tast.desc with
   | Tast.Tint n ->
@@ -654,24 +665,21 @@ and emit_v_raw f (e : Tast.expr) =
   | Tast.Tslice_lit (site, _, es) ->
     List.iter
       (fun e ->
-        emit_v f e;
-        op0 f ~dv:0 ~di:0 B.op_copy)
+        emit_v_copy f e)
       es;
     let n = List.length es in
     op2 f ~dv:(1 - n) ~di:0 B.op_slice_lit (tbl_add f.sites site) n
   | Tast.Tstruct_lit (_, es) ->
     List.iter
       (fun e ->
-        emit_v f e;
-        op0 f ~dv:0 ~di:0 B.op_copy)
+        emit_v_copy f e)
       es;
     let n = List.length es in
     op1 f ~dv:(1 - n) ~di:0 B.op_struct_lit n
   | Tast.Taddr_struct_lit (site, _, es) ->
     List.iter
       (fun e ->
-        emit_v f e;
-        op0 f ~dv:0 ~di:0 B.op_copy)
+        emit_v_copy f e)
       es;
     let n = List.length es in
     op2 f ~dv:(1 - n) ~di:0 B.op_addr_struct_lit (tbl_add f.sites site) n
@@ -679,8 +687,7 @@ and emit_v_raw f (e : Tast.expr) =
     emit_v f s;
     List.iter
       (fun e ->
-        emit_v f e;
-        op0 f ~dv:0 ~di:0 B.op_copy)
+        emit_v_copy f e)
       vs;
     let n = List.length vs in
     op2 f ~dv:(-n) ~di:0 B.op_append (tbl_add f.sites site) n
@@ -914,8 +921,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     let d = tbl_add f.decls (declare f.ctx v) in
     match init with
     | Some e ->
-      emit_v f e;
-      op0 f ~dv:0 ~di:0 B.op_copy;
+      emit_v_copy f e;
       op1 f ~dv:(-1) ~di:0 B.op_decl d
     | None ->
       let tenv = f.ctx.tenv in
@@ -932,7 +938,7 @@ let rec emit_stmt f (s : Tast.stmt) =
       (fun i v ->
         let d = tbl_add f.decls (declare f.ctx v) in
         op1 f ~dv:1 ~di:0 B.op_tuple_get i;
-        op0 f ~dv:0 ~di:0 B.op_copy;
+        if is_struct v.Tast.v_ty then op0 f ~dv:0 ~di:0 B.op_copy;
         op1 f ~dv:(-1) ~di:0 B.op_decl d)
       vars;
     op0 f ~dv:(-1) ~di:0 B.op_pop_v
@@ -1073,8 +1079,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     opsafepoint f;
     List.iter
       (fun e ->
-        emit_v f e;
-        op0 f ~dv:0 ~di:0 B.op_copy)
+        emit_v_copy f e)
       es;
     let n = List.length es in
     (* the VM pops the open scopes as it returns, innermost first like
@@ -1087,8 +1092,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     opsafepoint f;
     List.iter
       (fun e ->
-        emit_v f e;
-        op0 f ~dv:0 ~di:0 B.op_copy)
+        emit_v_copy f e)
       args;
     let n = List.length args in
     match Layout.func_id f.ctx.layout name with
@@ -1099,8 +1103,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     opsafepoint f;
     List.iter
       (fun e ->
-        emit_v f e;
-        op0 f ~dv:0 ~di:0 B.op_copy)
+        emit_v_copy f e)
       args;
     let n = List.length args in
     match Layout.func_id f.ctx.layout name with
@@ -1196,6 +1199,17 @@ let patch_and_thread f =
   in
   List.iter (fun (pos, _) -> code.(pos) <- resolve code.(pos)) f.patches
 
+(* Each parameter's home: its register, or what {!declare} gives. *)
+let param_homes ctx regs (fn : Tast.func) =
+  Array.of_list
+    (List.map
+       (fun (v : Tast.var) ->
+         let r = regs.(Layout.slot ctx.layout v) in
+         if r < 0 then declare ctx v
+         else if v.Tast.v_ty = Types.Bool then B.Hbool r
+         else B.Hint r)
+       fn.Tast.f_params)
+
 let emit_func (ctx : ctx) (fn : Tast.func) fid : B.fn =
   let nslots = ctx.layout.Layout.l_nslots.(fid) in
   let regs, nregs = register_slots ctx fn nslots in
@@ -1203,7 +1217,6 @@ let emit_func (ctx : ctx) (fn : Tast.func) fid : B.fn =
   emit_block f fn.Tast.f_body;
   op0 f ~dv:0 ~di:0 B.op_halt;
   patch_and_thread f;
-  let pdecls = Array.of_list (List.map (declare ctx) fn.Tast.f_params) in
   let tenv = ctx.tenv in
   let rtys = fn.Tast.f_results in
   {
@@ -1221,19 +1234,17 @@ let emit_func (ctx : ctx) (fn : Tast.func) fid : B.fn =
     bf_decls = tbl_array f.decls;
     bf_thunks = tbl_array f.thunks;
     bf_caches = Array.init f.ncaches (fun _ -> B.fresh_cache ());
-    bf_bind =
-      (fun st fr args off ->
-        for i = 0 to Array.length pdecls - 1 do
-          match args.(off + i) with
-          | Value.VStruct _ as v -> pdecls.(i) st fr (Value.copy v)
-          | v -> pdecls.(i) st fr v  (* Value.copy is the identity here *)
-        done);
+    bf_params = param_homes ctx regs fn;
+    bf_pnames =
+      Array.of_list
+        (List.map (fun (v : Tast.var) -> v.Tast.v_name) fn.Tast.f_params);
     bf_zeros_ret =
       (match rtys with
       | [] -> fun _st -> Value.VUnit
       | _ ->
         fun _st ->
           Interp.pack_results (List.map (fun ty -> Value.zero tenv ty) rtys));
+    bf_prog = [||];
   }
 
 (** Lower every function of the program to bytecode (emits an ["emit"]
@@ -1243,4 +1254,8 @@ let lower (program : Tast.program) (decisions : Decisions.t)
   let module Trace = Gofree_obs.Trace in
   Trace.with_span ~tid:(Trace.domain_tid ()) "emit" (fun () ->
       let ctx = { tenv = program.Tast.p_tenv; decisions; layout } in
-      Array.mapi (fun i fn -> emit_func ctx fn i) layout.Layout.l_funcs)
+      let prog =
+        Array.mapi (fun i fn -> emit_func ctx fn i) layout.Layout.l_funcs
+      in
+      Array.iter (fun f -> f.B.bf_prog <- prog) prog;
+      prog)

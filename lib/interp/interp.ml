@@ -46,8 +46,18 @@ type binding =
   | Bdirect of Value.cell
   | Bboxed of int * Value.cell  (** heap box address + its cell *)
 
+(* Engine-private state kept with a pooled frame: the bytecode VM
+   stores its dispatch registers here, so a frame reuses them call after
+   call. *)
+type frame_ext = ..
+
+type frame_ext += No_ext
+
 type frame = {
-  slots : binding array;  (** locals by {!Layout} frame slot *)
+  mutable slots : binding array;
+      (** locals by {!Layout} frame slot.  A pooled frame keeps the
+          longest array any of its calls needed; slots past the live
+          call's count stay [Bunbound]. *)
   mutable defers : (int * Value.value array) list;
       (** interned function id + evaluated arguments *)
   mutable stack_objs : Rt.Heap.obj list list;
@@ -56,13 +66,20 @@ type frame = {
       (** open scopes inside the innermost entry of [stack_objs] that
           have no registered objects yet (see {!push_scope}) *)
   mutable temps : Value.value list;  (** GC pins for the current statement *)
+  mutable ext : frame_ext;
 }
 
 type goroutine = {
   g_id : int;
-  mutable g_frames : frame list;
+  mutable g_frames : frame array;
+      (* Frame pool.  Calls within one goroutine are strictly LIFO even
+         across yields and panics, so the live frames are exactly
+         [g_frames.(0) .. g_frames.(g_depth - 1)], innermost last; the
+         records above them are released, hold no binding, and are
+         reused by the next calls. *)
+  mutable g_depth : int;
   (* Operand-stack pool for the bytecode VM.  Calls within one
-     goroutine are strictly LIFO even across yields, so each [Vm.exec]
+     goroutine are strictly LIFO even across yields, so each [Vm.run]
      carves a window out of these arrays and restores the top on exit
      (including the unwind path).  The windows are dead at every
      safepoint and are not simulated-GC roots. *)
@@ -230,9 +247,45 @@ let rand_int st bound =
 (* ------------------------------------------------------------------ *)
 
 let cur_frame st =
-  match st.current.g_frames with
-  | f :: _ -> f
-  | [] -> raise (Runtime_error "no active frame")
+  let g = st.current in
+  if g.g_depth = 0 then raise (Runtime_error "no active frame")
+  else Array.unsafe_get g.g_frames (g.g_depth - 1)
+
+let new_frame () =
+  { slots = [||]; defers = []; stack_objs = []; lazy_scopes = 0; temps = [];
+    ext = No_ext }
+
+(* Acquire the goroutine's next pooled frame with at least [nslots]
+   unbound slots.  Growing the pool copies the live frame records, so
+   references to them stay valid. *)
+let push_frame st nslots =
+  let g = st.current in
+  let d = g.g_depth in
+  if d = Array.length g.g_frames then begin
+    let old = g.g_frames in
+    g.g_frames <-
+      Array.init (max 8 (2 * d)) (fun i ->
+          if i < d then Array.unsafe_get old i else new_frame ())
+  end;
+  let fr = Array.unsafe_get g.g_frames d in
+  if Array.length fr.slots < nslots then
+    fr.slots <- Array.make nslots Bunbound;
+  g.g_depth <- d + 1;
+  fr
+
+(* Release the innermost frame, whose call used [nslots] slots: unbind
+   them and drop the statement pins, so the pooled record holds no
+   simulated-heap pointer while it waits for the next call. *)
+let pop_frame st fr nslots =
+  let slots = fr.slots in
+  for s = 0 to nslots - 1 do
+    (* register variables left their slots unbound: skip the barrier *)
+    if Array.unsafe_get slots s != Bunbound then
+      Array.unsafe_set slots s Bunbound
+  done;
+  if fr.temps != [] then fr.temps <- [];
+  let g = st.current in
+  g.g_depth <- g.g_depth - 1
 
 (* Scopes are materialized lazily: entering one only bumps a counter,
    and the per-scope object list springs into existence when the first
@@ -332,21 +385,23 @@ let emit_str st s =
   end
   else Buffer.add_string st.output s
 
-(* Root enumeration: globals, then every registered goroutine's frames
-   (newest goroutine first) and the arguments of goroutines that were
-   spawned but have not started — they may sit queued across a GC. *)
+(* Root enumeration: globals, then every registered goroutine's live
+   frames (newest goroutine first, innermost frame first) and the
+   arguments of goroutines that were spawned but have not started —
+   they may sit queued across a GC.  Released pool frames are not
+   roots. *)
 let iter_roots_par (p : parctx) ~(globals : binding array) (k : int -> unit) =
   Array.iter (fun b -> trace_binding b k) globals;
   List.iter
     (fun ((g : goroutine), (_ : state)) ->
-      List.iter
-        (fun f ->
-          Array.iter (fun b -> trace_binding b k) f.slots;
-          List.iter (fun v -> Value.trace v k) f.temps;
-          List.iter
-            (fun (_, args) -> Array.iter (fun v -> Value.trace v k) args)
-            f.defers)
-        g.g_frames;
+      for d = g.g_depth - 1 downto 0 do
+        let f = g.g_frames.(d) in
+        Array.iter (fun b -> trace_binding b k) f.slots;
+        List.iter (fun v -> Value.trace v k) f.temps;
+        List.iter
+          (fun (_, args) -> Array.iter (fun v -> Value.trace v k) args)
+          f.defers
+      done;
       Array.iter (fun v -> Value.trace v k) g.g_pending)
     p.p_regs
 
@@ -436,7 +491,7 @@ let spawn_goroutine st fid args =
   Mutex.lock p.p_mutex;
   p.p_spawns <- p.p_spawns + 1;
   let g =
-    { g_id = p.p_spawns; g_frames = []; g_pending = args;
+    { g_id = p.p_spawns; g_frames = [||]; g_depth = 0; g_pending = args;
       g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 }
   in
   let gst =
@@ -907,6 +962,24 @@ let pop_all_scopes st frame =
     frame.stack_objs <- [];
     release_scopes st.heap scopes
 
+(* Run the frame's defers, pop its scopes and release it.  A deferred
+   call that panics does not skip the release: the pool's depth stays
+   the call depth and the released frame holds no binding. *)
+let leave_frame st frame nslots =
+  match frame.defers with
+  | [] ->
+    pop_all_scopes st frame;
+    pop_frame st frame nslots
+  | _ -> (
+    match run_defers st frame with
+    | () ->
+      pop_all_scopes st frame;
+      pop_frame st frame nslots
+    | exception e ->
+      pop_all_scopes st frame;
+      pop_frame st frame nslots;
+      raise e)
+
 (** A call's results as one value: [VUnit] for none, the value itself
     for one, a [VTuple] for more. *)
 let pack_results = function
@@ -914,52 +987,44 @@ let pack_results = function
   | [ v ] -> v
   | vs -> Value.VTuple vs
 
-(** The shared call protocol: push a pre-sized frame, bind the
-    arguments ([args] from [off] on), run the body to its results, then
-    run defers / pop scopes on every exit path — a normal return, and
-    panic unwinding with its recover handshake.  Both execution modes
-    call functions through here, parameterized by how the body runs.
-    The normal path raises nothing: the body hands back its packed
-    results ({!pack_results}), the zero values when it fell off the
-    end. *)
+(** The shared call protocol: acquire a pooled frame, run [body] on
+    [data] and the arguments ([args] from [off] on) — it binds the
+    parameters and runs to the packed results ({!pack_results}) —, then
+    run defers, pop scopes and release the frame on every exit path: a
+    normal return, panic unwinding with its recover handshake, where
+    [zeros st data] gives the results of a recovered call, and a
+    deferred call that panics.  Both
+    execution modes call functions through here, parameterized by how
+    the body runs; [body] and [zeros] are top-level functions, so a call
+    allocates no closure and the normal path raises nothing. *)
 let call_fn st ~nslots
-    ~(bind : state -> frame -> Value.value array -> int -> unit)
-    ~(body : state -> frame -> Value.value) ~(zeros : state -> Value.value)
+    ~(body : state -> frame -> 'a -> Value.value array -> int -> Value.value)
+    ~(zeros : state -> 'a -> Value.value) (data : 'a)
     (args : Value.value array) (off : int) : Value.value =
-  let frame =
-    {
-      slots = Array.make nslots Bunbound;
-      defers = [];
-      stack_objs = [];
-      lazy_scopes = 0;
-      (* no GC can run before the arguments are bound: the first
-         safepoint is the body's *)
-      temps = [];
-    }
-  in
-  st.current.g_frames <- frame :: st.current.g_frames;
-  match
-    bind st frame args off;
-    body st frame
-  with
+  (* no GC can run before the arguments are bound: the first safepoint
+     is the body's *)
+  let frame = push_frame st nslots in
+  match body st frame data args off with
   | results ->
-    run_defers st frame;
-    pop_all_scopes st frame;
-    st.current.g_frames <- List.tl st.current.g_frames;
+    leave_frame st frame nslots;
     results
   | exception Panic v ->
     (* run this frame's defers while unwinding; a recover() inside one of
-       them clears the panic and the function returns zero values *)
+       them clears the panic and the function returns zero values.  A
+       defer that panics replaces this panic: the new one propagates and
+       the unwinding state is the caller's again. *)
     let outer = st.unwinding in
     st.unwinding <- Some v;
-    run_defers st frame;
-    pop_all_scopes st frame;
-    st.current.g_frames <- List.tl st.current.g_frames;
+    (match leave_frame st frame nslots with
+    | () -> ()
+    | exception e ->
+      st.unwinding <- outer;
+      raise e);
     (match st.unwinding with
     | None ->
       (* recovered *)
       st.unwinding <- outer;
-      zeros st
+      zeros st data
     | Some v ->
       st.unwinding <- outer;
       raise (Panic v))
@@ -1363,24 +1428,21 @@ and call_function st name (args : Value.value array) : Value.value =
 (** Reference call path: interpret the function body by tree-walking.
     The default [dispatch] of a state. *)
 and call_by_id st fid (args : Value.value array) off : Value.value =
-  let f = st.layout.Layout.l_funcs.(fid) in
-  let zeros st =
-    pack_results
-      (List.map
-         (fun ty -> Value.zero st.program.Tast.p_tenv ty)
-         f.Tast.f_results)
-  in
-  call_fn st ~nslots:st.layout.Layout.l_nslots.(fid)
-    ~bind:(fun st frame args off ->
-      List.iteri
-        (fun i p -> declare_var st frame p (Value.copy args.(off + i)))
-        f.Tast.f_params)
-    ~body:(fun st _frame ->
-      (* falling off the end yields the zero values *)
-      match exec_block st f.Tast.f_body with
-      | () -> zeros st
-      | exception Return_values vs -> vs)
-    ~zeros args off
+  call_fn st ~nslots:st.layout.Layout.l_nslots.(fid) ~body:walk_body
+    ~zeros:walk_zeros st.layout.Layout.l_funcs.(fid) args off
+
+and walk_body st frame (f : Tast.func) args off =
+  List.iteri
+    (fun i p -> declare_var st frame p (Value.copy args.(off + i)))
+    f.Tast.f_params;
+  (* falling off the end yields the zero values *)
+  match exec_block st f.Tast.f_body with
+  | () -> walk_zeros st f
+  | exception Return_values vs -> vs
+
+and walk_zeros st (f : Tast.func) =
+  pack_results
+    (List.map (fun ty -> Value.zero st.program.Tast.p_tenv ty) f.Tast.f_results)
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)

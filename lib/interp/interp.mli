@@ -31,8 +31,16 @@ type binding =
   | Bdirect of Value.cell
   | Bboxed of int * Value.cell
 
+(** Engine-private state kept with a pooled frame (the bytecode VM's
+    dispatch registers); [No_ext] until an engine stores its own. *)
+type frame_ext = ..
+
+type frame_ext += No_ext
+
 type frame = {
-  slots : binding array;  (** locals by {!Layout} frame slot *)
+  mutable slots : binding array;
+      (** locals by {!Layout} frame slot; may be longer than the live
+          call needs, the excess unbound *)
   mutable defers : (int * Value.value array) list;
       (** interned function id + evaluated arguments *)
   mutable stack_objs : Rt.Heap.obj list list;
@@ -41,11 +49,16 @@ type frame = {
           stack object has registered in them *)
   mutable temps : Value.value list;
       (** GC pins for values produced in the current statement *)
+  mutable ext : frame_ext;
 }
 
 type goroutine = {
   g_id : int;
-  mutable g_frames : frame list;
+  mutable g_frames : frame array;
+      (** frame pool: [g_frames.(0) .. g_frames.(g_depth - 1)] are the
+          live frames, innermost last; the rest are released and hold no
+          binding *)
+  mutable g_depth : int;
   (* operand-stack pool for the bytecode VM; windows are strictly LIFO
      within a goroutine and never alive across a safepoint *)
   mutable g_stk_v : Value.value array;
@@ -148,9 +161,9 @@ and ptask = {
 val make_parctx : nd:int -> seed:int64 -> parctx
 
 (** Enumerate every root address: globals, then each registered
-    goroutine's frame slots, statement pins, pending defer arguments
-    and — for a goroutine that has not started — its spawn
-    arguments. *)
+    goroutine's live frames (slots, statement pins, pending defer
+    arguments) and — for a goroutine that has not started — its spawn
+    arguments.  Released pool frames are not roots. *)
 val iter_roots_par :
   parctx -> globals:binding array -> (int -> unit) -> unit
 
@@ -181,6 +194,16 @@ val call_by_id : state -> int -> Value.value array -> int -> Value.value
     allocator-visible event. *)
 
 val cur_frame : state -> frame
+
+(** Acquire the current goroutine's next pooled frame, with at least the
+    given number of unbound slots.  {!call_fn} does this for every call;
+    the runner also uses it for the synthetic frame the global
+    initializers run in. *)
+val push_frame : state -> int -> frame
+
+(** Release the innermost frame, unbinding the given number of slots and
+    its statement pins. *)
+val pop_frame : state -> frame -> int -> unit
 
 (** Statement boundary: step accounting, pin reset, GC poll, sampler
     poll, cooperative yield. *)
@@ -287,18 +310,22 @@ val tcfree_binding : state -> binding -> Tast.free_kind -> unit
     for one, a [VTuple] for more. *)
 val pack_results : Value.value list -> Value.value
 
-(** The shared call protocol: push a pre-sized frame, [bind] the
-    arguments (read from the array at the offset), run [body] to its
-    packed results; defers, scope release and the panic/recover
-    handshake happen on every exit path.  [zeros] gives the packed zero
-    results a recovered panic returns.  A normal return raises
-    nothing. *)
+(** The shared call protocol: acquire a pooled frame ({!push_frame}),
+    run [body st frame data args off] — it binds the parameters from the
+    arguments at the offset and runs to the packed results —, then run
+    defers, release scopes and the frame on every exit path, including
+    the panic/recover handshake, where [zeros st data] gives the packed
+    zero results a recovered call returns, and a deferred call that
+    panics, whose panic replaces the one being unwound.  A call allocates nothing
+    here: the frame and its slot array come from the goroutine's pool,
+    [body] and [zeros] are meant to be top-level functions, and a normal
+    return raises nothing. *)
 val call_fn :
   state ->
   nslots:int ->
-  bind:(state -> frame -> Value.value array -> int -> unit) ->
-  body:(state -> frame -> Value.value) ->
-  zeros:(state -> Value.value) ->
+  body:(state -> frame -> 'a -> Value.value array -> int -> Value.value) ->
+  zeros:(state -> 'a -> Value.value) ->
+  'a ->
   Value.value array ->
   int ->
   Value.value

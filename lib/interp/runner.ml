@@ -34,7 +34,7 @@ let run_program ?(config = Interp.default_config)
   in
   let layout = Layout.of_program program in
   let main_g =
-    { Interp.g_id = 0; g_frames = []; g_pending = [||];
+    { Interp.g_id = 0; g_frames = [||]; g_depth = 0; g_pending = [||];
       g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 }
   in
   let par = Interp.make_parctx ~nd ~seed:config.Interp.seed in
@@ -77,16 +77,8 @@ let run_program ?(config = Interp.default_config)
   let boot () =
     if Layout.func_id layout "main" = None then
       raise (Interp.Runtime_error "no main function");
-    let boot_frame =
-      {
-        Interp.slots = [||];  (* initializers only reference globals *)
-        defers = [];
-        stack_objs = [];
-        lazy_scopes = 0;
-        temps = [];
-      }
-    in
-    main_g.Interp.g_frames <- [ boot_frame ];
+    (* initializers only reference globals: the frame needs no slot *)
+    let boot_frame = Interp.push_frame st 0 in
     List.iter
       (fun ((v : Tast.var), init) ->
         let value =
@@ -97,7 +89,7 @@ let run_program ?(config = Interp.default_config)
         st.Interp.globals.(Layout.slot layout v) <-
           Interp.Bdirect (Value.cell value))
       program.Tast.p_globals;
-    main_g.Interp.g_frames <- [];
+    Interp.pop_frame st boot_frame 0;
     match Interp.call_function st "main" [||] with
     | _ -> ()
     | exception Interp.Panic v ->

@@ -80,6 +80,10 @@ val ptr_set : ptr -> value -> unit
     invisible; small ints dominate cell stores. *)
 val vint : int -> value
 
+(** The pool {!vint} draws from: [small_ints.(n)] is [VInt n] for
+    [0 <= n < Array.length small_ints]. *)
+val small_ints : value array
+
 (** [VBool b], one of two shared boxes; invisible for the same reason. *)
 val vbool : bool -> value
 

@@ -12,30 +12,40 @@
     lookups, and the search finds the same physical value a full lookup
     would.
 
-    Calls go through the one protocol, {!Interp.call_fn}.  The [call]
-    opcode hands the callee its own operand-stack window, from which the
-    callee's parameter declarers bind the arguments; [ret] returns the
-    packed results from the dispatch loop, and [halt] (falling off the
-    end) the zero results.  Nothing is raised on a normal return: only a
-    panic unwinds by exception.  On either path {!exec} first releases
-    the scopes still open, innermost first, so the defers [call_fn] runs
-    next see the blocks already dead, as in the reference walker.
+    Calls go through the one protocol, {!Interp.call_fn}, straight from
+    the [call] opcode: the callee is found in the caller's program
+    ([bf_prog]), and {!run} — the body [call_fn] runs on the frame it
+    takes from the goroutine's pool — binds the parameters from the
+    caller's operand-stack window, an int or bool register parameter
+    straight into its register.  [ret] returns the packed results from
+    the dispatch loop, and [halt] (falling off the end) the zero
+    results.  Nothing is raised on a normal return: only a panic unwinds
+    by exception.  On either path {!run} first releases the scopes still
+    open, innermost first, so the defers [call_fn] runs next see the
+    blocks already dead, as in the reference walker.  A call whose
+    parameters are all registers allocates nothing.
 
     The dispatch loop is registerized: the program counter and both
     stack pointers are parameters of a self-tail-recursive top-level
-    function, so they live in registers and every opcode ends in a jump
-    rather than a call; stack and code accesses are unchecked.  That is
-    safe because the emitter precomputes exact operand-stack bounds
-    ([bf_max_v]/[bf_max_i]) and every jump operand is a patched label —
-    invariants the differential suite exercises end to end.  Everything
-    else the loop needs travels in one mutable {!regs} record, the only
-    allocation a call makes beyond the shared frame and its bindings:
-    the operand stacks themselves are LIFO windows carved out of
+    function, so every opcode ends in a jump rather than a call; stack
+    and code accesses are unchecked.  That is safe because the emitter
+    precomputes exact operand-stack bounds ([bf_max_v]/[bf_max_i]) and
+    every jump operand is a patched label — invariants the differential
+    suite exercises end to end.  The loop is split in two: {!loop}
+    holds the hottest opcodes, each calling nothing before its tail
+    call, so OCaml keeps the four parameters in registers instead of
+    saving them on every dispatch; every other opcode, and every shape
+    of a hot opcode that would need a call, goes to {!full} at the same
+    pc with nothing done yet.  Each opcode has one complete
+    implementation: in {!loop} if it never needs a call, else in
+    {!full}.  Everything else the loop needs travels in one
+    mutable {!regs} record, one per pooled frame, re-pointed at each
+    call.  The operand stacks themselves are LIFO windows carved out of
     per-goroutine pooled arrays ([g_stk_v]/[g_stk_i]).  Calls within a
-    goroutine are strictly LIFO even across yields, and the windows are
-    invisible to the simulated GC (value windows are dead at every
-    safepoint; int windows, registers included, hold no pointers), so
-    pooling cannot change observable behaviour.
+    goroutine are strictly LIFO even across yields and panics, and the
+    windows are invisible to the simulated GC (value windows are dead
+    at every safepoint; int windows, registers included, hold no
+    pointers), so pooling cannot change observable behaviour.
 
     Storage is {!Value}'s: a slice element sits directly in its backing
     store, and a frame variable, heap box or struct field is a
@@ -47,10 +57,11 @@
     the same shared {!Interp} helpers in the same order, so allocation
     counts, free attempts, GC cycle points and scheduler interleavings
     are bit-identical across both engines.  The one departure is
-    storage the program cannot observe: register locals
+    storage the program cannot observe: register locals and parameters
     ([rload]/[rstore]/[rinc]) live in the first [bf_nregs] words of the
-    call's int-stack window rather than in frame cells, and blocks with
-    no stack-allocation site open no scope (see {!Emit}).
+    call's int-stack window rather than in frame cells, frames are
+    pooled, and blocks with no stack-allocation site open no scope (see
+    {!Emit}).
 
     Superinstructions fuse the hot sequences the emitter recognises:
     constant-operand arithmetic and compares, compare-and-branch, field
@@ -73,22 +84,26 @@ module Rt = Gofree_runtime
 open Interp
 
 (* Everything the dispatch loop needs besides pc and the two stack
-   pointers; one per call. *)
+   pointers.  One record per pooled frame, kept in its [ext] and
+   re-pointed at each call the frame hosts ({!run}); [x_st] and [x_fr]
+   never change, since a frame pool belongs to one goroutine. *)
 type regs = {
-  x_f : B.fn;
+  mutable x_f : B.fn;
   x_st : state;
   x_fr : frame;
-  x_code : int array;
-  x_stk_v : Value.value array;  (* this call's window of g_stk_v *)
-  x_stk_i : int array;  (* this call's window of g_stk_i *)
-  x_rb : int;  (* register 0 in x_stk_i; the operand stack follows *)
-  x_slots : binding array;
+  mutable x_code : int array;
+  mutable x_stk_v : Value.value array;  (* this call's window of g_stk_v *)
+  mutable x_stk_i : int array;  (* this call's window of g_stk_i *)
+  mutable x_rb : int;  (* register 0 in x_stk_i; the operand stack follows *)
+  mutable x_slots : binding array;  (* [x_fr.slots] *)
   mutable x_scopes : int;
-      (* open lexical scopes, released by [exec] after a [ret] or an
+      (* open lexical scopes, released by [run] after a [ret] or an
          exception *)
   mutable x_iters : Value.value list list;
       (* active range-loop key iterators, innermost first *)
 }
+
+type Interp.frame_ext += Regs of regs
 
 let unbound_local (r : regs) nidx =
   raise (Runtime_error ("unbound variable " ^ r.x_f.B.bf_names.(nidx)))
@@ -125,6 +140,11 @@ let[@inline] vm_safepoint (r : regs) =
 let[@inline] cget (c : Value.cell) = Array.unsafe_get c 0
 
 let[@inline] cset (c : Value.cell) v = Array.unsafe_set c 0 v
+
+let[@inline] vint n =
+  if n >= 0 && n < Array.length Value.small_ints then
+    Array.unsafe_get Value.small_ints n
+  else Value.VInt n
 
 let[@inline] pget (p : Value.ptr) =
   Array.unsafe_get p.Value.p_arr p.Value.p_idx
@@ -264,7 +284,318 @@ let mapget_value (r : regs) (vm : Value.value) (vk : Value.value) zidx cidx :
   | Value.VNil -> r.x_f.B.bf_zeros.(zidx) ()
   | _ -> raise (Runtime_error "not a map")
 
+(* Bind a variable to a fresh value in its home, as the reference
+   walker's [declare_var] does: an int or bool into its register, any
+   other value into a fresh frame cell or heap box. *)
+let bind_home st fr (stk_i : int array) rb (h : B.home) v =
+  match h with
+  | B.Hint reg ->
+    Array.unsafe_set stk_i (rb + reg)
+      (match v with Value.VInt n -> n | v -> as_int v)
+  | B.Hbool reg -> Array.unsafe_set stk_i (rb + reg) (if truthy v then 1 else 0)
+  | B.Hcell s -> fr.slots.(s) <- Bdirect [| v |]
+  | B.Hbox (s, size) ->
+    let c = [| v |] in
+    let obj =
+      alloc_heap_obj st ~category:Rt.Metrics.Cat_other ~size
+        ~payload:(Value.Pcells c)
+    in
+    fr.slots.(s) <- Bboxed (obj.Rt.Heap.addr, c)
+
+(* [decl]'s binding: the declared local's home in this function. *)
+let declare (r : regs) d v =
+  bind_home r.x_st r.x_fr r.x_stk_i r.x_rb r.x_f.B.bf_decls.(d) v
+
+(* The packed zero results of a recovered call: [call_fn]'s [zeros]. *)
+let zeros_ret st (f : B.fn) = f.B.bf_zeros_ret st
+
+(* {!run}, for the [call] opcode.  Tying the knot through a reference
+   keeps [run], whose closure is passed to [call_fn] as a value, out of
+   the dispatch loop's recursive group: compiled in one group with it,
+   the loop ran measurably slower on call-free code. *)
+let run_ref :
+    (state -> frame -> B.fn -> Value.value array -> int -> Value.value) ref =
+  ref (fun _ _ _ _ _ -> assert false)
+
+(* The dispatch loop proper: the hottest opcodes, each written so that
+   it calls no function before its tail call — only a value-stack store
+   calls the write barrier.  OCaml saves a value live across a call to
+   the stack at the function's entry, on every path: here that is one
+   stack pointer, where a single helper call in this function made
+   every dispatch save [r], [pc] and both stack pointers and reload [r]
+   three times.  Jumps, int arithmetic, constants and register
+   accesses never need a call, and their cases here are their only
+   implementation.  The other cases meet only their common shape — a
+   live int slice element, a frame cell holding a pointer to a struct,
+   a safepoint with nothing to do — and send every other shape, like
+   every opcode not listed, to {!full} at the same pc with nothing done
+   yet; each of those cases is {!full}'s case restricted to that shape,
+   so behaviour cannot differ. *)
 let rec loop (r : regs) pc sp_v sp_i =
+  let code = r.x_code in
+  let stk_i = r.x_stk_i in
+  match Array.unsafe_get code pc with
+  | 1 (* safepoint, when it only counts the step *) ->
+    let st = r.x_st in
+    let steps = st.steps + 1 in
+    let heap = st.heap in
+    if
+      steps >= st.yield_at || heap.Rt.Heap.gc_requested
+      || heap.Rt.Heap.sampler != None
+      || steps > st.config.max_steps
+      || r.x_fr.temps != []
+    then full r pc sp_v sp_i
+    else begin
+      st.steps <- steps;
+      loop r (pc + 1) sp_v sp_i
+    end
+  | 2 (* jmp *) -> loop r (Array.unsafe_get code (pc + 1)) sp_v sp_i
+  | 3 (* jmpifnot *) ->
+    if Array.unsafe_get stk_i (sp_i - 1) = 0 then
+      loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 1)
+    else loop r (pc + 2) sp_v (sp_i - 1)
+  | 7 (* ret, one result *) when Array.unsafe_get code (pc + 1) = 1 ->
+    Array.unsafe_get r.x_stk_v (sp_v - 1)
+  | 8 (* iconst *) ->
+    Array.unsafe_set stk_i sp_i (Array.unsafe_get code (pc + 1));
+    loop r (pc + 2) sp_v (sp_i + 1)
+  | 12 (* vload, of a bound cell *) -> begin
+    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
+    | Bdirect c | Bboxed (_, c) when cget c != Value.VPoison ->
+      Array.unsafe_set r.x_stk_v sp_v (cget c);
+      loop r (pc + 3) (sp_v + 1) sp_i
+    | _ -> full r pc sp_v sp_i
+  end
+  | 16 (* box_i *) ->
+    Array.unsafe_set r.x_stk_v sp_v (vint (Array.unsafe_get stk_i (sp_i - 1)));
+    loop r (pc + 1) (sp_v + 1) (sp_i - 1)
+  | 18 (* unbox_i, of an int *) -> begin
+    match Array.unsafe_get r.x_stk_v (sp_v - 1) with
+    | Value.VInt n ->
+      Array.unsafe_set stk_i sp_i n;
+      loop r (pc + 1) (sp_v - 1) (sp_i + 1)
+    | _ -> full r pc sp_v sp_i
+  end
+  | 21 (* pop_v *) -> loop r (pc + 1) (sp_v - 1) sp_i
+  | 23 (* add_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (Array.unsafe_get stk_i (sp_i - 2) + Array.unsafe_get stk_i (sp_i - 1));
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 24 (* sub_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (Array.unsafe_get stk_i (sp_i - 2) - Array.unsafe_get stk_i (sp_i - 1));
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 25 (* mul_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (Array.unsafe_get stk_i (sp_i - 2) * Array.unsafe_get stk_i (sp_i - 1));
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 56 (* index_i, an int element of a live slice in range *) -> begin
+    let vi = Array.unsafe_get stk_i (sp_i - 1) in
+    match Array.unsafe_get r.x_stk_v (sp_v - 1) with
+    | Value.VSlice s when vi >= 0 && vi < s.Value.s_len -> begin
+      match Array.unsafe_get s.Value.s_cells (s.Value.s_off + vi) with
+      | Value.VInt n ->
+        Array.unsafe_set stk_i (sp_i - 1) n;
+        loop r (pc + 1) (sp_v - 1) sp_i
+      | _ -> full r pc sp_v sp_i
+    end
+    | Value.VStr s when vi >= 0 && vi < String.length s ->
+      Array.unsafe_set stk_i (sp_i - 1) (Char.code (String.unsafe_get s vi));
+      loop r (pc + 1) (sp_v - 1) sp_i
+    | _ -> full r pc sp_v sp_i
+  end
+  | 65 (* len, of a slice or string *) -> begin
+    match Array.unsafe_get r.x_stk_v (sp_v - 1) with
+    | Value.VSlice s ->
+      Array.unsafe_set stk_i sp_i s.Value.s_len;
+      loop r (pc + 1) (sp_v - 1) (sp_i + 1)
+    | Value.VStr s ->
+      Array.unsafe_set stk_i sp_i (String.length s);
+      loop r (pc + 1) (sp_v - 1) (sp_i + 1)
+    | _ -> full r pc sp_v sp_i
+  end
+  | 106 (* addk_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (Array.unsafe_get stk_i (sp_i - 1) + Array.unsafe_get code (pc + 1));
+    loop r (pc + 2) sp_v sp_i
+  | 108 (* mulk_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (Array.unsafe_get stk_i (sp_i - 1) * Array.unsafe_get code (pc + 1));
+    loop r (pc + 2) sp_v sp_i
+  | 109 (* divk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (Array.unsafe_get stk_i (sp_i - 1) / Array.unsafe_get code (pc + 1));
+    loop r (pc + 2) sp_v sp_i
+  | 110 (* modk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (Array.unsafe_get stk_i (sp_i - 1) mod Array.unsafe_get code (pc + 1));
+    loop r (pc + 2) sp_v sp_i
+  | 118 (* sfield_i, through a pointer, an int field *) -> begin
+    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
+    | Bdirect c | Bboxed (_, c) -> begin
+      match cget c with
+      | Value.VPtr p -> begin
+        match pget p with
+        | Value.VStruct cells -> begin
+          match cget cells.(Array.unsafe_get code (pc + 2)) with
+          | Value.VInt n ->
+            let st = r.x_st in
+            let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
+            if c.B.c_a = 2 then st.ic_hits <- st.ic_hits + 1
+            else begin
+              st.ic_misses <- st.ic_misses + 1;
+              c.B.c_a <- 2
+            end;
+            Array.unsafe_set stk_i sp_i n;
+            loop r (pc + 6) sp_v (sp_i + 1)
+          | _ -> full r pc sp_v sp_i
+        end
+        | _ -> full r pc sp_v sp_i
+      end
+      | _ -> full r pc sp_v sp_i
+    end
+    | Bunbound -> full r pc sp_v sp_i
+  end
+  | 117 (* sfield_v, through a pointer *) -> begin
+    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
+    | Bdirect c | Bboxed (_, c) -> begin
+      match cget c with
+      | Value.VPtr p -> begin
+        match pget p with
+        | Value.VStruct cells -> begin
+          match cget cells.(Array.unsafe_get code (pc + 2)) with
+          | Value.VPoison -> full r pc sp_v sp_i
+          | v ->
+            let st = r.x_st in
+            let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
+            if c.B.c_a = 2 then st.ic_hits <- st.ic_hits + 1
+            else begin
+              st.ic_misses <- st.ic_misses + 1;
+              c.B.c_a <- 2
+            end;
+            Array.unsafe_set r.x_stk_v sp_v v;
+            loop r (pc + 6) (sp_v + 1) sp_i
+        end
+        | _ -> full r pc sp_v sp_i
+      end
+      | _ -> full r pc sp_v sp_i
+    end
+    | Bunbound -> full r pc sp_v sp_i
+  end
+  | 120 (* jlt_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 2) < Array.unsafe_get stk_i (sp_i - 1)
+    then loop r (pc + 2) sp_v (sp_i - 2)
+    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
+  | 126 (* jltk_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 1) < Array.unsafe_get code (pc + 1)
+    then loop r (pc + 3) sp_v (sp_i - 1)
+    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
+  | 129 (* jgek_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 1) >= Array.unsafe_get code (pc + 1)
+    then loop r (pc + 3) sp_v (sp_i - 1)
+    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
+  | 130 (* jeqk_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 1) = Array.unsafe_get code (pc + 1)
+    then loop r (pc + 3) sp_v (sp_i - 1)
+    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
+  | 131 (* jnek_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 1) <> Array.unsafe_get code (pc + 1)
+    then loop r (pc + 3) sp_v (sp_i - 1)
+    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
+  | 133 (* rload *) ->
+    Array.unsafe_set stk_i sp_i
+      (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1)));
+    loop r (pc + 3) sp_v (sp_i + 1)
+  | 134 (* rstore *) ->
+    Array.unsafe_set stk_i
+      (r.x_rb + Array.unsafe_get code (pc + 1))
+      (Array.unsafe_get stk_i (sp_i - 1));
+    loop r (pc + 3) sp_v (sp_i - 1)
+  | 135 (* rinc *) ->
+    let i = r.x_rb + Array.unsafe_get code (pc + 1) in
+    Array.unsafe_set stk_i i
+      (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
+    loop r (pc + 4) sp_v sp_i
+  | 139 (* loop_rinc, when both safepoints only count their step *) ->
+    let st = r.x_st in
+    let steps = st.steps + 2 in
+    let heap = st.heap in
+    if
+      steps >= st.yield_at || heap.Rt.Heap.gc_requested
+      || heap.Rt.Heap.sampler != None
+      || steps > st.config.max_steps
+      || r.x_fr.temps != []
+    then full r pc sp_v sp_i
+    else begin
+      st.steps <- steps;
+      let i = r.x_rb + Array.unsafe_get code (pc + 1) in
+      Array.unsafe_set stk_i i
+        (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
+      loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
+    end
+  | 140 (* jlt_rlen_not, of a slice or string in a bound cell *) -> begin
+    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 3)) with
+    | Bdirect c | Bboxed (_, c) -> begin
+      let a =
+        Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
+      in
+      match cget c with
+      | Value.VSlice s ->
+        if a < s.Value.s_len then loop r (pc + 6) sp_v sp_i
+        else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+      | Value.VStr s ->
+        if a < String.length s then loop r (pc + 6) sp_v sp_i
+        else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+      | _ -> full r pc sp_v sp_i
+    end
+    | Bunbound -> full r pc sp_v sp_i
+  end
+  | 141 (* jlt_rr_not *) ->
+    if
+      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
+      < Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+    then loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 147 (* index_i_sr, an int element of a live slice in range *) -> begin
+    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
+    | Bdirect c | Bboxed (_, c) -> begin
+      let vi =
+        Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+      in
+      match cget c with
+      | Value.VSlice s when vi >= 0 && vi < s.Value.s_len -> begin
+        match Array.unsafe_get s.Value.s_cells (s.Value.s_off + vi) with
+        | Value.VInt n ->
+          Array.unsafe_set stk_i sp_i n;
+          loop r (pc + 5) sp_v (sp_i + 1)
+        | _ -> full r pc sp_v sp_i
+      end
+      | _ -> full r pc sp_v sp_i
+    end
+    | Bunbound -> full r pc sp_v sp_i
+  end
+  | 148 (* store_index_sr, a non-struct value into a live slice *) -> begin
+    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
+    | Bdirect c | Bboxed (_, c) -> begin
+      let vi =
+        Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+      in
+      match (cget c, Array.unsafe_get r.x_stk_v (sp_v - 1)) with
+      | Value.VSlice s, v
+        when vi >= 0 && vi < s.Value.s_len
+             && (match v with Value.VStruct _ -> false | _ -> true) ->
+        Array.unsafe_set s.Value.s_cells (s.Value.s_off + vi) v;
+        loop r (pc + 5) (sp_v - 1) sp_i
+      | _ -> full r pc sp_v sp_i
+    end
+    | Bunbound -> full r pc sp_v sp_i
+  end
+  | _ -> full r pc sp_v sp_i
+
+(* Every opcode {!loop} does not complete, in every shape.  Entered
+   only from {!loop}, at the instruction it declined; continues in
+   {!loop}. *)
+and full (r : regs) pc sp_v sp_i =
   let code = r.x_code in
   let stk_v = r.x_stk_v in
   let stk_i = r.x_stk_i in
@@ -273,11 +604,6 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 1 (* safepoint *) ->
     vm_safepoint r;
     loop r (pc + 1) sp_v sp_i
-  | 2 (* jmp *) -> loop r (Array.unsafe_get code (pc + 1)) sp_v sp_i
-  | 3 (* jmpifnot *) ->
-    if Array.unsafe_get stk_i (sp_i - 1) = 0 then
-      loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 1)
-    else loop r (pc + 2) sp_v (sp_i - 1)
   | 4 (* jmpif *) ->
     if Array.unsafe_get stk_i (sp_i - 1) <> 0 then
       loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 1)
@@ -296,9 +622,6 @@ let rec loop (r : regs) pc sp_v sp_i =
     | 0 -> Value.VUnit
     | n -> Value.VTuple (popped stk_v sp_v n)
   end
-  | 8 (* iconst *) ->
-    Array.unsafe_set stk_i sp_i (Array.unsafe_get code (pc + 1));
-    loop r (pc + 2) sp_v (sp_i + 1)
   | 9 (* const *) ->
     Array.unsafe_set stk_v sp_v
       r.x_f.B.bf_consts.(Array.unsafe_get code (pc + 1));
@@ -362,10 +685,6 @@ let rec loop (r : regs) pc sp_v sp_i =
       loop r (pc + 3) (sp_v + 1) sp_i
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2))
   end
-  | 16 (* box_i *) ->
-    Array.unsafe_set stk_v sp_v
-      (Value.vint (Array.unsafe_get stk_i (sp_i - 1)));
-    loop r (pc + 1) (sp_v + 1) (sp_i - 1)
   | 17 (* box_b *) ->
     Array.unsafe_set stk_v sp_v
       (Value.vbool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
@@ -381,20 +700,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v (sp_v - 1)
       (Value.copy (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) sp_v sp_i
-  | 21 (* pop_v *) -> loop r (pc + 1) (sp_v - 1) sp_i
   | 22 (* pop_i *) -> loop r (pc + 1) sp_v (sp_i - 1)
-  | 23 (* add_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (Array.unsafe_get stk_i (sp_i - 2) + Array.unsafe_get stk_i (sp_i - 1));
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 24 (* sub_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (Array.unsafe_get stk_i (sp_i - 2) - Array.unsafe_get stk_i (sp_i - 1));
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 25 (* mul_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (Array.unsafe_get stk_i (sp_i - 2) * Array.unsafe_get stk_i (sp_i - 1));
-    loop r (pc + 1) sp_v (sp_i - 1)
   | 26 (* div_i *) ->
     let b = Array.unsafe_get stk_i (sp_i - 1) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
@@ -495,11 +801,10 @@ let rec loop (r : regs) pc sp_v sp_i =
     | _ -> raise (Runtime_error "cannot negate"));
     loop r (pc + 1) sp_v sp_i
   | 43 (* decl *) ->
-    r.x_f.B.bf_decls.(Array.unsafe_get code (pc + 1)) r.x_st r.x_fr
-      (Array.unsafe_get stk_v (sp_v - 1));
+    declare r (Array.unsafe_get code (pc + 1)) (Array.unsafe_get stk_v (sp_v - 1));
     loop r (pc + 2) (sp_v - 1) sp_i
   | 44 (* decl_zero *) ->
-    r.x_f.B.bf_decls.(Array.unsafe_get code (pc + 1)) r.x_st r.x_fr
+    declare r (Array.unsafe_get code (pc + 1))
       (r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 2)) ());
     loop r (pc + 3) sp_v sp_i
   | 45 (* store_slot *) -> begin
@@ -837,12 +1142,14 @@ let rec loop (r : regs) pc sp_v sp_i =
     | _ -> raise (Runtime_error "dereference of a non-pointer"));
     loop r (pc + 1) sp_v sp_i
   | 73 (* call *) ->
-    let fid = Array.unsafe_get code (pc + 1) in
+    let f = Array.unsafe_get r.x_f.B.bf_prog (Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     let st = r.x_st in
     (* the callee binds its arguments straight from this window *)
     Array.unsafe_set stk_v (sp_v - n)
-      (pin st r.x_fr (st.dispatch st fid stk_v (sp_v - n)));
+      (pin st r.x_fr
+         (call_fn st ~nslots:f.B.bf_nslots ~body:!run_ref ~zeros:zeros_ret f stk_v
+            (sp_v - n)));
     loop r (pc + 3) (sp_v - n + 1) sp_i
   | 74 (* call_undef *) ->
     raise
@@ -1091,8 +1398,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       | key :: rest ->
         r.x_iters <- rest :: outer;
         vm_safepoint r;
-        r.x_f.B.bf_decls.(Array.unsafe_get code (pc + 1)) r.x_st r.x_fr
-          (Value.copy key);
+        declare r (Array.unsafe_get code (pc + 1)) (Value.copy key);
         loop r (pc + 3) sp_v sp_i
     end
     | [] -> raise (Runtime_error "vm: range_next without iterator")
@@ -1106,17 +1412,9 @@ let rec loop (r : regs) pc sp_v sp_i =
     loop r (pc + 2) (sp_v + 1) sp_i
   (* Superinstructions.  Each case is the literal composition of its
      unfused expansion above — same evaluation order, same panics. *)
-  | 106 (* addk_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (Array.unsafe_get stk_i (sp_i - 1) + Array.unsafe_get code (pc + 1));
-    loop r (pc + 2) sp_v sp_i
   | 107 (* subk_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) - Array.unsafe_get code (pc + 1));
-    loop r (pc + 2) sp_v sp_i
-  | 108 (* mulk_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (Array.unsafe_get stk_i (sp_i - 1) * Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
   | 109 (* divk_i *) ->
     let b = Array.unsafe_get code (pc + 1) in
@@ -1279,10 +1577,6 @@ let rec loop (r : regs) pc sp_v sp_i =
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "field of non-pointer"));
     loop r (pc + 2) (sp_v - 1) (sp_i - 1)
-  | 120 (* jlt_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 2) < Array.unsafe_get stk_i (sp_i - 1)
-    then loop r (pc + 2) sp_v (sp_i - 2)
-    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
   | 121 (* jle_not *) ->
     if Array.unsafe_get stk_i (sp_i - 2) <= Array.unsafe_get stk_i (sp_i - 1)
     then loop r (pc + 2) sp_v (sp_i - 2)
@@ -1303,28 +1597,12 @@ let rec loop (r : regs) pc sp_v sp_i =
     if Array.unsafe_get stk_i (sp_i - 2) <> Array.unsafe_get stk_i (sp_i - 1)
     then loop r (pc + 2) sp_v (sp_i - 2)
     else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 126 (* jltk_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 1) < Array.unsafe_get code (pc + 1)
-    then loop r (pc + 3) sp_v (sp_i - 1)
-    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
   | 127 (* jlek_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) <= Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
   | 128 (* jgtk_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) > Array.unsafe_get code (pc + 1)
-    then loop r (pc + 3) sp_v (sp_i - 1)
-    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 129 (* jgek_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 1) >= Array.unsafe_get code (pc + 1)
-    then loop r (pc + 3) sp_v (sp_i - 1)
-    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 130 (* jeqk_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 1) = Array.unsafe_get code (pc + 1)
-    then loop r (pc + 3) sp_v (sp_i - 1)
-    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 131 (* jnek_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 1) <> Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
   | 132 (* iinc = iload; addk_i; store_slot_i, same slot *) -> begin
@@ -1342,20 +1620,6 @@ let rec loop (r : regs) pc sp_v sp_i =
   (* Register locals: no frame cell, no boxing, no binding check — the
      emitter only registerizes locals whose every read follows their
      declaration's [rstore]. *)
-  | 133 (* rload *) ->
-    Array.unsafe_set stk_i sp_i
-      (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1)));
-    loop r (pc + 3) sp_v (sp_i + 1)
-  | 134 (* rstore *) ->
-    Array.unsafe_set stk_i
-      (r.x_rb + Array.unsafe_get code (pc + 1))
-      (Array.unsafe_get stk_i (sp_i - 1));
-    loop r (pc + 3) sp_v (sp_i - 1)
-  | 135 (* rinc *) ->
-    let i = r.x_rb + Array.unsafe_get code (pc + 1) in
-    Array.unsafe_set stk_i i
-      (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
-    loop r (pc + 4) sp_v sp_i
   (* Nested struct-value field address: the owner spine re-evaluated
      after the base, like [Interp.owner_of_struct_base].  The walker
      checks the base for a struct before the spine runs; the base's
@@ -1407,12 +1671,6 @@ let rec loop (r : regs) pc sp_v sp_i =
     in
     if a < n then loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 141 (* jlt_rr_not = rload; rload; jlt_not *) ->
-    if
-      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
-      < Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
-    then loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
   | 142 (* jle_rr_not *) ->
     if
       Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
@@ -1461,6 +1719,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
       (Array.unsafe_get stk_v (sp_v - 1));
     loop r (pc + 5) (sp_v - 1) sp_i
+  (* the opcodes {!loop} completes never get here *)
   | op -> raise (Runtime_error ("vm: bad opcode " ^ string_of_int op))
 
 (* Release the scopes a [ret] or an exception left open, innermost
@@ -1473,13 +1732,17 @@ let release_scopes (r : regs) =
     r.x_scopes <- r.x_scopes - 1
   done
 
-let exec (f : B.fn) (st : state) (fr : frame) : Value.value =
+(* A bytecode body, as {!Interp.call_fn} runs it on a pooled frame:
+   acquire the operand-stack windows, point the frame's registers at
+   this call, bind the parameters from the argument window, run. *)
+let run (st : state) (fr : frame) (f : B.fn) (args : Value.value array) off :
+    Value.value =
   let g = st.current in
   (* Acquire LIFO windows from the goroutine's pooled operand stacks.
      On growth the array is replaced without copying: outer calls keep
-     their windows in the old array (kept alive by their own [regs]),
-     and LIFO order guarantees none of them runs again until every call
-     using the replacement has released it. *)
+     their windows in the old array (their registers still point at
+     it), and LIFO order guarantees none of them runs again until every
+     call using the replacement has released it. *)
   let need_v = f.B.bf_max_v in
   let base_v =
     if g.g_top_v + need_v <= Array.length g.g_stk_v then g.g_top_v
@@ -1501,42 +1764,60 @@ let exec (f : B.fn) (st : state) (fr : frame) : Value.value =
   in
   g.g_top_i <- base_i + need_i;
   let r =
-    {
-      x_f = f;
-      x_st = st;
-      x_fr = fr;
-      x_code = f.B.bf_code;
-      x_stk_v = g.g_stk_v;
-      x_stk_i = g.g_stk_i;
-      x_rb = base_i;
-      x_slots = fr.slots;
-      x_scopes = 0;
-      x_iters = [];
-    }
+    match fr.ext with
+    | Regs r -> r
+    | _ ->
+      let r =
+        { x_f = f; x_st = st; x_fr = fr; x_code = f.B.bf_code;
+          x_stk_v = g.g_stk_v; x_stk_i = g.g_stk_i; x_rb = base_i;
+          x_slots = fr.slots; x_scopes = 0; x_iters = [] }
+      in
+      fr.ext <- Regs r;
+      r
   in
+  (* compare first: most fields already hold the right array, and a
+     store into a long-lived record costs a write barrier *)
+  if r.x_f != f then begin
+    r.x_f <- f;
+    r.x_code <- f.B.bf_code
+  end;
+  if r.x_stk_v != g.g_stk_v then r.x_stk_v <- g.g_stk_v;
+  if r.x_stk_i != g.g_stk_i then r.x_stk_i <- g.g_stk_i;
+  if r.x_slots != fr.slots then r.x_slots <- fr.slots;
+  r.x_rb <- base_i;
+  (* the parameters, in declaration order, struct values copied *)
+  let params = f.B.bf_params in
+  for i = 0 to Array.length params - 1 do
+    bind_home st fr r.x_stk_i base_i (Array.unsafe_get params i)
+      (match Array.unsafe_get args (off + i) with
+      | Value.VStruct _ as v -> Value.copy v
+      | v -> v)
+  done;
   match loop r 0 base_v (base_i + f.B.bf_nregs) with
   | results ->
-    release_scopes r;
+    if r.x_scopes > 0 then release_scopes r;
+    if r.x_iters != [] then r.x_iters <- [];
     g.g_top_v <- base_v;
     g.g_top_i <- base_i;
     results
   | exception e ->
     release_scopes r;
+    if r.x_iters != [] then r.x_iters <- [];
     g.g_top_v <- base_v;
     g.g_top_i <- base_i;
     raise e
 
+let () = run_ref := run
+
 (** A dispatch function executing bytecode bodies, suitable for
-    [state.dispatch].  The program table lives in this closure, one per
-    run, and body closures are built once per function here rather than
-    per call. *)
+    [state.dispatch]: the entry point of [main], defers and goroutines.
+    VM-to-VM calls take the same {!Interp.call_fn} path straight from
+    the [call] opcode. *)
 let dispatch (prog : B.program) :
     state -> int -> Value.value array -> int -> Value.value =
-  let bodies = Array.map (fun f -> exec f) prog in
-  fun st fid args off ->
-    let f = prog.(fid) in
-    call_fn st ~nslots:f.B.bf_nslots ~bind:f.B.bf_bind
-      ~body:(Array.unsafe_get bodies fid) ~zeros:f.B.bf_zeros_ret args off
+ fun st fid args off ->
+  let f = prog.(fid) in
+  call_fn st ~nslots:f.B.bf_nslots ~body:run ~zeros:zeros_ret f args off
 
 (** Point [state.dispatch] at the bytecode. *)
 let install (st : state) (prog : B.program) = st.dispatch <- dispatch prog

@@ -1385,6 +1385,136 @@ let fused_cases =
           ("worker", "jlt_rr_not") ];
   ]
 
+(* ---- register parameters and the frame pool ------------------------ *)
+
+(* An int or bool parameter lives in a register, bound straight from the
+   argument window; an address-taken parameter and a multi-value
+   assignment target keep their frame cells.  Frames come from a
+   per-goroutine pool: recursion 6000 deep grows it, a panic unwinding
+   through register-parameter frames and recovered by a deferred
+   [recover] must leave it consistent for the calls that follow, so
+   must a deferred call that panics (after a normal return, and while a
+   body panic unwinds — the second panic replaces the first): the
+   caller then reads its own locals, calls on, and a later [recover]
+   with no panic in flight finds nothing.  [go]/[defer] bind int and
+   bool arguments through the same protocol.
+   Small [yield_every] values make goroutine switches land inside
+   callees.  The program and its output are committed as
+   test/golden/calls.go and calls.out. *)
+let register_param_cases =
+  [
+    Alcotest.test_case "register parameters (golden)" `Quick (fun () ->
+        let name = "register parameters" in
+        let golden name = Test_disasm.read_file (Test_disasm.golden name) in
+        let src = golden "calls.go" in
+        let expected = golden "calls.out" in
+        List.iter
+          (fun (ename, engine) ->
+            Alcotest.(check string)
+              (name ^ ": output (" ^ ename ^ ")")
+              expected
+              (run_mode ~engine src).Gofree_interp.Runner.output)
+          engines;
+        check_emitted ~name src
+          [ Reg ("countdown", "n"); Reg ("countdown", "step");
+            Reg ("sumBelow", "lo"); Cell ("bump", "n"); Reg ("bump", "by");
+            Reg ("order", "a"); Reg ("order", "b"); Cell ("reduce", "a");
+            Cell ("reduce", "b"); Reg ("pick", "flag"); Reg ("depth", "n");
+            Reg ("worker", "even") ];
+        check_fused ~name src
+          [ ("sumBelow", "jlt_rr_not"); ("order", "jgt_rr_not");
+            ("worker", "jlt_rr_not") ];
+        check_identical ~name src;
+        check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
+          src;
+        check_poison_silent ~name src;
+        check_repeatable ~name src;
+        List.iter
+          (fun yield_every -> check_sampled_identical ~name ~yield_every src)
+          [ 1; 2; 3; 512 ]);
+  ]
+
+(* ---- yield points without a sampler ------------------------------- *)
+
+(* An attached sampler sends every safepoint down the VM's slow path, so
+   the sampled comparisons above never see the dispatch loop's fast
+   safepoints ([safepoint] and [loop_rinc] when they only count their
+   step).  Here no sampler runs, and goroutines that print inside
+   counted loops make the exact step of every yield visible in the
+   output order. *)
+let src_yield_points =
+  {|
+var seen map[int]int
+
+func worker(id int, n int, mark bool) {
+  for i := 0; i < n; i++ {
+    println(id, i, mark)
+  }
+  total := 0
+  for j := 0; j < n*3; j++ {
+    total += j
+  }
+  for k := n; k > 0; k-- {
+    seen[id] = seen[id] + k
+  }
+  println("done", id, total, seen[id])
+}
+
+func main() {
+  seen = make(map[int]int)
+  for g := 0; g < 3; g++ {
+    go worker(g, 4+g, g%2 == 0)
+  }
+  spin := 0
+  for i := 0; i < 200; i++ {
+    spin += i
+  }
+  println("main", spin, len(seen))
+}
+|}
+
+let check_yields_identical ~name ~yield_every src =
+  let run engine =
+    let config = Gofree_core.Config.gofree in
+    Gofree_interp.Runner.compile_and_run ~gofree_config:config
+      ~run_config:
+        {
+          (run_config ~engine ~config ~poison:false) with
+          Gofree_interp.Interp.yield_every;
+        }
+      src
+  in
+  let r_ref = run Gofree_interp.Interp.Eng_reference in
+  let r_vm = run Gofree_interp.Interp.Eng_bytecode in
+  let label what =
+    Printf.sprintf "%s: %s (yield_every %d)" name what yield_every
+  in
+  Alcotest.(check string)
+    (label "output") r_ref.Gofree_interp.Runner.output
+    r_vm.Gofree_interp.Runner.output;
+  Alcotest.(check int)
+    (label "steps") r_ref.Gofree_interp.Runner.steps
+    r_vm.Gofree_interp.Runner.steps;
+  Alcotest.(check string)
+    (label "metrics")
+    (metrics_fingerprint r_ref.Gofree_interp.Runner.metrics)
+    (metrics_fingerprint r_vm.Gofree_interp.Runner.metrics)
+
+let yield_point_cases =
+  [
+    Alcotest.test_case "fast safepoints at every yield_every" `Quick
+      (fun () ->
+        let name = "yield points" in
+        check_fused ~name src_yield_points
+          [ ("worker", "loop_rinc"); ("worker", "jlt_rr_not") ];
+        List.iter
+          (fun yield_every ->
+            check_yields_identical ~name ~yield_every src_yield_points;
+            check_yields_identical ~name:"register parameters" ~yield_every
+              (Test_disasm.read_file (Test_disasm.golden "calls.go")))
+          [ 1; 2; 3; 4; 5; 7; 11 ]);
+  ]
+
 (* ---- random programs ----------------------------------------------- *)
 
 let prop_random_identical =
@@ -1426,5 +1556,5 @@ let prop_random_identical =
 let suite =
   workload_cases @ feature_cases @ storage_cases @ aliasing_cases
   @ struct_addr_cases @ call_cases @ range_order_cases @ concurrent_cases
-  @ fused_cases
+  @ fused_cases @ register_param_cases @ yield_point_cases
   @ [ QCheck_alcotest.to_alcotest prop_random_identical ]

@@ -145,7 +145,37 @@ let test_walks () =
       let name = Filename.basename path in
       Array.iter (check_walk name) (lower (read_file path)))
     (perfbench_programs
-    @ [ golden "arith_loop.go"; golden "maps_structs.go" ])
+    @ [ golden "arith_loop.go"; golden "maps_structs.go"; golden "calls.go" ])
+
+(* A function header names each parameter's home: [name:rN] for an int
+   or bool parameter bound into register N, [name:sN] for a frame slot
+   (an address-taken parameter, a multi-value assignment target, any
+   other type), [name:boxN] for a slot holding a heap box.  A function
+   without parameters shows no [params=] field. *)
+let test_param_headers () =
+  let listing =
+    match Gofree_api.disassemble_string (read_file (golden "calls.go")) with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Gofree_api.error_message e)
+  in
+  let header fn =
+    match
+      List.find_opt
+        (String.starts_with ~prefix:("func " ^ fn ^ ":"))
+        (String.split_on_char '\n' listing)
+    with
+    | Some l -> l
+    | None -> Alcotest.failf "no header for %s" fn
+  in
+  List.iter
+    (fun (fn, params) ->
+      let h = header fn in
+      let suffix = if params = "" then "caches=1" else " params=" ^ params in
+      Alcotest.(check bool) h true (String.ends_with ~suffix h))
+    [ ("countdown", "n:r0,step:r1"); ("sumBelow", "xs:s0,lo:r0,hi:r1");
+      ("bump", "n:s0,by:r0"); ("boxed", "n:box0"); ("order", "a:r0,b:r1");
+      ("reduce", "a:s0,b:s1"); ("pick", "flag:r0,x:r1,y:r2");
+      ("worker", "id:r0,rounds:r1,even:r2"); ("main", "") ]
 
 let suite =
   [
@@ -157,4 +187,6 @@ let suite =
       test_disasm_matches_run;
     Alcotest.test_case "every opcode named" `Quick test_opcode_names;
     Alcotest.test_case "listings walk to the end" `Quick test_walks;
+    Alcotest.test_case "headers name parameter homes" `Quick
+      test_param_headers;
   ]
