@@ -143,7 +143,7 @@ let op_new = def 82 "new" [ Site; Tbl "zero" ]
 let op_slice_lit = def 83 "slice_lit" [ Site; Int ]  (* pop n copied V *)
 let op_struct_lit = def 84 "struct_lit" [ Int ]  (* pop n copied V *)
 let op_addr_struct_lit = def 85 "addr_struct_lit" [ Site; Int ]
-let op_append = def 86 "append" [ Site; Int ]
+let op_append = def 86 "append" [ Site; Int; Tbl "zero" ]
     (* pop n copied elems V, base V *)
 let op_addr_slot = def 87 "addr_slot" [ Slot; Name ]  (* push VPtr *)
 let op_addr_gslot = def 88 "addr_gslot" [ Slot; Name ]
@@ -243,6 +243,16 @@ let op_index_i_sr = def 147 "index_i_sr" [ Slot; Name; Reg; Name ]
     (* = vload; rload; index_i *)
 let op_store_index_sr = def 148 "store_index_sr" [ Slot; Name; Reg; Name ]
     (* = vload; rload; store_index: pop value V *)
+
+(* Int-slice forms: the element travels on the int stack, so storing,
+   appending or building a [[]int] boxes nothing. *)
+let op_store_index_i = def 149 "store_index_i" []
+    (* pop idx I, base V, value I *)
+let op_store_i_sr =
+  def 150 "store_i_sr" [ Slot; Name; Reg; Name ]
+    (* = vload; rload; store_index_i: pop value I *)
+let op_slice_lit_i = def 151 "slice_lit_i" [ Site; Int ]  (* pop n I *)
+let op_append_i = def 152 "append_i" [ Site; Int ]  (* pop n I, base V *)
 
 let n_opcodes =
   let n = ref 0 in

@@ -7,6 +7,9 @@
     emitter is type-directed: expressions of type [int]/[bool] evaluate
     on the VM's unboxed native-int stack, everything else on the boxed
     value stack, with explicit box/unbox instructions at the boundary.
+    A [[]int]'s store is unboxed ({!Value}), so storing into one,
+    appending to one and listing one take their elements straight from
+    the int stack and box nothing.
 
     Every construct gets opcodes whose {!Vm} implementations replicate
     the reference walker ({!Interp.eval}, [Interp.exec_stmt],
@@ -272,6 +275,10 @@ let new_cache f =
 let is_int (e : Tast.expr) = e.Tast.ty = Types.Int
 
 let is_bool (e : Tast.expr) = e.Tast.ty = Types.Bool
+
+(* A [[]int]: its backing store is unboxed, so its elements are stored,
+   appended and listed from the I stack. *)
+let is_int_slice (e : Tast.expr) = e.Tast.ty = Types.Slice Types.Int
 
 (* Only a struct value has copy semantics: {!Value.copy} is the identity
    on every other value, so [copy] is emitted for struct types alone. *)
@@ -662,6 +669,10 @@ and emit_v_raw f (e : Tast.expr) =
     let tenv = f.ctx.tenv in
     let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
     op2 f ~dv:1 ~di:0 B.op_new (tbl_add f.sites site) z
+  | Tast.Tslice_lit (site, Types.Int, es) ->
+    List.iter (emit_i f) es;
+    let n = List.length es in
+    op2 f ~dv:1 ~di:(-n) B.op_slice_lit_i (tbl_add f.sites site) n
   | Tast.Tslice_lit (site, _, es) ->
     List.iter
       (fun e ->
@@ -683,6 +694,11 @@ and emit_v_raw f (e : Tast.expr) =
       es;
     let n = List.length es in
     op2 f ~dv:(1 - n) ~di:0 B.op_addr_struct_lit (tbl_add f.sites site) n
+  | Tast.Tappend (site, s, vs) when is_int_slice s ->
+    emit_v f s;
+    List.iter (emit_i f) vs;
+    let n = List.length vs in
+    op2 f ~dv:0 ~di:(-n) B.op_append_i (tbl_add f.sites site) n
   | Tast.Tappend (site, s, vs) ->
     emit_v f s;
     List.iter
@@ -690,7 +706,14 @@ and emit_v_raw f (e : Tast.expr) =
         emit_v_copy f e)
       vs;
     let n = List.length vs in
-    op2 f ~dv:(-n) ~di:0 B.op_append (tbl_add f.sites site) n
+    let z =
+      match s.Tast.ty with
+      | Types.Slice elem ->
+        let tenv = f.ctx.tenv in
+        tbl_add f.zeros (fun () -> Value.zero tenv elem)
+      | _ -> raise (Interp.Runtime_error "append to non-slice")
+    in
+    op3 f ~dv:(-n) ~di:0 B.op_append (tbl_add f.sites site) n z
   | Tast.Tlen a ->
     emit_v f a;
     op0 f ~dv:(-1) ~di:1 B.op_len;
@@ -971,6 +994,19 @@ let rec emit_stmt f (s : Tast.stmt) =
       emit_i f e;
       emit_v f base;
       op1 f ~dv:(-1) ~di:(-1) B.op_fstore_i fidx
+    | Tast.Lindex (a, i) when is_int_slice a -> begin
+      (* the element stays on the I stack: no box *)
+      emit_i f e;
+      match (a.Tast.desc, i.Tast.desc) with
+      | Tast.Tvar va, Tast.Tvar vi when frame_local f va && reg f vi >= 0 ->
+        opn f ~dv:0 ~di:(-1) B.op_store_i_sr
+          [ slot f va; name_idx f va.Tast.v_name; reg f vi;
+            name_idx f vi.Tast.v_name ]
+      | _ ->
+        emit_v f a;
+        emit_i f i;
+        op0 f ~dv:(-1) ~di:(-2) B.op_store_index_i
+    end
     | Tast.Lvar v
       when is_int e
            && (match e.Tast.desc with Tast.Tcall _ -> false | _ -> true) ->

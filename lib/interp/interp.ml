@@ -330,8 +330,8 @@ let pin _st fr v =
   | Value.VUnit | Value.VInt _ | Value.VFloat _ | Value.VBool _ | Value.VStr _
   | Value.VNil ->
     v
-  | Value.VPtr _ | Value.VSlice _ | Value.VMap _ | Value.VStruct _
-  | Value.VTuple _ | Value.VPoison ->
+  | Value.VPtr _ | Value.VIptr _ | Value.VSlice _ | Value.VIslice _
+  | Value.VMap _ | Value.VStruct _ | Value.VTuple _ | Value.VPoison ->
     fr.temps <- v :: fr.temps;
     v
 
@@ -384,6 +384,10 @@ let emit_str st s =
     Mutex.unlock p.p_out_mutex
   end
   else Buffer.add_string st.output s
+
+(* The text [println] prints for a value; int-store elements are
+   poison-checked. *)
+let show st v = Value.to_string ~heap:st.heap v
 
 (* Root enumeration: globals, then every registered goroutine's live
    frames (newest goroutine first, innermost frame first) and the
@@ -505,7 +509,7 @@ let spawn_goroutine st fid args =
     match gst.dispatch gst fid args 0 with
     | _ -> ()
     | exception Panic v ->
-      emit_str gst ("panic: " ^ Value.to_string v ^ "\n");
+      emit_str gst ("panic: " ^ show gst v ^ "\n");
       raise (Panic v)
   in
   Wsq.push p.p_queues.(st.dom) (fiber_task p gst body);
@@ -641,18 +645,24 @@ let alloc_heap_obj st ~category ~size ~payload =
   Rt.Heap.alloc_heap st.heap ~thread:st.dom ~category ~size
     ~payload
 
+(* A slice over a fresh backing store of [cap] elements: the one path
+   [make], slice literals and [append] growth take in both engines.
+   Growth arrays always come from the heap (§4.6.1). *)
+let alloc_slice st fr ~(site : Tast.alloc_site) ~growth store ~cap ~len =
+  let size = max 1 (cap * site.Tast.site_elem_size) in
+  let payload = Value.store_payload store in
+  let category = Rt.Metrics.Cat_slice in
+  let obj =
+    if growth then alloc_heap_obj st ~category ~size ~payload
+    else alloc_obj st fr ~site ~category ~size ~payload
+  in
+  pin st fr (Value.slice_of obj.Rt.Heap.addr store len)
+
 let make_slice_obj st fr ~(site : Tast.alloc_site) ~len ~cap ~zero_of :
     Value.value =
   let cap = max cap len in
-  let cells = Value.make_store cap zero_of in
-  let size = max 1 (cap * site.Tast.site_elem_size) in
-  let obj =
-    alloc_obj st fr ~site ~category:Rt.Metrics.Cat_slice ~size
-      ~payload:(Value.Pcells cells)
-  in
-  pin st fr
-    (Value.VSlice { Value.s_addr = obj.Rt.Heap.addr; s_cells = cells;
-                    s_off = 0; s_len = len })
+  alloc_slice st fr ~site ~growth:false (Value.make_store cap zero_of) ~cap
+    ~len
 
 let bucket_overhead = 16
 
@@ -887,13 +897,16 @@ and value_eq (a : Value.value) (b : Value.value) =
   | VBool x, VBool y -> x = y
   | VStr x, VStr y -> String.equal x y
   | VNil, VNil -> true
-  | VNil, (VPtr _ | VSlice _ | VMap _) | (VPtr _ | VSlice _ | VMap _), VNil
-    ->
+  | VNil, (VPtr _ | VIptr _ | VSlice _ | VIslice _ | VMap _)
+  | (VPtr _ | VIptr _ | VSlice _ | VIslice _ | VMap _), VNil ->
     false
   | VPtr x, VPtr y -> x.p_arr == y.p_arr && x.p_idx = y.p_idx
+  | VIptr x, VIptr y -> x.ip_ints == y.ip_ints && x.ip_idx = y.ip_idx
   | VMap x, VMap y -> x = y
   | VSlice x, VSlice y ->
     x.s_cells == y.s_cells && x.s_off = y.s_off && x.s_len = y.s_len
+  | VIslice x, VIslice y ->
+    x.i_ints == y.i_ints && x.i_off = y.i_off && x.i_len = y.i_len
   | VPoison, _ | _, VPoison -> raise (Corruption "comparison with freed memory")
   | _ -> false
 
@@ -903,11 +916,12 @@ and value_eq (a : Value.value) (b : Value.value) =
 let tcfree_binding st (b : binding) (kind : Tast.free_kind) =
   let thread = st.dom in
   match Value.get (binding_cell b) with
-  | Value.VSlice s when kind = Tast.Free_slice ->
+  | Value.VSlice { Value.s_addr = addr; _ }
+  | Value.VIslice { i_addr = addr; _ }
+    when kind = Tast.Free_slice ->
     (* TcfreeSlice: unwrap the backing array's address *)
     ignore
-      (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_slice
-         s.Value.s_addr)
+      (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_slice addr)
   | Value.VMap addr when kind = Tast.Free_map -> begin
     (* TcfreeMap: unwrap the bucket array's address *)
     match Rt.Heap.find_obj st.heap addr with
@@ -921,13 +935,213 @@ let tcfree_binding st (b : binding) (kind : Tast.free_kind) =
         (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_map addr)
     | _ -> ()
   end
-  | Value.VPtr p when kind = Tast.Free_obj ->
-    if p.Value.p_owner > 0 then
+  | Value.VPtr { Value.p_owner = owner; _ }
+  | Value.VIptr { Value.ip_owner = owner; _ }
+    when kind = Tast.Free_obj ->
+    if owner > 0 then
       ignore
-        (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_slice
-           p.Value.p_owner)
+        (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_slice owner)
   | Value.VNil | Value.VPoison -> ()
   | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Slice operations, shared by both engines                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [a[i]] of a slice or a string, as a value. *)
+let index_value heap (va : Value.value) (vi : int) : Value.value =
+  match va with
+  | Value.VIslice s ->
+    if vi < 0 || vi >= s.i_len then
+      raise (Panic (Value.VStr "index out of range"));
+    Value.vint
+      (Value.read_int heap s.i_addr s.i_ints (s.i_off + vi))
+  | Value.VSlice s ->
+    if vi < 0 || vi >= s.Value.s_len then
+      raise (Panic (Value.VStr "index out of range"));
+    Value.read_elem s.Value.s_cells (s.Value.s_off + vi)
+  | Value.VStr s ->
+    if vi < 0 || vi >= String.length s then
+      raise (Panic (Value.VStr "index out of range"));
+    Value.vint (Char.code s.[vi])
+  | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
+  | _ -> raise (Runtime_error "cannot index this value")
+
+(* [a[i] = v]: the bounds check, then the write (an assignment copy). *)
+let store_index (va : Value.value) (vi : int) (v : Value.value) =
+  match va with
+  | Value.VIslice s ->
+    if vi < 0 || vi >= s.i_len then
+      raise (Panic (Value.VStr "index out of range"));
+    s.i_ints.(s.i_off + vi) <- as_int v
+  | Value.VSlice s ->
+    if vi < 0 || vi >= s.Value.s_len then
+      raise (Panic (Value.VStr "index out of range"));
+    s.Value.s_cells.(s.Value.s_off + vi) <- Value.copy v
+  | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
+  | _ -> raise (Runtime_error "cannot assign into this value")
+
+(* [&a[i]]. *)
+let addr_index (va : Value.value) (vi : int) : Value.value =
+  match va with
+  | Value.VIslice s ->
+    if vi < 0 || vi >= s.i_len then
+      raise (Panic (Value.VStr "index out of range"));
+    Value.VIptr
+      { Value.ip_owner = s.i_addr; ip_ints = s.i_ints;
+        ip_idx = s.i_off + vi }
+  | Value.VSlice s ->
+    if vi < 0 || vi >= s.Value.s_len then
+      raise (Panic (Value.VStr "index out of range"));
+    Value.VPtr
+      { Value.p_owner = s.Value.s_addr; p_arr = s.Value.s_cells;
+        p_idx = s.Value.s_off + vi }
+  | _ -> raise (Runtime_error "cannot take address of this element")
+
+(* [*p]. *)
+let deref heap (v : Value.value) : Value.value =
+  match v with
+  | Value.VPtr p -> Value.read_ptr p
+  | Value.VIptr p -> Value.vint (Value.read_iptr heap p)
+  | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
+  | _ -> raise (Runtime_error "dereference of a non-pointer")
+
+(* [*p = v]. *)
+let store_deref (p : Value.value) (v : Value.value) =
+  match p with
+  | Value.VPtr p -> Value.ptr_set p (Value.copy v)
+  | Value.VIptr p -> p.Value.ip_ints.(p.Value.ip_idx) <- as_int v
+  | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
+  | _ -> raise (Runtime_error "assignment through non-pointer")
+
+let length st (v : Value.value) =
+  match v with
+  | Value.VIslice s -> s.i_len
+  | Value.VSlice s -> s.Value.s_len
+  | Value.VStr s -> String.length s
+  | Value.VMap addr -> map_len st addr
+  | Value.VNil -> 0
+  | _ -> raise (Runtime_error "len of unsupported value")
+
+let capacity (v : Value.value) =
+  match v with
+  | Value.VIslice s -> Array.length s.i_ints - s.i_off
+  | Value.VSlice s -> Array.length s.Value.s_cells - s.Value.s_off
+  | Value.VNil -> 0
+  | _ -> raise (Runtime_error "cap of unsupported value")
+
+(* [a[lo:hi]] of a slice or a string; an absent bound is [None]. *)
+let reslice (base : Value.value) (lo : int option)
+    (hi : int option) : Value.value =
+  let bound default = function Some n -> n | None -> default in
+  match base with
+  | Value.VIslice s ->
+    let cap = Array.length s.i_ints - s.i_off in
+    let lo = bound 0 lo in
+    let hi = bound s.i_len hi in
+    if lo < 0 || hi > cap || lo > hi then
+      raise (Panic (Value.VStr "slice bounds out of range"));
+    Value.VIslice { s with i_off = s.i_off + lo; i_len = hi - lo }
+  | Value.VSlice s ->
+    let cap = Array.length s.Value.s_cells - s.Value.s_off in
+    let lo = bound 0 lo in
+    let hi = bound s.Value.s_len hi in
+    if lo < 0 || hi > cap || lo > hi then
+      raise (Panic (Value.VStr "slice bounds out of range"));
+    Value.VSlice { s with Value.s_off = s.Value.s_off + lo; s_len = hi - lo }
+  | Value.VStr str ->
+    let lo = bound 0 lo in
+    let hi = bound (String.length str) hi in
+    if lo < 0 || hi > String.length str || lo > hi then
+      raise (Panic (Value.VStr "slice bounds out of range"));
+    Value.VStr (String.sub str lo (hi - lo))
+  | Value.VNil ->
+    if bound 0 lo <> 0 || bound 0 hi <> 0 then
+      raise (Panic (Value.VStr "slice bounds out of range"));
+    Value.VNil
+  | _ -> raise (Runtime_error "slice of unsupported value")
+
+(* [copy(dst, src)], with memmove semantics: every source element is read
+   (and poison-checked) before the first write, so overlapping views of
+   one backing array copy correctly, like Go. *)
+let slice_copy st (vd : Value.value) (vs : Value.value) : int =
+  match (vd, vs) with
+  | Value.VIslice d, Value.VIslice s ->
+    let n = min d.i_len s.i_len in
+    for i = s.i_off to s.i_off + n - 1 do
+      if Array.unsafe_get s.i_ints i = Value.poison_int then
+        Value.check_int st.heap s.i_addr
+    done;
+    Array.blit s.i_ints s.i_off d.i_ints d.i_off n;
+    n
+  | Value.VSlice d, Value.VSlice s ->
+    let n = min d.Value.s_len s.Value.s_len in
+    let snapshot =
+      Array.init n (fun i ->
+          Value.copy (Value.read_elem s.Value.s_cells (s.Value.s_off + i)))
+    in
+    Array.blit snapshot 0 d.Value.s_cells d.Value.s_off n;
+    n
+  | Value.VNil, _ | _, Value.VNil -> 0
+  | _ -> raise (Runtime_error "copy on non-slices")
+
+(* The capacity an [append] that outgrows [old_cap] allocates. *)
+let grown_cap old_cap new_len = max (max (2 * old_cap) new_len) 4
+
+(* [append] to a value-store slice of the [n] elements of [elems] from
+   [off] (already assignment-copied).  Growth copies the live elements
+   into a fresh heap array whose spare capacity holds [zero_of]'s
+   zeros, as [make] fills a store. *)
+let append_values st fr ~site ~zero_of (base : Value.value)
+    (elems : Value.value array) off n : Value.value =
+  let old_len, old_off, old_cells =
+    match base with
+    | Value.VSlice s -> (s.Value.s_len, s.Value.s_off, s.Value.s_cells)
+    | Value.VNil -> (0, 0, [||])
+    | Value.VPoison -> raise (Value.Corruption "append to freed slice")
+    | _ -> raise (Runtime_error "append to non-slice")
+  in
+  let new_len = old_len + n in
+  match base with
+  | Value.VSlice s when old_off + new_len <= Array.length old_cells ->
+    (* room within the view's capacity: write in place *)
+    Array.blit elems off old_cells (old_off + old_len) n;
+    Value.VSlice { s with Value.s_len = new_len }
+  | _ ->
+    let cap = grown_cap (Array.length old_cells - old_off) new_len in
+    let cells = Array.make cap Value.VNil in
+    for i = 0 to old_len - 1 do
+      cells.(i) <- Value.read_elem old_cells (old_off + i)
+    done;
+    Array.blit elems off cells old_len n;
+    Value.fill_zero cells new_len (zero_of ());
+    alloc_slice st fr ~site ~growth:true (Value.Cells cells) ~cap ~len:new_len
+
+(* [append] to an int slice, the elements unboxed; spare capacity holds
+   zeros. *)
+let append_ints st fr ~site (base : Value.value) (elems : int array) off n :
+    Value.value =
+  let old_addr, old_len, old_off, old_ints =
+    match base with
+    | Value.VIslice s ->
+      (s.i_addr, s.i_len, s.i_off, s.i_ints)
+    | Value.VNil -> (0, 0, 0, [||])
+    | Value.VPoison -> raise (Value.Corruption "append to freed slice")
+    | _ -> raise (Runtime_error "append to non-slice")
+  in
+  let new_len = old_len + n in
+  match base with
+  | Value.VIslice s when old_off + new_len <= Array.length old_ints ->
+    Array.blit elems off old_ints (old_off + old_len) n;
+    Value.VIslice { s with i_len = new_len }
+  | _ ->
+    let cap = grown_cap (Array.length old_ints - old_off) new_len in
+    let ints = Array.make cap 0 in
+    for i = 0 to old_len - 1 do
+      ints.(i) <- Value.read_int st.heap old_addr old_ints (old_off + i)
+    done;
+    Array.blit elems off ints old_len n;
+    alloc_slice st fr ~site ~growth:true (Value.Ints ints) ~cap ~len:new_len
 
 (* ------------------------------------------------------------------ *)
 (* Calls, defers, panics                                               *)
@@ -1057,27 +1271,11 @@ let rec eval st (e : Tast.expr) : Value.value =
   end
   | Tast.Tunop (Ast.Unot, a) -> Value.vbool (not (truthy (eval st a)))
   | Tast.Taddr lv -> eval_addr st lv
-  | Tast.Tderef a -> begin
-    match eval st a with
-    | Value.VPtr p -> Value.read_ptr p
-    | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
-    | _ -> raise (Runtime_error "dereference of a non-pointer")
-  end
-  | Tast.Tindex (a, i) -> begin
+  | Tast.Tderef a -> deref st.heap (eval st a)
+  | Tast.Tindex (a, i) ->
     let va = eval st a in
     let vi = as_int (eval st i) in
-    match va with
-    | Value.VSlice s ->
-      if vi < 0 || vi >= s.Value.s_len then
-        raise (Panic (Value.VStr "index out of range"));
-      Value.read_elem s.Value.s_cells (s.Value.s_off + vi)
-    | Value.VStr s ->
-      if vi < 0 || vi >= String.length s then
-        raise (Panic (Value.VStr "index out of range"));
-      Value.VInt (Char.code s.[vi])
-    | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
-    | _ -> raise (Runtime_error "cannot index this value")
-  end
+    index_value st.heap va vi
   | Tast.Tmap_get (m, k) -> begin
     let vm = eval st m in
     let vk = eval st k in
@@ -1119,17 +1317,16 @@ let rec eval st (e : Tast.expr) : Value.value =
         ~payload:(Value.Pcells c)
     in
     pin st (cur_frame st) (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c))
-  | Tast.Tslice_lit (site, _, es) ->
-    let cells = Array.of_list (List.map (fun e -> Value.copy (eval st e)) es) in
-    let size = max 1 (Array.length cells * site.Tast.site_elem_size) in
-    let obj =
-      alloc_obj st (cur_frame st) ~site ~category:Rt.Metrics.Cat_slice ~size
-        ~payload:(Value.Pcells cells)
+  | Tast.Tslice_lit (site, elem, es) ->
+    let store =
+      if elem = Types.Int then
+        Value.Ints (Array.of_list (List.map (fun e -> as_int (eval st e)) es))
+      else
+        Value.Cells
+          (Array.of_list (List.map (fun e -> Value.copy (eval st e)) es))
     in
-    pin st (cur_frame st)
-      (Value.VSlice
-         { Value.s_addr = obj.Rt.Heap.addr; s_cells = cells; s_off = 0;
-           s_len = Array.length cells })
+    let n = List.length es in
+    alloc_slice st (cur_frame st) ~site ~growth:false store ~cap:n ~len:n
   | Tast.Tstruct_lit (_, es) ->
     Value.VStruct
       (Array.of_list
@@ -1147,25 +1344,23 @@ let rec eval st (e : Tast.expr) : Value.value =
         ~payload:(Value.Pcells c)
     in
     pin st (cur_frame st) (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c))
-  | Tast.Tappend (site, s, vs) ->
+  | Tast.Tappend (site, s, vs) -> begin
     let base = eval st s in
-    let elems = Array.of_list (List.map (fun v -> Value.copy (eval st v)) vs) in
-    eval_append st (cur_frame st) ~site base elems 0 (Array.length elems)
-  | Tast.Tlen a -> begin
-    match eval st a with
-    | Value.VSlice s -> Value.VInt s.Value.s_len
-    | Value.VStr s -> Value.VInt (String.length s)
-    | Value.VMap addr -> Value.VInt (map_len st addr)
-    | Value.VNil -> Value.VInt 0
-    | _ -> raise (Runtime_error "len of unsupported value")
+    let n = List.length vs in
+    match s.Tast.ty with
+    | Types.Slice Types.Int ->
+      let elems = Array.of_list (List.map (fun v -> as_int (eval st v)) vs) in
+      append_ints st (cur_frame st) ~site base elems 0 n
+    | Types.Slice elem ->
+      let elems =
+        Array.of_list (List.map (fun v -> Value.copy (eval st v)) vs)
+      in
+      append_values st (cur_frame st) ~site ~zero_of:(zero_of st elem) base
+        elems 0 n
+    | _ -> raise (Runtime_error "append to non-slice")
   end
-  | Tast.Tcap a -> begin
-    match eval st a with
-    | Value.VSlice s ->
-      Value.VInt (Array.length s.Value.s_cells - s.Value.s_off)
-    | Value.VNil -> Value.VInt 0
-    | _ -> raise (Runtime_error "cap of unsupported value")
-  end
+  | Tast.Tlen a -> Value.VInt (length st (eval st a))
+  | Tast.Tcap a -> Value.VInt (capacity (eval st a))
   | Tast.Titoa a -> Value.VStr (string_of_int (as_int (eval st a)))
   | Tast.Trand a -> Value.VInt (rand_int st (as_int (eval st a)))
   | Tast.Tsubstr (s, a, b) -> begin
@@ -1178,42 +1373,15 @@ let rec eval st (e : Tast.expr) : Value.value =
       else Value.VStr (String.sub s lo (hi - lo))
     | _ -> raise (Runtime_error "substr on non-string")
   end
-  | Tast.Tslice_sub (a, lo, hi) -> begin
+  | Tast.Tslice_sub (a, lo, hi) ->
     let base = eval st a in
-    let bound default = function
-      | Some e -> as_int (eval st e)
-      | None -> default
-    in
-    match base with
-    | Value.VSlice s ->
-      let cap = Array.length s.Value.s_cells - s.Value.s_off in
-      let lo = bound 0 lo in
-      let hi = bound s.Value.s_len hi in
-      if lo < 0 || hi > cap || lo > hi then
-        raise (Panic (Value.VStr "slice bounds out of range"));
-      Value.VSlice
-        { s with Value.s_off = s.Value.s_off + lo; s_len = hi - lo }
-    | Value.VStr str ->
-      let lo = bound 0 lo in
-      let hi = bound (String.length str) hi in
-      if lo < 0 || hi > String.length str || lo > hi then
-        raise (Panic (Value.VStr "slice bounds out of range"));
-      Value.VStr (String.sub str lo (hi - lo))
-    | Value.VNil ->
-      let lo = bound 0 lo and hi = bound 0 hi in
-      if lo <> 0 || hi <> 0 then
-        raise (Panic (Value.VStr "slice bounds out of range"));
-      Value.VNil
-    | _ -> raise (Runtime_error "slice of unsupported value")
-  end
-  | Tast.Tcopy (dst, src) -> begin
+    let lo = Option.map (fun e -> as_int (eval st e)) lo in
+    let hi = Option.map (fun e -> as_int (eval st e)) hi in
+    reslice base lo hi
+  | Tast.Tcopy (dst, src) ->
     let vd = eval st dst in
     let vs = eval st src in
-    match (vd, vs) with
-    | Value.VSlice d, Value.VSlice s -> Value.VInt (slice_copy d s)
-    | (Value.VNil, _ | _, Value.VNil) -> Value.VInt 0
-    | _ -> raise (Runtime_error "copy on non-slices")
-  end
+    Value.VInt (slice_copy st vd vs)
   | Tast.Tmap_get_ok (m, k) -> begin
     let vm = eval st m in
     let vk = eval st k in
@@ -1237,59 +1405,8 @@ and recover st =
   | Some v ->
     (* stop the unwind; hand the panic message to the program *)
     st.unwinding <- None;
-    Value.VStr (Value.to_string v)
+    Value.VStr (show st v)
   | None -> Value.VStr ""
-
-and slice_copy (d : Value.slice) (s : Value.slice) : int =
-  (* memmove semantics: snapshot the source first so overlapping views
-     of one backing array copy correctly, like Go *)
-  let n = min d.Value.s_len s.Value.s_len in
-  let snapshot =
-    Array.init n (fun i ->
-        Value.copy (Value.read_elem s.Value.s_cells (s.Value.s_off + i)))
-  in
-  for i = 0 to n - 1 do
-    d.Value.s_cells.(d.Value.s_off + i) <- snapshot.(i)
-  done;
-  n
-
-and eval_append st fr ~site base (elems : Value.value array) off n :
-    Value.value =
-  let open Value in
-  let old_len, old_off, old_cells =
-    match base with
-    | VSlice s -> (s.s_len, s.s_off, s.s_cells)
-    | VNil -> (0, 0, [||])
-    | VPoison -> raise (Corruption "append to freed slice")
-    | _ -> raise (Runtime_error "append to non-slice")
-  in
-  let new_len = old_len + n in
-  if old_off + new_len <= Array.length old_cells then begin
-    (* room within the view's capacity: write in place *)
-    Array.blit elems off old_cells (old_off + old_len) n;
-    match base with
-    | VSlice s -> VSlice { s with s_len = new_len }
-    | _ -> assert false
-  end
-  else begin
-    let old_cap = Array.length old_cells - old_off in
-    let new_cap = max (max (2 * old_cap) new_len) 4 in
-    let cells = Array.make new_cap VNil in
-    for i = 0 to old_len - 1 do
-      cells.(i) <- Value.read_elem old_cells (old_off + i)
-    done;
-    Array.blit elems off cells old_len n;
-    let size = max 1 (new_cap * site.Tast.site_elem_size) in
-    (* growth arrays always come from the heap (§4.6.1) *)
-    let obj =
-      alloc_heap_obj st ~category:Rt.Metrics.Cat_slice ~size
-        ~payload:(Pcells cells)
-    in
-    pin st fr
-      (VSlice
-         { s_addr = obj.Rt.Heap.addr; s_cells = cells; s_off = 0;
-           s_len = new_len })
-  end
 
 (* Address-of: produce a pointer value. *)
 and eval_addr st (lv : Tast.lvalue) : Value.value =
@@ -1301,18 +1418,10 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
     | Bunbound -> raise (Runtime_error "unbound variable")
   end
   | Tast.Lderef e -> eval st e
-  | Tast.Lindex (a, i) -> begin
+  | Tast.Lindex (a, i) ->
     let va = eval st a in
     let vi = as_int (eval st i) in
-    match va with
-    | Value.VSlice s ->
-      if vi < 0 || vi >= s.Value.s_len then
-        raise (Panic (Value.VStr "index out of range"));
-      Value.VPtr
-        { Value.p_owner = s.Value.s_addr; p_arr = s.Value.s_cells;
-          p_idx = s.Value.s_off + vi }
-    | _ -> raise (Runtime_error "cannot take address of this element")
-  end
+    addr_index va vi
   | Tast.Lmap _ -> raise (Runtime_error "cannot take address of map element")
   | Tast.Lfield (base, idx, _) -> begin
     let owner, cells =
@@ -1378,47 +1487,30 @@ and owner_of_struct_base st (e : Tast.expr) : int =
   end
   | _ -> 0
 
-(* An lvalue resolved to mutable storage. *)
-and eval_lvalue_target st (lv : Tast.lvalue) :
-    [ `Elem of Value.value array * int | `Map of int * Value.value ] =
+(* Store into an lvalue: resolve the target (its sub-expressions
+   evaluate now, after the right-hand side), then write with a copy. *)
+and assign st (lv : Tast.lvalue) (v : Value.value) =
   match lv with
-  | Tast.Lvar v -> `Elem (binding_cell (lookup_binding st v), 0)
-  | Tast.Lderef e -> begin
-    match eval st e with
-    | Value.VPtr p -> `Elem (p.Value.p_arr, p.Value.p_idx)
-    | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
-    | _ -> raise (Runtime_error "assignment through non-pointer")
-  end
-  | Tast.Lindex (a, i) -> begin
+  | Tast.Lvar x -> Value.set (binding_cell (lookup_binding st x)) (Value.copy v)
+  | Tast.Lderef e -> store_deref (eval st e) v
+  | Tast.Lindex (a, i) ->
     let va = eval st a in
     let vi = as_int (eval st i) in
-    match va with
-    | Value.VSlice s ->
-      if vi < 0 || vi >= s.Value.s_len then
-        raise (Panic (Value.VStr "index out of range"));
-      `Elem (s.Value.s_cells, s.Value.s_off + vi)
-    | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
-    | _ -> raise (Runtime_error "cannot assign into this value")
-  end
+    store_index va vi v
   | Tast.Lmap (m, k) -> begin
     let vm = eval st m in
     let vk = eval st k in
     match vm with
-    | Value.VMap addr -> `Map (addr, vk)
+    | Value.VMap addr -> map_store st addr vk (Value.copy v)
     | Value.VNil ->
       raise (Panic (Value.VStr "assignment to entry in nil map"))
     | _ -> raise (Runtime_error "not a map")
   end
-  | Tast.Lfield (base, idx, _) -> begin
-    match eval_addr st (Tast.Lfield (base, idx, "")) with
-    | Value.VPtr p -> `Elem (p.Value.p_arr, p.Value.p_idx)
+  | Tast.Lfield _ -> begin
+    match eval_addr st lv with
+    | Value.VPtr p -> Value.ptr_set p (Value.copy v)
     | _ -> raise (Runtime_error "bad field target")
   end
-
-and assign st (lv : Tast.lvalue) (v : Value.value) =
-  match eval_lvalue_target st lv with
-  | `Elem (a, i) -> a.(i) <- Value.copy v
-  | `Map (addr, key) -> map_store st addr key (Value.copy v)
 
 and call_function st name (args : Value.value array) : Value.value =
   match Layout.func_id st.layout name with
@@ -1555,7 +1647,7 @@ and exec_stmt st (s : Tast.stmt) =
     | _ -> raise (Runtime_error "delete on non-map")
   end
   | Tast.Sprint es ->
-    let parts = List.map (fun e -> Value.to_string (eval st e)) es in
+    let parts = List.map (fun e -> show st (eval st e)) es in
     emit_str st (String.concat " " parts ^ "\n")
   | Tast.Stcfree (v, kind) ->
     (* tcfree is only inserted for locals; a global here (impossible by

@@ -283,24 +283,86 @@ val map_len : state -> int -> int
 (** Key snapshot for [for k := range m], in iteration order. *)
 val map_range_keys : state -> int -> Value.value list
 
-(** [eval_append st fr ~site base elems off n]: grow a slice by the [n]
-    already-evaluated elements of [elems] from [off] on (append
-    semantics: in-place within capacity, else heap reallocation). *)
-val eval_append :
+(** {2 Slice operations}
+
+    Each is the one implementation of its operation on both kinds of
+    slice store ({!Value.VSlice}, {!Value.VIslice}) for both engines. *)
+
+(** [alloc_slice st fr ~site ~growth store ~cap ~len]: the slice over the
+    first [len] elements of a fresh [cap]-element store, allocated at
+    [site] — from the heap regardless of the site when [growth] — and
+    pinned.  [make], slice literals and [append] growth all allocate
+    here. *)
+val alloc_slice :
   state ->
   frame ->
   site:Tast.alloc_site ->
+  growth:bool ->
+  Value.store ->
+  cap:int ->
+  len:int ->
+  Value.value
+
+(** The text [println] prints; int-store elements are poison-checked. *)
+val show : state -> Value.value -> string
+
+(** [a[i]] of a slice or string, boxed. *)
+val index_value : Rt.Heap.t -> Value.value -> int -> Value.value
+
+(** [a[i] = v]: bounds check, then the assignment copy. *)
+val store_index : Value.value -> int -> Value.value -> unit
+
+(** [&a[i]]. *)
+val addr_index : Value.value -> int -> Value.value
+
+(** [*p]. *)
+val deref : Rt.Heap.t -> Value.value -> Value.value
+
+(** [*p = v], with the assignment copy. *)
+val store_deref : Value.value -> Value.value -> unit
+
+(** [len] of a slice, string, map or nil. *)
+val length : state -> Value.value -> int
+
+(** [cap] of a slice or nil. *)
+val capacity : Value.value -> int
+
+(** [reslice a lo hi]: [a[lo:hi]] of a slice or string, a header
+    operation; an absent bound is [None]. *)
+val reslice : Value.value -> int option -> int option -> Value.value
+
+(** [copy(dst, src)], returning the count copied.  Memmove semantics:
+    every source element is read (poison-checked, deep copied) before the
+    first write, so overlapping views of one backing store copy
+    correctly. *)
+val slice_copy : state -> Value.value -> Value.value -> int
+
+(** [append_values st fr ~site ~zero_of base elems off n]: append the
+    [n] already-evaluated, assignment-copied elements of [elems] from
+    [off] to a value-store slice: in place within capacity, else into a
+    fresh heap array whose spare capacity holds the element's zeros
+    ({!Value.fill_zero}). *)
+val append_values :
+  state ->
+  frame ->
+  site:Tast.alloc_site ->
+  zero_of:(unit -> Value.value) ->
   Value.value ->
   Value.value array ->
   int ->
   int ->
   Value.value
 
-(** [copy(dst, src)] on two live slices, returning the count copied.
-    Memmove semantics: the source is snapshot (poison-checked, deep
-    copied) first, so overlapping views of one backing store copy
-    correctly. *)
-val slice_copy : Value.slice -> Value.slice -> int
+(** {!append_values} for an int slice, the elements unboxed. *)
+val append_ints :
+  state ->
+  frame ->
+  site:Tast.alloc_site ->
+  Value.value ->
+  int array ->
+  int ->
+  int ->
+  Value.value
 
 (** Apply a tcfree of the given kind to an already-resolved binding
     (callers filter [Bunbound] — never executed — as a no-op). *)

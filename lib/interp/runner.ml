@@ -94,7 +94,7 @@ let run_program ?(config = Interp.default_config)
     | _ -> ()
     | exception Interp.Panic v ->
       Buffer.add_string st.Interp.output
-        ("panic: " ^ Value.to_string v ^ "\n");
+        ("panic: " ^ Interp.show st v ^ "\n");
       panicked := true
   in
   (match Par.run par st boot with
@@ -102,7 +102,7 @@ let run_program ?(config = Interp.default_config)
   | exception Interp.Panic v ->
     (* a goroutine's unrecovered panic aborts the program, like Go *)
     Buffer.add_string st.Interp.output
-      ("panic: " ^ Value.to_string v ^ "\n");
+      ("panic: " ^ Interp.show st v ^ "\n");
     panicked := true);
   let t1 = now_ns () in
   (* Each goroutine ran on its own state copy; finished goroutines

@@ -1,20 +1,34 @@
 (** Runtime values of MiniGo and their payload representation inside the
     simulated heap.
 
-    Mutable storage is a flat [value array]: a slice's backing store
-    holds its elements directly, and every other mutable location (a
+    Mutable storage comes in two kinds, chosen by a slice's element type
+    alone.  A [[]int] backing store is a bare [int array] ({!VIslice}):
+    its elements are unboxed words that hold no address, Go's "noscan"
+    object, so the simulated mark ({!trace_payload}) never walks them,
+    the host GC finds nothing in them to follow or promote, and storing
+    an int into one allocates nothing.
+    Every other slice's backing store is a [value array] ({!slice})
+    holding its elements directly, and every other mutable location (a
     frame variable, a heap box, a struct field) is a {!cell}, a
     one-element array.  A pointer is an (owner address, array, index)
-    triple, so [&s[i]], [&local], [&x.f], [new(T)] and [&T{}] all
-    dereference the same way while the GC keeps the owning heap object
-    alive.  Struct values are cell arrays copied on assignment (Go value
+    triple — {!ptr} into a value array, {!iptr} into an int store — so
+    [&s[i]], [&local], [&x.f], [new(T)] and [&T{}] all dereference in
+    one array access while the GC keeps the owning heap object alive.
+    Struct values are cell arrays copied on assignment (Go value
     semantics); slice values are headers (backing-array address + store
     + offset + length) copied freely while sharing the backing store.
+
+    Freed memory in poison mode (§6.8): a freed value store's elements
+    become [VPoison]; a freed int store's become {!poison_int}, and a read
+    that finds that sentinel is a read of freed memory exactly when the
+    store's owner has left the heap's object table ({!read_int}).
 
     Strings are modelled as static immutable data (no heap object): GoFree
     never frees strings, and the paper's reclaim comes from slices and
     maps, so this keeps the value model small without changing any
     measured behaviour (recorded as a substitution in DESIGN.md). *)
+
+module Heap = Gofree_runtime.Heap
 
 type value =
   | VUnit
@@ -24,7 +38,14 @@ type value =
   | VStr of string
   | VNil
   | VPtr of ptr
+  | VIptr of iptr  (** pointer to an element of an int store *)
   | VSlice of slice
+  | VIslice of {
+      i_addr : int;  (** backing-array object *)
+      i_ints : int array;  (** the shared unboxed backing store *)
+      i_off : int;
+      i_len : int;  (** capacity = Array.length i_ints − i_off *)
+    }  (** a [[]int]: its store is unboxed; the header is inline *)
   | VMap of int  (** address of the map header object *)
   | VStruct of cell array
   | VTuple of value list
@@ -36,6 +57,12 @@ and ptr = {
   p_owner : int;  (** heap/stack object owning the storage; 0 = frame slot *)
   p_arr : value array;  (** a cell, or a slice backing store *)
   p_idx : int;  (** the element of [p_arr] pointed at *)
+}
+
+and iptr = {
+  ip_owner : int;  (** the int store's backing-array object *)
+  ip_ints : int array;
+  ip_idx : int;
 }
 
 and slice = {
@@ -66,9 +93,10 @@ type map_data = {
 type buckets = { bk_n : int array; bk_kv : value array array }
 
 (** Heap payloads carrying interpreter values. *)
-type Gofree_runtime.Heap.payload +=
+type Heap.payload +=
   | Pcells of value array
       (** slice backing store, or a box (whose payload is its own cell) *)
+  | Pints of int array  (** int-slice backing store: pointer-free *)
   | Pmap of map_data
   | Pbuckets of buckets
 
@@ -119,20 +147,70 @@ let read_ptr p =
   | VPoison -> raise (Corruption "read of freed memory")
   | v -> v
 
-(** A backing store of [n] zero values.  A struct zero is mutable, so
-    each element gets its own; any other zero is immutable and shared. *)
-let make_store n (zero_of : unit -> value) : value array =
-  match zero_of () with
-  | VStruct _ -> Array.init n (fun _ -> zero_of ())
-  | z -> Array.make n z
+(* ---- Int stores ----------------------------------------------------
+
+   A freed int store (poison mode) holds [poison_int] in every element.
+   An element holding it is a read of freed memory only when its owner
+   is gone from the object table: a live store may hold the same number,
+   and a freed element the program wrote to since holds what it wrote,
+   just as a written [VPoison] cell holds its new value. *)
+
+let poison_int = -0x3EAD_BEEF_DEAD_BEEF
+
+let owner_freed (heap : Heap.t) owner =
+  heap.Heap.config.Heap.poison_on_free && Heap.find heap owner == Heap.no_obj
+
+let[@inline never] check_int heap owner =
+  if owner_freed heap owner then raise (Corruption "read of freed memory")
+
+let read_int heap owner (a : int array) i =
+  let n = a.(i) in
+  if n = poison_int then check_int heap owner;
+  n
+
+let read_iptr heap p = read_int heap p.ip_owner p.ip_ints p.ip_idx
+
+(** A fresh backing store, of the kind its element type selects: an int
+    store for [int] elements, else a value store. *)
+type store = Cells of value array | Ints of int array
 
 (** Deep-copy for assignment: struct values copy their cells; everything
     else has reference or immutable semantics. *)
 let rec copy = function
   | VStruct cells -> VStruct (Array.map (fun c -> cell (copy (get c))) cells)
-  | ( VUnit | VInt _ | VFloat _ | VBool _ | VStr _ | VNil | VPtr _
-    | VSlice _ | VMap _ | VTuple _ | VPoison ) as v ->
+  | ( VUnit | VInt _ | VFloat _ | VBool _ | VStr _ | VNil | VPtr _ | VIptr _
+    | VSlice _ | VIslice _ | VMap _ | VTuple _ | VPoison ) as v ->
     v
+
+(** Set [cells.(from) ..] to the zero [z]: a struct zero is mutable, so
+    each element gets its own copy; any other zero is immutable and
+    shared. *)
+let fill_zero cells from z =
+  match z with
+  | VStruct _ ->
+    for i = from to Array.length cells - 1 do cells.(i) <- copy z done
+  | _ ->
+    if from < Array.length cells then
+      Array.fill cells from (Array.length cells - from) z
+
+(** A backing store of [n] zero values: an int store exactly when the
+    zero is [VInt 0], else a value store filled by {!fill_zero}. *)
+let make_store n (zero_of : unit -> value) : store =
+  match zero_of () with
+  | VInt 0 -> Ints (Array.make n 0)
+  | z ->
+    let cells = Array.make n z in
+    fill_zero cells 1 z;
+    Cells cells
+
+let store_payload = function Cells a -> Pcells a | Ints a -> Pints a
+
+(** The slice header over the first [len] elements of the store owned by
+    the object at [addr]. *)
+let slice_of addr store len =
+  match store with
+  | Cells a -> VSlice { s_addr = addr; s_cells = a; s_off = 0; s_len = len }
+  | Ints a -> VIslice { i_addr = addr; i_ints = a; i_off = 0; i_len = len }
 
 (** Zero value of a type (Go semantics). *)
 let rec zero (tenv : Minigo.Types.env) (ty : Minigo.Types.t) : value =
@@ -156,13 +234,16 @@ let rec trace (v : value) (k : int -> unit) =
   | VStr _ | VUnit | VInt _ | VFloat _ | VBool _ | VNil | VPoison -> ()
   | VPtr p -> if p.p_owner > 0 then k p.p_owner
     (* owner 0: pointer to a frame slot; the frame is scanned as a root *)
+  | VIptr p -> k p.ip_owner
   | VSlice s -> if s.s_addr > 0 then k s.s_addr
+  | VIslice s -> k s.i_addr
   | VMap addr -> if addr > 0 then k addr
   | VStruct cells -> Array.iter (fun c -> trace (get c) k) cells
   | VTuple vs -> List.iter (fun v -> trace v k) vs
 
-(** Payload tracer registered with the heap. *)
-let trace_payload (p : Gofree_runtime.Heap.payload) (k : int -> unit) =
+(** Payload tracer registered with the heap.  An int store is Go's
+    noscan object: its elements hold no address, so it is not traced. *)
+let trace_payload (p : Heap.payload) (k : int -> unit) =
   match p with
   | Pcells elems -> Array.iter (fun v -> trace v k) elems
   | Pmap md -> if md.md_buckets > 0 then k md.md_buckets
@@ -177,12 +258,13 @@ let trace_payload (p : Gofree_runtime.Heap.payload) (k : int -> unit) =
   | _ -> ()
 
 (** Poison-mode payload corruption (§6.8's bit-flipping mock, made
-    deterministic): every element the payload owns becomes [VPoison], so any
-    read through a stale reference raises {!Corruption} instead of
-    silently yielding the old data. *)
-let poison_payload (p : Gofree_runtime.Heap.payload) =
+    deterministic): every element the payload owns becomes [VPoison], or
+    {!poison_int} in an int store, so any read through a stale reference
+    raises {!Corruption} instead of silently yielding the old data. *)
+let poison_payload (p : Heap.payload) =
   match p with
   | Pcells elems -> Array.fill elems 0 (Array.length elems) VPoison
+  | Pints ints -> Array.fill ints 0 (Array.length ints) poison_int
   | Pbuckets bk ->
     (* every bucket becomes one poisoned entry *)
     Array.iteri
@@ -294,27 +376,37 @@ let bucket_keys bk =
   !keys
 
 (** Deterministic textual form for println (pointer addresses are hidden
-    so output is identical across Go/GoFree settings). *)
-let rec to_string = function
+    so output is identical across Go/GoFree settings).  Int-store elements
+    are poison-checked against [heap] when it is given. *)
+let rec to_string ?heap = function
   | VUnit -> "()"
   | VInt n -> string_of_int n
   | VFloat f -> Printf.sprintf "%g" f
   | VBool b -> string_of_bool b
   | VStr s -> s
   | VNil -> "<nil>"
-  | VPtr _ -> "<ptr>"
+  | VPtr _ | VIptr _ -> "<ptr>"
   | VSlice s ->
     let elems =
       List.init s.s_len (fun i ->
-          to_string (read_elem s.s_cells (s.s_off + i)))
+          to_string ?heap (read_elem s.s_cells (s.s_off + i)))
     in
     "[" ^ String.concat " " elems ^ "]"
+  | VIslice s ->
+    let elem i =
+      let j = s.i_off + i in
+      string_of_int
+        (match heap with
+        | Some heap -> read_int heap s.i_addr s.i_ints j
+        | None -> s.i_ints.(j))
+    in
+    "[" ^ String.concat " " (List.init s.i_len elem) ^ "]"
   | VMap _ -> "map"
   | VStruct cells ->
     let fields =
       Array.to_list
-        (Array.map (fun c -> to_string (read_cell c)) cells)
+        (Array.map (fun c -> to_string ?heap (read_cell c)) cells)
     in
     "{" ^ String.concat " " fields ^ "}"
-  | VTuple vs -> String.concat ", " (List.map to_string vs)
+  | VTuple vs -> String.concat ", " (List.map (to_string ?heap) vs)
   | VPoison -> raise (Corruption "print of freed memory")

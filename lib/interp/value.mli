@@ -1,11 +1,16 @@
 (** Runtime values of MiniGo and their payload representation inside the
     simulated heap.
 
-    Mutable storage is a flat [value array]: a slice's backing store
-    holds its elements directly, and every other mutable location is a
-    {!cell}, a one-element array.  A pointer is an (owner address, array,
-    index) triple so the GC can keep the owning heap object alive while
-    the interpreter mutates through the array directly. *)
+    Mutable storage comes in two kinds, chosen by a slice's element type
+    alone.  A [[]int] backing store is a bare [int array] ({!VIslice}),
+    Go's pointer-free "noscan" object: the simulated mark does not trace
+    it and the host GC finds no pointer in it.  Every other slice's backing
+    store is a [value array] holding its elements directly, and every
+    other mutable location is a {!cell}, a one-element array.  A pointer
+    is an (owner address, array, index) triple — {!ptr} into a value
+    array, {!iptr} into an int store — so the GC can keep the owning heap
+    object alive while the interpreter mutates through the array
+    directly. *)
 
 type value =
   | VUnit
@@ -15,7 +20,14 @@ type value =
   | VStr of string
   | VNil
   | VPtr of ptr
+  | VIptr of iptr  (** pointer to an element of an int store *)
   | VSlice of slice
+  | VIslice of {
+      i_addr : int;  (** backing-array object *)
+      i_ints : int array;  (** shared unboxed backing store *)
+      i_off : int;
+      i_len : int;  (** capacity = Array.length i_ints − i_off *)
+    }  (** a [[]int]: its store is unboxed; the header is inline *)
   | VMap of int  (** address of the map header object *)
   | VStruct of cell array  (** value semantics: copied on assignment *)
   | VTuple of value list  (** multi-value call result *)
@@ -27,6 +39,12 @@ and ptr = {
   p_owner : int;  (** heap/stack object owning the storage; 0 = frame slot *)
   p_arr : value array;  (** a cell, or a slice backing store *)
   p_idx : int;  (** the element of [p_arr] pointed at *)
+}
+
+and iptr = {
+  ip_owner : int;  (** the int store's backing-array object *)
+  ip_ints : int array;
+  ip_idx : int;
 }
 
 and slice = {
@@ -56,6 +74,7 @@ type buckets = { bk_n : int array; bk_kv : value array array }
 type Gofree_runtime.Heap.payload +=
   | Pcells of value array
       (** slice backing store, or a box (whose payload is its own cell) *)
+  | Pints of int array  (** int-slice backing store: pointer-free *)
   | Pmap of map_data
   | Pbuckets of buckets
 
@@ -96,9 +115,45 @@ val read_elem : value array -> int -> value
 (** Read through a pointer; raises {!Corruption} on poison. *)
 val read_ptr : ptr -> value
 
-(** [make_store n zero_of]: a backing store of [n] zero values, one
-    fresh struct per element when the zero is a struct. *)
-val make_store : int -> (unit -> value) -> value array
+(** {2 Int stores}
+
+    Poison mode fills a freed int store with {!poison_int}.  Reading that
+    number is a read of freed memory exactly when the store's owner has
+    left the heap's object table; a live store may hold it, and a freed
+    element written since holds what was written. *)
+
+val poison_int : int
+
+(** [read_int heap owner ints i]: element [i] of the int store owned by
+    the object at [owner]; raises {!Corruption} on a freed element. *)
+val read_int : Gofree_runtime.Heap.t -> int -> int array -> int -> int
+
+(** [check_int heap owner]: raise {!Corruption} when poison mode is on
+    and the object at [owner] has been freed — what {!read_int} does on
+    reading {!poison_int}, for a caller that read the element itself. *)
+val check_int : Gofree_runtime.Heap.t -> int -> unit
+
+(** Read through an int pointer, poison-checked like {!read_int}. *)
+val read_iptr : Gofree_runtime.Heap.t -> iptr -> int
+
+(** A fresh backing store. *)
+type store = Cells of value array | Ints of int array
+
+(** [make_store n zero_of]: a backing store of [n] zero values, an int
+    store exactly when the zero is [VInt 0]; one fresh struct per element
+    when the zero is a struct. *)
+val make_store : int -> (unit -> value) -> store
+
+(** [fill_zero cells from z]: set the elements of [cells] from [from] on
+    to the zero [z], a fresh copy each when [z] is a struct, else [z]
+    itself. *)
+val fill_zero : value array -> int -> value -> unit
+
+val store_payload : store -> Gofree_runtime.Heap.payload
+
+(** [slice_of addr store len]: the slice over the first [len] elements of
+    a store owned by the object at [addr]. *)
+val slice_of : int -> store -> int -> value
 
 (** Assignment copy: deep for struct values, identity otherwise. *)
 val copy : value -> value
@@ -109,10 +164,12 @@ val zero : Minigo.Types.env -> Minigo.Types.t -> value
 (** Heap addresses referenced by a value (GC tracing). *)
 val trace : value -> (int -> unit) -> unit
 
-(** Payload tracer registered with the heap. *)
+(** Payload tracer registered with the heap; an int store is not
+    traced. *)
 val trace_payload : Gofree_runtime.Heap.payload -> (int -> unit) -> unit
 
-(** Poison-mode payload corruption: every owned element becomes [VPoison]. *)
+(** Poison-mode payload corruption: every owned element becomes [VPoison],
+    or {!poison_int} in an int store. *)
 val poison_payload : Gofree_runtime.Heap.payload -> unit
 
 (** Structural equality for map keys. *)
@@ -155,5 +212,6 @@ val rehash : buckets -> int -> buckets
 val bucket_keys : buckets -> value list
 
 (** Deterministic textual form for [println] (addresses hidden so output
-    is identical across compiler settings). *)
-val to_string : value -> string
+    is identical across compiler settings).  Int-store elements are
+    poison-checked against [heap] when it is given. *)
+val to_string : ?heap:Gofree_runtime.Heap.t -> value -> string

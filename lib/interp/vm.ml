@@ -47,10 +47,14 @@
     at every safepoint; int windows, registers included, hold no
     pointers), so pooling cannot change observable behaviour.
 
-    Storage is {!Value}'s: a slice element sits directly in its backing
-    store, and a frame variable, heap box or struct field is a
-    one-element cell, so a load or store through a slot, an index or a
-    pointer is a single array access.
+    Storage is {!Value}'s: a [[]int] element is an unboxed word of an
+    [int array] store, any other slice element sits directly in its
+    [value array] store, and a frame variable, heap box or struct field
+    is a one-element cell, so a load or store through a slot, an index or
+    a pointer is a single array access.  An int travels between the int
+    operand stack and an int store with no box on either side
+    ([index_i], [store_index_i], [append_i], [slice_lit_i]); a read that
+    finds {!Value.poison_int} leaves the fast path for the poison check.
 
     Every opcode's implementation replicates the corresponding step of
     the reference walker ({!Interp.eval}, [Interp.exec_stmt]) and calls
@@ -169,45 +173,32 @@ let field_cells (stk_v : Value.value array) sp_v n : Value.cell array =
   done;
   cells
 
-(* Shared by the three index opcodes: the full base match of the
-   reference walker, yielding the element value. *)
-let index_value (va : Value.value) (vi : int) : Value.value =
-  match va with
-  | Value.VSlice s ->
-    if vi < 0 || vi >= s.Value.s_len then
-      raise (Panic (Value.VStr "index out of range"));
-    Value.read_elem s.Value.s_cells (s.Value.s_off + vi)
-  | Value.VStr s ->
-    if vi < 0 || vi >= String.length s then
-      raise (Panic (Value.VStr "index out of range"));
-    Value.vint (Char.code s.[vi])
-  | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
-  | _ -> raise (Runtime_error "cannot index this value")
+(* {!Value.poison_int}, restated so the dispatch loop compares against
+   an immediate. *)
+let poison_int = -0x3EAD_BEEF_DEAD_BEEF
+
+let () = assert (poison_int = Value.poison_int)
 
 (* [index_i]'s element read, shared with [index_i_sr]: the common case
-   (an int element of a live slice, a byte of a string) inline, the rest
-   through the full base match. *)
-let[@inline] index_int (va : Value.value) (vi : int) : int =
+   (an element of a live int slice, a byte of a string) inline, the rest
+   through {!Interp.index_value}. *)
+let[@inline] index_int heap (va : Value.value) (vi : int) : int =
   match va with
-  | Value.VSlice s when vi >= 0 && vi < s.Value.s_len -> begin
-    match Array.unsafe_get s.Value.s_cells (s.Value.s_off + vi) with
-    | Value.VInt n -> n
-    | _ -> as_int (Value.read_elem s.Value.s_cells (s.Value.s_off + vi))
-  end
+  | Value.VIslice s when vi >= 0 && vi < s.i_len ->
+    Value.read_int heap s.i_addr s.i_ints (s.i_off + vi)
   | Value.VStr s when vi >= 0 && vi < String.length s ->
     (* byte of a string, sans the boxed VInt the generic path makes *)
     Char.code (String.unsafe_get s vi)
-  | _ -> as_int (index_value va vi)
+  | _ -> as_int (index_value heap va vi)
 
-(* [store_index]'s write, shared with [store_index_sr]. *)
-let[@inline] store_index (va : Value.value) (vi : int) (v : Value.value) =
+(* [store_index_i]'s write, shared with [store_i_sr]: an int into
+   a live int slice in place, every other shape through
+   {!Interp.store_index}. *)
+let[@inline] store_int (va : Value.value) (vi : int) (n : int) =
   match va with
-  | Value.VSlice s ->
-    if vi < 0 || vi >= s.Value.s_len then
-      raise (Panic (Value.VStr "index out of range"));
-    s.Value.s_cells.(s.Value.s_off + vi) <- Value.copy v
-  | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
-  | _ -> raise (Runtime_error "cannot assign into this value")
+  | Value.VIslice s when vi >= 0 && vi < s.i_len ->
+    Array.unsafe_set s.i_ints (s.i_off + vi) n
+  | _ -> store_index va vi (Value.vint n)
 
 (* [vload]'s read of a frame slot, for the superinstructions that read
    their slice operand in place: the same unbound and poison checks. *)
@@ -389,16 +380,16 @@ let rec loop (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2) * Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 56 (* index_i, an int element of a live slice in range *) -> begin
+  | 56 (* index_i, a live element of an int slice in range *) -> begin
     let vi = Array.unsafe_get stk_i (sp_i - 1) in
     match Array.unsafe_get r.x_stk_v (sp_v - 1) with
-    | Value.VSlice s when vi >= 0 && vi < s.Value.s_len -> begin
-      match Array.unsafe_get s.Value.s_cells (s.Value.s_off + vi) with
-      | Value.VInt n ->
+    | Value.VIslice s when vi >= 0 && vi < s.i_len ->
+      let n = Array.unsafe_get s.i_ints (s.i_off + vi) in
+      if n = poison_int then full r pc sp_v sp_i
+      else begin
         Array.unsafe_set stk_i (sp_i - 1) n;
         loop r (pc + 1) (sp_v - 1) sp_i
-      | _ -> full r pc sp_v sp_i
-    end
+      end
     | Value.VStr s when vi >= 0 && vi < String.length s ->
       Array.unsafe_set stk_i (sp_i - 1) (Char.code (String.unsafe_get s vi));
       loop r (pc + 1) (sp_v - 1) sp_i
@@ -406,6 +397,9 @@ let rec loop (r : regs) pc sp_v sp_i =
   end
   | 65 (* len, of a slice or string *) -> begin
     match Array.unsafe_get r.x_stk_v (sp_v - 1) with
+    | Value.VIslice s ->
+      Array.unsafe_set stk_i sp_i s.i_len;
+      loop r (pc + 1) (sp_v - 1) (sp_i + 1)
     | Value.VSlice s ->
       Array.unsafe_set stk_i sp_i s.Value.s_len;
       loop r (pc + 1) (sp_v - 1) (sp_i + 1)
@@ -540,6 +534,9 @@ let rec loop (r : regs) pc sp_v sp_i =
         Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
       in
       match cget c with
+      | Value.VIslice s ->
+        if a < s.i_len then loop r (pc + 6) sp_v sp_i
+        else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
       | Value.VSlice s ->
         if a < s.Value.s_len then loop r (pc + 6) sp_v sp_i
         else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
@@ -556,20 +553,20 @@ let rec loop (r : regs) pc sp_v sp_i =
       < Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
     then loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 147 (* index_i_sr, an int element of a live slice in range *) -> begin
+  | 147 (* index_i_sr, a live element of an int slice in range *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
       let vi =
         Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
       in
       match cget c with
-      | Value.VSlice s when vi >= 0 && vi < s.Value.s_len -> begin
-        match Array.unsafe_get s.Value.s_cells (s.Value.s_off + vi) with
-        | Value.VInt n ->
+      | Value.VIslice s when vi >= 0 && vi < s.i_len ->
+        let n = Array.unsafe_get s.i_ints (s.i_off + vi) in
+        if n = poison_int then full r pc sp_v sp_i
+        else begin
           Array.unsafe_set stk_i sp_i n;
           loop r (pc + 5) sp_v (sp_i + 1)
-        | _ -> full r pc sp_v sp_i
-      end
+        end
       | _ -> full r pc sp_v sp_i
     end
     | Bunbound -> full r pc sp_v sp_i
@@ -589,6 +586,41 @@ let rec loop (r : regs) pc sp_v sp_i =
       | _ -> full r pc sp_v sp_i
     end
     | Bunbound -> full r pc sp_v sp_i
+  end
+  | 149 (* store_index_i, into a live int slice in range *) -> begin
+    let vi = Array.unsafe_get stk_i (sp_i - 1) in
+    match Array.unsafe_get r.x_stk_v (sp_v - 1) with
+    | Value.VIslice s when vi >= 0 && vi < s.i_len ->
+      Array.unsafe_set s.i_ints (s.i_off + vi)
+        (Array.unsafe_get stk_i (sp_i - 2));
+      loop r (pc + 1) (sp_v - 1) (sp_i - 2)
+    | _ -> full r pc sp_v sp_i
+  end
+  | 150 (* store_i_sr, into a live int slice in range *) -> begin
+    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
+    | Bdirect c | Bboxed (_, c) -> begin
+      let vi =
+        Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+      in
+      match cget c with
+      | Value.VIslice s when vi >= 0 && vi < s.i_len ->
+        Array.unsafe_set s.i_ints (s.i_off + vi)
+          (Array.unsafe_get stk_i (sp_i - 1));
+        loop r (pc + 5) sp_v (sp_i - 1)
+      | _ -> full r pc sp_v sp_i
+    end
+    | Bunbound -> full r pc sp_v sp_i
+  end
+  | 152 (* append_i, of one int, within the int slice's capacity *)
+    when Array.unsafe_get code (pc + 2) = 1 -> begin
+    match Array.unsafe_get r.x_stk_v (sp_v - 1) with
+    | Value.VIslice s when s.i_off + s.i_len < Array.length s.i_ints ->
+      Array.unsafe_set s.i_ints (s.i_off + s.i_len)
+        (Array.unsafe_get stk_i (sp_i - 1));
+      Array.unsafe_set r.x_stk_v (sp_v - 1)
+        (Value.VIslice { s with i_len = s.i_len + 1 });
+      loop r (pc + 3) sp_v (sp_i - 1)
+    | _ -> full r pc sp_v sp_i
   end
   | _ -> full r pc sp_v sp_i
 
@@ -850,12 +882,9 @@ and full (r : regs) pc sp_v sp_i =
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2))
   end
   | 51 (* store_deref *) ->
-    let p = Array.unsafe_get stk_v (sp_v - 1) in
-    let v = Array.unsafe_get stk_v (sp_v - 2) in
-    (match p with
-    | Value.VPtr p -> pset p (Value.copy v)
-    | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
-    | _ -> raise (Runtime_error "assignment through non-pointer"));
+    store_deref
+      (Array.unsafe_get stk_v (sp_v - 1))
+      (Array.unsafe_get stk_v (sp_v - 2));
     loop r (pc + 1) (sp_v - 2) sp_i
   | 52 (* store_index *) ->
     store_index
@@ -882,11 +911,11 @@ and full (r : regs) pc sp_v sp_i =
   | 55 (* index_v *) ->
     let vi = Array.unsafe_get stk_i (sp_i - 1) in
     let va = Array.unsafe_get stk_v (sp_v - 1) in
-    Array.unsafe_set stk_v (sp_v - 1) (index_value va vi);
+    Array.unsafe_set stk_v (sp_v - 1) (index_value r.x_st.heap va vi);
     loop r (pc + 1) sp_v (sp_i - 1)
   | 56 (* index_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
-      (index_int
+      (index_int r.x_st.heap
          (Array.unsafe_get stk_v (sp_v - 1))
          (Array.unsafe_get stk_i (sp_i - 1)));
     loop r (pc + 1) (sp_v - 1) sp_i
@@ -894,7 +923,7 @@ and full (r : regs) pc sp_v sp_i =
     let vi = Array.unsafe_get stk_i (sp_i - 1) in
     let va = Array.unsafe_get stk_v (sp_v - 1) in
     Array.unsafe_set stk_i (sp_i - 1)
-      (if truthy (index_value va vi) then 1 else 0);
+      (if truthy (index_value r.x_st.heap va vi) then 1 else 0);
     loop r (pc + 1) (sp_v - 1) sp_i
   | 58 (* field_v *) -> begin
     (* field_value, inlined for the two cached shapes *)
@@ -1050,20 +1079,11 @@ and full (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v (sp_v - 2) res;
     loop r (pc + 2) (sp_v - 1) sp_i
   | 65 (* len *) ->
-    (match Array.unsafe_get stk_v (sp_v - 1) with
-    | Value.VSlice s -> Array.unsafe_set stk_i sp_i s.Value.s_len
-    | Value.VStr s -> Array.unsafe_set stk_i sp_i (String.length s)
-    | Value.VMap addr -> Array.unsafe_set stk_i sp_i (map_len r.x_st addr)
-    | Value.VNil -> Array.unsafe_set stk_i sp_i 0
-    | _ -> raise (Runtime_error "len of unsupported value"));
+    Array.unsafe_set stk_i sp_i
+      (length r.x_st (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) (sp_v - 1) (sp_i + 1)
   | 66 (* cap *) ->
-    (match Array.unsafe_get stk_v (sp_v - 1) with
-    | Value.VSlice s ->
-      Array.unsafe_set stk_i sp_i
-        (Array.length s.Value.s_cells - s.Value.s_off)
-    | Value.VNil -> Array.unsafe_set stk_i sp_i 0
-    | _ -> raise (Runtime_error "cap of unsupported value"));
+    Array.unsafe_set stk_i sp_i (capacity (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) (sp_v - 1) (sp_i + 1)
   | 67 (* itoa *) ->
     Array.unsafe_set stk_v sp_v
@@ -1088,58 +1108,26 @@ and full (r : regs) pc sp_v sp_i =
   | 70 (* slice_sub *) ->
     let flags = Array.unsafe_get code (pc + 1) in
     let npop = (flags land 1) + ((flags land 2) lsr 1) in
-    let chi =
+    let hi =
       if flags land 2 <> 0 then Some (Array.unsafe_get stk_i (sp_i - 1))
       else None
     in
-    let clo =
+    let lo =
       if flags land 1 <> 0 then Some (Array.unsafe_get stk_i (sp_i - npop))
       else None
     in
-    let base = Array.unsafe_get stk_v (sp_v - 1) in
-    let bound default = function Some n -> n | None -> default in
-    let res =
-      match base with
-      | Value.VSlice s ->
-        let cap = Array.length s.Value.s_cells - s.Value.s_off in
-        let lo = bound 0 clo in
-        let hi = bound s.Value.s_len chi in
-        if lo < 0 || hi > cap || lo > hi then
-          raise (Panic (Value.VStr "slice bounds out of range"));
-        Value.VSlice
-          { s with Value.s_off = s.Value.s_off + lo; s_len = hi - lo }
-      | Value.VStr str ->
-        let lo = bound 0 clo in
-        let hi = bound (String.length str) chi in
-        if lo < 0 || hi > String.length str || lo > hi then
-          raise (Panic (Value.VStr "slice bounds out of range"));
-        Value.VStr (String.sub str lo (hi - lo))
-      | Value.VNil ->
-        let lo = bound 0 clo and hi = bound 0 chi in
-        if lo <> 0 || hi <> 0 then
-          raise (Panic (Value.VStr "slice bounds out of range"));
-        Value.VNil
-      | _ -> raise (Runtime_error "slice of unsupported value")
-    in
-    Array.unsafe_set stk_v (sp_v - 1) res;
+    Array.unsafe_set stk_v (sp_v - 1)
+      (reslice (Array.unsafe_get stk_v (sp_v - 1)) lo hi);
     loop r (pc + 2) sp_v (sp_i - npop)
   | 71 (* slice_copy *) ->
-    let vs = Array.unsafe_get stk_v (sp_v - 1) in
-    let vd = Array.unsafe_get stk_v (sp_v - 2) in
-    let n =
-      match (vd, vs) with
-      | Value.VSlice d, Value.VSlice s -> slice_copy d s
-      | Value.VNil, _ | _, Value.VNil -> 0
-      | _ -> raise (Runtime_error "copy on non-slices")
-    in
-    Array.unsafe_set stk_i sp_i n;
+    Array.unsafe_set stk_i sp_i
+      (slice_copy r.x_st
+         (Array.unsafe_get stk_v (sp_v - 2))
+         (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) (sp_v - 2) (sp_i + 1)
   | 72 (* deref *) ->
-    (match Array.unsafe_get stk_v (sp_v - 1) with
-    | Value.VPtr p ->
-      Array.unsafe_set stk_v (sp_v - 1) (Value.read_ptr p)
-    | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
-    | _ -> raise (Runtime_error "dereference of a non-pointer"));
+    Array.unsafe_set stk_v (sp_v - 1)
+      (deref r.x_st.heap (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) sp_v sp_i
   | 73 (* call *) ->
     let f = Array.unsafe_get r.x_f.B.bf_prog (Array.unsafe_get code (pc + 1)) in
@@ -1212,17 +1200,10 @@ and full (r : regs) pc sp_v sp_i =
   | 83 (* slice_lit *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
-    let cells = Array.sub stk_v (sp_v - n) n in
-    let size = max 1 (n * site.Tast.site_elem_size) in
-    let obj =
-      alloc_obj r.x_st r.x_fr ~site ~category:Rt.Metrics.Cat_slice ~size
-        ~payload:(Value.Pcells cells)
-    in
     Array.unsafe_set stk_v (sp_v - n)
-      (pin r.x_st r.x_fr
-         (Value.VSlice
-            { Value.s_addr = obj.Rt.Heap.addr; s_cells = cells; s_off = 0;
-              s_len = n }));
+      (alloc_slice r.x_st r.x_fr ~site ~growth:false
+         (Value.Cells (Array.sub stk_v (sp_v - n) n))
+         ~cap:n ~len:n);
     loop r (pc + 3) (sp_v - n + 1) sp_i
   | 84 (* struct_lit *) ->
     let n = Array.unsafe_get code (pc + 1) in
@@ -1246,10 +1227,11 @@ and full (r : regs) pc sp_v sp_i =
   | 86 (* append *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
+    let zero_of = r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 3)) in
     let base = Array.unsafe_get stk_v (sp_v - n - 1) in
     Array.unsafe_set stk_v (sp_v - n - 1)
-      (eval_append r.x_st r.x_fr ~site base stk_v (sp_v - n) n);
-    loop r (pc + 3) (sp_v - n) sp_i
+      (append_values r.x_st r.x_fr ~site ~zero_of base stk_v (sp_v - n) n);
+    loop r (pc + 4) (sp_v - n) sp_i
   | 87 (* addr_slot *) ->
     (match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c ->
@@ -1271,16 +1253,10 @@ and full (r : regs) pc sp_v sp_i =
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v + 1) sp_i
   | 89 (* addr_index *) ->
-    let vi = Array.unsafe_get stk_i (sp_i - 1) in
-    (match Array.unsafe_get stk_v (sp_v - 1) with
-    | Value.VSlice s ->
-      if vi < 0 || vi >= s.Value.s_len then
-        raise (Panic (Value.VStr "index out of range"));
-      Array.unsafe_set stk_v (sp_v - 1)
-        (Value.VPtr
-           { Value.p_owner = s.Value.s_addr; p_arr = s.Value.s_cells;
-             p_idx = s.Value.s_off + vi })
-    | _ -> raise (Runtime_error "cannot take address of this element"));
+    Array.unsafe_set stk_v (sp_v - 1)
+      (addr_index
+         (Array.unsafe_get stk_v (sp_v - 1))
+         (Array.unsafe_get stk_i (sp_i - 1)));
     loop r (pc + 1) sp_v (sp_i - 1)
   | 90 (* addr_field_ptr *) ->
     let fidx = Array.unsafe_get code (pc + 1) in
@@ -1345,12 +1321,12 @@ and full (r : regs) pc sp_v sp_i =
     loop r (pc + 2) (sp_v + 1) sp_i
   | 95 (* print *) ->
     let n = Array.unsafe_get code (pc + 1) in
-    let parts = List.map Value.to_string (popped stk_v sp_v n) in
+    let parts = List.map (show r.x_st) (popped stk_v sp_v n) in
     Interp.emit_str r.x_st (String.concat " " parts ^ "\n");
     loop r (pc + 2) (sp_v - n) sp_i
   | 96 (* tostr *) ->
     Array.unsafe_set stk_v (sp_v - 1)
-      (Value.VStr (Value.to_string (Array.unsafe_get stk_v (sp_v - 1))));
+      (Value.VStr (show r.x_st (Array.unsafe_get stk_v (sp_v - 1))));
     loop r (pc + 1) sp_v sp_i
   | 97 (* tcfree *) ->
     let s = Array.unsafe_get code (pc + 1) in
@@ -1377,7 +1353,7 @@ and full (r : regs) pc sp_v sp_i =
     (match r.x_st.unwinding with
     | Some v ->
       r.x_st.unwinding <- None;
-      Array.unsafe_set stk_v sp_v (Value.VStr (Value.to_string v))
+      Array.unsafe_set stk_v sp_v (Value.VStr (show r.x_st v))
     | None -> Array.unsafe_set stk_v sp_v (Value.VStr ""));
     loop r (pc + 1) (sp_v + 1) sp_i
   | 101 (* range_start *) -> begin
@@ -1659,15 +1635,9 @@ and full (r : regs) pc sp_v sp_i =
   | 140 (* jlt_rlen_not = rload; vload; len; jlt_not *) ->
     let a = Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1)) in
     let n =
-      match
-        slot_value r (Array.unsafe_get code (pc + 3))
-          (Array.unsafe_get code (pc + 4))
-      with
-      | Value.VSlice s -> s.Value.s_len
-      | Value.VStr s -> String.length s
-      | Value.VMap addr -> map_len r.x_st addr
-      | Value.VNil -> 0
-      | _ -> raise (Runtime_error "len of unsupported value")
+      length r.x_st
+        (slot_value r (Array.unsafe_get code (pc + 3))
+           (Array.unsafe_get code (pc + 4)))
     in
     if a < n then loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
@@ -1707,7 +1677,7 @@ and full (r : regs) pc sp_v sp_i =
         (Array.unsafe_get code (pc + 2))
     in
     Array.unsafe_set stk_i sp_i
-      (index_int va
+      (index_int r.x_st.heap va
          (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))));
     loop r (pc + 5) sp_v (sp_i + 1)
   | 148 (* store_index_sr = vload; rload; store_index *) ->
@@ -1719,6 +1689,37 @@ and full (r : regs) pc sp_v sp_i =
       (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
       (Array.unsafe_get stk_v (sp_v - 1));
     loop r (pc + 5) (sp_v - 1) sp_i
+  | 149 (* store_index_i *) ->
+    store_int
+      (Array.unsafe_get stk_v (sp_v - 1))
+      (Array.unsafe_get stk_i (sp_i - 1))
+      (Array.unsafe_get stk_i (sp_i - 2));
+    loop r (pc + 1) (sp_v - 1) (sp_i - 2)
+  | 150 (* store_i_sr = vload; rload; store_index_i *) ->
+    let va =
+      slot_value r (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get code (pc + 2))
+    in
+    store_int va
+      (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
+      (Array.unsafe_get stk_i (sp_i - 1));
+    loop r (pc + 5) sp_v (sp_i - 1)
+  | 151 (* slice_lit_i *) ->
+    let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
+    let n = Array.unsafe_get code (pc + 2) in
+    Array.unsafe_set stk_v sp_v
+      (alloc_slice r.x_st r.x_fr ~site ~growth:false
+         (Value.Ints (Array.sub stk_i (sp_i - n) n))
+         ~cap:n ~len:n);
+    loop r (pc + 3) (sp_v + 1) (sp_i - n)
+  | 152 (* append_i *) ->
+    let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
+    let n = Array.unsafe_get code (pc + 2) in
+    Array.unsafe_set stk_v (sp_v - 1)
+      (append_ints r.x_st r.x_fr ~site
+         (Array.unsafe_get stk_v (sp_v - 1))
+         stk_i (sp_i - n) n);
+    loop r (pc + 3) sp_v (sp_i - n)
   (* the opcodes {!loop} completes never get here *)
   | op -> raise (Runtime_error ("vm: bad opcode " ^ string_of_int op))
 

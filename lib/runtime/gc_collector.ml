@@ -33,11 +33,6 @@ let mark (heap : Heap.t) =
         end
       end
   in
-  (if Sys.getenv_opt "GOFREE_GC_DEBUG" <> None then begin
-     let n = ref 0 in
-     heap.Heap.iter_roots (fun _ -> incr n);
-     Printf.eprintf "[gc] root addrs yielded: %d\n%!" !n
-   end);
   heap.Heap.iter_roots (push_addr false);
   while not (Stack.is_empty stack) do
     let obj = Stack.pop stack in
@@ -66,14 +61,6 @@ let sweep (heap : Heap.t) =
         else o :: acc)
       heap.Heap.objects []
   in
-  if Sys.getenv_opt "GOFREE_GC_DEBUG" <> None then begin
-    Printf.eprintf "[gc] cycle %d: marked %d, dead %d\n%!"
-      (metrics.Metrics.gc_cycles + 1) metrics.Metrics.gc_marked_objects
-      (List.length dead);
-    List.iter (fun (o : Heap.obj) ->
-        Printf.eprintf "  dead addr=%d size=%d cat=%d\n%!" o.Heap.addr o.Heap.size
-          (Metrics.category_index o.Heap.category)) dead
-  end;
   List.iter
     (fun (o : Heap.obj) ->
       metrics.Metrics.gc_swept_objects <-

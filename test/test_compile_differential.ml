@@ -1290,6 +1290,15 @@ func writePast(n int) int {
   return s[2]
 }
 
+func writePastStr(n int) string {
+  defer guard()
+  s := make([]string, 3)
+  for i := 0; i < n; i++ {
+    s[i] = "w"
+  }
+  return s[2]
+}
+
 func readNil() int {
   defer guard()
   var s []int
@@ -1316,6 +1325,7 @@ func below() int {
 func main() {
   println(readPast(2), readPast(5))
   println(writePast(3), writePast(4))
+  println(writePastStr(3), writePastStr(4))
   println(readNil(), writeNil(), below())
 }
 |}
@@ -1375,12 +1385,13 @@ let fused_cases =
           ("scan", "jlt_rlen_not"); ("scan", "jnek_not") ];
     case "fused index panics" src_fused_panics ~yields:[ 512 ]
       ~fused:
-        [ ("readPast", "index_i_sr"); ("writePast", "store_index_sr");
-          ("readNil", "index_i_sr"); ("writeNil", "store_index_sr") ];
+        [ ("readPast", "index_i_sr"); ("writePast", "store_i_sr");
+          ("writePastStr", "store_index_sr"); ("readNil", "index_i_sr");
+          ("writeNil", "store_i_sr") ];
     case "fused forms under goroutines" src_fused_goroutines
       ~yields:[ 1; 2; 5 ]
       ~fused:
-        [ ("worker", "jlt_rlen_not"); ("worker", "store_index_sr");
+        [ ("worker", "jlt_rlen_not"); ("worker", "store_i_sr");
           ("worker", "loop_rinc"); ("worker", "safepoints");
           ("worker", "jlt_rr_not") ];
   ]
@@ -1553,8 +1564,113 @@ let prop_random_identical =
         engines;
       true)
 
+(* ---- unboxed int slices ------------------------------------------- *)
+
+(* A [[]int]'s backing store is an unboxed int array: make, literals,
+   append growth (and the zeros its spare capacity holds), overlapping
+   copies, shared sub-slices, element
+   pointers, range, nil slices, [][]int, map[string][]int and a []int
+   filled by goroutines, next to value-store slices of strings, structs
+   and pointers.  The program and its output are committed as
+   test/golden/int_slices.go and int_slices.out. *)
+let int_slice_cases =
+  let golden name = Test_disasm.read_file (Test_disasm.golden name) in
+  (* The fig-1 trap of the robustness suite with a []int: without
+     back-propagation GoFree frees the alias [al], which is [s2]'s store,
+     at the inner scope's exit.  [read] then reads [s2] again. *)
+  let trap read =
+    Printf.sprintf
+      {|
+var acc int
+func main() {
+  s2 := make([]int, 4+rand(2))
+  s2[0] = 77
+  s2[1] = 5000
+  p := &s2[1]
+  view := s2[1:3]
+  {
+    s1 := make([]int, 3+rand(2))
+    ps := &s1
+    *ps = s2
+    al := *ps
+    if len(al) > 0 { acc += al[0] }
+  }
+  %s
+}
+|}
+      read
+  in
+  [
+    Alcotest.test_case "int slices (golden)" `Quick (fun () ->
+        let name = "int slices" in
+        let src = golden "int_slices.go" in
+        let expected = golden "int_slices.out" in
+        List.iter
+          (fun (ename, engine) ->
+            Alcotest.(check string)
+              (name ^ ": output (" ^ ename ^ ")")
+              expected
+              (run_mode ~engine src).Gofree_interp.Runner.output)
+          engines;
+        check_fused ~name src
+          [ ("build", "append_i"); ("build", "slice_lit_i");
+            ("views", "store_index_i"); ("fill", "store_i_sr");
+            ("churn", "store_i_sr"); ("nested", "append_i") ];
+        check_identical ~name src;
+        check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
+          src;
+        check_poison_silent ~name src;
+        check_repeatable ~name src;
+        List.iter
+          (fun yield_every -> check_sampled_identical ~name ~yield_every src)
+          [ 1; 3; 512 ]);
+    Alcotest.test_case "int slices: stale reads after a wrong free" `Quick
+      (fun () ->
+        let unsound = Gofree_core.Config.unsound_no_backprop in
+        Alcotest.(check bool) "the unsound variant frees the alias" true
+          (List.exists
+             (fun (_, v, _) -> v = "al")
+             (Helpers.inserted_vars
+                (Helpers.compile ~config:unsound (trap "println(s2[0])"))));
+        List.iter
+          (fun (what, read) ->
+            let src = trap read in
+            List.iter
+              (fun (ename, engine) ->
+                (match run_mode ~engine ~config:unsound ~poison:true src with
+                | _ ->
+                  Alcotest.failf "%s (%s): the stale read went unnoticed" what
+                    ename
+                | exception Gofree_interp.Value.Corruption _ -> ());
+                match run_mode ~engine ~poison:true src with
+                | _ -> ()
+                | exception Gofree_interp.Value.Corruption msg ->
+                  Alcotest.failf "%s (%s): the sound analysis mis-freed: %s"
+                    what ename msg)
+              engines)
+          [
+            ("s[i]", "println(s2[0])");
+            ("sub-slice", "println(view[0])");
+            ("&s[i]", "println(*p)");
+            ("println(s)", "println(s2)");
+            ("copy", "d := make([]int, 2)\n  copy(d, s2)\n  println(d[0])");
+            ("append growth", "s3 := append(s2, 1)\n  println(len(s3))");
+          ];
+        (* a freed element written since reads back what was written,
+           as a written VPoison cell does *)
+        let src = trap "s2[0] = 9\n  *p = 10\n  println(s2[0], view[0])" in
+        List.iter
+          (fun (ename, engine) ->
+            Alcotest.(check string)
+              ("write then read (" ^ ename ^ ")")
+              "9 10\n"
+              (run_mode ~engine ~config:unsound ~poison:true src)
+                .Gofree_interp.Runner.output)
+          engines);
+  ]
+
 let suite =
   workload_cases @ feature_cases @ storage_cases @ aliasing_cases
   @ struct_addr_cases @ call_cases @ range_order_cases @ concurrent_cases
-  @ fused_cases @ register_param_cases @ yield_point_cases
+  @ fused_cases @ register_param_cases @ yield_point_cases @ int_slice_cases
   @ [ QCheck_alcotest.to_alcotest prop_random_identical ]

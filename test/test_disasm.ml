@@ -145,7 +145,8 @@ let test_walks () =
       let name = Filename.basename path in
       Array.iter (check_walk name) (lower (read_file path)))
     (perfbench_programs
-    @ [ golden "arith_loop.go"; golden "maps_structs.go"; golden "calls.go" ])
+    @ [ golden "arith_loop.go"; golden "maps_structs.go"; golden "calls.go";
+        golden "int_slices.go" ])
 
 (* A function header names each parameter's home: [name:rN] for an int
    or bool parameter bound into register N, [name:sN] for a frame slot
