@@ -31,7 +31,7 @@ let modes =
 
 type mode_result = {
   p_free_ratio : float;
-  p_gc_cycles : int;
+  p_gcs : int;
   p_freed_bytes : int;
   p_alloced_bytes : int;
   p_insertions : int;  (** total inserted tcfrees *)
@@ -70,7 +70,7 @@ let run_mode ~options ~config source : mode_result =
   in
   {
     p_free_ratio = Rt.Metrics.free_ratio m;
-    p_gc_cycles = m.Rt.Metrics.gc_cycles;
+    p_gcs = m.Rt.Metrics.gc_cycles;
     p_freed_bytes = m.Rt.Metrics.freed_bytes;
     p_alloced_bytes = m.Rt.Metrics.alloced_bytes;
     p_insertions = List.length inserted;
@@ -81,7 +81,7 @@ let mode_json (r : mode_result) : Json.t =
   Json.Obj
     [
       ("free_ratio", Json.Float r.p_free_ratio);
-      ("gc_cycles", Json.Int r.p_gc_cycles);
+      ("gc_cycles", Json.Int r.p_gcs);
       ("freed_bytes", Json.Int r.p_freed_bytes);
       ("alloced_bytes", Json.Int r.p_alloced_bytes);
       ("insertions", Json.Int r.p_insertions);
@@ -132,7 +132,7 @@ let run ~options () =
         List.iter
           (fun (name, r) ->
             Printf.printf "  %-12s %-16s %10.3f %6d %6d %6d\n" w.W.w_name
-              name r.p_free_ratio r.p_gc_cycles r.p_insertions
+              name r.p_free_ratio r.p_gcs r.p_insertions
               r.p_field_insertions)
           results;
         workload_json w size results)

@@ -122,8 +122,8 @@ let domains_arg =
                  work-stealing scheduler, one P (mcache) per domain.  \
                  The default, 1, runs every goroutine on one domain, \
                  deterministically; from 2 up the allocator is \
-                 domain-safe and GC is a parallel stop-the-world \
-                 collection.  Values below 1 are taken as 1.")
+                 domain-safe and each GC cycle stops the world while \
+                 one domain collects.  Values below 1 are taken as 1.")
 
 let run_options_term : Gofree_api.run_options Term.t =
   Term.(

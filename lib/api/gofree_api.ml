@@ -195,7 +195,8 @@ type run_options = {
   domains : int;
       (** run goroutines across N >= 1 OCaml domains (work-stealing
           scheduler, one P per domain; from 2 up, domain-safe allocator
-          and parallel GC).  Values below 1 are taken as 1. *)
+          and stop-the-world GC run by one domain).  Values below 1 are
+          taken as 1. *)
 }
 
 let default_run_options =

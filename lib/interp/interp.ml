@@ -198,9 +198,6 @@ and parctx = {
       (** first exception escaping a goroutine; aborts the run *)
   mutable p_gc_active : bool;
       (** a domain is leading a stop-the-world GC handshake *)
-  mutable p_gc_cycle : Rt.Gc_collector.Par.cycle option;
-      (** published by the leader once every mutator is stopped, so
-          parked domains can help mark and sweep *)
   p_out_mutex : Mutex.t;  (** serializes [output] appends when nd > 1 *)
   p_seed : int64;
   p_rng : int Atomic.t;
@@ -367,7 +364,6 @@ let make_parctx ~nd ~seed : parctx =
     p_ic_misses = 0;
     p_abort = None;
     p_gc_active = false;
-    p_gc_cycle = None;
     p_out_mutex = Mutex.create ();
     p_seed = seed;
     p_rng = Atomic.make 0;
@@ -523,11 +519,9 @@ let spawn_goroutine st fid args =
    - If no handshake is active, this domain becomes the leader: it
      stops mutating (p_running--), waits for every other running domain
      to park at its own safepoint or drain back to the worker loop,
-     then seeds the cycle from the roots, publishes it so parked
-     domains can help, drives mark/sweep, applies, and releases.
+     runs the collector, and releases them.
    - If a handshake is already active, this domain is a responder: it
-     parks here, helps the published cycle, and resumes once the leader
-     finishes.
+     parks here and resumes once the leader releases the world.
 
    Every allocating domain discovers GC pressure through its own pacing
    check ([gc_requested] is also re-read here), and non-allocating
@@ -540,15 +534,6 @@ let par_gc st (p : parctx) =
     (* responder *)
     p.p_running <- p.p_running - 1;
     Condition.broadcast p.p_work;
-    while p.p_gc_active && p.p_gc_cycle = None do
-      Condition.wait p.p_work p.p_mutex
-    done;
-    (match p.p_gc_cycle with
-    | Some c when p.p_gc_active ->
-      Mutex.unlock p.p_mutex;
-      Rt.Gc_collector.Par.run_helper c;
-      Mutex.lock p.p_mutex
-    | _ -> ());
     while p.p_gc_active do
       Condition.wait p.p_work p.p_mutex
     done;
@@ -564,14 +549,8 @@ let par_gc st (p : parctx) =
       Condition.wait p.p_work p.p_mutex
     done;
     Mutex.unlock p.p_mutex;
-    let c = Rt.Gc_collector.Par.start heap in
+    Rt.Gc_collector.collect heap;
     Mutex.lock p.p_mutex;
-    p.p_gc_cycle <- Some c;
-    Condition.broadcast p.p_work;
-    Mutex.unlock p.p_mutex;
-    Rt.Gc_collector.Par.run_leader c;
-    Mutex.lock p.p_mutex;
-    p.p_gc_cycle <- None;
     p.p_gc_active <- false;
     p.p_running <- p.p_running + 1;
     Condition.broadcast p.p_work;
@@ -1091,7 +1070,9 @@ let grown_cap old_cap new_len = max (max (2 * old_cap) new_len) 4
 (* [append] to a value-store slice of the [n] elements of [elems] from
    [off] (already assignment-copied).  Growth copies the live elements
    into a fresh heap array whose spare capacity holds [zero_of]'s
-   zeros, as [make] fills a store. *)
+   zeros, as [make] fills a store.  The moved elements are copied with
+   [Value.copy], as [slice_copy] does, so a struct element of the new
+   store is not the old store's. *)
 let append_values st fr ~site ~zero_of (base : Value.value)
     (elems : Value.value array) off n : Value.value =
   let old_len, old_off, old_cells =
@@ -1111,7 +1092,7 @@ let append_values st fr ~site ~zero_of (base : Value.value)
     let cap = grown_cap (Array.length old_cells - old_off) new_len in
     let cells = Array.make cap Value.VNil in
     for i = 0 to old_len - 1 do
-      cells.(i) <- Value.read_elem old_cells (old_off + i)
+      cells.(i) <- Value.copy (Value.read_elem old_cells (old_off + i))
     done;
     Array.blit elems off cells old_len n;
     Value.fill_zero cells new_len (zero_of ());

@@ -147,7 +147,7 @@ and parctx = {
   mutable p_ic_misses : int;
   mutable p_abort : exn option;
   mutable p_gc_active : bool;
-  mutable p_gc_cycle : Rt.Gc_collector.Par.cycle option;
+      (** a domain is leading a stop-the-world GC handshake *)
   p_out_mutex : Mutex.t;
   p_seed : int64;
   p_rng : int Atomic.t;  (** values claimed from [p_seed]'s stream *)

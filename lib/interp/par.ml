@@ -12,8 +12,8 @@
       counted;
     - idle workers sleep on [p_work] and are woken by spawns, yields,
       steals becoming possible (any completion broadcasts) and GC phase
-      transitions.  During a handshake they help mark/sweep rather than
-      sleep.
+      transitions.  During a handshake they wait for the leader, which
+      runs the collector alone.
 
     At [--domains 1] no domain is spawned and nothing can be stolen: the
     single FIFO queue round-robins the goroutines deterministically. *)
@@ -50,20 +50,11 @@ let run_slice (task : Interp.ptask) d =
   task.Interp.tk_st.Interp.dom <- d;
   match task.Interp.tk_run () with () -> None | exception e -> Some e
 
-(* Park for an in-progress stop-the-world handshake: wait for the
-   leader to publish the cycle, help mark/sweep, wait for release.
-   Unlike a safepoint responder this domain is idle, so it is not
-   counted in [p_running].  Caller holds [p_mutex]. *)
+(* Park for an in-progress stop-the-world handshake until the leader
+   releases the world.  Unlike a safepoint responder this domain is
+   idle, so it is not counted in [p_running].  Caller holds
+   [p_mutex]. *)
 let park_for_gc (p : Interp.parctx) =
-  while p.Interp.p_gc_active && p.Interp.p_gc_cycle = None do
-    Condition.wait p.Interp.p_work p.Interp.p_mutex
-  done;
-  (match p.Interp.p_gc_cycle with
-  | Some c when p.Interp.p_gc_active ->
-    Mutex.unlock p.Interp.p_mutex;
-    Rt.Gc_collector.Par.run_helper c;
-    Mutex.lock p.Interp.p_mutex
-  | _ -> ());
   while p.Interp.p_gc_active do
     Condition.wait p.Interp.p_work p.Interp.p_mutex
   done

@@ -28,10 +28,7 @@ let run_program ?(config = Interp.default_config)
   if nd < 1 then invalid_arg "Runner: domains must be at least 1";
   (* One mcache/metric stripe per domain (each domain is one P); more
      than one domain also turns the allocator's internal locking on. *)
-  let heap =
-    Rt.Heap.create ~config:config.Interp.heap_config ~nprocs:nd
-      ~shared:(nd > 1) ()
-  in
+  let heap = Rt.Heap.create ~config:config.Interp.heap_config ~nprocs:nd () in
   let layout = Layout.of_program program in
   let main_g =
     { Interp.g_id = 0; g_frames = [||]; g_depth = 0; g_pending = [||];
@@ -118,16 +115,13 @@ let run_program ?(config = Interp.default_config)
   in
   (* Final accounting sweep: everything still live is attributed to GC
      reclamation for the Table 8 denominators, without counting an extra
-     cycle.  All domains have been joined by now, so even a shared heap
-     is quiescent; its sweep must still go through the parallel
-     collector, whose apply path maintains the atomic live count. *)
+     cycle.  All domains have been joined by now, so the heap is
+     quiescent. *)
   par.Interp.p_regs <- [];
   heap.Rt.Heap.iter_roots <- (fun _ -> ());
   let saved_cycles = heap.Rt.Heap.metrics.Rt.Metrics.gc_cycles in
   let saved_time = heap.Rt.Heap.metrics.Rt.Metrics.gc_time_ns in
-  if heap.Rt.Heap.shared then
-    Rt.Gc_collector.Par.run_leader (Rt.Gc_collector.Par.start heap)
-  else Rt.Gc_collector.collect heap;
+  Rt.Gc_collector.collect heap;
   heap.Rt.Heap.metrics.Rt.Metrics.gc_cycles <- saved_cycles;
   heap.Rt.Heap.metrics.Rt.Metrics.gc_time_ns <- saved_time;
   heap.Rt.Heap.metrics.Rt.Metrics.max_heap_pages <-

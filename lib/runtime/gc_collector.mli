@@ -1,4 +1,7 @@
-(** Non-moving mark-sweep collector with GOGC pacing (paper §3.3). *)
+(** Non-moving mark-sweep collector with GOGC pacing (paper §3.3) — the
+    runtime's only collector.  It runs stop-the-world: at one domain in
+    place at a safepoint, at several on the domain that leads the
+    scheduler's stop-the-world handshake while the others wait. *)
 
 (** Mark from the registered roots and sweep every unmarked heap object;
     retires dangling spans (fig. 9 step 2), returns empty spans' pages,
@@ -9,25 +12,3 @@ val collect : Heap.t -> unit
 (** Safepoint check: run a cycle iff the pacer requested one and GC is
     enabled. *)
 val maybe_collect : Heap.t -> unit
-
-(** Parallel mark + per-domain sweep for the multi-domain runtime.  The
-    cycle runs stop-the-world: one domain becomes the leader
-    ({!Par.start} then {!Par.run_leader}); every other rendezvoused
-    domain calls {!Par.run_helper} on the published cycle.  Marking
-    drains a shared grey list (payload tracing outside the cycle lock,
-    mark-bit check-and-set under it); sweeping scans object-table
-    shards concurrently and the leader applies the dead list serially.
-    GC accounting lands on metric stripe 0. *)
-module Par : sig
-  type cycle
-
-  (** Seed a cycle from the roots.  Leader-only, with the world already
-      stopped, before publishing the cycle to helpers. *)
-  val start : Heap.t -> cycle
-
-  (** Help mark+scan, wait for all shards, apply, release helpers. *)
-  val run_leader : cycle -> unit
-
-  (** Help mark+scan, then block until the leader finishes applying. *)
-  val run_helper : cycle -> unit
-end

@@ -60,32 +60,26 @@ let default_config =
 type t = {
   config : config;
   metrics : Metrics.t;
-      (** sequential heap: the one record every event updates.  Shared
-          heap: shard 0 of [metric_shards]; read {!merged_metrics}. *)
+      (** metric stripe 0: the record domain 0's events and every GC
+          cycle update; read {!merged_metrics} for the run's totals *)
   pages : Pageheap.t;
   central : Mcentral.t;
   mutable caches : Mcache.t array;  (** one per logical processor *)
   objects : obj Objtable.t;  (** live (and stack) objects by address *)
-  shared : bool;
-      (** true when multiple domains mutate this heap concurrently: the
-          object table is sharded+locked, mcentral/pageheap serialize
-          internally, metrics stripe per domain, and frees serialize on
-          [free_mutex] *)
   metric_shards : Metrics.t array;
-      (** per-domain metric stripes; [metric_shards.(0) == metrics].
-          Length 1 unless [shared]. *)
-  live_atomic : int Atomic.t;
-      (** shared mode: authoritative live-byte count for GC pacing
-          (per-shard [heap_live] values only sum to it, individually
-          they are meaningless) *)
-  max_live_atomic : int Atomic.t;  (** shared mode: true concurrent peak *)
+      (** one metric stripe per logical processor;
+          [metric_shards.(0) == metrics] *)
+  live : int Atomic.t;
+      (** live heap bytes: every heap allocation, tcfree and sweep
+          updates it, and GC pacing reads it *)
+  max_live : int Atomic.t;  (** peak of [live] *)
   free_mutex : Mutex.t;
-      (** shared mode: serializes tcfree bodies so the check-then-free
-          sequence (§5) is atomic with respect to other freeing domains;
-          uncontended in the common path since most frees are local *)
-  tomb_mutex : Mutex.t;  (** guards [tombstones] in shared poison runs *)
+      (** serializes tcfree bodies when more than one domain mutates the
+          heap, so the check-then-free sequence (§5) is atomic with
+          respect to other freeing domains *)
+  tomb_mutex : Mutex.t;  (** guards [tombstones] likewise *)
   next_addr : int Atomic.t;
-  mutable next_gc : int;  (** heap_live threshold for the next cycle *)
+  mutable next_gc : int;  (** live-byte threshold for the next cycle *)
   mutable gc_window_left : int;
       (** remaining bytes of the simulated concurrent-mark window *)
   mutable dangling_spans : Mspan.t list;  (** fig. 9 step-1 output *)
@@ -121,31 +115,28 @@ let no_obj =
     poisoned = false;
   }
 
-let create ?(config = default_config) ?(nprocs = 4) ?(shared = false) () =
+let create ?(config = default_config) ?(nprocs = 1) () =
+  (* More than one logical processor means more than one domain may
+     mutate the heap: the shared structures then take their locks. *)
+  let locked = nprocs > 1 in
   let pages = Pageheap.create () in
   let central = Mcentral.create pages in
-  if shared then begin
-    pages.Pageheap.locked <- true;
-    central.Mcentral.locked <- true
-  end;
-  let metrics = Metrics.create () in
+  pages.Pageheap.locked <- locked;
+  central.Mcentral.locked <- locked;
+  let metric_shards = Array.init nprocs (fun _ -> Metrics.create ()) in
   {
     config;
-    metrics;
+    metrics = metric_shards.(0);
     pages;
     central;
     caches = Array.init nprocs Mcache.create;
     objects =
       Objtable.create ~capacity:4096
-        ~shards:(if shared then max 2 nprocs else 1)
-        ~locked:shared ~dummy:no_obj ();
-    shared;
-    metric_shards =
-      (if shared then
-         Array.init nprocs (fun i -> if i = 0 then metrics else Metrics.create ())
-       else [| metrics |]);
-    live_atomic = Atomic.make 0;
-    max_live_atomic = Atomic.make 0;
+        ~shards:(if locked then nprocs else 1)
+        ~locked ~dummy:no_obj ();
+    metric_shards;
+    live = Atomic.make 0;
+    max_live = Atomic.make 0;
     free_mutex = Mutex.create ();
     tomb_mutex = Mutex.create ();
     next_addr = Atomic.make 1;
@@ -175,40 +166,38 @@ let find_obj t addr =
 
 let fresh_addr t = Atomic.fetch_and_add t.next_addr 1
 
-(** The metric stripe [thread] writes to: the single shared record on a
-    sequential heap, the domain's own shard on a shared one. *)
-let[@inline] metrics_for t thread =
-  if t.shared then
-    t.metric_shards.(thread mod Array.length t.metric_shards)
-  else t.metrics
+(** [thread]'s logical processor.  Callers pass a domain index, which
+    is one already; the division that folds any other index in stays
+    off that path. *)
+let[@inline] proc t thread =
+  let n = Array.length t.caches in
+  if thread < n then thread else thread mod n
 
-(** Authoritative live-byte count — drives GC pacing in both modes. *)
-let[@inline] live_bytes t =
-  if t.shared then Atomic.get t.live_atomic else t.metrics.Metrics.heap_live
+(** The metric stripe [thread] writes to: its logical processor's. *)
+let[@inline] metrics_for t thread = t.metric_shards.(proc t thread)
 
+(** Live heap bytes — drives GC pacing. *)
+let[@inline] live_bytes t = Atomic.get t.live
+
+(* Add allocated bytes to the live count and raise the peak.  A loop,
+   not a local recursive function: that would allocate a closure on
+   every heap allocation. *)
 let bump_live t bytes =
-  let live = Atomic.fetch_and_add t.live_atomic bytes + bytes in
-  let rec raise_max () =
-    let m = Atomic.get t.max_live_atomic in
-    if live > m && not (Atomic.compare_and_set t.max_live_atomic m live) then
-      raise_max ()
-  in
-  raise_max ()
+  let live = Atomic.fetch_and_add t.live bytes + bytes in
+  let m = ref (Atomic.get t.max_live) in
+  while live > !m && not (Atomic.compare_and_set t.max_live !m live) do
+    m := Atomic.get t.max_live
+  done
 
-let drop_live t bytes = ignore (Atomic.fetch_and_add t.live_atomic (-bytes))
+let drop_live t bytes = ignore (Atomic.fetch_and_add t.live (-bytes))
 
-(** One coherent metrics record.  On a sequential heap this is the live
-    record itself; on a shared heap the per-domain stripes are summed
-    and the atomically tracked live/peak values overwrite the stripe
-    artifacts.  Only meaningful when no domain is mutating. *)
+(** One coherent metrics record: the stripes summed, with the live count
+    and its peak filled in.  Only exact while no domain is mutating. *)
 let merged_metrics t =
-  if not t.shared then t.metrics
-  else begin
-    let m = Metrics.merged t.metric_shards in
-    m.Metrics.heap_live <- Atomic.get t.live_atomic;
-    m.Metrics.max_heap <- Atomic.get t.max_live_atomic;
-    m
-  end
+  let m = Metrics.merged t.metric_shards in
+  m.Metrics.heap_live <- live_bytes t;
+  m.Metrics.max_heap <- Atomic.get t.max_live;
+  m
 
 (** Allocate a heap object of [size] bytes on behalf of [thread].
     Checks GC pacing first (setting [gc_requested] — the interpreter runs
@@ -219,7 +208,7 @@ let alloc_heap t ~thread ~category ~size ~payload : obj =
     t.gc_requested <- true;
   if t.gc_window_left > 0 then
     t.gc_window_left <- max 0 (t.gc_window_left - max 1 size);
-  let thread = thread mod Array.length t.caches in
+  let thread = proc t thread in
   let placement =
     match Sizeclass.class_for_size (max 1 size) with
     | Some class_idx ->
@@ -250,7 +239,7 @@ let alloc_heap t ~thread ~category ~size ~payload : obj =
   in
   Objtable.replace t.objects obj.addr obj;
   Metrics.count_alloc (metrics_for t thread) ~category ~heap:true ~bytes:size;
-  if t.shared then bump_live t size;
+  bump_live t size;
   obj
 
 (** Allocate a stack object: no span, no GC cost; released when its
@@ -280,7 +269,7 @@ let is_stack_obj obj =
    runs skip the bookkeeping entirely. *)
 let bury t addr reason =
   if t.config.poison_on_free then
-    if t.shared then begin
+    if nprocs t > 1 then begin
       Mutex.lock t.tomb_mutex;
       Hashtbl.replace t.tombstones addr reason;
       Mutex.unlock t.tomb_mutex

@@ -1,6 +1,11 @@
 (** The simulated Go heap: object store, allocation entry points, GC
     pacing, and the hooks connecting the mutator (the MiniGo interpreter)
-    to the collector. *)
+    to the collector.
+
+    There is one heap mode at every domain count.  One atomic count holds
+    the live heap bytes ({!live_bytes}); event counters are striped per
+    logical processor and summed by {!merged_metrics}.  The number of
+    logical processors decides only whether the shared structures lock. *)
 
 (** Payloads are an extensible variant so this library stays independent
     of the interpreter's value type. *)
@@ -39,21 +44,18 @@ val default_config : config
 type t = {
   config : config;
   metrics : Metrics.t;
-      (** sequential heap: the record every event updates; shared heap:
-          shard 0 of [metric_shards] — read {!merged_metrics} instead *)
+      (** metric stripe 0: domain 0's events and every GC cycle land
+          here — read {!merged_metrics} for the run's totals *)
   pages : Pageheap.t;
   central : Mcentral.t;
   mutable caches : Mcache.t array;  (** one per logical processor *)
   objects : obj Objtable.t;
-  shared : bool;
-      (** multiple domains mutate this heap: table sharded+locked,
-          mcentral/pageheap internally serialized, metrics striped *)
   metric_shards : Metrics.t array;
-      (** per-domain stripes; [metric_shards.(0) == metrics] *)
-  live_atomic : int Atomic.t;  (** shared mode: authoritative live bytes *)
-  max_live_atomic : int Atomic.t;  (** shared mode: true concurrent peak *)
-  free_mutex : Mutex.t;  (** shared mode: serializes tcfree bodies *)
-  tomb_mutex : Mutex.t;  (** guards [tombstones] in shared poison runs *)
+      (** one stripe per logical processor; [metric_shards.(0) == metrics] *)
+  live : int Atomic.t;  (** live heap bytes, read by {!live_bytes} *)
+  max_live : int Atomic.t;  (** peak of [live] *)
+  free_mutex : Mutex.t;  (** nprocs > 1: serializes tcfree bodies *)
+  tomb_mutex : Mutex.t;  (** nprocs > 1: guards [tombstones] *)
   next_addr : int Atomic.t;
   mutable next_gc : int;
   mutable gc_window_left : int;
@@ -70,30 +72,31 @@ type t = {
   tombstones : (int, string) Hashtbl.t;
 }
 
-(** [shared:true] builds the multi-domain configuration: [nprocs]
-    metric stripes and mcaches (one per domain), a sharded+locked
-    object table, and internally locked mcentral/pageheap. *)
-val create : ?config:config -> ?nprocs:int -> ?shared:bool -> unit -> t
+(** A heap with [nprocs] logical processors (default 1): one mcache and
+    one metric stripe each.  With more than one, several domains may
+    mutate the heap, so the object table is sharded and locked and
+    mcentral, the page heap, tcfree and the tombstones take locks. *)
+val create : ?config:config -> ?nprocs:int -> unit -> t
 
 val nprocs : t -> int
 
-(** The metric stripe [thread] writes to (the shared record on a
-    sequential heap). *)
+(** [thread]'s logical processor (index into [caches] and
+    [metric_shards]). *)
+val proc : t -> int -> int
+
+(** The metric stripe [thread] writes to. *)
 val metrics_for : t -> int -> Metrics.t
 
-(** Authoritative live-byte count — drives GC pacing in both modes. *)
+(** Live heap bytes: raised by every heap allocation, lowered by every
+    tcfree and sweep.  Drives GC pacing. *)
 val live_bytes : t -> int
 
-(** Shared mode: atomically add allocated bytes to the live count and
-    update the peak. *)
-val bump_live : t -> int -> unit
-
-(** Shared mode: atomically subtract freed bytes from the live count. *)
+(** Subtract freed bytes from the live count. *)
 val drop_live : t -> int -> unit
 
-(** One coherent metrics record: the live record itself (sequential) or
-    the summed stripes with atomic live/peak patched in (shared; only
-    meaningful while no domain mutates). *)
+(** One coherent metrics record: the summed stripes, with [heap_live]
+    and [max_heap] filled in from the live count.  Only exact while no
+    domain mutates. *)
 val merged_metrics : t -> Metrics.t
 
 (** Is the simulated concurrent collector running? (§5 give-up check.) *)

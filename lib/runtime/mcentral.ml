@@ -13,7 +13,7 @@ type t = {
   pages : Pageheap.t;
   lock : Mutex.t;
   mutable locked : bool;
-      (** true in the shared (multi-domain) heap: span acquire/release
+      (** true in a heap with more than one domain: span acquire/release
           and rebucketing then serialize on [lock] *)
 }
 

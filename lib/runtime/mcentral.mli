@@ -7,7 +7,7 @@ type t = {
   pages : Pageheap.t;
   lock : Mutex.t;
   mutable locked : bool;
-      (** set by the shared (multi-domain) heap; span acquire/release
+      (** set by a heap with more than one domain; span acquire/release
           and rebucketing then serialize on [lock] *)
 }
 

@@ -1,8 +1,12 @@
 (** Runtime metrics (paper Table 5, plus the accounting that Tables 8–9
     need).
 
-    One record per program execution; the interpreter's heap owns it and
-    every allocation / free / GC event updates it. *)
+    The heap keeps one record per logical processor (a stripe) and
+    every allocation / free / GC event updates the stripe of the domain
+    it happens on; {!Heap.merged_metrics} sums them into the run's
+    record.  The live-byte count and its peak are not striped: the heap
+    keeps them in one atomic count and fills in [heap_live] and
+    [max_heap] when it merges. *)
 
 (** What kind of data an allocation carries, for Table 8's
     slices/maps/others split. *)
@@ -99,9 +103,7 @@ let count_alloc m ~category ~heap ~bytes =
   let idx = category_index category in
   if heap then begin
     m.heap_allocs.(idx) <- m.heap_allocs.(idx) + 1;
-    m.alloced_bytes <- m.alloced_bytes + bytes;
-    m.heap_live <- m.heap_live + bytes;
-    if m.heap_live > m.max_heap then m.max_heap <- m.heap_live
+    m.alloced_bytes <- m.alloced_bytes + bytes
   end
   else m.stack_allocs.(idx) <- m.stack_allocs.(idx) + 1
 
@@ -109,14 +111,12 @@ let count_tcfree m ~category ~source ~bytes =
   let cidx = category_index category in
   m.tcfreed_objects.(cidx) <- m.tcfreed_objects.(cidx) + 1;
   m.freed_bytes <- m.freed_bytes + bytes;
-  m.heap_live <- m.heap_live - bytes;
   let sidx = source_index source in
   m.freed_by_source.(sidx) <- m.freed_by_source.(sidx) + bytes
 
-let count_gc_free m ~category ~bytes =
+let count_gc_free m ~category =
   let cidx = category_index category in
-  m.gc_freed_objects.(cidx) <- m.gc_freed_objects.(cidx) + 1;
-  m.heap_live <- m.heap_live - bytes
+  m.gc_freed_objects.(cidx) <- m.gc_freed_objects.(cidx) + 1
 
 let count_giveup m reason =
   let idx = giveup_index reason in
@@ -129,20 +129,15 @@ let count_giveup m reason =
 let add_arrays dst src =
   Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src
 
-(** Accumulate [src] into [dst].  Every counter is summed — including
-    [heap_live], which is a signed alloc-minus-free delta, so summing
-    per-domain shards yields the correct global value even though each
-    shard alone may be negative.  [max_heap]/[max_heap_pages] take the
-    max, which under-reports a true concurrent peak; the shared heap
-    tracks the real peak atomically and overwrites it after merging. *)
+(** Accumulate [src] into [dst]: counters are summed, [max_heap_pages]
+    takes the max.  [heap_live] and [max_heap] are left alone — the heap
+    keeps them in one count and fills them in after merging. *)
 let merge_into ~(dst : t) (src : t) =
   dst.alloced_bytes <- dst.alloced_bytes + src.alloced_bytes;
   dst.freed_bytes <- dst.freed_bytes + src.freed_bytes;
   dst.gc_cycles <- dst.gc_cycles + src.gc_cycles;
   dst.gc_time_ns <- Int64.add dst.gc_time_ns src.gc_time_ns;
-  dst.max_heap <- max dst.max_heap src.max_heap;
   dst.max_heap_pages <- max dst.max_heap_pages src.max_heap_pages;
-  dst.heap_live <- dst.heap_live + src.heap_live;
   add_arrays dst.stack_allocs src.stack_allocs;
   add_arrays dst.heap_allocs src.heap_allocs;
   add_arrays dst.tcfreed_objects src.tcfreed_objects;

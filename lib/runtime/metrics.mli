@@ -1,5 +1,8 @@
 (** Runtime metrics (paper Table 5, plus the accounting behind Tables
-    8–9). *)
+    8–9).  The heap keeps one record per logical processor and sums them
+    with {!Heap.merged_metrics}, which also fills in [heap_live] and
+    [max_heap] from its live-byte count: the [count_*] functions do not
+    touch those two fields. *)
 
 type category = Cat_slice | Cat_map | Cat_other
 
@@ -21,9 +24,9 @@ type t = {
   mutable freed_bytes : int;
   mutable gc_cycles : int;
   mutable gc_time_ns : int64;
-  mutable max_heap : int;  (** peak live bytes *)
+  mutable max_heap : int;  (** peak live bytes (filled in by the heap) *)
   mutable max_heap_pages : int;  (** peak span-backed bytes: the paper's maxheap *)
-  mutable heap_live : int;
+  mutable heap_live : int;  (** live bytes (filled in by the heap) *)
   mutable stack_allocs : int array;  (** by category *)
   mutable heap_allocs : int array;
   mutable tcfreed_objects : int array;
@@ -54,13 +57,12 @@ val count_alloc : t -> category:category -> heap:bool -> bytes:int -> unit
 val count_tcfree :
   t -> category:category -> source:free_source -> bytes:int -> unit
 
-val count_gc_free : t -> category:category -> bytes:int -> unit
+val count_gc_free : t -> category:category -> unit
 
 val count_giveup : t -> giveup -> unit
 
-(** Accumulate a per-domain shard into [dst] (all counters summed;
-    peaks maxed — the shared heap overwrites peaks with its atomically
-    tracked values after merging). *)
+(** Accumulate a per-domain stripe into [dst]: counters summed,
+    [max_heap_pages] maxed, [heap_live]/[max_heap] left alone. *)
 val merge_into : dst:t -> t -> unit
 
 (** Sum an array of per-domain shards into a fresh record. *)

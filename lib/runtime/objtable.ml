@@ -57,8 +57,6 @@ let create ?(capacity = 4096) ?(shards = 1) ?(locked = false) ~dummy () =
     locked;
   }
 
-let nshards t = Array.length t.shards
-
 (* Multiplicative mixing: consecutive addresses (the common case —
    [Heap.fresh_addr] is a counter) land on an odd stride that cycles
    through the whole shard, and the xor-shift spreads any structured
@@ -122,11 +120,6 @@ let fold_over_shard f s init =
 
 let fold f t init =
   Array.fold_left (fun acc s -> fold_over_shard f s acc) init t.shards
-
-(** Fold one shard by index — the parallel sweep's unit of work.  The
-    caller must guarantee no concurrent mutation of that shard (the GC
-    runs it under stop-the-world). *)
-let fold_shard f t i init = fold_over_shard f t.shards.(i) init
 
 (* Insert a key known to be absent, into a shard with no tombstones
    (only used right after allocating fresh arrays). *)

@@ -15,8 +15,6 @@ type 'a t
 val create :
   ?capacity:int -> ?shards:int -> ?locked:bool -> dummy:'a -> unit -> 'a t
 
-val nshards : 'a t -> int
-
 (** Number of live entries (sums shard counts without locking — exact
     only when no domain is mutating). *)
 val length : 'a t -> int
@@ -35,8 +33,3 @@ val remove : 'a t -> int -> unit
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 
 val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-
-(** Fold the [i]th shard only — the parallel sweep's unit of work.
-    Skips the shard lock: callers must guarantee no concurrent mutation
-    (the GC holds the world stopped). *)
-val fold_shard : (int -> 'a -> 'b -> 'b) -> 'a t -> int -> 'b -> 'b

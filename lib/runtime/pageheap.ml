@@ -15,7 +15,7 @@ type t = {
   mutable idle_spans : Mspan.t list;  (** recycled span structs *)
   lock : Mutex.t;
   mutable locked : bool;
-      (** true in the shared (multi-domain) heap: page transitions then
+      (** true in a heap with more than one domain: page transitions then
           take [lock], since every domain's mcache refill ends here *)
 }
 

@@ -10,7 +10,7 @@ type t = {
   mutable idle_spans : Mspan.t list;
   lock : Mutex.t;
   mutable locked : bool;
-      (** set by the shared (multi-domain) heap; page transitions then
+      (** set by a heap with more than one domain; page transitions then
           take [lock] *)
 }
 

@@ -32,13 +32,13 @@ let reclaim (heap : Heap.t) (metrics : Metrics.t) (obj : Heap.obj) ~source =
   Objtable.remove heap.Heap.objects obj.Heap.addr;
   Metrics.count_tcfree metrics ~category:obj.Heap.category
     ~source ~bytes:obj.Heap.size;
-  if heap.Heap.shared then Heap.drop_live heap obj.Heap.size;
+  Heap.drop_live heap obj.Heap.size;
   metrics.Metrics.tcfree_success <- metrics.Metrics.tcfree_success + 1;
   Freed obj.Heap.size
 
 let tcfree_small (heap : Heap.t) metrics ~thread (obj : Heap.obj) span slot
     ~source =
-  let cache = heap.Heap.caches.(thread mod Array.length heap.Heap.caches) in
+  let cache = heap.Heap.caches.(Heap.proc heap thread) in
   match span.Mspan.state with
   | Mspan.In_mcache owner
     when owner = cache.Mcache.thread_id && Mcache.owns cache span ->
@@ -154,16 +154,16 @@ let tcfree_impl (heap : Heap.t) ~thread ~source addr : outcome =
           else tcfree_large heap metrics obj span slot ~source
       end
 
-(* On a shared heap the whole check-then-free sequence serializes on
-   [free_mutex]: two domains may race to free the same address (or a
-   free may race a concurrent span swap), and the span/objtable edits
-   must be atomic with respect to each other.  The ownership and
+(* When more than one domain mutates the heap, the whole check-then-free
+   sequence serializes on [free_mutex]: two domains may race to free the
+   same address (or a free may race a concurrent span swap), and the
+   span/objtable edits must be atomic with respect to each other.  The ownership and
    GC-running *checks* stay inside the lock too — they are exactly the
    §5 give-up conditions this runtime exists to exercise, and the lock
    makes their answer definitive rather than best-effort. *)
 let tcfree (heap : Heap.t) ~thread ~source addr : outcome =
   let outcome =
-    if heap.Heap.shared then begin
+    if Heap.nprocs heap > 1 then begin
       Mutex.lock heap.Heap.free_mutex;
       let o = tcfree_impl heap ~thread ~source addr in
       Mutex.unlock heap.Heap.free_mutex;

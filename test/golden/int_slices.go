@@ -46,6 +46,11 @@ func tails() {
   pp = append(pp, &ps[0])
   vv := pp[1:cap(pp)]
   println("pointer tail", vv[0] == nil, pp[0].x)
+  // growth copies struct elements: the old store keeps its own
+  gs := make([]P, 1, 1)
+  gt := append(gs, P{x: 1, tag: "g"})
+  gt[0].x = 5
+  println("struct growth", gs[0].x, gt[0].x)
 }
 
 // copy with overlapping views of one store, and sub-slices that share it

@@ -1567,7 +1567,8 @@ let prop_random_identical =
 (* ---- unboxed int slices ------------------------------------------- *)
 
 (* A [[]int]'s backing store is an unboxed int array: make, literals,
-   append growth (and the zeros its spare capacity holds), overlapping
+   append growth (the zeros its spare capacity holds, and struct
+   elements copied rather than shared with the old store), overlapping
    copies, shared sub-slices, element
    pointers, range, nil slices, [][]int, map[string][]int and a []int
    filled by goroutines, next to value-store slices of strings, structs

@@ -36,8 +36,7 @@ let test_mark_sweep_chain () =
   Alcotest.(check bool) "b alive" true (alive heap b);
   Alcotest.(check bool) "c alive" true (alive heap c);
   Alcotest.(check bool) "dead swept" false (alive heap dead);
-  Alcotest.(check int) "live bytes" (3 * 64)
-    heap.Heap.metrics.Metrics.heap_live
+  Alcotest.(check int) "live bytes" (3 * 64) (Heap.live_bytes heap)
 
 let test_cycles_collected () =
   let heap = make_heap () in
@@ -120,7 +119,7 @@ let test_pacing () =
   Alcotest.(check int) "one cycle" 1 heap.Heap.metrics.Metrics.gc_cycles;
   (* with ~1108 live bytes and GOGC=100, next_gc ≈ 2216 *)
   Alcotest.(check bool) "next_gc doubled" true
-    (heap.Heap.next_gc >= 2 * heap.Heap.metrics.Metrics.heap_live)
+    (heap.Heap.next_gc >= 2 * Heap.live_bytes heap)
 
 let test_gc_disabled () =
   let config = { Heap.default_config with gc_disabled = true; min_heap = 100 } in
@@ -133,7 +132,7 @@ let test_gc_disabled () =
   Alcotest.(check int) "no cycles with GC off" 0
     heap.Heap.metrics.Metrics.gc_cycles;
   Alcotest.(check int) "everything retained" (100 * 64)
-    heap.Heap.metrics.Metrics.heap_live
+    (Heap.live_bytes heap)
 
 let test_sweep_vs_tcfree_accounting () =
   let heap = make_heap () in
@@ -148,7 +147,7 @@ let test_sweep_vs_tcfree_accounting () =
   Alcotest.(check int) "tcfree bytes" 100 m.Metrics.freed_bytes;
   (* the kept object was unreachable at the cycle: swept, counted as GC *)
   Alcotest.(check int) "gc-freed objects" 1 m.Metrics.gc_freed_objects.(2);
-  Alcotest.(check int) "heap empty" 0 m.Metrics.heap_live
+  Alcotest.(check int) "heap empty" 0 (Heap.live_bytes heap)
 
 let test_empty_spans_return_pages () =
   let heap = make_heap () in
@@ -183,17 +182,17 @@ let test_poison_mode_marks_payload () =
   Alcotest.(check bool) "poisoned on sweep" true obj.Heap.poisoned
 
 (* -------------------------------------------------------------- *)
-(* Parallel collector (shared-heap configuration)                   *)
+(* Multi-domain heap: concurrent mutators, then the one collector   *)
 (* -------------------------------------------------------------- *)
 
 let test_parallel_collect_equivalence () =
-  (* 4 domains build linked chains concurrently on a shared heap; half
-     the chain heads stay rooted.  A parallel cycle (leader + 3 helper
-     domains racing over the same grey list and sweep shards) must keep
-     exactly the rooted chains alive and sweep the rest — same verdict
-     the sequential collector would reach. *)
+  (* 4 domains build linked chains concurrently on one heap, and
+     tcfree a scratch object after every link; half the chain heads
+     stay rooted.  With the world stopped the collector must keep
+     exactly the rooted chains alive and sweep the rest: the unrooted
+     chains plus every scratch object tcfree gave up on. *)
   let nd = 4 and chains_per = 8 and chain_len = 25 in
-  let heap = Heap.create ~nprocs:nd ~shared:true () in
+  let heap = Heap.create ~nprocs:nd () in
   heap.Heap.trace_payload <- trace_children;
   let heads = Array.make_matrix nd chains_per None in
   let doms =
@@ -206,12 +205,25 @@ let test_parallel_collect_equivalence () =
                   Heap.alloc_heap heap ~thread:d ~category:Metrics.Cat_other
                     ~size:64 ~payload:(Children (ref !tail))
                 in
-                tail := [ o.Heap.addr ]
+                tail := [ o.Heap.addr ];
+                let scratch =
+                  Heap.alloc_heap heap ~thread:d ~category:Metrics.Cat_slice
+                    ~size:32 ~payload:(Children (ref []))
+                in
+                ignore
+                  (Tcfree.tcfree heap ~thread:d ~source:Metrics.Src_slice
+                     scratch.Heap.addr)
               done;
               heads.(d).(c) <- Some !tail
             done))
   in
   Array.iter Domain.join doms;
+  let total = nd * chains_per * chain_len in
+  let before = Heap.merged_metrics heap in
+  let kept_scratch = total - before.Metrics.tcfree_success in
+  Alcotest.(check int) "live count before the cycle"
+    ((total * 64) + (kept_scratch * 32))
+    (Heap.live_bytes heap);
   (* root the even-numbered chains only *)
   heap.Heap.iter_roots <-
     (fun k ->
@@ -225,22 +237,16 @@ let test_parallel_collect_equivalence () =
                 | None -> ())
             row)
         heads);
-  (* STW rendezvous: leader starts the cycle, then everyone helps *)
-  let cycle = Gc_collector.Par.start heap in
-  let helpers =
-    Array.init (nd - 1) (fun _ ->
-        Domain.spawn (fun () -> Gc_collector.Par.run_helper cycle))
-  in
-  Gc_collector.Par.run_leader cycle;
-  Array.iter Domain.join helpers;
+  Gc_collector.collect heap;
   let m = Heap.merged_metrics heap in
-  let total = nd * chains_per * chain_len in
   let live = total / 2 and dead = total / 2 in
   Alcotest.(check int) "marked exactly the rooted half" live
     m.Metrics.gc_marked_objects;
-  Alcotest.(check int) "swept exactly the unrooted half" dead
-    m.Metrics.gc_swept_objects;
-  Alcotest.(check int) "live bytes" (live * 64) m.Metrics.heap_live;
+  Alcotest.(check int) "swept the unrooted half and the kept scratch"
+    (dead + kept_scratch) m.Metrics.gc_swept_objects;
+  Alcotest.(check int) "live bytes" (live * 64) (Heap.live_bytes heap);
+  Alcotest.(check int) "merged heap_live is the live count" (live * 64)
+    m.Metrics.heap_live;
   (* rooted chain members survived, down to the deepest link *)
   Array.iter
     (fun row ->
@@ -259,11 +265,12 @@ let test_parallel_collect_equivalence () =
   | Error msg -> Alcotest.fail ("conservation violated: " ^ msg)
 
 let test_parallel_collect_during_allocation_pressure () =
-  (* Repeated STW cycles interleaved with fresh allocation from every
-     domain: mark bits must reset between cycles and the accounting
-     must stay conserved across the whole history. *)
+  (* Rounds of concurrent allocation and tcfree from every domain, each
+     followed by a stop-the-world cycle: mark bits must reset between
+     cycles and the accounting must stay conserved across the whole
+     history. *)
   let nd = 4 in
-  let heap = Heap.create ~nprocs:nd ~shared:true () in
+  let heap = Heap.create ~nprocs:nd () in
   heap.Heap.trace_payload <- trace_children;
   let rooted = ref [] in
   let rooted_mutex = Mutex.create () in
@@ -277,28 +284,29 @@ let test_parallel_collect_during_allocation_pressure () =
                   Heap.alloc_heap heap ~thread:d ~category:Metrics.Cat_other
                     ~size:64 ~payload:(Children (ref []))
                 in
-                (* keep every 10th object; the rest are garbage *)
+                (* keep every 10th object, tcfree every 3rd of the
+                   rest; the others are garbage *)
                 if i mod 10 = 0 then begin
                   Mutex.lock rooted_mutex;
                   rooted := o.Heap.addr :: !rooted;
                   Mutex.unlock rooted_mutex
                 end
+                else if i mod 3 = 0 then
+                  ignore
+                    (Tcfree.tcfree heap ~thread:d ~source:Metrics.Src_slice
+                       o.Heap.addr)
               done))
     in
     Array.iter Domain.join doms;
-    let cycle = Gc_collector.Par.start heap in
-    let helpers =
-      Array.init (nd - 1) (fun _ ->
-          Domain.spawn (fun () -> Gc_collector.Par.run_helper cycle))
-    in
-    Gc_collector.Par.run_leader cycle;
-    Array.iter Domain.join helpers
+    Gc_collector.collect heap
   done;
   let m = Heap.merged_metrics heap in
   let live = List.length !rooted in
   Alcotest.(check int) "rooted objects survive all cycles" (live * 64)
-    m.Metrics.heap_live;
+    (Heap.live_bytes heap);
   Alcotest.(check int) "three cycles ran" 3 m.Metrics.gc_cycles;
+  Alcotest.(check bool) "some frees happened between cycles" true
+    (m.Metrics.tcfree_success > 0);
   List.iter
     (fun addr ->
       Alcotest.(check bool) "rooted object present" true

@@ -145,6 +145,72 @@ let test_trace_goroutine_tracks () =
   Alcotest.(check bool) "main and several goroutines traced" true
     (Hashtbl.mem slices (Trace.tid_fiber 0) && Hashtbl.length slices > 2)
 
+(** A program that collects, traced at [--domains 2]: every [gc cycle]
+    span on the runtime track holds exactly one [mark] span followed by
+    one [sweep] span, as at one domain. *)
+let test_trace_gc_phases_two_domains () =
+  let src =
+    {|
+package main
+
+var keep [][]int
+
+func churn(id int, n int) int {
+	s := 0
+	for i := 0; i < n; i++ {
+		xs := make([]int, 256)
+		xs[0] = id + i
+		keep = append(keep, xs)
+		if len(keep) > 8 {
+			keep = keep[1:]
+		}
+		s = s + xs[0]
+	}
+	return s
+}
+
+func main() {
+	for g := 0; g < 3; g++ {
+		go churn(g, 200)
+	}
+	println(churn(9, 200))
+}
+|}
+  in
+  let run_config =
+    {
+      Gofree_interp.Interp.default_config with
+      domains = 2;
+      heap_config = { Rt.Heap.default_config with min_heap = 32 * 1024 };
+    }
+  in
+  Trace.start ();
+  let _, m = Helpers.run ~config:Gofree_core.Config.go ~run_config src in
+  let doc = Json.parse (Trace.stop ()) in
+  Alcotest.(check bool) "the program collects" true (m.Rt.Metrics.gc_cycles > 0);
+  (* the B/E sequence of the runtime track, in emission order *)
+  let spans =
+    List.filter_map
+      (fun e ->
+        match Json.get_string "ph" e with
+        | ("B" | "E") as ph when Json.get_int "tid" e = Trace.tid_runtime ->
+          Some (ph, Json.get_string "name" e)
+        | _ -> None)
+      (Json.get_list "traceEvents" doc)
+  in
+  let rec check cycles = function
+    | [] -> cycles
+    | ("B", "gc cycle") :: ("B", "mark") :: ("E", "mark") :: ("B", "sweep")
+      :: ("E", "sweep") :: ("E", "gc cycle") :: rest ->
+      check (cycles + 1) rest
+    | (ph, name) :: _ ->
+      Alcotest.failf "runtime track: unexpected %s %S outside a \
+                      gc cycle > mark, sweep nesting" ph name
+  in
+  (* the runner's final accounting sweep traces one more, uncounted *)
+  Alcotest.(check int) "one gc cycle span per cycle, plus the final sweep"
+    (m.Rt.Metrics.gc_cycles + 1) (check 0 spans)
+
 let test_trace_disabled () =
   Alcotest.(check bool) "disabled by default" false (Trace.enabled ());
   (* emissions while disabled must be no-ops, and stop yields "{}" *)
@@ -406,6 +472,8 @@ let suite =
     Alcotest.test_case "trace stream invariants" `Quick test_trace_stream;
     Alcotest.test_case "trace goroutine tracks" `Quick
       test_trace_goroutine_tracks;
+    Alcotest.test_case "trace gc phases at two domains" `Quick
+      test_trace_gc_phases_two_domains;
     Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
     Alcotest.test_case "metrics json round-trip" `Quick test_metrics_roundtrip;
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;

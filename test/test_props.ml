@@ -135,11 +135,12 @@ let prop_span_accounting =
               | Rt.Tcfree.Gave_up _ -> ()
             end)
         ops;
-      let m = heap.Rt.Heap.metrics in
-      m.Rt.Metrics.heap_live = !expected_live
-      && m.Rt.Metrics.heap_live
-         = m.Rt.Metrics.alloced_bytes - m.Rt.Metrics.freed_bytes
-      && m.Rt.Metrics.max_heap >= m.Rt.Metrics.heap_live)
+      let m = Rt.Heap.merged_metrics heap in
+      let live = Rt.Heap.live_bytes heap in
+      live = !expected_live
+      && live = m.Rt.Metrics.alloced_bytes - m.Rt.Metrics.freed_bytes
+      && m.Rt.Metrics.heap_live = live
+      && m.Rt.Metrics.max_heap >= live)
 
 let prop_span_slots_never_negative =
   QCheck.Test.make ~count:100 ~name:"span slot counts stay in range"

@@ -39,8 +39,7 @@ let test_small_fast_path () =
     span.Mspan.free_index;
   Alcotest.(check int) "bytes counted" 64
     heap.Heap.metrics.Metrics.freed_bytes;
-  Alcotest.(check int) "heap live back to zero" 0
-    heap.Heap.metrics.Metrics.heap_live
+  Alcotest.(check int) "heap live back to zero" 0 (Heap.live_bytes heap)
 
 let test_double_free_tolerated () =
   let heap = Heap.create () in
@@ -170,7 +169,7 @@ let test_giveup_metrics () =
     m.Metrics.giveups.(Metrics.giveup_index Metrics.Not_an_object)
 
 (* -------------------------------------------------------------- *)
-(* Multi-domain stress (the shared-heap configuration)              *)
+(* Multi-domain stress: several domains mutating one heap            *)
 (* -------------------------------------------------------------- *)
 
 let test_cross_domain_ownership_stress () =
@@ -178,9 +177,9 @@ let test_cross_domain_ownership_stress () =
      its neighbour's objects: the span-ownership check must make each
      of those a give-up (ownership changed, or span already swapped
      out), local frees keep succeeding, and the striped counters must
-     balance exactly. *)
+     balance exactly.  The collector then sweeps what tcfree left. *)
   let nd = 4 and per = 400 in
-  let heap = Heap.create ~nprocs:nd ~shared:true () in
+  let heap = Heap.create ~nprocs:nd () in
   let objs = Array.make_matrix nd per 0 in
   let doms =
     Array.init nd (fun d ->
@@ -216,27 +215,37 @@ let test_cross_domain_ownership_stress () =
     "cross-domain frees hit the ownership protocol" true (cross_giveups > 0);
   (* nothing was GC'd, so whatever tcfree could not take is still live *)
   let live = (nd * per) - m.Metrics.tcfree_success in
+  Alcotest.(check int) "live bytes" (live * 64) (Heap.live_bytes heap);
   (match Metrics.check_conservation ~live_objects:live m with
   | Ok () -> ()
-  | Error msg -> Alcotest.fail ("conservation violated: " ^ msg))
+  | Error msg -> Alcotest.fail ("conservation violated: " ^ msg));
+  (* nothing is rooted: one cycle reclaims the rest *)
+  Gc_collector.collect heap;
+  let m = Heap.merged_metrics heap in
+  Alcotest.(check int) "swept what tcfree left" live
+    m.Metrics.gc_swept_objects;
+  Alcotest.(check int) "heap drained" 0 (Heap.live_bytes heap);
+  match Metrics.check_conservation ~live_objects:0 m with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("conservation violated after GC: " ^ msg)
 
 let test_gc_concurrent_tcfree_giveup () =
-  (* Open the simulated concurrent-GC window on a shared heap, then
-     free from several domains at once: every attempt inside the window
-     must back off with Gc_running (§5) and nothing may be freed. *)
+  (* Open the simulated concurrent-GC window on a multi-domain heap,
+     then free from several domains at once: every attempt inside the
+     window must back off with Gc_running (§5) and nothing may be
+     freed. *)
   let nd = 4 and per = 200 in
-  let heap = Heap.create ~nprocs:nd ~shared:true () in
+  let heap = Heap.create ~nprocs:nd () in
   let objs = Array.make_matrix nd per 0 in
   for d = 0 to nd - 1 do
     for i = 0 to per - 1 do
       objs.(d).(i) <- (alloc heap ~thread:d ()).Heap.addr
     done
   done;
-  (* a parallel GC cycle (everything rooted, so nothing dies) opens the
-     window *)
+  (* a GC cycle (everything rooted, so nothing dies) opens the window *)
   heap.Heap.iter_roots <-
     (fun k -> Array.iter (fun row -> Array.iter k row) objs);
-  Gc_collector.Par.run_leader (Gc_collector.Par.start heap);
+  Gc_collector.collect heap;
   Alcotest.(check bool) "window open" true (Heap.gc_running heap);
   let freers =
     Array.init nd (fun d ->
@@ -249,7 +258,9 @@ let test_gc_concurrent_tcfree_giveup () =
   let m = Heap.merged_metrics heap in
   Alcotest.(check int) "all gave up on the running GC" (nd * per)
     m.Metrics.giveups.(Metrics.giveup_index Metrics.Gc_running);
-  Alcotest.(check int) "nothing freed" 0 m.Metrics.tcfree_success
+  Alcotest.(check int) "nothing freed" 0 m.Metrics.tcfree_success;
+  Alcotest.(check int) "everything still live" (nd * per * 64)
+    (Heap.live_bytes heap)
 
 let suite =
   [
