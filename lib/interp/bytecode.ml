@@ -216,10 +216,9 @@ let op_rinc = def 135 "rinc" [ Reg; Delta; Name ]  (* register += k *)
 (* Address of a field of a nested struct value ([a[i].p.x], [f().q.y]):
    the base struct is evaluated, then its owner spine again, exactly like
    [Interp.eval_addr] and [owner_of_struct_base]. *)
-let op_owner = def 136 "owner" []
-    (* pop V; push its owner I (slice/pointer, else 0) *)
 let op_addr_field_val = def 137 "addr_field_val" [ Field ]
-    (* pop owner I, struct V; push VPtr *)
+    (* pop owner-spine V, struct V; push VPtr owned by [Value.owner_of]
+       of the spine *)
 
 (* Loop and indexing superinstructions over register and frame-slot
    operands, read in place.  Each performs exactly the safepoints of the
@@ -252,7 +251,8 @@ let op_store_i_sr =
   def 150 "store_i_sr" [ Slot; Name; Reg; Name ]
     (* = vload; rload; store_index_i: pop value I *)
 let op_slice_lit_i = def 151 "slice_lit_i" [ Site; Int ]  (* pop n I *)
-let op_append_i = def 152 "append_i" [ Site; Int ]  (* pop n I, base V *)
+let op_append_i = def 136 "append_i" [ Site; Int ]  (* pop n I, base V *)
+    (* numbered out of order so that the table stays dense *)
 
 let n_opcodes =
   let n = ref 0 in
@@ -275,16 +275,16 @@ let arity op = Array.length (operands op)
 (** A map-key site's cache contents: the identity of the map the site
     last read.  Immutable, so a reader sees one coherent snapshot
     through a single pointer load — goroutines on different domains may
-    race on the cache, and a torn address/buckets combination would
-    probe the wrong map.  A hit requires the same header address
-    (addresses are never reused) and an unchanged [md_version] (bumped
-    by every store/delete/grow/free); the cached bucket array is then
-    by construction the map's current one, so the key is probed there
-    directly, skipping both heap-object lookups.  Only a miss replaces
-    the snapshot, so reading a map with ever new keys allocates
-    nothing. *)
+    race on the cache, and a torn header/buckets combination would
+    probe the wrong map.  A hit requires physically the same header
+    object (a record never stands for another map) and an unchanged
+    [md_version] (bumped by every store/delete/grow/free); the cached
+    bucket array is then by construction the map's current one, so the
+    key is probed there directly, skipping both payload reads.  Only a
+    miss replaces the snapshot, so reading a map with ever new keys
+    allocates nothing. *)
 type centry = {
-  ce_a : int;  (* map header address; -1 empty *)
+  ce_a : Gofree_runtime.Heap.obj;  (* map header; [no_obj] empty *)
   ce_md : Value.map_data;  (* header payload; version read directly *)
   ce_ver : int;
   ce_b : Value.buckets;  (* the map's bucket array as of [ce_ver] *)
@@ -301,7 +301,7 @@ type cache = {
 
 let empty_md : Value.map_data =
   {
-    Value.md_buckets = -1;
+    Value.md_buckets = Gofree_runtime.Heap.no_obj;
     md_nbuckets = 1;
     md_count = 0;
     md_entry_size = 2;
@@ -309,7 +309,12 @@ let empty_md : Value.map_data =
   }
 
 let empty_centry =
-  { ce_a = -1; ce_md = empty_md; ce_ver = -1; ce_b = Value.make_buckets 1 }
+  {
+    ce_a = Gofree_runtime.Heap.no_obj;
+    ce_md = empty_md;
+    ce_ver = -1;
+    ce_b = Value.make_buckets 1;
+  }
 
 let fresh_cache () = { c_a = -1; c_e = empty_centry }
 

@@ -848,25 +848,22 @@ and emit_addr f (lv : Tast.lvalue) =
          evaluates again, allocating calls included *)
       emit_v f base;
       emit_owner f base;
-      op1 f ~dv:0 ~di:(-1) B.op_addr_field_val idx
+      op1 f ~dv:(-1) ~di:0 B.op_addr_field_val idx
   end
 
-(* The heap object owning a struct-valued expression's storage onto the
-   I stack, re-evaluating exactly the subexpressions
-   [Interp.owner_of_struct_base] does; 0 for frame-local storage. *)
+(* The owner spine of a struct-valued expression's storage onto the V
+   stack: the value whose [Value.owner_of] owns it, re-evaluating exactly
+   the subexpressions [Interp.owner_of_struct_base] does; nil for
+   frame-local storage. *)
 and emit_owner f (e : Tast.expr) =
   match e.Tast.desc with
   | Tast.Tfield (inner, _, _) -> begin
     match inner.Tast.ty with
-    | Types.Ptr _ ->
-      emit_v f inner;
-      op0 f ~dv:(-1) ~di:1 B.op_owner
+    | Types.Ptr _ -> emit_v f inner
     | _ -> emit_owner f inner
   end
-  | Tast.Tindex (a, _) | Tast.Tderef a ->
-    emit_v f a;
-    op0 f ~dv:(-1) ~di:1 B.op_owner
-  | _ -> op1 f ~dv:0 ~di:1 B.op_iconst 0
+  | Tast.Tindex (a, _) | Tast.Tderef a -> emit_v f a
+  | _ -> op1 f ~dv:1 ~di:0 B.op_const (tbl_add f.consts Value.VNil)
 
 (* Store the value on top of the V stack into an lvalue: resolve the
    target (its sub-expressions evaluate now, after the right-hand side,

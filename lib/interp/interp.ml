@@ -44,7 +44,7 @@ exception Continue_loop
 type binding =
   | Bunbound  (** slot's declaration not yet executed on this path *)
   | Bdirect of Value.cell
-  | Bboxed of int * Value.cell  (** heap box address + its cell *)
+  | Bboxed of Rt.Heap.obj * Value.cell  (** heap box + its cell *)
 
 (* Engine-private state kept with a pooled frame: the bytecode VM
    stores its dispatch registers here, so a frame reuses them call after
@@ -320,7 +320,7 @@ let register_stack_obj fr obj =
 
 (* Pin a value for the rest of the current statement so an in-callee GC
    cannot reclaim it before it reaches rooted storage.  A value that
-   references no heap address would add nothing to the roots, so it is
+   references no heap object would add nothing to the roots, so it is
    not pinned. *)
 let pin _st fr v =
   match v with
@@ -336,8 +336,8 @@ let trace_binding b k =
   match b with
   | Bunbound -> ()
   | Bdirect c -> Value.trace (Value.get c) k
-  | Bboxed (addr, c) ->
-    k addr;
+  | Bboxed (obj, c) ->
+    k obj;
     Value.trace (Value.get c) k
 
 (* ------------------------------------------------------------------ *)
@@ -390,7 +390,8 @@ let show st v = Value.to_string ~heap:st.heap v
    arguments of goroutines that were spawned but have not started —
    they may sit queued across a GC.  Released pool frames are not
    roots. *)
-let iter_roots_par (p : parctx) ~(globals : binding array) (k : int -> unit) =
+let iter_roots_par (p : parctx) ~(globals : binding array)
+    (k : Rt.Heap.obj -> unit) =
   Array.iter (fun b -> trace_binding b k) globals;
   List.iter
     (fun ((g : goroutine), (_ : state)) ->
@@ -635,7 +636,7 @@ let alloc_slice st fr ~(site : Tast.alloc_site) ~growth store ~cap ~len =
     if growth then alloc_heap_obj st ~category ~size ~payload
     else alloc_obj st fr ~site ~category ~size ~payload
   in
-  pin st fr (Value.slice_of obj.Rt.Heap.addr store len)
+  pin st fr (Value.slice_of obj store len)
 
 let make_slice_obj st fr ~(site : Tast.alloc_site) ~len ~cap ~zero_of :
     Value.value =
@@ -658,7 +659,7 @@ let make_map_obj st fr ~(site : Tast.alloc_site) : Value.value =
   in
   let md =
     {
-      Value.md_buckets = buckets_obj.Rt.Heap.addr;
+      Value.md_buckets = buckets_obj;
       md_nbuckets = nbuckets;
       md_count = 0;
       md_entry_size = entry_size;
@@ -669,40 +670,40 @@ let make_map_obj st fr ~(site : Tast.alloc_site) : Value.value =
     alloc_obj st fr ~site ~category:Rt.Metrics.Cat_map ~size:48
       ~payload:(Value.Pmap md)
   in
-  pin st fr (Value.VMap header.Rt.Heap.addr)
+  pin st fr (Value.VMap header)
 
 (* ------------------------------------------------------------------ *)
 (* Map operations (§4.6.2)                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A map operation finds the header object, then the buckets object it
-   names, each by one closure-free object-table probe; nothing here
-   allocates unless the map grows or a bucket outgrows its capacity.
-   Freed objects have left the table, so an absent header or buckets
-   object is a read of freed memory. *)
+(* A map operation reads the header object's payload, then that of the
+   buckets object it names; nothing here allocates unless the map grows
+   or a bucket outgrows its capacity.  A freed header or buckets object
+   is a read of freed memory, checked before the payload: a poisoned
+   header keeps its [Pmap] shape. *)
 
-let map_data st addr : Value.map_data =
-  let o = Rt.Heap.find st.heap addr in
+let map_data st (o : Rt.Heap.obj) : Value.map_data =
   match o.Rt.Heap.payload with
-  | Value.Pmap md -> md
+  | Value.Pmap md when not o.Rt.Heap.freed -> md
   | _ ->
-    if o == Rt.Heap.no_obj || o.Rt.Heap.poisoned then
+    if o.Rt.Heap.freed then
       raise
         (Value.Corruption
-           (Printf.sprintf "map header %d freed while map is live (%s)" addr
-              (Rt.Heap.death_of st.heap addr)))
+           (Printf.sprintf "map header %d freed while map is live (%s)"
+              o.Rt.Heap.addr
+              (Rt.Heap.death_of st.heap o.Rt.Heap.addr)))
     else raise (Runtime_error "not a map")
 
 let map_buckets st (md : Value.map_data) : Value.buckets =
-  let o = Rt.Heap.find st.heap md.Value.md_buckets in
+  let o = md.Value.md_buckets in
   match o.Rt.Heap.payload with
-  | Value.Pbuckets bk -> bk
+  | Value.Pbuckets bk when not o.Rt.Heap.freed -> bk
   | _ ->
-    if o == Rt.Heap.no_obj || o.Rt.Heap.poisoned then
+    if o.Rt.Heap.freed then
       raise
         (Value.Corruption
            (Printf.sprintf "map buckets freed while map is live (%s)"
-              (Rt.Heap.death_of st.heap md.Value.md_buckets)))
+              (Rt.Heap.death_of st.heap o.Rt.Heap.addr)))
     else raise (Runtime_error "corrupt map buckets")
 
 let map_grow st (md : Value.map_data) old_buckets =
@@ -711,7 +712,7 @@ let map_grow st (md : Value.map_data) old_buckets =
   let bsize =
     buckets_bytes ~entry_size:md.Value.md_entry_size ~nbuckets
   in
-  let old_addr = md.Value.md_buckets in
+  let old_obj = md.Value.md_buckets in
   (* New bucket arrays of a growing map always come from the heap: growth
      happens inside the runtime where no static size is known — exactly
      Go's behaviour, where only the initial buckets of a non-escaping map
@@ -720,7 +721,7 @@ let map_grow st (md : Value.map_data) old_buckets =
     alloc_heap_obj st ~category:Rt.Metrics.Cat_map ~size:bsize
       ~payload:(Value.Pbuckets buckets)
   in
-  md.Value.md_buckets <- new_obj.Rt.Heap.addr;
+  md.Value.md_buckets <- new_obj;
   md.Value.md_nbuckets <- nbuckets;
   md.Value.md_version <- md.Value.md_version + 1;
   (* GrowMapAndFreeOld (§4.6.2): the abandoned bucket array is in the
@@ -729,12 +730,12 @@ let map_grow st (md : Value.map_data) old_buckets =
   if st.heap.Rt.Heap.config.Rt.Heap.grow_map_free_old then
     ignore
       (Rt.Tcfree.tcfree st.heap ~thread:st.dom
-         ~source:Rt.Metrics.Src_map_grow old_addr)
+         ~source:Rt.Metrics.Src_map_grow old_obj)
 
 (* A store to a present key overwrites the value in place, keeping the
    entry's original key and its place in iteration order. *)
-let map_store st addr key v =
-  let md = map_data st addr in
+let map_store st hdr key v =
+  let md = map_data st hdr in
   let bk = map_buckets st md in
   let b = Value.bucket_index bk key in
   let j = Value.bucket_find bk b key in
@@ -751,14 +752,14 @@ let map_store st addr key v =
       map_grow st md bk
   end
 
-let map_get st addr key ~zero =
-  let bk = map_buckets st (map_data st addr) in
+let map_get st hdr key ~zero =
+  let bk = map_buckets st (map_data st hdr) in
   let b = Value.bucket_index bk key in
   let j = Value.bucket_find bk b key in
   if j >= 0 then Value.bucket_value bk b j else zero ()
 
-let map_delete st addr key =
-  let md = map_data st addr in
+let map_delete st hdr key =
+  let md = map_data st hdr in
   let bk = map_buckets st md in
   let b = Value.bucket_index bk key in
   md.Value.md_version <- md.Value.md_version + 1;
@@ -768,15 +769,15 @@ let map_delete st addr key =
     md.Value.md_count <- md.Value.md_count - 1
   end
 
-let map_len st addr =
-  let md = map_data st addr in
+let map_len st hdr =
+  let md = map_data st hdr in
   ignore (map_buckets st md : Value.buckets);
   md.Value.md_count
 
 (* Key snapshot for [for k := range m]: deterministic bucket order,
    mutation during iteration is well-defined. *)
-let map_range_keys st addr : Value.value list =
-  Value.bucket_keys (map_buckets st (map_data st addr))
+let map_range_keys st hdr : Value.value list =
+  Value.bucket_keys (map_buckets st (map_data st hdr))
 
 (* ------------------------------------------------------------------ *)
 (* Bindings                                                            *)
@@ -812,7 +813,7 @@ let declare_var st fr (v : Tast.var) (value : Value.value) =
         alloc_heap_obj st ~category:Rt.Metrics.Cat_other ~size:(max 8 size)
           ~payload:(Value.Pcells c)
       in
-      Bboxed (obj.Rt.Heap.addr, c)
+      Bboxed (obj, c)
     end
     else Bdirect (Value.cell value)
   in
@@ -881,7 +882,7 @@ and value_eq (a : Value.value) (b : Value.value) =
     false
   | VPtr x, VPtr y -> x.p_arr == y.p_arr && x.p_idx = y.p_idx
   | VIptr x, VIptr y -> x.ip_ints == y.ip_ints && x.ip_idx = y.ip_idx
-  | VMap x, VMap y -> x = y
+  | VMap x, VMap y -> x == y
   | VSlice x, VSlice y ->
     x.s_cells == y.s_cells && x.s_off = y.s_off && x.s_len = y.s_len
   | VIslice x, VIslice y ->
@@ -895,29 +896,30 @@ and value_eq (a : Value.value) (b : Value.value) =
 let tcfree_binding st (b : binding) (kind : Tast.free_kind) =
   let thread = st.dom in
   match Value.get (binding_cell b) with
-  | Value.VSlice { Value.s_addr = addr; _ }
-  | Value.VIslice { i_addr = addr; _ }
+  | Value.VSlice { Value.s_obj = obj; _ }
+  | Value.VIslice { i_obj = obj; _ }
     when kind = Tast.Free_slice ->
-    (* TcfreeSlice: unwrap the backing array's address *)
+    (* TcfreeSlice: unwrap the backing array *)
     ignore
-      (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_slice addr)
-  | Value.VMap addr when kind = Tast.Free_map -> begin
-    (* TcfreeMap: unwrap the bucket array's address *)
-    match Rt.Heap.find_obj st.heap addr with
-    | Some { Rt.Heap.payload = Value.Pmap md; _ } ->
+      (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_slice obj)
+  | Value.VMap hdr when kind = Tast.Free_map -> begin
+    (* TcfreeMap: unwrap the bucket array; a freed header (whose
+       poisoned payload keeps its shape) frees nothing *)
+    match hdr.Rt.Heap.payload with
+    | Value.Pmap md when not hdr.Rt.Heap.freed ->
       (* invalidate any inline cache that still points at this map *)
       md.Value.md_version <- md.Value.md_version + 1;
       ignore
         (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_map
            md.Value.md_buckets);
       ignore
-        (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_map addr)
+        (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_map hdr)
     | _ -> ()
   end
   | Value.VPtr { Value.p_owner = owner; _ }
   | Value.VIptr { Value.ip_owner = owner; _ }
     when kind = Tast.Free_obj ->
-    if owner > 0 then
+    if owner != Rt.Heap.no_obj then
       ignore
         (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_slice owner)
   | Value.VNil | Value.VPoison -> ()
@@ -934,7 +936,7 @@ let index_value heap (va : Value.value) (vi : int) : Value.value =
     if vi < 0 || vi >= s.i_len then
       raise (Panic (Value.VStr "index out of range"));
     Value.vint
-      (Value.read_int heap s.i_addr s.i_ints (s.i_off + vi))
+      (Value.read_int heap s.i_obj s.i_ints (s.i_off + vi))
   | Value.VSlice s ->
     if vi < 0 || vi >= s.Value.s_len then
       raise (Panic (Value.VStr "index out of range"));
@@ -967,13 +969,13 @@ let addr_index (va : Value.value) (vi : int) : Value.value =
     if vi < 0 || vi >= s.i_len then
       raise (Panic (Value.VStr "index out of range"));
     Value.VIptr
-      { Value.ip_owner = s.i_addr; ip_ints = s.i_ints;
+      { Value.ip_owner = s.i_obj; ip_ints = s.i_ints;
         ip_idx = s.i_off + vi }
   | Value.VSlice s ->
     if vi < 0 || vi >= s.Value.s_len then
       raise (Panic (Value.VStr "index out of range"));
     Value.VPtr
-      { Value.p_owner = s.Value.s_addr; p_arr = s.Value.s_cells;
+      { Value.p_owner = s.Value.s_obj; p_arr = s.Value.s_cells;
         p_idx = s.Value.s_off + vi }
   | _ -> raise (Runtime_error "cannot take address of this element")
 
@@ -998,7 +1000,7 @@ let length st (v : Value.value) =
   | Value.VIslice s -> s.i_len
   | Value.VSlice s -> s.Value.s_len
   | Value.VStr s -> String.length s
-  | Value.VMap addr -> map_len st addr
+  | Value.VMap hdr -> map_len st hdr
   | Value.VNil -> 0
   | _ -> raise (Runtime_error "len of unsupported value")
 
@@ -1049,7 +1051,7 @@ let slice_copy st (vd : Value.value) (vs : Value.value) : int =
     let n = min d.i_len s.i_len in
     for i = s.i_off to s.i_off + n - 1 do
       if Array.unsafe_get s.i_ints i = Value.poison_int then
-        Value.check_int st.heap s.i_addr
+        Value.check_int st.heap s.i_obj
     done;
     Array.blit s.i_ints s.i_off d.i_ints d.i_off n;
     n
@@ -1102,11 +1104,11 @@ let append_values st fr ~site ~zero_of (base : Value.value)
    zeros. *)
 let append_ints st fr ~site (base : Value.value) (elems : int array) off n :
     Value.value =
-  let old_addr, old_len, old_off, old_ints =
+  let old_obj, old_len, old_off, old_ints =
     match base with
     | Value.VIslice s ->
-      (s.i_addr, s.i_len, s.i_off, s.i_ints)
-    | Value.VNil -> (0, 0, 0, [||])
+      (s.i_obj, s.i_len, s.i_off, s.i_ints)
+    | Value.VNil -> (Rt.Heap.no_obj, 0, 0, [||])
     | Value.VPoison -> raise (Value.Corruption "append to freed slice")
     | _ -> raise (Runtime_error "append to non-slice")
   in
@@ -1119,7 +1121,7 @@ let append_ints st fr ~site (base : Value.value) (elems : int array) off n :
     let cap = grown_cap (Array.length old_ints - old_off) new_len in
     let ints = Array.make cap 0 in
     for i = 0 to old_len - 1 do
-      ints.(i) <- Value.read_int st.heap old_addr old_ints (old_off + i)
+      ints.(i) <- Value.read_int st.heap old_obj old_ints (old_off + i)
     done;
     Array.blit elems off ints old_len n;
     alloc_slice st fr ~site ~growth:true (Value.Ints ints) ~cap ~len:new_len
@@ -1262,7 +1264,7 @@ let rec eval st (e : Tast.expr) : Value.value =
     let vk = eval st k in
     let zero = zero_of st e.Tast.ty in
     match vm with
-    | Value.VMap addr -> map_get st addr vk ~zero
+    | Value.VMap hdr -> map_get st hdr vk ~zero
     | Value.VNil -> zero ()  (* reading a nil map yields the zero value *)
     | _ -> raise (Runtime_error "not a map")
   end
@@ -1297,7 +1299,7 @@ let rec eval st (e : Tast.expr) : Value.value =
         ~size:(max 8 site.Tast.site_elem_size)
         ~payload:(Value.Pcells c)
     in
-    pin st (cur_frame st) (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c))
+    pin st (cur_frame st) (Value.VPtr (Value.cell_ptr obj c))
   | Tast.Tslice_lit (site, elem, es) ->
     let store =
       if elem = Types.Int then
@@ -1324,7 +1326,7 @@ let rec eval st (e : Tast.expr) : Value.value =
         ~size:(max 8 site.Tast.site_elem_size)
         ~payload:(Value.Pcells c)
     in
-    pin st (cur_frame st) (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c))
+    pin st (cur_frame st) (Value.VPtr (Value.cell_ptr obj c))
   | Tast.Tappend (site, s, vs) -> begin
     let base = eval st s in
     let n = List.length vs in
@@ -1372,9 +1374,9 @@ let rec eval st (e : Tast.expr) : Value.value =
       | _ -> Value.VUnit
     in
     match vm with
-    | Value.VMap addr ->
+    | Value.VMap hdr ->
       let present = ref true in
-      let v = map_get st addr vk ~zero:(fun () -> present := false; zero ()) in
+      let v = map_get st hdr vk ~zero:(fun () -> present := false; zero ()) in
       Value.VTuple [ v; Value.VBool !present ]
     | Value.VNil -> Value.VTuple [ zero (); Value.VBool false ]
     | _ -> raise (Runtime_error "not a map")
@@ -1394,8 +1396,8 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
   match lv with
   | Tast.Lvar v -> begin
     match lookup_binding st v with
-    | Bdirect c -> Value.VPtr (Value.cell_ptr 0 c)
-    | Bboxed (addr, c) -> Value.VPtr (Value.cell_ptr addr c)
+    | Bdirect c -> Value.VPtr (Value.cell_ptr Rt.Heap.no_obj c)
+    | Bboxed (obj, c) -> Value.VPtr (Value.cell_ptr obj c)
     | Bunbound -> raise (Runtime_error "unbound variable")
   end
   | Tast.Lderef e -> eval st e
@@ -1424,8 +1426,8 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
         | Tast.Tvar v -> begin
           let c, owner =
             match lookup_binding st v with
-            | Bdirect c -> (c, 0)
-            | Bboxed (addr, c) -> (c, addr)
+            | Bdirect c -> (c, Rt.Heap.no_obj)
+            | Bboxed (obj, c) -> (c, obj)
             | Bunbound -> raise (Runtime_error "unbound variable")
           in
           match Value.read_cell c with
@@ -1448,25 +1450,16 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
   end
 
 (* The heap object owning the storage of a struct-valued expression, for
-   pointers created into nested fields; 0 when it is frame-local. *)
-and owner_of_struct_base st (e : Tast.expr) : int =
+   pointers created into nested fields; [no_obj] when it is frame-local. *)
+and owner_of_struct_base st (e : Tast.expr) : Rt.Heap.obj =
   match e.Tast.desc with
   | Tast.Tfield (inner, _, _) -> begin
     match inner.Tast.ty with
-    | Types.Ptr _ -> begin
-      match eval st inner with
-      | Value.VPtr p -> p.Value.p_owner
-      | _ -> 0
-    end
+    | Types.Ptr _ -> Value.owner_of (eval st inner)
     | _ -> owner_of_struct_base st inner
   end
-  | Tast.Tindex (arr, _) -> begin
-    match eval st arr with Value.VSlice s -> s.Value.s_addr | _ -> 0
-  end
-  | Tast.Tderef p -> begin
-    match eval st p with Value.VPtr ptr -> ptr.Value.p_owner | _ -> 0
-  end
-  | _ -> 0
+  | Tast.Tindex (a, _) | Tast.Tderef a -> Value.owner_of (eval st a)
+  | _ -> Rt.Heap.no_obj
 
 (* Store into an lvalue: resolve the target (its sub-expressions
    evaluate now, after the right-hand side), then write with a copy. *)
@@ -1482,7 +1475,7 @@ and assign st (lv : Tast.lvalue) (v : Value.value) =
     let vm = eval st m in
     let vk = eval st k in
     match vm with
-    | Value.VMap addr -> map_store st addr vk (Value.copy v)
+    | Value.VMap hdr -> map_store st hdr vk (Value.copy v)
     | Value.VNil ->
       raise (Panic (Value.VStr "assignment to entry in nil map"))
     | _ -> raise (Runtime_error "not a map")
@@ -1583,9 +1576,9 @@ and exec_stmt st (s : Tast.stmt) =
         try loop () with Exit -> ())
   | Tast.Sforrange_map (v, m, body) -> begin
     match eval st m with
-    | Value.VMap addr ->
+    | Value.VMap hdr ->
       (* snapshot the keys so mutation during iteration is well-defined *)
-      let keys = map_range_keys st addr in
+      let keys = map_range_keys st hdr in
       (try
          List.iter
            (fun key ->
@@ -1623,7 +1616,7 @@ and exec_stmt st (s : Tast.stmt) =
     let vm = eval st m in
     let vk = eval st k in
     match vm with
-    | Value.VMap addr -> map_delete st addr vk
+    | Value.VMap hdr -> map_delete st hdr vk
     | Value.VNil -> ()
     | _ -> raise (Runtime_error "delete on non-map")
   end

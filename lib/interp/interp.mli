@@ -29,7 +29,7 @@ exception Continue_loop
 type binding =
   | Bunbound
   | Bdirect of Value.cell
-  | Bboxed of int * Value.cell
+  | Bboxed of Rt.Heap.obj * Value.cell
 
 (** Engine-private state kept with a pooled frame (the bytecode VM's
     dispatch registers); [No_ext] until an engine stores its own. *)
@@ -160,12 +160,12 @@ and ptask = {
 
 val make_parctx : nd:int -> seed:int64 -> parctx
 
-(** Enumerate every root address: globals, then each registered
+(** Enumerate every root object: globals, then each registered
     goroutine's live frames (slots, statement pins, pending defer
     arguments) and — for a goroutine that has not started — its spawn
     arguments.  Released pool frames are not roots. *)
 val iter_roots_par :
-  parctx -> globals:binding array -> (int -> unit) -> unit
+  parctx -> globals:binding array -> (Rt.Heap.obj -> unit) -> unit
 
 (** Append to the program output; whole-string-atomic when nd > 1. *)
 val emit_str : state -> string -> unit
@@ -261,27 +261,28 @@ val make_slice_obj :
 
 val make_map_obj : state -> frame -> site:Tast.alloc_site -> Value.value
 
-(** The live header of the map at an address; raises
+(** The live header payload of a map header object; raises
     {!Value.Corruption} when it has been freed.  Allocates nothing.
     Exported for the bytecode VM's map-site inline caches, which key on
     [Value.map_data.md_version]. *)
-val map_data : state -> int -> Value.map_data
+val map_data : state -> Rt.Heap.obj -> Value.map_data
 
 (** The live buckets a map header names; raises {!Value.Corruption}
     when they have been freed.  Allocates nothing. *)
 val map_buckets : state -> Value.map_data -> Value.buckets
 
-val map_store : state -> int -> Value.value -> Value.value -> unit
+val map_store : state -> Rt.Heap.obj -> Value.value -> Value.value -> unit
 
 val map_get :
-  state -> int -> Value.value -> zero:(unit -> Value.value) -> Value.value
+  state -> Rt.Heap.obj -> Value.value -> zero:(unit -> Value.value) ->
+  Value.value
 
-val map_delete : state -> int -> Value.value -> unit
+val map_delete : state -> Rt.Heap.obj -> Value.value -> unit
 
-val map_len : state -> int -> int
+val map_len : state -> Rt.Heap.obj -> int
 
 (** Key snapshot for [for k := range m], in iteration order. *)
-val map_range_keys : state -> int -> Value.value list
+val map_range_keys : state -> Rt.Heap.obj -> Value.value list
 
 (** {2 Slice operations}
 

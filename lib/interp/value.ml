@@ -10,18 +10,22 @@
     Every other slice's backing store is a [value array] ({!slice})
     holding its elements directly, and every other mutable location (a
     frame variable, a heap box, a struct field) is a {!cell}, a
-    one-element array.  A pointer is an (owner address, array, index)
+    one-element array.  A pointer is an (owner object, array, index)
     triple — {!ptr} into a value array, {!iptr} into an int store — so
     [&s[i]], [&local], [&x.f], [new(T)] and [&T{}] all dereference in
     one array access while the GC keeps the owning heap object alive.
     Struct values are cell arrays copied on assignment (Go value
-    semantics); slice values are headers (backing-array address + store
+    semantics); slice values are headers (backing-array object + store
     + offset + length) copied freely while sharing the backing store.
+    Every reference holds its heap object's record ({!Heap.obj}), never
+    an address: nothing is looked up to reach an object, and a stale
+    reference to a freed object still names that object, not whatever
+    reuses its slot.  A pointer into a frame slot names {!Heap.no_obj}.
 
     Freed memory in poison mode (§6.8): a freed value store's elements
     become [VPoison]; a freed int store's become {!poison_int}, and a read
     that finds that sentinel is a read of freed memory exactly when the
-    store's owner has left the heap's object table ({!read_int}).
+    store's owner is freed ({!read_int}).
 
     Strings are modelled as static immutable data (no heap object): GoFree
     never frees strings, and the paper's reclaim comes from slices and
@@ -41,12 +45,12 @@ type value =
   | VIptr of iptr  (** pointer to an element of an int store *)
   | VSlice of slice
   | VIslice of {
-      i_addr : int;  (** backing-array object *)
+      i_obj : Heap.obj;  (** backing-array object *)
       i_ints : int array;  (** the shared unboxed backing store *)
       i_off : int;
       i_len : int;  (** capacity = Array.length i_ints − i_off *)
     }  (** a [[]int]: its store is unboxed; the header is inline *)
-  | VMap of int  (** address of the map header object *)
+  | VMap of Heap.obj  (** the map header object *)
   | VStruct of cell array
   | VTuple of value list
   | VPoison  (** contents of mock-freed memory (§6.8) *)
@@ -54,26 +58,29 @@ type value =
 and cell = value array  (** always exactly one element *)
 
 and ptr = {
-  p_owner : int;  (** heap/stack object owning the storage; 0 = frame slot *)
+  p_owner : Heap.obj;
+      (** heap/stack object owning the storage; [Heap.no_obj] for a
+          frame slot *)
   p_arr : value array;  (** a cell, or a slice backing store *)
   p_idx : int;  (** the element of [p_arr] pointed at *)
 }
 
 and iptr = {
-  ip_owner : int;  (** the int store's backing-array object *)
+  ip_owner : Heap.obj;  (** the int store's backing-array object *)
   ip_ints : int array;
   ip_idx : int;
 }
 
 and slice = {
-  s_addr : int;  (** backing-array object *)
+  s_obj : Heap.obj;  (** backing-array object *)
   s_cells : value array;  (** the shared backing store, one element each *)
   s_off : int;  (** view offset into the backing array *)
   s_len : int;  (** view length; capacity = Array.length s_cells − s_off *)
 }
 
 type map_data = {
-  mutable md_buckets : int;  (** address of the buckets object *)
+  mutable md_buckets : Heap.obj;
+      (** the buckets object; [Heap.no_obj] once the header is poisoned *)
   mutable md_nbuckets : int;
   mutable md_count : int;
   md_entry_size : int;  (** key + value bytes, from the allocation site *)
@@ -151,14 +158,14 @@ let read_ptr p =
 
    A freed int store (poison mode) holds [poison_int] in every element.
    An element holding it is a read of freed memory only when its owner
-   is gone from the object table: a live store may hold the same number,
+   is freed: a live store may hold the same number,
    and a freed element the program wrote to since holds what it wrote,
    just as a written [VPoison] cell holds its new value. *)
 
 let poison_int = -0x3EAD_BEEF_DEAD_BEEF
 
-let owner_freed (heap : Heap.t) owner =
-  heap.Heap.config.Heap.poison_on_free && Heap.find heap owner == Heap.no_obj
+let owner_freed (heap : Heap.t) (owner : Heap.obj) =
+  heap.Heap.config.Heap.poison_on_free && owner.Heap.freed
 
 let[@inline never] check_int heap owner =
   if owner_freed heap owner then raise (Corruption "read of freed memory")
@@ -206,11 +213,16 @@ let make_store n (zero_of : unit -> value) : store =
 let store_payload = function Cells a -> Pcells a | Ints a -> Pints a
 
 (** The slice header over the first [len] elements of the store owned by
-    the object at [addr]. *)
-let slice_of addr store len =
+    [obj]. *)
+let slice_of obj store len =
   match store with
-  | Cells a -> VSlice { s_addr = addr; s_cells = a; s_off = 0; s_len = len }
-  | Ints a -> VIslice { i_addr = addr; i_ints = a; i_off = 0; i_len = len }
+  | Cells a -> VSlice { s_obj = obj; s_cells = a; s_off = 0; s_len = len }
+  | Ints a -> VIslice { i_obj = obj; i_ints = a; i_off = 0; i_len = len }
+
+let owner_of = function
+  | VPtr p -> p.p_owner
+  | VSlice s -> s.s_obj
+  | _ -> Heap.no_obj
 
 (** Zero value of a type (Go semantics). *)
 let rec zero (tenv : Minigo.Types.env) (ty : Minigo.Types.t) : value =
@@ -228,25 +240,26 @@ let rec zero (tenv : Minigo.Types.env) (ty : Minigo.Types.t) : value =
             (Minigo.Types.struct_fields tenv name)))
   | Minigo.Types.Tuple _ | Minigo.Types.Unit | Minigo.Types.Nil -> VUnit
 
-(** Enumerate the heap addresses a value references (GC tracing). *)
-let rec trace (v : value) (k : int -> unit) =
+(** Enumerate the objects a value references (GC tracing).  A pointer
+    to a frame slot names [Heap.no_obj], which the mark passes by: the
+    frame is scanned as a root. *)
+let rec trace (v : value) (k : Heap.obj -> unit) =
   match v with
   | VStr _ | VUnit | VInt _ | VFloat _ | VBool _ | VNil | VPoison -> ()
-  | VPtr p -> if p.p_owner > 0 then k p.p_owner
-    (* owner 0: pointer to a frame slot; the frame is scanned as a root *)
+  | VPtr p -> k p.p_owner
   | VIptr p -> k p.ip_owner
-  | VSlice s -> if s.s_addr > 0 then k s.s_addr
-  | VIslice s -> k s.i_addr
-  | VMap addr -> if addr > 0 then k addr
+  | VSlice s -> k s.s_obj
+  | VIslice s -> k s.i_obj
+  | VMap o -> k o
   | VStruct cells -> Array.iter (fun c -> trace (get c) k) cells
   | VTuple vs -> List.iter (fun v -> trace v k) vs
 
 (** Payload tracer registered with the heap.  An int store is Go's
     noscan object: its elements hold no address, so it is not traced. *)
-let trace_payload (p : Heap.payload) (k : int -> unit) =
+let trace_payload (p : Heap.payload) (k : Heap.obj -> unit) =
   match p with
   | Pcells elems -> Array.iter (fun v -> trace v k) elems
-  | Pmap md -> if md.md_buckets > 0 then k md.md_buckets
+  | Pmap md -> k md.md_buckets
   | Pbuckets bk ->
     Array.iteri
       (fun b kv ->
@@ -273,7 +286,7 @@ let poison_payload (p : Heap.payload) =
         bk.bk_n.(b) <- 1)
       bk.bk_kv
   | Pmap md ->
-    md.md_buckets <- -1;
+    md.md_buckets <- Heap.no_obj;
     md.md_count <- -1;
     md.md_version <- md.md_version + 1
   | _ -> ()
@@ -397,7 +410,7 @@ let rec to_string ?heap = function
       let j = s.i_off + i in
       string_of_int
         (match heap with
-        | Some heap -> read_int heap s.i_addr s.i_ints j
+        | Some heap -> read_int heap s.i_obj s.i_ints j
         | None -> s.i_ints.(j))
     in
     "[" ^ String.concat " " (List.init s.i_len elem) ^ "]"

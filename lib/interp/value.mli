@@ -7,10 +7,13 @@
     it and the host GC finds no pointer in it.  Every other slice's backing
     store is a [value array] holding its elements directly, and every
     other mutable location is a {!cell}, a one-element array.  A pointer
-    is an (owner address, array, index) triple — {!ptr} into a value
+    is an (owner object, array, index) triple — {!ptr} into a value
     array, {!iptr} into an int store — so the GC can keep the owning heap
     object alive while the interpreter mutates through the array
-    directly. *)
+    directly.  Every reference holds its heap object's record, never an
+    address to look up. *)
+
+module Heap := Gofree_runtime.Heap
 
 type value =
   | VUnit
@@ -23,12 +26,12 @@ type value =
   | VIptr of iptr  (** pointer to an element of an int store *)
   | VSlice of slice
   | VIslice of {
-      i_addr : int;  (** backing-array object *)
+      i_obj : Heap.obj;  (** backing-array object *)
       i_ints : int array;  (** shared unboxed backing store *)
       i_off : int;
       i_len : int;  (** capacity = Array.length i_ints − i_off *)
     }  (** a [[]int]: its store is unboxed; the header is inline *)
-  | VMap of int  (** address of the map header object *)
+  | VMap of Heap.obj  (** the map header object *)
   | VStruct of cell array  (** value semantics: copied on assignment *)
   | VTuple of value list  (** multi-value call result *)
   | VPoison  (** contents of mock-freed memory (§6.8) *)
@@ -36,26 +39,28 @@ type value =
 and cell = value array  (** always exactly one element *)
 
 and ptr = {
-  p_owner : int;  (** heap/stack object owning the storage; 0 = frame slot *)
+  p_owner : Heap.obj;
+      (** heap/stack object owning the storage; {!Heap.no_obj} for a
+          frame slot *)
   p_arr : value array;  (** a cell, or a slice backing store *)
   p_idx : int;  (** the element of [p_arr] pointed at *)
 }
 
 and iptr = {
-  ip_owner : int;  (** the int store's backing-array object *)
+  ip_owner : Heap.obj;  (** the int store's backing-array object *)
   ip_ints : int array;
   ip_idx : int;
 }
 
 and slice = {
-  s_addr : int;  (** backing-array object *)
+  s_obj : Heap.obj;  (** backing-array object *)
   s_cells : value array;  (** shared backing store, one element each *)
   s_off : int;  (** view offset into the backing array *)
   s_len : int;  (** view length; capacity = Array.length s_cells − s_off *)
 }
 
 type map_data = {
-  mutable md_buckets : int;
+  mutable md_buckets : Heap.obj;  (** {!Heap.no_obj} once poisoned *)
   mutable md_nbuckets : int;
   mutable md_count : int;
   md_entry_size : int;
@@ -71,7 +76,7 @@ type map_data = {
     buckets in index order, each newest entry first. *)
 type buckets = { bk_n : int array; bk_kv : value array array }
 
-type Gofree_runtime.Heap.payload +=
+type Heap.payload +=
   | Pcells of value array
       (** slice backing store, or a box (whose payload is its own cell) *)
   | Pints of int array  (** int-slice backing store: pointer-free *)
@@ -88,8 +93,8 @@ val get : cell -> value
 
 val set : cell -> value -> unit
 
-(** A pointer to a whole cell owned by the object at the given address. *)
-val cell_ptr : int -> cell -> ptr
+(** A pointer to a whole cell owned by the given object. *)
+val cell_ptr : Heap.obj -> cell -> ptr
 
 (** Write through a pointer. *)
 val ptr_set : ptr -> value -> unit
@@ -118,23 +123,23 @@ val read_ptr : ptr -> value
 (** {2 Int stores}
 
     Poison mode fills a freed int store with {!poison_int}.  Reading that
-    number is a read of freed memory exactly when the store's owner has
-    left the heap's object table; a live store may hold it, and a freed
-    element written since holds what was written. *)
+    number is a read of freed memory exactly when the store's owner is
+    freed; a live store may hold it, and a freed element written since
+    holds what was written. *)
 
 val poison_int : int
 
 (** [read_int heap owner ints i]: element [i] of the int store owned by
-    the object at [owner]; raises {!Corruption} on a freed element. *)
-val read_int : Gofree_runtime.Heap.t -> int -> int array -> int -> int
+    [owner]; raises {!Corruption} on a freed element. *)
+val read_int : Heap.t -> Heap.obj -> int array -> int -> int
 
 (** [check_int heap owner]: raise {!Corruption} when poison mode is on
-    and the object at [owner] has been freed — what {!read_int} does on
-    reading {!poison_int}, for a caller that read the element itself. *)
-val check_int : Gofree_runtime.Heap.t -> int -> unit
+    and [owner] has been freed — what {!read_int} does on reading
+    {!poison_int}, for a caller that read the element itself. *)
+val check_int : Heap.t -> Heap.obj -> unit
 
 (** Read through an int pointer, poison-checked like {!read_int}. *)
-val read_iptr : Gofree_runtime.Heap.t -> iptr -> int
+val read_iptr : Heap.t -> iptr -> int
 
 (** A fresh backing store. *)
 type store = Cells of value array | Ints of int array
@@ -149,11 +154,16 @@ val make_store : int -> (unit -> value) -> store
     itself. *)
 val fill_zero : value array -> int -> value -> unit
 
-val store_payload : store -> Gofree_runtime.Heap.payload
+val store_payload : store -> Heap.payload
 
-(** [slice_of addr store len]: the slice over the first [len] elements of
-    a store owned by the object at [addr]. *)
-val slice_of : int -> store -> int -> value
+(** [slice_of obj store len]: the slice over the first [len] elements of
+    a store owned by [obj]. *)
+val slice_of : Heap.obj -> store -> int -> value
+
+(** The object owning the storage a value reaches: a pointer's owner, a
+    value slice's backing array, else {!Heap.no_obj}.  It names the owner
+    of a pointer made into a nested struct field. *)
+val owner_of : value -> Heap.obj
 
 (** Assignment copy: deep for struct values, identity otherwise. *)
 val copy : value -> value
@@ -161,16 +171,16 @@ val copy : value -> value
 (** Zero value of a type (Go semantics). *)
 val zero : Minigo.Types.env -> Minigo.Types.t -> value
 
-(** Heap addresses referenced by a value (GC tracing). *)
-val trace : value -> (int -> unit) -> unit
+(** Objects referenced by a value (GC tracing). *)
+val trace : value -> (Heap.obj -> unit) -> unit
 
 (** Payload tracer registered with the heap; an int store is not
     traced. *)
-val trace_payload : Gofree_runtime.Heap.payload -> (int -> unit) -> unit
+val trace_payload : Heap.payload -> (Heap.obj -> unit) -> unit
 
 (** Poison-mode payload corruption: every owned element becomes [VPoison],
     or {!poison_int} in an int store. *)
-val poison_payload : Gofree_runtime.Heap.payload -> unit
+val poison_payload : Heap.payload -> unit
 
 (** Structural equality for map keys. *)
 val equal_key : value -> value -> bool
@@ -214,4 +224,4 @@ val bucket_keys : buckets -> value list
 (** Deterministic textual form for [println] (addresses hidden so output
     is identical across compiler settings).  Int-store elements are
     poison-checked against [heap] when it is given. *)
-val to_string : ?heap:Gofree_runtime.Heap.t -> value -> string
+val to_string : ?heap:Heap.t -> value -> string

@@ -5,12 +5,12 @@
     and bools), so hot arithmetic/compare/branch sequences never touch
     the OCaml allocator.  Map-key and struct-field sites carry
     monomorphic inline caches.  A map-site cache holds only the map's
-    identity (header address, header, version, bucket array): when the
-    address matches (addresses are never reused) and [md_version] is
+    identity (header object, header payload, version, bucket array):
+    when the header object is physically the same and [md_version] is
     unchanged (it is bumped on every store/delete/grow/free), the key is
-    probed in the cached bucket array directly, skipping both heap-object
-    lookups, and the search finds the same physical value a full lookup
-    would.
+    probed in the cached bucket array directly, skipping the header and
+    buckets payload reads and their freed checks, and the search finds
+    the same physical value a full lookup would.
 
     Calls go through the one protocol, {!Interp.call_fn}, straight from
     the [call] opcode: the callee is found in the caller's program
@@ -185,7 +185,7 @@ let () = assert (poison_int = Value.poison_int)
 let[@inline] index_int heap (va : Value.value) (vi : int) : int =
   match va with
   | Value.VIslice s when vi >= 0 && vi < s.i_len ->
-    Value.read_int heap s.i_addr s.i_ints (s.i_off + vi)
+    Value.read_int heap s.i_obj s.i_ints (s.i_off + vi)
   | Value.VStr s when vi >= 0 && vi < String.length s ->
     (* byte of a string, sans the boxed VInt the generic path makes *)
     Char.code (String.unsafe_get s vi)
@@ -236,10 +236,10 @@ let field_value (r : regs) (va : Value.value) fidx cidx nidx : Value.value =
          ("field access ." ^ r.x_f.B.bf_names.(nidx) ^ " on non-struct"))
 
 (* Shared by the three map-get opcodes.  The inline cache holds the
-   identity of the map the site last read (header address, header,
-   version, bucket array; see {!Bytecode.centry}).  On a hit the key is
-   probed in the cached bucket array directly, skipping both heap-object
-   lookups; a miss finds them like [Interp.map_get] and replaces the
+   identity of the map the site last read (header object, header
+   payload, version, bucket array; see {!Bytecode.centry}).  On a hit the
+   key is probed in the cached bucket array directly, skipping both
+   payload reads; a miss finds them like [Interp.map_get] and replaces the
    snapshot.  Either way the lookup is [Interp.map_get]'s bucket search,
    so it finds the identical physical value, and map reads allocate
    nothing in the simulated heap.  An absent key's zero value is freshly
@@ -247,23 +247,23 @@ let field_value (r : regs) (va : Value.value) fidx cidx nidx : Value.value =
 let mapget_value (r : regs) (vm : Value.value) (vk : Value.value) zidx cidx :
     Value.value =
   match vm with
-  | Value.VMap addr ->
+  | Value.VMap hdr ->
     let st = r.x_st in
     let c = r.x_f.B.bf_caches.(cidx) in
     (* one pointer load = one coherent snapshot, even when goroutines
        on other domains are racing to repopulate this site *)
     let e = c.B.c_e in
     let bk =
-      if e.B.ce_a = addr && e.B.ce_ver = e.B.ce_md.Value.md_version then begin
+      if e.B.ce_a == hdr && e.B.ce_ver = e.B.ce_md.Value.md_version then begin
         st.ic_hits <- st.ic_hits + 1;
         e.B.ce_b
       end
       else begin
         st.ic_misses <- st.ic_misses + 1;
-        let md = Interp.map_data st addr in
+        let md = Interp.map_data st hdr in
         let bk = Interp.map_buckets st md in
         c.B.c_e <-
-          { B.ce_a = addr; ce_md = md; ce_ver = md.Value.md_version;
+          { B.ce_a = hdr; ce_md = md; ce_ver = md.Value.md_version;
             ce_b = bk };
         bk
       end
@@ -291,7 +291,7 @@ let bind_home st fr (stk_i : int array) rb (h : B.home) v =
       alloc_heap_obj st ~category:Rt.Metrics.Cat_other ~size
         ~payload:(Value.Pcells c)
     in
-    fr.slots.(s) <- Bboxed (obj.Rt.Heap.addr, c)
+    fr.slots.(s) <- Bboxed (obj, c)
 
 (* [decl]'s binding: the declared local's home in this function. *)
 let declare (r : regs) d v =
@@ -611,7 +611,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     end
     | Bunbound -> full r pc sp_v sp_i
   end
-  | 152 (* append_i, of one int, within the int slice's capacity *)
+  | 136 (* append_i, of one int, within the int slice's capacity *)
     when Array.unsafe_get code (pc + 2) = 1 -> begin
     match Array.unsafe_get r.x_stk_v (sp_v - 1) with
     | Value.VIslice s when s.i_off + s.i_len < Array.length s.i_ints ->
@@ -897,7 +897,7 @@ and full (r : regs) pc sp_v sp_i =
     let vm = Array.unsafe_get stk_v (sp_v - 2) in
     let v = Array.unsafe_get stk_v (sp_v - 3) in
     (match vm with
-    | Value.VMap addr -> map_store r.x_st addr vk (Value.copy v)
+    | Value.VMap hdr -> map_store r.x_st hdr vk (Value.copy v)
     | Value.VNil -> raise (Panic (Value.VStr "assignment to entry in nil map"))
     | _ -> raise (Runtime_error "not a map"));
     loop r (pc + 1) (sp_v - 3) sp_i
@@ -1064,9 +1064,9 @@ and full (r : regs) pc sp_v sp_i =
     let zidx = Array.unsafe_get code (pc + 1) in
     let res =
       match vm with
-      | Value.VMap addr ->
+      | Value.VMap hdr ->
         (* Interp.map_get's search, keeping the slot to tell presence *)
-        let bk = map_buckets r.x_st (map_data r.x_st addr) in
+        let bk = map_buckets r.x_st (map_data r.x_st hdr) in
         let b = Value.bucket_index bk vk in
         let j = Value.bucket_find bk b vk in
         if j >= 0 then
@@ -1195,7 +1195,7 @@ and full (r : regs) pc sp_v sp_i =
     in
     Array.unsafe_set stk_v sp_v
       (pin r.x_st r.x_fr
-         (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c)));
+         (Value.VPtr (Value.cell_ptr obj c)));
     loop r (pc + 3) (sp_v + 1) sp_i
   | 83 (* slice_lit *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
@@ -1222,7 +1222,7 @@ and full (r : regs) pc sp_v sp_i =
     in
     Array.unsafe_set stk_v (sp_v - n)
       (pin r.x_st r.x_fr
-         (Value.VPtr (Value.cell_ptr obj.Rt.Heap.addr c)));
+         (Value.VPtr (Value.cell_ptr obj c)));
     loop r (pc + 3) (sp_v - n + 1) sp_i
   | 86 (* append *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
@@ -1236,20 +1236,20 @@ and full (r : regs) pc sp_v sp_i =
     (match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr (Value.cell_ptr 0 c))
-    | Bboxed (addr, c) ->
+        (Value.VPtr (Value.cell_ptr Rt.Heap.no_obj c))
+    | Bboxed (obj, c) ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr (Value.cell_ptr addr c))
+        (Value.VPtr (Value.cell_ptr obj c))
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v + 1) sp_i
   | 88 (* addr_gslot *) ->
     (match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr (Value.cell_ptr 0 c))
-    | Bboxed (addr, c) ->
+        (Value.VPtr (Value.cell_ptr Rt.Heap.no_obj c))
+    | Bboxed (obj, c) ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr (Value.cell_ptr addr c))
+        (Value.VPtr (Value.cell_ptr obj c))
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v + 1) sp_i
   | 89 (* addr_index *) ->
@@ -1275,8 +1275,8 @@ and full (r : regs) pc sp_v sp_i =
     let fidx = Array.unsafe_get code (pc + 2) in
     let c, owner =
       match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
-      | Bdirect c -> (c, 0)
-      | Bboxed (addr, c) -> (c, addr)
+      | Bdirect c -> (c, Rt.Heap.no_obj)
+      | Bboxed (obj, c) -> (c, obj)
       | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 3))
     in
     (match Value.read_cell c with
@@ -1291,8 +1291,8 @@ and full (r : regs) pc sp_v sp_i =
       match
         Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1))
       with
-      | Bdirect c -> (c, 0)
-      | Bboxed (addr, c) -> (c, addr)
+      | Bdirect c -> (c, Rt.Heap.no_obj)
+      | Bboxed (obj, c) -> (c, obj)
       | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 3))
     in
     (match Value.read_cell c with
@@ -1344,7 +1344,7 @@ and full (r : regs) pc sp_v sp_i =
     let vk = Array.unsafe_get stk_v (sp_v - 1) in
     let vm = Array.unsafe_get stk_v (sp_v - 2) in
     (match vm with
-    | Value.VMap addr -> map_delete r.x_st addr vk
+    | Value.VMap hdr -> map_delete r.x_st hdr vk
     | Value.VNil -> ()
     | _ -> raise (Runtime_error "delete on non-map"));
     loop r (pc + 1) (sp_v - 2) sp_i
@@ -1358,8 +1358,8 @@ and full (r : regs) pc sp_v sp_i =
     loop r (pc + 1) (sp_v + 1) sp_i
   | 101 (* range_start *) -> begin
     match Array.unsafe_get stk_v (sp_v - 1) with
-    | Value.VMap addr ->
-      r.x_iters <- map_range_keys r.x_st addr :: r.x_iters;
+    | Value.VMap hdr ->
+      r.x_iters <- map_range_keys r.x_st hdr :: r.x_iters;
       loop r (pc + 2) (sp_v - 1) sp_i
     | Value.VNil -> loop r (Array.unsafe_get code (pc + 1)) (sp_v - 1) sp_i
     | _ -> raise (Runtime_error "range over non-map")
@@ -1600,23 +1600,16 @@ and full (r : regs) pc sp_v sp_i =
      after the base, like [Interp.owner_of_struct_base].  The walker
      checks the base for a struct before the spine runs; the base's
      static type is a struct, so that error cannot fire in either. *)
-  | 136 (* owner *) ->
-    Array.unsafe_set stk_i sp_i
-      (match Array.unsafe_get stk_v (sp_v - 1) with
-      | Value.VSlice s -> s.Value.s_addr
-      | Value.VPtr p -> p.Value.p_owner
-      | _ -> 0);
-    loop r (pc + 1) (sp_v - 1) (sp_i + 1)
   | 137 (* addr_field_val *) ->
-    (match Array.unsafe_get stk_v (sp_v - 1) with
+    (match Array.unsafe_get stk_v (sp_v - 2) with
     | Value.VStruct cells ->
-      Array.unsafe_set stk_v (sp_v - 1)
+      Array.unsafe_set stk_v (sp_v - 2)
         (Value.VPtr
            (Value.cell_ptr
-              (Array.unsafe_get stk_i (sp_i - 1))
+              (Value.owner_of (Array.unsafe_get stk_v (sp_v - 1)))
               cells.(Array.unsafe_get code (pc + 1))))
     | _ -> raise (Runtime_error "field of non-struct"));
-    loop r (pc + 2) sp_v (sp_i - 1)
+    loop r (pc + 2) (sp_v - 1) sp_i
   (* Loop and indexing superinstructions.  Each performs the safepoints
      of the sequence it replaces, in the same order relative to its other
      effects, and raises the same errors in the same order. *)
@@ -1712,7 +1705,7 @@ and full (r : regs) pc sp_v sp_i =
          (Value.Ints (Array.sub stk_i (sp_i - n) n))
          ~cap:n ~len:n);
     loop r (pc + 3) (sp_v + 1) (sp_i - n)
-  | 152 (* append_i *) ->
+  | 136 (* append_i *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     Array.unsafe_set stk_v (sp_v - 1)

@@ -5,8 +5,13 @@
     are Go memory-invariant violations and are counted (they must never
     occur if the escape analysis is sound).
 
+    Mark bits are a per-heap epoch: a cycle bumps [Heap.mark_epoch], and
+    an object is marked when its [marked] equals it, so nothing resets
+    them, stack objects included.
+
     Sweep: every unmarked heap object is freed — its span slot is
-    released and the object disappears from the store.  Dangling spans
+    released and it leaves its processor's object array, which the sweep
+    compacts in place, in allocation order.  Dangling spans
     from the 2-step large-object tcfree (fig. 9) are retired here, and
     completely empty spans hand their pages back to the page heap.
 
@@ -22,78 +27,70 @@ let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
 let mark (heap : Heap.t) =
   let stack = Stack.create () in
-  let push_addr from_heap addr =
-    if addr > 0 then
-      (* an absent object is a dangling value, already freed *)
-      let obj = Heap.find heap addr in
-      if obj != Heap.no_obj then begin
-        if from_heap && Heap.is_stack_obj obj then
-          heap.Heap.metrics.Metrics.heap_to_stack_pointers <-
-            heap.Heap.metrics.Metrics.heap_to_stack_pointers + 1;
-        if not obj.Heap.marked then begin
-          obj.Heap.marked <- true;
-          heap.Heap.metrics.Metrics.gc_marked_objects <-
-            heap.Heap.metrics.Metrics.gc_marked_objects + 1;
-          Stack.push obj stack
-        end
+  let epoch = heap.Heap.mark_epoch in
+  let push from_heap (obj : Heap.obj) =
+    (* a freed object is a dangling value: not traced, not counted *)
+    if not obj.Heap.freed then begin
+      if from_heap && Heap.is_stack_obj obj then
+        heap.Heap.metrics.Metrics.heap_to_stack_pointers <-
+          heap.Heap.metrics.Metrics.heap_to_stack_pointers + 1;
+      if obj.Heap.marked <> epoch then begin
+        obj.Heap.marked <- epoch;
+        heap.Heap.metrics.Metrics.gc_marked_objects <-
+          heap.Heap.metrics.Metrics.gc_marked_objects + 1;
+        Stack.push obj stack
       end
+    end
   in
-  heap.Heap.iter_roots (push_addr false);
+  heap.Heap.iter_roots (push false);
   while not (Stack.is_empty stack) do
     let obj = Stack.pop stack in
     let from_heap = not (Heap.is_stack_obj obj) in
     (* A dangling large span's contents are skipped by marking (fig. 9):
-       its object is already freed and no longer in the store, so it can
-       never be popped here; nothing to special-case. *)
-    heap.Heap.trace_payload obj.Heap.payload (push_addr from_heap)
+       its object is already freed, so it is never pushed; nothing to
+       special-case. *)
+    heap.Heap.trace_payload obj.Heap.payload (push from_heap)
   done
 
-let sweep (heap : Heap.t) =
+(* Free one unmarked heap object. *)
+let sweep_obj (heap : Heap.t) (o : Heap.obj) =
   let metrics = heap.Heap.metrics in
-  let dead =
-    Objtable.fold
-      (fun _ (o : Heap.obj) acc ->
-        if Heap.is_stack_obj o then begin
-          (* stack objects are never swept, but their mark bits must be
-             reset or the next cycle would skip tracing through them *)
-          o.Heap.marked <- false;
-          acc
-        end
-        else if o.Heap.marked then begin
-          o.Heap.marked <- false;
-          acc
-        end
-        else o :: acc)
-      heap.Heap.objects []
-  in
+  metrics.Metrics.gc_swept_objects <- metrics.Metrics.gc_swept_objects + 1;
+  (match o.Heap.placement with
+  | Heap.On_heap (span, slot) ->
+    Mspan.free_slot span slot;
+    if span.Mspan.class_idx < 0 then begin
+      (* unreferenced large object: free its dedicated span now *)
+      span.Mspan.state <- Mspan.Free;
+      Pageheap.free_pages heap.Heap.pages span.Mspan.npages
+    end
+  | Heap.On_stack -> assert false);
+  o.Heap.freed <- true;
+  if heap.Heap.config.Heap.poison_on_free then begin
+    o.Heap.poisoned <- true;
+    heap.Heap.poison_payload o.Heap.payload;
+    (* the tombstone string is only kept in poison mode *)
+    Heap.bury heap o.Heap.addr
+      (Printf.sprintf "swept by GC cycle %d" (metrics.Metrics.gc_cycles + 1))
+  end;
+  Metrics.count_gc_free metrics ~category:o.Heap.category
+
+(* Compact every processor's object array in place: marked objects stay,
+   in allocation order; objects tcfree freed since the last cycle leave;
+   unmarked ones are swept. *)
+let sweep (heap : Heap.t) =
+  let epoch = heap.Heap.mark_epoch in
   let swept_bytes = ref 0 in
-  List.iter
-    (fun (o : Heap.obj) ->
-      metrics.Metrics.gc_swept_objects <-
-        metrics.Metrics.gc_swept_objects + 1;
+  let keep (o : Heap.obj) =
+    if o.Heap.freed then false
+    else if o.Heap.marked = epoch then true
+    else begin
       swept_bytes := !swept_bytes + o.Heap.size;
-      (match o.Heap.placement with
-      | Heap.On_heap (span, slot) ->
-        if span.Mspan.class_idx >= 0 then Mspan.free_slot span slot
-        else begin
-          (* unreferenced large object: free its dedicated span now *)
-          Mspan.free_slot span slot;
-          span.Mspan.state <- Mspan.Free;
-          Pageheap.free_pages heap.Heap.pages span.Mspan.npages
-        end
-      | Heap.On_stack -> assert false);
-      o.Heap.freed <- true;
-      if heap.Heap.config.Heap.poison_on_free then begin
-        o.Heap.poisoned <- true;
-        heap.Heap.poison_payload o.Heap.payload;
-        (* the tombstone string is only kept in poison mode *)
-        Heap.bury heap o.Heap.addr
-          (Printf.sprintf "swept by GC cycle %d"
-             (metrics.Metrics.gc_cycles + 1))
-      end;
-      Metrics.count_gc_free metrics ~category:o.Heap.category;
-      Objtable.remove heap.Heap.objects o.Heap.addr)
-    dead;
+      sweep_obj heap o;
+      false
+    end
+  in
+  Array.iter (fun s -> Heap.filter_objs s keep) heap.Heap.heap_objs;
   Heap.drop_live heap !swept_bytes;
   (* Step 2 of the large-object tcfree (fig. 9): dangling span structs
      join the idle pool after the mark phase. *)
@@ -138,6 +135,7 @@ let collect (heap : Heap.t) =
         ]
       ~tid:Trace.tid_runtime "gc cycle";
   let t0 = now_ns () in
+  heap.Heap.mark_epoch <- heap.Heap.mark_epoch + 1;
   Trace.with_span ~tid:Trace.tid_runtime "mark" (fun () -> mark heap);
   Trace.with_span ~tid:Trace.tid_runtime "sweep" (fun () -> sweep heap);
   let t1 = now_ns () in

@@ -1,17 +1,22 @@
-(** The simulated Go heap: object store, allocation entry points, GC
-    pacing, and hooks connecting the mutator (the MiniGo interpreter) to
-    the collector.
+(** The simulated Go heap: allocation entry points, GC pacing, and hooks
+    connecting the mutator (the MiniGo interpreter) to the collector.
 
     Every MiniGo heap object is a record here, placed in a real
     mspan/mcache/mcentral slot so that tcfree's ownership and span-state
     checks behave like the paper's runtime.  Stack-allocated objects get
-    records too (pointers need uniform addresses) but occupy no span and
-    cost the GC nothing; the interpreter releases them when their scope
-    exits.
+    records too (pointers name their owner uniformly) but occupy no span
+    and cost the GC nothing; the interpreter releases them when their
+    scope exits.
+
+    A reference holds its object's record, as a Go pointer leads to its
+    object without a lookup.  So the heap needs no object table: it keeps
+    one array of heap objects per logical processor, only for the sweep.
+    A domain appends to its own array without a lock, and the
+    stop-the-world sweep compacts every array in place.
 
     Payloads are an extensible variant so the runtime library stays
     independent of the interpreter's value type; the interpreter registers
-    a tracer that enumerates the heap addresses a payload references. *)
+    a tracer that enumerates the objects a payload references. *)
 
 type payload = ..
 
@@ -22,15 +27,17 @@ type placement =
   | On_stack  (** released when its scope exits *)
 
 type obj = {
-  addr : int;
+  addr : int;  (** serial number, for traces and poison diagnostics *)
   size : int;  (** requested bytes *)
   category : Metrics.category;
   mutable payload : payload;
   placement : placement;
-  mutable marked : bool;
+  mutable marked : int;  (** mark epoch of the last cycle that reached it *)
   mutable freed : bool;
   mutable poisoned : bool;
 }
+
+type objs = { mutable objs : obj array; mutable len : int }
 
 type config = {
   gogc : int;  (** heap growth percentage between GCs (GOGC) *)
@@ -65,7 +72,10 @@ type t = {
   pages : Pageheap.t;
   central : Mcentral.t;
   mutable caches : Mcache.t array;  (** one per logical processor *)
-  objects : obj Objtable.t;  (** live (and stack) objects by address *)
+  heap_objs : objs array;
+      (** one per logical processor: the heap objects it allocated since
+          the last sweep kept them, freed ones included until the next
+          sweep or growth drops them *)
   metric_shards : Metrics.t array;
       (** one metric stripe per logical processor;
           [metric_shards.(0) == metrics] *)
@@ -79,16 +89,17 @@ type t = {
           respect to other freeing domains *)
   tomb_mutex : Mutex.t;  (** guards [tombstones] likewise *)
   next_addr : int Atomic.t;
+  mutable mark_epoch : int;  (** bumped by every cycle's mark *)
   mutable next_gc : int;  (** live-byte threshold for the next cycle *)
   mutable gc_window_left : int;
       (** remaining bytes of the simulated concurrent-mark window *)
   mutable dangling_spans : Mspan.t list;  (** fig. 9 step-1 output *)
   (* mutator hooks, registered by the interpreter *)
-  mutable trace_payload : payload -> (int -> unit) -> unit;
+  mutable trace_payload : payload -> (obj -> unit) -> unit;
   mutable poison_payload : payload -> unit;
       (** poison mode: overwrite the payload's contents so any later read
           through a stale reference fails loudly (§6.8) *)
-  mutable iter_roots : (int -> unit) -> unit;
+  mutable iter_roots : (obj -> unit) -> unit;
   mutable gc_requested : bool;
   mutable sampler : Sampler.t option;
       (** periodic metrics snapshots; attached by the runner when
@@ -101,8 +112,8 @@ type t = {
           reports *)
 }
 
-(* A placeholder filling the object table's empty value slots, and what
-   {!find} returns for an absent address (0 is not a valid key). *)
+(* The owner of frame-slot storage, and the filler of the object arrays'
+   spare slots.  Freed, so marking and tcfree pass it by. *)
 let no_obj =
   {
     addr = 0;
@@ -110,7 +121,7 @@ let no_obj =
     category = Metrics.Cat_other;
     payload = No_payload;
     placement = On_stack;
-    marked = false;
+    marked = 0;
     freed = true;
     poisoned = false;
   }
@@ -130,16 +141,15 @@ let create ?(config = default_config) ?(nprocs = 1) () =
     pages;
     central;
     caches = Array.init nprocs Mcache.create;
-    objects =
-      Objtable.create ~capacity:4096
-        ~shards:(if locked then nprocs else 1)
-        ~locked ~dummy:no_obj ();
+    heap_objs =
+      Array.init nprocs (fun _ -> { objs = Array.make 256 no_obj; len = 0 });
     metric_shards;
     live = Atomic.make 0;
     max_live = Atomic.make 0;
     free_mutex = Mutex.create ();
     tomb_mutex = Mutex.create ();
     next_addr = Atomic.make 1;
+    mark_epoch = 0;
     next_gc = config.min_heap;
     gc_window_left = 0;
     dangling_spans = [];
@@ -157,12 +167,6 @@ let nprocs t = Array.length t.caches
 (** Is the (simulated concurrent) collector currently running?  tcfree
     refuses to race it (§5). *)
 let gc_running t = t.gc_window_left > 0
-
-let find t addr = Objtable.find t.objects addr
-
-let find_obj t addr =
-  let o = find t addr in
-  if o == no_obj then None else Some o
 
 let fresh_addr t = Atomic.fetch_and_add t.next_addr 1
 
@@ -199,6 +203,37 @@ let merged_metrics t =
   m.Metrics.max_heap <- Atomic.get t.max_live;
   m
 
+let filter_objs s keep =
+  let kept = ref 0 in
+  for i = 0 to s.len - 1 do
+    let o = Array.unsafe_get s.objs i in
+    if keep o then begin
+      Array.unsafe_set s.objs !kept o;
+      incr kept
+    end
+  done;
+  Array.fill s.objs !kept (s.len - !kept) no_obj;
+  s.len <- !kept
+
+(* Drop the freed entries of a full object array, then double it if it is
+   still more than half full.  Dropping first bounds the array by the
+   live objects even when no sweep runs (GC off) and tcfree frees most
+   of what is allocated. *)
+let grow s =
+  filter_objs s (fun o -> not o.freed);
+  if 2 * s.len > Array.length s.objs then begin
+    let objs = Array.make (2 * Array.length s.objs) no_obj in
+    Array.blit s.objs 0 objs 0 s.len;
+    s.objs <- objs
+  end
+
+(* Record a heap object in its processor's array, for the sweep. *)
+let track t p obj =
+  let s = Array.unsafe_get t.heap_objs p in
+  if s.len = Array.length s.objs then grow s;
+  Array.unsafe_set s.objs s.len obj;
+  s.len <- s.len + 1
+
 (** Allocate a heap object of [size] bytes on behalf of [thread].
     Checks GC pacing first (setting [gc_requested] — the interpreter runs
     the cycle at its next safepoint, keeping collection out of the middle
@@ -232,12 +267,12 @@ let alloc_heap t ~thread ~category ~size ~payload : obj =
       category;
       payload;
       placement;
-      marked = false;
+      marked = 0;
       freed = false;
       poisoned = false;
     }
   in
-  Objtable.replace t.objects obj.addr obj;
+  track t thread obj;
   Metrics.count_alloc (metrics_for t thread) ~category ~heap:true ~bytes:size;
   bump_live t size;
   obj
@@ -252,12 +287,11 @@ let alloc_stack ?(thread = 0) t ~category ~size ~payload : obj =
       category;
       payload;
       placement = On_stack;
-      marked = false;
+      marked = 0;
       freed = false;
       poisoned = false;
     }
   in
-  Objtable.replace t.objects obj.addr obj;
   Metrics.count_alloc (metrics_for t thread) ~category ~heap:false ~bytes:size;
   obj
 
@@ -291,11 +325,5 @@ let release_stack t obj =
       obj.poisoned <- true;
       t.poison_payload obj.payload
     end;
-    bury t obj.addr "stack scope exit";
-    Objtable.remove t.objects obj.addr
+    bury t obj.addr "stack scope exit"
   end
-
-let live_heap_objects t =
-  Objtable.fold
-    (fun _ o acc -> if is_stack_obj o then acc else o :: acc)
-    t.objects []

@@ -1,6 +1,12 @@
-(** The simulated Go heap: object store, allocation entry points, GC
-    pacing, and the hooks connecting the mutator (the MiniGo interpreter)
-    to the collector.
+(** The simulated Go heap: allocation entry points, GC pacing, and the
+    hooks connecting the mutator (the MiniGo interpreter) to the
+    collector.
+
+    A reference names its object by holding the {!obj} record itself;
+    nothing looks an object up by address.  The heap keeps only what the
+    sweep needs: one growable array of heap objects per logical
+    processor, appended to by that processor's domain alone.  Stack
+    objects enter no table.
 
     There is one heap mode at every domain count.  One atomic count holds
     the live heap bytes ({!live_bytes}); event counters are striped per
@@ -19,14 +25,21 @@ type placement =
 
 type obj = {
   addr : int;
+      (** serial number, for traces and poison diagnostics only; 0 for
+          {!no_obj} *)
   size : int;  (** requested bytes *)
   category : Metrics.category;
   mutable payload : payload;
   placement : placement;
-  mutable marked : bool;
+  mutable marked : int;  (** mark epoch of the last cycle that reached it *)
   mutable freed : bool;
   mutable poisoned : bool;
 }
+
+(** A processor's heap objects: [objs.(0 .. len - 1)], in allocation
+    order, possibly including objects tcfree has freed since the last
+    sweep. *)
+type objs = { mutable objs : obj array; mutable len : int }
 
 type config = {
   gogc : int;  (** heap growth percentage between GCs (GOGC) *)
@@ -49,20 +62,23 @@ type t = {
   pages : Pageheap.t;
   central : Mcentral.t;
   mutable caches : Mcache.t array;  (** one per logical processor *)
-  objects : obj Objtable.t;
+  heap_objs : objs array;  (** one per logical processor *)
   metric_shards : Metrics.t array;
       (** one stripe per logical processor; [metric_shards.(0) == metrics] *)
   live : int Atomic.t;  (** live heap bytes, read by {!live_bytes} *)
   max_live : int Atomic.t;  (** peak of [live] *)
   free_mutex : Mutex.t;  (** nprocs > 1: serializes tcfree bodies *)
   tomb_mutex : Mutex.t;  (** nprocs > 1: guards [tombstones] *)
-  next_addr : int Atomic.t;
+  next_addr : int Atomic.t;  (** the next {!obj.addr} *)
+  mutable mark_epoch : int;
+      (** bumped by every cycle: an object is marked in this cycle when
+          its [marked] equals it *)
   mutable next_gc : int;
   mutable gc_window_left : int;
   mutable dangling_spans : Mspan.t list;  (** fig. 9 step-1 output *)
-  mutable trace_payload : payload -> (int -> unit) -> unit;
+  mutable trace_payload : payload -> (obj -> unit) -> unit;
   mutable poison_payload : payload -> unit;
-  mutable iter_roots : (int -> unit) -> unit;
+  mutable iter_roots : (obj -> unit) -> unit;
   mutable gc_requested : bool;
   mutable sampler : Sampler.t option;
       (** periodic metrics snapshots; attached by the runner when a
@@ -72,10 +88,10 @@ type t = {
   tombstones : (int, string) Hashtbl.t;
 }
 
-(** A heap with [nprocs] logical processors (default 1): one mcache and
-    one metric stripe each.  With more than one, several domains may
-    mutate the heap, so the object table is sharded and locked and
-    mcentral, the page heap, tcfree and the tombstones take locks. *)
+(** A heap with [nprocs] logical processors (default 1): one mcache, one
+    object array and one metric stripe each.  With more than one, several
+    domains may mutate the heap, so mcentral, the page heap, tcfree and
+    the tombstones take locks. *)
 val create : ?config:config -> ?nprocs:int -> unit -> t
 
 val nprocs : t -> int
@@ -102,14 +118,13 @@ val merged_metrics : t -> Metrics.t
 (** Is the simulated concurrent collector running? (§5 give-up check.) *)
 val gc_running : t -> bool
 
-val find_obj : t -> int -> obj option
+(** [filter_objs s keep]: keep the entries of [s] that satisfy [keep],
+    in order, in place. *)
+val filter_objs : objs -> (obj -> bool) -> unit
 
-(** The object at an address, or {!no_obj} when there is none.  Unlike
-    {!find_obj} it allocates nothing, for hot paths: GC marking and the
-    interpreter's map operations. *)
-val find : t -> int -> obj
-
-(** What {!find} returns for an absent address (its [addr] is 0). *)
+(** The sentinel object: what a pointer into a frame slot names as its
+    owner, and what a poisoned map header names as its buckets.  Its
+    [addr] is 0 and it counts as freed, so the collector skips it. *)
 val no_obj : obj
 
 (** Allocate on the heap: picks a span via the thread's mcache (or a
@@ -135,5 +150,3 @@ val death_of : t -> int -> string
 
 (** Drop a stack object at scope exit (poisons it in poison mode). *)
 val release_stack : t -> obj -> unit
-
-val live_heap_objects : t -> obj list

@@ -7,7 +7,8 @@
     - the object's mspan has been swapped out of the allocating thread's
       mcache, or is owned by a different thread;
     - the object was already freed (tolerated double free);
-    - the address is a stack object or not an object at all (ignored).
+    - the reference is to a stack object or to no object at all
+      ({!Heap.no_obj}; ignored).
 
     Small objects are freed on the mcache fast path (clear the alloc bit,
     revert the span's free index when possible).  Large objects take the
@@ -29,7 +30,6 @@ let reclaim (heap : Heap.t) (metrics : Metrics.t) (obj : Heap.obj) ~source =
   end
   else obj.Heap.payload <- Heap.No_payload;
   Heap.bury heap obj.Heap.addr "tcfree";
-  Objtable.remove heap.Heap.objects obj.Heap.addr;
   Metrics.count_tcfree metrics ~category:obj.Heap.category
     ~source ~bytes:obj.Heap.size;
   Heap.drop_live heap obj.Heap.size;
@@ -102,7 +102,9 @@ let source_name = function
 (* Trace instants on the runtime track: one per call, labelled with the
    outcome so giveup storms are visible next to GC cycles in Perfetto.
    Only reached when a trace is being captured. *)
-let trace_outcome ~source addr = function
+let trace_outcome ~source (obj : Heap.obj) =
+  let addr = obj.Heap.addr in
+  function
   | Freed bytes ->
     Trace.instant
       ~args:
@@ -121,56 +123,51 @@ let trace_outcome ~source addr = function
         ]
       ~tid:Trace.tid_runtime "tcfree giveup"
 
-(** [tcfree heap ~thread ~source addr] — the dispatching primitive of
+(** [tcfree heap ~thread ~source obj] — the dispatching primitive of
     Table 4.  [source] records the Table 9 attribution
     (slice / map / map-growth). *)
-let tcfree_impl (heap : Heap.t) ~thread ~source addr : outcome =
+let tcfree_impl (heap : Heap.t) ~thread ~source (obj : Heap.obj) : outcome =
   let metrics = Heap.metrics_for heap thread in
   metrics.Metrics.tcfree_calls <- metrics.Metrics.tcfree_calls + 1;
   let give_up reason =
     Metrics.count_giveup metrics reason;
     Gave_up reason
   in
-  if addr <= 0 then give_up Metrics.Not_an_object
+  if obj == Heap.no_obj then give_up Metrics.Not_an_object
+  else if obj.Heap.freed then give_up Metrics.Already_freed
+  else if Heap.is_stack_obj obj then give_up Metrics.Stack_object
+  else if Heap.gc_running heap then give_up Metrics.Gc_running
   else
-    match Heap.find_obj heap addr with
-    | None -> give_up Metrics.Already_freed
-    | Some obj ->
-      if obj.Heap.freed then give_up Metrics.Already_freed
-      else if Heap.is_stack_obj obj then give_up Metrics.Stack_object
-      else if Heap.gc_running heap then give_up Metrics.Gc_running
-      else begin
-        match obj.Heap.placement with
-        | Heap.On_stack -> give_up Metrics.Stack_object
-        | Heap.On_heap (span, slot) ->
-          if span.Mspan.class_idx >= 0 then
-            let outcome =
-              tcfree_small heap metrics ~thread obj span slot ~source
-            in
-            (match outcome with
-            | Gave_up reason -> Metrics.count_giveup metrics reason
-            | Freed _ -> ());
-            outcome
-          else tcfree_large heap metrics obj span slot ~source
-      end
+    match obj.Heap.placement with
+    | Heap.On_stack -> give_up Metrics.Stack_object
+    | Heap.On_heap (span, slot) ->
+      if span.Mspan.class_idx >= 0 then
+        let outcome =
+          tcfree_small heap metrics ~thread obj span slot ~source
+        in
+        (match outcome with
+        | Gave_up reason -> Metrics.count_giveup metrics reason
+        | Freed _ -> ());
+        outcome
+      else tcfree_large heap metrics obj span slot ~source
 
 (* When more than one domain mutates the heap, the whole check-then-free
    sequence serializes on [free_mutex]: two domains may race to free the
-   same address (or a free may race a concurrent span swap), and the
-   span/objtable edits must be atomic with respect to each other.  The ownership and
-   GC-running *checks* stay inside the lock too — they are exactly the
-   §5 give-up conditions this runtime exists to exercise, and the lock
-   makes their answer definitive rather than best-effort. *)
-let tcfree (heap : Heap.t) ~thread ~source addr : outcome =
+   same object (or a free may race a concurrent span swap), and the
+   freed flag and span edits must be atomic with respect to each other.
+   The ownership and GC-running *checks* stay inside the lock too — they
+   are exactly the §5 give-up conditions this runtime exists to exercise,
+   and the lock makes their answer definitive rather than best-effort. *)
+let tcfree (heap : Heap.t) ~thread ~source obj : outcome =
   let outcome =
     if Heap.nprocs heap > 1 then begin
       Mutex.lock heap.Heap.free_mutex;
-      let o = tcfree_impl heap ~thread ~source addr in
+      let o = tcfree_impl heap ~thread ~source obj in
       Mutex.unlock heap.Heap.free_mutex;
       o
     end
-    else tcfree_impl heap ~thread ~source addr
+    else tcfree_impl heap ~thread ~source obj
   in
   if Reg.runtime_enabled () then count_outcome outcome;
-  if Trace.enabled () then trace_outcome ~source addr outcome;
+  if Trace.enabled () then trace_outcome ~source obj outcome;
   outcome

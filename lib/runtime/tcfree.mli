@@ -5,9 +5,10 @@ type outcome =
   | Freed of int  (** bytes reclaimed *)
   | Gave_up of Metrics.giveup
 
-(** [tcfree heap ~thread ~source addr] — the dispatching primitive.
+(** [tcfree heap ~thread ~source obj] — the dispatching primitive.
     Small objects take the mcache fast path (ownership checked); large
     objects take the 2-step dangling-span path of fig. 9.  Never raises:
-    double frees, stack objects, nil and foreign spans all give up. *)
+    double frees, stack objects, {!Heap.no_obj} and foreign spans all
+    give up. *)
 val tcfree :
-  Heap.t -> thread:int -> source:Metrics.free_source -> int -> outcome
+  Heap.t -> thread:int -> source:Metrics.free_source -> Heap.obj -> outcome

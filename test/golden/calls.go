@@ -5,6 +5,11 @@ var results map[int]int
 
 var flags map[int]bool
 
+// each worker goroutine writes only its own element of these
+var sums []int
+
+var done []int
+
 // a register parameter reassigned in the body
 func countdown(n int, step int) int {
   total := 0
@@ -156,15 +161,29 @@ func survivor(n int, tag bool) int {
   return r + local[1] + kept + depth(30, n) + pick(tag, n, 1) + calm(n)
 }
 
-func worker(id int, rounds int, even bool) {
-  for r := 0; r < rounds; r++ {
-    note(id*100+r, even)
+func tally(k int, ok bool) int {
+  if ok {
+    return k
   }
+  return -1
+}
+
+// a goroutine's register parameters.  It touches no map: what main and
+// the deferred report calls print must not depend on the schedule.
+func worker(id int, rounds int, even bool) {
+  s := 0
+  for r := 0; r < rounds; r++ {
+    s += tally(id*100+r, even)
+  }
+  sums[id] = s
+  done[id] = 1
 }
 
 func main() {
   results = make(map[int]int)
   flags = make(map[int]bool)
+  sums = make([]int, 4)
+  done = make([]int, 4)
   println(countdown(10, 1), countdown(10, 3), countdown(0, 1))
   xs := make([]int, 20)
   for i := 0; i < len(xs); i++ {
@@ -194,16 +213,19 @@ func main() {
     defer note(i, ok)
     go worker(i, 3+i, ok)
   }
-  // long enough for every worker to run to completion in between
-  spin := 0
-  for j := 0; j < 3000; j++ {
-    spin = (spin + j) % 11
-  }
-  total := spin
-  for i := 0; i < 4; i++ {
-    for r := 0; r < 3+i; r++ {
-      total += results[i*100+r]
+  // wait for every worker: each sets only its own done flag
+  waiting := true
+  for waiting {
+    waiting = false
+    for i := 0; i < 4; i++ {
+      if done[i] == 0 {
+        waiting = true
+      }
     }
   }
-  println("workers", total, len(results), len(flags))
+  total := 0
+  for i := 0; i < 4; i++ {
+    total += sums[i]
+  }
+  println("workers", total, len(results), len(flags), results[3])
 }

@@ -4,8 +4,8 @@
 open Gofree_runtime
 
 (* A tiny payload language for GC tests: an object holding a mutable
-   list of child addresses. *)
-type Heap.payload += Children of int list ref
+   list of child objects. *)
+type Heap.payload += Children of Heap.obj list ref
 
 let trace_children payload k =
   match payload with Children l -> List.iter k !l | _ -> ()
@@ -19,72 +19,72 @@ let alloc heap ?(size = 64) children =
   Heap.alloc_heap heap ~thread:0 ~category:Metrics.Cat_other ~size
     ~payload:(Children (ref children))
 
-let set_roots heap addrs = heap.Heap.iter_roots <- (fun k -> List.iter k !addrs)
+let set_roots heap objs = heap.Heap.iter_roots <- (fun k -> List.iter k !objs)
 
-let alive heap (obj : Heap.obj) = Heap.find_obj heap obj.Heap.addr <> None
+let alive (obj : Heap.obj) = not obj.Heap.freed
 
 let test_mark_sweep_chain () =
   let heap = make_heap () in
   let c = alloc heap [] in
-  let b = alloc heap [ c.Heap.addr ] in
-  let a = alloc heap [ b.Heap.addr ] in
+  let b = alloc heap [ c ] in
+  let a = alloc heap [ b ] in
   let dead = alloc heap [] in
-  let roots = ref [ a.Heap.addr ] in
+  let roots = ref [ a ] in
   set_roots heap roots;
   Gc_collector.collect heap;
-  Alcotest.(check bool) "a alive" true (alive heap a);
-  Alcotest.(check bool) "b alive" true (alive heap b);
-  Alcotest.(check bool) "c alive" true (alive heap c);
-  Alcotest.(check bool) "dead swept" false (alive heap dead);
+  Alcotest.(check bool) "a alive" true (alive a);
+  Alcotest.(check bool) "b alive" true (alive b);
+  Alcotest.(check bool) "c alive" true (alive c);
+  Alcotest.(check bool) "dead swept" false (alive dead);
   Alcotest.(check int) "live bytes" (3 * 64) (Heap.live_bytes heap)
 
 let test_cycles_collected () =
   let heap = make_heap () in
   let a = alloc heap [] in
-  let b = alloc heap [ a.Heap.addr ] in
+  let b = alloc heap [ a ] in
   (match a.Heap.payload with
-  | Children l -> l := [ b.Heap.addr ]
+  | Children l -> l := [ b ]
   | _ -> ());
   let roots = ref [] in
   set_roots heap roots;
   Gc_collector.collect heap;
-  Alcotest.(check bool) "cycle swept" false (alive heap a || alive heap b)
+  Alcotest.(check bool) "cycle swept" false (alive a || alive b)
 
 let test_repeated_cycles_through_stack_objects () =
-  (* regression: mark bits of stack objects must reset between cycles,
-     or anything reachable only through them dies at the second cycle *)
+  (* regression: a stack object must count as unmarked at every cycle,
+     or anything reachable only through it dies at the second cycle *)
   let heap = make_heap () in
   let inner = alloc heap [] in
   let holder =
     Heap.alloc_stack heap ~category:Metrics.Cat_other ~size:8
-      ~payload:(Children (ref [ inner.Heap.addr ]))
+      ~payload:(Children (ref [ inner ]))
   in
-  let roots = ref [ holder.Heap.addr ] in
+  let roots = ref [ holder ] in
   set_roots heap roots;
   Gc_collector.collect heap;
-  Alcotest.(check bool) "alive after cycle 1" true (alive heap inner);
+  Alcotest.(check bool) "alive after cycle 1" true (alive inner);
   Gc_collector.collect heap;
-  Alcotest.(check bool) "alive after cycle 2" true (alive heap inner);
+  Alcotest.(check bool) "alive after cycle 2" true (alive inner);
   Gc_collector.collect heap;
-  Alcotest.(check bool) "alive after cycle 3" true (alive heap inner)
+  Alcotest.(check bool) "alive after cycle 3" true (alive inner)
 
 let test_mutation_between_cycles () =
   let heap = make_heap () in
   let x = alloc heap [] in
   let y = alloc heap [] in
-  let holder = alloc heap [ x.Heap.addr ] in
-  let roots = ref [ holder.Heap.addr ] in
+  let holder = alloc heap [ x ] in
+  let roots = ref [ holder ] in
   set_roots heap roots;
   Gc_collector.collect heap;
-  Alcotest.(check bool) "y dead after cycle 1" false (alive heap y);
-  Alcotest.(check bool) "x alive" true (alive heap x);
+  Alcotest.(check bool) "y dead after cycle 1" false (alive y);
+  Alcotest.(check bool) "x alive" true (alive x);
   (* drop x, but y is gone already *)
   (match holder.Heap.payload with
   | Children l -> l := []
   | _ -> ());
   Gc_collector.collect heap;
-  Alcotest.(check bool) "x dead after cycle 2" false (alive heap x);
-  Alcotest.(check bool) "holder alive" true (alive heap holder)
+  Alcotest.(check bool) "x dead after cycle 2" false (alive x);
+  Alcotest.(check bool) "holder alive" true (alive holder)
 
 let test_heap_to_stack_pointer_detection () =
   (* Go memory invariant 1: a heap object referencing a stack object is
@@ -94,8 +94,8 @@ let test_heap_to_stack_pointer_detection () =
     Heap.alloc_stack heap ~category:Metrics.Cat_other ~size:8
       ~payload:(Children (ref []))
   in
-  let bad = alloc heap [ stack_obj.Heap.addr ] in
-  let roots = ref [ bad.Heap.addr ] in
+  let bad = alloc heap [ stack_obj ] in
+  let roots = ref [ bad ] in
   set_roots heap roots;
   Gc_collector.collect heap;
   Alcotest.(check int) "violation counted" 1
@@ -108,11 +108,11 @@ let test_pacing () =
   set_roots heap roots;
   (* allocations below the threshold never request a cycle *)
   let a = alloc heap ~size:400 [] in
-  roots := [ a.Heap.addr ];
+  roots := [ a ];
   Alcotest.(check bool) "no request yet" false heap.Heap.gc_requested;
   (* crossing min_heap requests one *)
   let b = alloc heap ~size:700 [] in
-  roots := b.Heap.addr :: !roots;
+  roots := b :: !roots;
   ignore (alloc heap ~size:8 []);
   Alcotest.(check bool) "requested" true heap.Heap.gc_requested;
   Gc_collector.maybe_collect heap;
@@ -136,14 +136,16 @@ let test_gc_disabled () =
 
 let test_sweep_vs_tcfree_accounting () =
   let heap = make_heap () in
-  set_roots heap (ref []);
   let kept = alloc heap ~size:100 [] in
   let freed = alloc heap ~size:100 [] in
   ignore
-    (Tcfree.tcfree heap ~thread:0 ~source:Metrics.Src_slice freed.Heap.addr);
+    (Tcfree.tcfree heap ~thread:0 ~source:Metrics.Src_slice freed);
+  (* a stale root to the freed object marks and traces nothing *)
+  set_roots heap (ref [ freed ]);
   Gc_collector.collect heap;
   ignore kept;
   let m = heap.Heap.metrics in
+  Alcotest.(check int) "freed object not marked" 0 m.Metrics.gc_marked_objects;
   Alcotest.(check int) "tcfree bytes" 100 m.Metrics.freed_bytes;
   (* the kept object was unreachable at the cycle: swept, counted as GC *)
   Alcotest.(check int) "gc-freed objects" 1 m.Metrics.gc_freed_objects.(2);
@@ -205,14 +207,14 @@ let test_parallel_collect_equivalence () =
                   Heap.alloc_heap heap ~thread:d ~category:Metrics.Cat_other
                     ~size:64 ~payload:(Children (ref !tail))
                 in
-                tail := [ o.Heap.addr ];
+                tail := [ o ];
                 let scratch =
                   Heap.alloc_heap heap ~thread:d ~category:Metrics.Cat_slice
                     ~size:32 ~payload:(Children (ref []))
                 in
                 ignore
                   (Tcfree.tcfree heap ~thread:d ~source:Metrics.Src_slice
-                     scratch.Heap.addr)
+                     scratch)
               done;
               heads.(d).(c) <- Some !tail
             done))
@@ -233,7 +235,7 @@ let test_parallel_collect_equivalence () =
             (fun c head ->
               if c mod 2 = 0 then
                 match head with
-                | Some addrs -> List.iter k addrs
+                | Some objs -> List.iter k objs
                 | None -> ())
             row)
         heads);
@@ -253,10 +255,10 @@ let test_parallel_collect_equivalence () =
       Array.iteri
         (fun c head ->
           match head with
-          | Some [ addr ] ->
+          | Some [ head ] ->
             Alcotest.(check bool) "head fate matches rooting"
               (c mod 2 = 0)
-              (Heap.find_obj heap addr <> None)
+              (not head.Heap.freed)
           | _ -> ())
         row)
     heads;
@@ -266,8 +268,8 @@ let test_parallel_collect_equivalence () =
 
 let test_parallel_collect_during_allocation_pressure () =
   (* Rounds of concurrent allocation and tcfree from every domain, each
-     followed by a stop-the-world cycle: mark bits must reset between
-     cycles and the accounting must stay conserved across the whole
+     followed by a stop-the-world cycle: every cycle must mark afresh
+     and the accounting must stay conserved across the whole
      history. *)
   let nd = 4 in
   let heap = Heap.create ~nprocs:nd () in
@@ -288,13 +290,13 @@ let test_parallel_collect_during_allocation_pressure () =
                    rest; the others are garbage *)
                 if i mod 10 = 0 then begin
                   Mutex.lock rooted_mutex;
-                  rooted := o.Heap.addr :: !rooted;
+                  rooted := o :: !rooted;
                   Mutex.unlock rooted_mutex
                 end
                 else if i mod 3 = 0 then
                   ignore
                     (Tcfree.tcfree heap ~thread:d ~source:Metrics.Src_slice
-                       o.Heap.addr)
+                       o)
               done))
     in
     Array.iter Domain.join doms;
@@ -308,9 +310,8 @@ let test_parallel_collect_during_allocation_pressure () =
   Alcotest.(check bool) "some frees happened between cycles" true
     (m.Metrics.tcfree_success > 0);
   List.iter
-    (fun addr ->
-      Alcotest.(check bool) "rooted object present" true
-        (Heap.find_obj heap addr <> None))
+    (fun (o : Heap.obj) ->
+      Alcotest.(check bool) "rooted object present" true (not o.Heap.freed))
     !rooted;
   match Metrics.check_conservation ~live_objects:live m with
   | Ok () -> ()

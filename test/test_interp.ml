@@ -766,6 +766,14 @@ func main() {
           | _ -> Alcotest.failf "%s read freed memory silently" name
           | exception Corruption _ -> ()
         in
+        let module Rt = Gofree_runtime in
+        let heap =
+          Rt.Heap.create
+            ~config:
+              { Rt.Heap.default_config with Rt.Heap.poison_on_free = true }
+            ()
+        in
+        heap.Rt.Heap.poison_payload <- poison_payload;
         (* a value store: freed elements become VPoison *)
         let store =
           match make_store 4 (fun () -> VStr "") with
@@ -773,8 +781,12 @@ func main() {
           | Ints _ -> Alcotest.fail "a string zero makes a value store"
         in
         store.(2) <- VInt 7;
-        let s = { s_addr = 1; s_cells = store; s_off = 1; s_len = 3 } in
-        let p = { p_owner = 1; p_arr = s.s_cells; p_idx = s.s_off + 1 } in
+        let owner =
+          Rt.Heap.alloc_heap heap ~thread:0 ~category:Rt.Metrics.Cat_slice
+            ~size:32 ~payload:(Pcells store)
+        in
+        let s = { s_obj = owner; s_cells = store; s_off = 1; s_len = 3 } in
+        let p = { p_owner = owner; p_arr = s.s_cells; p_idx = s.s_off + 1 } in
         Alcotest.(check bool)
           "s[1] before" true
           (read_elem s.s_cells 2 = VInt 7);
@@ -784,15 +796,7 @@ func main() {
         faults "*(&s[1])" (fun () -> read_ptr p);
         faults "println(s)" (fun () -> to_string (VSlice s));
         (* an int store: freed elements hold the sentinel, and reading it
-           faults once the owner has left the object table *)
-        let module Rt = Gofree_runtime in
-        let heap =
-          Rt.Heap.create
-            ~config:
-              { Rt.Heap.default_config with Rt.Heap.poison_on_free = true }
-            ()
-        in
-        heap.Rt.Heap.poison_payload <- poison_payload;
+           faults once the owner is freed *)
         let ints =
           match make_store 4 (fun () -> VInt 0) with
           | Ints a -> a
@@ -802,28 +806,27 @@ func main() {
           Rt.Heap.alloc_heap heap ~thread:0 ~category:Rt.Metrics.Cat_slice
             ~size:32 ~payload:(Pints ints)
         in
-        let addr = obj.Rt.Heap.addr in
         ints.(2) <- 7;
         ints.(3) <- poison_int;
         (* s := store[1:4]; p := &s[1] *)
         let s =
-          VIslice { i_addr = addr; i_ints = ints; i_off = 1; i_len = 3 }
+          VIslice { i_obj = obj; i_ints = ints; i_off = 1; i_len = 3 }
         in
-        let p = { ip_owner = addr; ip_ints = ints; ip_idx = 2 } in
-        Alcotest.(check int) "int s[1] before" 7 (read_int heap addr ints 2);
+        let p = { ip_owner = obj; ip_ints = ints; ip_idx = 2 } in
+        Alcotest.(check int) "int s[1] before" 7 (read_int heap obj ints 2);
         Alcotest.(check int) "int *p before" 7 (read_iptr heap p);
         Alcotest.(check int)
           "a live element may hold the sentinel" poison_int
-          (read_int heap addr ints 3);
+          (read_int heap obj ints 3);
         Alcotest.(check string)
           "println(s) before" "[0 7 -4516475938764865263]"
           (to_string ~heap s);
         (match
-           Rt.Tcfree.tcfree heap ~thread:0 ~source:Rt.Metrics.Src_slice addr
+           Rt.Tcfree.tcfree heap ~thread:0 ~source:Rt.Metrics.Src_slice obj
          with
         | Rt.Tcfree.Freed _ -> ()
         | Rt.Tcfree.Gave_up _ -> Alcotest.fail "tcfree gave up");
-        faults "int s[1]" (fun () -> read_int heap addr ints 2);
+        faults "int s[1]" (fun () -> read_int heap obj ints 2);
         faults "int *(&s[1])" (fun () -> read_iptr heap p);
         faults "int println(s)" (fun () -> to_string ~heap s);
         (* a freed element written since reads back what was written *)

@@ -127,7 +127,7 @@ let prop_span_accounting =
               let obj = List.nth !live idx in
               match
                 Rt.Tcfree.tcfree heap ~thread:0
-                  ~source:Rt.Metrics.Src_slice obj.Rt.Heap.addr
+                  ~source:Rt.Metrics.Src_slice obj
               with
               | Rt.Tcfree.Freed n ->
                 expected_live := !expected_live - n;
@@ -168,7 +168,7 @@ let prop_span_slots_never_negative =
               let obj = List.nth !live idx in
               ignore
                 (Rt.Tcfree.tcfree heap ~thread:0
-                   ~source:Rt.Metrics.Src_slice obj.Rt.Heap.addr);
+                   ~source:Rt.Metrics.Src_slice obj);
               live := List.filter (fun o -> o != obj) !live
             end)
         ops;

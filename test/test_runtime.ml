@@ -121,8 +121,9 @@ let test_heap_alloc_and_metrics () =
     Heap.alloc_heap heap ~thread:0 ~category:Metrics.Cat_slice ~size:100
       ~payload:Heap.No_payload
   in
-  Alcotest.(check bool) "registered" true
-    (Heap.find_obj heap obj.Heap.addr <> None);
+  let tracked = heap.Heap.heap_objs.(0) in
+  Alcotest.(check bool) "tracked for the sweep" true
+    (tracked.Heap.len = 1 && tracked.Heap.objs.(0) == obj);
   Alcotest.(check int) "alloced bytes" 100
     heap.Heap.metrics.Metrics.alloced_bytes;
   Alcotest.(check int) "heap slice count" 1
@@ -133,9 +134,32 @@ let test_heap_alloc_and_metrics () =
   in
   Alcotest.(check int) "stack allocs don't count bytes" 100
     heap.Heap.metrics.Metrics.alloced_bytes;
+  Alcotest.(check int) "stack objects are not tracked" 1 tracked.Heap.len;
   Heap.release_stack heap sobj;
-  Alcotest.(check bool) "stack object gone" true
-    (Heap.find_obj heap sobj.Heap.addr = None)
+  Alcotest.(check bool) "stack object released" true sobj.Heap.freed
+
+(* With GC off no sweep ever compacts the object array: a full array
+   drops its freed entries before it grows, so alloc+tcfree churn keeps
+   it at a small constant capacity instead of one entry per
+   allocation. *)
+let test_object_array_bounded_without_gc () =
+  let config = { Heap.default_config with Heap.gc_disabled = true } in
+  let heap = Heap.create ~config () in
+  let tracked = heap.Heap.heap_objs.(0) in
+  let cap0 = Array.length tracked.Heap.objs in
+  for _ = 1 to 100_000 do
+    let o =
+      Heap.alloc_heap heap ~thread:0 ~category:Metrics.Cat_slice ~size:64
+        ~payload:Heap.No_payload
+    in
+    match Tcfree.tcfree heap ~thread:0 ~source:Metrics.Src_slice o with
+    | Tcfree.Freed _ -> ()
+    | Tcfree.Gave_up _ -> Alcotest.fail "tcfree gave up"
+  done;
+  Alcotest.(check int) "capacity unchanged" cap0
+    (Array.length tracked.Heap.objs);
+  Alcotest.(check bool) "small constant capacity" true (cap0 <= 1024);
+  Alcotest.(check int) "heap empty" 0 (Heap.live_bytes heap)
 
 let test_large_object_dedicated_span () =
   let heap = Heap.create () in
@@ -158,6 +182,8 @@ let suite =
       test_span_bump_and_revert;
     Alcotest.test_case "span free-list reuse" `Quick
       test_span_free_list_reuse;
+    Alcotest.test_case "object array bounded without GC" `Quick
+      test_object_array_bounded_without_gc;
     Alcotest.test_case "mcache swaps full spans" `Quick
       test_mcache_swaps_full_spans;
     Alcotest.test_case "mcentral reuses partial spans" `Quick

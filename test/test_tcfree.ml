@@ -7,8 +7,8 @@ let alloc heap ?(thread = 0) ?(size = 64) () =
   Heap.alloc_heap heap ~thread ~category:Metrics.Cat_slice ~size
     ~payload:Heap.No_payload
 
-let free heap ?(thread = 0) addr =
-  Tcfree.tcfree heap ~thread ~source:Metrics.Src_slice addr
+let free heap ?(thread = 0) obj =
+  Tcfree.tcfree heap ~thread ~source:Metrics.Src_slice obj
 
 let check_freed what outcome bytes =
   match outcome with
@@ -32,9 +32,8 @@ let test_small_fast_path () =
     | _ -> assert false
   in
   let before = span.Mspan.free_index in
-  check_freed "small free" (free heap obj.Heap.addr) 64;
-  Alcotest.(check bool) "object gone" true
-    (Heap.find_obj heap obj.Heap.addr = None);
+  check_freed "small free" (free heap obj) 64;
+  Alcotest.(check bool) "object freed" true obj.Heap.freed;
   Alcotest.(check int) "free index reverted" (before - 1)
     span.Mspan.free_index;
   Alcotest.(check int) "bytes counted" 64
@@ -44,8 +43,8 @@ let test_small_fast_path () =
 let test_double_free_tolerated () =
   let heap = Heap.create () in
   let obj = alloc heap () in
-  check_freed "first" (free heap obj.Heap.addr) 64;
-  check_gave_up "second is a tolerated no-op" (free heap obj.Heap.addr)
+  check_freed "first" (free heap obj) 64;
+  check_gave_up "second is a tolerated no-op" (free heap obj)
     Metrics.Already_freed;
   Alcotest.(check int) "bytes counted once" 64
     heap.Heap.metrics.Metrics.freed_bytes
@@ -56,27 +55,100 @@ let test_stack_object_ignored () =
     Heap.alloc_stack heap ~category:Metrics.Cat_slice ~size:64
       ~payload:Heap.No_payload
   in
-  check_gave_up "stack ignored" (free heap obj.Heap.addr)
+  check_gave_up "stack ignored" (free heap obj)
     Metrics.Stack_object;
-  Alcotest.(check bool) "stack object untouched" true
-    (Heap.find_obj heap obj.Heap.addr <> None)
+  Alcotest.(check bool) "stack object untouched" false obj.Heap.freed
 
-let test_nil_and_garbage_addresses () =
+let test_nil_reference () =
   let heap = Heap.create () in
-  check_gave_up "nil" (free heap 0) Metrics.Not_an_object;
-  check_gave_up "negative" (free heap (-3)) Metrics.Not_an_object;
-  check_gave_up "never allocated" (free heap 123456)
-    Metrics.Already_freed
+  check_gave_up "no object" (free heap Heap.no_obj) Metrics.Not_an_object;
+  Alcotest.(check int) "counted as a call" 1
+    heap.Heap.metrics.Metrics.tcfree_calls
+
+(* A stale reference names its own freed object, never the object that
+   reuses the slot: freeing through it again gives up. *)
+let test_stale_reference_after_slot_reuse () =
+  let heap = Heap.create () in
+  let a = alloc heap () in
+  check_freed "free a" (free heap a) 64;
+  let b = alloc heap () in
+  (match (a.Heap.placement, b.Heap.placement) with
+  | Heap.On_heap (sa, ia), Heap.On_heap (sb, ib) ->
+    Alcotest.(check bool) "b reuses a's slot" true (sa == sb && ia = ib)
+  | _ -> Alcotest.fail "expected heap placements");
+  check_gave_up "second free of a" (free heap a) Metrics.Already_freed;
+  Alcotest.(check bool) "b stays live" false b.Heap.freed;
+  Alcotest.(check int) "b's bytes stay live" 64 (Heap.live_bytes heap);
+  Alcotest.(check int) "a's bytes counted once" 64
+    heap.Heap.metrics.Metrics.freed_bytes
+
+(* A poisoned map header keeps its [Pmap] shape, so the map free must
+   check [freed] before the payload: freeing a freed map again calls
+   tcfree on nothing. *)
+let test_stale_map_header_under_poison () =
+  let module I = Gofree_interp.Interp in
+  let module V = Gofree_interp.Value in
+  let config = { Heap.default_config with Heap.poison_on_free = true } in
+  let heap = Heap.create ~config () in
+  heap.Heap.poison_payload <- V.poison_payload;
+  let c = Helpers.compile "package main\nfunc main() {}\n" in
+  let program = c.Gofree_core.Pipeline.c_program in
+  let st =
+    {
+      I.program;
+      decisions =
+        Gofree_interp.Decisions.of_analysis c.Gofree_core.Pipeline.c_analysis
+          program;
+      layout = Gofree_interp.Layout.of_program program;
+      heap;
+      output = Buffer.create 16;
+      globals = [||];
+      config = I.default_config;
+      dispatch = I.call_by_id;
+      current =
+        { I.g_id = 0; g_frames = [||]; g_depth = 0; g_pending = [||];
+          g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 };
+      steps = 0;
+      unwinding = None;
+      ic_hits = 0;
+      ic_misses = 0;
+      yield_at = max_int;
+      dom = 0;
+      par = I.make_parctx ~nd:1 ~seed:0L;
+    }
+  in
+  let buckets =
+    Heap.alloc_heap heap ~thread:0 ~category:Metrics.Cat_map ~size:32
+      ~payload:(V.Pbuckets (V.make_buckets 1))
+  in
+  let md =
+    { V.md_buckets = buckets; md_nbuckets = 1; md_count = 0;
+      md_entry_size = 2; md_version = 0 }
+  in
+  let hdr =
+    Heap.alloc_heap heap ~thread:0 ~category:Metrics.Cat_map ~size:48
+      ~payload:(V.Pmap md)
+  in
+  let b = I.Bdirect (V.cell (V.VMap hdr)) in
+  I.tcfree_binding st b Minigo.Tast.Free_map;
+  Alcotest.(check int) "buckets and header freed" 2
+    heap.Heap.metrics.Metrics.tcfree_success;
+  Alcotest.(check bool) "header poisoned, shape kept" true
+    (hdr.Heap.poisoned
+    && match hdr.Heap.payload with V.Pmap _ -> true | _ -> false);
+  I.tcfree_binding st b Minigo.Tast.Free_map;
+  Alcotest.(check int) "second map free calls no tcfree" 2
+    heap.Heap.metrics.Metrics.tcfree_calls
 
 let test_gc_running_backoff () =
   let heap = Heap.create () in
   let obj = alloc heap () in
   (* keep the object reachable, then run a cycle: the simulated
      concurrent window opens *)
-  heap.Heap.iter_roots <- (fun k -> k obj.Heap.addr);
+  heap.Heap.iter_roots <- (fun k -> k obj);
   Gc_collector.collect heap;
   Alcotest.(check bool) "window open" true (Heap.gc_running heap);
-  check_gave_up "backs off while GC runs" (free heap obj.Heap.addr)
+  check_gave_up "backs off while GC runs" (free heap obj)
     Metrics.Gc_running;
   (* window expires after enough allocations *)
   for _ = 1 to Heap.default_config.Heap.concurrent_gc_window do
@@ -87,10 +159,10 @@ let test_gc_running_backoff () =
 let test_ownership_change_backoff () =
   let heap = Heap.create ~nprocs:2 () in
   let obj = alloc heap ~thread:0 () in
-  check_gave_up "other thread cannot free" (free heap ~thread:1 obj.Heap.addr)
+  check_gave_up "other thread cannot free" (free heap ~thread:1 obj)
     Metrics.Ownership_changed;
   (* the rightful owner still can *)
-  check_freed "owner frees" (free heap ~thread:0 obj.Heap.addr) 64
+  check_freed "owner frees" (free heap ~thread:0 obj) 64
 
 let test_span_swapped_out_backoff () =
   let heap = Heap.create () in
@@ -107,7 +179,7 @@ let test_span_swapped_out_backoff () =
   done;
   Alcotest.(check bool) "span was swapped out" true
     (span.Mspan.state = Mspan.In_mcentral);
-  check_gave_up "swapped-out span" (free heap obj.Heap.addr)
+  check_gave_up "swapped-out span" (free heap obj)
     Metrics.Span_swapped_out
 
 let test_large_two_step () =
@@ -120,7 +192,7 @@ let test_large_two_step () =
     | _ -> assert false
   in
   let free_pages_before = heap.Heap.pages.Pageheap.free_pages in
-  check_freed "large freed" (free heap obj.Heap.addr) size;
+  check_freed "large freed" (free heap obj) size;
   (* step 1: pages returned immediately, span left dangling *)
   Alcotest.(check bool) "span dangling" true
     (span.Mspan.state = Mspan.Dangling);
@@ -143,7 +215,7 @@ let test_slot_reuse_after_tcfree () =
     | Heap.On_heap (_, s) -> s
     | _ -> assert false
   in
-  check_freed "free" (free heap obj1.Heap.addr) 64;
+  check_freed "free" (free heap obj1) 64;
   let obj2 = alloc heap () in
   let slot2 =
     match obj2.Heap.placement with
@@ -157,9 +229,9 @@ let test_slot_reuse_after_tcfree () =
 let test_giveup_metrics () =
   let heap = Heap.create () in
   let obj = alloc heap () in
-  ignore (free heap obj.Heap.addr);
-  ignore (free heap obj.Heap.addr);
-  ignore (free heap 0);
+  ignore (free heap obj);
+  ignore (free heap obj);
+  ignore (free heap Heap.no_obj);
   let m = heap.Heap.metrics in
   Alcotest.(check int) "calls" 3 m.Metrics.tcfree_calls;
   Alcotest.(check int) "successes" 1 m.Metrics.tcfree_success;
@@ -180,12 +252,12 @@ let test_cross_domain_ownership_stress () =
      balance exactly.  The collector then sweeps what tcfree left. *)
   let nd = 4 and per = 400 in
   let heap = Heap.create ~nprocs:nd () in
-  let objs = Array.make_matrix nd per 0 in
+  let objs = Array.make_matrix nd per Heap.no_obj in
   let doms =
     Array.init nd (fun d ->
         Domain.spawn (fun () ->
             for i = 0 to per - 1 do
-              objs.(d).(i) <- (alloc heap ~thread:d ()).Heap.addr
+              objs.(d).(i) <- alloc heap ~thread:d ()
             done))
   in
   Array.iter Domain.join doms;
@@ -236,10 +308,10 @@ let test_gc_concurrent_tcfree_giveup () =
      freed. *)
   let nd = 4 and per = 200 in
   let heap = Heap.create ~nprocs:nd () in
-  let objs = Array.make_matrix nd per 0 in
+  let objs = Array.make_matrix nd per Heap.no_obj in
   for d = 0 to nd - 1 do
     for i = 0 to per - 1 do
-      objs.(d).(i) <- (alloc heap ~thread:d ()).Heap.addr
+      objs.(d).(i) <- alloc heap ~thread:d ()
     done
   done;
   (* a GC cycle (everything rooted, so nothing dies) opens the window *)
@@ -269,8 +341,11 @@ let suite =
       test_double_free_tolerated;
     Alcotest.test_case "stack objects ignored" `Quick
       test_stack_object_ignored;
-    Alcotest.test_case "nil and garbage addresses" `Quick
-      test_nil_and_garbage_addresses;
+    Alcotest.test_case "nil reference" `Quick test_nil_reference;
+    Alcotest.test_case "stale reference after slot reuse" `Quick
+      test_stale_reference_after_slot_reuse;
+    Alcotest.test_case "stale map header under poison" `Quick
+      test_stale_map_header_under_poison;
     Alcotest.test_case "backs off while GC runs" `Quick
       test_gc_running_backoff;
     Alcotest.test_case "backs off on ownership change" `Quick
