@@ -21,6 +21,8 @@ type t = {
   mutable epoch : int;  (** walk generation counter *)
   mutable n_edges : int;
   mutable walk_steps : int;  (** total SPFA relaxations, for complexity stats *)
+  walk_lock : Mutex.t;
+      (** held by a walk: its state lives in the graph and its locations *)
 }
 
 let make_loc id kind ~loop_depth ~decl_depth : Loc.t =
@@ -65,6 +67,7 @@ let create () =
     epoch = 0;
     n_edges = 0;
     walk_steps = 0;
+    walk_lock = Mutex.create ();
   }
 
 let add_edge g ~src ~dst ~weight =
@@ -94,8 +97,13 @@ let incoming_edges g dst =
 (** [walk_one g root f] computes [MinDerefs(m, root)] for every
     [m ∈ Holds(root)] with an SPFA (queue-optimized Bellman-Ford, the
     paper's §4.1 choice) and calls [f m derefs] for each, excluding the
-    root itself.  Runs in O(N) average time on the sparse graph. *)
+    root itself.  Runs in O(N) average time on the sparse graph.  The
+    walk's state is the graph's [epoch] and its locations' [walk_*]
+    fields, so walks of one graph hold [walk_lock]: a compilation the
+    daemon caches is explained by several worker domains at once. *)
 let walk_one g (root : Loc.t) (f : Loc.t -> int -> unit) =
+  Mutex.lock g.walk_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock g.walk_lock) @@ fun () ->
   g.epoch <- g.epoch + 1;
   let epoch = g.epoch in
   root.Loc.walk_derefs <- 0;

@@ -13,6 +13,7 @@ type t = {
   mutable epoch : int;
   mutable n_edges : int;
   mutable walk_steps : int;  (** total SPFA relaxations (complexity stats) *)
+  walk_lock : Mutex.t;  (** held by {!walk_one}: walks keep state here *)
 }
 
 (** A fresh graph containing only [heapLoc] and the defer sink. *)
@@ -29,7 +30,9 @@ val incoming_edges : t -> Loc.t -> edge list
 
 (** [walk_one g root f] calls [f m (MinDerefs m root)] for every
     [m ∈ Holds(root)] except the root itself.  O(N) average time per walk
-    on the sparse graph (queue-optimized Bellman-Ford). *)
+    on the sparse graph (queue-optimized Bellman-Ford).  Walks of one
+    graph from several domains run one at a time; [f] must not walk [g]
+    again. *)
 val walk_one : t -> Loc.t -> (Loc.t -> int -> unit) -> unit
 
 (** [MinDerefs(m, root)] (Def 4.8), or [None] if [m ∉ Holds(root)]. *)

@@ -254,6 +254,23 @@ let op_slice_lit_i = def 151 "slice_lit_i" [ Site; Int ]  (* pop n I *)
 let op_append_i = def 136 "append_i" [ Site; Int ]  (* pop n I, base V *)
     (* numbered out of order so that the table stays dense *)
 
+(* Field-operand forms: fields of a frame local — a struct or a pointer
+   to one — read in place, each exactly as [sfield_v]/[sfield_i] read
+   it, inline-cache bookkeeping included; the scanner shapes
+   [p.f < len(p.g)], [p.f[p.g]], [len(p.f)] and [p.f = p.f + k]. *)
+let op_flen = def 152 "flen" [ Slot; Field; Cache; Name; Name ]
+    (* = sfield_v; len: push I *)
+let op_index_ff =
+  def 153 "index_ff" [ Slot; Field; Cache; Field; Cache; Name; Name; Name ]
+    (* = sfield_v p.f; sfield_i p.g; index_i: push I *)
+let op_jlt_flen_not =
+  def 154 "jlt_flen_not"
+    [ Slot; Field; Cache; Field; Cache; Name; Name; Name; Target ]
+    (* = sfield_i p.f; sfield_v p.g; len; jlt_not *)
+let op_finc = def 155 "finc" [ Slot; Field; Cache; Delta; Name; Name ]
+    (* [p.f = p.f + k] through a pointer: = sfield_i; addk_i; vload;
+       fstore_i *)
+
 let n_opcodes =
   let n = ref 0 in
   Array.iteri (fun op s -> if s <> None then n := op + 1) specs;

@@ -272,6 +272,24 @@ let new_cache f =
   f.ncaches <- i + 1;
   i
 
+(* [p.f] where [p] is a local struct or pointer to one: the operand
+   [sfield_v]/[sfield_i] and the field-operand forms read in place.
+   Such a local is never a register (only ints and bools are). *)
+let slot_field_of (e : Tast.expr) =
+  match e.Tast.desc with
+  | Tast.Tfield ({ Tast.desc = Tast.Tvar v; _ }, idx, name)
+    when not (is_global v) ->
+    Some (v, idx, name)
+  | _ -> None
+
+(* [p.f] and [p.g] of the same local [p]: the operands of the
+   two-field forms. *)
+let same_slot_fields a b =
+  match (slot_field_of a, slot_field_of b) with
+  | Some (p, f, fname), Some (q, g, gname) when p.Tast.v_id = q.Tast.v_id ->
+    Some (p, (f, fname), (g, gname))
+  | _ -> None
+
 let is_int (e : Tast.expr) = e.Tast.ty = Types.Int
 
 let is_bool (e : Tast.expr) = e.Tast.ty = Types.Bool
@@ -461,6 +479,17 @@ let rec emit_i f (e : Tast.expr) =
     when is_int e && frame_local f a && reg f i >= 0 ->
     opn f ~dv:0 ~di:1 B.op_index_i_sr
       [ slot f a; name_idx f a.Tast.v_name; reg f i; name_idx f i.Tast.v_name ]
+  | Tast.Tindex (a, i) when is_int e && same_slot_fields a i <> None -> begin
+    (* [p.f[p.g]]: [sfield_v; sfield_i; index_i] fused *)
+    match same_slot_fields a i with
+    | Some (p, (fa, na), (fi, ni)) ->
+      let ca = new_cache f in
+      let ci = new_cache f in
+      opn f ~dv:0 ~di:1 B.op_index_ff
+        [ slot f p; fa; ca; fi; ci; name_idx f p.Tast.v_name; name_idx f na;
+          name_idx f ni ]
+    | None -> assert false
+  end
   | Tast.Tindex (a, i) when is_int e ->
     emit_v f a;
     emit_i f i;
@@ -481,9 +510,17 @@ let rec emit_i f (e : Tast.expr) =
       emit_v f a;
       op3 f ~dv:(-1) ~di:1 B.op_field_i idx (new_cache f) (name_idx f name)
   end
-  | Tast.Tlen a ->
-    emit_v f a;
-    op0 f ~dv:(-1) ~di:1 B.op_len
+  | Tast.Tlen a -> begin
+    match slot_field_of a with
+    | Some (p, idx, name) ->
+      (* [sfield_v; len] fused *)
+      opn f ~dv:0 ~di:1 B.op_flen
+        [ slot f p; idx; new_cache f; name_idx f p.Tast.v_name;
+          name_idx f name ]
+    | None ->
+      emit_v f a;
+      op0 f ~dv:(-1) ~di:1 B.op_len
+  end
   | Tast.Tcap a ->
     emit_v f a;
     op0 f ~dv:(-1) ~di:1 B.op_cap
@@ -789,6 +826,19 @@ and emit_cond f (c : Tast.expr) l =
     opjmp f ~dv:0 ~di:0 B.op_jlt_rlen_not
       [ reg f a; name_idx f a.Tast.v_name; slot f x; name_idx f x.Tast.v_name ]
       l
+  | Tast.Tbinop (Ast.Blt, a, { Tast.desc = Tast.Tlen b; _ })
+    when is_int a && same_slot_fields a b <> None -> begin
+    (* [p.f < len(p.g)]: [sfield_i; sfield_v; len; jlt_not] fused *)
+    match same_slot_fields a b with
+    | Some (p, (fa, na), (fb, nb)) ->
+      let ca = new_cache f in
+      let cb = new_cache f in
+      opjmp f ~dv:0 ~di:0 B.op_jlt_flen_not
+        [ slot f p; fa; ca; fb; cb; name_idx f p.Tast.v_name; name_idx f na;
+          name_idx f nb ]
+        l
+    | None -> assert false
+  end
   | Tast.Tbinop
       (op, { Tast.desc = Tast.Tvar a; _ }, { Tast.desc = Tast.Tvar b; _ })
     when a.Tast.v_ty = Types.Int && b.Tast.v_ty = Types.Int && reg f a >= 0
@@ -843,9 +893,9 @@ and emit_addr f (lv : Tast.lvalue) =
       in
       op3 f ~dv:1 ~di:0 opc (slot f v) idx (name_idx f v.Tast.v_name)
     | _ ->
-      (* nested struct value (a[i].p, f().q, ...): the VStruct shares its
-         cells, so its value aliases the storage; the owner spine then
-         evaluates again, allocating calls included *)
+      (* nested struct value (a[i].p, f().q, ...): its value is the
+         field array itself, so it aliases the storage; the owner spine
+         then evaluates again, allocating calls included *)
       emit_v f base;
       emit_owner f base;
       op1 f ~dv:(-1) ~di:0 B.op_addr_field_val idx
@@ -924,6 +974,22 @@ let iinc_delta f (v : Tast.var) (e : Tast.expr) : int option =
       Some (-k)
     | _ -> None
 
+(* [Some (k, name)] when [e] is [p.f + k], [k + p.f] or [p.f - k] for
+   the int field [fidx], named [name], of local [p]: the right-hand side
+   of a [finc]. *)
+let field_delta (p : Tast.var) fidx (e : Tast.expr) =
+  let field (a : Tast.expr) =
+    match slot_field_of a with
+    | Some (q, g, name) when q.Tast.v_id = p.Tast.v_id && g = fidx -> Some name
+    | _ -> None
+  in
+  let delta k a = Option.map (fun name -> (k, name)) (field a) in
+  match e.Tast.desc with
+  | Tast.Tbinop (Ast.Badd, a, { Tast.desc = Tast.Tint k; _ }) -> delta k a
+  | Tast.Tbinop (Ast.Badd, { Tast.desc = Tast.Tint k; _ }, b) -> delta k b
+  | Tast.Tbinop (Ast.Bsub, a, { Tast.desc = Tast.Tint k; _ }) -> delta (-k) a
+  | _ -> None
+
 (* The value of [e] onto the I stack for a store into register local [v]. *)
 let emit_reg_value f (v : Tast.var) e =
   if v.Tast.v_ty = Types.Bool then emit_b f e else emit_i f e
@@ -979,6 +1045,17 @@ let rec emit_stmt f (s : Tast.stmt) =
       match iinc_delta f v e with
       | Some k ->
         op3 f ~dv:0 ~di:0 B.op_iinc (slot f v) k (name_idx f v.Tast.v_name)
+      | None -> assert false
+    end
+    | Tast.Lfield (({ Tast.desc = Tast.Tvar p; _ } as base), fidx, _)
+      when (match base.Tast.ty with Types.Ptr _ -> true | _ -> false)
+           && field_delta p fidx e <> None -> begin
+      (* [p.f = p.f + k]: [sfield_i; addk_i; vload; fstore_i] fused *)
+      match field_delta p fidx e with
+      | Some (k, name) ->
+        opn f ~dv:0 ~di:0 B.op_finc
+          [ slot f p; fidx; new_cache f; k; name_idx f p.Tast.v_name;
+            name_idx f name ]
       | None -> assert false
     end
     | Tast.Lfield (base, fidx, _)

@@ -948,7 +948,7 @@ let index_value heap (va : Value.value) (vi : int) : Value.value =
   | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
   | _ -> raise (Runtime_error "cannot index this value")
 
-(* [a[i] = v]: the bounds check, then the write (an assignment copy). *)
+(* [a[i] = v]: the bounds check, then the write ({!Value.store}). *)
 let store_index (va : Value.value) (vi : int) (v : Value.value) =
   match va with
   | Value.VIslice s ->
@@ -958,7 +958,7 @@ let store_index (va : Value.value) (vi : int) (v : Value.value) =
   | Value.VSlice s ->
     if vi < 0 || vi >= s.Value.s_len then
       raise (Panic (Value.VStr "index out of range"));
-    s.Value.s_cells.(s.Value.s_off + vi) <- Value.copy v
+    Value.store s.Value.s_cells (s.Value.s_off + vi) v
   | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
   | _ -> raise (Runtime_error "cannot assign into this value")
 
@@ -990,7 +990,7 @@ let deref heap (v : Value.value) : Value.value =
 (* [*p = v]. *)
 let store_deref (p : Value.value) (v : Value.value) =
   match p with
-  | Value.VPtr p -> Value.ptr_set p (Value.copy v)
+  | Value.VPtr p -> Value.store p.Value.p_arr p.Value.p_idx v
   | Value.VIptr p -> p.Value.ip_ints.(p.Value.ip_idx) <- as_int v
   | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
   | _ -> raise (Runtime_error "assignment through non-pointer")
@@ -1044,7 +1044,10 @@ let reslice (base : Value.value) (lo : int option)
 
 (* [copy(dst, src)], with memmove semantics: every source element is read
    (and poison-checked) before the first write, so overlapping views of
-   one backing array copy correctly, like Go. *)
+   one backing array copy correctly, like Go.  Each element is stored
+   into its destination in place ({!Value.store}); a struct read from the
+   destination's own backing array is copied first, since a store into
+   an earlier destination element may be a store into it. *)
 let slice_copy st (vd : Value.value) (vs : Value.value) : int =
   match (vd, vs) with
   | Value.VIslice d, Value.VIslice s ->
@@ -1057,11 +1060,15 @@ let slice_copy st (vd : Value.value) (vs : Value.value) : int =
     n
   | Value.VSlice d, Value.VSlice s ->
     let n = min d.Value.s_len s.Value.s_len in
+    let overlap = d.Value.s_cells == s.Value.s_cells in
     let snapshot =
       Array.init n (fun i ->
-          Value.copy (Value.read_elem s.Value.s_cells (s.Value.s_off + i)))
+          let v = Value.read_elem s.Value.s_cells (s.Value.s_off + i) in
+          if overlap then Value.copy v else v)
     in
-    Array.blit snapshot 0 d.Value.s_cells d.Value.s_off n;
+    for i = 0 to n - 1 do
+      Value.store d.Value.s_cells (d.Value.s_off + i) snapshot.(i)
+    done;
     n
   | Value.VNil, _ | _, Value.VNil -> 0
   | _ -> raise (Runtime_error "copy on non-slices")
@@ -1070,11 +1077,13 @@ let slice_copy st (vd : Value.value) (vs : Value.value) : int =
 let grown_cap old_cap new_len = max (max (2 * old_cap) new_len) 4
 
 (* [append] to a value-store slice of the [n] elements of [elems] from
-   [off] (already assignment-copied).  Growth copies the live elements
-   into a fresh heap array whose spare capacity holds [zero_of]'s
-   zeros, as [make] fills a store.  The moved elements are copied with
-   [Value.copy], as [slice_copy] does, so a struct element of the new
-   store is not the old store's. *)
+   [off] (already assignment-copied).  Within capacity each is stored
+   into its slot in place ({!Value.store}), as Go writes the backing
+   array.  Growth copies the live elements into a fresh heap
+   array whose spare capacity holds [zero_of]'s zeros, as [make] fills a
+   store.  The moved elements are copied with [Value.copy], as
+   [slice_copy] does, so a struct element of the new store is not the
+   old store's. *)
 let append_values st fr ~site ~zero_of (base : Value.value)
     (elems : Value.value array) off n : Value.value =
   let old_len, old_off, old_cells =
@@ -1088,7 +1097,9 @@ let append_values st fr ~site ~zero_of (base : Value.value)
   match base with
   | Value.VSlice s when old_off + new_len <= Array.length old_cells ->
     (* room within the view's capacity: write in place *)
-    Array.blit elems off old_cells (old_off + old_len) n;
+    for j = 0 to n - 1 do
+      Value.store old_cells (old_off + old_len + j) elems.(off + j)
+    done;
     Value.VSlice { s with Value.s_len = new_len }
   | _ ->
     let cap = grown_cap (Array.length old_cells - old_off) new_len in
@@ -1276,7 +1287,7 @@ let rec eval st (e : Tast.expr) : Value.value =
       | v -> v
     in
     match base with
-    | Value.VStruct cells -> Value.read_cell cells.(idx)
+    | Value.VStruct fields -> Value.read_elem fields idx
     | _ -> raise (Runtime_error ("field access ." ^ name ^ " on non-struct"))
   end
   | Tast.Tcall (name, args) ->
@@ -1312,13 +1323,11 @@ let rec eval st (e : Tast.expr) : Value.value =
     alloc_slice st (cur_frame st) ~site ~growth:false store ~cap:n ~len:n
   | Tast.Tstruct_lit (_, es) ->
     Value.VStruct
-      (Array.of_list
-         (List.map (fun e -> Value.cell (Value.copy (eval st e))) es))
+      (Array.of_list (List.map (fun e -> Value.copy (eval st e)) es))
   | Tast.Taddr_struct_lit (site, _, es) ->
     let v =
       Value.VStruct
-        (Array.of_list
-           (List.map (fun e -> Value.cell (Value.copy (eval st e))) es))
+        (Array.of_list (List.map (fun e -> Value.copy (eval st e)) es))
     in
     let c = Value.cell v in
     let obj =
@@ -1407,14 +1416,14 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
     addr_index va vi
   | Tast.Lmap _ -> raise (Runtime_error "cannot take address of map element")
   | Tast.Lfield (base, idx, _) -> begin
-    let owner, cells =
+    let owner, fields =
       match base.Tast.ty with
       | Types.Ptr _ -> begin
-        (* pointer base: the field cell lives inside the pointee *)
+        (* pointer base: the field lives inside the pointee *)
         match eval st base with
         | Value.VPtr p -> begin
           match Value.read_ptr p with
-          | Value.VStruct cells -> (p.Value.p_owner, cells)
+          | Value.VStruct fields -> (p.Value.p_owner, fields)
           | _ -> raise (Runtime_error "field of non-struct")
         end
         | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
@@ -1431,22 +1440,22 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
             | Bunbound -> raise (Runtime_error "unbound variable")
           in
           match Value.read_cell c with
-          | Value.VStruct cells -> (owner, cells)
+          | Value.VStruct fields -> (owner, fields)
           | _ -> raise (Runtime_error "field of non-struct")
         end
         | _ -> begin
-          (* nested struct value (s.inner.f, a[i].f, …): VStruct shares
-             its cells, so evaluating the base still aliases the
-             storage.  The owner is conservatively the base's owning
-             object when it is an element/deref; for pure temporaries
-             there is no owner. *)
+          (* nested struct value (s.inner.f, a[i].f, …): evaluating the
+             base yields its field array itself, so the pointer still
+             aliases the storage.  The owner is conservatively the base's
+             owning object when it is an element/deref; for pure
+             temporaries there is no owner. *)
           match eval st base with
-          | Value.VStruct cells -> (owner_of_struct_base st base, cells)
+          | Value.VStruct fields -> (owner_of_struct_base st base, fields)
           | _ -> raise (Runtime_error "field of non-struct")
         end
       end
     in
-    Value.VPtr (Value.cell_ptr owner cells.(idx))
+    Value.field_ptr owner fields idx
   end
 
 (* The heap object owning the storage of a struct-valued expression, for
@@ -1462,10 +1471,11 @@ and owner_of_struct_base st (e : Tast.expr) : Rt.Heap.obj =
   | _ -> Rt.Heap.no_obj
 
 (* Store into an lvalue: resolve the target (its sub-expressions
-   evaluate now, after the right-hand side), then write with a copy. *)
+   evaluate now, after the right-hand side), then write with Go's
+   assignment semantics ({!Value.store}). *)
 and assign st (lv : Tast.lvalue) (v : Value.value) =
   match lv with
-  | Tast.Lvar x -> Value.set (binding_cell (lookup_binding st x)) (Value.copy v)
+  | Tast.Lvar x -> Value.store (binding_cell (lookup_binding st x)) 0 v
   | Tast.Lderef e -> store_deref (eval st e) v
   | Tast.Lindex (a, i) ->
     let va = eval st a in
@@ -1482,7 +1492,7 @@ and assign st (lv : Tast.lvalue) (v : Value.value) =
   end
   | Tast.Lfield _ -> begin
     match eval_addr st lv with
-    | Value.VPtr p -> Value.ptr_set p (Value.copy v)
+    | Value.VPtr p -> Value.store p.Value.p_arr p.Value.p_idx v
     | _ -> raise (Runtime_error "bad field target")
   end
 

@@ -310,7 +310,7 @@ val show : state -> Value.value -> string
 (** [a[i]] of a slice or string, boxed. *)
 val index_value : Rt.Heap.t -> Value.value -> int -> Value.value
 
-(** [a[i] = v]: bounds check, then the assignment copy. *)
+(** [a[i] = v]: bounds check, then the assignment ({!Value.store}). *)
 val store_index : Value.value -> int -> Value.value -> unit
 
 (** [&a[i]]. *)
@@ -319,7 +319,7 @@ val addr_index : Value.value -> int -> Value.value
 (** [*p]. *)
 val deref : Rt.Heap.t -> Value.value -> Value.value
 
-(** [*p = v], with the assignment copy. *)
+(** [*p = v], an assignment ({!Value.store}). *)
 val store_deref : Value.value -> Value.value -> unit
 
 (** [len] of a slice, string, map or nil. *)
@@ -333,16 +333,16 @@ val capacity : Value.value -> int
 val reslice : Value.value -> int option -> int option -> Value.value
 
 (** [copy(dst, src)], returning the count copied.  Memmove semantics:
-    every source element is read (poison-checked, deep copied) before the
-    first write, so overlapping views of one backing store copy
-    correctly. *)
+    every source element is read (poison-checked) before the first write,
+    so overlapping views of one backing store copy correctly; each is
+    stored into its destination element in place ({!Value.store}). *)
 val slice_copy : state -> Value.value -> Value.value -> int
 
 (** [append_values st fr ~site ~zero_of base elems off n]: append the
     [n] already-evaluated, assignment-copied elements of [elems] from
-    [off] to a value-store slice: in place within capacity, else into a
-    fresh heap array whose spare capacity holds the element's zeros
-    ({!Value.fill_zero}). *)
+    [off] to a value-store slice: stored into its backing array within
+    capacity ({!Value.store}), else into a fresh heap array whose
+    spare capacity holds the element's zeros ({!Value.fill_zero}). *)
 val append_values :
   state ->
   frame ->

@@ -8,24 +8,31 @@
     the host GC finds nothing in them to follow or promote, and storing
     an int into one allocates nothing.
     Every other slice's backing store is a [value array] ({!slice})
-    holding its elements directly, and every other mutable location (a
-    frame variable, a heap box, a struct field) is a {!cell}, a
-    one-element array.  A pointer is an (owner object, array, index)
-    triple — {!ptr} into a value array, {!iptr} into an int store — so
-    [&s[i]], [&local], [&x.f], [new(T)] and [&T{}] all dereference in
-    one array access while the GC keeps the owning heap object alive.
-    Struct values are cell arrays copied on assignment (Go value
-    semantics); slice values are headers (backing-array object + store
-    + offset + length) copied freely while sharing the backing store.
+    holding its elements directly, a struct value is a [value array]
+    holding its fields directly (a nested struct field is a {!VStruct}
+    inside its parent's array), and a frame variable or heap box is a
+    {!cell}, a one-element array.  A pointer is an (owner object, array,
+    index) triple — {!ptr} into a value array, {!iptr} into an int store
+    — so [&s[i]], [&local], [&x.f], [new(T)] and [&T{}] all dereference
+    in one array access while the GC keeps the owning heap object alive.
+
+    Struct values have Go's value semantics: a declaration, a parameter,
+    a result and a slice, map or literal element each hold their own
+    field array ({!copy}), and storing a whole struct into a location
+    that already holds one writes the fields into that location's array
+    ({!store}), so a field pointer taken before the store sees the new
+    fields.  Slice values are headers (backing-array object + store +
+    offset + length) copied freely while sharing the backing store.
     Every reference holds its heap object's record ({!Heap.obj}), never
     an address: nothing is looked up to reach an object, and a stale
     reference to a freed object still names that object, not whatever
     reuses its slot.  A pointer into a frame slot names {!Heap.no_obj}.
 
     Freed memory in poison mode (§6.8): a freed value store's elements
-    become [VPoison]; a freed int store's become {!poison_int}, and a read
-    that finds that sentinel is a read of freed memory exactly when the
-    store's owner is freed ({!read_int}).
+    become [VPoison], the fields of a struct it held included; a freed
+    int store's become {!poison_int}, and a read that finds that sentinel
+    is a read of freed memory exactly when the store's owner is freed
+    ({!read_int}).
 
     Strings are modelled as static immutable data (no heap object): GoFree
     never frees strings, and the paper's reclaim comes from slices and
@@ -51,7 +58,7 @@ type value =
       i_len : int;  (** capacity = Array.length i_ints − i_off *)
     }  (** a [[]int]: its store is unboxed; the header is inline *)
   | VMap of Heap.obj  (** the map header object *)
-  | VStruct of cell array
+  | VStruct of value array  (** the fields, inline *)
   | VTuple of value list
   | VPoison  (** contents of mock-freed memory (§6.8) *)
 
@@ -61,7 +68,8 @@ and ptr = {
   p_owner : Heap.obj;
       (** heap/stack object owning the storage; [Heap.no_obj] for a
           frame slot *)
-  p_arr : value array;  (** a cell, or a slice backing store *)
+  p_arr : value array;
+      (** a cell, a slice backing store or a struct's fields *)
   p_idx : int;  (** the element of [p_arr] pointed at *)
 }
 
@@ -112,15 +120,13 @@ exception Corruption of string
 
 let cell v : cell = [| v |]
 
-(* Raw cell and pointer accesses.  Unchecked: a cell always has one
-   element, and a pointer's index was bounds-checked when it was made. *)
+(* Raw cell read.  Unchecked: a cell always has one element. *)
 let get (c : cell) = Array.unsafe_get c 0
-
-let set (c : cell) v = Array.unsafe_set c 0 v
 
 let cell_ptr owner (c : cell) = { p_owner = owner; p_arr = c; p_idx = 0 }
 
-let ptr_set p v = Array.unsafe_set p.p_arr p.p_idx v
+let field_ptr owner (fields : value array) i =
+  VPtr { p_owner = owner; p_arr = fields; p_idx = i }
 
 (* Shared boxes for small ints.  [VInt] is immutable and compared
    structurally everywhere (maps, ==, caches), so one box can appear in
@@ -181,13 +187,29 @@ let read_iptr heap p = read_int heap p.ip_owner p.ip_ints p.ip_idx
     store for [int] elements, else a value store. *)
 type store = Cells of value array | Ints of int array
 
-(** Deep-copy for assignment: struct values copy their cells; everything
-    else has reference or immutable semantics. *)
+(** Deep-copy for assignment: a struct value gets its own field array,
+    a nested struct its own too; everything else has reference or
+    immutable semantics. *)
 let rec copy = function
-  | VStruct cells -> VStruct (Array.map (fun c -> cell (copy (get c))) cells)
+  | VStruct fields -> VStruct (Array.map copy fields)
   | ( VUnit | VInt _ | VFloat _ | VBool _ | VStr _ | VNil | VPtr _ | VIptr _
     | VSlice _ | VIslice _ | VMap _ | VTuple _ | VPoison ) as v ->
     v
+
+(** [store a i v]: Go's assignment [a[i] = v].  When the location holds
+    a struct, [v]'s fields are written into that struct's own array,
+    nested structs in place too, so pointers into it stay valid; else
+    it gets a copy of [v]. *)
+let rec store (a : value array) i v =
+  match (Array.unsafe_get a i, v) with
+  | VStruct dst, VStruct src -> if dst != src then store_fields dst src
+  | _, VStruct _ -> a.(i) <- copy v
+  | _ -> a.(i) <- v
+
+and store_fields dst src =
+  for j = 0 to Array.length src - 1 do
+    store dst j (Array.unsafe_get src j)
+  done
 
 (** Set [cells.(from) ..] to the zero [z]: a struct zero is mutable, so
     each element gets its own copy; any other zero is immutable and
@@ -236,7 +258,7 @@ let rec zero (tenv : Minigo.Types.env) (ty : Minigo.Types.t) : value =
     VStruct
       (Array.of_list
          (List.map
-            (fun (_, fty) -> cell (zero tenv fty))
+            (fun (_, fty) -> zero tenv fty)
             (Minigo.Types.struct_fields tenv name)))
   | Minigo.Types.Tuple _ | Minigo.Types.Unit | Minigo.Types.Nil -> VUnit
 
@@ -251,7 +273,10 @@ let rec trace (v : value) (k : Heap.obj -> unit) =
   | VSlice s -> k s.s_obj
   | VIslice s -> k s.i_obj
   | VMap o -> k o
-  | VStruct cells -> Array.iter (fun c -> trace (get c) k) cells
+  | VStruct fields ->
+    for i = 0 to Array.length fields - 1 do
+      trace (Array.unsafe_get fields i) k
+    done
   | VTuple vs -> List.iter (fun v -> trace v k) vs
 
 (** Payload tracer registered with the heap.  An int store is Go's
@@ -270,13 +295,24 @@ let trace_payload (p : Heap.payload) (k : Heap.obj -> unit) =
       bk.bk_kv
   | _ -> ()
 
+(* Every element of [a] becomes [VPoison]; a struct element's fields
+   first, so a pointer into them reads poison too. *)
+let rec poison_elems (a : value array) =
+  for i = 0 to Array.length a - 1 do
+    (match Array.unsafe_get a i with
+    | VStruct fields -> poison_elems fields
+    | _ -> ());
+    Array.unsafe_set a i VPoison
+  done
+
 (** Poison-mode payload corruption (§6.8's bit-flipping mock, made
-    deterministic): every element the payload owns becomes [VPoison], or
-    {!poison_int} in an int store, so any read through a stale reference
-    raises {!Corruption} instead of silently yielding the old data. *)
+    deterministic): every element the payload owns becomes [VPoison] —
+    the fields of a struct element too —, or {!poison_int} in an int
+    store, so any read through a stale reference raises {!Corruption}
+    instead of silently yielding the old data. *)
 let poison_payload (p : Heap.payload) =
   match p with
-  | Pcells elems -> Array.fill elems 0 (Array.length elems) VPoison
+  | Pcells elems -> poison_elems elems
   | Pints ints -> Array.fill ints 0 (Array.length ints) poison_int
   | Pbuckets bk ->
     (* every bucket becomes one poisoned entry *)
@@ -415,10 +451,10 @@ let rec to_string ?heap = function
     in
     "[" ^ String.concat " " (List.init s.i_len elem) ^ "]"
   | VMap _ -> "map"
-  | VStruct cells ->
+  | VStruct fields ->
     let fields =
-      Array.to_list
-        (Array.map (fun c -> to_string ?heap (read_cell c)) cells)
+      List.init (Array.length fields) (fun i ->
+          to_string ?heap (read_elem fields i))
     in
     "{" ^ String.concat " " fields ^ "}"
   | VTuple vs -> String.concat ", " (List.map (to_string ?heap) vs)

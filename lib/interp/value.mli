@@ -4,14 +4,19 @@
     Mutable storage comes in two kinds, chosen by a slice's element type
     alone.  A [[]int] backing store is a bare [int array] ({!VIslice}),
     Go's pointer-free "noscan" object: the simulated mark does not trace
-    it and the host GC finds no pointer in it.  Every other slice's backing
-    store is a [value array] holding its elements directly, and every
-    other mutable location is a {!cell}, a one-element array.  A pointer
-    is an (owner object, array, index) triple — {!ptr} into a value
-    array, {!iptr} into an int store — so the GC can keep the owning heap
-    object alive while the interpreter mutates through the array
-    directly.  Every reference holds its heap object's record, never an
-    address to look up. *)
+    it and the host GC finds no pointer in it.  Every other slice's
+    backing store is a [value array] holding its elements directly; a
+    struct value is a [value array] holding its fields directly, a nested
+    struct as a {!VStruct} inside its parent's array; and a frame variable
+    or heap box is a {!cell}, a one-element array.  A pointer is an
+    (owner object, array, index) triple — {!ptr} into a value array, a
+    struct's fields included, {!iptr} into an int store — so the GC can
+    keep the owning heap object alive while the interpreter mutates
+    through the array directly.  Storing a whole struct into a location
+    that holds one writes into that struct's array ({!store}), so field
+    pointers taken before the store stay valid, as in Go.  Every
+    reference holds its heap object's record, never an address to look
+    up. *)
 
 module Heap := Gofree_runtime.Heap
 
@@ -32,7 +37,9 @@ type value =
       i_len : int;  (** capacity = Array.length i_ints − i_off *)
     }  (** a [[]int]: its store is unboxed; the header is inline *)
   | VMap of Heap.obj  (** the map header object *)
-  | VStruct of cell array  (** value semantics: copied on assignment *)
+  | VStruct of value array
+      (** the fields, inline; value semantics: each location holds its
+          own array *)
   | VTuple of value list  (** multi-value call result *)
   | VPoison  (** contents of mock-freed memory (§6.8) *)
 
@@ -42,7 +49,8 @@ and ptr = {
   p_owner : Heap.obj;
       (** heap/stack object owning the storage; {!Heap.no_obj} for a
           frame slot *)
-  p_arr : value array;  (** a cell, or a slice backing store *)
+  p_arr : value array;
+      (** a cell, a slice backing store or a struct's fields *)
   p_idx : int;  (** the element of [p_arr] pointed at *)
 }
 
@@ -88,16 +96,15 @@ exception Corruption of string
 
 val cell : value -> cell
 
-(** Raw (unchecked, poison-blind) read and write of a cell. *)
+(** Raw (unchecked, poison-blind) read of a cell. *)
 val get : cell -> value
-
-val set : cell -> value -> unit
 
 (** A pointer to a whole cell owned by the given object. *)
 val cell_ptr : Heap.obj -> cell -> ptr
 
-(** Write through a pointer. *)
-val ptr_set : ptr -> value -> unit
+(** [field_ptr owner fields i]: a pointer to field [i] of a struct whose
+    field array is [fields], inside storage owned by [owner]. *)
+val field_ptr : Heap.obj -> value array -> int -> value
 
 (** [VInt n], from a shared pool of boxes when [n] is small.  [VInt] is
     immutable and compared structurally everywhere, so sharing is
@@ -168,6 +175,12 @@ val owner_of : value -> Heap.obj
 (** Assignment copy: deep for struct values, identity otherwise. *)
 val copy : value -> value
 
+(** [store a i v]: Go's assignment of [v] to element [i] of [a].  When
+    the element holds a struct, [v]'s fields are written into that
+    struct's own array, nested structs in place too, so pointers into it
+    stay valid; otherwise the element becomes a {!copy} of [v]. *)
+val store : value array -> int -> value -> unit
+
 (** Zero value of a type (Go semantics). *)
 val zero : Minigo.Types.env -> Minigo.Types.t -> value
 
@@ -178,8 +191,9 @@ val trace : value -> (Heap.obj -> unit) -> unit
     traced. *)
 val trace_payload : Heap.payload -> (Heap.obj -> unit) -> unit
 
-(** Poison-mode payload corruption: every owned element becomes [VPoison],
-    or {!poison_int} in an int store. *)
+(** Poison-mode payload corruption: every owned element becomes
+    [VPoison], the fields of a struct element included, or {!poison_int}
+    in an int store. *)
 val poison_payload : Heap.payload -> unit
 
 (** Structural equality for map keys. *)

@@ -49,9 +49,11 @@
 
     Storage is {!Value}'s: a [[]int] element is an unboxed word of an
     [int array] store, any other slice element sits directly in its
-    [value array] store, and a frame variable, heap box or struct field
-    is a one-element cell, so a load or store through a slot, an index or
-    a pointer is a single array access.  An int travels between the int
+    [value array] store, a struct field directly in its struct's [value
+    array], and a frame variable or heap box is a one-element cell, so a
+    load or store through a slot, an index, a field or a pointer is a
+    single array access.  Storing a whole struct writes its fields into
+    the struct the location holds ({!Value.store}).  An int travels between the int
     operand stack and an int store with no box on either side
     ([index_i], [store_index_i], [append_i], [slice_lit_i]); a read that
     finds {!Value.poison_int} leaves the fast path for the poison check.
@@ -72,8 +74,10 @@
     reads and stores, and the loop and indexing forms that read a
     register or frame slot in place — a counted loop's back edge
     ([loop_rinc]), [reg < len(local)] and register-register branches,
-    slot-indexed reads and stores, and runs of statement safepoints
-    ([safepoints n]).  Each fused case is the literal composition of
+    slot-indexed reads and stores, runs of statement safepoints
+    ([safepoints n]), and the field-operand forms of a local struct or
+    struct pointer [p] — [p.f < len(p.g)], [p.f[p.g]], [len(p.f)] and
+    [p.f = p.f + k].  Each fused case is the literal composition of
     the cases it replaces and obeys the safepoint-exact rule: it calls
     {!vm_safepoint} exactly as often, in the same order relative to its
     other effects, as the unfused sequence, and raises the same errors
@@ -138,9 +142,9 @@ let[@inline] vm_safepoint (r : regs) =
     || steps > st.config.max_steps
   then safepoint_slow r
 
-(* {!Value.get}/{!Value.set} and raw pointer access, restated here so
-   the dispatch loop inlines them: dune's default profile compiles with
-   [-opaque], which rules out cross-module inlining. *)
+(* Raw cell and pointer access, restated here so the dispatch loop
+   inlines them: dune's default profile compiles with [-opaque], which
+   rules out cross-module inlining. *)
 let[@inline] cget (c : Value.cell) = Array.unsafe_get c 0
 
 let[@inline] cset (c : Value.cell) v = Array.unsafe_set c 0 v
@@ -153,9 +157,6 @@ let[@inline] vint n =
 let[@inline] pget (p : Value.ptr) =
   Array.unsafe_get p.Value.p_arr p.Value.p_idx
 
-let[@inline] pset (p : Value.ptr) v =
-  Array.unsafe_set p.Value.p_arr p.Value.p_idx v
-
 (* The n values most recently pushed, oldest first. *)
 let popped (stk_v : Value.value array) sp_v n =
   let rec build i acc =
@@ -164,14 +165,10 @@ let popped (stk_v : Value.value array) sp_v n =
   in
   build (sp_v - 1) []
 
-(* The n values most recently pushed, oldest first, each in a fresh
-   cell: the fields of a struct literal. *)
-let field_cells (stk_v : Value.value array) sp_v n : Value.cell array =
-  let cells = Array.make n [||] in
-  for i = 0 to n - 1 do
-    Array.unsafe_set cells i [| Array.unsafe_get stk_v (sp_v - n + i) |]
-  done;
-  cells
+(* The n values most recently pushed, oldest first, as a fresh array:
+   the fields of a struct literal. *)
+let field_array (stk_v : Value.value array) sp_v n : Value.value array =
+  Array.sub stk_v (sp_v - n) n
 
 (* {!Value.poison_int}, restated so the dispatch loop compares against
    an immediate. *)
@@ -221,7 +218,7 @@ let field_value (r : regs) (va : Value.value) fidx cidx nidx : Value.value =
     | v -> (1, v)
   in
   match base with
-  | Value.VStruct cells ->
+  | Value.VStruct fields ->
     let st = r.x_st in
     let c = r.x_f.B.bf_caches.(cidx) in
     if c.B.c_a = shape then st.ic_hits <- st.ic_hits + 1
@@ -229,11 +226,63 @@ let field_value (r : regs) (va : Value.value) fidx cidx nidx : Value.value =
       st.ic_misses <- st.ic_misses + 1;
       c.B.c_a <- shape
     end;
-    Value.read_cell cells.(fidx)
+    Value.read_elem fields fidx
   | _ ->
     raise
       (Runtime_error
          ("field access ." ^ r.x_f.B.bf_names.(nidx) ^ " on non-struct"))
+
+(* [sfield_v]'s read, shared with the field-operand forms: field [fidx]
+   of the struct in frame slot [s], or of the struct it points to, with
+   the unbound, poison and shape errors of [vload; field_v] and the
+   inline-cache bookkeeping of site [cidx]. *)
+let slot_field (r : regs) s fidx cidx nidx fnidx : Value.value =
+  match Array.unsafe_get r.x_slots s with
+  | Bdirect c | Bboxed (_, c) -> (
+    match cget c with
+    | Value.VPoison -> raise (Value.Corruption "read of freed memory")
+    | va -> field_value r va fidx cidx fnidx)
+  | Bunbound -> unbound_local r nidx
+
+(* [fstore_i]'s write, shared with [finc]: int [n] into field [fidx] of
+   the struct pointer [va] points to. *)
+let store_field_int (va : Value.value) fidx n =
+  match va with
+  | Value.VPtr p -> begin
+    match pget p with
+    | Value.VStruct fields -> fields.(fidx) <- Value.vint n
+    | Value.VPoison -> raise (Value.Corruption "read of freed memory")
+    | _ -> raise (Runtime_error "field of non-struct")
+  end
+  | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
+  | _ -> raise (Runtime_error "field of non-pointer")
+
+(* The fields of the struct that frame slot [s] points to, or [[||]]
+   when it holds anything else (a field form's [Bunbound], nil, poison
+   and struct-value shapes, all left to {!full}): the shape the fast
+   field forms of {!loop} read.  A struct the program reads a field of
+   has at least one. *)
+let[@inline] ptr_fields (r : regs) s : Value.value array =
+  match Array.unsafe_get r.x_slots s with
+  | Bdirect c | Bboxed (_, c) -> begin
+    match cget c with
+    | Value.VPtr p -> begin
+      match pget p with Value.VStruct fields -> fields | _ -> [||]
+    end
+    | _ -> [||]
+  end
+  | Bunbound -> [||]
+
+(* Count a hit of a field site whose cached shape is a pointer, or a
+   miss that caches it: [field_value]'s bookkeeping for that shape. *)
+let[@inline] ptr_site_hit (r : regs) cidx =
+  let st = r.x_st in
+  let c = r.x_f.B.bf_caches.(cidx) in
+  if c.B.c_a = 2 then st.ic_hits <- st.ic_hits + 1
+  else begin
+    st.ic_misses <- st.ic_misses + 1;
+    c.B.c_a <- 2
+  end
 
 (* Shared by the three map-get opcodes.  The inline cache holds the
    identity of the map the site last read (header object, header
@@ -425,56 +474,28 @@ let rec loop (r : regs) pc sp_v sp_i =
       (Array.unsafe_get stk_i (sp_i - 1) mod Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
   | 118 (* sfield_i, through a pointer, an int field *) -> begin
-    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
-    | Bdirect c | Bboxed (_, c) -> begin
-      match cget c with
-      | Value.VPtr p -> begin
-        match pget p with
-        | Value.VStruct cells -> begin
-          match cget cells.(Array.unsafe_get code (pc + 2)) with
-          | Value.VInt n ->
-            let st = r.x_st in
-            let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
-            if c.B.c_a = 2 then st.ic_hits <- st.ic_hits + 1
-            else begin
-              st.ic_misses <- st.ic_misses + 1;
-              c.B.c_a <- 2
-            end;
-            Array.unsafe_set stk_i sp_i n;
-            loop r (pc + 6) sp_v (sp_i + 1)
-          | _ -> full r pc sp_v sp_i
-        end
-        | _ -> full r pc sp_v sp_i
-      end
+    match ptr_fields r (Array.unsafe_get code (pc + 1)) with
+    | [||] -> full r pc sp_v sp_i
+    | fields -> begin
+      match fields.(Array.unsafe_get code (pc + 2)) with
+      | Value.VInt n ->
+        ptr_site_hit r (Array.unsafe_get code (pc + 3));
+        Array.unsafe_set stk_i sp_i n;
+        loop r (pc + 6) sp_v (sp_i + 1)
       | _ -> full r pc sp_v sp_i
     end
-    | Bunbound -> full r pc sp_v sp_i
   end
   | 117 (* sfield_v, through a pointer *) -> begin
-    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
-    | Bdirect c | Bboxed (_, c) -> begin
-      match cget c with
-      | Value.VPtr p -> begin
-        match pget p with
-        | Value.VStruct cells -> begin
-          match cget cells.(Array.unsafe_get code (pc + 2)) with
-          | Value.VPoison -> full r pc sp_v sp_i
-          | v ->
-            let st = r.x_st in
-            let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
-            if c.B.c_a = 2 then st.ic_hits <- st.ic_hits + 1
-            else begin
-              st.ic_misses <- st.ic_misses + 1;
-              c.B.c_a <- 2
-            end;
-            Array.unsafe_set r.x_stk_v sp_v v;
-            loop r (pc + 6) (sp_v + 1) sp_i
-        end
-        | _ -> full r pc sp_v sp_i
-      end
-      | _ -> full r pc sp_v sp_i
+    match ptr_fields r (Array.unsafe_get code (pc + 1)) with
+    | [||] -> full r pc sp_v sp_i
+    | fields -> begin
+      match fields.(Array.unsafe_get code (pc + 2)) with
+      | Value.VPoison -> full r pc sp_v sp_i
+      | v ->
+        ptr_site_hit r (Array.unsafe_get code (pc + 3));
+        Array.unsafe_set r.x_stk_v sp_v v;
+        loop r (pc + 6) (sp_v + 1) sp_i
     end
-    | Bunbound -> full r pc sp_v sp_i
   end
   | 120 (* jlt_not *) ->
     if Array.unsafe_get stk_i (sp_i - 2) < Array.unsafe_get stk_i (sp_i - 1)
@@ -621,6 +642,74 @@ let rec loop (r : regs) pc sp_v sp_i =
         (Value.VIslice { s with i_len = s.i_len + 1 });
       loop r (pc + 3) sp_v (sp_i - 1)
     | _ -> full r pc sp_v sp_i
+  end
+  (* The field-operand forms, when the frame slot holds a pointer to a
+     struct and the fields have the shapes the scanner reads: an int,
+     and a string or a slice. *)
+  | 152 (* flen *) -> begin
+    match ptr_fields r (Array.unsafe_get code (pc + 1)) with
+    | [||] -> full r pc sp_v sp_i
+    | fields -> begin
+      let n =
+        match fields.(Array.unsafe_get code (pc + 2)) with
+        | Value.VStr s -> String.length s
+        | Value.VSlice s -> s.Value.s_len
+        | Value.VIslice s -> s.i_len
+        | _ -> -1
+      in
+      if n < 0 then full r pc sp_v sp_i
+      else begin
+        ptr_site_hit r (Array.unsafe_get code (pc + 3));
+        Array.unsafe_set stk_i sp_i n;
+        loop r (pc + 6) sp_v (sp_i + 1)
+      end
+    end
+  end
+  | 155 (* finc, an int field through a pointer *) -> begin
+    match ptr_fields r (Array.unsafe_get code (pc + 1)) with
+    | [||] -> full r pc sp_v sp_i
+    | fields -> begin
+      let fidx = Array.unsafe_get code (pc + 2) in
+      match fields.(fidx) with
+      | Value.VInt n ->
+        ptr_site_hit r (Array.unsafe_get code (pc + 3));
+        fields.(fidx) <- vint (n + Array.unsafe_get code (pc + 4));
+        loop r (pc + 7) sp_v sp_i
+      | _ -> full r pc sp_v sp_i
+    end
+  end
+  | 153 (* index_ff, a byte of a string field at an int field *) -> begin
+    match ptr_fields r (Array.unsafe_get code (pc + 1)) with
+    | [||] -> full r pc sp_v sp_i
+    | fields -> begin
+      match
+        ( fields.(Array.unsafe_get code (pc + 2)),
+          fields.(Array.unsafe_get code (pc + 4)) )
+      with
+      | Value.VStr s, Value.VInt i when i >= 0 && i < String.length s ->
+        ptr_site_hit r (Array.unsafe_get code (pc + 3));
+        ptr_site_hit r (Array.unsafe_get code (pc + 5));
+        Array.unsafe_set stk_i sp_i (Char.code (String.unsafe_get s i));
+        loop r (pc + 9) sp_v (sp_i + 1)
+      | _ -> full r pc sp_v sp_i
+    end
+  end
+  | 154 (* jlt_flen_not, an int field against a string field's length *)
+    -> begin
+    match ptr_fields r (Array.unsafe_get code (pc + 1)) with
+    | [||] -> full r pc sp_v sp_i
+    | fields -> begin
+      match
+        ( fields.(Array.unsafe_get code (pc + 2)),
+          fields.(Array.unsafe_get code (pc + 4)) )
+      with
+      | Value.VInt a, Value.VStr s ->
+        ptr_site_hit r (Array.unsafe_get code (pc + 3));
+        ptr_site_hit r (Array.unsafe_get code (pc + 5));
+        if a < String.length s then loop r (pc + 10) sp_v sp_i
+        else loop r (Array.unsafe_get code (pc + 9)) sp_v sp_i
+      | _ -> full r pc sp_v sp_i
+    end
   end
   | _ -> full r pc sp_v sp_i
 
@@ -842,14 +931,14 @@ and full (r : regs) pc sp_v sp_i =
   | 45 (* store_slot *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      cset c (Value.copy (Array.unsafe_get stk_v (sp_v - 1)));
+      Value.store c 0 (Array.unsafe_get stk_v (sp_v - 1));
       loop r (pc + 3) (sp_v - 1) sp_i
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2))
   end
   | 46 (* store_gslot *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
-      cset c (Value.copy (Array.unsafe_get stk_v (sp_v - 1)));
+      Value.store c 0 (Array.unsafe_get stk_v (sp_v - 1));
       loop r (pc + 3) (sp_v - 1) sp_i
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2))
   end
@@ -905,7 +994,7 @@ and full (r : regs) pc sp_v sp_i =
     let p = Array.unsafe_get stk_v (sp_v - 1) in
     let v = Array.unsafe_get stk_v (sp_v - 2) in
     (match p with
-    | Value.VPtr p -> pset p (Value.copy v)
+    | Value.VPtr p -> Value.store p.Value.p_arr p.Value.p_idx v
     | _ -> raise (Runtime_error "bad field target"));
     loop r (pc + 1) (sp_v - 2) sp_i
   | 55 (* index_v *) ->
@@ -930,7 +1019,7 @@ and full (r : regs) pc sp_v sp_i =
     match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
       match pget p with
-      | Value.VStruct cells ->
+      | Value.VStruct fields ->
         let st = r.x_st in
         let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 2)) in
         if c.B.c_a = 2 then st.ic_hits <- st.ic_hits + 1
@@ -938,7 +1027,7 @@ and full (r : regs) pc sp_v sp_i =
           st.ic_misses <- st.ic_misses + 1;
           c.B.c_a <- 2
         end;
-        (match cget cells.(Array.unsafe_get code (pc + 1)) with
+        (match fields.(Array.unsafe_get code (pc + 1)) with
         | Value.VPoison -> raise (Value.Corruption "read of freed memory")
         | v -> Array.unsafe_set stk_v (sp_v - 1) v);
         loop r (pc + 4) sp_v sp_i
@@ -950,7 +1039,7 @@ and full (r : regs) pc sp_v sp_i =
              ^ r.x_f.B.bf_names.(Array.unsafe_get code (pc + 3))
              ^ " on non-struct"))
     end
-    | Value.VStruct cells ->
+    | Value.VStruct fields ->
       let st = r.x_st in
       let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 2)) in
       if c.B.c_a = 1 then st.ic_hits <- st.ic_hits + 1
@@ -958,7 +1047,7 @@ and full (r : regs) pc sp_v sp_i =
         st.ic_misses <- st.ic_misses + 1;
         c.B.c_a <- 1
       end;
-      (match cget cells.(Array.unsafe_get code (pc + 1)) with
+      (match fields.(Array.unsafe_get code (pc + 1)) with
       | Value.VPoison -> raise (Value.Corruption "read of freed memory")
       | v -> Array.unsafe_set stk_v (sp_v - 1) v);
       loop r (pc + 4) sp_v sp_i
@@ -974,7 +1063,7 @@ and full (r : regs) pc sp_v sp_i =
     match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
       match pget p with
-      | Value.VStruct cells ->
+      | Value.VStruct fields ->
         let st = r.x_st in
         let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 2)) in
         if c.B.c_a = 2 then st.ic_hits <- st.ic_hits + 1
@@ -982,7 +1071,7 @@ and full (r : regs) pc sp_v sp_i =
           st.ic_misses <- st.ic_misses + 1;
           c.B.c_a <- 2
         end;
-        (match cget cells.(Array.unsafe_get code (pc + 1)) with
+        (match fields.(Array.unsafe_get code (pc + 1)) with
         | Value.VInt n -> Array.unsafe_set stk_i sp_i n
         | Value.VPoison -> raise (Value.Corruption "read of freed memory")
         | v -> Array.unsafe_set stk_i sp_i (as_int v));
@@ -995,7 +1084,7 @@ and full (r : regs) pc sp_v sp_i =
              ^ r.x_f.B.bf_names.(Array.unsafe_get code (pc + 3))
              ^ " on non-struct"))
     end
-    | Value.VStruct cells ->
+    | Value.VStruct fields ->
       let st = r.x_st in
       let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 2)) in
       if c.B.c_a = 1 then st.ic_hits <- st.ic_hits + 1
@@ -1003,7 +1092,7 @@ and full (r : regs) pc sp_v sp_i =
         st.ic_misses <- st.ic_misses + 1;
         c.B.c_a <- 1
       end;
-      (match cget cells.(Array.unsafe_get code (pc + 1)) with
+      (match fields.(Array.unsafe_get code (pc + 1)) with
       | Value.VInt n -> Array.unsafe_set stk_i sp_i n
       | Value.VPoison -> raise (Value.Corruption "read of freed memory")
       | v -> Array.unsafe_set stk_i sp_i (as_int v));
@@ -1208,12 +1297,12 @@ and full (r : regs) pc sp_v sp_i =
   | 84 (* struct_lit *) ->
     let n = Array.unsafe_get code (pc + 1) in
     Array.unsafe_set stk_v (sp_v - n)
-      (Value.VStruct (field_cells stk_v sp_v n));
+      (Value.VStruct (field_array stk_v sp_v n));
     loop r (pc + 2) (sp_v - n + 1) sp_i
   | 85 (* addr_struct_lit *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
-    let v = Value.VStruct (field_cells stk_v sp_v n) in
+    let v = Value.VStruct (field_array stk_v sp_v n) in
     let c = Value.cell v in
     let obj =
       alloc_obj r.x_st r.x_fr ~site ~category:Rt.Metrics.Cat_other
@@ -1263,9 +1352,9 @@ and full (r : regs) pc sp_v sp_i =
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
       match Value.read_ptr p with
-      | Value.VStruct cells ->
+      | Value.VStruct fields ->
         Array.unsafe_set stk_v (sp_v - 1)
-          (Value.VPtr (Value.cell_ptr p.Value.p_owner cells.(fidx)))
+          (Value.field_ptr p.Value.p_owner fields fidx)
       | _ -> raise (Runtime_error "field of non-struct")
     end
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
@@ -1280,9 +1369,9 @@ and full (r : regs) pc sp_v sp_i =
       | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 3))
     in
     (match Value.read_cell c with
-    | Value.VStruct cells ->
+    | Value.VStruct fields ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr (Value.cell_ptr owner cells.(fidx)))
+        (Value.field_ptr owner fields fidx)
     | _ -> raise (Runtime_error "field of non-struct"));
     loop r (pc + 4) (sp_v + 1) sp_i
   | 92 (* addr_field_gslot *) ->
@@ -1296,9 +1385,9 @@ and full (r : regs) pc sp_v sp_i =
       | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 3))
     in
     (match Value.read_cell c with
-    | Value.VStruct cells ->
+    | Value.VStruct fields ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr (Value.cell_ptr owner cells.(fidx)))
+        (Value.field_ptr owner fields fidx)
     | _ -> raise (Runtime_error "field of non-struct"));
     loop r (pc + 4) (sp_v + 1) sp_i
   | 93 (* tuple_check *) ->
@@ -1439,119 +1528,30 @@ and full (r : regs) pc sp_v sp_i =
        then 1
        else 0);
     loop r (pc + 2) sp_v sp_i
-  | 117 (* sfield_v = vload; field_v *) -> begin
-    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
-    | Bdirect c | Bboxed (_, c) -> begin
-      match cget c with
-      | Value.VPtr p -> begin
-        match pget p with
-        | Value.VStruct cells ->
-          let st = r.x_st in
-          let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
-          if c.B.c_a = 2 then st.ic_hits <- st.ic_hits + 1
-          else begin
-            st.ic_misses <- st.ic_misses + 1;
-            c.B.c_a <- 2
-          end;
-          (match cget cells.(Array.unsafe_get code (pc + 2)) with
-          | Value.VPoison -> raise (Value.Corruption "read of freed memory")
-          | v -> Array.unsafe_set stk_v sp_v v);
-          loop r (pc + 6) (sp_v + 1) sp_i
-        | Value.VPoison -> raise (Value.Corruption "read of freed memory")
-        | _ ->
-          raise
-            (Runtime_error
-               ("field access ."
-               ^ r.x_f.B.bf_names.(Array.unsafe_get code (pc + 5))
-               ^ " on non-struct"))
-      end
-      | Value.VStruct cells ->
-        let st = r.x_st in
-        let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
-        if c.B.c_a = 1 then st.ic_hits <- st.ic_hits + 1
-        else begin
-          st.ic_misses <- st.ic_misses + 1;
-          c.B.c_a <- 1
-        end;
-        (match cget cells.(Array.unsafe_get code (pc + 2)) with
-        | Value.VPoison -> raise (Value.Corruption "read of freed memory")
-        | v -> Array.unsafe_set stk_v sp_v v);
-        loop r (pc + 6) (sp_v + 1) sp_i
-      | Value.VPoison -> raise (Value.Corruption "read of freed memory")
-      | va ->
-        Array.unsafe_set stk_v sp_v
-          (field_value r va
-             (Array.unsafe_get code (pc + 2))
-             (Array.unsafe_get code (pc + 3))
-             (Array.unsafe_get code (pc + 5)));
-        loop r (pc + 6) (sp_v + 1) sp_i
-    end
-    | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 4))
-  end
-  | 118 (* sfield_i = vload; field_i *) -> begin
-    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
-    | Bdirect c | Bboxed (_, c) -> begin
-      match cget c with
-      | Value.VPtr p -> begin
-        match pget p with
-        | Value.VStruct cells ->
-          let st = r.x_st in
-          let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
-          if c.B.c_a = 2 then st.ic_hits <- st.ic_hits + 1
-          else begin
-            st.ic_misses <- st.ic_misses + 1;
-            c.B.c_a <- 2
-          end;
-          (match cget cells.(Array.unsafe_get code (pc + 2)) with
-          | Value.VInt n -> Array.unsafe_set stk_i sp_i n
-          | Value.VPoison -> raise (Value.Corruption "read of freed memory")
-          | v -> Array.unsafe_set stk_i sp_i (as_int v));
-          loop r (pc + 6) sp_v (sp_i + 1)
-        | Value.VPoison -> raise (Value.Corruption "read of freed memory")
-        | _ ->
-          raise
-            (Runtime_error
-               ("field access ."
-               ^ r.x_f.B.bf_names.(Array.unsafe_get code (pc + 5))
-               ^ " on non-struct"))
-      end
-      | Value.VStruct cells ->
-        let st = r.x_st in
-        let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
-        if c.B.c_a = 1 then st.ic_hits <- st.ic_hits + 1
-        else begin
-          st.ic_misses <- st.ic_misses + 1;
-          c.B.c_a <- 1
-        end;
-        (match cget cells.(Array.unsafe_get code (pc + 2)) with
-        | Value.VInt n -> Array.unsafe_set stk_i sp_i n
-        | Value.VPoison -> raise (Value.Corruption "read of freed memory")
-        | v -> Array.unsafe_set stk_i sp_i (as_int v));
-        loop r (pc + 6) sp_v (sp_i + 1)
-      | Value.VPoison -> raise (Value.Corruption "read of freed memory")
-      | va ->
-        Array.unsafe_set stk_i sp_i
-          (as_int
-             (field_value r va
-                (Array.unsafe_get code (pc + 2))
-                (Array.unsafe_get code (pc + 3))
-                (Array.unsafe_get code (pc + 5))));
-        loop r (pc + 6) sp_v (sp_i + 1)
-    end
-    | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 4))
-  end
+  | 117 (* sfield_v = vload; field_v *) ->
+    Array.unsafe_set stk_v sp_v
+      (slot_field r
+         (Array.unsafe_get code (pc + 1))
+         (Array.unsafe_get code (pc + 2))
+         (Array.unsafe_get code (pc + 3))
+         (Array.unsafe_get code (pc + 4))
+         (Array.unsafe_get code (pc + 5)));
+    loop r (pc + 6) (sp_v + 1) sp_i
+  | 118 (* sfield_i = vload; field_i *) ->
+    Array.unsafe_set stk_i sp_i
+      (as_int
+         (slot_field r
+            (Array.unsafe_get code (pc + 1))
+            (Array.unsafe_get code (pc + 2))
+            (Array.unsafe_get code (pc + 3))
+            (Array.unsafe_get code (pc + 4))
+            (Array.unsafe_get code (pc + 5))));
+    loop r (pc + 6) sp_v (sp_i + 1)
   | 119 (* fstore_i = addr_field_ptr; store_thru, value from I *) ->
-    let fidx = Array.unsafe_get code (pc + 1) in
-    (match Array.unsafe_get stk_v (sp_v - 1) with
-    | Value.VPtr p -> begin
-      match pget p with
-      | Value.VStruct cells ->
-        cset cells.(fidx) (Value.vint (Array.unsafe_get stk_i (sp_i - 1)))
-      | Value.VPoison -> raise (Value.Corruption "read of freed memory")
-      | _ -> raise (Runtime_error "field of non-struct")
-    end
-    | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
-    | _ -> raise (Runtime_error "field of non-pointer"));
+    store_field_int
+      (Array.unsafe_get stk_v (sp_v - 1))
+      (Array.unsafe_get code (pc + 1))
+      (Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 2) (sp_v - 1) (sp_i - 1)
   | 121 (* jle_not *) ->
     if Array.unsafe_get stk_i (sp_i - 2) <= Array.unsafe_get stk_i (sp_i - 1)
@@ -1602,12 +1602,12 @@ and full (r : regs) pc sp_v sp_i =
      static type is a struct, so that error cannot fire in either. *)
   | 137 (* addr_field_val *) ->
     (match Array.unsafe_get stk_v (sp_v - 2) with
-    | Value.VStruct cells ->
+    | Value.VStruct fields ->
       Array.unsafe_set stk_v (sp_v - 2)
-        (Value.VPtr
-           (Value.cell_ptr
-              (Value.owner_of (Array.unsafe_get stk_v (sp_v - 1)))
-              cells.(Array.unsafe_get code (pc + 1))))
+        (Value.field_ptr
+           (Value.owner_of (Array.unsafe_get stk_v (sp_v - 1)))
+           fields
+           (Array.unsafe_get code (pc + 1)))
     | _ -> raise (Runtime_error "field of non-struct"));
     loop r (pc + 2) (sp_v - 1) sp_i
   (* Loop and indexing superinstructions.  Each performs the safepoints
@@ -1713,6 +1713,73 @@ and full (r : regs) pc sp_v sp_i =
          (Array.unsafe_get stk_v (sp_v - 1))
          stk_i (sp_i - n) n);
     loop r (pc + 3) sp_v (sp_i - n)
+  (* Field-operand forms: the reads of the [sfield_v]/[sfield_i] they
+     replace, in the same order, through the same [slot_field]. *)
+  | 152 (* flen = sfield_v; len *) ->
+    Array.unsafe_set stk_i sp_i
+      (length r.x_st
+         (slot_field r
+            (Array.unsafe_get code (pc + 1))
+            (Array.unsafe_get code (pc + 2))
+            (Array.unsafe_get code (pc + 3))
+            (Array.unsafe_get code (pc + 4))
+            (Array.unsafe_get code (pc + 5))));
+    loop r (pc + 6) sp_v (sp_i + 1)
+  | 153 (* index_ff = sfield_v p.f; sfield_i p.g; index_i *) ->
+    let s = Array.unsafe_get code (pc + 1) in
+    let np = Array.unsafe_get code (pc + 6) in
+    let va =
+      slot_field r s
+        (Array.unsafe_get code (pc + 2))
+        (Array.unsafe_get code (pc + 3))
+        np
+        (Array.unsafe_get code (pc + 7))
+    in
+    let vi =
+      as_int
+        (slot_field r s
+           (Array.unsafe_get code (pc + 4))
+           (Array.unsafe_get code (pc + 5))
+           np
+           (Array.unsafe_get code (pc + 8)))
+    in
+    Array.unsafe_set stk_i sp_i (index_int r.x_st.heap va vi);
+    loop r (pc + 9) sp_v (sp_i + 1)
+  | 154 (* jlt_flen_not = sfield_i p.f; sfield_v p.g; len; jlt_not *) ->
+    let s = Array.unsafe_get code (pc + 1) in
+    let np = Array.unsafe_get code (pc + 6) in
+    let a =
+      as_int
+        (slot_field r s
+           (Array.unsafe_get code (pc + 2))
+           (Array.unsafe_get code (pc + 3))
+           np
+           (Array.unsafe_get code (pc + 7)))
+    in
+    let n =
+      length r.x_st
+        (slot_field r s
+           (Array.unsafe_get code (pc + 4))
+           (Array.unsafe_get code (pc + 5))
+           np
+           (Array.unsafe_get code (pc + 8)))
+    in
+    if a < n then loop r (pc + 10) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 9)) sp_v sp_i
+  | 155 (* finc = sfield_i p.f; addk_i k; vload p; fstore_i f *) ->
+    let s = Array.unsafe_get code (pc + 1) in
+    let fidx = Array.unsafe_get code (pc + 2) in
+    let np = Array.unsafe_get code (pc + 5) in
+    let n =
+      as_int
+        (slot_field r s fidx
+           (Array.unsafe_get code (pc + 3))
+           np
+           (Array.unsafe_get code (pc + 6)))
+      + Array.unsafe_get code (pc + 4)
+    in
+    store_field_int (slot_value r s np) fidx n;
+    loop r (pc + 7) sp_v sp_i
   (* the opcodes {!loop} completes never get here *)
   | op -> raise (Runtime_error ("vm: bad opcode " ^ string_of_int op))
 

@@ -18,9 +18,11 @@
 
     The product is one [gofree-load-v1] JSON document: offered vs
     achieved RPS, p50/p95/p99/max latency overall and per kind,
-    shed/timeout/error/drop counts, consistency verdict, and the SLO
-    assertions of {!check_slo} — violations make [gofreec load] exit
-    nonzero, which is what the CI gate runs. *)
+    shed/timeout/error/drop counts, the reasons of the first failures
+    (hard-error responses, refused connections, dropped requests), the
+    consistency verdict, and the SLO assertions of {!violations} —
+    violations make [gofreec load] exit nonzero, which is what the CI
+    gate runs. *)
 
 module Json = Gofree_obs.Json
 module Schema = Gofree_obs.Schema
@@ -172,7 +174,14 @@ type recorder = {
   mutable r_lat_all : float list;
   r_digests : (string, string) Hashtbl.t;  (** kind:workload → digest *)
   mutable r_mismatches : string list;
+  mutable r_failures : int;  (** hard errors, connect failures and drops *)
+  mutable r_samples : Json.t list;
+      (** the first {!max_failure_samples} failures, newest first *)
 }
+
+(* Failures whose reasons the report keeps: enough to classify a rare
+   failure the first time it happens, bounded under a failure storm. *)
+let max_failure_samples = 16
 
 let recorder () =
   {
@@ -189,27 +198,43 @@ let recorder () =
     r_lat_all = [];
     r_digests = Hashtbl.create 64;
     r_mismatches = [];
+    r_failures = 0;
+    r_samples = [];
   }
 
 let locked (r : recorder) f =
   Mutex.lock r.r_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock r.r_mutex) f
 
+(* Count one failure and keep its reason while there is room; [what] is
+   [error], [connect] or [drop].  Called with the recorder locked. *)
+let add_failure (r : recorder) what fields =
+  r.r_failures <- r.r_failures + 1;
+  if r.r_failures <= max_failure_samples then
+    r.r_samples <- Json.Obj (("failure", Json.Str what) :: fields) :: r.r_samples
+
 let record_response (cfg : config) (targets : target array) (r : recorder)
     ~(kind : Mix.kind) ~(wl : int) ~(lat_ms : float) (resp : Json.t) : unit
     =
   let ok = Json.member "ok" resp = Some (Json.Bool true) in
-  let error_code () =
+  let error_field name =
     match Json.member "error" resp with
-    | Some e -> ( try Json.get_string "code" e with _ -> "unknown")
+    | Some e -> ( try Json.get_string name e with _ -> "unknown")
     | None -> "unknown"
   in
   if not ok then
     locked r (fun () ->
-        match error_code () with
+        match error_field "code" with
         | "overloaded" -> r.r_shed <- r.r_shed + 1
         | "timed_out" -> r.r_timed_out <- r.r_timed_out + 1
-        | _ -> r.r_errors <- r.r_errors + 1)
+        | code ->
+          r.r_errors <- r.r_errors + 1;
+          add_failure r "error"
+            [
+              ("method", Json.Str (Mix.kind_name kind));
+              ("code", Json.Str code);
+              ("message", Json.Str (error_field "message"));
+            ])
   else begin
     let digest =
       match Json.member "result" resp with
@@ -259,6 +284,8 @@ type vclient = {
       (** id → send time (ms), kind, workload *)
   mutable v_conn : Client.t option;
   mutable v_recv : Thread.t option;
+  mutable v_recv_end : string option;
+      (** why the receiver stopped, once it has *)
   mutable v_next_id : int;
 }
 
@@ -273,7 +300,8 @@ let outstanding (v : vclient) =
 let receiver (v : vclient) (c : Client.t) () =
   let rec loop () =
     match Client.recv c with
-    | None | (exception Client.Error _) -> ()
+    | None -> v.v_recv_end <- Some "connection closed by the daemon"
+    | exception e -> v.v_recv_end <- Some (Printexc.to_string e)
     | Some resp ->
       let id =
         match Json.member "id" resp with
@@ -301,14 +329,16 @@ let wait_outstanding (v : vclient) ~until =
     Thread.delay 0.002
   done
 
-(* Tear the connection down.  [abrupt] closes with responses possibly
-   still owed (the churn model, and what makes the daemon's cancellation
-   path real); otherwise the caller has already drained.  Whatever is
-   still outstanding is recorded as dropped. *)
-let drop_conn (v : vclient) =
+(* Tear the connection down, possibly with responses still owed (the
+   churn model, and what makes the daemon's cancellation path real);
+   otherwise the caller has already drained.  Whatever is still
+   outstanding is recorded as dropped, with the reason: why the
+   receiver had already stopped, else [why]. *)
+let drop_conn ?(why = "connection closed by the client") (v : vclient) =
   match v.v_conn with
   | None -> ()
   | Some c ->
+    let why = Option.value v.v_recv_end ~default:why in
     (try Unix.shutdown c.Client.fd Unix.SHUTDOWN_ALL
      with Unix.Unix_error _ -> ());
     Client.close c;
@@ -319,9 +349,12 @@ let drop_conn (v : vclient) =
     Mutex.unlock v.v_mutex;
     if leftover > 0 then
       locked v.v_rec (fun () ->
-          v.v_rec.r_dropped <- v.v_rec.r_dropped + leftover);
+          v.v_rec.r_dropped <- v.v_rec.r_dropped + leftover;
+          add_failure v.v_rec "drop"
+            [ ("requests", Json.Int leftover); ("message", Json.Str why) ]);
     v.v_conn <- None;
-    v.v_recv <- None
+    v.v_recv <- None;
+    v.v_recv_end <- None
 
 (** [true] iff a connection is up (possibly freshly dialed). *)
 let ensure_conn (v : vclient) : bool =
@@ -333,9 +366,11 @@ let ensure_conn (v : vclient) : bool =
       v.v_conn <- Some c;
       v.v_recv <- Some (Thread.create (receiver v c) ());
       true
-    | exception Client.Error _ ->
+    | exception (Client.Error _ as e) ->
       locked v.v_rec (fun () ->
-          v.v_rec.r_connect_failures <- v.v_rec.r_connect_failures + 1);
+          v.v_rec.r_connect_failures <- v.v_rec.r_connect_failures + 1;
+          add_failure v.v_rec "connect"
+            [ ("message", Json.Str (Printexc.to_string e)) ]);
       false
   end
 
@@ -357,11 +392,11 @@ let send_event (v : vclient) (ev : Schedule.event) : unit =
     Mutex.unlock v.v_mutex;
     (match Client.send_line c line with
     | () -> locked v.v_rec (fun () -> v.v_rec.r_sent <- v.v_rec.r_sent + 1)
-    | exception Client.Error _ ->
+    | exception (Client.Error _ as e) ->
       Mutex.lock v.v_mutex;
       Hashtbl.remove v.v_outstanding id;
       Mutex.unlock v.v_mutex;
-      drop_conn v)
+      drop_conn ~why:(Printexc.to_string e) v)
 
 let vclient_main (v : vclient) () =
   let closed_loop = v.v_cfg.arrival = Schedule.Closed in
@@ -555,6 +590,12 @@ let report ~(cfg : config) ~(elapsed_s : float) (r : recorder) : Json.t =
             ("all", latency_summary r.r_lat_all);
             ("by_kind", Json.Obj by_kind);
           ] );
+      ( "failures",
+        Json.Obj
+          [
+            ("count", Json.Int r.r_failures);
+            ("samples", Json.List (List.rev r.r_samples));
+          ] );
       ( "consistency",
         Json.Obj
           [
@@ -614,6 +655,7 @@ let run (cfg : config) : (Json.t, string) result =
             v_outstanding = Hashtbl.create 32;
             v_conn = None;
             v_recv = None;
+            v_recv_end = None;
             v_next_id = 1;
           })
     in

@@ -334,10 +334,42 @@ let test_schema_guards_parsers () =
   | _ -> Alcotest.fail "wrong-schema document parsed"
   | exception Json.Parse_error _ -> ()
 
+(* The daemon answers explain requests for one cached compilation on
+   several worker domains at once.  Explaining walks the escape graphs,
+   whose walks keep their state in the graph; concurrent explains must
+   still each give the sequential answer. *)
+let test_concurrent_explain () =
+  let module W = Gofree_workloads.Workloads in
+  let json = match W.find "json" with Some w -> w | None -> assert false in
+  let c =
+    match Gofree_api.compile_string (W.source_of ~size:20 json) with
+    | Ok c -> c
+    | Error e -> Alcotest.fail (Gofree_api.error_message e)
+  in
+  let explained () =
+    Gofree_obs.Json.to_string
+      (Gofree_api.explain_to_json (Gofree_api.explain c))
+  in
+  let expected = explained () in
+  let worker () =
+    let differing = ref 0 in
+    for _ = 1 to 100 do
+      if explained () <> expected then incr differing
+    done;
+    !differing
+  in
+  let others = List.init 2 (fun _ -> Domain.spawn worker) in
+  let here = worker () in
+  let differing = List.fold_left (fun n d -> n + Domain.join d) here others in
+  Alcotest.(check int) "explains that differ from the sequential one" 0
+    differing
+
 let suite =
   [
     Alcotest.test_case "insertions match pipeline" `Quick
       test_insertions_match_pipeline;
+    Alcotest.test_case "concurrent explains agree" `Quick
+      test_concurrent_explain;
     Alcotest.test_case "run matches interpreter" `Quick
       test_run_matches_interpreter;
     Alcotest.test_case "presets" `Quick test_presets;

@@ -1363,6 +1363,126 @@ func main() {
 }
 |}
 
+(* The field-operand forms read fields of a frame local in place:
+   [p.pos < len(p.input)], [p.input[p.pos]], [len(p.input)] and
+   [p.pos = p.pos + k] through a pointer, the same reads on a struct
+   value with an int-slice and a map field, and the nil-pointer and index
+   panics of the reads they fuse.  [@p]/[@s] are the bases of the reads and [@P]/[@S] each
+   function's first statement: {!field_operands} gives the locals
+   themselves, which fuse, and {!field_operands_unfused} globals holding
+   the same pointer or struct, which do not. *)
+let src_field_operands =
+  {|
+type Scanner struct {
+  input string
+  pos   int
+  ints  []int
+  tags  map[string]int
+}
+
+var gp *Scanner
+var gv Scanner
+
+func guard() {
+  msg := recover()
+  println("recovered:", msg)
+}
+
+func scan(p *Scanner) int {
+  @P
+  n := 0
+  for @p.pos < len(@p.input) && @p.input[@p.pos] != 59 {
+    n = n*3 + @p.input[@p.pos]
+    @p.pos = @p.pos + 1
+  }
+  if @p.pos >= len(@p.input) {
+    return n
+  }
+  return -n
+}
+
+func local(s Scanner) int {
+  @S
+  t := 0
+  for @s.pos < len(@s.ints) {
+    t = t + @s.ints[@s.pos] + len(@s.tags)
+    @s.pos = @s.pos + 1
+  }
+  return t + len(@s.input)
+}
+
+func broken(p *Scanner, k int) int {
+  defer guard()
+  @P
+  if k == 0 {
+    return len(@p.input)
+  }
+  if k == 1 {
+    for @p.pos < len(@p.input) {
+      @p.pos = 2 + @p.pos
+      @p.pos = @p.pos - 1
+    }
+    return 0
+  }
+  @p.pos = len(@p.input) + k
+  return @p.input[@p.pos]
+}
+
+func main() {
+  a := &Scanner{input: "abc;def", pos: 0}
+  b := &Scanner{input: "xyz", pos: 1}
+  println(scan(a), a.pos, scan(b), b.pos)
+  m := make(map[string]int)
+  m["k"] = 1
+  ints := []int{5, 6, 7}
+  println(local(Scanner{input: "q", pos: 0, ints: ints, tags: m}))
+  var np *Scanner
+  b.pos = 0
+  println(broken(np, 0), broken(np, 1), broken(b, 1), b.pos)
+  println(broken(a, 2), broken(a, -9))
+}
+|}
+
+let field_operand_src ~p ~s ~pre_p ~pre_s =
+  let b = Buffer.create 1024 in
+  let src = src_field_operands in
+  let i = ref 0 in
+  while !i < String.length src do
+    (if src.[!i] = '@' then begin
+       Buffer.add_string b
+         (match src.[!i + 1] with
+         | 'p' -> p
+         | 's' -> s
+         | 'P' -> pre_p
+         | _ -> pre_s);
+       incr i
+     end
+     else Buffer.add_char b src.[!i]);
+    incr i
+  done;
+  Buffer.contents b
+
+let field_operands = field_operand_src ~p:"p" ~s:"s" ~pre_p:"" ~pre_s:""
+
+let field_operands_unfused =
+  field_operand_src ~p:"gp" ~s:"gv" ~pre_p:"gp = p" ~pre_s:"gv = s"
+
+(* Inline-cache hits and misses of a bytecode run, read from the runtime
+   telemetry registry the runner publishes them to. *)
+let ic_counts src =
+  let module Reg = Gofree_obs.Registry in
+  let read () =
+    let snap = Reg.snapshot Reg.runtime in
+    let get n = Option.value ~default:0 (Reg.Snapshot.find_counter n snap) in
+    (get "gofree_vm_ic_hit_total", get "gofree_vm_ic_miss_total")
+  in
+  Reg.acquire_runtime ();
+  Fun.protect ~finally:Reg.release_runtime (fun () ->
+      let h0, m0 = read () in
+      ignore (run_mode ~engine:Gofree_interp.Interp.Eng_bytecode src);
+      let h1, m1 = read () in
+      (h1 - h0, m1 - m0))
+
 let fused_cases =
   let case name src ~fused ~yields =
     Alcotest.test_case name `Quick (fun () ->
@@ -1394,6 +1514,38 @@ let fused_cases =
         [ ("worker", "jlt_rlen_not"); ("worker", "store_i_sr");
           ("worker", "loop_rinc"); ("worker", "safepoints");
           ("worker", "jlt_rr_not") ];
+    case "field operands" field_operands ~yields:[ 512; 1 ]
+      ~fused:
+        [ ("scan", "jlt_flen_not"); ("scan", "index_ff"); ("scan", "flen");
+          ("scan", "finc"); ("local", "jlt_flen_not"); ("local", "index_ff");
+          ("local", "flen"); ("broken", "flen"); ("broken", "finc");
+          ("broken", "jlt_flen_not"); ("broken", "index_ff") ];
+    Alcotest.test_case "field operands: the unfused reads" `Quick (fun () ->
+        let listed fn =
+          List.map opcode (listing field_operands_unfused fn)
+        in
+        List.iter
+          (fun fn ->
+            List.iter
+              (fun op ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "unfused %s has no %s" fn op)
+                  false
+                  (List.mem op (listed fn)))
+              [ "flen"; "index_ff"; "jlt_flen_not"; "finc" ])
+          [ "scan"; "local"; "broken" ];
+        List.iter
+          (fun (ename, engine) ->
+            Alcotest.(check string)
+              ("output (" ^ ename ^ ")")
+              (run_mode ~engine field_operands_unfused)
+                .Gofree_interp.Runner.output
+              (run_mode ~engine field_operands).Gofree_interp.Runner.output)
+          engines;
+        Alcotest.(check (pair int int))
+          "inline-cache hits and misses"
+          (ic_counts field_operands_unfused)
+          (ic_counts field_operands));
   ]
 
 (* ---- register parameters and the frame pool ------------------------ *)
@@ -1670,8 +1822,50 @@ func main() {
           engines);
   ]
 
+(* ---- struct values --------------------------------------------------- *)
+
+(* A struct's fields sit inline in one array that each location owns:
+   copies on declaration, assignment, parameter passing and return, map
+   values, element reads, copy() of a []P (overlapping too), nested
+   structs, a store through a pointer, the swaps and self-assignments,
+   and field pointers — [&s.x], [&ps[0].y], [&w.in.x], [&hp.x] — that
+   read the new field after a whole-struct store or a copy() into their
+   struct, as in Go.  The program and its output are committed as
+   test/golden/struct_values.go and struct_values.out. *)
+let struct_value_cases =
+  let golden name = Test_disasm.read_file (Test_disasm.golden name) in
+  [
+    Alcotest.test_case "struct values (golden)" `Quick (fun () ->
+        let name = "struct values" in
+        let src = golden "struct_values.go" in
+        let expected = golden "struct_values.out" in
+        List.iter
+          (fun (ename, engine) ->
+            List.iter
+              (fun (mode, config, poison) ->
+                let r = run_mode ~engine ~config ~poison src in
+                Alcotest.(check string)
+                  (Printf.sprintf "%s: output (%s, %s)" name ename mode)
+                  expected r.Gofree_interp.Runner.output;
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: poison reads (%s, %s)" name ename mode)
+                  0 r.Gofree_interp.Runner.metrics.Rt.Metrics.poison_reads)
+              [ ("plain", Gofree_core.Config.gofree, false);
+                ("go", Gofree_core.Config.go, false);
+                ("poison", Gofree_core.Config.gofree, true) ])
+          engines;
+        check_identical ~name src;
+        check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
+          src;
+        check_repeatable ~name src;
+        List.iter
+          (fun yield_every -> check_sampled_identical ~name ~yield_every src)
+          [ 1; 512 ]);
+  ]
+
 let suite =
   workload_cases @ feature_cases @ storage_cases @ aliasing_cases
   @ struct_addr_cases @ call_cases @ range_order_cases @ concurrent_cases
   @ fused_cases @ register_param_cases @ yield_point_cases @ int_slice_cases
+  @ struct_value_cases
   @ [ QCheck_alcotest.to_alcotest prop_random_identical ]

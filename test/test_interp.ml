@@ -8,6 +8,19 @@ let expect name src want =
       (* every semantics test doubles as a robustness test *)
       Helpers.check_all_settings_agree ~name src)
 
+(* Host words [f] allocates on the minor heap, net of what measuring
+   an empty region allocates. *)
+let minor_words f =
+  let empty =
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    w1 -. w0
+  in
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  int_of_float (w1 -. w0 -. empty)
+
 let suite =
   [
     expect "arithmetic"
@@ -863,7 +876,77 @@ func main() {
         let ps = make_store 2 (fun () -> zero tenv (Minigo.Types.Struct "P")) in
         (match ps with
         | Cells [| VStruct a; VStruct b |] ->
-          set a.(0) (VInt 3);
-          Alcotest.(check bool) "s[1].x untouched" true (get b.(0) = VInt 0)
+          a.(0) <- VInt 3;
+          Alcotest.(check bool) "s[1].x untouched" true (b.(0) = VInt 0)
         | _ -> Alcotest.fail "make([]P, 2) store"));
+    Alcotest.test_case "struct values hold their fields inline" `Quick
+      (fun () ->
+        let module V = Gofree_interp.Value in
+        let module I = Gofree_interp.Interp in
+        let tenv = Minigo.Types.create_env () in
+        Minigo.Types.add_struct tenv "P"
+          [ ("x", Minigo.Types.Int); ("y", Minigo.Types.Int);
+            ("z", Minigo.Types.Int) ];
+        let zero_p () = V.zero tenv (Minigo.Types.Struct "P") in
+        let p = zero_p () in
+        (* a copy of P{x, y, z} is one field array and its VStruct box:
+           4 + 2 words, where a cell per field would add 2 words each *)
+        let w = minor_words (fun () -> ignore (Sys.opaque_identity (V.copy p))) in
+        if w > 6 then
+          Alcotest.failf "copy of a 3-int-field struct: %d words, want <= 6" w;
+        (* append growth of a 64-element []P to capacity 128: the
+           129-word store, a 6-word copy per moved element and a 6-word
+           zero per spare slot come to 891 words; with a cell per field
+           the copies and zeros alone take 1524 *)
+        let c = Helpers.compile "func main() {}\n" in
+        let program = c.Gofree_core.Pipeline.c_program in
+        let heap = Gofree_runtime.Heap.create () in
+        let st =
+          {
+            I.program;
+            decisions =
+              Gofree_interp.Decisions.of_analysis
+                c.Gofree_core.Pipeline.c_analysis program;
+            layout = Gofree_interp.Layout.of_program program;
+            heap;
+            output = Buffer.create 16;
+            globals = [||];
+            config = I.default_config;
+            dispatch = I.call_by_id;
+            current =
+              { I.g_id = 0; g_frames = [||]; g_depth = 0; g_pending = [||];
+                g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 };
+            steps = 0;
+            unwinding = None;
+            ic_hits = 0;
+            ic_misses = 0;
+            yield_at = max_int;
+            dom = 0;
+            par = I.make_parctx ~nd:1 ~seed:0L;
+          }
+        in
+        let fr = I.push_frame st 1 in
+        let site =
+          { Minigo.Tast.site_id = 0; site_kind = Minigo.Tast.Site_append;
+            site_pos = Minigo.Token.dummy_pos; site_func = "main";
+            site_elem_size = 24; site_const_len = None }
+        in
+        let full =
+          match V.make_store 64 zero_p with
+          | V.Cells a ->
+            V.VSlice { V.s_obj = Gofree_runtime.Heap.no_obj; s_cells = a;
+                       s_off = 0; s_len = 64 }
+          | V.Ints _ -> Alcotest.fail "make([]P, 64) is an int store"
+        in
+        let elems = [| V.copy p |] in
+        let grown = ref V.VNil in
+        let w =
+          minor_words (fun () ->
+              grown :=
+                I.append_values st fr ~site ~zero_of:zero_p full elems 0 1)
+        in
+        Alcotest.(check int) "capacity after growth" 128 (I.capacity !grown);
+        if w > 1200 then
+          Alcotest.failf "append growth of a 64-element []P: %d words, want \
+                          <= 1200" w);
   ]

@@ -263,6 +263,83 @@ let test_harness_smoke () =
         Alcotest.(check bool) "latency ladder present" true
           (Json.get_float "p50_ms" all <= Json.get_float "p99_ms" all))
 
+(* ---- failure reasons: a hard-error response lands in the report ---- *)
+
+let test_failure_samples () =
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gofree-load-fail-%d.sock" (Unix.getpid ()))
+  in
+  let missing =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gofree-load-missing-%d" (Unix.getpid ()))
+  in
+  let t = Server.start ~workers:1 ~socket () in
+  Fun.protect
+    ~finally:(fun () -> Server.stop t)
+    (fun () ->
+      (* every request builds a directory that does not exist: the daemon
+         answers each with an error response *)
+      let cfg =
+        {
+          (Harness.default_config ~socket) with
+          Harness.clients = 1;
+          duration_s = 0.3;
+          mix =
+            [ (Mix.Analyze, 0); (Mix.Run, 0); (Mix.Explain, 0);
+              (Mix.Build, 1); (Mix.Stats, 0) ];
+          build_dir = Some missing;
+          seed = 3;
+        }
+      in
+      match Harness.run cfg with
+      | Error m -> Alcotest.fail m
+      | Ok report ->
+        let errors = Json.get_int "errors" (Json.get "achieved" report) in
+        Alcotest.(check bool) "the daemon answered with errors" true
+          (errors >= 1);
+        let failures = Json.get "failures" report in
+        Alcotest.(check int) "every error counted" errors
+          (Json.get_int "count" failures);
+        let samples = Json.get_list "samples" failures in
+        Alcotest.(check int) "samples capped"
+          (min errors Harness.max_failure_samples)
+          (List.length samples);
+        let first = List.hd samples in
+        Alcotest.(check string) "a hard error" "error"
+          (Json.get_string "failure" first);
+        Alcotest.(check string) "its method" "build"
+          (Json.get_string "method" first);
+        (* the code and message are the daemon's own *)
+        let client = Gofree_server.Client.connect ~socket in
+        let direct =
+          Fun.protect
+            ~finally:(fun () -> Gofree_server.Client.close client)
+            (fun () ->
+              Gofree_server.Client.send_line client
+                (Json.to_string
+                   (Gofree_server.Rpc.request_to_json ~id:(Json.Int 1)
+                      (Harness.request_of_event cfg
+                         (Harness.targets ~scale:cfg.Harness.scale)
+                         (Schedule.next
+                            (Schedule.make ~seed:3 ~client:0
+                               ~mix:cfg.Harness.mix ~workloads:6 ~churn:0.0
+                               ~arrival:Schedule.Closed)))));
+              match Gofree_server.Client.recv client with
+              | Some resp -> Json.get "error" resp
+              | None -> Alcotest.fail "no response")
+        in
+        Alcotest.(check string) "its code"
+          (Json.get_string "code" direct)
+          (Json.get_string "code" first);
+        Alcotest.(check string) "its message"
+          (Json.get_string "message" direct)
+          (Json.get_string "message" first);
+        Alcotest.(check bool) "errors violate the SLO" false
+          (Harness.slo_ok report))
+
 let suite =
   [
     Alcotest.test_case "mix parse" `Quick test_mix_parse;
@@ -277,4 +354,6 @@ let suite =
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "harness smoke against live daemon" `Quick
       test_harness_smoke;
+    Alcotest.test_case "failure reasons in the report" `Quick
+      test_failure_samples;
   ]
