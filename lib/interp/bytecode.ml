@@ -271,6 +271,62 @@ let op_finc = def 155 "finc" [ Slot; Field; Cache; Delta; Name; Name ]
     (* [p.f = p.f + k] through a pointer: = sfield_i; addk_i; vload;
        fstore_i *)
 
+(* Register-operand forms: an int op whose operand is a register local
+   reads the register in place instead of going through [rload]. *)
+let op_add_r = def 156 "add_r" [ Reg; Name ]  (* = rload; add_i *)
+let op_sub_r = def 157 "sub_r" [ Reg; Name ]
+let op_mul_r = def 158 "mul_r" [ Reg; Name ]
+let op_addk_r = def 159 "addk_r" [ Reg; Int; Name ]  (* = rload; addk_i: push I *)
+let op_mulk_r = def 160 "mulk_r" [ Reg; Int; Name ]
+let op_divk_r = def 161 "divk_r" [ Reg; Int; Name ]
+let op_modk_r = def 162 "modk_r" [ Reg; Int; Name ]
+let op_jlt_rk_not = def 163 "jlt_rk_not" [ Reg; Name; Int; Target ]
+    (* = rload; jltk_not *)
+let op_jle_rk_not = def 164 "jle_rk_not" [ Reg; Name; Int; Target ]
+let op_jgt_rk_not = def 165 "jgt_rk_not" [ Reg; Name; Int; Target ]
+let op_jge_rk_not = def 166 "jge_rk_not" [ Reg; Name; Int; Target ]
+let op_jeq_rk_not = def 167 "jeq_rk_not" [ Reg; Name; Int; Target ]
+let op_jne_rk_not = def 168 "jne_rk_not" [ Reg; Name; Int; Target ]
+
+(* Rotated counted loops: a [loop_rinc] back edge that re-tests the
+   loop's condition itself, a copy of the head's [j*_rr_not],
+   [jlt_rlen_not] or [j*_rk_not] — the operands after the three targets.
+   = safepoint; rinc; jmp head; safepoint; the head's test, then, when
+   it holds, the body's leading safepoint.  The targets: the head's test
+   (where the unfused sequence would go on), the body past its leading
+   safepoint, and the loop's exit. *)
+let rotated_operands = [ Reg; Delta; Name; Target; Target; Target ]
+
+let op_loop_lt_rr =
+  def 169 "loop_lt_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
+let op_loop_le_rr =
+  def 170 "loop_le_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
+let op_loop_gt_rr =
+  def 171 "loop_gt_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
+let op_loop_ge_rr =
+  def 172 "loop_ge_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
+let op_loop_eq_rr =
+  def 173 "loop_eq_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
+let op_loop_ne_rr =
+  def 174 "loop_ne_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
+let op_loop_lt_rlen =
+  def 175 "loop_lt_rlen" (rotated_operands @ [ Reg; Name; Slot; Name ])
+let op_loop_lt_rk = def 176 "loop_lt_rk" (rotated_operands @ [ Reg; Name; Int ])
+let op_loop_le_rk = def 177 "loop_le_rk" (rotated_operands @ [ Reg; Name; Int ])
+let op_loop_gt_rk = def 178 "loop_gt_rk" (rotated_operands @ [ Reg; Name; Int ])
+let op_loop_ge_rk = def 179 "loop_ge_rk" (rotated_operands @ [ Reg; Name; Int ])
+let op_loop_eq_rk = def 180 "loop_eq_rk" (rotated_operands @ [ Reg; Name; Int ])
+let op_loop_ne_rk = def 181 "loop_ne_rk" (rotated_operands @ [ Reg; Name; Int ])
+
+(** The rotated back edge that re-tests head test [op], if it has one. *)
+let rotated op =
+  if op >= op_jlt_rr_not && op <= op_jne_rr_not then
+    Some (op_loop_lt_rr + (op - op_jlt_rr_not))
+  else if op = op_jlt_rlen_not then Some op_loop_lt_rlen
+  else if op >= op_jlt_rk_not && op <= op_jne_rk_not then
+    Some (op_loop_lt_rk + (op - op_jlt_rk_not))
+  else None
+
 let n_opcodes =
   let n = ref 0 in
   Array.iteri (fun op s -> if s <> None then n := op + 1) specs;

@@ -190,14 +190,20 @@ let mark f l =
   f.last_pos <- -1
 
 (* Emit a jump-family instruction: [pre] operands first, then the label
-   operand (recorded for patching). *)
-let opjmp f ~dv ~di op pre l =
+   operands (recorded for patching), then [post] operands. *)
+let opjmps f ~dv ~di op pre ls post =
   f.last_pos <- f.code.iv_n;
   ipush f.code op;
-  List.iter (fun x -> ipush f.code x) pre;
-  f.patches <- (f.code.iv_n, l) :: f.patches;
-  ipush f.code 0;
+  List.iter (ipush f.code) pre;
+  List.iter
+    (fun l ->
+      f.patches <- (f.code.iv_n, l) :: f.patches;
+      ipush f.code 0)
+    ls;
+  List.iter (ipush f.code) post;
   adj f dv di
+
+let opjmp f ~dv ~di op pre l = opjmps f ~dv ~di op pre [ l ] []
 
 (* Emit [jmpifnot l], fusing an immediately preceding integer compare
    (plain or constant-operand) into one compare-and-branch
@@ -292,6 +298,13 @@ let same_slot_fields a b =
 
 let is_int (e : Tast.expr) = e.Tast.ty = Types.Int
 
+(* An int local held in a register: the operand the register-operand
+   forms read in place. *)
+let reg_int f (e : Tast.expr) =
+  match e.Tast.desc with
+  | Tast.Tvar v -> is_int e && reg f v >= 0
+  | _ -> false
+
 let is_bool (e : Tast.expr) = e.Tast.ty = Types.Bool
 
 (* A [[]int]: its backing store is unboxed, so its elements are stored,
@@ -342,6 +355,20 @@ let int_cmpk_opcode = function
   | Ast.Beq -> B.op_eqk_i
   | Ast.Bne -> B.op_nek_i
   | _ -> assert false
+
+(* Register-operand forms: [I[top] op= R[r]] and [R[r] op k]. *)
+let reg_binop_opcode = function
+  | Ast.Badd -> Some B.op_add_r
+  | Ast.Bsub -> Some B.op_sub_r
+  | Ast.Bmul -> Some B.op_mul_r
+  | _ -> None
+
+let reg_k_opcode = function
+  | Ast.Badd -> Some B.op_addk_r
+  | Ast.Bmul -> Some B.op_mulk_r
+  | Ast.Bdiv -> Some B.op_divk_r
+  | Ast.Bmod -> Some B.op_modk_r
+  | _ -> None
 
 (* k OP x rewritten as x OP' k (an int literal's evaluation has no
    observable effect, so the operand reorder is invisible). *)
@@ -454,16 +481,25 @@ let rec emit_i f (e : Tast.expr) =
     emit_load_i f v ~local:B.op_iload ~global:B.op_giload
   | Tast.Tbinop (op, a, b) when is_int e && int_binop_opcode op <> None
     -> begin
+    (* commutative, and an int literal's evaluation has no effects *)
+    let commutes = op = Ast.Badd || op = Ast.Bmul in
     match (a.Tast.desc, b.Tast.desc, int_binop_k_opcode op) with
+    | _, Tast.Tint k, Some _ when reg_k_opcode op <> None && reg_int f a ->
+      emit_reg_k f op a k
     | _, Tast.Tint k, Some opk ->
       emit_i f a;
       op1 f ~dv:0 ~di:0 opk k
-    | Tast.Tint k, _, _ when op = Ast.Badd || op = Ast.Bmul ->
-      (* commutative, and an int literal's evaluation has no effects *)
-      emit_i f b;
-      op1 f ~dv:0 ~di:0
-        (if op = Ast.Badd then B.op_addk_i else B.op_mulk_i)
-        k
+    | Tast.Tint k, _, Some opk when commutes ->
+      if reg_int f b then emit_reg_k f op b k
+      else begin
+        emit_i f b;
+        op1 f ~dv:0 ~di:0 opk k
+      end
+    | _, Tast.Tvar v, _ when reg_int f b && reg_binop_opcode op <> None ->
+      emit_i f a;
+      (match reg_binop_opcode op with
+      | Some opr -> op2 f ~dv:0 ~di:0 opr (reg f v) (name_idx f v.Tast.v_name)
+      | None -> assert false)
     | _ ->
       emit_i f a;
       emit_i f b;
@@ -619,10 +655,22 @@ and emit_v f (e : Tast.expr) =
     op0 f ~dv:1 ~di:(-1) B.op_box_b
   | _ -> emit_v_raw f e
 
-(* [emit_v], then the assignment copy of a struct value. *)
+(* [emit_v], then the assignment copy of a struct value — unless the
+   value is fresh, a struct literal or a call result (a [return] copies
+   its struct values), which nothing else can reach. *)
 and emit_v_copy f (e : Tast.expr) =
   emit_v f e;
-  if is_struct e.Tast.ty then op0 f ~dv:0 ~di:0 B.op_copy
+  match e.Tast.desc with
+  | Tast.Tstruct_lit _ | Tast.Tcall _ -> ()
+  | _ -> if is_struct e.Tast.ty then op0 f ~dv:0 ~di:0 B.op_copy
+
+(* [R[r] op k] for the register local [e]: one [<op>k_r] pushing the
+   result. *)
+and emit_reg_k f op (e : Tast.expr) k =
+  match (e.Tast.desc, reg_k_opcode op) with
+  | Tast.Tvar v, Some opr ->
+    op3 f ~dv:0 ~di:1 opr (reg f v) k (name_idx f v.Tast.v_name)
+  | _ -> assert false
 
 and emit_v_raw f (e : Tast.expr) =
   match e.Tast.desc with
@@ -851,9 +899,26 @@ and emit_cond f (c : Tast.expr) l =
     opjmp f ~dv:0 ~di:0 opc
       [ reg f a; name_idx f a.Tast.v_name; reg f b; name_idx f b.Tast.v_name ]
       l
+  | Tast.Tbinop (op, a, { Tast.desc = Tast.Tint k; _ })
+    when reg_int f a && int_cmp_opcode op <> None ->
+    emit_jcmp_rk f op a k l
+  | Tast.Tbinop (op, { Tast.desc = Tast.Tint k; _ }, b)
+    when reg_int f b && int_cmp_opcode op <> None ->
+    emit_jcmp_rk f (mirror_cmp op) b k l
   | _ ->
     emit_b f c;
     opjmpifnot f l
+
+(* Branch to [l] unless register local [e] compares with [k]: one
+   [j*_rk_not]. *)
+and emit_jcmp_rk f op (e : Tast.expr) k l =
+  match (e.Tast.desc, int_cmp_opcode op) with
+  | Tast.Tvar v, Some opc ->
+    opjmp f ~dv:0 ~di:0
+      (B.op_jlt_rk_not + (opc - B.op_lt_i))
+      [ reg f v; name_idx f v.Tast.v_name; k ]
+      l
+  | _ -> assert false
 
 (* An int or bool variable onto the I stack: its register, or its frame
    or global cell through [local]/[global]. *)
@@ -993,6 +1058,22 @@ let field_delta (p : Tast.var) fidx (e : Tast.expr) =
 (* The value of [e] onto the I stack for a store into register local [v]. *)
 let emit_reg_value f (v : Tast.var) e =
   if v.Tast.v_ty = Types.Bool then emit_b f e else emit_i f e
+
+(* A counted loop's rotated back edge: when the condition emitted at
+   [cond_at] is one compare-and-branch with a rotated form and the body
+   at [body_at] opens with a lone statement safepoint, the rotated
+   opcode and the test's operands (all but its target). *)
+let rotation f ~cond_at ~body_at =
+  let code = f.code.iv_a in
+  if cond_at >= body_at || body_at >= f.code.iv_n then None
+  else
+    let op = code.(cond_at) in
+    let width = 1 + B.arity op in
+    match B.rotated op with
+    | Some rop when cond_at + width = body_at && code.(body_at) = B.op_safepoint
+      ->
+      Some (rop, List.init (width - 2) (fun i -> code.(cond_at + 1 + i)))
+    | _ -> None
 
 let rec emit_stmt f (s : Tast.stmt) =
   match s with
@@ -1148,7 +1229,8 @@ let rec emit_stmt f (s : Tast.stmt) =
     op0 f ~dv:0 ~di:0 B.op_safepoint;
     (* a post statement [v += k] on a register local, the jump back and
        the head's safepoint fuse into one [loop_rinc] that lands just
-       past that safepoint *)
+       past that safepoint — or, rotated, into a back edge that also runs
+       the head's test itself (see {!rotation}) *)
     let back =
       match post with
       | Some (Tast.Sassign (Tast.Lvar v, e)) when reg f v >= 0 ->
@@ -1157,14 +1239,22 @@ let rec emit_stmt f (s : Tast.stmt) =
     in
     let l_cond = new_label f in
     if back <> None then mark f l_cond;
+    let cond_at = f.code.iv_n in
     (match cond with Some c -> emit_cond f c l_exit | None -> ());
+    let body_at = f.code.iv_n in
     emit_block f body;
     mark f l_post;
     (match back with
-    | Some (v, k) ->
-      opjmp f ~dv:0 ~di:0 B.op_loop_rinc
-        [ reg f v; k; name_idx f v.Tast.v_name ]
-        l_cond
+    | Some (v, k) -> begin
+      let operands = [ reg f v; k; name_idx f v.Tast.v_name ] in
+      match rotation f ~cond_at ~body_at with
+      | Some (op, test) ->
+        (* the body just past its leading safepoint *)
+        let l_body = new_label f in
+        f.labels.(l_body) <- body_at + 1;
+        opjmps f ~dv:0 ~di:0 op operands [ l_cond; l_body; l_exit ] test
+      | None -> opjmp f ~dv:0 ~di:0 B.op_loop_rinc operands l_cond
+    end
     | None ->
       Option.iter (emit_stmt f) post;
       opjmp f ~dv:0 ~di:0 B.op_jmp [] l_head);

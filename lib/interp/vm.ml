@@ -32,13 +32,22 @@
     precomputes exact operand-stack bounds ([bf_max_v]/[bf_max_i]) and
     every jump operand is a patched label — invariants the differential
     suite exercises end to end.  The loop is split in two: {!loop}
-    holds the hottest opcodes, each calling nothing before its tail
-    call, so OCaml keeps the four parameters in registers instead of
-    saving them on every dispatch; every other opcode, and every shape
-    of a hot opcode that would need a call, goes to {!full} at the same
-    pc with nothing done yet.  Each opcode has one complete
-    implementation: in {!loop} if it never needs a call, else in
-    {!full}.  Everything else the loop needs travels in one
+    holds the hot opcodes, each calling nothing before its tail call, so
+    OCaml keeps the four parameters in registers instead of saving them
+    on every dispatch; every other opcode, and every shape of a hot
+    opcode that would need a call, goes to {!full} at the same pc with
+    nothing done yet.  Each opcode has one complete implementation.  It
+    is in {!loop} when the opcode never calls a function (a value-stack
+    store's write barrier aside) and never raises: the jumps, the
+    compare-and-branches on the int stack, on two registers and on a
+    register and a constant, int arithmetic and compares other than
+    division and shifts, [iconst], [box_i], [pop_v]/[pop_i], the
+    register accesses and the register-operand forms other than
+    [divk_r]/[modk_r].  Every other opcode's implementation is in
+    {!full}, and {!loop} may still complete its common shape (a
+    safepoint with nothing to do, a live slice element, a frame cell
+    holding a pointer to a struct, a division by a nonzero constant).
+    Everything else the loop needs travels in one
     mutable {!regs} record, one per pooled frame, re-pointed at each
     call.  The operand stacks themselves are LIFO windows carved out of
     per-goroutine pooled arrays ([g_stk_v]/[g_stk_i]).  Calls within a
@@ -70,20 +79,35 @@
     {!Emit}).
 
     Superinstructions fuse the hot sequences the emitter recognises:
-    constant-operand arithmetic and compares, compare-and-branch, field
-    reads and stores, and the loop and indexing forms that read a
-    register or frame slot in place — a counted loop's back edge
-    ([loop_rinc]), [reg < len(local)] and register-register branches,
-    slot-indexed reads and stores, runs of statement safepoints
-    ([safepoints n]), and the field-operand forms of a local struct or
-    struct pointer [p] — [p.f < len(p.g)], [p.f[p.g]], [len(p.f)] and
-    [p.f = p.f + k].  Each fused case is the literal composition of
-    the cases it replaces and obeys the safepoint-exact rule: it calls
-    {!vm_safepoint} exactly as often, in the same order relative to its
-    other effects, as the unfused sequence, and raises the same errors
-    in the same order, so step counts, yield points, GC points and the
-    sampler's clock do not move.  The opcode numbering is frozen in
-    {!Bytecode}; the literal patterns below must stay in sync. *)
+    - constant-operand arithmetic and compares, compare-and-branch,
+      field reads and stores;
+    - the register-operand forms, an int op reading a register local in
+      place: [I[top] op= R[r]] ([add_r], [sub_r], [mul_r]), [R[r] op k]
+      ([addk_r], [mulk_r], [divk_r], [modk_r]) and the branch on
+      [R[r] <cmp> k] ([j<cmp>_rk_not]);
+    - the loop and indexing forms that read a register or frame slot in
+      place: a counted loop's back edge ([loop_rinc]), [reg < len(local)]
+      and register-register branches, slot-indexed reads and stores, runs
+      of statement safepoints ([safepoints n]);
+    - the rotated back edges ([loop_<cmp>_rr], [loop_lt_rlen],
+      [loop_<cmp>_rk]): [loop_rinc] followed by a copy of the loop
+      head's one-instruction test, then, when the test holds, the body's
+      leading statement safepoint, landing past it;
+    - the field-operand forms of a local struct or struct pointer [p]:
+      [p.f < len(p.g)], [p.f[p.g]], [len(p.f)] and [p.f = p.f + k].
+    Each fused case is the literal composition of the cases it replaces
+    and obeys the safepoint-exact rule: it calls {!vm_safepoint} exactly
+    as often, in the same order relative to its other effects, as the
+    unfused sequence, and raises the same errors in the same order, so
+    step counts, yield points, GC points and the sampler's clock do not
+    move.  In {!loop}, fused safepoints take one step guard,
+    {!steps_only}, checked once up front for all the safepoints the
+    instruction may count (three for a rotated back edge, which counts
+    two when the test fails); when it fails, {!full} runs the unfused
+    safepoints one by one — for a rotated back edge, [loop_rinc]'s two,
+    then on to the head's unchanged test.  The opcode numbering is
+    frozen in {!Bytecode}; the literal patterns below must stay in
+    sync. *)
 
 open Minigo
 module B = Bytecode
@@ -156,6 +180,66 @@ let[@inline] vint n =
 
 let[@inline] pget (p : Value.ptr) =
   Array.unsafe_get p.Value.p_arr p.Value.p_idx
+
+(* Whether the next [n] statement safepoints would each only count
+   their step: no yield, GC request, sampler or step limit falls due
+   within them, and there are no pinned temps to clear.  The one step
+   guard of {!loop}'s fused safepoints ([safepoint], [safepoints n],
+   [loop_rinc] and the rotated back edges): when it holds they add
+   their steps and nothing else, exactly as {!vm_safepoint} would;
+   otherwise {!full} runs them one by one. *)
+let[@inline] steps_only (r : regs) n =
+  let st = r.x_st in
+  let steps = st.steps + n in
+  let heap = st.heap in
+  not
+    (steps >= st.yield_at || heap.Rt.Heap.gc_requested
+    || heap.Rt.Heap.sampler != None
+    || steps > st.config.max_steps
+    || r.x_fr.temps != [])
+
+let[@inline] count_steps (r : regs) n =
+  let st = r.x_st in
+  st.steps <- st.steps + n
+
+(* Register [code.(at)] of this call. *)
+let[@inline] reg_at (r : regs) (code : int array) at =
+  Array.unsafe_get r.x_stk_i (r.x_rb + Array.unsafe_get code at)
+
+(* [loop_rinc]'s and the rotated back edges' [rinc]: register
+   [code.(pc + 1)] += [code.(pc + 2)]. *)
+let[@inline] rinc_at (r : regs) (code : int array) pc =
+  let i = r.x_rb + Array.unsafe_get code (pc + 1) in
+  Array.unsafe_set r.x_stk_i i
+    (Array.unsafe_get r.x_stk_i i + Array.unsafe_get code (pc + 2))
+
+(* A rotated back edge past its [rinc], once the head's test has given
+   [holds], with {!steps_only} [r 3] checked: the steps of the back
+   edge's two safepoints and, when the test holds, of the body's leading
+   one, and where to go on — the body past that safepoint, or the exit. *)
+let[@inline] back_edge (r : regs) (code : int array) pc holds =
+  if holds then begin
+    count_steps r 3;
+    Array.unsafe_get code (pc + 5)
+  end
+  else begin
+    count_steps r 2;
+    Array.unsafe_get code (pc + 6)
+  end
+
+(* The length of the slice or string in frame slot [s], or -1 when it
+   holds anything else or is unbound (a map, nil, poison: left to
+   {!full}). *)
+let[@inline] slot_len (r : regs) s =
+  match Array.unsafe_get r.x_slots s with
+  | Bdirect c | Bboxed (_, c) -> begin
+    match cget c with
+    | Value.VIslice s -> s.i_len
+    | Value.VSlice s -> s.Value.s_len
+    | Value.VStr s -> String.length s
+    | _ -> -1
+  end
+  | Bunbound -> -1
 
 (* The n values most recently pushed, oldest first. *)
 let popped (stk_v : Value.value array) sp_v n =
@@ -357,8 +441,8 @@ let run_ref :
     (state -> frame -> B.fn -> Value.value array -> int -> Value.value) ref =
   ref (fun _ _ _ _ _ -> assert false)
 
-(* The dispatch loop proper: the hottest opcodes, each written so that
-   it calls no function before its tail call — only a value-stack store
+(* The dispatch loop proper: the hot opcodes, each written so that it
+   calls no function before its tail call — only a value-stack store
    calls the write barrier.  OCaml saves a value live across a call to
    the stack at the function's entry, on every path: here that is one
    stack pointer, where a single helper call in this function made
@@ -375,23 +459,20 @@ let rec loop (r : regs) pc sp_v sp_i =
   let code = r.x_code in
   let stk_i = r.x_stk_i in
   match Array.unsafe_get code pc with
-  | 1 (* safepoint, when it only counts the step *) ->
-    let st = r.x_st in
-    let steps = st.steps + 1 in
-    let heap = st.heap in
-    if
-      steps >= st.yield_at || heap.Rt.Heap.gc_requested
-      || heap.Rt.Heap.sampler != None
-      || steps > st.config.max_steps
-      || r.x_fr.temps != []
-    then full r pc sp_v sp_i
-    else begin
-      st.steps <- steps;
-      loop r (pc + 1) sp_v sp_i
-    end
+  | 1 (* safepoint, when it only counts the step *) when steps_only r 1 ->
+    count_steps r 1;
+    loop r (pc + 1) sp_v sp_i
+  | 138 (* safepoints n, when they only count their steps *)
+    when steps_only r (Array.unsafe_get code (pc + 1)) ->
+    count_steps r (Array.unsafe_get code (pc + 1));
+    loop r (pc + 2) sp_v sp_i
   | 2 (* jmp *) -> loop r (Array.unsafe_get code (pc + 1)) sp_v sp_i
   | 3 (* jmpifnot *) ->
     if Array.unsafe_get stk_i (sp_i - 1) = 0 then
+      loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 1)
+    else loop r (pc + 2) sp_v (sp_i - 1)
+  | 4 (* jmpif *) ->
+    if Array.unsafe_get stk_i (sp_i - 1) <> 0 then
       loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 1)
     else loop r (pc + 2) sp_v (sp_i - 1)
   | 7 (* ret, one result *) when Array.unsafe_get code (pc + 1) = 1 ->
@@ -417,6 +498,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     | _ -> full r pc sp_v sp_i
   end
   | 21 (* pop_v *) -> loop r (pc + 1) (sp_v - 1) sp_i
+  | 22 (* pop_i *) -> loop r (pc + 1) sp_v (sp_i - 1)
   | 23 (* add_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2) + Array.unsafe_get stk_i (sp_i - 1));
@@ -429,6 +511,70 @@ let rec loop (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2) * Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 1) sp_v (sp_i - 1)
+  | 28 (* and_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (Array.unsafe_get stk_i (sp_i - 2)
+      land Array.unsafe_get stk_i (sp_i - 1));
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 29 (* or_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (Array.unsafe_get stk_i (sp_i - 2)
+      lor Array.unsafe_get stk_i (sp_i - 1));
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 30 (* xor_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (Array.unsafe_get stk_i (sp_i - 2)
+      lxor Array.unsafe_get stk_i (sp_i - 1));
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 33 (* neg_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1) (-Array.unsafe_get stk_i (sp_i - 1));
+    loop r (pc + 1) sp_v sp_i
+  | 34 (* lt_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (if Array.unsafe_get stk_i (sp_i - 2) < Array.unsafe_get stk_i (sp_i - 1)
+       then 1
+       else 0);
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 35 (* le_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (if
+         Array.unsafe_get stk_i (sp_i - 2)
+         <= Array.unsafe_get stk_i (sp_i - 1)
+       then 1
+       else 0);
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 36 (* gt_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (if Array.unsafe_get stk_i (sp_i - 2) > Array.unsafe_get stk_i (sp_i - 1)
+       then 1
+       else 0);
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 37 (* ge_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (if
+         Array.unsafe_get stk_i (sp_i - 2)
+         >= Array.unsafe_get stk_i (sp_i - 1)
+       then 1
+       else 0);
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 38 (* eq_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (if Array.unsafe_get stk_i (sp_i - 2) = Array.unsafe_get stk_i (sp_i - 1)
+       then 1
+       else 0);
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 39 (* ne_i *) ->
+    Array.unsafe_set stk_i (sp_i - 2)
+      (if
+         Array.unsafe_get stk_i (sp_i - 2)
+         <> Array.unsafe_get stk_i (sp_i - 1)
+       then 1
+       else 0);
+    loop r (pc + 1) sp_v (sp_i - 1)
+  | 40 (* not_b *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (Array.unsafe_get stk_i (sp_i - 1) lxor 1);
+    loop r (pc + 1) sp_v sp_i
   | 56 (* index_i, a live element of an int slice in range *) -> begin
     let vi = Array.unsafe_get stk_i (sp_i - 1) in
     match Array.unsafe_get r.x_stk_v (sp_v - 1) with
@@ -461,6 +607,10 @@ let rec loop (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) + Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
+  | 107 (* subk_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (Array.unsafe_get stk_i (sp_i - 1) - Array.unsafe_get code (pc + 1));
+    loop r (pc + 2) sp_v sp_i
   | 108 (* mulk_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) * Array.unsafe_get code (pc + 1));
@@ -472,6 +622,42 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 110 (* modk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) mod Array.unsafe_get code (pc + 1));
+    loop r (pc + 2) sp_v sp_i
+  | 111 (* ltk_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (if Array.unsafe_get stk_i (sp_i - 1) < Array.unsafe_get code (pc + 1)
+       then 1
+       else 0);
+    loop r (pc + 2) sp_v sp_i
+  | 112 (* lek_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (if Array.unsafe_get stk_i (sp_i - 1) <= Array.unsafe_get code (pc + 1)
+       then 1
+       else 0);
+    loop r (pc + 2) sp_v sp_i
+  | 113 (* gtk_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (if Array.unsafe_get stk_i (sp_i - 1) > Array.unsafe_get code (pc + 1)
+       then 1
+       else 0);
+    loop r (pc + 2) sp_v sp_i
+  | 114 (* gek_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (if Array.unsafe_get stk_i (sp_i - 1) >= Array.unsafe_get code (pc + 1)
+       then 1
+       else 0);
+    loop r (pc + 2) sp_v sp_i
+  | 115 (* eqk_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (if Array.unsafe_get stk_i (sp_i - 1) = Array.unsafe_get code (pc + 1)
+       then 1
+       else 0);
+    loop r (pc + 2) sp_v sp_i
+  | 116 (* nek_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (if Array.unsafe_get stk_i (sp_i - 1) <> Array.unsafe_get code (pc + 1)
+       then 1
+       else 0);
     loop r (pc + 2) sp_v sp_i
   | 118 (* sfield_i, through a pointer, an int field *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
@@ -501,6 +687,34 @@ let rec loop (r : regs) pc sp_v sp_i =
     if Array.unsafe_get stk_i (sp_i - 2) < Array.unsafe_get stk_i (sp_i - 1)
     then loop r (pc + 2) sp_v (sp_i - 2)
     else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
+  | 121 (* jle_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 2) <= Array.unsafe_get stk_i (sp_i - 1)
+    then loop r (pc + 2) sp_v (sp_i - 2)
+    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
+  | 122 (* jgt_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 2) > Array.unsafe_get stk_i (sp_i - 1)
+    then loop r (pc + 2) sp_v (sp_i - 2)
+    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
+  | 123 (* jge_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 2) >= Array.unsafe_get stk_i (sp_i - 1)
+    then loop r (pc + 2) sp_v (sp_i - 2)
+    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
+  | 124 (* jeq_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 2) = Array.unsafe_get stk_i (sp_i - 1)
+    then loop r (pc + 2) sp_v (sp_i - 2)
+    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
+  | 125 (* jne_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 2) <> Array.unsafe_get stk_i (sp_i - 1)
+    then loop r (pc + 2) sp_v (sp_i - 2)
+    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
+  | 127 (* jlek_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 1) <= Array.unsafe_get code (pc + 1)
+    then loop r (pc + 3) sp_v (sp_i - 1)
+    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
+  | 128 (* jgtk_not *) ->
+    if Array.unsafe_get stk_i (sp_i - 1) > Array.unsafe_get code (pc + 1)
+    then loop r (pc + 3) sp_v (sp_i - 1)
+    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
   | 126 (* jltk_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) < Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
@@ -531,49 +745,172 @@ let rec loop (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_i i
       (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
     loop r (pc + 4) sp_v sp_i
-  | 139 (* loop_rinc, when both safepoints only count their step *) ->
-    let st = r.x_st in
-    let steps = st.steps + 2 in
-    let heap = st.heap in
-    if
-      steps >= st.yield_at || heap.Rt.Heap.gc_requested
-      || heap.Rt.Heap.sampler != None
-      || steps > st.config.max_steps
-      || r.x_fr.temps != []
-    then full r pc sp_v sp_i
-    else begin
-      st.steps <- steps;
-      let i = r.x_rb + Array.unsafe_get code (pc + 1) in
-      Array.unsafe_set stk_i i
-        (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
-      loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-    end
-  | 140 (* jlt_rlen_not, of a slice or string in a bound cell *) -> begin
-    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 3)) with
-    | Bdirect c | Bboxed (_, c) -> begin
-      let a =
-        Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
-      in
-      match cget c with
-      | Value.VIslice s ->
-        if a < s.i_len then loop r (pc + 6) sp_v sp_i
-        else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-      | Value.VSlice s ->
-        if a < s.Value.s_len then loop r (pc + 6) sp_v sp_i
-        else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-      | Value.VStr s ->
-        if a < String.length s then loop r (pc + 6) sp_v sp_i
-        else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-      | _ -> full r pc sp_v sp_i
-    end
-    | Bunbound -> full r pc sp_v sp_i
-  end
-  | 141 (* jlt_rr_not *) ->
-    if
-      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
-      < Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
-    then loop r (pc + 6) sp_v sp_i
+  | 139 (* loop_rinc, when both safepoints only count their step *)
+    when steps_only r 2 ->
+    count_steps r 2;
+    rinc_at r code pc;
+    loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
+  | 140 (* jlt_rlen_not, of a slice or string in a bound cell *) ->
+    let n = slot_len r (Array.unsafe_get code (pc + 3)) in
+    if n < 0 then full r pc sp_v sp_i
+    else if reg_at r code (pc + 1) < n then loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 141 (* jlt_rr_not *) ->
+    if reg_at r code (pc + 1) < reg_at r code (pc + 3) then
+      loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 142 (* jle_rr_not *) ->
+    if reg_at r code (pc + 1) <= reg_at r code (pc + 3) then
+      loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 143 (* jgt_rr_not *) ->
+    if reg_at r code (pc + 1) > reg_at r code (pc + 3) then
+      loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 144 (* jge_rr_not *) ->
+    if reg_at r code (pc + 1) >= reg_at r code (pc + 3) then
+      loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 145 (* jeq_rr_not *) ->
+    if reg_at r code (pc + 1) = reg_at r code (pc + 3) then
+      loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  | 146 (* jne_rr_not *) ->
+    if reg_at r code (pc + 1) <> reg_at r code (pc + 3) then
+      loop r (pc + 6) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
+  (* Register-operand forms. *)
+  | 156 (* add_r *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (Array.unsafe_get stk_i (sp_i - 1) + reg_at r code (pc + 1));
+    loop r (pc + 3) sp_v sp_i
+  | 157 (* sub_r *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (Array.unsafe_get stk_i (sp_i - 1) - reg_at r code (pc + 1));
+    loop r (pc + 3) sp_v sp_i
+  | 158 (* mul_r *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (Array.unsafe_get stk_i (sp_i - 1) * reg_at r code (pc + 1));
+    loop r (pc + 3) sp_v sp_i
+  | 159 (* addk_r *) ->
+    Array.unsafe_set stk_i sp_i
+      (reg_at r code (pc + 1) + Array.unsafe_get code (pc + 2));
+    loop r (pc + 4) sp_v (sp_i + 1)
+  | 160 (* mulk_r *) ->
+    Array.unsafe_set stk_i sp_i
+      (reg_at r code (pc + 1) * Array.unsafe_get code (pc + 2));
+    loop r (pc + 4) sp_v (sp_i + 1)
+  | 161 (* divk_r, k <> 0 *) when Array.unsafe_get code (pc + 2) <> 0 ->
+    Array.unsafe_set stk_i sp_i
+      (reg_at r code (pc + 1) / Array.unsafe_get code (pc + 2));
+    loop r (pc + 4) sp_v (sp_i + 1)
+  | 162 (* modk_r, k <> 0 *) when Array.unsafe_get code (pc + 2) <> 0 ->
+    Array.unsafe_set stk_i sp_i
+      (reg_at r code (pc + 1) mod Array.unsafe_get code (pc + 2));
+    loop r (pc + 4) sp_v (sp_i + 1)
+  | 163 (* jlt_rk_not *) ->
+    if reg_at r code (pc + 1) < Array.unsafe_get code (pc + 3) then
+      loop r (pc + 5) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
+  | 164 (* jle_rk_not *) ->
+    if reg_at r code (pc + 1) <= Array.unsafe_get code (pc + 3) then
+      loop r (pc + 5) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
+  | 165 (* jgt_rk_not *) ->
+    if reg_at r code (pc + 1) > Array.unsafe_get code (pc + 3) then
+      loop r (pc + 5) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
+  | 166 (* jge_rk_not *) ->
+    if reg_at r code (pc + 1) >= Array.unsafe_get code (pc + 3) then
+      loop r (pc + 5) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
+  | 167 (* jeq_rk_not *) ->
+    if reg_at r code (pc + 1) = Array.unsafe_get code (pc + 3) then
+      loop r (pc + 5) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
+  | 168 (* jne_rk_not *) ->
+    if reg_at r code (pc + 1) <> Array.unsafe_get code (pc + 3) then
+      loop r (pc + 5) sp_v sp_i
+    else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
+  (* Rotated back edges, when their three safepoints only count their
+     steps: [rinc], the head's test on its operands (from pc + 7 on),
+     then {!back_edge}.  Any other case goes to {!full}'s [loop_rinc]
+     with nothing done. *)
+  | 169 (* loop_lt_rr *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc (reg_at r code (pc + 7) < reg_at r code (pc + 9)))
+      sp_v sp_i
+  | 170 (* loop_le_rr *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc (reg_at r code (pc + 7) <= reg_at r code (pc + 9)))
+      sp_v sp_i
+  | 171 (* loop_gt_rr *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc (reg_at r code (pc + 7) > reg_at r code (pc + 9)))
+      sp_v sp_i
+  | 172 (* loop_ge_rr *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc (reg_at r code (pc + 7) >= reg_at r code (pc + 9)))
+      sp_v sp_i
+  | 173 (* loop_eq_rr *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc (reg_at r code (pc + 7) = reg_at r code (pc + 9)))
+      sp_v sp_i
+  | 174 (* loop_ne_rr *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc (reg_at r code (pc + 7) <> reg_at r code (pc + 9)))
+      sp_v sp_i
+  | 175 (* loop_lt_rlen, of a slice or string in a bound cell *)
+    when steps_only r 3 ->
+    (* the slot is not the register: its length may be read first *)
+    let n = slot_len r (Array.unsafe_get code (pc + 9)) in
+    if n < 0 then full r pc sp_v sp_i
+    else begin
+      rinc_at r code pc;
+      loop r (back_edge r code pc (reg_at r code (pc + 7) < n)) sp_v sp_i
+    end
+  | 176 (* loop_lt_rk *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc
+         (reg_at r code (pc + 7) < Array.unsafe_get code (pc + 9)))
+      sp_v sp_i
+  | 177 (* loop_le_rk *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc
+         (reg_at r code (pc + 7) <= Array.unsafe_get code (pc + 9)))
+      sp_v sp_i
+  | 178 (* loop_gt_rk *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc
+         (reg_at r code (pc + 7) > Array.unsafe_get code (pc + 9)))
+      sp_v sp_i
+  | 179 (* loop_ge_rk *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc
+         (reg_at r code (pc + 7) >= Array.unsafe_get code (pc + 9)))
+      sp_v sp_i
+  | 180 (* loop_eq_rk *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc
+         (reg_at r code (pc + 7) = Array.unsafe_get code (pc + 9)))
+      sp_v sp_i
+  | 181 (* loop_ne_rk *) when steps_only r 3 ->
+    rinc_at r code pc;
+    loop r
+      (back_edge r code pc
+         (reg_at r code (pc + 7) <> Array.unsafe_get code (pc + 9)))
+      sp_v sp_i
   | 147 (* index_i_sr, a live element of an int slice in range *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
@@ -725,10 +1062,6 @@ and full (r : regs) pc sp_v sp_i =
   | 1 (* safepoint *) ->
     vm_safepoint r;
     loop r (pc + 1) sp_v sp_i
-  | 4 (* jmpif *) ->
-    if Array.unsafe_get stk_i (sp_i - 1) <> 0 then
-      loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 1)
-    else loop r (pc + 2) sp_v (sp_i - 1)
   | 5 (* push_scope *) ->
     push_scope r.x_fr;
     r.x_scopes <- r.x_scopes + 1;
@@ -821,7 +1154,6 @@ and full (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v (sp_v - 1)
       (Value.copy (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) sp_v sp_i
-  | 22 (* pop_i *) -> loop r (pc + 1) sp_v (sp_i - 1)
   | 26 (* div_i *) ->
     let b = Array.unsafe_get stk_i (sp_i - 1) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
@@ -832,21 +1164,6 @@ and full (r : regs) pc sp_v sp_i =
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2) mod b);
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 28 (* and_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (Array.unsafe_get stk_i (sp_i - 2)
-      land Array.unsafe_get stk_i (sp_i - 1));
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 29 (* or_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (Array.unsafe_get stk_i (sp_i - 2)
-      lor Array.unsafe_get stk_i (sp_i - 1));
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 30 (* xor_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (Array.unsafe_get stk_i (sp_i - 2)
-      lxor Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 1) sp_v (sp_i - 1)
   | 31 (* shl_i *) ->
     let b = Array.unsafe_get stk_i (sp_i - 1) in
@@ -860,55 +1177,6 @@ and full (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_i (sp_i - 2)
       (if b >= 63 then 0 else Array.unsafe_get stk_i (sp_i - 2) asr b);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 33 (* neg_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1) (-Array.unsafe_get stk_i (sp_i - 1));
-    loop r (pc + 1) sp_v sp_i
-  | 34 (* lt_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (if Array.unsafe_get stk_i (sp_i - 2) < Array.unsafe_get stk_i (sp_i - 1)
-       then 1
-       else 0);
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 35 (* le_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (if
-         Array.unsafe_get stk_i (sp_i - 2)
-         <= Array.unsafe_get stk_i (sp_i - 1)
-       then 1
-       else 0);
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 36 (* gt_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (if Array.unsafe_get stk_i (sp_i - 2) > Array.unsafe_get stk_i (sp_i - 1)
-       then 1
-       else 0);
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 37 (* ge_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (if
-         Array.unsafe_get stk_i (sp_i - 2)
-         >= Array.unsafe_get stk_i (sp_i - 1)
-       then 1
-       else 0);
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 38 (* eq_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (if Array.unsafe_get stk_i (sp_i - 2) = Array.unsafe_get stk_i (sp_i - 1)
-       then 1
-       else 0);
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 39 (* ne_i *) ->
-    Array.unsafe_set stk_i (sp_i - 2)
-      (if
-         Array.unsafe_get stk_i (sp_i - 2)
-         <> Array.unsafe_get stk_i (sp_i - 1)
-       then 1
-       else 0);
-    loop r (pc + 1) sp_v (sp_i - 1)
-  | 40 (* not_b *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (Array.unsafe_get stk_i (sp_i - 1) lxor 1);
-    loop r (pc + 1) sp_v sp_i
   | 41 (* binop *) ->
     let vb = Array.unsafe_get stk_v (sp_v - 1) in
     let va = Array.unsafe_get stk_v (sp_v - 2) in
@@ -1477,10 +1745,6 @@ and full (r : regs) pc sp_v sp_i =
     loop r (pc + 2) (sp_v + 1) sp_i
   (* Superinstructions.  Each case is the literal composition of its
      unfused expansion above — same evaluation order, same panics. *)
-  | 107 (* subk_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (Array.unsafe_get stk_i (sp_i - 1) - Array.unsafe_get code (pc + 1));
-    loop r (pc + 2) sp_v sp_i
   | 109 (* divk_i *) ->
     let b = Array.unsafe_get code (pc + 1) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
@@ -1491,42 +1755,6 @@ and full (r : regs) pc sp_v sp_i =
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) mod b);
-    loop r (pc + 2) sp_v sp_i
-  | 111 (* ltk_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) < Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 112 (* lek_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) <= Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 113 (* gtk_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) > Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 114 (* gek_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) >= Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 115 (* eqk_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) = Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 116 (* nek_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) <> Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
     loop r (pc + 2) sp_v sp_i
   | 117 (* sfield_v = vload; field_v *) ->
     Array.unsafe_set stk_v sp_v
@@ -1553,34 +1781,6 @@ and full (r : regs) pc sp_v sp_i =
       (Array.unsafe_get code (pc + 1))
       (Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 2) (sp_v - 1) (sp_i - 1)
-  | 121 (* jle_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 2) <= Array.unsafe_get stk_i (sp_i - 1)
-    then loop r (pc + 2) sp_v (sp_i - 2)
-    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 122 (* jgt_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 2) > Array.unsafe_get stk_i (sp_i - 1)
-    then loop r (pc + 2) sp_v (sp_i - 2)
-    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 123 (* jge_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 2) >= Array.unsafe_get stk_i (sp_i - 1)
-    then loop r (pc + 2) sp_v (sp_i - 2)
-    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 124 (* jeq_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 2) = Array.unsafe_get stk_i (sp_i - 1)
-    then loop r (pc + 2) sp_v (sp_i - 2)
-    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 125 (* jne_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 2) <> Array.unsafe_get stk_i (sp_i - 1)
-    then loop r (pc + 2) sp_v (sp_i - 2)
-    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 127 (* jlek_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 1) <= Array.unsafe_get code (pc + 1)
-    then loop r (pc + 3) sp_v (sp_i - 1)
-    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 128 (* jgtk_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 1) > Array.unsafe_get code (pc + 1)
-    then loop r (pc + 3) sp_v (sp_i - 1)
-    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
   | 132 (* iinc = iload; addk_i; store_slot_i, same slot *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
@@ -1618,11 +1818,12 @@ and full (r : regs) pc sp_v sp_i =
       vm_safepoint r
     done;
     loop r (pc + 2) sp_v sp_i
-  | 139 (* loop_rinc = safepoint; rinc; jmp head; safepoint *) ->
+  | 139 (* loop_rinc = safepoint; rinc; jmp head; safepoint *)
+  | 169 | 170 | 171 | 172 | 173 | 174 | 175 | 176 | 177 | 178 | 179 | 180
+  | 181 (* a rotated back edge: its loop_rinc, then on to the head's
+           unchanged test *) ->
     vm_safepoint r;
-    let i = r.x_rb + Array.unsafe_get code (pc + 1) in
-    Array.unsafe_set stk_i i
-      (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
+    rinc_at r code pc;
     vm_safepoint r;
     loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
   | 140 (* jlt_rlen_not = rload; vload; len; jlt_not *) ->
@@ -1633,36 +1834,6 @@ and full (r : regs) pc sp_v sp_i =
            (Array.unsafe_get code (pc + 4)))
     in
     if a < n then loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 142 (* jle_rr_not *) ->
-    if
-      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
-      <= Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
-    then loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 143 (* jgt_rr_not *) ->
-    if
-      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
-      > Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
-    then loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 144 (* jge_rr_not *) ->
-    if
-      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
-      >= Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
-    then loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 145 (* jeq_rr_not *) ->
-    if
-      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
-      = Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
-    then loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 146 (* jne_rr_not *) ->
-    if
-      Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1))
-      <> Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
-    then loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
   | 147 (* index_i_sr = vload; rload; index_i *) ->
     let va =
@@ -1713,6 +1884,18 @@ and full (r : regs) pc sp_v sp_i =
          (Array.unsafe_get stk_v (sp_v - 1))
          stk_i (sp_i - n) n);
     loop r (pc + 3) sp_v (sp_i - n)
+  | 161 (* divk_r = rload; divk_i *) ->
+    let a = reg_at r code (pc + 1) in
+    let b = Array.unsafe_get code (pc + 2) in
+    if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
+    Array.unsafe_set stk_i sp_i (a / b);
+    loop r (pc + 4) sp_v (sp_i + 1)
+  | 162 (* modk_r = rload; modk_i *) ->
+    let a = reg_at r code (pc + 1) in
+    let b = Array.unsafe_get code (pc + 2) in
+    if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
+    Array.unsafe_set stk_i sp_i (a mod b);
+    loop r (pc + 4) sp_v (sp_i + 1)
   (* Field-operand forms: the reads of the [sfield_v]/[sfield_i] they
      replace, in the same order, through the same [slot_field]. *)
   | 152 (* flen = sfield_v; len *) ->

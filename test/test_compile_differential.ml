@@ -337,10 +337,16 @@ let check_emitted ~name src facts =
                 (fun l -> opcode l = "push_scope")
                 (listing src fn)))
       | Reg (fn, v) | Cell (fn, v) ->
+        (* read or written through its register: [rload]/[rstore]/
+           [rinc], or a register-operand form naming it alone *)
         let in_reg =
           List.exists
             (fun l ->
-              List.mem (opcode l) [ "rload"; "rstore"; "rinc" ]
+              List.mem (opcode l)
+                [ "rload"; "rstore"; "rinc"; "add_r"; "sub_r"; "mul_r";
+                  "addk_r"; "mulk_r"; "divk_r"; "modk_r"; "jlt_rk_not";
+                  "jle_rk_not"; "jgt_rk_not"; "jge_rk_not"; "jeq_rk_not";
+                  "jne_rk_not" ]
               && String.ends_with ~suffix:("; " ^ v) l)
             (listing src fn)
         in
@@ -1094,7 +1100,8 @@ let concurrent_cases =
 
 (* ---- loop and indexing superinstructions -------------------------- *)
 
-(* The emitter fuses a counted loop's back edge ([loop_rinc]), register
+(* The emitter fuses a counted loop's back edge ([loop_rinc], or a
+   rotated [loop_*] that re-tests the condition), register
    compares and [i < len(x)] ([j*_rr_not], [jlt_rlen_not]), slot-indexed
    reads and stores ([index_i_sr], [store_index_sr]) and runs of
    statement safepoints ([safepoints n]).  Each fused form must perform
@@ -1103,13 +1110,13 @@ let concurrent_cases =
    must match step for step, and a small [yield_every] makes the
    goroutine switches land inside the fused instructions. *)
 
-let sampled_run ~engine ~yield_every src =
+let sampled_run ~engine ~yield_every ~sample_every src =
   let config = Gofree_core.Config.gofree in
   let run_config =
     {
       (run_config ~engine ~config ~poison:false) with
       Gofree_interp.Interp.yield_every;
-      sample_every = 7;
+      sample_every;
     }
   in
   Gofree_interp.Runner.compile_and_run ~gofree_config:config ~run_config src
@@ -1127,12 +1134,14 @@ let series (r : Gofree_interp.Runner.result) =
           x.Rt.Sampler.sm_freed_bytes)
       (Rt.Sampler.samples s)
 
-let check_sampled_identical ~name ?(yield_every = 512) src =
-  let run engine = sampled_run ~engine ~yield_every src in
+let check_sampled_identical ~name ?(yield_every = 512) ?(sample_every = 7)
+    src =
+  let run engine = sampled_run ~engine ~yield_every ~sample_every src in
   let r_ref = run Gofree_interp.Interp.Eng_reference in
   let r_vm = run Gofree_interp.Interp.Eng_bytecode in
   let label what =
-    Printf.sprintf "%s: %s (yield_every %d)" name what yield_every
+    Printf.sprintf "%s: %s (yield_every %d, sample_every %d)" name what
+      yield_every sample_every
   in
   Alcotest.(check string)
     (label "output") r_ref.Gofree_interp.Runner.output
@@ -1498,7 +1507,7 @@ let fused_cases =
   [
     case "fused loops" src_fused_loops ~yields:[ 512; 3 ]
       ~fused:
-        [ ("skip", "loop_rinc"); ("steps", "jlt_rr_not");
+        [ ("skip", "loop_lt_rr"); ("steps", "jlt_rr_not");
           ("steps", "jne_rr_not"); ("steps", "jge_rr_not");
           ("lens", "jlt_rlen_not"); ("lens", "index_i_sr");
           ("forever", "safepoints"); ("forever", "loop_rinc");
@@ -1601,8 +1610,8 @@ let register_param_cases =
 
 (* An attached sampler sends every safepoint down the VM's slow path, so
    the sampled comparisons above never see the dispatch loop's fast
-   safepoints ([safepoint] and [loop_rinc] when they only count their
-   step).  Here no sampler runs, and goroutines that print inside
+   safepoints ([safepoint], [safepoints n], [loop_rinc] and the rotated
+   back edges when they only count their steps).  Here no sampler runs, and goroutines that print inside
    counted loops make the exact step of every yield visible in the
    output order. *)
 let src_yield_points =
@@ -1669,13 +1678,158 @@ let yield_point_cases =
       (fun () ->
         let name = "yield points" in
         check_fused ~name src_yield_points
-          [ ("worker", "loop_rinc"); ("worker", "jlt_rr_not") ];
+          [ ("worker", "loop_rinc"); ("worker", "jlt_rr_not");
+            ("worker", "loop_lt_rr"); ("worker", "loop_gt_rk") ];
         List.iter
           (fun yield_every ->
             check_yields_identical ~name ~yield_every src_yield_points;
             check_yields_identical ~name:"register parameters" ~yield_every
               (Test_disasm.read_file (Test_disasm.golden "calls.go")))
           [ 1; 2; 3; 4; 5; 7; 11 ]);
+  ]
+
+(* ---- rotated loops ------------------------------------------------- *)
+
+(* A counted loop whose condition is one compare-and-branch re-tests it
+   at the back edge and lands past the body's leading safepoint; an int
+   op on a register local reads the register in place.  The program —
+   every condition form and comparison, zero-trip loops, break and
+   continue, a bound the body changes, a slice the body reassigns,
+   shrinks or grows, bodies that keep the unrotated back edge, divide by
+   zero on a register, goroutines in rotated loops — and its output are
+   committed as test/golden/loops.go and loops.out.  Yields at 1, 2 and
+   3 land on each of a back edge's three counted steps, with no sampler
+   (the fast paths) and with one sampling every step (the slow ones);
+   in {!src_rotated_yields} goroutines print from inside rotated loops,
+   so the output order shows each yield point. *)
+let src_rotated_yields =
+  {|
+func worker(id int, n int, xs []int) {
+  for i := 0; i < n; i++ {
+    println("w", id, i)
+  }
+  for i := 0; i < len(xs); i++ {
+    println("x", id, xs[i])
+  }
+  for i := n; i > 0; i-- {
+    println("d", id, i)
+  }
+}
+
+func main() {
+  for g := 0; g < 3; g++ {
+    xs := make([]int, 2+g)
+    xs[0] = g
+    go worker(g, 2+g, xs)
+  }
+  spin := 0
+  for i := 0; i < 30; i++ {
+    spin += i
+  }
+  println("main", spin)
+}
+|}
+
+let src_freed_bound =
+  {|
+var acc int
+func main() {
+  s2 := make([]int, 4+rand(2))
+  for i := 0; i < len(s2); i++ {
+    if i == 1 {
+      s1 := make([]int, 3+rand(2))
+      ps := &s1
+      *ps = s2
+      al := *ps
+      if len(al) > 0 { acc += al[0] }
+    }
+    acc += s2[i]
+  }
+  println(acc)
+}
+|}
+
+let rotated_loop_cases =
+  let golden name = Test_disasm.read_file (Test_disasm.golden name) in
+  [
+    Alcotest.test_case "rotated loops (golden)" `Quick (fun () ->
+        let name = "rotated loops" in
+        let src = golden "loops.go" in
+        let expected = golden "loops.out" in
+        List.iter
+          (fun (ename, engine) ->
+            Alcotest.(check string)
+              (name ^ ": output (" ^ ename ^ ")")
+              expected
+              (run_mode ~engine src).Gofree_interp.Runner.output)
+          engines;
+        check_fused ~name src
+          [ ("rr", "loop_lt_rr"); ("rr", "loop_le_rr"); ("rr", "loop_gt_rr");
+            ("rr", "loop_ge_rr"); ("rr", "loop_ne_rr"); ("rr", "loop_eq_rr");
+            ("rk", "loop_lt_rk"); ("rk", "loop_le_rk"); ("rk", "loop_gt_rk");
+            ("rk", "loop_ge_rk"); ("rk", "loop_ne_rk"); ("rk", "loop_eq_rk");
+            ("zeroTrip", "loop_lt_rlen"); ("slices", "loop_lt_rlen");
+            ("jumps", "loop_lt_rr"); ("jumps", "loop_lt_rk");
+            ("unrotated", "loop_rinc"); ("operands", "add_r");
+            ("operands", "sub_r"); ("operands", "mul_r");
+            ("operands", "mulk_r"); ("operands", "divk_r");
+            ("operands", "modk_r"); ("operands", "jlt_rk_not");
+            ("operands", "jge_rk_not"); ("operands", "jeq_rk_not");
+            ("operands", "jne_rk_not"); ("divZero", "divk_r");
+            ("modZero", "modk_r"); ("worker", "loop_lt_rlen");
+            ("worker", "loop_lt_rr"); ("worker", "loop_gt_rk") ];
+        Alcotest.(check bool)
+          (name ^ ": unrotated keeps no rotated back edge")
+          false
+          (List.exists
+             (fun l -> String.starts_with ~prefix:"loop_" (opcode l)
+                       && opcode l <> "loop_rinc")
+             (listing src "unrotated"));
+        check_identical ~name src;
+        check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
+          src;
+        check_poison_silent ~name src;
+        check_fused ~name:"rotated yields" src_rotated_yields
+          [ ("worker", "loop_lt_rr"); ("worker", "loop_lt_rlen");
+            ("worker", "loop_gt_rk"); ("main", "loop_lt_rk") ];
+        List.iter
+          (fun yield_every ->
+            List.iter
+              (fun (name, src) ->
+                check_yields_identical ~name ~yield_every src;
+                check_sampled_identical ~name ~yield_every ~sample_every:1
+                  src)
+              [ (name, src); ("rotated yields", src_rotated_yields) ])
+          [ 1; 2; 3 ]);
+    Alcotest.test_case "rotated loops: a bound slice freed in the body"
+      `Quick (fun () ->
+        (* without back-propagation GoFree frees [al], which is [s2]'s
+           store, inside the body; the rotated back edge still reads
+           [len(s2)], and the next [s2[i]] faults under the poison heap
+           on both engines, as before rotation *)
+        let name = "freed bound" in
+        let unsound = Gofree_core.Config.unsound_no_backprop in
+        check_fused ~name src_freed_bound [ ("main", "loop_lt_rlen") ];
+        Alcotest.(check bool)
+          (name ^ ": the unsound variant frees the alias")
+          true
+          (List.exists
+             (fun (_, v, _) -> v = "al")
+             (Helpers.inserted_vars
+                (Helpers.compile ~config:unsound src_freed_bound)));
+        List.iter
+          (fun (ename, engine) ->
+            match
+              run_mode ~engine ~config:unsound ~poison:true src_freed_bound
+            with
+            | _ ->
+              Alcotest.failf "%s (%s): the read of the freed store went \
+                              unnoticed"
+                name ename
+            | exception Gofree_interp.Value.Corruption _ -> ())
+          engines;
+        check_identical ~name src_freed_bound;
+        check_poison_silent ~name src_freed_bound);
   ]
 
 (* ---- random programs ----------------------------------------------- *)
@@ -1866,6 +2020,6 @@ let struct_value_cases =
 let suite =
   workload_cases @ feature_cases @ storage_cases @ aliasing_cases
   @ struct_addr_cases @ call_cases @ range_order_cases @ concurrent_cases
-  @ fused_cases @ register_param_cases @ yield_point_cases @ int_slice_cases
-  @ struct_value_cases
+  @ fused_cases @ register_param_cases @ yield_point_cases
+  @ rotated_loop_cases @ int_slice_cases @ struct_value_cases
   @ [ QCheck_alcotest.to_alcotest prop_random_identical ]

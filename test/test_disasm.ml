@@ -146,7 +146,7 @@ let test_walks () =
       Array.iter (check_walk name) (lower (read_file path)))
     (perfbench_programs
     @ [ golden "arith_loop.go"; golden "maps_structs.go"; golden "calls.go";
-        golden "int_slices.go" ])
+        golden "int_slices.go"; golden "loops.go" ])
 
 (* A function header names each parameter's home: [name:rN] for an int
    or bool parameter bound into register N, [name:sN] for a frame slot

@@ -21,6 +21,24 @@ let minor_words f =
   let w1 = Gc.minor_words () in
   int_of_float (w1 -. w0 -. empty)
 
+(* Host words the bytecode engine allocates per loop iteration of the
+   program [src_of n]: the difference between a 20k- and a 10k-iteration
+   run, over 10k. *)
+let vm_words_per_iteration src_of =
+  let run n =
+    let compiled = Helpers.compile (src_of n) in
+    let config =
+      { Gofree_interp.Interp.default_config with
+        engine = Gofree_interp.Interp.Eng_bytecode }
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Gofree_interp.Runner.run ~config compiled);
+    Gc.minor_words () -. w0
+  in
+  let w10 = run 10_000 in
+  let w20 = run 20_000 in
+  (w20 -. w10) /. 10_000.
+
 let suite =
   [
     expect "arithmetic"
@@ -625,21 +643,6 @@ func main() {
            [append] to one allocates only the new 5-word slice header
            (5.33 measured; 9.36 with boxed elements and a separate header
            record). *)
-        let words_per_op src_of =
-          let run n =
-            let compiled = Helpers.compile (src_of n) in
-            let config =
-              { Gofree_interp.Interp.default_config with
-                engine = Gofree_interp.Interp.Eng_bytecode }
-            in
-            let w0 = Gc.minor_words () in
-            ignore (Gofree_interp.Runner.run ~config compiled);
-            Gc.minor_words () -. w0
-          in
-          let w10 = run 10_000 in
-          let w20 = run 20_000 in
-          (w20 -. w10) /. 10_000.
-        in
         let cases =
           [
             ( "map store", 1.0,
@@ -766,7 +769,7 @@ func main() {
         in
         List.iter
           (fun (name, bound, src_of) ->
-            let w = words_per_op src_of in
+            let w = vm_words_per_iteration src_of in
             if w > bound then
               Alcotest.failf "%s: %.2f host words per iteration, bound %.0f"
                 name w bound)
@@ -948,5 +951,31 @@ func main() {
         Alcotest.(check int) "capacity after growth" 128 (I.capacity !grown);
         if w > 1200 then
           Alcotest.failf "append growth of a 64-element []P: %d words, want \
-                          <= 1200" w);
+                          <= 1200" w;
+        (* [x := P{...}] on the bytecode engine: the literal's field array
+           and its VStruct box (6 words), the declaration's cell and
+           binding (4); copying the fresh literal would add another 6 *)
+        let w =
+          vm_words_per_iteration
+            (Printf.sprintf
+               {|
+type P struct {
+  x int
+  y int
+  z int
+}
+
+func main() {
+  s := 0
+  for i := 0; i < %d; i++ {
+    x := P{x: 1, y: 2, z: 3}
+    s += x.y
+  }
+  println(s)
+}
+|})
+        in
+        if w > 11.0 then
+          Alcotest.failf "x := P{...}: %.2f host words per iteration, want \
+                          <= 11" w);
   ]
