@@ -510,8 +510,9 @@ type build_stats = Gofree_build.Driver.stats
 type unit_cache = Gofree_build.Driver.unit_cache
 
 (** Build the multi-package tree rooted at [dir] (incremental through
-    the on-disk summary store layered over function-granular unit
-    records, parallel analysis on [jobs] domains).  [unit_cache]
+    the on-disk typed package records, summary store and
+    function-granular unit records, parallel analysis on [jobs]
+    domains).  [unit_cache]
     defaults to the on-disk unit cache under the tree's cache
     directory. *)
 let build_dir ?(config = Gofree_core.Config.gofree) ?cache_dir ?(jobs = 0)

@@ -1,11 +1,18 @@
 (** The incremental, parallel multi-package build driver.
 
     Pipeline, per build:
-    + load and parse every package of the tree ({!Loader});
-    + schedule them into dependency waves ({!Pkg_graph});
-    + typecheck sequentially in topological order, threading the
-      variable/scope/site id bases so ids stay globally unique and the
-      packages link without renumbering;
+    + load the tree ({!Loader}): list, read and digest every package's
+      files, read the typed records ({!Store.load_typed}), and parse only
+      the packages whose source digest no record matches — the others
+      take their package clause and imports from their record;
+    + schedule the packages into dependency waves ({!Pkg_graph});
+    + frontend, in topological order: a package whose record's key (its
+      source digest and its imports' interface digests) still holds is
+      decoded from the record; any other is parsed if it was not yet and
+      typechecked.  Either way the package is at id base 0, and
+      {!Tast.relocate} shifts it to the next free variable, scope and
+      site ids, so ids stay globally unique and the packages link
+      without renumbering;
     + for each package, compute its content-hash key; on a cache hit
       ({!Store}) skip the escape analysis entirely and replay the
       recorded tcfree insertions, otherwise analyze the package against
@@ -21,7 +28,8 @@
       re-solves only its own SCC plus the units whose callee-summary
       contents actually changed;
     + link everything into one {!Tast.program} plus the runtime's
-      stack/heap and boxing decision arrays.
+      stack/heap and boxing decision arrays, and write the typed records
+      back if any was rebuilt.
 
     The import graph is acyclic, so per-package analysis seeded with
     callee summaries computes exactly what the whole-program SCC order
@@ -43,6 +51,7 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 type pkg_report = {
   pr_name : string;
   pr_wave : int;  (** dependency wave the package was scheduled in *)
+  pr_typed : bool;  (** parse and typecheck skipped: typed record hit *)
   pr_cached : bool;  (** analysis skipped, summaries came from the store *)
   pr_ms : float;  (** analysis time; 0 for cache hits *)
   pr_nfuncs : int;
@@ -57,6 +66,9 @@ type stats = {
   bs_misses : int;
   bs_unit_hits : int;  (** units replayed instead of re-analyzed *)
   bs_unit_misses : int;  (** units actually analyzed *)
+  bs_frontend_hits : int;  (** packages taken from their typed records *)
+  bs_frontend_misses : int;  (** packages parsed and typechecked *)
+  bs_corrupt : int;  (** corrupt cache records met (each one a miss) *)
   bs_jobs : int;
   bs_total_ms : float;
 }
@@ -85,18 +97,24 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 type unit_cache = {
   uc_lookup : pkg:string -> key:string -> Store.unit_record option;
   uc_commit : pkg:string -> Store.unit_record list -> unit;
+  uc_corrupt : unit -> int;  (** corrupt record files met so far *)
 }
 
 (** Always misses, never stores: a build with package-level caching
     only (what the driver did before unit records existed). *)
 let no_unit_cache =
-  { uc_lookup = (fun ~pkg:_ ~key:_ -> None); uc_commit = (fun ~pkg:_ _ -> ()) }
+  {
+    uc_lookup = (fun ~pkg:_ ~key:_ -> None);
+    uc_commit = (fun ~pkg:_ _ -> ());
+    uc_corrupt = (fun () -> 0);
+  }
 
 (** The on-disk unit cache: [<dir>/<pkg>.units], loaded lazily once per
     package and replaced wholesale on commit.  Thread-safe — package
     schedulers on different domains share one instance per build. *)
 let disk_unit_cache ~dir : unit_cache =
   let mutex = Mutex.create () in
+  let corrupt = ref 0 in
   let loaded : (string, (string, Store.unit_record) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -105,7 +123,9 @@ let disk_unit_cache ~dir : unit_cache =
     | Some t -> t
     | None ->
       let t = Hashtbl.create 16 in
-      (match Store.load_units ~dir ~pkg with
+      (match
+         Store.load_units ~on_corrupt:(fun () -> incr corrupt) ~dir ~pkg ()
+       with
       | Some records ->
         List.iter (fun (r : Store.unit_record) ->
             Hashtbl.replace t r.Store.u_key r)
@@ -132,6 +152,12 @@ let disk_unit_cache ~dir : unit_cache =
         (try Store.save_units ~dir ~pkg records
          with Sys_error _ -> ());
         Mutex.unlock mutex);
+    uc_corrupt =
+      (fun () ->
+        Mutex.lock mutex;
+        let n = !corrupt in
+        Mutex.unlock mutex;
+        n);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -411,22 +437,47 @@ let analyze_package ~config ~key ~name ~base_var ~nvars ~nsites ~imported
   }
 
 (** Build the multi-package tree rooted at [root].  [jobs = 0] (the
-    default) picks a worker count from the machine; [force] ignores both
-    cache levels (package entries and unit records) while still
-    refreshing them.  [unit_cache] defaults to the on-disk cache under
-    [cache_dir]; pass {!no_unit_cache} for package-level caching only.
-    Raises {!Error} (or {!Loader.Error}) on build problems. *)
+    default) picks a worker count from the machine; [force] ignores all
+    three cache levels (typed records, package entries and unit
+    records) while still refreshing them.  [unit_cache] defaults to the
+    on-disk cache under [cache_dir]; pass {!no_unit_cache} for
+    package-level caching only.  Raises {!Error} (or {!Loader.Error}) on
+    build problems. *)
 let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
     ?(force = false) ?unit_cache (root : string) : result =
   let t_start = now_ms () in
-  let pkgs =
-    Trace.with_span ~tid:(Trace.domain_tid ()) "load" (fun () ->
-        Loader.load root)
-  in
   let cache_dir =
     match cache_dir with
     | Some d -> d
     | None -> Filename.concat root ".gofree-cache"
+  in
+  let corrupt = ref 0 in
+  let on_corrupt () = incr corrupt in
+  (* Typed records whose source digest matches the package's files, by
+     package name: the loader takes clause and imports from them instead
+     of parsing. *)
+  let typed = Hashtbl.create 8 in
+  let pkgs, stored =
+    Trace.with_span ~tid:(Trace.domain_tid ()) "load" (fun () ->
+        let stored =
+          if force then Hashtbl.create 1
+          else Store.load_typed ~on_corrupt ~dir:cache_dir ()
+        in
+        let known ~name ~digest =
+          match Hashtbl.find_opt stored name with
+          | Some (r : Store.typed_record)
+            when r.Store.tr_header.Typed.th_source = digest -> begin
+            match r.Store.tr_body () with
+            | Some b ->
+              Hashtbl.replace typed name (r, b);
+              Some
+                (r.Store.tr_header.Typed.th_clause,
+                 r.Store.tr_header.Typed.th_imports)
+            | None -> None
+          end
+          | Some _ | None -> None
+        in
+        (Loader.load ~known root, stored))
   in
   let jobs = if jobs > 0 then jobs else default_jobs () in
   let unit_cache =
@@ -447,41 +498,95 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
       fail "import cycle: %s" (String.concat " -> " c)
   in
   let order = List.concat wave_list in
-  let pkg name = List.find (fun p -> p.Loader.pkg_name = name) pkgs in
-  (* -------- sequential typecheck in topological order -------- *)
-  let ifaces = Hashtbl.create 8 in
+  let by_name = Hashtbl.create 8 in
+  List.iter (fun p -> Hashtbl.replace by_name p.Loader.pkg_name p) pkgs;
+  let pkg name = Hashtbl.find by_name name in
+  (* -------- frontend, in topological order -------- *)
+  (* Each package is typechecked (or taken from its typed record) at id
+     base 0, then relocated to the next free ids, so ids stay globally
+     unique and the packages link without renumbering. *)
+  let ifaces = Hashtbl.create 8 in  (* name -> (iface, its digest) *)
   let tprogs = Hashtbl.create 8 in
   let bases = Hashtbl.create 8 in  (* name -> (base_var, base_site) *)
   let owned = Hashtbl.create 8 in  (* name -> (nvars, nsites) *)
+  let typed_hits = Hashtbl.create 8 in
+  let records = Hashtbl.create 8 in  (* name -> record bytes to store *)
   let next = ref (0, 0, 0) in
   List.iter
     (fun name ->
       let p = pkg name in
       let first_var, first_scope, first_site = !next in
-      let imports =
-        List.map (fun d -> Hashtbl.find ifaces d) p.Loader.pkg_deps
+      let deps =
+        List.map (fun d -> (d, snd (Hashtbl.find ifaces d))) p.Loader.pkg_deps
       in
-      let tp, iface, counters =
-        try
-          Trace.with_span ~tid:(Trace.domain_tid ())
-            ("typecheck:" ^ name)
+      let tp, iface, iface_digest, (c : Typecheck.counters) =
+        match Hashtbl.find_opt typed name with
+        | Some ((r : Store.typed_record), b)
+          when r.Store.tr_header.Typed.th_deps = deps ->
+          (* rebind the imported globals the stored program names *)
+          List.iter
+            (fun (d, rel, (v : Tast.var)) ->
+              v.Tast.v_id <- fst (Hashtbl.find bases d) + rel)
+            b.Typed.tb_imported;
+          Hashtbl.replace typed_hits name ();
+          Hashtbl.replace records name r.Store.tr_bytes;
+          (b.Typed.tb_program, b.Typed.tb_iface,
+           r.Store.tr_header.Typed.th_iface, b.Typed.tb_counters)
+        | _ ->
+          let file = Lazy.force p.Loader.pkg_file in
+          Trace.with_span ~tid:(Trace.domain_tid ()) ("typecheck:" ^ name)
             (fun () ->
-              Typecheck.check_package ~imports ~first_var ~first_scope
-                ~first_site p.Loader.pkg_file)
-        with Typecheck.Error (m, pos) ->
-          fail "package %s: type error at %s: %s" name
-            (Token.string_of_pos pos) m
+              let imports =
+                List.map (fun d -> fst (Hashtbl.find ifaces d))
+                  p.Loader.pkg_deps
+              in
+              let tp, iface, c =
+                try Typecheck.check_package ~imports file
+                with Typecheck.Error (m, pos) ->
+                  fail "package %s: type error at %s: %s" name
+                    (Token.string_of_pos pos) m
+              in
+              let iface_digest =
+                Digest.to_hex
+                  (Digest.string (Typecheck.iface_text iface))
+              in
+              let imported =
+                List.concat_map
+                  (fun (i : Typecheck.pkg_iface) ->
+                    let base = fst (Hashtbl.find bases i.Typecheck.pi_pkg) in
+                    List.map
+                      (fun (_, (v : Tast.var)) ->
+                        (i.Typecheck.pi_pkg, v.Tast.v_id - base, v))
+                      i.Typecheck.pi_globals)
+                  imports
+              in
+              Hashtbl.replace records name
+                (Store.slice @@ Typed.encode
+                   {
+                     Typed.th_source = p.Loader.pkg_digest;
+                     th_clause = name;
+                     th_imports = p.Loader.pkg_imports;
+                     th_deps = deps;
+                     th_iface = iface_digest;
+                   }
+                   {
+                     Typed.tb_program = tp;
+                     tb_iface = iface;
+                     tb_counters = c;
+                     tb_imported = imported;
+                   });
+              (tp, iface, iface_digest, c))
       in
-      Hashtbl.replace ifaces name iface;
+      Tast.relocate tp ~var:first_var ~scope:first_scope ~site:first_site;
+      Hashtbl.replace ifaces name (iface, iface_digest);
       Hashtbl.replace tprogs name tp;
       Hashtbl.replace bases name (first_var, first_site);
       Hashtbl.replace owned name
-        ( counters.Typecheck.c_next_var - first_var,
-          counters.Typecheck.c_next_site - first_site );
+        (c.Typecheck.c_next_var, c.Typecheck.c_next_site);
       next :=
-        ( counters.Typecheck.c_next_var,
-          counters.Typecheck.c_next_scope,
-          counters.Typecheck.c_next_site ))
+        ( first_var + c.Typecheck.c_next_var,
+          first_scope + c.Typecheck.c_next_scope,
+          first_site + c.Typecheck.c_next_site ))
     order;
   let total_vars, _, total_sites = !next in
   (* -------- cache keys (dep keys feed in: transitive invalidation) --- *)
@@ -497,7 +602,7 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
   if not force then
     List.iter
       (fun name ->
-        match Store.load ~dir:cache_dir ~pkg:name with
+        match Store.load ~on_corrupt ~dir:cache_dir ~pkg:name () with
         | Some e
           when e.Store.e_key = Hashtbl.find keys name
                && (let nv, ns = Hashtbl.find owned name in
@@ -643,6 +748,17 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
     wave_list;
   (* -------- link -------- *)
   Trace.begin_span ~tid:(Trace.domain_tid ()) "link";
+  (* Persist the typed records when one was rebuilt or the tree's
+     package set changed; unchanged records are written back as read. *)
+  if
+    Hashtbl.length typed_hits < List.length order
+    || Hashtbl.length stored <> List.length order
+  then begin
+    try
+      Store.save_typed ~dir:cache_dir
+        (List.map (fun n -> (n, Hashtbl.find records n)) order)
+    with Sys_error _ -> ()
+  end;
   let tenv = Types.create_env () in
   List.iter
     (fun name ->
@@ -690,6 +806,7 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
         {
           pr_name = name;
           pr_wave = Hashtbl.find wave_of name;
+          pr_typed = Hashtbl.mem typed_hits name;
           pr_cached = Hashtbl.mem cached name;
           pr_ms = Hashtbl.find times name;
           pr_nfuncs =
@@ -702,6 +819,7 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
       order
   in
   let hits = List.length (List.filter (fun r -> r.pr_cached) reports) in
+  let typed_hits = Hashtbl.length typed_hits in
   let unit_hits =
     List.fold_left (fun acc r -> acc + r.pr_unit_hits) 0 reports
   in
@@ -721,6 +839,9 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
         bs_misses = List.length reports - hits;
         bs_unit_hits = unit_hits;
         bs_unit_misses = unit_misses;
+        bs_frontend_hits = typed_hits;
+        bs_frontend_misses = List.length reports - typed_hits;
+        bs_corrupt = !corrupt + unit_cache.uc_corrupt ();
         bs_jobs = jobs;
         bs_total_ms = now_ms () -. t_start;
       };
@@ -740,13 +861,15 @@ let pp_stats fmt (st : stats) =
          else
            Printf.sprintf "  [%d/%d unit(s) cached]" r.pr_unit_hits
              r.pr_units)
-        "")
+        (if r.pr_typed then "  [typed hit]" else ""))
     st.bs_pkgs;
   Format.fprintf fmt
-    "packages: %d  cache hits: %d  analyzed: %d  unit hits: %d  units \
-     analyzed: %d  jobs: %d  total: %.1fms@]"
-    (List.length st.bs_pkgs) st.bs_hits st.bs_misses st.bs_unit_hits
-    st.bs_unit_misses st.bs_jobs st.bs_total_ms
+    "packages: %d  typed hits: %d  cache hits: %d  analyzed: %d  unit \
+     hits: %d  units analyzed: %d  corrupt records: %d  jobs: %d  total: \
+     %.1fms@]"
+    (List.length st.bs_pkgs) st.bs_frontend_hits st.bs_hits st.bs_misses
+    st.bs_unit_hits st.bs_unit_misses st.bs_corrupt st.bs_jobs
+    st.bs_total_ms
 
 (** Build statistics as JSON (schema [gofree-build-stats-v1]) — the
     payload of [gofreec build --stats-json]. *)
@@ -762,6 +885,7 @@ let stats_to_json (st : stats) : Json.t =
                  [
                    ("name", Json.Str r.pr_name);
                    ("wave", Json.Int r.pr_wave);
+                   ("typed", Json.Bool r.pr_typed);
                    ("cached", Json.Bool r.pr_cached);
                    ("analysis_ms", Json.Float r.pr_ms);
                    ("funcs", Json.Int r.pr_nfuncs);
@@ -774,6 +898,9 @@ let stats_to_json (st : stats) : Json.t =
       ("cache_misses", Json.Int st.bs_misses);
       ("unit_hits", Json.Int st.bs_unit_hits);
       ("units_analyzed", Json.Int st.bs_unit_misses);
+      ("frontend_hits", Json.Int st.bs_frontend_hits);
+      ("frontend_misses", Json.Int st.bs_frontend_misses);
+      ("corrupt_records", Json.Int st.bs_corrupt);
       ("jobs", Json.Int st.bs_jobs);
       ("total_ms", Json.Float st.bs_total_ms);
     ]

@@ -1,7 +1,9 @@
-(** Incremental, parallel multi-package build driver: topological
-    typechecking with threaded id bases, per-package escape analysis
-    against stored dependency summaries (§4.4), two-level content-hash
-    caching (package entries over function-granular unit records),
+(** Incremental, parallel multi-package build driver: a frontend that
+    parses and typechecks only the packages whose sources or imported
+    interfaces changed (the rest come from typed records, relocated onto
+    the build's id bases), per-package escape analysis against stored
+    dependency summaries (§4.4), two-level content-hash caching of the
+    analysis (package entries over function-granular unit records),
     wave-parallel analysis on OCaml domains with in-package analysis
     units fanned out to a shared worker pool, and linking into one
     runnable {!Tast.program}. *)
@@ -14,6 +16,7 @@ exception Error of string
 type pkg_report = {
   pr_name : string;
   pr_wave : int;  (** dependency wave the package was scheduled in *)
+  pr_typed : bool;  (** parse and typecheck skipped: typed record hit *)
   pr_cached : bool;  (** analysis skipped, summaries came from the store *)
   pr_ms : float;  (** analysis time; 0 for cache hits *)
   pr_nfuncs : int;
@@ -28,6 +31,9 @@ type stats = {
   bs_misses : int;
   bs_unit_hits : int;  (** units replayed instead of re-analyzed *)
   bs_unit_misses : int;  (** units actually analyzed *)
+  bs_frontend_hits : int;  (** packages taken from their typed records *)
+  bs_frontend_misses : int;  (** packages parsed and typechecked *)
+  bs_corrupt : int;  (** corrupt cache records met (each one a miss) *)
   bs_jobs : int;
   bs_total_ms : float;
 }
@@ -47,6 +53,9 @@ type result = {
 type unit_cache = {
   uc_lookup : pkg:string -> key:string -> Store.unit_record option;
   uc_commit : pkg:string -> Store.unit_record list -> unit;
+  uc_corrupt : unit -> int;
+      (** corrupt record files this cache has met, for the build's
+          [corrupt_records] count *)
 }
 
 (** Always misses, never stores — package-level caching only. *)
@@ -58,8 +67,8 @@ val disk_unit_cache : dir:string -> unit_cache
 
 (** Build the tree rooted at the directory.  [cache_dir] defaults to
     [<root>/.gofree-cache]; [jobs = 0] picks a worker count from the
-    machine; [force] ignores both cache levels while still refreshing
-    them.  [unit_cache] defaults to {!disk_unit_cache} under
+    machine; [force] ignores all three cache levels (typed records,
+    package entries, unit records) while still refreshing them.  [unit_cache] defaults to {!disk_unit_cache} under
     [cache_dir].  Raises {!Error} or {!Loader.Error} on build
     problems. *)
 val build :

@@ -7,9 +7,14 @@
       the root and its package name the path's base component.
 
     A package may span several files; all must carry the same [package]
-    clause, and their imports are merged. *)
+    clause, and their imports are merged.
+
+    Loading lists, reads and digests every package's files; it parses
+    only the packages whose clause and imports the caller does not
+    already know for that digest ([known]), and the rest on demand. *)
 
 open Minigo
+module Trace = Gofree_obs.Trace
 
 exception Error of string
 
@@ -20,9 +25,15 @@ type package = {
   pkg_path : string;  (** import path, relative to the build root *)
   pkg_dir : string;  (** directory on disk *)
   pkg_files : (string * string) list;  (** file name → source, sorted *)
-  pkg_file : Ast.file;  (** all files merged into one *)
+  pkg_digest : string;  (** digest of [pkg_files], names and contents *)
+  pkg_imports : Ast.import_decl list;  (** merged imports, in order *)
   pkg_deps : string list;  (** imported package names, sorted, deduped *)
+  pkg_file : Ast.file Lazy.t;
+      (** all files merged into one; parsed when first forced *)
 }
+
+type known =
+  name:string -> digest:string -> (string * Ast.import_decl list) option
 
 let is_source f =
   Filename.check_suffix f ".go" || Filename.check_suffix f ".minigo"
@@ -87,69 +98,95 @@ let merge ~what (files : (string * Ast.file) list) : Ast.file =
       file_decls = List.concat_map (fun (_, f) -> f.Ast.file_decls) files;
     }
 
-let load_package ~root ~rel_path : package option =
+(* Over each file's name and the digest of its contents, so the
+   sources are not copied into one string first. *)
+let digest_files files =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map (fun (name, src) -> name ^ "\000" ^ Digest.string src)
+             files)))
+
+let load_package ~(known : known) ~root ~rel_path sources : package option =
   let dir = if rel_path = "" then root else Filename.concat root rel_path in
-  let sources = List.filter is_source (list_dir dir) in
   if sources = [] then None
   else begin
     let files =
       List.map (fun f -> (f, read_file (Filename.concat dir f))) sources
     in
-    let parsed =
-      List.map
-        (fun (f, src) -> (f, parse_one ~path:(Filename.concat dir f) src))
-        files
+    let digest = digest_files files in
+    let parse () =
+      Trace.with_span ~tid:(Trace.domain_tid ()) "parse" (fun () ->
+          merge
+            ~what:(if rel_path = "" then "main" else rel_path)
+            (List.map
+               (fun (f, src) ->
+                 (f, parse_one ~path:(Filename.concat dir f) src))
+               files))
     in
     let expected =
       if rel_path = "" then "main" else Ast.import_base rel_path
     in
-    let merged = merge ~what:(if rel_path = "" then "main" else rel_path)
-        parsed in
-    if merged.Ast.file_package <> expected then
+    let clause, imports, file =
+      match known ~name:expected ~digest with
+      | Some (clause, imports) -> (clause, imports, lazy (parse ()))
+      | None ->
+        let merged = parse () in
+        ( merged.Ast.file_package,
+          merged.Ast.file_imports,
+          Lazy.from_val merged )
+    in
+    if clause <> expected then
       fail "%s: found package %s, expected package %s"
         (if rel_path = "" then root else rel_path)
-        merged.Ast.file_package expected;
+        clause expected;
     let deps =
       List.sort_uniq compare
         (List.map
            (fun (i : Ast.import_decl) -> Ast.import_base i.Ast.imp_path)
-           merged.Ast.file_imports)
+           imports)
     in
     Some
       {
-        pkg_name = merged.Ast.file_package;
+        pkg_name = clause;
         pkg_path = rel_path;
         pkg_dir = dir;
         pkg_files = files;
-        pkg_file = merged;
+        pkg_digest = digest;
+        pkg_imports = imports;
         pkg_deps = deps;
+        pkg_file = file;
       }
   end
 
 (** Load every package of the tree rooted at [root].  The result always
     contains package [main]; imports are checked to resolve to loaded
     packages. *)
-let load (root : string) : package list =
+let load ?(known : known = fun ~name:_ ~digest:_ -> None) (root : string) :
+    package list =
   if not (Sys.file_exists root && Sys.is_directory root) then
     fail "%s is not a directory" root;
   (* root files = package main; each subdirectory tree = one package per
-     directory that holds sources *)
-  let rec subdirs rel acc =
+     directory that holds sources.  Each directory is listed once, in
+     pre-order, with its source files. *)
+  let rec walk rel acc =
     let dir = if rel = "" then root else Filename.concat root rel in
+    let entries = list_dir dir in
     List.fold_left
       (fun acc entry ->
-        let child_rel =
-          if rel = "" then entry else Filename.concat rel entry
-        in
         if
-          (not (skip_dir entry))
-          && Sys.is_directory (Filename.concat root child_rel)
-        then subdirs child_rel (child_rel :: acc)
-        else acc)
-      acc (list_dir dir)
+          is_source entry || skip_dir entry
+          || not (Sys.is_directory (Filename.concat dir entry))
+        then acc
+        else walk (if rel = "" then entry else Filename.concat rel entry) acc)
+      ((rel, List.filter is_source entries) :: acc)
+      entries
   in
-  let rels = "" :: List.rev (subdirs "" []) in
-  let pkgs = List.filter_map (fun rel -> load_package ~root ~rel_path:rel) rels in
+  let pkgs =
+    List.filter_map
+      (fun (rel, sources) -> load_package ~known ~root ~rel_path:rel sources)
+      (List.rev (walk "" []))
+  in
   if not (List.exists (fun p -> p.pkg_name = "main") pkgs) then
     fail "%s: no main package (no source files at the root)" root;
   (* Package names must be unique: they key the summary store and the
@@ -178,6 +215,6 @@ let load (root : string) : package list =
           then
             fail "package %s imports %S, which is not in the build tree"
               p.pkg_name i.Ast.imp_path)
-        p.pkg_file.Ast.file_imports)
+        p.pkg_imports)
     pkgs;
   pkgs

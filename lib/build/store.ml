@@ -1,24 +1,31 @@
-(** The per-package summary store (paper §4.4's separate-compilation
-    story made concrete).
+(** The build cache (paper §4.4's separate-compilation story made
+    concrete).  Three record kinds, each keyed by what its contents are a
+    function of:
 
-    One file per package, [<cache>/<pkg>.sum], holding everything a
-    downstream build needs without re-analyzing the package:
-    - the extended parameter tags ({!Gofree_escape.Summary.t}) of its
-      functions, for callers' IPA;
-    - the tcfree insertions ((function, variable, kind) triples) so the
-      cache-hit path can re-instrument the freshly typechecked bodies;
-    - the stack/heap decision per allocation site and the set of boxed
+    - [<cache>/frontend.typed]: per package, the typed program at id
+      base 0 ({!Typed}), keyed by the package's source digest and its
+      imports' interface digests.  A warm build decodes it instead of
+      parsing and typechecking the package.
+    - [<cache>/<pkg>.sum]: everything a downstream build needs without
+      re-analyzing the package — the extended parameter tags
+      ({!Gofree_escape.Summary.t}) of its functions, for callers' IPA;
+      the tcfree insertions ((function, variable, kind) triples) so the
+      cache-hit path can re-instrument the package's bodies; the
+      stack/heap decision per allocation site and the set of boxed
       variables, which the runtime needs and which only the (skipped)
-      analysis could otherwise provide.
+      analysis could otherwise provide.  Keyed by a content hash over
+      the package's sources, its dependencies' keys (transitive
+      invalidation) and the pipeline configuration.
+    - [<cache>/<pkg>.units]: the same facts per analysis unit, under the
+      package entry.
 
-    Variable and site ids are stored {e relative} to the package's id
-    base: absolute ids shift whenever an upstream package changes size,
-    but the relative ids are stable because typechecking is
-    deterministic.
+    Variable and site ids are stored {e relative} to the package's (or
+    the function's) id base: absolute ids shift whenever an upstream
+    package changes size, but the relative ids are stable because
+    typechecking is deterministic.
 
-    The cache key is a content hash over the package's sources, its
-    dependencies' keys (transitive invalidation) and the pipeline
-    configuration. *)
+    Every file is sealed with a digest of its contents; one that does
+    not match is a corrupt record, logged, counted and missed. *)
 
 open Minigo
 module E = Gofree_escape
@@ -366,6 +373,68 @@ let units_of_string (s : string) : (unit_record list, string) result =
   end
 
 (* ---------------------------------------------------------------- *)
+(* Sealed files                                                      *)
+(* ---------------------------------------------------------------- *)
+
+(* Every record file starts with one line, [<format> <digest>], where
+   the digest is the MD5 of the rest of the file.  A reader trusts the
+   rest only when both match: a truncated or bit-flipped file fails the
+   digest, a file of another format version or another kind fails the
+   format, and each is a corrupt record — a miss, counted and logged. *)
+
+let write_sealed ~format body oc =
+  output_string oc format;
+  output_char oc ' ';
+  output_string oc (Digest.to_hex (Digest.string body));
+  output_char oc '\n';
+  output_string oc body
+
+let unseal ~format (s : string) : (string, string) result =
+  match String.index_opt s '\n' with
+  | None -> Error "truncated header"
+  | Some nl -> begin
+    let body = String.sub s (nl + 1) (String.length s - nl - 1) in
+    match String.split_on_char ' ' (String.sub s 0 nl) with
+    | [ f; digest ] when f = format ->
+      if Digest.to_hex (Digest.string body) = digest then Ok body
+      else Error "body digest mismatch"
+    | _ -> Error "foreign format"
+  end
+
+(** One corrupt record: logged (the daemon's JSONL log when one is open,
+    stderr otherwise), then [on_corrupt] counts it. *)
+let corrupt ~on_corrupt path reason =
+  let module Log = Gofree_obs.Log in
+  if Log.enabled Log.Warn then
+    Log.log Log.Warn "cache_record_corrupt"
+      [ ("path", Gofree_obs.Json.Str path);
+        ("reason", Gofree_obs.Json.Str reason) ]
+  else
+    Printf.eprintf
+      "warning: corrupt cache record %s (%s), treated as a miss\n%!" path
+      reason;
+  on_corrupt ()
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The verified body of a sealed file, decoded by [decode]; [None] when
+   absent or unreadable (a plain miss) or corrupt (a counted miss). *)
+let read_sealed ~format ~on_corrupt ~decode path =
+  match read_file path with
+  | exception Sys_error _ -> None
+  | s -> begin
+    match Result.bind (unseal ~format s) decode with
+    | Ok v -> Some v
+    | Error reason ->
+      corrupt ~on_corrupt path reason;
+      None
+  end
+
+(* ---------------------------------------------------------------- *)
 (* Files                                                             *)
 (* ---------------------------------------------------------------- *)
 
@@ -386,7 +455,7 @@ let tmp_seq = Atomic.make 0
    by process and a per-process counter, created exclusively — and
    renames it over [path].  A reader sees one whole file or another,
    never an interleaving. *)
-let write_atomically path contents =
+let write_atomically path (write : out_channel -> unit) =
   let tmp =
     Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
       (Atomic.fetch_and_add tmp_seq 1)
@@ -395,7 +464,7 @@ let write_atomically path contents =
     open_out_gen [ Open_wronly; Open_creat; Open_excl; Open_binary ] 0o666 tmp
   in
   match
-    output_string oc contents;
+    write oc;
     close_out oc;
     Sys.rename tmp path
   with
@@ -407,46 +476,111 @@ let write_atomically path contents =
 
 let save ~dir (e : entry) : unit =
   ensure_dir dir;
-  write_atomically (entry_path ~dir ~pkg:e.e_pkg) (to_string e)
+  write_atomically (entry_path ~dir ~pkg:e.e_pkg)
+    (write_sealed ~format:format_version (to_string e))
 
-(** Load a package's stored entry; [None] when absent, unreadable or in
-    a stale format (all three just mean "cache miss"). *)
-let load ~dir ~pkg : entry option =
-  let path = entry_path ~dir ~pkg in
-  if not (Sys.file_exists path) then None
-  else begin
-    match
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      of_string s
-    with
-    | Ok e -> Some e
-    | Error _ -> None
-    | exception Sys_error _ -> None
-  end
+(** Load a package's stored entry; [None] when absent or unreadable (a
+    plain miss) or corrupt (a miss reported to [on_corrupt]). *)
+let load ?(on_corrupt = ignore) ~dir ~pkg () : entry option =
+  read_sealed ~format:format_version ~on_corrupt ~decode:of_string
+    (entry_path ~dir ~pkg)
 
 (** Replace the package's stored unit records with [records] (the full
     set from the latest analysis, so the file never accumulates dead
     units). *)
 let save_units ~dir ~pkg (records : unit_record list) : unit =
   ensure_dir dir;
-  write_atomically (units_path ~dir ~pkg) (units_to_string records)
+  write_atomically (units_path ~dir ~pkg)
+    (write_sealed ~format:units_format_version (units_to_string records))
 
 (** Load a package's unit records; [None] is just "no unit cache". *)
-let load_units ~dir ~pkg : unit_record list option =
-  let path = units_path ~dir ~pkg in
-  if not (Sys.file_exists path) then None
-  else begin
-    match
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      units_of_string s
-    with
-    | Ok records -> Some records
-    | Error _ -> None
-    | exception Sys_error _ -> None
-  end
+let load_units ?(on_corrupt = ignore) ~dir ~pkg () :
+    unit_record list option =
+  read_sealed ~format:units_format_version ~on_corrupt
+    ~decode:units_of_string (units_path ~dir ~pkg)
+
+(* ---------------------------------------------------------------- *)
+(* Typed package records                                             *)
+(* ---------------------------------------------------------------- *)
+
+(* One file holds every package's typed record, so a build reads and
+   writes it once, not once per package: a format line, then per
+   package an index line [<pkg> <length> <digest>] and the record's
+   {!Typed} encoding.  Each record is checked against its own digest
+   before anything in it is decoded, so one damaged record misses alone;
+   a damaged index line or a truncation loses the records after it. *)
+
+let typed_format_version = "gofree-typed-v1:" ^ Typed_format.tag
+
+let typed_path ~dir = Filename.concat dir "frontend.typed"
+
+type slice = { str : string; off : int; len : int }
+
+let slice str = { str; off = 0; len = String.length str }
+
+type typed_record = {
+  tr_header : Typed.header;
+  tr_body : unit -> Typed.body option;
+  tr_bytes : slice;
+}
+
+let save_typed ~dir (records : (string * slice) list) : unit =
+  ensure_dir dir;
+  write_atomically (typed_path ~dir) (fun oc ->
+      output_string oc typed_format_version;
+      output_char oc '\n';
+      List.iter
+        (fun (pkg, { str; off; len }) ->
+          Printf.fprintf oc "%s %d %s\n" pkg len
+            (Digest.to_hex (Digest.substring str off len));
+          output_substring oc str off len)
+        records)
+
+let load_typed ?(on_corrupt = ignore) ~dir () :
+    (string, typed_record) Hashtbl.t =
+  let records = Hashtbl.create 64 in
+  let path = typed_path ~dir in
+  (match read_file path with
+  | exception Sys_error _ -> ()
+  | s -> begin
+    let corrupt = corrupt ~on_corrupt path in
+    let n = String.length s in
+    let rec from i =
+      if i < n then
+        match String.index_from_opt s i '\n' with
+        | None -> corrupt "truncated index line"
+        | Some nl -> begin
+          match String.split_on_char ' ' (String.sub s i (nl - i)) with
+          | [ pkg; len; digest ] -> begin
+            match int_of_string_opt len with
+            | Some len when len >= 0 && len <= n - nl - 1 ->
+              let off = nl + 1 in
+              (if Digest.to_hex (Digest.substring s off len) <> digest then
+                 corrupt (pkg ^ ": body digest mismatch")
+               else
+                 match Typed.decode_header s ~off ~len with
+                 | Error m -> corrupt (pkg ^ ": " ^ m)
+                 | Ok (h, cursor) ->
+                   Hashtbl.replace records pkg
+                     {
+                       tr_header = h;
+                       tr_body =
+                         (fun () ->
+                           match Typed.decode_body cursor with
+                           | Ok b -> Some b
+                           | Error m ->
+                             corrupt (pkg ^ ": " ^ m);
+                             None);
+                       tr_bytes = { str = s; off; len };
+                     });
+              from (off + len)
+            | _ -> corrupt (pkg ^ ": truncated record")
+          end
+          | _ -> corrupt "malformed index line"
+        end
+    in
+    match String.index_opt s '\n' with
+    | Some nl when String.sub s 0 nl = typed_format_version -> from (nl + 1)
+    | _ -> corrupt "foreign format"
+  end);
+  records

@@ -1,7 +1,16 @@
-(** Per-package summary store: serialized extended parameter tags plus
-    the recorded instrumentation and stack/heap decisions, keyed by a
-    content hash over sources, dependency keys and configuration
-    (paper §4.4's separate compilation). *)
+(** The cache directory's three record kinds (paper §4.4's separate
+    compilation):
+    - [frontend.typed]: per package, the typechecked package at id base
+      0 ({!Typed}), keyed by its source digest and its imports'
+      interface digests;
+    - [<pkg>.sum]: the analysis entry — extended parameter tags,
+      recorded instrumentation, stack/heap decisions — keyed by sources,
+      dependency keys and configuration;
+    - [<pkg>.units]: function-granular analysis-unit records.
+
+    Every record is sealed with a digest of its body (and every file
+    names its format).  A record that fails either check is a corrupt
+    record — logged, reported to [on_corrupt], and treated as a miss. *)
 
 open Minigo
 module E := Gofree_escape
@@ -39,8 +48,12 @@ val entry_path : dir:string -> pkg:string -> string
     reader always sees one whole entry. *)
 val save : dir:string -> entry -> unit
 
-(** [None] when absent, unreadable or stale-format — all just "miss". *)
-val load : dir:string -> pkg:string -> entry option
+(** [None] when absent or unreadable (a plain miss) or corrupt: a
+    digest mismatch, truncation or foreign format, which is logged and
+    reported to [on_corrupt] before missing. *)
+val load :
+  ?on_corrupt:(unit -> unit) -> dir:string -> pkg:string -> unit ->
+  entry option
 
 (** One record per analysis unit (call-graph SCC), layered {e under}
     the package entry: a package-level miss assembles its entry from
@@ -70,5 +83,43 @@ val units_path : dir:string -> pkg:string -> string
 (** Replace the package's stored unit records with the latest full set. *)
 val save_units : dir:string -> pkg:string -> unit_record list -> unit
 
-(** [None] is just "no unit cache for the package". *)
-val load_units : dir:string -> pkg:string -> unit_record list option
+(** [None] is just "no unit cache for the package"; corrupt files are
+    handled as in {!load}. *)
+val load_units :
+  ?on_corrupt:(unit -> unit) -> dir:string -> pkg:string -> unit ->
+  unit_record list option
+
+(** {1 Typed package records} *)
+
+(** [<dir>/frontend.typed]: one file holding each package's typed
+    record, each with its own length and body digest. *)
+val typed_path : dir:string -> string
+
+(** [len] bytes of [str] from [off]: a record inside the file it was
+    read from, written back without a copy. *)
+type slice = { str : string; off : int; len : int }
+
+(** The whole string. *)
+val slice : string -> slice
+
+(** A loaded typed record. *)
+type typed_record = {
+  tr_header : Typed.header;
+  tr_body : unit -> Typed.body option;
+      (** decodes the body; [None], reported like any corrupt record,
+          if it does not decode *)
+  tr_bytes : slice;  (** the record as stored, to write back unchanged *)
+}
+
+(** Replace the file with these records: (package, {!Typed.encode}d
+    record), in order.  Atomic, as {!save}. *)
+val save_typed : dir:string -> (string * slice) list -> unit
+
+(** The typed records by package.  A record whose digest does not match
+    is reported to [on_corrupt] and left out; so is everything after a
+    damaged index line or a truncation, and the whole file when its
+    format line is foreign.  Nothing is decoded before its digest
+    matches. *)
+val load_typed :
+  ?on_corrupt:(unit -> unit) -> dir:string -> unit ->
+  (string, typed_record) Hashtbl.t

@@ -22,7 +22,9 @@ type var = {
   v_ty : Types.t;
   v_decl_depth : int;  (** nesting depth of the declaring scope; function body = 1 *)
   v_loop_depth : int;  (** number of enclosing loops at the declaration *)
-  v_scope : int;  (** unique id of the declaring block *)
+  mutable v_scope : int;
+      (** unique id of the declaring block; mutable, like [v_id], so a
+          package typechecked at id base 0 can be {!relocate}d *)
   v_kind : var_kind;
 }
 
@@ -40,7 +42,7 @@ type site_kind =
   | Site_string  (** string concatenation result *)
 
 type alloc_site = {
-  site_id : int;
+  mutable site_id : int;  (** mutable for {!relocate} *)
   site_kind : site_kind;
   site_pos : pos;
   site_func : string;
@@ -132,7 +134,7 @@ type stmt =
           the programmer *)
 
 and block = {
-  b_scope : int;  (** unique block id *)
+  mutable b_scope : int;  (** unique block id; mutable for {!relocate} *)
   b_depth : int;  (** scope nesting depth; function body = 1 *)
   mutable b_stmts : stmt list;
       (** mutable so the instrumentation pass can insert tcfree calls *)
@@ -245,3 +247,63 @@ let rec iter_expr f (e : expr) =
   | Tappend (_, s, es) ->
     iter_expr f s;
     List.iter (iter_expr f) es
+
+(* ---------------------------------------------------------------- *)
+(* Relocation                                                         *)
+(* ---------------------------------------------------------------- *)
+
+(** Apply [f] to every variable the program declares, once each, in
+    declaration order: the globals, then each function's parameters and
+    the variables its body declares ([Sdecl], [Smulti_decl], map-range
+    keys).  Every reference to a variable shares its declared record.
+    [block] is applied to every block. *)
+let iter_declared ?(block = fun (_ : block) -> ()) f (p : program) =
+  let rec blk b =
+    block b;
+    List.iter stmt b.b_stmts
+  and stmt = function
+    | Sdecl (v, _) -> f v
+    | Smulti_decl (vs, _) -> List.iter f vs
+    | Sforrange_map (k, _, body) ->
+      f k;
+      blk body
+    | Sif (_, b1, b2) ->
+      blk b1;
+      Option.iter blk b2
+    | Sfor (init, _, post, body) ->
+      Option.iter stmt init;
+      Option.iter stmt post;
+      blk body
+    | Sblock b -> blk b
+    | Sassign _ | Smulti_assign _ | Sexpr _ | Sreturn _ | Sgo _ | Sdefer _
+    | Spanic _ | Sbreak | Scontinue | Sdelete _ | Sprint _ | Stcfree _ ->
+      ()
+  in
+  List.iter (fun (v, _) -> f v) p.p_globals;
+  List.iter
+    (fun fn ->
+      List.iter f fn.f_params;
+      blk fn.f_body)
+    p.p_funcs
+
+(** Shift, in place, every id a package's typecheck allocated: variable
+    ids by [var], scope ids by [scope], allocation-site ids by [site].
+    A package checked at id base 0 and relocated to bases (v, s, a)
+    equals the same package checked at those bases.
+
+    Each variable the package declares is shifted once, at its
+    declaration ({!iter_declared}).  An imported package's globals are
+    referenced but never declared here, so they keep their ids.  Sites
+    are shifted through [p_sites], whose records the allocation
+    expressions share. *)
+let relocate (p : program) ~var ~scope ~site =
+  iter_declared
+    ~block:(fun b -> b.b_scope <- b.b_scope + scope)
+    (fun v ->
+      v.v_id <- v.v_id + var;
+      match v.v_kind with
+      | Vglobal -> ()  (* declared outside every block: scope 0 stays *)
+      | Vlocal | Vparam | Vresult _ -> v.v_scope <- v.v_scope + scope)
+    p;
+  List.iter (fun s -> s.site_id <- s.site_id + site) p.p_sites;
+  p.p_nvars <- p.p_nvars + var

@@ -21,6 +21,9 @@ type state = {
   aliases : (string, string) Hashtbl.t;
       (** import alias → package name, for resolving [alias.Sel] *)
   mutable scopes : (string, Tast.var) Hashtbl.t list;  (** innermost first *)
+  var_base : int;
+      (** the package's first variable id; names derived from ids are
+          relative to it, so they do not depend on the package's base *)
   mutable next_var : int;
   mutable next_scope : int;
   mutable next_site : int;
@@ -41,6 +44,7 @@ let create ?(pkg = "") ?(first_var = 0) ?(first_scope = 0) ?(first_site = 0)
     pkg;
     aliases = Hashtbl.create 4;
     scopes = [];
+    var_base = first_var;
     next_var = first_var;
     next_scope = first_scope;
     next_site = first_site;
@@ -1014,7 +1018,7 @@ and check_assign st pos lhss rhss : Tast.stmt list =
               let rhs = check_expr st rhs in
               let v =
                 declare st pos
-                  (Printf.sprintf "swap$%d" st.next_var)
+                  (Printf.sprintf "swap$%d" (st.next_var - st.var_base))
                   rhs.Tast.ty Tast.Vlocal
               in
               (v, rhs))
@@ -1201,6 +1205,52 @@ type pkg_iface = {
 
 type counters = { c_next_var : int; c_next_scope : int; c_next_site : int }
 
+let iface_of_program ~pkg ~structs (p : Tast.program) : pkg_iface =
+  {
+    pi_pkg = pkg;
+    pi_structs =
+      List.map (fun n -> (n, Types.struct_fields p.Tast.p_tenv n)) structs;
+    pi_funcs =
+      List.map
+        (fun (f : Tast.func) ->
+          ( f.Tast.f_name,
+            {
+              sig_params =
+                List.map (fun (v : Tast.var) -> v.Tast.v_ty) f.Tast.f_params;
+              sig_results = f.Tast.f_results;
+            } ))
+        p.Tast.p_funcs;
+    pi_globals =
+      List.map (fun ((v : Tast.var), _) -> (v.Tast.v_name, v)) p.Tast.p_globals;
+  }
+
+(* Globals are declared outside every function, so their scope and
+   depths are fixed; the text records them anyway, since importers copy
+   the whole variable record. *)
+let iface_text (pi : pkg_iface) : string =
+  let b = Buffer.create 256 in
+  let ty = Types.to_string in
+  let tys ts = String.concat "," (List.map ty ts) in
+  Printf.bprintf b "package %s\n" pi.pi_pkg;
+  List.iter
+    (fun (n, fields) ->
+      Printf.bprintf b "struct %s {%s}\n" n
+        (String.concat ";"
+           (List.map (fun (f, t) -> f ^ " " ^ ty t) fields)))
+    pi.pi_structs;
+  List.iter
+    (fun (n, s) ->
+      Printf.bprintf b "func %s (%s) (%s)\n" n (tys s.sig_params)
+        (tys s.sig_results))
+    pi.pi_funcs;
+  List.iter
+    (fun (n, (v : Tast.var)) ->
+      Printf.bprintf b "global %s %s %d %d %d %d\n" n (ty v.Tast.v_ty)
+        v.Tast.v_id v.Tast.v_decl_depth v.Tast.v_loop_depth
+        v.Tast.v_scope)
+    pi.pi_globals;
+  Buffer.contents b
+
 let check_package ?(imports = []) ?(first_var = 0) ?(first_scope = 0)
     ?(first_site = 0) (file : Ast.file) :
     Tast.program * pkg_iface * counters =
@@ -1237,31 +1287,15 @@ let check_package ?(imports = []) ?(first_var = 0) ?(first_scope = 0)
       List.iter (fun (n, v) -> Hashtbl.replace st.globals n v) pi.pi_globals)
     imports;
   let tprog = check_decls st file.Ast.file_decls in
-  let q = qualify st in
   let iface =
-    {
-      pi_pkg = pkg;
-      pi_structs =
-        List.filter_map
-          (function
-            | Ast.Dstruct sd ->
-              Some
-                ( q sd.Ast.sd_name,
-                  Types.struct_fields st.tenv (q sd.Ast.sd_name) )
-            | Ast.Dfunc _ | Ast.Dglobal _ -> None)
-          file.Ast.file_decls;
-      pi_funcs =
-        List.filter_map
-          (function
-            | Ast.Dfunc fd ->
-              Some (q fd.Ast.fd_name, Hashtbl.find st.sigs (q fd.Ast.fd_name))
-            | Ast.Dstruct _ | Ast.Dglobal _ -> None)
-          file.Ast.file_decls;
-      pi_globals =
-        List.map
-          (fun ((v : Tast.var), _) -> (v.Tast.v_name, v))
-          tprog.Tast.p_globals;
-    }
+    iface_of_program ~pkg
+      ~structs:
+        (List.filter_map
+           (function
+             | Ast.Dstruct sd -> Some (qualify st sd.Ast.sd_name)
+             | Ast.Dfunc _ | Ast.Dglobal _ -> None)
+           file.Ast.file_decls)
+      tprog
   in
   let counters =
     {

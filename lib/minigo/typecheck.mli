@@ -26,6 +26,20 @@ type pkg_iface = {
     [first_*] bases of the next package so ids stay globally unique. *)
 type counters = { c_next_var : int; c_next_scope : int; c_next_site : int }
 
+(** The interface of a checked package: its name, its struct types
+    ([structs], qualified, in declaration order), every function's
+    signature and every global, in declaration order. *)
+val iface_of_program :
+  pkg:string -> structs:string list -> Tast.program -> pkg_iface
+
+(** Canonical text of an interface: everything an importer's typecheck
+    reads from it (struct fields, signatures, each global's type and
+    id), one declaration per line in declaration order.  Equal
+    interfaces give equal text, so its digest keys the importers' typed
+    records.  Take it of a package checked at id base 0, so the ids are
+    package-relative. *)
+val iface_text : pkg_iface -> string
+
 (** Check one package against the interfaces of its imports.
 
     Top-level names are qualified as [pkg.name] — except in package

@@ -125,6 +125,7 @@ let unit_cache (t : t) ~(disk : Driver.unit_cache) : Driver.unit_cache =
           records;
         Mutex.unlock t.mutex;
         disk.Driver.uc_commit ~pkg records);
+    uc_corrupt = disk.Driver.uc_corrupt;
   }
 
 (** Build the tree at [dir], or return the resident linked result.

@@ -569,19 +569,19 @@ let test_store_save_load () =
   let root = make_tree [] in
   let dir = Filename.concat root "cache" in
   B.Store.save ~dir sample_entry;
-  (match B.Store.load ~dir ~pkg:"util" with
+  (match B.Store.load ~dir ~pkg:"util" () with
   | Some e ->
     Alcotest.(check bool) "load returns the saved entry" true
       (e = sample_entry)
   | None -> Alcotest.fail "saved entry did not load");
   Alcotest.(check bool) "absent package misses" true
-    (B.Store.load ~dir ~pkg:"nosuch" = None);
+    (B.Store.load ~dir ~pkg:"nosuch" () = None);
   (* a stale or corrupt file is just a miss, never an error *)
   let oc = open_out (B.Store.entry_path ~dir ~pkg:"util") in
   output_string oc "(format ancient-v0)\n(package util)\n";
   close_out oc;
   Alcotest.(check bool) "stale format misses" true
-    (B.Store.load ~dir ~pkg:"util" = None)
+    (B.Store.load ~dir ~pkg:"util" () = None)
 
 (* Two writers saving the same package at once (two daemon workers, or
    the daemon and the CLI) each go through their own temp file, so a
@@ -606,7 +606,7 @@ let test_store_concurrent_saves () =
   let loads = ref 0 and bad = ref 0 in
   let check () =
     incr loads;
-    match B.Store.load ~dir ~pkg:"util" with
+    match B.Store.load ~dir ~pkg:"util" () with
     | Some e when e = sample_entry || e = other -> ()
     | _ -> incr bad
   in
@@ -629,7 +629,7 @@ let test_stored_summary_survives_store () =
   let r = B.Driver.build root in
   ignore r;
   let dir = Filename.concat root ".gofree-cache" in
-  match B.Store.load ~dir ~pkg:"util" with
+  match B.Store.load ~dir ~pkg:"util" () with
   | None -> Alcotest.fail "build did not persist util's entry"
   | Some e ->
     let mk =

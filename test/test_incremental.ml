@@ -453,18 +453,18 @@ let test_unit_store_roundtrip () =
 let test_unit_store_save_load () =
   let dir = Filename.concat (make_tree []) "cache" in
   B.Store.save_units ~dir ~pkg:"util" sample_units;
-  (match B.Store.load_units ~dir ~pkg:"util" with
+  (match B.Store.load_units ~dir ~pkg:"util" () with
   | Some us ->
     Alcotest.(check bool) "load returns the saved records" true
       (us = sample_units)
   | None -> Alcotest.fail "saved unit records did not load");
   Alcotest.(check bool) "absent package misses" true
-    (B.Store.load_units ~dir ~pkg:"nosuch" = None);
+    (B.Store.load_units ~dir ~pkg:"nosuch" () = None);
   write_file
     (B.Store.units_path ~dir ~pkg:"util")
     "(format ancient-units-v0)\n";
   Alcotest.(check bool) "stale format misses" true
-    (B.Store.load_units ~dir ~pkg:"util" = None)
+    (B.Store.load_units ~dir ~pkg:"util" () = None)
 
 let test_unit_key_sensitivity () =
   let tp, _, _ = Typecheck.check_package (Parser.parse_file util_src) in
@@ -490,6 +490,444 @@ let test_unit_key_sensitivity () =
   Alcotest.(check bool) "config signature feeds the key" true
     (base <> key ~config_sig:"c2" ~summary:None)
 
+(* ---------------------------------------------------------------- *)
+(* Typed package records: warm frontend == cold frontend             *)
+(* ---------------------------------------------------------------- *)
+
+(* A generated multi-package tree, rendered from a small model so an
+   edit can change one package's body, interface, signature or id
+   counts and keep the tree well-typed.  Package [i] imports a few
+   lower-numbered packages and reads their globals and calls their
+   functions; main imports every package. *)
+
+type model_pkg = {
+  m_deps : int list;
+  mutable m_scale : int;  (** a constant in [Mk]'s body *)
+  mutable m_extra : bool;  (** [Mk] takes a second parameter *)
+  mutable m_pads : int;  (** extra locals and allocation sites in [Sum] *)
+  mutable m_exports : int;  (** extra exported globals and structs *)
+}
+
+let model_tree seed n =
+  let st = Random.State.make [| seed |] in
+  Array.init n (fun i ->
+      let deps =
+        List.sort_uniq compare
+          (List.init (min i 2) (fun _ -> Random.State.int st i))
+      in
+      { m_deps = deps; m_scale = 1 + Random.State.int st 5;
+        m_extra = false; m_pads = 0; m_exports = 0 })
+
+let pkg_name i = Printf.sprintf "p%d" i
+
+let pkg_file i = Printf.sprintf "p%d/p%d.go" i i
+
+(* A call of package [i]'s [Mk], qualified with [qual]. *)
+let mk_call pkgs ?(qual = "") i n =
+  Printf.sprintf "%sMk%d(%s%s)" qual i n
+    (if pkgs.(i).m_extra then ", 1" else "")
+
+let model_package pkgs i =
+  let m = pkgs.(i) in
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.bprintf b fmt in
+  add "package p%d\n\n" i;
+  if m.m_deps <> [] then begin
+    add "import (\n";
+    List.iter (fun d -> add "  \"p%d\"\n" d) m.m_deps;
+    add ")\n\n"
+  end;
+  add "type S%d struct {\n  A int\n  B []int\n}\n\n" i;
+  add "var G%d int = %d\n" i (i + 3);
+  for k = 0 to m.m_exports - 1 do
+    if k mod 2 = 0 then add "var X%d_%d int = %d\n" i k k
+    else add "type T%d_%d struct {\n  V int\n}\n" i k
+  done;
+  add "\nfunc Mk%d(n int%s) []int {\n" i
+    (if m.m_extra then ", extra int" else "");
+  add "  xs := make([]int, n)\n  for j := range xs {\n";
+  add "    xs[j] = j * %d%s\n  }\n  return xs\n}\n\n" m.m_scale
+    (if m.m_extra then " + extra" else "");
+  add "func Sum%d(n int) int {\n  s := 0\n  xs := %s\n" i
+    (mk_call pkgs i "n");
+  add "  for j := range xs {\n    s = s + xs[j]\n  }\n";
+  add "  q := &S%d{A: n, B: xs}\n  s = s + q.A + len(q.B)\n" i;
+  for k = 0 to m.m_pads - 1 do
+    add "  pad%d := make([]int, %d)\n  s = s + len(pad%d)\n" k (k + 2) k
+  done;
+  List.iter
+    (fun d ->
+      let qual = pkg_name d ^ "." in
+      add "  ys%d := %s\n" d (mk_call pkgs ~qual d "2");
+      add "  s = s + len(ys%d) + p%d.G%d + p%d.Sum%d(1)\n" d d d d d)
+    m.m_deps;
+  add "  return s + G%d\n}\n" i;
+  Buffer.contents b
+
+let model_main pkgs =
+  let b = Buffer.create 512 in
+  Buffer.add_string b "package main\n\nimport (\n";
+  Array.iteri (fun i _ -> Printf.bprintf b "  \"p%d\"\n" i) pkgs;
+  Buffer.add_string b ")\n\nfunc main() {\n";
+  Array.iteri
+    (fun i _ ->
+      Printf.bprintf b "  println(\"p%d\", p%d.Sum%d(4), p%d.G%d)\n" i i i
+        i i)
+    pkgs;
+  Buffer.add_string b "}\n";
+  Buffer.contents b
+
+let model_files pkgs =
+  ("main.go", model_main pkgs)
+  :: List.init (Array.length pkgs) (fun i ->
+         (pkg_file i, model_package pkgs i))
+
+let write_files root files =
+  List.iter
+    (fun (rel, src) -> write_file (Filename.concat root rel) src)
+    files
+
+(* The metrics document minus [gc_time_ns], the one wall-clock field. *)
+let rec without_gc_time (j : Gofree_obs.Json.t) : Gofree_obs.Json.t =
+  match j with
+  | Gofree_obs.Json.Obj fields ->
+    Gofree_obs.Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+           if k = "gc_time_ns" then None else Some (k, without_gc_time v))
+         fields)
+  | Gofree_obs.Json.List xs ->
+    Gofree_obs.Json.List (List.map without_gc_time xs)
+  | j -> j
+
+(** The build's inserted frees, its instrumented source, and the output
+    and metrics (without [gc_time_ns]) of a run on each engine. *)
+let full_fingerprint (r : B.Driver.result) =
+  let insertions =
+    List.map
+      (fun { Gofree_core.Instrument.ins_func; ins_var; ins_field;
+             ins_kind } ->
+        Printf.sprintf "%s/%d%s/%s/%s" ins_func ins_var.Tast.v_id
+          (match ins_field with
+          | Some (idx, fname) -> Printf.sprintf ".%d:%s" idx fname
+          | None -> "")
+          ins_var.Tast.v_name (kind_str ins_kind))
+      r.B.Driver.b_inserted
+  in
+  let run engine =
+    let run =
+      Gofree_interp.Runner.run_program
+        ~config:{ Gofree_interp.Interp.default_config with engine }
+        ~decisions:(decisions_of r) r.B.Driver.b_program
+    in
+    run.Gofree_interp.Runner.output ^ "\n"
+    ^ Gofree_obs.Json.to_string
+        (without_gc_time
+           (Gofree_runtime.Metrics.to_json run.Gofree_interp.Runner.metrics))
+  in
+  String.concat "\n" insertions
+  ^ "\n---\n"
+  ^ Pretty.program_to_string r.B.Driver.b_program
+  ^ "\n---\n" ^ run Gofree_interp.Interp.Eng_reference ^ "\n---\n"
+  ^ run Gofree_interp.Interp.Eng_bytecode
+
+(* A cold build into a cache of its own, so it never refreshes the
+   cache the warm builds read. *)
+let cold_build root =
+  B.Driver.build ~force:true
+    ~cache_dir:(Filename.concat (make_tree []) "cold-cache")
+    root
+
+let typechecked (r : B.Driver.result) =
+  List.filter_map
+    (fun (p : B.Driver.pkg_report) ->
+      if p.B.Driver.pr_typed then None else Some p.B.Driver.pr_name)
+    r.B.Driver.b_stats.B.Driver.bs_pkgs
+  |> List.sort compare
+
+let importers pkgs i =
+  List.filter_map
+    (fun j -> if List.mem i pkgs.(j).m_deps then Some (pkg_name j) else None)
+    (List.init (Array.length pkgs) Fun.id)
+
+let test_typed_records_seeded_edits () =
+  (* 24 seeded edits of four kinds; after each, the warm build (typed
+     records for unchanged packages, relocated onto new id bases) is
+     byte-identical to a cold --force build, and re-typechecks exactly
+     the edited package plus the importers of a changed interface *)
+  let pkgs = model_tree 31 6 in
+  let root = make_tree (model_files pkgs) in
+  ignore (B.Driver.build root);
+  let st = Random.State.make [| 7 |] in
+  for step = 0 to 23 do
+    let i = Random.State.int st (Array.length pkgs) in
+    let m = pkgs.(i) in
+    let kind, changes_iface =
+      match step mod 4 with
+      | 0 ->
+        m.m_scale <- m.m_scale + 1;
+        ("body", false)
+      | 1 ->
+        m.m_exports <- m.m_exports + 1;
+        ("export", true)
+      | 2 ->
+        m.m_extra <- not m.m_extra;
+        ("signature", true)
+      | _ ->
+        (* one more local and allocation site: every later package's
+           id bases shift, and their records relocate *)
+        m.m_pads <- m.m_pads + 1;
+        ("counts", false)
+    in
+    write_files root (model_files pkgs);
+    let warm = B.Driver.build root in
+    let cold = cold_build root in
+    let what = Printf.sprintf "edit %d (%s of p%d)" step kind i in
+    Alcotest.(check string)
+      (what ^ ": warm == cold")
+      (full_fingerprint cold) (full_fingerprint warm);
+    let expected =
+      if changes_iface then
+        List.sort_uniq compare ("main" :: pkg_name i :: importers pkgs i)
+      else [ pkg_name i ]
+    in
+    Alcotest.(check (list string))
+      (what ^ ": re-typechecked") expected (typechecked warm);
+    Alcotest.(check int)
+      (what ^ ": frontend hits")
+      (Array.length pkgs + 1 - List.length expected)
+      warm.B.Driver.b_stats.B.Driver.bs_frontend_hits
+  done;
+  (* typed records do not depend on the configuration: another precision
+     mode re-analyzes every package but typechecks none *)
+  let config =
+    { Gofree_core.Config.gofree with
+      Gofree_core.Config.precision = Gofree_core.Config.precise_precision }
+  in
+  let precise = B.Driver.build ~config root in
+  Alcotest.(check (pair int int))
+    "--precision precise: typed hits, analysis misses"
+    (Array.length pkgs + 1, 0)
+    ( precise.B.Driver.b_stats.B.Driver.bs_frontend_hits,
+      precise.B.Driver.b_stats.B.Driver.bs_hits )
+
+(* The imported globals a package's typed record names, with ids
+   relative to their packages' bases. *)
+let imported_globals bases (imports : Typecheck.pkg_iface list) =
+  List.concat_map
+    (fun (i : Typecheck.pkg_iface) ->
+      let base = Hashtbl.find bases i.Typecheck.pi_pkg in
+      List.map
+        (fun (_, (v : Tast.var)) ->
+          (i.Typecheck.pi_pkg, v.Tast.v_id - base, v))
+        i.Typecheck.pi_globals)
+    imports
+
+let test_relocation_property () =
+  (* for every package of the model tree: checking at base b equals
+     checking at base 0 and relocating to b, directly and through the
+     typed-record codec *)
+  let pkgs = model_tree 5 6 in
+  pkgs.(3).m_pads <- 2;
+  pkgs.(4).m_exports <- 3;
+  let files = model_files pkgs in
+  let order =
+    List.init (Array.length pkgs) (fun i -> (pkg_name i, pkg_file i))
+    @ [ ("main", "main.go") ]
+  in
+  let ifaces = Hashtbl.create 8 and bases = Hashtbl.create 8 in
+  let next = ref (0, 0, 0) in
+  List.iteri
+    (fun k (name, rel) ->
+      let file = Parser.parse_file (List.assoc rel files) in
+      let imports =
+        List.sort_uniq compare
+          (List.map
+             (fun (i : Ast.import_decl) -> Ast.import_base i.Ast.imp_path)
+             file.Ast.file_imports)
+        |> List.map (Hashtbl.find ifaces)
+      in
+      (* gaps between packages: relocation must not assume dense bases *)
+      let v0, s0, a0 = !next in
+      let bv = v0 + (7 * k) and bs = s0 + (3 * k) and ba = a0 + k in
+      let direct, iface_b, c_b =
+        Typecheck.check_package ~imports ~first_var:bv ~first_scope:bs
+          ~first_site:ba file
+      in
+      let at0, iface0, c0 = Typecheck.check_package ~imports file in
+      let bytes =
+        B.Typed.encode
+          { B.Typed.th_source = ""; th_clause = name; th_imports = [];
+            th_deps = []; th_iface = "" }
+          { B.Typed.tb_program = at0; tb_iface = iface0; tb_counters = c0;
+            tb_imported = imported_globals bases imports }
+      in
+      Tast.relocate at0 ~var:bv ~scope:bs ~site:ba;
+      Alcotest.(check bool)
+        (name ^ ": relocated == checked at base")
+        true
+        (at0 = direct && iface0 = iface_b);
+      Alcotest.(check (list int))
+        (name ^ ": counters")
+        [ c_b.Typecheck.c_next_var; c_b.Typecheck.c_next_scope;
+          c_b.Typecheck.c_next_site ]
+        [ bv + c0.Typecheck.c_next_var; bs + c0.Typecheck.c_next_scope;
+          ba + c0.Typecheck.c_next_site ];
+      (match
+         Result.bind
+           (B.Typed.decode_header bytes ~off:0 ~len:(String.length bytes))
+           (fun (_, body) ->
+             B.Typed.decode_body body)
+       with
+      | Error m -> Alcotest.failf "%s: record did not decode: %s" name m
+      | Ok b ->
+        List.iter
+          (fun (d, rel, (v : Tast.var)) ->
+            v.Tast.v_id <- Hashtbl.find bases d + rel)
+          b.B.Typed.tb_imported;
+        Tast.relocate b.B.Typed.tb_program ~var:bv ~scope:bs ~site:ba;
+        Alcotest.(check bool)
+          (name ^ ": decoded and relocated == checked at base")
+          true
+          (b.B.Typed.tb_program = direct && b.B.Typed.tb_iface = iface_b));
+      Hashtbl.replace ifaces name iface_b;
+      Hashtbl.replace bases name bv;
+      next :=
+        ( c_b.Typecheck.c_next_var,
+          c_b.Typecheck.c_next_scope,
+          c_b.Typecheck.c_next_site ))
+    order
+
+let build_error ?cache_dir ?(force = false) root =
+  match B.Driver.build ?cache_dir ~force root with
+  | _ -> "no error"
+  | exception (B.Driver.Error m | B.Loader.Error m) -> m
+
+(* [src] with its first line (the package clause) replaced. *)
+let with_head head src =
+  head ^ String.sub src (String.index src '\n')
+    (String.length src - String.index src '\n')
+
+let test_error_parity () =
+  (* an error introduced after a warm build reads exactly as it does in
+     a cold build of the same tree *)
+  let cases =
+    [
+      ( "clause mismatch",
+        "found package px, expected package p1",
+        fun pkgs ->
+          [ (pkg_file 1, with_head "package px" (model_package pkgs 1)) ] );
+      ( "unresolved import",
+        "imports \"nosuch\", which is not in the build tree",
+        fun pkgs ->
+          [ ( pkg_file 2,
+              with_head "package p2\n\nimport \"nosuch\""
+                (model_package pkgs 2) ) ] );
+      ( "upstream signature break",
+        ": type error at ",
+        fun pkgs ->
+          (* Mk0 takes a second parameter; only p0's own call follows *)
+          pkgs.(0).m_extra <- true;
+          let src = model_package pkgs 0 in
+          pkgs.(0).m_extra <- false;
+          [ (pkg_file 0, src) ] );
+    ]
+  in
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (what, fragment, edit) ->
+      let pkgs = model_tree 31 6 in
+      let root = make_tree (model_files pkgs) in
+      ignore (B.Driver.build root);
+      write_files root (edit pkgs);
+      let warm = build_error root in
+      let cold =
+        build_error ~force:true
+          ~cache_dir:(Filename.concat (make_tree []) "cold-cache")
+          root
+      in
+      if not (contains ~sub:fragment warm) then
+        Alcotest.failf "%s: unexpected error %S" what warm;
+      Alcotest.(check string) (what ^ ": warm error == cold error") cold warm)
+    cases
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* Flip one bit of the last "main" in the file (the package name, in
+   every record kind), so the damaged record still decodes: only its
+   digest tells it apart. *)
+let flip_bit path =
+  let b = Bytes.of_string (read_all path) in
+  let rec last i =
+    if i < 0 then Alcotest.failf "%s: no \"main\"" path
+    else if Bytes.sub_string b i 4 = "main" then i
+    else last (i - 1)
+  in
+  let i = last (Bytes.length b - 4) in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  write_file path (Bytes.to_string b)
+
+let truncate_half path =
+  let s = read_all path in
+  write_file path (String.sub s 0 (String.length s / 2))
+
+(* Another format version of the same kind: only the format name on
+   the first line differs, so the body still matches its digest. *)
+let foreign_format path =
+  let s = read_all path in
+  let nl = String.index s '\n' in
+  let rest =
+    match String.index_opt (String.sub s 0 nl) ' ' with
+    | Some sp -> String.sub s sp (String.length s - sp)
+    | None -> String.sub s nl (String.length s - nl)
+  in
+  write_file path ("gofree-old-v0" ^ rest)
+
+let test_corrupt_records_are_misses () =
+  (* each record kind, truncated, bit-flipped and in a foreign format:
+     the record misses, is counted once, and the build is byte-identical
+     to a cold one; the next build finds the cache healed *)
+  List.iter
+    (fun (kind, path_of) ->
+      List.iter
+        (fun (fault, damage) ->
+          let pkgs = model_tree 31 6 in
+          let root = make_tree (model_files pkgs) in
+          ignore (B.Driver.build root);
+          (* a body edit upstream: main keeps its typed record but misses
+             its analysis entry, so its unit records are read too *)
+          pkgs.(0).m_scale <- pkgs.(0).m_scale + 1;
+          write_files root (model_files pkgs);
+          damage (path_of (Filename.concat root ".gofree-cache"));
+          let what = Printf.sprintf "%s %s" fault kind in
+          let warm = B.Driver.build root in
+          let cold = cold_build root in
+          Alcotest.(check string)
+            (what ^ ": warm == cold")
+            (full_fingerprint cold) (full_fingerprint warm);
+          Alcotest.(check int)
+            (what ^ ": counted") 1
+            warm.B.Driver.b_stats.B.Driver.bs_corrupt;
+          Alcotest.(check int)
+            (what ^ ": healed") 0
+            (B.Driver.build root).B.Driver.b_stats.B.Driver.bs_corrupt)
+        [
+          ("truncated", truncate_half);
+          ("bit-flipped", flip_bit);
+          ("foreign-format", foreign_format);
+        ])
+    [
+      (".sum", fun dir -> B.Store.entry_path ~dir ~pkg:"main");
+      (".units", fun dir -> B.Store.units_path ~dir ~pkg:"main");
+      ("typed", fun dir -> B.Store.typed_path ~dir);
+    ]
+
 let suite =
   [
     Alcotest.test_case "every function edit re-solves one unit" `Quick
@@ -514,4 +952,12 @@ let suite =
       test_unit_store_save_load;
     Alcotest.test_case "unit key sensitivity" `Quick
       test_unit_key_sensitivity;
+    Alcotest.test_case "typed records: 24 seeded edits, warm == cold" `Quick
+      test_typed_records_seeded_edits;
+    Alcotest.test_case "relocation: base 0 + relocate == base b" `Quick
+      test_relocation_property;
+    Alcotest.test_case "typed records: error parity" `Quick
+      test_error_parity;
+    Alcotest.test_case "corrupt records are counted misses" `Quick
+      test_corrupt_records_are_misses;
   ]

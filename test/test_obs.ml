@@ -299,6 +299,7 @@ let test_stats_json () =
           {
             pr_name = "util";
             pr_wave = 0;
+            pr_typed = false;
             pr_cached = false;
             pr_ms = 1.25;
             pr_nfuncs = 3;
@@ -309,6 +310,7 @@ let test_stats_json () =
           {
             pr_name = "main";
             pr_wave = 1;
+            pr_typed = true;
             pr_cached = true;
             pr_ms = 0.0;
             pr_nfuncs = 1;
@@ -321,6 +323,9 @@ let test_stats_json () =
       bs_misses = 1;
       bs_unit_hits = 2;
       bs_unit_misses = 1;
+      bs_frontend_hits = 1;
+      bs_frontend_misses = 1;
+      bs_corrupt = 0;
       bs_jobs = 2;
       bs_total_ms = 3.5;
     }
@@ -329,6 +334,8 @@ let test_stats_json () =
   Alcotest.(check string) "schema" "gofree-build-stats-v1"
     (Json.get_string "schema" j);
   Alcotest.(check int) "hits" 1 (Json.get_int "cache_hits" j);
+  Alcotest.(check int) "frontend hits" 1 (Json.get_int "frontend_hits" j);
+  Alcotest.(check int) "corrupt records" 0 (Json.get_int "corrupt_records" j);
   let pkgs = Json.get_list "packages" j in
   Alcotest.(check int) "both packages" 2 (List.length pkgs);
   Alcotest.(check bool) "cached flag survives" true
