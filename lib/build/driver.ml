@@ -148,9 +148,22 @@ let disk_unit_cache ~dir : unit_cache =
         List.iter
           (fun (r : Store.unit_record) -> Hashtbl.replace t r.Store.u_key r)
           records;
+        (* records are content-addressed by key, so the key set loaded
+           from the file names its contents: the same set is not
+           rewritten (a body edit upstream re-analyzes every dependent,
+           whose units all hit).  An empty table may stand for a
+           missing or corrupt file, which is always written. *)
+        let unchanged =
+          match Hashtbl.find_opt loaded pkg with
+          | Some old ->
+            Hashtbl.length old > 0
+            && Hashtbl.length old = Hashtbl.length t
+            && Hashtbl.fold (fun k _ same -> same && Hashtbl.mem old k) t true
+          | None -> false
+        in
         Hashtbl.replace loaded pkg t;
-        (try Store.save_units ~dir ~pkg records
-         with Sys_error _ -> ());
+        (if not unchanged then
+           try Store.save_units ~dir ~pkg records with Sys_error _ -> ());
         Mutex.unlock mutex);
     uc_corrupt =
       (fun () ->

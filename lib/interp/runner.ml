@@ -19,6 +19,61 @@ type result = {
 
 let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
+module Reg = Gofree_obs.Registry
+
+(* Counters of the process-global runtime registry (gofree-telemetry-v1)
+   that each run folds its totals into once, while something holds
+   [Reg.acquire_runtime] — a daemon's telemetry scrape then covers every
+   run it served.  The run's own [Metrics] stripes are what count on the
+   hot path. *)
+let runtime_counters names =
+  Array.map (fun (name, help) -> Reg.counter Reg.runtime ~help name) names
+
+let publish counters values =
+  if Reg.runtime_enabled () then
+    Array.iteri (fun i v -> Reg.add counters.(i) v) values
+
+let vm_counters =
+  runtime_counters
+    [|
+      ( "gofree_vm_ic_hit_total",
+        "bytecode-engine inline cache hits (map-key + struct-field)" );
+      ( "gofree_vm_ic_miss_total",
+        "bytecode-engine inline cache misses (map-key + struct-field)" );
+      ( "gofree_sched_steals_total",
+        "goroutines migrated between domains by work stealing" );
+      ( "gofree_sched_spawns_total",
+        "goroutines spawned onto the domain scheduler" );
+      ( "gofree_sched_yields_total",
+        "goroutine yields on the domain scheduler" );
+    |]
+
+(* attempts, frees, give-ups, then give-ups per [Metrics.giveup_names] *)
+let tcfree_counters =
+  runtime_counters
+    (Array.append
+       [|
+         ("gofree_tcfree_attempts_total", "tcfree calls");
+         ("gofree_tcfree_freed_total", "tcfree calls that freed the object");
+         ("gofree_tcfree_giveup_total", "tcfree calls that deferred to GC");
+       |]
+       (Array.map
+          (fun name ->
+            ( "gofree_tcfree_giveup_" ^ name ^ "_total",
+              "tcfree calls that gave up for this reason" ))
+          Rt.Metrics.giveup_names))
+
+let publish_tcfree (m : Rt.Metrics.t) =
+  let giveups = m.Rt.Metrics.giveups in
+  publish tcfree_counters
+    (Array.append
+       [|
+         m.Rt.Metrics.tcfree_calls;
+         m.Rt.Metrics.tcfree_success;
+         Array.fold_left ( + ) 0 giveups;
+       |]
+       giveups)
+
 (** Run an instrumented program against explicit static decisions — the
     entry point for linked multi-package builds, whose decisions come
     from per-package caches rather than one whole-program analysis. *)
@@ -94,13 +149,18 @@ let run_program ?(config = Interp.default_config)
         ("panic: " ^ Interp.show st v ^ "\n");
       panicked := true
   in
-  (match Par.run par st boot with
-  | () -> ()
-  | exception Interp.Panic v ->
-    (* a goroutine's unrecovered panic aborts the program, like Go *)
-    Buffer.add_string st.Interp.output
-      ("panic: " ^ Interp.show st v ^ "\n");
-    panicked := true);
+  (* tcfree runs only inside [Par.run]: its counts go to the registry
+     however the run ends, a raised [Value.Corruption] included *)
+  Fun.protect
+    ~finally:(fun () -> publish_tcfree (Rt.Heap.merged_metrics heap))
+    (fun () ->
+      match Par.run par st boot with
+      | () -> ()
+      | exception Interp.Panic v ->
+        (* a goroutine's unrecovered panic aborts the program, like Go *)
+        Buffer.add_string st.Interp.output
+          ("panic: " ^ Interp.show st v ^ "\n");
+        panicked := true);
   let t1 = now_ns () in
   (* Each goroutine ran on its own state copy; finished goroutines
      folded their counters into the context, any survivors of an aborted
@@ -126,40 +186,14 @@ let run_program ?(config = Interp.default_config)
   heap.Rt.Heap.metrics.Rt.Metrics.gc_time_ns <- saved_time;
   heap.Rt.Heap.metrics.Rt.Metrics.max_heap_pages <-
     Rt.Pageheap.max_used_bytes heap.Rt.Heap.pages;
-  (* Publish the VM's inline-cache counters to the process-global
-     telemetry registry (gofree-telemetry-v1) when one is live; a plain
-     field read keeps the disabled path free. *)
-  (let module Reg = Gofree_obs.Registry in
-   if Reg.runtime_enabled () then begin
-     if total_ic_hits + total_ic_misses > 0 then begin
-       Reg.add
-         (Reg.counter Reg.runtime
-            ~help:"bytecode-engine inline cache hits (map-key + struct-field)"
-            "gofree_vm_ic_hit_total")
-         total_ic_hits;
-       Reg.add
-         (Reg.counter Reg.runtime
-            ~help:
-              "bytecode-engine inline cache misses (map-key + struct-field)"
-            "gofree_vm_ic_miss_total")
-         total_ic_misses
-     end;
-     Reg.add
-       (Reg.counter Reg.runtime
-          ~help:"goroutines migrated between domains by work stealing"
-          "gofree_sched_steals_total")
-       par.Interp.p_steals;
-     Reg.add
-       (Reg.counter Reg.runtime
-          ~help:"goroutines spawned onto the domain scheduler"
-          "gofree_sched_spawns_total")
-       par.Interp.p_spawns;
-     Reg.add
-       (Reg.counter Reg.runtime
-          ~help:"goroutine yields on the domain scheduler"
-          "gofree_sched_yields_total")
-       par.Interp.p_yields
-   end);
+  publish vm_counters
+    [|
+      total_ic_hits;
+      total_ic_misses;
+      par.Interp.p_steals;
+      par.Interp.p_spawns;
+      par.Interp.p_yields;
+    |];
   {
     output = Buffer.contents st.Interp.output;
     metrics = Rt.Heap.merged_metrics heap;

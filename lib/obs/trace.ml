@@ -135,7 +135,7 @@ let name_thread ~tid name =
 
 let begin_span ?args ~tid name = emit ?args ~tid ~ph:"B" name
 
-let end_span ~tid name = emit ~tid ~ph:"E" name
+let end_span ?args ~tid name = emit ?args ~tid ~ph:"E" name
 
 let instant ?args ~tid name = emit ?args ~tid ~ph:"i" name
 
@@ -150,9 +150,9 @@ let with_span ?args ~tid name f =
     begin_span ?args ~tid name;
     match f () with
     | v ->
-      end_span ~tid name;
+      end_span ?args ~tid name;
       v
     | exception e ->
-      end_span ~tid name;
+      end_span ?args ~tid name;
       raise e
   end

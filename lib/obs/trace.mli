@@ -79,8 +79,10 @@ val name_thread : tid:int -> string -> unit
 (** Begin a duration span on [tid]. *)
 val begin_span : ?args:(string * Json.t) list -> tid:int -> string -> unit
 
-(** End the innermost open span named [name] on [tid]. *)
-val end_span : tid:int -> string -> unit
+(** End the innermost open span named [name] on [tid].  [args] matter
+    to consumers that key tracks by [args.req]: a span a reader thread
+    emits must carry its ["req"] on the E event as well as the B. *)
+val end_span : ?args:(string * Json.t) list -> tid:int -> string -> unit
 
 (** Thread-scoped instant event. *)
 val instant : ?args:(string * Json.t) list -> tid:int -> string -> unit
@@ -89,6 +91,6 @@ val instant : ?args:(string * Json.t) list -> tid:int -> string -> unit
 val counter : tid:int -> string -> (string * float) list -> unit
 
 (** [with_span ~tid name f] wraps [f] in a span, ending it on exceptions
-    too. *)
+    too; [args] go on both the B and the E event. *)
 val with_span : ?args:(string * Json.t) list -> tid:int -> string ->
   (unit -> 'a) -> 'a

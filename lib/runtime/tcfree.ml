@@ -61,39 +61,6 @@ let tcfree_large (heap : Heap.t) metrics (obj : Heap.obj) span slot ~source =
 
 module Trace = Gofree_obs.Trace
 module Json = Gofree_obs.Json
-module Reg = Gofree_obs.Registry
-
-(* Registry counters on the process-global runtime registry, active only
-   while something holds [Reg.acquire_runtime] (the per-heap
-   [Metrics.t] always counts; these exist so a daemon's telemetry scrape
-   sees tcfree activity across every heap it has run). *)
-let c_attempts =
-  Reg.counter Reg.runtime ~help:"tcfree calls"
-    "gofree_tcfree_attempts_total"
-
-let c_freed =
-  Reg.counter Reg.runtime ~help:"tcfree calls that freed the object"
-    "gofree_tcfree_freed_total"
-
-let c_giveup =
-  Reg.counter Reg.runtime ~help:"tcfree calls that deferred to GC"
-    "gofree_tcfree_giveup_total"
-
-let c_giveup_by_reason =
-  Array.map
-    (fun name ->
-      Reg.counter Reg.runtime ("gofree_tcfree_giveup_" ^ name ^ "_total"))
-    Metrics.giveup_names
-
-let count_outcome = function
-  | Freed _ ->
-    Reg.incr c_attempts;
-    Reg.incr c_freed
-  | Gave_up reason ->
-    Reg.incr c_attempts;
-    Reg.incr c_giveup;
-    Reg.incr c_giveup_by_reason.(Metrics.giveup_index reason)
-
 let source_name = function
   | Metrics.Src_slice -> "slice"
   | Metrics.Src_map -> "map"
@@ -168,6 +135,5 @@ let tcfree (heap : Heap.t) ~thread ~source obj : outcome =
     end
     else tcfree_impl heap ~thread ~source obj
   in
-  if Reg.runtime_enabled () then count_outcome outcome;
   if Trace.enabled () then trace_outcome ~source obj outcome;
   outcome

@@ -63,12 +63,12 @@ let unit_counts (t : t) : int * int =
   Mutex.unlock t.mutex;
   c
 
-let find tbl (t : t) key =
+let find ?(count_miss = true) tbl (t : t) key =
   Mutex.lock t.mutex;
   let v = Hashtbl.find_opt tbl key in
   (match v with
   | Some _ -> t.hits <- t.hits + 1
-  | None -> t.misses <- t.misses + 1);
+  | None -> if count_miss then t.misses <- t.misses + 1);
   Mutex.unlock t.mutex;
   v
 
@@ -76,6 +76,16 @@ let publish tbl (t : t) key v =
   Mutex.lock t.mutex;
   Hashtbl.replace tbl key v;
   Mutex.unlock t.mutex
+
+(** The resident compilation of [source] under [config], counted as a
+    hit; [None] counts nothing, because the caller then goes on to
+    {!compilation}, which counts the miss (or a hit, should another
+    request have published the key meanwhile).  Entries are never
+    evicted, so a compilation found here stays valid. *)
+let resident (t : t) ~(config : Gofree_api.config) (source : string) :
+    Gofree_api.compilation option =
+  find ~count_miss:false t.compilations t
+    (Gofree_api.source_key ~config source)
 
 (** Compile [source] under [config], or return the resident result.
     The [bool] is true on a resident hit. *)

@@ -8,11 +8,21 @@
       request lines, decodes them, and feeds the shared bounded
       {!Pool}, keyed by connection so the pool drains round-robin
       across clients — one pipelining client cannot starve the rest;
-    - a fixed pool of {e worker domains} executes the requests (the
-      parallelism follows "Retrofitting Parallelism onto OCaml", like
-      the build driver's analysis waves) and writes each response back
-      under the connection's write mutex, so responses never interleave
-      mid-line even when one client pipelines requests.
+    - a request that needs no worker is answered on the reader thread
+      itself, ahead of any queue: [stats], [telemetry], [shutdown], and
+      an [analyze] or [explain] of an inline source whose compilation
+      is already resident (a lookup and a JSON rendering, far cheaper
+      than waiting behind a [run]).  Reader threads are systhreads that
+      share the main domain, so work done there must stay this cheap;
+      misses, [run], [build] and [File] sources (reading a file is I/O
+      of unbounded cost) always go to the pool;
+    - a fixed pool of {e worker domains} executes the pooled requests
+      (the parallelism follows "Retrofitting Parallelism onto OCaml",
+      like the build driver's analysis waves) and writes each response
+      back under the connection's write mutex, so responses never
+      interleave mid-line even when one client pipelines requests —
+      which also means a pipelining client may get a reader-path
+      response before an earlier pooled one: ids are the correlation.
 
     Overload behavior (admission control):
     - past the shed high-watermark the daemon answers [overloaded]
@@ -23,7 +33,9 @@
       param, or the server-wide default) gets a [timed_out] response
       when it reaches a worker; running requests are never interrupted;
     - queued work whose client has disconnected is cancelled — the
-      worker skips it (counted, no response owed).
+      worker skips it (counted, no response owed);
+    - requests answered on the reader are never shed and never time
+      out: they never queue.
 
     Failure containment, per the protocol contract:
     - a malformed line gets a [bad_request] error response and the
@@ -85,7 +97,8 @@ type t = {
   (* ---- connection bookkeeping (under st_mutex) ---- *)
   st_mutex : Mutex.t;
   latencies : float Ring.t;
-      (** ms, receipt → response, pooled requests — the bounded
+      (** ms, receipt → response, pooled requests and resident hits
+          answered on the reader — the bounded
           {e recent window} behind [stats.latency_recent_ms]; the
           all-time percentiles come from [h_request] *)
   mutable conns : conn list;
@@ -172,7 +185,7 @@ let create ?(workers = 0) ?(queue_capacity = 64) ?shed_watermark
       Reg.counter reg ~help:"queued work skipped: client disconnected"
         "gofree_rpc_cancelled_total";
     h_queue_wait =
-      histo "ms from receipt to dequeue (pooled requests)"
+      histo "ms from receipt to dequeue (0 when answered on the reader)"
         "gofree_rpc_queue_wait_ms";
     h_service =
       histo "ms from dequeue to response written"
@@ -503,6 +516,28 @@ let telemetry_json (t : t) : Json.t =
   Reg.Snapshot.to_json
     (Reg.Snapshot.merge (Reg.snapshot Reg.runtime) (Reg.snapshot t.reg))
 
+(** The result of an [analyze] (or, for any other request, [explain])
+    request, rendered from its compilation — the part both the pooled
+    path and a resident hit answered on the reader share. *)
+let compilation_result (r : Rpc.request) ~cached c : Json.t =
+  let explain_json () =
+    Gofree_api.explain_to_json (Gofree_api.explain c)
+  in
+  match r with
+  | Rpc.Analyze { explain; _ } ->
+    Json.Obj
+      ([
+         ( "functions",
+           Json.List
+             (List.map (fun f -> Json.Str f) (Gofree_api.function_names c))
+         );
+         ( "insertions",
+           Json.List (List.map insertion_json (Gofree_api.insertions c)) );
+         ("cached", Json.Bool cached);
+       ]
+      @ if explain then [ ("explain", explain_json ()) ] else [])
+  | _ -> Json.Obj [ ("cached", Json.Bool cached); ("explain", explain_json ()) ]
+
 (** Execute one decoded request; [Error (code, message)] becomes an
     error response. *)
 let handle (t : t) (r : Rpc.request) : (Json.t, string * string) result =
@@ -513,40 +548,10 @@ let handle (t : t) (r : Rpc.request) : (Json.t, string * string) result =
   | Rpc.Shutdown ->
     request_shutdown t;
     Ok (Json.Obj [ ("stopping", Json.Bool true) ])
-  | Rpc.Analyze { src; config; explain } -> begin
+  | Rpc.Analyze { src; config; _ } | Rpc.Explain { src; config } -> begin
     match cached_compilation t ~config src with
     | Error e -> Error (api e)
-    | Ok (c, cached) ->
-      Ok
-        (Json.Obj
-           ([
-              ( "functions",
-                Json.List
-                  (List.map
-                     (fun f -> Json.Str f)
-                     (Gofree_api.function_names c)) );
-              ( "insertions",
-                Json.List
-                  (List.map insertion_json (Gofree_api.insertions c)) );
-              ("cached", Json.Bool cached);
-            ]
-           @
-           if explain then
-             [ ("explain",
-                Gofree_api.explain_to_json (Gofree_api.explain c)) ]
-           else []))
-  end
-  | Rpc.Explain { src; config } -> begin
-    match cached_compilation t ~config src with
-    | Error e -> Error (api e)
-    | Ok (c, cached) ->
-      Ok
-        (Json.Obj
-           [
-             ("cached", Json.Bool cached);
-             ("explain",
-              Gofree_api.explain_to_json (Gofree_api.explain c));
-           ])
+    | Ok (c, cached) -> Ok (compilation_result r ~cached c)
   end
   | Rpc.Run { src; config; options } -> begin
     match cached_compilation t ~config src with
@@ -607,27 +612,89 @@ let outcome_name = function
   | Ok _ -> "ok"
   | Error (code, _) -> code
 
-(* One info line per pooled response, carrying the whole latency
-   decomposition. *)
-let log_request (c : conn) ~rid ~meth ~outcome ~queue_wait_ms
-    ~service_ms ~total_ms =
+(* Send one request's response, mark it on the reader track, and log an
+   info line with the whole latency decomposition and the [path] that
+   answered it: ["reader"] or ["pool"]. *)
+let reply (t : t) (c : conn) ~rid ~meth ~id ~path ~queue_wait_ms
+    ~service_ms ~total_ms outcome =
+  respond t c ~id outcome;
+  if Trace.enabled () then
+    Trace.instant ~args:[ ("req", Json.Int rid) ]
+      ~tid:(Trace.tid_reader c.c_id) "rpc:respond";
   if Log.enabled Log.Info then
     Log.log Log.Info "request"
       [
         ("req", Json.Int rid);
         ("conn", Json.Int c.c_id);
         ("method", Json.Str meth);
+        ("path", Json.Str path);
         ("outcome", Json.Str (outcome_name outcome));
         ("queue_wait_ms", Json.Float queue_wait_ms);
         ("service_ms", Json.Float service_ms);
         ("total_ms", Json.Float total_ms);
       ]
 
-let record_latency (t : t) total_ms =
+(* Record one request's latency split — receipt [t_recv], start of
+   service [t_start] (dequeue, or receipt on the reader), done now —
+   into the three histograms and the recent window, then {!reply}.  A
+   request that timed out in the queue had no service ([~served:false]).
+   Recorded before the response goes out, so a stats or telemetry call
+   pipelined right behind the response already sees this request; the
+   write itself is not part of the service time. *)
+let complete (t : t) (c : conn) ~rid ~meth ~id ~path ~t_recv ~t_start
+    ?(served = true) outcome =
+  let t_done = now_ms () in
+  let queue_wait_ms = t_start -. t_recv and total_ms = t_done -. t_recv in
+  let service_ms = if served then t_done -. t_start else 0.0 in
+  Reg.observe t.h_queue_wait queue_wait_ms;
+  if served then Reg.observe t.h_service service_ms;
   Reg.observe t.h_request total_ms;
   Mutex.lock t.st_mutex;
   Ring.push t.latencies total_ms;
-  Mutex.unlock t.st_mutex
+  Mutex.unlock t.st_mutex;
+  reply t c ~rid ~meth ~id ~path ~queue_wait_ms ~service_ms ~total_ms outcome
+
+(* A request's work, in an [rpc:<method>] span on [tid], with an
+   exception turned into [internal_error]. *)
+let serve ?args ~tid ~meth f =
+  match Trace.with_span ?args ~tid ("rpc:" ^ meth) f with
+  | outcome -> outcome
+  | exception e -> Error ("internal_error", Printexc.to_string e)
+
+(* Answer [r] on the reader thread, ahead of any queue, when no worker
+   is needed: the control verbs ([stats], [telemetry], [shutdown]), and
+   an [analyze] or [explain] of an inline source whose compilation is
+   already resident (one counted lookup, then rendering).  A [File]
+   source always goes to the pool: reading it is I/O of unbounded cost.
+   Like the control verbs, a resident hit is never shed and never times
+   out.  Unlike them it is a served request in the latency histograms:
+   queue-wait 0 and service = receipt → response, so queue-wait +
+   service = request stays exact; the control verbs only count in the
+   method counters.  [false]: the pool takes [r]. *)
+let answer_on_reader (t : t) (c : conn) ~rid ~meth ~id ~t_recv
+    (r : Rpc.request) : bool =
+  let resident =
+    match r with
+    | Rpc.Analyze { src = Rpc.Inline source; config; _ }
+    | Rpc.Explain { src = Rpc.Inline source; config } ->
+      Cache.resident t.cache ~config source
+    | _ -> None
+  in
+  match (r, resident) with
+  | _, Some comp ->
+    (* reader threads share the main domain, so the span carries the
+       request id itself rather than through [Trace.with_request_id] *)
+    complete t c ~rid ~meth ~id ~path:"reader" ~t_recv ~t_start:t_recv
+      (serve ~args:[ ("req", Json.Int rid) ] ~tid:(Trace.tid_reader c.c_id)
+         ~meth (fun () -> Ok (compilation_result r ~cached:true comp)));
+    true
+  | (Rpc.Stats | Rpc.Telemetry | Rpc.Shutdown), None ->
+    let outcome = handle t r in
+    let ms = now_ms () -. t_recv in
+    reply t c ~rid ~meth ~id ~path:"reader" ~queue_wait_ms:0.0
+      ~service_ms:ms ~total_ms:ms outcome;
+    true
+  | _ -> false
 
 let reader_loop (t : t) (c : conn) =
   let rd = Rpc.reader c.c_fd in
@@ -662,19 +729,8 @@ let reader_loop (t : t) (c : conn) =
           Trace.instant
             ~args:[ ("req", Json.Int rid); ("method", Json.Str meth) ]
             ~tid:rtid "rpc:recv";
-        match rq_request with
-        | Rpc.Stats | Rpc.Telemetry | Rpc.Shutdown ->
-          (* cheap and latency-sensitive: answered on the reader
-             thread, ahead of any queue *)
-          let outcome = handle t rq_request in
-          respond t c ~id outcome;
-          if Trace.enabled () then
-            Trace.instant ~args:[ ("req", Json.Int rid) ] ~tid:rtid
-              "rpc:respond";
-          log_request c ~rid ~meth ~outcome ~queue_wait_ms:0.0
-            ~service_ms:(now_ms () -. t_recv)
-            ~total_ms:(now_ms () -. t_recv)
-        | _ ->
+        if not (answer_on_reader t c ~rid ~meth ~id ~t_recv rq_request)
+        then begin
           let deadline_ms =
             match rq_deadline_ms with
             | Some d -> d
@@ -694,59 +750,28 @@ let reader_loop (t : t) (c : conn) =
                spans (pipeline, GC, tcfree) inherit args.req *)
             Trace.with_request_id (Some rid) (fun () ->
                 let t_deq = now_ms () in
-                let queue_wait_ms = t_deq -. t_recv in
                 if Trace.enabled () then Trace.end_span ~tid:rtid "rpc:queued";
                 (* decided at dequeue time, so queued work is never
                    executed for a dead client or past its deadline *)
                 if conn_gone c then count_cancelled t c ~rid ~meth
                 else if
                   deadline_ms > 0
-                  && queue_wait_ms > float_of_int deadline_ms
+                  && t_deq -. t_recv > float_of_int deadline_ms
                 then begin
-                  Reg.observe t.h_queue_wait queue_wait_ms;
                   count_timed_out t c ~rid ~meth;
-                  let outcome =
-                    Error
-                      ( "timed_out",
-                        Printf.sprintf
-                          "request exceeded its %dms deadline while queued"
-                          deadline_ms )
-                  in
-                  (* record before the response goes out, so a stats or
-                     telemetry call pipelined right behind the response
-                     already sees this request *)
-                  let total_ms = now_ms () -. t_recv in
-                  record_latency t total_ms;
-                  respond t c ~id outcome;
-                  log_request c ~rid ~meth ~outcome ~queue_wait_ms
-                    ~service_ms:0.0 ~total_ms
+                  complete t c ~rid ~meth ~id ~path:"pool" ~t_recv
+                    ~t_start:t_deq ~served:false
+                    (Error
+                       ( "timed_out",
+                         Printf.sprintf
+                           "request exceeded its %dms deadline while queued"
+                           deadline_ms ))
                 end
-                else begin
-                  Reg.observe t.h_queue_wait queue_wait_ms;
-                  let outcome =
-                    match
-                      Trace.with_span ~tid:(Trace.domain_tid ())
-                        ("rpc:" ^ meth)
-                        (fun () -> handle t rq_request)
-                    with
-                    | outcome -> outcome
-                    | exception e ->
-                      Error ("internal_error", Printexc.to_string e)
-                  in
-                  (* record before the response goes out (same reason as
-                     the timeout path); the write itself is not part of
-                     the service time *)
-                  let t_done = now_ms () in
-                  Reg.observe t.h_service (t_done -. t_deq);
-                  record_latency t (t_done -. t_recv);
-                  respond t c ~id outcome;
-                  if Trace.enabled () then
-                    Trace.instant ~args:[ ("req", Json.Int rid) ]
-                      ~tid:rtid "rpc:respond";
-                  log_request c ~rid ~meth ~outcome ~queue_wait_ms
-                    ~service_ms:(t_done -. t_deq)
-                    ~total_ms:(t_done -. t_recv)
-                end);
+                else
+                  complete t c ~rid ~meth ~id ~path:"pool" ~t_recv
+                    ~t_start:t_deq
+                    (serve ~tid:(Trace.domain_tid ()) ~meth (fun () ->
+                         handle t rq_request)));
             conn_done_one c
           in
           (* admission control: keyed by connection (round-robin
@@ -771,6 +796,7 @@ let reader_loop (t : t) (c : conn) =
             respond t c ~id
               (Error ("shutting_down", "server is shutting down"));
             conn_done_one c
+        end
       end);
       if not (Atomic.get t.stopping) then loop ()
   in

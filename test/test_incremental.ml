@@ -928,6 +928,41 @@ let test_corrupt_records_are_misses () =
       ("typed", fun dir -> B.Store.typed_path ~dir);
     ]
 
+let test_unchanged_units_not_rewritten () =
+  (* a body edit of a leaf package re-analyzes every transitive
+     dependent (their .sum keys fold in the leaf's), but all their units
+     hit: their .units files keep their key sets and are not rewritten
+     (a rewrite renames a fresh file into place: a new inode) *)
+  let pkgs = model_tree 31 6 in
+  let root = make_tree (model_files pkgs) in
+  ignore (B.Driver.build root);
+  let dir = Filename.concat root ".gofree-cache" in
+  let inode pkg = (Unix.stat (B.Store.units_path ~dir ~pkg)).Unix.st_ino in
+  let names = "main" :: List.init (Array.length pkgs) pkg_name in
+  let before = List.map inode names in
+  pkgs.(0).m_scale <- pkgs.(0).m_scale + 1;
+  write_files root (model_files pkgs);
+  let warm = B.Driver.build root in
+  let reanalyzed =
+    List.filter_map
+      (fun (p : B.Driver.pkg_report) ->
+        if p.B.Driver.pr_cached then None else Some p.B.Driver.pr_name)
+      warm.B.Driver.b_stats.B.Driver.bs_pkgs
+  in
+  Alcotest.(check bool) "the leaf and its dependents re-analyzed" true
+    (List.mem "p0" reanalyzed && List.mem "main" reanalyzed);
+  List.iter2
+    (fun name ino ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s.units %s" name
+           (if name = "p0" then "rewritten (a unit re-solved)"
+            else "not rewritten"))
+        (name = "p0") (inode name <> ino))
+    names before;
+  Alcotest.(check string) "warm == cold"
+    (full_fingerprint (cold_build root))
+    (full_fingerprint warm)
+
 let suite =
   [
     Alcotest.test_case "every function edit re-solves one unit" `Quick
@@ -958,6 +993,8 @@ let suite =
       test_relocation_property;
     Alcotest.test_case "typed records: error parity" `Quick
       test_error_parity;
+    Alcotest.test_case "unchanged .units files are not rewritten" `Quick
+      test_unchanged_units_not_rewritten;
     Alcotest.test_case "corrupt records are counted misses" `Quick
       test_corrupt_records_are_misses;
   ]

@@ -582,6 +582,141 @@ let test_per_client_fairness () =
         true
         (a_done_when_b_finished <= n_flood - 3))
 
+(* ---- resident hits answered on the reader thread ---- *)
+
+let explain_req src =
+  Rpc.Explain
+    { src = Rpc.Inline src; config = Gofree_api.Preset.(to_config default) }
+
+let send c ~id request =
+  Client.send_line c
+    (Json.to_string (Rpc.request_to_json ~id:(Json.Int id) request))
+
+let test_resident_hits_skip_queue () =
+  (* one worker, busy compiling and running src_slow: a resident analyze
+     and a resident explain are answered by the reader at once, while a
+     non-resident analyze waits for the worker behind the run.  All on
+     one connection, whose response order is the order of the writes. *)
+  with_server ~workers:1 (fun _ socket ->
+      let c = Client.connect ~socket in
+      ignore (call_ok c (analyze src_free));
+      send c ~id:1 (run_req src_slow);
+      send c ~id:2 (analyze (src_print 41));
+      send c ~id:3 (analyze src_free);
+      send c ~id:4 (explain_req src_free);
+      let order =
+        List.init 4 (fun _ ->
+            match Client.recv c with
+            | None -> Alcotest.fail "connection closed early"
+            | Some r ->
+              Alcotest.(check bool) "response ok" true
+                (Json.get "ok" r = Json.Bool true);
+              let id = Json.get_int "id" r in
+              if id >= 3 then
+                Alcotest.(check bool)
+                  (Printf.sprintf "request %d answered from the cache" id)
+                  true
+                  (Json.get "cached" (Json.get "result" r) = Json.Bool true);
+              id)
+      in
+      Client.close c;
+      let position id =
+        let rec go i = function
+          | [] -> Alcotest.failf "request %d unanswered" id
+          | x :: rest -> if x = id then i else go (i + 1) rest
+        in
+        go 0 order
+      in
+      let shown = String.concat "," (List.map string_of_int order) in
+      Alcotest.(check bool)
+        ("resident analyze and explain answered before the run: " ^ shown)
+        true
+        (position 3 < position 1 && position 4 < position 1);
+      Alcotest.(check bool)
+        ("non-resident analyze queued behind the run: " ^ shown)
+        true
+        (position 1 < position 2))
+
+let read_lines path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let test_reader_and_pool_responses_identical () =
+  (* the same resident compilation rendered on the reader (inline
+     source) and by a worker (a [File] source always queues): the
+     responses are byte-identical, and identical to the first, compiling
+     response apart from [cached] *)
+  let config = Gofree_api.Preset.(to_config default) in
+  let cases =
+    [
+      ( "analyze --explain",
+        fun src -> Rpc.Analyze { src; config; explain = true } );
+      ("explain", fun src -> Rpc.Explain { src; config });
+    ]
+  in
+  (* a distinct source per case, so each one's first request compiles *)
+  let files =
+    List.map
+      (fun (name, _) ->
+        let file = Filename.temp_file "gofree-server" ".go" in
+        Out_channel.with_open_bin file (fun oc ->
+            output_string oc (src_free ^ "// " ^ name ^ "\n"));
+        file)
+      cases
+  in
+  let log = Filename.temp_file "gofree-server" ".jsonl" in
+  let strip = function
+    | Json.Obj fields ->
+      Json.Obj (List.filter (fun (k, _) -> k <> "cached") fields)
+    | j -> j
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Gofree_obs.Log.stop ();
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        (log :: files))
+    (fun () ->
+      Gofree_obs.Log.start ~level:Gofree_obs.Log.Info ~path:log ();
+      with_server (fun _ socket ->
+          let c = Client.connect ~socket in
+          List.iter2
+            (fun (name, req) file ->
+              let src =
+                Rpc.Inline
+                  (In_channel.with_open_bin file In_channel.input_all)
+              in
+              let first = call_ok c (req src) in
+              let reader = call_ok c (req src) in
+              let pool = call_ok c (req (Rpc.File file)) in
+              Alcotest.(check bool) (name ^ ": first compiles") true
+                (Json.get "cached" first = Json.Bool false);
+              Alcotest.(check string)
+                (name ^ ": reader hit == pooled hit")
+                (Json.to_string pool) (Json.to_string reader);
+              Alcotest.(check string)
+                (name ^ ": hit == compiling response, apart from cached")
+                (Json.to_string (strip first))
+                (Json.to_string (strip reader)))
+            cases files;
+          Client.close c);
+      Gofree_obs.Log.stop ();
+      let paths =
+        List.filter_map
+          (fun line ->
+            let j = Json.parse line in
+            if Json.get_string "event" j = "request" then
+              Some (Json.get_string "path" j)
+            else None)
+          (read_lines log)
+      in
+      (* per case: the compiling miss, the inline hit, the file hit *)
+      Alcotest.(check (list string))
+        "paths taken"
+        [ "pool"; "reader"; "pool"; "pool"; "reader"; "pool" ]
+        paths)
+
 (* ---- shutdown ---- *)
 
 let test_shutdown_drains () =
@@ -696,6 +831,10 @@ let suite =
       test_cancel_on_disconnect;
     Alcotest.test_case "per-client fairness" `Quick
       test_per_client_fairness;
+    Alcotest.test_case "resident hits skip the queue" `Quick
+      test_resident_hits_skip_queue;
+    Alcotest.test_case "reader and pooled responses identical" `Quick
+      test_reader_and_pool_responses_identical;
     Alcotest.test_case "shutdown drains in-flight work" `Quick
       test_shutdown_drains;
     Alcotest.test_case "stats counters" `Quick test_stats_counters;

@@ -344,6 +344,221 @@ let test_trace_request_correlation () =
   Alcotest.(check bool) "every rpc:queued begin is closed" true
     (queued_e >= queued_b)
 
+let analyze_req src =
+  Rpc.Analyze
+    {
+      src = Rpc.Inline src;
+      config = Gofree_api.Preset.(to_config default);
+      explain = false;
+    }
+
+let call_ok c request =
+  match Client.call c request with
+  | Ok r -> r
+  | Error (code, m) -> Alcotest.failf "rpc error %s: %s" code m
+
+let test_trace_reader_hit () =
+  (* a resident hit is served on the reader track: one rpc:analyze B/E
+     pair carrying the request id on both events, and no queue span *)
+  Trace.start ();
+  with_server (fun _ socket ->
+      let c = Client.connect ~socket in
+      ignore (call_ok c (analyze_req src_small));
+      ignore (call_ok c (analyze_req src_small));
+      Client.close c);
+  let events =
+    Json.get_list "traceEvents" (Json.parse (Trace.stop ()))
+  in
+  let req e =
+    match Json.member "args" e with
+    | Some args -> (
+      match Json.member "req" args with Some (Json.Int r) -> Some r | _ -> None)
+    | None -> None
+  in
+  let analyze_spans =
+    List.filter (fun e -> Json.get_string "name" e = "rpc:analyze") events
+  in
+  let on_reader =
+    List.filter (fun e -> Json.get_int "tid" e >= Trace.tid_reader 0)
+      analyze_spans
+  in
+  Alcotest.(check (list string)) "one B/E pair on the reader track"
+    [ "B"; "E" ]
+    (List.map (fun e -> Json.get_string "ph" e) on_reader);
+  let rid =
+    match List.map req on_reader with
+    | [ Some b; Some e ] when b = e -> b
+    | _ -> Alcotest.fail "req missing or different on B and E"
+  in
+  Alcotest.(check bool) "the miss was served on a worker" true
+    (List.exists (fun e -> Json.get_int "tid" e < Trace.tid_reader 0)
+       analyze_spans);
+  Alcotest.(check int) "no rpc:queued for the hit" 0
+    (List.length
+       (List.filter
+          (fun e ->
+            Json.get_string "name" e = "rpc:queued" && req e = Some rid)
+          events))
+
+let test_histograms_equal_counts () =
+  (* misses and runs through the pool, resident hits on the reader: the
+     three latency histograms count every one of them, and queue-wait +
+     service = request *)
+  with_server (fun _ socket ->
+      let c = Client.connect ~socket in
+      ignore (call_ok c (analyze_req src_small));
+      ignore (call_ok c (analyze_req src_small));
+      ignore (call_ok c (analyze_req src_small));
+      ignore (call_ok c (run_req src_small));
+      ignore (call_ok c Rpc.Stats);
+      Client.close c;
+      let snap = Reg.Snapshot.of_json (scrape socket) in
+      let histo name =
+        match Reg.Snapshot.find_histogram name snap with
+        | Some h -> h
+        | None -> Alcotest.failf "histogram %s missing" name
+      in
+      let qw = histo "gofree_rpc_queue_wait_ms" in
+      let svc = histo "gofree_rpc_service_ms" in
+      let req = histo "gofree_rpc_request_ms" in
+      Alcotest.(check (list int)) "queue-wait, service, request counts"
+        [ 4; 4; 4 ]
+        (List.map Reg.Snapshot.count [ qw; svc; req ]);
+      let split = qw.Reg.Snapshot.sum +. svc.Reg.Snapshot.sum in
+      Alcotest.(check bool)
+        (Printf.sprintf "queue-wait + service %.6f = request %.6f" split
+           req.Reg.Snapshot.sum)
+        true
+        (Float.abs (split -. req.Reg.Snapshot.sum) < 1e-6))
+
+(* Two tcfree give-up reasons and a successful free: [work]'s [xs] is
+   freed after its span filled and left the mcache, or while a GC is
+   marking; [localSum]'s is freed in place. *)
+let src_giveups =
+  {|
+func work(n int, keep [][]int) int {
+	xs := make([]int, n)
+	for i := range keep {
+		keep[i] = make([]int, n)
+	}
+	xs[0] = n
+	s := xs[0]
+	return s
+}
+
+func localSum(n int) int {
+	xs := make([]int, n)
+	s := 0
+	for i := range xs {
+		xs[i] = i
+		s = s + xs[i]
+	}
+	return s
+}
+
+func main() {
+	keep := make([][]int, 600)
+	s := 0
+	for r := 0; r < 6; r++ {
+		s = s + work(16+r, keep) + localSum(8+r)
+	}
+	println(s)
+}
+|}
+
+let test_tcfree_totals_reconcile () =
+  (* each run folds its metrics' tcfree outcomes into the runtime
+     registry once: the registry's growth over several served runs is
+     exactly the sum of those runs' metrics *)
+  let giveup_names = Array.to_list Gofree_runtime.Metrics.giveup_names in
+  let names =
+    [
+      "gofree_tcfree_attempts_total";
+      "gofree_tcfree_freed_total";
+      "gofree_tcfree_giveup_total";
+    ]
+    @ List.map (fun n -> "gofree_tcfree_giveup_" ^ n ^ "_total") giveup_names
+  in
+  with_server (fun _ socket ->
+      let totals () =
+        let snap = Reg.Snapshot.of_json (scrape socket) in
+        List.map
+          (fun n ->
+            Option.value ~default:0 (Reg.Snapshot.find_counter n snap))
+          names
+      in
+      let before = totals () in
+      let c = Client.connect ~socket in
+      let runs =
+        List.map
+          (fun src ->
+            Json.get "metrics" (Json.get "metrics" (call_ok c (run_req src))))
+          [ src_giveups; src_small; src_giveups ]
+      in
+      Client.close c;
+      let after = totals () in
+      let sum f = List.fold_left (fun acc m -> acc + f m) 0 runs in
+      let giveup n m = Json.get_int n (Json.get "giveups" m) in
+      let expected =
+        [
+          sum (Json.get_int "tcfree_calls");
+          sum (Json.get_int "tcfree_success");
+          sum (fun m ->
+              List.fold_left (fun a n -> a + giveup n m) 0 giveup_names);
+        ]
+        @ List.map (fun n -> sum (giveup n)) giveup_names
+      in
+      Alcotest.(check (list int)) "registry growth == sum of run metrics"
+        expected
+        (List.map2 ( - ) after before);
+      Alcotest.(check bool) "the runs freed and gave up" true
+        (List.nth expected 1 > 0 && List.nth expected 2 > 0))
+
+let test_tcfree_counted_on_raising_run () =
+  (* a run that raises still folds its tcfree outcomes in: the unsound
+     analysis frees a live alias and the poison heap faults on the next
+     read, after the free *)
+  let trap =
+    {|
+var acc int
+func main() {
+  s2 := make([]int, 4+rand(2))
+  s2[0] = 77
+  {
+    s1 := make([]int, 3+rand(2))
+    ps := &s1
+    *ps = s2
+    al := *ps
+    if len(al) > 0 { acc += al[0] }
+  }
+  println("alive", s2[0], acc)
+}
+|}
+  in
+  let freed () =
+    Option.value ~default:0
+      (Reg.Snapshot.find_counter "gofree_tcfree_freed_total"
+         (Reg.snapshot Reg.runtime))
+  in
+  Reg.acquire_runtime ();
+  Fun.protect ~finally:Reg.release_runtime (fun () ->
+      let before = freed () in
+      let run_config =
+        { Gofree_interp.Interp.default_config with
+          heap_config =
+            { Gofree_runtime.Heap.default_config with poison_on_free = true }
+        }
+      in
+      (match
+         Gofree_interp.Runner.compile_and_run
+           ~gofree_config:Gofree_core.Config.unsound_no_backprop ~run_config
+           trap
+       with
+      | _ -> Alcotest.fail "expected the poison heap to fault"
+      | exception Gofree_interp.Value.Corruption _ -> ());
+      Alcotest.(check bool) "the wrong free reached the registry" true
+        (freed () > before))
+
 (* ---- the structured event log ---- *)
 
 let test_log_levels_and_request_ids () =
@@ -440,6 +655,14 @@ let suite =
       test_single_request_reconciles;
     Alcotest.test_case "trace request correlation" `Quick
       test_trace_request_correlation;
+    Alcotest.test_case "trace: resident hit on the reader track" `Quick
+      test_trace_reader_hit;
+    Alcotest.test_case "latency histograms keep equal counts" `Quick
+      test_histograms_equal_counts;
+    Alcotest.test_case "tcfree registry totals == run metrics" `Quick
+      test_tcfree_totals_reconcile;
+    Alcotest.test_case "tcfree counted on a raising run" `Quick
+      test_tcfree_counted_on_raising_run;
     Alcotest.test_case "log levels and request ids" `Quick
       test_log_levels_and_request_ids;
     Alcotest.test_case "stats latency sources" `Quick
