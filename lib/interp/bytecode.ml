@@ -138,7 +138,20 @@ let op_check_len = def 79 "check_len" []
     (* peek I: negative-length panic before cap eval *)
 let op_make_slice = def 80 "make_slice" [ Site; Tbl "zero"; Key "cap" ]
     (* pop [cap I,] len I *)
-let op_make_map = def 81 "make_map" [ Site ]
+(* A map's bucket columns ({!Value.key_kind}/{!Value.val_kind}), one
+   code per pair, shown key/value. *)
+let map_key_kinds = [| Value.Kint; Value.Kbool; Value.Kstr; Value.Kval |]
+let map_val_kinds = [| Value.Vint; Value.Vbool; Value.Vval |]
+let map_columns =
+  [| "int/int"; "int/bool"; "int/value"; "bool/int"; "bool/bool";
+     "bool/value"; "string/int"; "string/bool"; "string/value";
+     "value/int"; "value/bool"; "value/value" |]
+
+let map_columns_code key value =
+  (3 * match key with Value.Kint -> 0 | Kbool -> 1 | Kstr -> 2 | Kval -> 3)
+  + match value with Value.Vint -> 0 | Vbool -> 1 | Vval -> 2
+
+let op_make_map = def 81 "make_map" [ Site; Enum map_columns ]
 let op_new = def 82 "new" [ Site; Tbl "zero" ]
 let op_slice_lit = def 83 "slice_lit" [ Site; Int ]  (* pop n copied V *)
 let op_struct_lit = def 84 "struct_lit" [ Int ]  (* pop n copied V *)
@@ -318,6 +331,20 @@ let op_loop_ge_rk = def 179 "loop_ge_rk" (rotated_operands @ [ Reg; Name; Int ])
 let op_loop_eq_rk = def 180 "loop_eq_rk" (rotated_operands @ [ Reg; Name; Int ])
 let op_loop_ne_rk = def 181 "loop_ne_rk" (rotated_operands @ [ Reg; Name; Int ])
 
+(* Word-operand map forms: an int or bool key or value travels on the
+   int stack, so reading or storing one boxes nothing.  Each is the
+   boxed form's bucket operation with the box left out. *)
+let op_mapget_ii = def 182 "mapget_ii" [ Cache ]
+    (* pop key I, map V; push I *)
+let op_mapget_iv = def 183 "mapget_iv" [ Tbl "zero"; Cache ]
+    (* pop key I, map V; push V *)
+let op_store_map_ii = def 184 "store_map_ii" []
+    (* pop key I, map V, value I *)
+let op_store_map_iv = def 185 "store_map_iv" []
+    (* pop key I, map V, value V *)
+let op_store_map_vi = def 186 "store_map_vi" []
+    (* pop key V, map V, value I *)
+
 (** The rotated back edge that re-tests head test [op], if it has one. *)
 let rotated op =
   if op >= op_jlt_rr_not && op <= op_jne_rr_not then
@@ -346,21 +373,23 @@ let operands op = match spec op with Some (_, kinds) -> kinds | None -> [||]
 let arity op = Array.length (operands op)
 
 (** A map-key site's cache contents: the identity of the map the site
-    last read.  Immutable, so a reader sees one coherent snapshot
-    through a single pointer load — goroutines on different domains may
-    race on the cache, and a torn header/buckets combination would
-    probe the wrong map.  A hit requires physically the same header
-    object (a record never stands for another map) and an unchanged
-    [md_version] (bumped by every store/delete/grow/free); the cached
-    bucket array is then by construction the map's current one, so the
-    key is probed there directly, skipping both payload reads.  Only a
-    miss replaces the snapshot, so reading a map with ever new keys
-    allocates nothing. *)
+    last read.  Its header and buckets never change, so a reader sees a
+    coherent pair through a single pointer load — goroutines on
+    different domains may race on the cache, and a torn header/buckets
+    combination would probe the wrong map.  A hit requires physically
+    the same header object (a record never stands for another map) and
+    an unchanged [md_version] (bumped by every store/delete/grow/free);
+    the cached buckets are then by construction the map's current ones,
+    so the key is probed there directly, skipping both payload reads.
+    A miss that finds the same header and buckets (a store in between
+    that did not grow the map) only moves [ce_ver] forward; any other
+    miss replaces the snapshot.  So reading a map with ever new keys, or
+    one that a loop also stores to, allocates nothing. *)
 type centry = {
   ce_a : Gofree_runtime.Heap.obj;  (* map header; [no_obj] empty *)
   ce_md : Value.map_data;  (* header payload; version read directly *)
-  ce_ver : int;
-  ce_b : Value.buckets;  (* the map's bucket array as of [ce_ver] *)
+  mutable ce_ver : int;  (* a version at which [ce_b] was current *)
+  ce_b : Value.buckets;  (* the map's buckets as of [ce_ver] *)
 }
 
 (** A monomorphic inline-cache record.  Map-key sites replace the whole
@@ -386,7 +415,7 @@ let empty_centry =
     ce_a = Gofree_runtime.Heap.no_obj;
     ce_md = empty_md;
     ce_ver = -1;
-    ce_b = Value.make_buckets 1;
+    ce_b = Value.make_buckets Value.Kval Value.Vval 1;
   }
 
 let fresh_cache () = { c_a = -1; c_e = empty_centry }

@@ -307,6 +307,12 @@ let reg_int f (e : Tast.expr) =
 
 let is_bool (e : Tast.expr) = e.Tast.ty = Types.Bool
 
+(* An int or bool key or value of a map operation, which travels on the
+   I stack — unless it is a call's result, which is boxed already. *)
+let word_operand (e : Tast.expr) =
+  (is_int e || is_bool e)
+  && match e.Tast.desc with Tast.Tcall _ -> false | _ -> true
+
 (* A [[]int]: its backing store is unboxed, so its elements are stored,
    appended and listed from the I stack. *)
 let is_int_slice (e : Tast.expr) = e.Tast.ty = Types.Slice Types.Int
@@ -530,6 +536,10 @@ let rec emit_i f (e : Tast.expr) =
     emit_v f a;
     emit_i f i;
     op0 f ~dv:(-1) ~di:0 B.op_index_i
+  | Tast.Tmap_get (m, k) when is_int e && word_operand k ->
+    emit_v f m;
+    emit_operand f k;
+    op1 f ~dv:(-1) ~di:0 B.op_mapget_ii (new_cache f)
   | Tast.Tmap_get (m, k) when is_int e ->
     emit_v f m;
     emit_v f k;
@@ -630,6 +640,10 @@ and emit_b f (e : Tast.expr) =
     emit_v f a;
     emit_i f i;
     op0 f ~dv:(-1) ~di:0 B.op_index_b
+  | Tast.Tmap_get (m, k) when is_bool e && word_operand k ->
+    emit_v f m;
+    emit_operand f k;
+    op1 f ~dv:(-1) ~di:0 B.op_mapget_ii (new_cache f)
   | Tast.Tmap_get (m, k) when is_bool e ->
     emit_v f m;
     emit_v f k;
@@ -641,6 +655,13 @@ and emit_b f (e : Tast.expr) =
   | _ ->
     emit_v_raw f e;
     op0 f ~dv:(-1) ~di:1 B.op_unbox_b
+
+(* A map key or value: a {!word_operand} as its I-stack word, anything
+   else boxed. *)
+and emit_operand f (e : Tast.expr) =
+  if not (word_operand e) then emit_v f e
+  else if is_bool e then emit_b f e
+  else emit_i f e
 
 and emit_v f (e : Tast.expr) =
   match e.Tast.desc with
@@ -713,11 +734,12 @@ and emit_v_raw f (e : Tast.expr) =
     op0 f ~dv:0 ~di:(-1) B.op_index_v
   | Tast.Tmap_get (m, k) ->
     emit_v f m;
-    emit_v f k;
     let tenv = f.ctx.tenv in
     let ty = e.Tast.ty in
     let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
-    op2 f ~dv:(-1) ~di:0 B.op_mapget_v z (new_cache f)
+    emit_operand f k;
+    if word_operand k then op2 f ~dv:0 ~di:(-1) B.op_mapget_iv z (new_cache f)
+    else op2 f ~dv:(-1) ~di:0 B.op_mapget_v z (new_cache f)
   | Tast.Tfield (a, idx, name) -> begin
     match a.Tast.desc with
     | Tast.Tvar v when not (is_global v) ->
@@ -748,8 +770,9 @@ and emit_v_raw f (e : Tast.expr) =
       op3 f ~dv:1 ~di:(-2) B.op_make_slice s z 1
     | None -> op3 f ~dv:1 ~di:(-1) B.op_make_slice s z 0
   end
-  | Tast.Tmake_map (site, _, _) ->
-    op1 f ~dv:1 ~di:0 B.op_make_map (tbl_add f.sites site)
+  | Tast.Tmake_map (site, kt, vt) ->
+    op2 f ~dv:1 ~di:0 B.op_make_map (tbl_add f.sites site)
+      (B.map_columns_code (Value.key_kind kt) (Value.val_kind vt))
   | Tast.Tnew (site, ty) ->
     let tenv = f.ctx.tenv in
     let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
@@ -1149,6 +1172,19 @@ let rec emit_stmt f (s : Tast.stmt) =
       emit_i f e;
       emit_v f base;
       op1 f ~dv:(-1) ~di:(-1) B.op_fstore_i fidx
+    | Tast.Lmap (m, k) when word_operand e || word_operand k ->
+      (* an int or bool value or key stays on the I stack: no box *)
+      let wv = word_operand e and wk = word_operand k in
+      emit_operand f e;
+      emit_v f m;
+      emit_operand f k;
+      let opc =
+        if wv && wk then B.op_store_map_ii
+        else if wv then B.op_store_map_vi
+        else B.op_store_map_iv
+      in
+      let words = Bool.to_int wv + Bool.to_int wk in
+      op0 f ~dv:(words - 3) ~di:(-words) opc
     | Tast.Lindex (a, i) when is_int_slice a -> begin
       (* the element stays on the I stack: no box *)
       emit_i f e;

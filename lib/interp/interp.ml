@@ -649,13 +649,13 @@ let bucket_overhead = 16
 let buckets_bytes ~entry_size ~nbuckets =
   nbuckets * ((8 * entry_size) + bucket_overhead)
 
-let make_map_obj st fr ~(site : Tast.alloc_site) : Value.value =
+let make_map_obj st fr ~(site : Tast.alloc_site) ~key ~value : Value.value =
   let entry_size = max 2 site.Tast.site_elem_size in
   let nbuckets = 1 in
   let bsize = buckets_bytes ~entry_size ~nbuckets in
   let buckets_obj =
     alloc_obj st fr ~site ~category:Rt.Metrics.Cat_map ~size:bsize
-      ~payload:(Value.Pbuckets (Value.make_buckets nbuckets))
+      ~payload:(Value.Pbuckets (Value.make_buckets key value nbuckets))
   in
   let md =
     {
@@ -680,7 +680,9 @@ let make_map_obj st fr ~(site : Tast.alloc_site) : Value.value =
    buckets object it names; nothing here allocates unless the map grows
    or a bucket outgrows its capacity.  A freed header or buckets object
    is a read of freed memory, checked before the payload: a poisoned
-   header keeps its [Pmap] shape. *)
+   header keeps its [Pmap] shape.  Each store comes in the forms the
+   bytecode engine needs — key and value boxed, or either one as its
+   int-stack word — and all of them make the same bucket changes. *)
 
 let map_data st (o : Rt.Heap.obj) : Value.map_data =
   match o.Rt.Heap.payload with
@@ -732,40 +734,107 @@ let map_grow st (md : Value.map_data) old_buckets =
       (Rt.Tcfree.tcfree st.heap ~thread:st.dom
          ~source:Rt.Metrics.Src_map_grow old_obj)
 
-(* A store to a present key overwrites the value in place, keeping the
-   entry's original key and its place in iteration order. *)
+(* After a store to a present key, which overwrote the value in place,
+   keeping the entry's original key and its place in iteration order. *)
+let map_replaced (md : Value.map_data) =
+  md.Value.md_version <- md.Value.md_version + 1
+
+(* After a store wrote a new entry at slot [j] of bucket [b]. *)
+let map_added st (md : Value.map_data) bk b j =
+  Value.commit bk b j;
+  md.Value.md_version <- md.Value.md_version + 1;
+  md.Value.md_count <- md.Value.md_count + 1;
+  (* Go grows at load factor 6.5 entries per bucket. *)
+  if md.Value.md_count * 2 > 13 * md.Value.md_nbuckets then
+    map_grow st md bk
+
 let map_store st hdr key v =
   let md = map_data st hdr in
   let bk = map_buckets st md in
-  let b = Value.bucket_index bk key in
-  let j = Value.bucket_find bk b key in
+  let h = Value.hash_key key in
+  let b = Value.bucket_of bk h in
+  let j = Value.find bk b h key in
   if j >= 0 then begin
-    Value.bucket_set bk b j v;
-    md.Value.md_version <- md.Value.md_version + 1
+    Value.set_value bk b j v;
+    map_replaced md
   end
   else begin
-    Value.bucket_add bk b key v;
-    md.Value.md_version <- md.Value.md_version + 1;
-    md.Value.md_count <- md.Value.md_count + 1;
-    (* Go grows at load factor 6.5 entries per bucket. *)
-    if md.Value.md_count * 2 > 13 * md.Value.md_nbuckets then
-      map_grow st md bk
+    let j = Value.add bk b h in
+    Value.set_key bk b j key;
+    Value.set_value bk b j v;
+    map_added st md bk b j
+  end
+
+(* [map_store] of an int or bool value given as its word. *)
+let map_store_vi st hdr key n =
+  let md = map_data st hdr in
+  let bk = map_buckets st md in
+  let h = Value.hash_key key in
+  let b = Value.bucket_of bk h in
+  let j = Value.find bk b h key in
+  if j >= 0 then begin
+    Value.set_int bk b j n;
+    map_replaced md
+  end
+  else begin
+    let j = Value.add bk b h in
+    Value.set_key bk b j key;
+    Value.set_int bk b j n;
+    map_added st md bk b j
+  end
+
+(* [map_store] of an int or bool key given as its word. *)
+let map_store_iv st hdr k v =
+  let md = map_data st hdr in
+  let bk = map_buckets st md in
+  let h = Hashtbl.hash k in
+  let b = Value.bucket_of bk h in
+  let j = Value.find_int bk b h k in
+  if j >= 0 then begin
+    Value.set_value bk b j v;
+    map_replaced md
+  end
+  else begin
+    let j = Value.add bk b h in
+    Value.set_key_int bk b j k;
+    Value.set_value bk b j v;
+    map_added st md bk b j
+  end
+
+(* [map_store] of an int or bool key and value, both given as words. *)
+let map_store_ii st hdr k n =
+  let md = map_data st hdr in
+  let bk = map_buckets st md in
+  let h = Hashtbl.hash k in
+  let b = Value.bucket_of bk h in
+  let j = Value.find_int bk b h k in
+  if j >= 0 then begin
+    Value.set_int bk b j n;
+    map_replaced md
+  end
+  else begin
+    let j = Value.add bk b h in
+    Value.set_key_int bk b j k;
+    Value.set_int bk b j n;
+    map_added st md bk b j
   end
 
 let map_get st hdr key ~zero =
   let bk = map_buckets st (map_data st hdr) in
-  let b = Value.bucket_index bk key in
-  let j = Value.bucket_find bk b key in
-  if j >= 0 then Value.bucket_value bk b j else zero ()
+  let h = Value.hash_key key in
+  let b = Value.bucket_of bk h in
+  let j = Value.find bk b h key in
+  if j >= 0 then Value.value_at bk b j zero else zero ()
 
 let map_delete st hdr key =
   let md = map_data st hdr in
   let bk = map_buckets st md in
-  let b = Value.bucket_index bk key in
+  let h = Value.hash_key key in
+  let b = Value.bucket_of bk h in
   md.Value.md_version <- md.Value.md_version + 1;
-  let j = Value.bucket_find bk b key in
+  let j = Value.find bk b h key in
   if j >= 0 then begin
-    Value.bucket_remove bk b j;
+    Value.remove bk b j;
     md.Value.md_count <- md.Value.md_count - 1
   end
 
@@ -1302,7 +1371,9 @@ let rec eval st (e : Tast.expr) : Value.value =
     in
     make_slice_obj st (cur_frame st) ~site ~len ~cap
       ~zero_of:(zero_of st elem)
-  | Tast.Tmake_map (site, _, _) -> make_map_obj st (cur_frame st) ~site
+  | Tast.Tmake_map (site, kt, vt) ->
+    make_map_obj st (cur_frame st) ~site ~key:(Value.key_kind kt)
+      ~value:(Value.val_kind vt)
   | Tast.Tnew (site, ty) ->
     let c = Value.cell (Value.zero st.program.Tast.p_tenv ty) in
     let obj =
@@ -1353,7 +1424,7 @@ let rec eval st (e : Tast.expr) : Value.value =
   end
   | Tast.Tlen a -> Value.VInt (length st (eval st a))
   | Tast.Tcap a -> Value.VInt (capacity (eval st a))
-  | Tast.Titoa a -> Value.VStr (string_of_int (as_int (eval st a)))
+  | Tast.Titoa a -> Value.VStr (Value.itoa (as_int (eval st a)))
   | Tast.Trand a -> Value.VInt (rand_int st (as_int (eval st a)))
   | Tast.Tsubstr (s, a, b) -> begin
     match eval st s with

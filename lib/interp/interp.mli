@@ -259,7 +259,15 @@ val make_slice_obj :
   zero_of:(unit -> Value.value) ->
   Value.value
 
-val make_map_obj : state -> frame -> site:Tast.alloc_site -> Value.value
+(** A new map whose buckets have the given key and value columns
+    ({!Value.key_kind}, {!Value.val_kind} of its static types). *)
+val make_map_obj :
+  state ->
+  frame ->
+  site:Tast.alloc_site ->
+  key:Value.key_kind ->
+  value:Value.val_kind ->
+  Value.value
 
 (** The live header payload of a map header object; raises
     {!Value.Corruption} when it has been freed.  Allocates nothing.
@@ -272,6 +280,16 @@ val map_data : state -> Rt.Heap.obj -> Value.map_data
 val map_buckets : state -> Value.map_data -> Value.buckets
 
 val map_store : state -> Rt.Heap.obj -> Value.value -> Value.value -> unit
+
+(** {!map_store} with the value as its int-stack word (an int, or a bool
+    as 0/1). *)
+val map_store_vi : state -> Rt.Heap.obj -> Value.value -> int -> unit
+
+(** {!map_store} with an int or bool key as its int-stack word. *)
+val map_store_iv : state -> Rt.Heap.obj -> int -> Value.value -> unit
+
+(** {!map_store} with both the key and the value as int-stack words. *)
+val map_store_ii : state -> Rt.Heap.obj -> int -> int -> unit
 
 val map_get :
   state -> Rt.Heap.obj -> Value.value -> zero:(unit -> Value.value) ->

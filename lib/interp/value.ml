@@ -15,6 +15,9 @@
     index) triple — {!ptr} into a value array, {!iptr} into an int store
     — so [&s[i]], [&local], [&x.f], [new(T)] and [&T{}] all dereference
     in one array access while the GC keeps the owning heap object alive.
+    A map's buckets are typed the same way, by its static key and value
+    types ({!buckets}): int and bool keys and values as words of an
+    [int array], string keys in a [string array], the rest as values.
 
     Struct values have Go's value semantics: a declaration, a parameter,
     a result and a slice, map or literal element each hold their own
@@ -99,13 +102,36 @@ type map_data = {
           behaviour reads it *)
 }
 
-(** A map's bucket array, flat: bucket [b] holds [bk_n.(b)] entries in
-    [bk_kv.(b)], oldest first, each a key at [2j] and its value at
-    [2j + 1].  Slots past them are spare capacity holding [VUnit], and
-    every bucket that never held an entry shares {!no_entries}.
-    Iteration visits the buckets in index order and each bucket newest
-    entry first. *)
-type buckets = { bk_n : int array; bk_kv : value array array }
+(** The column a map's keys live in, fixed by the map's static key
+    type: an int or bool key is a word of the int column, a string key
+    an element of the string column, any other key a value. *)
+type key_kind = Kint | Kbool | Kstr | Kval
+
+(** The column a map's values live in: an int or bool value is a word of
+    the int column, any other value a value. *)
+type val_kind = Vint | Vbool | Vval
+
+(** A map's buckets, in columns typed by its key and value kinds.
+    Bucket [b] holds [bk_n.(b)] entries, oldest first.  Entry [j] has
+    [bk_wi] words at [bk_wi * j] of the int column [bk_i.(b)]: its key's
+    hash, then the key when it is an int or bool, then the value when it
+    is one; a string key at [j] of [bk_s.(b)]; and [bk_wv] slots at
+    [bk_wv * j] of [bk_v.(b)]: the key when it is neither, then the value
+    when it is not an int or bool.  Every column of a bucket has room
+    for the same number of entries; slots past the entries are spare
+    capacity, and a bucket that never held an entry shares one empty
+    array per column.  Iteration visits the buckets in index order and
+    each bucket newest entry first. *)
+type buckets = {
+  bk_key : key_kind;
+  bk_val : val_kind;
+  bk_wi : int;  (** int-column words per entry *)
+  bk_wv : int;  (** value-column slots per entry *)
+  bk_n : int array;
+  bk_i : int array array;
+  bk_s : string array array;  (** [[||]] unless the keys are strings *)
+  bk_v : value array array;  (** [[||]] when [bk_wv = 0] *)
+}
 
 (** Heap payloads carrying interpreter values. *)
 type Heap.payload +=
@@ -286,13 +312,16 @@ let trace_payload (p : Heap.payload) (k : Heap.obj -> unit) =
   | Pcells elems -> Array.iter (fun v -> trace v k) elems
   | Pmap md -> k md.md_buckets
   | Pbuckets bk ->
-    Array.iteri
-      (fun b kv ->
-        for j = bk.bk_n.(b) - 1 downto 0 do
-          trace kv.(2 * j) k;
-          trace kv.((2 * j) + 1) k
-        done)
-      bk.bk_kv
+    (* the int and string columns hold no address *)
+    let wv = bk.bk_wv in
+    for b = 0 to Array.length bk.bk_v - 1 do
+      let v = bk.bk_v.(b) in
+      for j = bk.bk_n.(b) - 1 downto 0 do
+        for t = wv * j to (wv * j) + wv - 1 do
+          trace v.(t) k
+        done
+      done
+    done
   | _ -> ()
 
 (* Every element of [a] becomes [VPoison]; a struct element's fields
@@ -315,12 +344,13 @@ let poison_payload (p : Heap.payload) =
   | Pcells elems -> poison_elems elems
   | Pints ints -> Array.fill ints 0 (Array.length ints) poison_int
   | Pbuckets bk ->
-    (* every bucket becomes one poisoned entry *)
-    Array.iteri
-      (fun b _ ->
-        bk.bk_kv.(b) <- [| VPoison; VPoison |];
-        bk.bk_n.(b) <- 1)
-      bk.bk_kv
+    (* every bucket becomes one poisoned entry, whose hash no key has *)
+    for b = 0 to Array.length bk.bk_n - 1 do
+      bk.bk_i.(b) <- Array.make bk.bk_wi poison_int;
+      if bk.bk_key = Kstr then bk.bk_s.(b) <- [| "" |];
+      if bk.bk_wv > 0 then bk.bk_v.(b) <- Array.make bk.bk_wv VPoison;
+      bk.bk_n.(b) <- 1
+    done
   | Pmap md ->
     md.md_buckets <- Heap.no_obj;
     md.md_count <- -1;
@@ -343,86 +373,372 @@ let hash_key = function
   | VFloat f -> Hashtbl.hash f
   | _ -> 0
 
-(* ---- Flat map buckets ----------------------------------------------
+(* ---- Typed map buckets ---------------------------------------------
 
-   The operations behind a map read, store, delete and growth.  None of
-   them allocates except when a bucket outgrows its capacity.  Bucket
-   reads re-check each index against the array they read, so a map
-   mutated by goroutines on two domains at once (a racy MiniGo
-   program) can read stale entries but never outside an array. *)
+   The operations behind a map read, store, delete and growth, on the
+   columns of {!buckets}.  A probe compares an entry's stored hash
+   before its key, and growth moves entries by their stored hashes,
+   never hashing a key again.  Nothing here allocates except when a
+   bucket outgrows its capacity.
 
-let no_entries : value array = [||]
+   A bucket index [b] always comes from {!bucket_of}, so it is below the
+   bucket count, the length of every per-bucket array; those are read
+   unchecked.  Every slot access is bounded by the array it touches: a
+   probe bounds the bucket's count by the length of each column it
+   scans, a slot past the end of a column reads as absent and takes no
+   write, and growth drops an entry that no longer fits the bucket its
+   first pass counted.  So a map mutated by goroutines on two domains at
+   once (a racy MiniGo program, where one writer can replace a bucket's
+   columns with ones sized from a stale count) can read stale entries
+   or lose a write, but never reads or writes outside an array and
+   never raises. *)
 
-let make_buckets n = { bk_n = Array.make n 0; bk_kv = Array.make n no_entries }
+let no_ints : int array = [||]
 
-(** The bucket [key] hashes to. *)
-let bucket_index bk key = hash_key key land max_int mod Array.length bk.bk_kv
+let no_strs : string array = [||]
 
-let rec scan kv key j =
+let no_vals : value array = [||]
+
+let key_kind (ty : Minigo.Types.t) =
+  match ty with
+  | Minigo.Types.Int -> Kint
+  | Minigo.Types.Bool -> Kbool
+  | Minigo.Types.String -> Kstr
+  | _ -> Kval
+
+let val_kind (ty : Minigo.Types.t) =
+  match ty with
+  | Minigo.Types.Int -> Vint
+  | Minigo.Types.Bool -> Vbool
+  | _ -> Vval
+
+let make_buckets key value n =
+  let ikey = match key with Kint | Kbool -> 1 | Kstr | Kval -> 0 in
+  let ival = match value with Vint | Vbool -> 1 | Vval -> 0 in
+  let wv = (if key = Kval then 1 else 0) + (1 - ival) in
+  {
+    bk_key = key;
+    bk_val = value;
+    bk_wi = 1 + ikey + ival;
+    bk_wv = wv;
+    bk_n = Array.make n 0;
+    bk_i = Array.make n no_ints;
+    bk_s = (if key = Kstr then Array.make n no_strs else [||]);
+    bk_v = (if wv > 0 then Array.make n no_vals else [||]);
+  }
+
+(** The bucket of hash [h] (never negative): bucket counts are powers of
+    two. *)
+let bucket_of bk h = h land (Array.length bk.bk_n - 1)
+
+(* Bucket [b]'s count and columns. *)
+let[@inline] count bk b = Array.unsafe_get bk.bk_n b
+
+let[@inline] ints bk b = Array.unsafe_get bk.bk_i b
+
+let[@inline] strs bk b = Array.unsafe_get bk.bk_s b
+
+let[@inline] vals bk b = Array.unsafe_get bk.bk_v b
+
+(* An int or bool key or value as its int-column word. *)
+let word_of = function VInt n -> n | VBool true -> 1 | _ -> 0
+
+(* Of [n] entries, [per] slots each, how many an array of [len] slots
+   holds: [n], unless a racing writer left it short. *)
+let[@inline] bound n len per = if n * per <= len then n else len / per
+
+let rec scan_int (w : int array) wi (h : int) (k : int) j =
   if j < 0 then -1
-  else if equal_key (Array.unsafe_get kv (2 * j)) key then j
-  else scan kv key (j - 1)
+  else
+    let p = wi * j in
+    if Array.unsafe_get w p = h && Array.unsafe_get w (p + 1) = k then j
+    else scan_int w wi h k (j - 1)
 
-(** The slot of [key]'s entry in bucket [b], newest first, or [-1]. *)
-let bucket_find bk b key =
-  let kv = bk.bk_kv.(b) in
-  scan kv key (min bk.bk_n.(b) (Array.length kv / 2) - 1)
+(** The slot of int key [k] (hash [h]) in bucket [b], newest first, or
+    [-1]; always [-1] in a map whose keys are not ints or bools. *)
+let find_int bk b h k =
+  match bk.bk_key with
+  | Kint | Kbool ->
+    let w = ints bk b in
+    let wi = bk.bk_wi in
+    scan_int w wi h k (bound (count bk b) (Array.length w) wi - 1)
+  | Kstr | Kval -> -1
 
-let bucket_value bk b j = bk.bk_kv.(b).((2 * j) + 1)
+let rec scan_str (w : int array) wi ks (h : int) s j =
+  if j < 0 then -1
+  else if
+    Array.unsafe_get w (wi * j) = h && String.equal (Array.unsafe_get ks j) s
+  then j
+  else scan_str w wi ks h s (j - 1)
 
-let bucket_set bk b j v = bk.bk_kv.(b).((2 * j) + 1) <- v
+let rec scan_val (w : int array) wi v wv (h : int) key j =
+  if j < 0 then -1
+  else if
+    Array.unsafe_get w (wi * j) = h
+    && equal_key (Array.unsafe_get v (wv * j)) key
+  then j
+  else scan_val w wi v wv h key (j - 1)
 
-(** Add an entry for a key the bucket does not hold; it becomes the
-    bucket's newest.  Capacity doubles, from two entries. *)
-let bucket_add bk b key v =
-  let n = bk.bk_n.(b) in
-  let kv = bk.bk_kv.(b) in
-  let kv =
-    if 2 * n < Array.length kv then kv
-    else begin
-      let grown = Array.make (max 4 (4 * n)) VUnit in
-      Array.blit kv 0 grown 0 (2 * n);
-      bk.bk_kv.(b) <- grown;
-      grown
-    end
-  in
-  kv.(2 * n) <- key;
-  kv.((2 * n) + 1) <- v;
-  bk.bk_n.(b) <- n + 1
+(** The slot of [key] (hash [h]) in bucket [b], newest first, or
+    [-1]. *)
+let find bk b h key =
+  let wi = bk.bk_wi in
+  match (bk.bk_key, key) with
+  | (Kint | Kbool), _ -> find_int bk b h (word_of key)
+  | Kstr, VStr s ->
+    let w = ints bk b in
+    let ks = strs bk b in
+    let n = bound (count bk b) (Array.length w) wi in
+    scan_str w wi ks h s (bound n (Array.length ks) 1 - 1)
+  | Kstr, _ -> -1
+  | Kval, _ ->
+    let w = ints bk b in
+    let v = vals bk b in
+    let n = bound (count bk b) (Array.length w) wi in
+    scan_val w wi v bk.bk_wv h key (bound n (Array.length v) bk.bk_wv - 1)
 
-(** Drop the entry at slot [j], keeping the others in order. *)
-let bucket_remove bk b j =
-  let n = bk.bk_n.(b) in
-  let kv = bk.bk_kv.(b) in
-  Array.blit kv ((2 * j) + 2) kv (2 * j) (2 * (n - 1 - j));
-  kv.((2 * n) - 2) <- VUnit;
-  kv.((2 * n) - 1) <- VUnit;
-  bk.bk_n.(b) <- n - 1
+(* Where the value of slot [j] sits in its column. *)
+let[@inline] ival bk j = (bk.bk_wi * j) + bk.bk_wi - 1
 
-(** The entries of [old] rehashed into [n] buckets, visited in
-    iteration order, so within a new bucket the last one visited is the
-    newest. *)
+let[@inline] vval bk j = (bk.bk_wv * j) + bk.bk_wv - 1
+
+(* Slot access checked against the array at hand.  A slot a racing
+   writer has moved past the end of a bucket's current column reads as
+   absent and takes no write; indices are never negative. *)
+let[@inline] iget (a : int array) i =
+  if i < Array.length a then Array.unsafe_get a i else 0
+
+let[@inline] iset (a : int array) i x =
+  if i < Array.length a then Array.unsafe_set a i x
+
+let[@inline] vset (a : value array) i x =
+  if i < Array.length a then Array.unsafe_set a i x
+
+(** The value at a slot, as an int-stack word: an int or bool value
+    itself, or the word of a boxed one. *)
+let int_at bk b j =
+  match bk.bk_val with
+  | Vint | Vbool -> iget (ints bk b) (ival bk j)
+  | Vval ->
+    let v = vals bk b in
+    let p = vval bk j in
+    if p < Array.length v then word_of (Array.unsafe_get v p) else 0
+
+(** [value_at bk b j zero]: the value at a slot, or [zero ()] for a slot
+    a racing writer emptied. *)
+let value_at bk b j zero =
+  match bk.bk_val with
+  | Vval ->
+    let v = vals bk b in
+    let p = vval bk j in
+    if p < Array.length v then Array.unsafe_get v p else zero ()
+  | Vint -> vint (int_at bk b j)
+  | Vbool -> vbool (int_at bk b j <> 0)
+
+(** Overwrite the value at a slot; the entry keeps its key and place. *)
+let set_value bk b j v =
+  match bk.bk_val with
+  | Vint | Vbool -> iset (ints bk b) (ival bk j) (word_of v)
+  | Vval -> vset (vals bk b) (vval bk j) v
+
+(** Overwrite the value at a slot with an int-stack word. *)
+let set_int bk b j n =
+  match bk.bk_val with
+  | Vint | Vbool -> iset (ints bk b) (ival bk j) n
+  | Vval -> set_value bk b j (vint n)
+
+(* Give bucket [b], holding [n] entries, fresh columns with room for
+   [cap].  The entries are copied by loops, not by [Array.blit]'s C call:
+   a regrown bucket holds a few entries.  Each copy is bounded by the
+   column it reads. *)
+let regrow bk b n cap =
+  let wi = bk.bk_wi in
+  let w = Array.make (cap * wi) 0 in
+  let old = ints bk b in
+  for x = 0 to bound n (Array.length old) wi * wi - 1 do
+    Array.unsafe_set w x (Array.unsafe_get old x)
+  done;
+  bk.bk_i.(b) <- w;
+  if bk.bk_key = Kstr then begin
+    let s = Array.make cap "" in
+    let old = strs bk b in
+    for x = 0 to bound n (Array.length old) 1 - 1 do
+      Array.unsafe_set s x (Array.unsafe_get old x)
+    done;
+    bk.bk_s.(b) <- s
+  end;
+  let wv = bk.bk_wv in
+  if wv > 0 then begin
+    let v = Array.make (cap * wv) VUnit in
+    let old = vals bk b in
+    for x = 0 to bound n (Array.length old) wv * wv - 1 do
+      Array.unsafe_set v x (Array.unsafe_get old x)
+    done;
+    bk.bk_v.(b) <- v
+  end
+
+(** [add bk b h]: the slot of a new entry of bucket [b] whose key has
+    hash [h], its hash written; capacity doubles, from two entries.  The
+    caller writes the key and value, then {!commit}s the entry, which
+    becomes the bucket's newest. *)
+let add bk b h =
+  let n = count bk b in
+  if n * bk.bk_wi >= Array.length (ints bk b) then
+    regrow bk b n (if n = 0 then 2 else 2 * n);
+  iset (ints bk b) (bk.bk_wi * n) h;
+  n
+
+(** Write the int or bool key of the new entry at slot [j]. *)
+let set_key_int bk b j k = iset (ints bk b) ((bk.bk_wi * j) + 1) k
+
+(** Write the key of the new entry at slot [j]. *)
+let set_key bk b j key =
+  match (bk.bk_key, key) with
+  | (Kint | Kbool), _ -> set_key_int bk b j (word_of key)
+  | Kstr, VStr s ->
+    let ks = strs bk b in
+    if j < Array.length ks then Array.unsafe_set ks j s
+  | Kstr, _ -> ()
+  | Kval, _ -> vset (vals bk b) (bk.bk_wv * j) key
+
+let[@inline] set_count bk b n = Array.unsafe_set bk.bk_n b n
+
+let commit bk b j = set_count bk b (j + 1)
+
+(** Drop the entry at slot [j], keeping the others in order.  Each
+    column shifts the entries it holds, and the vacated slots are
+    cleared. *)
+let remove bk b j =
+  let n = count bk b in
+  let w = ints bk b in
+  let wi = bk.bk_wi in
+  for x = wi * j to (wi * bound n (Array.length w) wi) - wi - 1 do
+    Array.unsafe_set w x (Array.unsafe_get w (x + wi))
+  done;
+  if bk.bk_key = Kstr then begin
+    let s = strs bk b in
+    let last = bound n (Array.length s) 1 - 1 in
+    for x = j to last - 1 do
+      Array.unsafe_set s x (Array.unsafe_get s (x + 1))
+    done;
+    if last >= j then Array.unsafe_set s last ""
+  end;
+  let wv = bk.bk_wv in
+  if wv > 0 then begin
+    let v = vals bk b in
+    let last = bound n (Array.length v) wv - 1 in
+    for x = wv * j to (wv * last) - 1 do
+      Array.unsafe_set v x (Array.unsafe_get v (x + wv))
+    done;
+    for x = wv * last to (wv * last) + wv - 1 do
+      if x >= wv * j then Array.unsafe_set v x VUnit
+    done
+  end;
+  if j < n then set_count bk b (n - 1)
+
+(** [rehash old n]: the entries of [old] in [n] buckets, moved by their
+    stored hashes in iteration order, so within a new bucket the last
+    one moved is the newest.  A first pass counts each new bucket's
+    entries, so each gets its columns once, with room for as many
+    again. *)
 let rehash old n =
-  let bk = make_buckets n in
-  Array.iteri
-    (fun b kv ->
-      for j = old.bk_n.(b) - 1 downto 0 do
-        let key = kv.(2 * j) in
-        bucket_add bk (bucket_index bk key) key kv.((2 * j) + 1)
-      done)
-    old.bk_kv;
-  bk
-
-(** Every key, in iteration order. *)
-let bucket_keys bk =
-  let keys = ref [] in
-  for b = Array.length bk.bk_kv - 1 downto 0 do
-    let kv = bk.bk_kv.(b) in
-    for j = 0 to bk.bk_n.(b) - 1 do
-      keys := kv.(2 * j) :: !keys
+  let bk = make_buckets old.bk_key old.bk_val n in
+  let mask = n - 1 in
+  let wi = old.bk_wi in
+  let wv = old.bk_wv in
+  let keys = old.bk_key = Kstr in
+  let fill = bk.bk_n in
+  for b = 0 to Array.length old.bk_n - 1 do
+    let w = ints old b in
+    for j = 0 to bound (count old b) (Array.length w) wi - 1 do
+      let d = Array.unsafe_get w (wi * j) land mask in
+      Array.unsafe_set fill d (Array.unsafe_get fill d + 1)
     done
   done;
+  for d = 0 to n - 1 do
+    let cap = 2 * count bk d in
+    if cap > 0 then begin
+      Array.unsafe_set bk.bk_i d (Array.make (cap * wi) 0);
+      if keys then Array.unsafe_set bk.bk_s d (Array.make cap "");
+      if wv > 0 then Array.unsafe_set bk.bk_v d (Array.make (cap * wv) VUnit)
+    end;
+    set_count bk d 0
+  done;
+  (* Each moved entry's source slots are bounded by the columns read
+     (as in a probe) and its destination slots by the new bucket's
+     capacity: a racing writer can change the old buckets between the
+     two passes, and an entry that no longer fits is dropped.  The new
+     columns, which only this growth has seen, share one capacity. *)
+  for b = 0 to Array.length old.bk_n - 1 do
+    let w = ints old b in
+    let s = if keys then strs old b else no_strs in
+    let v = if wv > 0 then vals old b else no_vals in
+    let live = bound (count old b) (Array.length w) wi in
+    let live = if keys then bound live (Array.length s) 1 else live in
+    let live = if wv > 0 then bound live (Array.length v) wv else live in
+    for j = live - 1 downto 0 do
+      let d = Array.unsafe_get w (wi * j) land mask in
+      let t = count bk d in
+      let dw = ints bk d in
+      if wi * (t + 1) <= Array.length dw then begin
+        for x = 0 to wi - 1 do
+          Array.unsafe_set dw ((wi * t) + x) (Array.unsafe_get w ((wi * j) + x))
+        done;
+        if keys then Array.unsafe_set (strs bk d) t (Array.unsafe_get s j);
+        if wv > 0 then begin
+          let dv = vals bk d in
+          for x = 0 to wv - 1 do
+            Array.unsafe_set dv ((wv * t) + x)
+              (Array.unsafe_get v ((wv * j) + x))
+          done
+        end;
+        commit bk d t
+      end
+    done
+  done;
+  bk
+
+(** Every key, in iteration order; a bucket a racing writer is
+    changing yields the keys its columns hold. *)
+let bucket_keys bk =
+  let keys = ref [] in
+  for b = Array.length bk.bk_n - 1 downto 0 do
+    let w = ints bk b in
+    let n = bound (count bk b) (Array.length w) bk.bk_wi in
+    match bk.bk_key with
+    | Kint | Kbool ->
+      for j = 0 to n - 1 do
+        let k = Array.unsafe_get w ((bk.bk_wi * j) + 1) in
+        keys := (if bk.bk_key = Kint then vint k else vbool (k <> 0)) :: !keys
+      done
+    | Kstr ->
+      let ks = strs bk b in
+      for j = 0 to bound n (Array.length ks) 1 - 1 do
+        keys := VStr (Array.unsafe_get ks j) :: !keys
+      done
+    | Kval ->
+      let v = vals bk b in
+      for j = 0 to bound n (Array.length v) bk.bk_wv - 1 do
+        keys := Array.unsafe_get v (bk.bk_wv * j) :: !keys
+      done
+  done;
   !keys
+
+(** [string_of_int n] by a digit loop, without the format machinery
+    behind [string_of_int].  The digits come from the magnitude negated,
+    which [min_int] has too. *)
+let itoa n =
+  let m = if n < 0 then n else -n in
+  let rec width m w = if m > -10 then w else width (m / 10) (w + 1) in
+  let len = width m (if n < 0 then 2 else 1) in
+  let b = Bytes.create len in
+  let rec digits m i =
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
+    if m <= -10 then digits (m / 10) (i - 1)
+  in
+  digits m (len - 1);
+  if n < 0 then Bytes.unsafe_set b 0 '-';
+  Bytes.unsafe_to_string b
 
 (** Deterministic textual form for println (pointer addresses are hidden
     so output is identical across Go/GoFree settings).  Int-store elements

@@ -14,9 +14,10 @@
     keep the owning heap object alive while the interpreter mutates
     through the array directly.  Storing a whole struct into a location
     that holds one writes into that struct's array ({!store}), so field
-    pointers taken before the store stay valid, as in Go.  Every
-    reference holds its heap object's record, never an address to look
-    up. *)
+    pointers taken before the store stay valid, as in Go.  A map's
+    buckets are typed the same way, by its static key and value types
+    ({!buckets}).  Every reference holds its heap object's record, never
+    an address to look up. *)
 
 module Heap := Gofree_runtime.Heap
 
@@ -77,12 +78,33 @@ type map_data = {
           bytecode engine's map-site inline caches *)
 }
 
-(** A map's bucket array, flat: bucket [b] holds [bk_n.(b)] entries in
-    [bk_kv.(b)], oldest first, each a key at [2j] and its value at
-    [2j + 1]; slots past them are spare capacity.  Every bucket that
-    never held an entry shares one empty array.  Iteration order is the
-    buckets in index order, each newest entry first. *)
-type buckets = { bk_n : int array; bk_kv : value array array }
+(** The column a map's keys live in, fixed by the map's static key
+    type. *)
+type key_kind = Kint | Kbool | Kstr | Kval
+
+(** The column a map's values live in, fixed by its static value type. *)
+type val_kind = Vint | Vbool | Vval
+
+(** A map's buckets, in columns typed by its key and value kinds.
+    Bucket [b] holds [bk_n.(b)] entries, oldest first.  Entry [j] has
+    [bk_wi] words at [bk_wi * j] of the int column [bk_i.(b)]: its key's
+    hash, then the key when it is an int or bool, then the value when it
+    is one; a string key at [j] of [bk_s.(b)]; and [bk_wv] slots at
+    [bk_wv * j] of [bk_v.(b)]: the key when it is neither, then the value
+    when it is not an int or bool.  Every column of a bucket has room
+    for the same number of entries; a bucket that never held an entry
+    shares one empty array per column.  Iteration order is the buckets
+    in index order, each newest entry first. *)
+type buckets = {
+  bk_key : key_kind;
+  bk_val : val_kind;
+  bk_wi : int;  (** int-column words per entry *)
+  bk_wv : int;  (** value-column slots per entry *)
+  bk_n : int array;
+  bk_i : int array array;
+  bk_s : string array array;  (** [[||]] unless the keys are strings *)
+  bk_v : value array array;  (** [[||]] when [bk_wv = 0] *)
+}
 
 type Heap.payload +=
   | Pcells of value array
@@ -203,37 +225,78 @@ val hash_key : value -> int
 
 (** {2 Map buckets}
 
-    None of these allocates except when a bucket outgrows its
-    capacity. *)
+    A probe compares an entry's stored hash ({!hash_key} of its key)
+    before its key; growth moves entries by their stored hashes.  None
+    of these allocates except when a bucket outgrows its capacity.  A
+    bucket index must come from {!bucket_of}: the per-bucket arrays are
+    read unchecked.  A slot access is bounded by the array it touches,
+    so under a racing writer a slot can read as absent or a write be
+    lost, but nothing raises. *)
 
-(** [n] empty buckets. *)
-val make_buckets : int -> buckets
+(** The key column of a map whose static key type is the given one: an
+    int or bool key is an int-column word, a string key a string, any
+    other key a value. *)
+val key_kind : Minigo.Types.t -> key_kind
 
-(** The bucket a key hashes to. *)
-val bucket_index : buckets -> value -> int
+(** The value column of a map whose static value type is the given one:
+    an int or bool value is an int-column word, any other a value. *)
+val val_kind : Minigo.Types.t -> val_kind
 
-(** [bucket_find bk b key]: the slot of [key]'s entry in bucket [b], or
-    [-1]. *)
-val bucket_find : buckets -> int -> value -> int
+(** [make_buckets key value n]: [n] empty buckets with those columns. *)
+val make_buckets : key_kind -> val_kind -> int -> buckets
 
-(** The value at a slot of a bucket. *)
-val bucket_value : buckets -> int -> int -> value
+(** The bucket of a key hash; bucket counts are powers of two. *)
+val bucket_of : buckets -> int -> int
+
+(** [find bk b h key]: the slot of [key], whose hash is [h], in bucket
+    [b], newest entry first, or [-1]. *)
+val find : buckets -> int -> int -> value -> int
+
+(** [find_int bk b h k]: {!find} for a map with int or bool keys, the key
+    given as its int-stack word. *)
+val find_int : buckets -> int -> int -> int -> int
+
+(** [value_at bk b j zero]: the value at a slot, or [zero ()] for a
+    slot a racing writer emptied. *)
+val value_at : buckets -> int -> int -> (unit -> value) -> value
+
+(** The value at a slot as an int-stack word (an int, or a bool as 0/1). *)
+val int_at : buckets -> int -> int -> int
 
 (** Overwrite the value at a slot; the entry keeps its key and place. *)
-val bucket_set : buckets -> int -> int -> value -> unit
+val set_value : buckets -> int -> int -> value -> unit
 
-(** Add an entry for a key the bucket does not hold, as its newest. *)
-val bucket_add : buckets -> int -> value -> value -> unit
+(** {!set_value} with an int-stack word. *)
+val set_int : buckets -> int -> int -> int -> unit
+
+(** [add bk b h]: the slot of a new entry in bucket [b] for a key with
+    hash [h], with its hash written and room ensured in every column.
+    The caller writes the key ({!set_key}, {!set_key_int}) and the value,
+    then {!commit}s the entry, which becomes the bucket's newest. *)
+val add : buckets -> int -> int -> int
+
+val set_key : buckets -> int -> int -> value -> unit
+
+(** {!set_key} with an int or bool key as its int-stack word. *)
+val set_key_int : buckets -> int -> int -> int -> unit
+
+(** [commit bk b j]: count the entry written at slot [j] of bucket [b]. *)
+val commit : buckets -> int -> int -> unit
 
 (** Drop the entry at a slot, keeping the others in order. *)
-val bucket_remove : buckets -> int -> int -> unit
+val remove : buckets -> int -> int -> unit
 
 (** [rehash old n]: [old]'s entries in [n] buckets, each moved in
-    iteration order and becoming the newest of its new bucket. *)
+    iteration order by its stored hash and becoming the newest of its new
+    bucket.  Each new bucket's columns are allocated once, with room for
+    twice the entries it receives. *)
 val rehash : buckets -> int -> buckets
 
 (** Every key, in iteration order. *)
 val bucket_keys : buckets -> value list
+
+(** [itoa n] is [string_of_int n], built by a digit loop. *)
+val itoa : int -> string
 
 (** Deterministic textual form for [println] (addresses hidden so output
     is identical across compiler settings).  Int-store elements are

@@ -66,6 +66,10 @@
     operand stack and an int store with no box on either side
     ([index_i], [store_index_i], [append_i], [slice_lit_i]); a read that
     finds {!Value.poison_int} leaves the fast path for the poison check.
+    An int or bool map key or value travels between the int stack and
+    the int column of the map's typed buckets the same way
+    ([mapget_ii], [mapget_iv], [store_map_ii], [store_map_iv],
+    [store_map_vi]).
 
     Every opcode's implementation replicates the corresponding step of
     the reference walker ({!Interp.eval}, [Interp.exec_stmt]) and calls
@@ -368,44 +372,87 @@ let[@inline] ptr_site_hit (r : regs) cidx =
     c.B.c_a <- 2
   end
 
-(* Shared by the three map-get opcodes.  The inline cache holds the
-   identity of the map the site last read (header object, header
-   payload, version, bucket array; see {!Bytecode.centry}).  On a hit the
-   key is probed in the cached bucket array directly, skipping both
-   payload reads; a miss finds them like [Interp.map_get] and replaces the
-   snapshot.  Either way the lookup is [Interp.map_get]'s bucket search,
-   so it finds the identical physical value, and map reads allocate
-   nothing in the simulated heap.  An absent key's zero value is freshly
-   made per read. *)
+(* The buckets of map [hdr], through the inline cache of the map-get
+   site [cidx].  The cache holds the identity of the map the site last
+   read (header object, header payload, version, typed buckets; see
+   {!Bytecode.centry}).  On a hit the buckets come from the cache,
+   skipping both payload reads; a miss reads them like [Interp.map_get]
+   and updates the snapshot.  Either way the lookup that follows is
+   [Interp.map_get]'s bucket search, so it finds the identical entry, and
+   map reads allocate nothing in the simulated heap. *)
+let cached_buckets (r : regs) hdr cidx : Value.buckets =
+  let st = r.x_st in
+  let c = r.x_f.B.bf_caches.(cidx) in
+  (* one pointer load = one coherent snapshot, even when goroutines
+     on other domains are racing to repopulate this site *)
+  let e = c.B.c_e in
+  if e.B.ce_a == hdr && e.B.ce_ver = e.B.ce_md.Value.md_version then begin
+    st.ic_hits <- st.ic_hits + 1;
+    e.B.ce_b
+  end
+  else begin
+    st.ic_misses <- st.ic_misses + 1;
+    let md = Interp.map_data st hdr in
+    let ver = md.Value.md_version in
+    let bk = Interp.map_buckets st md in
+    if e.B.ce_a == hdr && e.B.ce_b == bk then e.B.ce_ver <- ver
+    else c.B.c_e <- { B.ce_a = hdr; ce_md = md; ce_ver = ver; ce_b = bk };
+    bk
+  end
+
+(* [mapget_v] and [mapget_iv]: an absent key's zero value is freshly
+   made per read.  [mapget_i], [mapget_b] and [mapget_ii] push the
+   value's int-stack word, 0 for an absent key. *)
 let mapget_value (r : regs) (vm : Value.value) (vk : Value.value) zidx cidx :
     Value.value =
   match vm with
   | Value.VMap hdr ->
-    let st = r.x_st in
-    let c = r.x_f.B.bf_caches.(cidx) in
-    (* one pointer load = one coherent snapshot, even when goroutines
-       on other domains are racing to repopulate this site *)
-    let e = c.B.c_e in
-    let bk =
-      if e.B.ce_a == hdr && e.B.ce_ver = e.B.ce_md.Value.md_version then begin
-        st.ic_hits <- st.ic_hits + 1;
-        e.B.ce_b
-      end
-      else begin
-        st.ic_misses <- st.ic_misses + 1;
-        let md = Interp.map_data st hdr in
-        let bk = Interp.map_buckets st md in
-        c.B.c_e <-
-          { B.ce_a = hdr; ce_md = md; ce_ver = md.Value.md_version;
-            ce_b = bk };
-        bk
-      end
-    in
-    let b = Value.bucket_index bk vk in
-    let j = Value.bucket_find bk b vk in
-    if j >= 0 then Value.bucket_value bk b j
-    else r.x_f.B.bf_zeros.(zidx) ()
+    let bk = cached_buckets r hdr cidx in
+    let h = Value.hash_key vk in
+    let b = Value.bucket_of bk h in
+    let j = Value.find bk b h vk in
+    let zero = r.x_f.B.bf_zeros.(zidx) in
+    if j >= 0 then Value.value_at bk b j zero else zero ()
   | Value.VNil -> r.x_f.B.bf_zeros.(zidx) ()
+  | _ -> raise (Runtime_error "not a map")
+
+let mapget_word (r : regs) (vm : Value.value) (vk : Value.value) cidx =
+  match vm with
+  | Value.VMap hdr ->
+    let bk = cached_buckets r hdr cidx in
+    let h = Value.hash_key vk in
+    let b = Value.bucket_of bk h in
+    let j = Value.find bk b h vk in
+    if j >= 0 then Value.int_at bk b j else 0
+  | Value.VNil -> 0
+  | _ -> raise (Runtime_error "not a map")
+
+let mapget_iv (r : regs) (vm : Value.value) k zidx cidx : Value.value =
+  match vm with
+  | Value.VMap hdr ->
+    let bk = cached_buckets r hdr cidx in
+    let h = Hashtbl.hash k in
+    let b = Value.bucket_of bk h in
+    let j = Value.find_int bk b h k in
+    let zero = r.x_f.B.bf_zeros.(zidx) in
+    if j >= 0 then Value.value_at bk b j zero else zero ()
+  | Value.VNil -> r.x_f.B.bf_zeros.(zidx) ()
+  | _ -> raise (Runtime_error "not a map")
+
+let mapget_ii (r : regs) (vm : Value.value) k cidx =
+  match vm with
+  | Value.VMap hdr ->
+    let bk = cached_buckets r hdr cidx in
+    let h = Hashtbl.hash k in
+    let b = Value.bucket_of bk h in
+    let j = Value.find_int bk b h k in
+    if j >= 0 then Value.int_at bk b j else 0
+  | Value.VNil -> 0
+  | _ -> raise (Runtime_error "not a map")
+
+(* A store to a nil map panics; anything else there is not a map. *)
+let[@inline never] not_a_map_store = function
+  | Value.VNil -> raise (Panic (Value.VStr "assignment to entry in nil map"))
   | _ -> raise (Runtime_error "not a map")
 
 (* Bind a variable to a fresh value in its home, as the reference
@@ -1255,9 +1302,32 @@ and full (r : regs) pc sp_v sp_i =
     let v = Array.unsafe_get stk_v (sp_v - 3) in
     (match vm with
     | Value.VMap hdr -> map_store r.x_st hdr vk (Value.copy v)
-    | Value.VNil -> raise (Panic (Value.VStr "assignment to entry in nil map"))
-    | _ -> raise (Runtime_error "not a map"));
+    | vm -> not_a_map_store vm);
     loop r (pc + 1) (sp_v - 3) sp_i
+  | 184 (* store_map_ii *) ->
+    (match Array.unsafe_get stk_v (sp_v - 1) with
+    | Value.VMap hdr ->
+      map_store_ii r.x_st hdr
+        (Array.unsafe_get stk_i (sp_i - 1))
+        (Array.unsafe_get stk_i (sp_i - 2))
+    | vm -> not_a_map_store vm);
+    loop r (pc + 1) (sp_v - 1) (sp_i - 2)
+  | 185 (* store_map_iv *) ->
+    (match Array.unsafe_get stk_v (sp_v - 1) with
+    | Value.VMap hdr ->
+      map_store_iv r.x_st hdr
+        (Array.unsafe_get stk_i (sp_i - 1))
+        (Value.copy (Array.unsafe_get stk_v (sp_v - 2)))
+    | vm -> not_a_map_store vm);
+    loop r (pc + 1) (sp_v - 2) (sp_i - 1)
+  | 186 (* store_map_vi *) ->
+    (match Array.unsafe_get stk_v (sp_v - 2) with
+    | Value.VMap hdr ->
+      map_store_vi r.x_st hdr
+        (Array.unsafe_get stk_v (sp_v - 1))
+        (Array.unsafe_get stk_i (sp_i - 1))
+    | vm -> not_a_map_store vm);
+    loop r (pc + 1) (sp_v - 2) (sp_i - 1)
   | 54 (* store_thru *) ->
     let p = Array.unsafe_get stk_v (sp_v - 1) in
     let v = Array.unsafe_get stk_v (sp_v - 2) in
@@ -1394,27 +1464,27 @@ and full (r : regs) pc sp_v sp_i =
          (Array.unsafe_get code (pc + 1))
          (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v - 1) sp_i
-  | 62 (* mapget_i *) ->
+  | 62 (* mapget_i *) | 63 (* mapget_b *) ->
     let vk = Array.unsafe_get stk_v (sp_v - 1) in
     let vm = Array.unsafe_get stk_v (sp_v - 2) in
     Array.unsafe_set stk_i sp_i
-      (as_int
-         (mapget_value r vm vk
-            (Array.unsafe_get code (pc + 1))
-            (Array.unsafe_get code (pc + 2))));
+      (mapget_word r vm vk (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v - 2) (sp_i + 1)
-  | 63 (* mapget_b *) ->
-    let vk = Array.unsafe_get stk_v (sp_v - 1) in
-    let vm = Array.unsafe_get stk_v (sp_v - 2) in
-    Array.unsafe_set stk_i sp_i
-      (if
-         truthy
-           (mapget_value r vm vk
-              (Array.unsafe_get code (pc + 1))
-              (Array.unsafe_get code (pc + 2)))
-       then 1
-       else 0);
-    loop r (pc + 3) (sp_v - 2) (sp_i + 1)
+  | 182 (* mapget_ii *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (mapget_ii r
+         (Array.unsafe_get stk_v (sp_v - 1))
+         (Array.unsafe_get stk_i (sp_i - 1))
+         (Array.unsafe_get code (pc + 1)));
+    loop r (pc + 2) (sp_v - 1) sp_i
+  | 183 (* mapget_iv *) ->
+    Array.unsafe_set stk_v (sp_v - 1)
+      (mapget_iv r
+         (Array.unsafe_get stk_v (sp_v - 1))
+         (Array.unsafe_get stk_i (sp_i - 1))
+         (Array.unsafe_get code (pc + 1))
+         (Array.unsafe_get code (pc + 2)));
+    loop r (pc + 3) sp_v (sp_i - 1)
   | 64 (* mapget_ok *) ->
     let vk = Array.unsafe_get stk_v (sp_v - 1) in
     let vm = Array.unsafe_get stk_v (sp_v - 2) in
@@ -1424,10 +1494,12 @@ and full (r : regs) pc sp_v sp_i =
       | Value.VMap hdr ->
         (* Interp.map_get's search, keeping the slot to tell presence *)
         let bk = map_buckets r.x_st (map_data r.x_st hdr) in
-        let b = Value.bucket_index bk vk in
-        let j = Value.bucket_find bk b vk in
+        let h = Value.hash_key vk in
+        let b = Value.bucket_of bk h in
+        let j = Value.find bk b h vk in
+        let zero = r.x_f.B.bf_zeros.(zidx) in
         if j >= 0 then
-          Value.VTuple [ Value.bucket_value bk b j; Value.vbool true ]
+          Value.VTuple [ Value.value_at bk b j zero; Value.vbool true ]
         else Value.VTuple [ r.x_f.B.bf_zeros.(zidx) (); Value.vbool false ]
       | Value.VNil ->
         Value.VTuple [ r.x_f.B.bf_zeros.(zidx) (); Value.vbool false ]
@@ -1444,7 +1516,7 @@ and full (r : regs) pc sp_v sp_i =
     loop r (pc + 1) (sp_v - 1) (sp_i + 1)
   | 67 (* itoa *) ->
     Array.unsafe_set stk_v sp_v
-      (Value.VStr (string_of_int (Array.unsafe_get stk_i (sp_i - 1))));
+      (Value.VStr (Value.itoa (Array.unsafe_get stk_i (sp_i - 1))));
     loop r (pc + 1) (sp_v + 1) (sp_i - 1)
   | 68 (* rand *) ->
     Array.unsafe_set stk_i (sp_i - 1)
@@ -1536,10 +1608,12 @@ and full (r : regs) pc sp_v sp_i =
       (make_slice_obj r.x_st r.x_fr ~site ~len ~cap ~zero_of);
     loop r (pc + 4) (sp_v + 1) (sp_i - npop)
   | 81 (* make_map *) ->
+    let cols = Array.unsafe_get code (pc + 2) in
     Array.unsafe_set stk_v sp_v
       (make_map_obj r.x_st r.x_fr
-         ~site:r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)));
-    loop r (pc + 2) (sp_v + 1) sp_i
+         ~site:r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1))
+         ~key:B.map_key_kinds.(cols / 3) ~value:B.map_val_kinds.(cols mod 3));
+    loop r (pc + 3) (sp_v + 1) sp_i
   | 82 (* new *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let c =

@@ -351,7 +351,7 @@ module Snapshot = struct
     let buf = Buffer.create 4096 in
     let num f =
       (* integral floats print without a fraction, like Prometheus does *)
-      if Float.is_integer f && Float.abs f < 1e15 then
+      if abs_float f < 1e15 && float_of_int (truncate f) = f then
         Printf.sprintf "%.0f" f
       else Printf.sprintf "%.9g" f
     in

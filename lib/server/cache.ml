@@ -22,10 +22,17 @@
 
 module Driver = Gofree_build.Driver
 module Store = Gofree_build.Store
+module Json = Gofree_obs.Json
+
+(** A resident compilation, with its explain JSON once rendered. *)
+type entry = {
+  comp : Gofree_api.compilation;
+  explain : Json.t option Atomic.t;
+}
 
 type t = {
   mutex : Mutex.t;
-  compilations : (string, Gofree_api.compilation) Hashtbl.t;
+  compilations : (string, entry) Hashtbl.t;
   builds : (string, Gofree_api.build) Hashtbl.t;
   units : (string, Store.unit_record) Hashtbl.t;
       (** resident analysis-unit records, keyed [pkg ^ "\000" ^ unit key]
@@ -34,6 +41,7 @@ type t = {
   mutable misses : int;
   mutable unit_hits : int;  (** units replayed, across all builds served *)
   mutable unit_misses : int;  (** units analyzed, across all builds served *)
+  explain_renders : int Atomic.t;  (** explains rendered, all entries *)
 }
 
 let create () : t =
@@ -46,6 +54,7 @@ let create () : t =
     misses = 0;
     unit_hits = 0;
     unit_misses = 0;
+    explain_renders = Atomic.make 0;
   }
 
 (** (hits, misses) over both tables since the server started. *)
@@ -83,24 +92,40 @@ let publish tbl (t : t) key v =
     request have published the key meanwhile).  Entries are never
     evicted, so a compilation found here stays valid. *)
 let resident (t : t) ~(config : Gofree_api.config) (source : string) :
-    Gofree_api.compilation option =
+    entry option =
   find ~count_miss:false t.compilations t
     (Gofree_api.source_key ~config source)
 
 (** Compile [source] under [config], or return the resident result.
     The [bool] is true on a resident hit. *)
 let compilation (t : t) ~(config : Gofree_api.config) (source : string) :
-    (Gofree_api.compilation * bool, Gofree_api.error) result =
+    (entry * bool, Gofree_api.error) result =
   let key = Gofree_api.source_key ~config source in
   match find t.compilations t key with
-  | Some c -> Ok (c, true)
+  | Some e -> Ok (e, true)
   | None -> begin
     match Gofree_api.compile_string ~config source with
     | Error e -> Error e
-    | Ok c ->
-      publish t.compilations t key c;
-      Ok (c, false)
+    | Ok comp ->
+      let e = { comp; explain = Atomic.make None } in
+      publish t.compilations t key e;
+      Ok (e, false)
   end
+
+(** The entry's explain JSON ([gofree-explain-v1]), rendered on first
+    use: a resident compilation never changes, so every later explain of
+    it is the same document.  Two domains that race on the first use may
+    both render it; the first to publish wins, and both answer with the
+    published one.  No [Lazy]: forcing one from two domains at once
+    raises. *)
+let explain (t : t) (e : entry) : Json.t =
+  match Atomic.get e.explain with
+  | Some j -> j
+  | None ->
+    let j = Gofree_api.explain_to_json (Gofree_api.explain e.comp) in
+    Atomic.incr t.explain_renders;
+    if Atomic.compare_and_set e.explain None (Some j) then j
+    else Option.get (Atomic.get e.explain)
 
 (** The daemon's two-level unit cache: the resident table first, the
     tree's on-disk [.units] files behind it (disk hits are promoted to

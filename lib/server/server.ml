@@ -519,10 +519,10 @@ let telemetry_json (t : t) : Json.t =
 (** The result of an [analyze] (or, for any other request, [explain])
     request, rendered from its compilation — the part both the pooled
     path and a resident hit answered on the reader share. *)
-let compilation_result (r : Rpc.request) ~cached c : Json.t =
-  let explain_json () =
-    Gofree_api.explain_to_json (Gofree_api.explain c)
-  in
+let compilation_result (t : t) (r : Rpc.request) ~cached
+    (e : Cache.entry) : Json.t =
+  let c = e.Cache.comp in
+  let explain_json () = Cache.explain t.cache e in
   match r with
   | Rpc.Analyze { explain; _ } ->
     Json.Obj
@@ -551,13 +551,13 @@ let handle (t : t) (r : Rpc.request) : (Json.t, string * string) result =
   | Rpc.Analyze { src; config; _ } | Rpc.Explain { src; config } -> begin
     match cached_compilation t ~config src with
     | Error e -> Error (api e)
-    | Ok (c, cached) -> Ok (compilation_result r ~cached c)
+    | Ok (e, cached) -> Ok (compilation_result t r ~cached e)
   end
   | Rpc.Run { src; config; options } -> begin
     match cached_compilation t ~config src with
     | Error e -> Error (api e)
-    | Ok (c, cached) -> begin
-      match Gofree_api.run_compilation ~options c with
+    | Ok (e, cached) -> begin
+      match Gofree_api.run_compilation ~options e.Cache.comp with
       | Error e -> Error (api e)
       | Ok o -> Ok (outcome_json ~cached o)
     end
@@ -686,7 +686,7 @@ let answer_on_reader (t : t) (c : conn) ~rid ~meth ~id ~t_recv
        request id itself rather than through [Trace.with_request_id] *)
     complete t c ~rid ~meth ~id ~path:"reader" ~t_recv ~t_start:t_recv
       (serve ~args:[ ("req", Json.Int rid) ] ~tid:(Trace.tid_reader c.c_id)
-         ~meth (fun () -> Ok (compilation_result r ~cached:true comp)));
+         ~meth (fun () -> Ok (compilation_result t r ~cached:true comp)));
     true
   | (Rpc.Stats | Rpc.Telemetry | Rpc.Shutdown), None ->
     let outcome = handle t r in

@@ -6,6 +6,9 @@
     regularized incomplete beta function I_x(a, b) with the standard
     continued-fraction evaluation (Lentz's algorithm). *)
 
+(* [Float.pi], without linking [Float] (see [Json.add_float]) *)
+let pi = 0x1.921fb54442d18p+1
+
 let rec log_gamma x =
   (* Lanczos approximation, g = 7, n = 9; accurate to ~15 digits. *)
   let coeffs =
@@ -17,7 +20,7 @@ let rec log_gamma x =
   in
   if x < 0.5 then
     (* reflection formula *)
-    log (Float.pi /. sin (Float.pi *. x)) -. log_gamma_pos (1.0 -. x) coeffs
+    log (pi /. sin (pi *. x)) -. log_gamma_pos (1.0 -. x) coeffs
   else log_gamma_pos x coeffs
 
 and log_gamma_pos x coeffs =
@@ -27,7 +30,7 @@ and log_gamma_pos x coeffs =
   for i = 1 to 8 do
     a := !a +. (coeffs.(i) /. (x +. float_of_int i))
   done;
-  (0.5 *. log (2.0 *. Float.pi)) +. ((x +. 0.5) *. log t) -. t +. log !a
+  (0.5 *. log (2.0 *. pi)) +. ((x +. 0.5) *. log t) -. t +. log !a
 
 (* Continued fraction for the incomplete beta function (Lentz). *)
 let betacf a b x =

@@ -364,6 +364,77 @@ let test_concurrent_explain () =
   Alcotest.(check int) "explains that differ from the sequential one" 0
     differing
 
+(* ---- oracle parity on the benchmark programs ------------------------ *)
+
+(* The checks perfbench makes of every proxy run, in process: at one
+   seed, the bytecode engine's output, plain and under the poison heap,
+   equals the oracle's — the reference walker on the stock-Go preset,
+   which inserts no frees — and each run's metrics keep perfbench's
+   accounting identities.  Seed 7 is fixed; a second seed is drawn per
+   run, so a layout fault that shows only at some seeds gets a chance
+   at every run, and a failure names the seed to replay with
+   [gofreec run --seed]. *)
+let test_oracle_parity () =
+  let drawn =
+    1 + Random.State.int (Random.State.make_self_init ()) 0x3FFFFFFF
+  in
+  let compile config path =
+    match
+      Gofree_api.compile_string ~config (Test_disasm.read_file path)
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.fail (Gofree_api.error_message e)
+  in
+  let run c ~seed ~engine ~poison what =
+    let options =
+      { Gofree_api.default_run_options with seed; engine; poison }
+    in
+    match Gofree_api.run_compilation ~options c with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "%s: %s" what (Gofree_api.error_message e)
+  in
+  List.iter
+    (fun path ->
+      let name = Filename.remove_extension (Filename.basename path) in
+      (* goroutines may print in any order *)
+      let canon out =
+        if name = "fanout" then
+          String.concat "\n"
+            (List.sort compare (String.split_on_char '\n' out))
+        else out
+      in
+      let gofree = compile Gofree_core.Config.gofree path in
+      let go = compile Gofree_core.Config.go path in
+      List.iter
+        (fun seed ->
+          let what mode = Printf.sprintf "%s --seed %d%s" name seed mode in
+          let oracle =
+            run go ~seed ~engine:Gofree_api.Eng_reference ~poison:false
+              (what " --go --engine reference")
+          in
+          List.iter
+            (fun (mode, poison) ->
+              let w = what mode in
+              let o =
+                run gofree ~seed ~engine:Gofree_api.Eng_bytecode ~poison w
+              in
+              Alcotest.(check string) (w ^ ": output")
+                (canon oracle.Gofree_api.output) (canon o.Gofree_api.output);
+              let m = o.Gofree_api.metrics in
+              let module M = Gofree_runtime.Metrics in
+              let sum = Array.fold_left ( + ) 0 in
+              let tcfreed = sum m.M.tcfreed_objects in
+              Alcotest.(check int) (w ^ ": calls = successes + give-ups")
+                m.M.tcfree_calls (m.M.tcfree_success + sum m.M.giveups);
+              Alcotest.(check int) (w ^ ": successes = tcfreed")
+                m.M.tcfree_success tcfreed;
+              Alcotest.(check int) (w ^ ": poison reads") 0 m.M.poison_reads;
+              if tcfreed + sum m.M.gc_freed_objects > sum m.M.heap_allocs then
+                Alcotest.failf "%s: more heap objects freed than allocated" w)
+            [ ("", false); (" --poison", true) ])
+        [ 7; drawn ])
+    Test_disasm.perfbench_programs
+
 let suite =
   [
     Alcotest.test_case "insertions match pipeline" `Quick
@@ -386,4 +457,6 @@ let suite =
     Alcotest.test_case "schema check diagnostics" `Quick test_schema_check;
     Alcotest.test_case "schema guards parsers" `Quick
       test_schema_guards_parsers;
+    Alcotest.test_case "oracle parity on the benchmark programs" `Quick
+      test_oracle_parity;
   ]

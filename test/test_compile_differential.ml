@@ -992,9 +992,11 @@ let call_cases =
 
 (* [for k := range m] visits buckets in index order and each bucket
    newest entry first, and growth rehashes in that order.  The golden
-   output was captured before maps moved to flat buckets; every engine,
-   under GoFree and stock Go, with and without the poison heap, must
-   keep reproducing it. *)
+   output was captured before maps moved to flat buckets, its bool,
+   string, slice and struct-valued maps before the buckets took typed
+   columns; every engine, under GoFree and stock Go, with and without
+   the poison heap, must keep reproducing it — the last line reads
+   through a map right after each growth that freed its old buckets. *)
 let range_order_cases =
   [
     Alcotest.test_case "map range order (golden)" `Quick (fun () ->

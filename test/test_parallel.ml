@@ -205,6 +205,95 @@ let test_pending_args_rooted () =
         engines)
     [ ("gofree", Gofree_core.Config.gofree); ("go", Gofree_core.Config.go) ]
 
+(* Goroutines on two domains write and read the same maps with no
+   synchronisation, deleting, growing and ranging over them: int, bool,
+   string, struct and pointer keys and values.  The program is racy, so
+   its output is not checked; the runtime is.  A writer holding a stale
+   count can give a bucket smaller columns than another writer just did,
+   and a growth can count entries that are gone or new by the time it
+   moves them, so every bucket access must stay inside its array and
+   raise nothing.  Under the poison heap a racing read of buckets that
+   another domain's growth just freed is a real read of freed memory,
+   and the only other way out allowed. *)
+let src_racy_maps =
+  {|
+type Pt struct {
+  x int
+  y int
+}
+
+var ints map[int]int
+var names map[string]int
+var pts map[string]Pt
+var ptrs map[int]*Pt
+var flags map[bool]int
+
+func hammer(id int, iters int) {
+  acc := 0
+  for i := 0; i < iters; i++ {
+    k := (i*7 + id) % 600
+    ints[k] = i
+    acc = acc + ints[(k*13)%600]
+    names["n"+itoa(k%200)] = i
+    acc = acc + names["n"+itoa((k*3)%200)]
+    pts["p"+itoa(k)] = Pt{x: i, y: id}
+    acc = acc + pts["p"+itoa((k*11)%600)].x
+    ptrs[k] = &Pt{x: k, y: i}
+    flags[i%2 == 0] = flags[i%3 == 0] + 1
+    if i%53 == 0 {
+      delete(ints, k)
+      delete(names, "n"+itoa(k%200))
+      delete(ptrs, k)
+    }
+    if i%211 == 0 {
+      for key := range ptrs {
+        acc = acc + key%3
+      }
+    }
+  }
+  println("done", id, acc > -1)
+}
+
+func main() {
+  ints = make(map[int]int)
+  names = make(map[string]int)
+  pts = make(map[string]Pt)
+  ptrs = make(map[int]*Pt)
+  flags = make(map[bool]int)
+  for g := 0; g < 5; g++ {
+    go hammer(g, 1500)
+  }
+  hammer(99, 1500)
+  println("main done")
+}
+|}
+
+let test_racy_maps () =
+  List.iter
+    (fun (ename, engine) ->
+      List.iter
+        (fun poison ->
+          let run_config =
+            {
+              Gofree_interp.Interp.default_config with
+              heap_config =
+                { Rt.Heap.default_config with poison_on_free = poison };
+              engine;
+              domains = 2;
+            }
+          in
+          let label = ename ^ if poison then " poison" else "" in
+          match
+            Gofree_interp.Runner.compile_and_run ~run_config src_racy_maps
+          with
+          | r ->
+            Alcotest.(check bool) (label ^ ": ran to the end") true
+              (List.mem "main done"
+                 (String.split_on_char '\n' r.Gofree_interp.Runner.output))
+          | exception Gofree_interp.Value.Corruption _ when poison -> ())
+        [ false; true ])
+    engines
+
 let sampled_steps (r : Gofree_interp.Runner.result) =
   match r.Gofree_interp.Runner.sampler with
   | None -> Alcotest.fail "no sampler attached"
@@ -369,6 +458,8 @@ let suite =
       test_work_stealing_observable;
     Alcotest.test_case "pending goroutine arguments are GC roots" `Quick
       test_pending_args_rooted;
+    Alcotest.test_case "racy map writers stay memory-safe" `Quick
+      test_racy_maps;
     Alcotest.test_case "sampler steps on one run-wide clock" `Quick
       test_sampler_run_wide_clock;
     Alcotest.test_case "wsq: concurrent push/pop/steal conserve items"

@@ -646,7 +646,8 @@ let test_reader_and_pool_responses_identical () =
   (* the same resident compilation rendered on the reader (inline
      source) and by a worker (a [File] source always queues): the
      responses are byte-identical, and identical to the first, compiling
-     response apart from [cached] *)
+     response apart from [cached]; each compilation's explain is
+     rendered once, for its first request, and reused by the hits *)
   let config = Gofree_api.Preset.(to_config default) in
   let cases =
     [
@@ -679,7 +680,7 @@ let test_reader_and_pool_responses_identical () =
         (log :: files))
     (fun () ->
       Gofree_obs.Log.start ~level:Gofree_obs.Log.Info ~path:log ();
-      with_server (fun _ socket ->
+      with_server (fun server socket ->
           let c = Client.connect ~socket in
           List.iter2
             (fun (name, req) file ->
@@ -700,6 +701,10 @@ let test_reader_and_pool_responses_identical () =
                 (Json.to_string (strip first))
                 (Json.to_string (strip reader)))
             cases files;
+          Alcotest.(check int) "explains rendered: one per compilation"
+            (List.length cases)
+            (Atomic.get
+               server.Server.cache.Gofree_server.Cache.explain_renders);
           Client.close c);
       Gofree_obs.Log.stop ();
       let paths =

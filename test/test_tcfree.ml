@@ -119,7 +119,7 @@ let test_stale_map_header_under_poison () =
   in
   let buckets =
     Heap.alloc_heap heap ~thread:0 ~category:Metrics.Cat_map ~size:32
-      ~payload:(V.Pbuckets (V.make_buckets 1))
+      ~payload:(V.Pbuckets (V.make_buckets V.Kint V.Vint 1))
   in
   let md =
     { V.md_buckets = buckets; md_nbuckets = 1; md_count = 0;
