@@ -686,9 +686,9 @@ let make_map_obj st fr ~(site : Tast.alloc_site) ~key ~value : Value.value =
 
 let map_data st (o : Rt.Heap.obj) : Value.map_data =
   match o.Rt.Heap.payload with
-  | Value.Pmap md when not o.Rt.Heap.freed -> md
+  | Value.Pmap md when not (Rt.Heap.is_freed o) -> md
   | _ ->
-    if o.Rt.Heap.freed then
+    if Rt.Heap.is_freed o then
       raise
         (Value.Corruption
            (Printf.sprintf "map header %d freed while map is live (%s)"
@@ -699,9 +699,9 @@ let map_data st (o : Rt.Heap.obj) : Value.map_data =
 let map_buckets st (md : Value.map_data) : Value.buckets =
   let o = md.Value.md_buckets in
   match o.Rt.Heap.payload with
-  | Value.Pbuckets bk when not o.Rt.Heap.freed -> bk
+  | Value.Pbuckets bk when not (Rt.Heap.is_freed o) -> bk
   | _ ->
-    if o.Rt.Heap.freed then
+    if Rt.Heap.is_freed o then
       raise
         (Value.Corruption
            (Printf.sprintf "map buckets freed while map is live (%s)"
@@ -975,7 +975,7 @@ let tcfree_binding st (b : binding) (kind : Tast.free_kind) =
     (* TcfreeMap: unwrap the bucket array; a freed header (whose
        poisoned payload keeps its shape) frees nothing *)
     match hdr.Rt.Heap.payload with
-    | Value.Pmap md when not hdr.Rt.Heap.freed ->
+    | Value.Pmap md when not (Rt.Heap.is_freed hdr) ->
       (* invalidate any inline cache that still points at this map *)
       md.Value.md_version <- md.Value.md_version + 1;
       ignore

@@ -197,7 +197,7 @@ let read_ptr p =
 let poison_int = -0x3EAD_BEEF_DEAD_BEEF
 
 let owner_freed (heap : Heap.t) (owner : Heap.obj) =
-  heap.Heap.config.Heap.poison_on_free && owner.Heap.freed
+  heap.Heap.config.Heap.poison_on_free && Heap.is_freed owner
 
 let[@inline never] check_int heap owner =
   if owner_freed heap owner then raise (Corruption "read of freed memory")
@@ -309,7 +309,10 @@ let rec trace (v : value) (k : Heap.obj -> unit) =
     noscan object: its elements hold no address, so it is not traced. *)
 let trace_payload (p : Heap.payload) (k : Heap.obj -> unit) =
   match p with
-  | Pcells elems -> Array.iter (fun v -> trace v k) elems
+  | Pcells elems ->
+    for i = 0 to Array.length elems - 1 do
+      trace (Array.unsafe_get elems i) k
+    done
   | Pmap md -> k md.md_buckets
   | Pbuckets bk ->
     (* the int and string columns hold no address *)

@@ -6,14 +6,21 @@
     occur if the escape analysis is sound).
 
     Mark bits are a per-heap epoch: a cycle bumps [Heap.mark_epoch], and
-    an object is marked when its [marked] equals it, so nothing resets
-    them, stack objects included.
+    an object is marked when its mark equals it, so nothing resets them.
+    A heap object's mark is its span slot's ({!Mspan.mark}); a stack
+    object's is its record's [marked].
 
-    Sweep: every unmarked heap object is freed — its span slot is
-    released and it leaves its processor's object array, which the sweep
-    compacts in place, in allocation order.  Dangling spans
-    from the 2-step large-object tcfree (fig. 9) are retired here, and
-    completely empty spans hand their pages back to the page heap.
+    Sweep: span by span, as Go sweeps.  It walks every in-use span —
+    each processor's mcache spans, mcentral's partial and full lists and
+    each processor's large-object spans — and frees every allocated slot
+    this cycle's mark did not stamp, counting it by the category and
+    dropping the requested bytes its slot records.  The swept object's
+    record is not touched (the heap holds none): its slot no longer
+    records its address, which is what {!Heap.is_freed} reads.  In poison
+    mode the slot's occupant is poisoned and buried as well (§6.8).
+    Dangling spans from the 2-step large-object tcfree (fig. 9) are
+    retired here, and completely empty spans hand their pages back to the
+    page heap.
 
     Pacing: the next cycle triggers when live heap grows past
     [heap_marked * (1 + GOGC/100)], Go's soft-goal mechanism (§6.4).
@@ -26,71 +33,109 @@
 let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
 let mark (heap : Heap.t) =
-  let stack = Stack.create () in
   let epoch = heap.Heap.mark_epoch in
+  let metrics = heap.Heap.metrics in
+  let gray = Stack.create () in
+  let reached (obj : Heap.obj) =
+    metrics.Metrics.gc_marked_objects <-
+      metrics.Metrics.gc_marked_objects + 1;
+    Stack.push obj gray
+  in
   let push from_heap (obj : Heap.obj) =
     (* a freed object is a dangling value: not traced, not counted *)
-    if not obj.Heap.freed then begin
-      if from_heap && Heap.is_stack_obj obj then
-        heap.Heap.metrics.Metrics.heap_to_stack_pointers <-
-          heap.Heap.metrics.Metrics.heap_to_stack_pointers + 1;
-      if obj.Heap.marked <> epoch then begin
-        obj.Heap.marked <- epoch;
-        heap.Heap.metrics.Metrics.gc_marked_objects <-
-          heap.Heap.metrics.Metrics.gc_marked_objects + 1;
-        Stack.push obj stack
-      end
-    end
+    if not (Heap.is_freed obj) then
+      match obj.Heap.placement with
+      | Heap.On_heap (span, slot) ->
+        if Mspan.mark span slot <> epoch then begin
+          Mspan.set_mark span slot epoch;
+          span.Mspan.nmarked <- span.Mspan.nmarked + 1;
+          reached obj
+        end
+      | Heap.On_stack ->
+        if from_heap then
+          metrics.Metrics.heap_to_stack_pointers <-
+            metrics.Metrics.heap_to_stack_pointers + 1;
+        if obj.Heap.marked <> epoch then begin
+          obj.Heap.marked <- epoch;
+          reached obj
+        end
   in
-  heap.Heap.iter_roots (push false);
-  while not (Stack.is_empty stack) do
-    let obj = Stack.pop stack in
-    let from_heap = not (Heap.is_stack_obj obj) in
+  let push_from_stack = push false and push_from_heap = push true in
+  heap.Heap.iter_roots push_from_stack;
+  while not (Stack.is_empty gray) do
+    let obj = Stack.pop gray in
     (* A dangling large span's contents are skipped by marking (fig. 9):
        its object is already freed, so it is never pushed; nothing to
        special-case. *)
-    heap.Heap.trace_payload obj.Heap.payload (push from_heap)
+    heap.Heap.trace_payload obj.Heap.payload
+      (if Heap.is_stack_obj obj then push_from_stack else push_from_heap)
   done
 
-(* Free one unmarked heap object. *)
-let sweep_obj (heap : Heap.t) (o : Heap.obj) =
-  let metrics = heap.Heap.metrics in
-  metrics.Metrics.gc_swept_objects <- metrics.Metrics.gc_swept_objects + 1;
-  (match o.Heap.placement with
-  | Heap.On_heap (span, slot) ->
-    Mspan.free_slot span slot;
-    if span.Mspan.class_idx < 0 then begin
-      (* unreferenced large object: free its dedicated span now *)
-      span.Mspan.state <- Mspan.Free;
-      Pageheap.free_pages heap.Heap.pages span.Mspan.npages
-    end
-  | Heap.On_stack -> assert false);
-  o.Heap.freed <- true;
-  if heap.Heap.config.Heap.poison_on_free then begin
+(* Poison mode: poison and bury the occupant of a slot being swept. *)
+let poison_occupant (heap : Heap.t) (span : Mspan.t) slot =
+  match span.Mspan.occupants.(slot) with
+  | Heap.Occupant o ->
+    o.Heap.freed <- true;
     o.Heap.poisoned <- true;
     heap.Heap.poison_payload o.Heap.payload;
-    (* the tombstone string is only kept in poison mode *)
     Heap.bury heap o.Heap.addr
-      (Printf.sprintf "swept by GC cycle %d" (metrics.Metrics.gc_cycles + 1))
-  end;
-  Metrics.count_gc_free metrics ~category:o.Heap.category
+      (Printf.sprintf "swept by GC cycle %d"
+         (heap.Heap.metrics.Metrics.gc_cycles + 1))
+  | _ -> ()
 
-(* Compact every processor's object array in place: marked objects stay,
-   in allocation order; objects tcfree freed since the last cycle leave;
-   unmarked ones are swept. *)
+(* Free every allocated slot of [span] the mark of [epoch] did not reach;
+   returns the requested bytes freed.  The walk stops at the last such
+   slot, so a span whose every object was marked costs nothing. *)
+let sweep_span (heap : Heap.t) epoch (span : Mspan.t) =
+  let metrics = heap.Heap.metrics in
+  let poison = heap.Heap.config.Heap.poison_on_free in
+  let unmarked = ref (span.Mspan.allocated - span.Mspan.nmarked) in
+  span.Mspan.nmarked <- 0;
+  let bytes = ref 0 and slot = ref 0 in
+  while !unmarked > 0 && !slot < span.Mspan.nslots do
+    let s = !slot in
+    if Mspan.slot_allocated span s
+       && Mspan.mark span s <> epoch
+    then begin
+      metrics.Metrics.gc_swept_objects <- metrics.Metrics.gc_swept_objects + 1;
+      Metrics.count_gc_free metrics (Bytes.get_uint8 span.Mspan.cats s);
+      bytes := !bytes + span.Mspan.sizes.(s);
+      if poison then poison_occupant heap span s;
+      Mspan.free_slot span s;
+      decr unmarked
+    end;
+    incr slot
+  done;
+  !bytes
+
 let sweep (heap : Heap.t) =
   let epoch = heap.Heap.mark_epoch in
   let swept_bytes = ref 0 in
-  let keep (o : Heap.obj) =
-    if o.Heap.freed then false
-    else if o.Heap.marked = epoch then true
+  let sweep_small span =
+    swept_bytes := !swept_bytes + sweep_span heap epoch span
+  in
+  Array.iter
+    (fun (cache : Mcache.t) ->
+      Array.iter (Option.iter sweep_small) cache.Mcache.spans)
+    heap.Heap.caches;
+  Mcentral.iter_spans heap.Heap.central sweep_small;
+  (* A large span stays listed while its object lives.  One that tcfree
+     freed is dangling and retired below; one the mark missed is swept
+     and its pages freed now. *)
+  let still_large (span : Mspan.t) =
+    if span.Mspan.allocated > 0 then sweep_small span;
+    if span.Mspan.allocated > 0 then true
     else begin
-      swept_bytes := !swept_bytes + o.Heap.size;
-      sweep_obj heap o;
+      if span.Mspan.state <> Mspan.Dangling then begin
+        span.Mspan.state <- Mspan.Free;
+        Pageheap.free_pages heap.Heap.pages span.Mspan.npages
+      end;
       false
     end
   in
-  Array.iter (fun s -> Heap.filter_objs s keep) heap.Heap.heap_objs;
+  Array.iteri
+    (fun p spans -> heap.Heap.large_spans.(p) <- List.filter still_large spans)
+    heap.Heap.large_spans;
   Heap.drop_live heap !swept_bytes;
   (* Step 2 of the large-object tcfree (fig. 9): dangling span structs
      join the idle pool after the mark phase. *)

@@ -9,10 +9,21 @@
     scope exits.
 
     A reference holds its object's record, as a Go pointer leads to its
-    object without a lookup.  So the heap needs no object table: it keeps
-    one array of heap objects per logical processor, only for the sweep.
-    A domain appends to its own array without a lock, and the
-    stop-the-world sweep compacts every array in place.
+    object without a lookup.  The heap holds no reference to the objects
+    it allocated: their span slots record what the sweep needs (address,
+    requested size, category, mark epoch — see {!Mspan}), and the sweep
+    walks spans; tcfree reads a freed object's size and category there
+    too, so the record carries neither.  So an object the program drops
+    is the host's to reclaim, young, like any other dead OCaml value.
+    Large objects get a dedicated span each, kept on a per-processor
+    list for the sweep.
+
+    Freed state is {!is_freed}: the record's [freed] flag, which tcfree
+    and stack release set, or, for a heap object, its slot no longer
+    recording its address — a GC sweep frees the slot without the record
+    and a later allocation may take the slot over.  In poison mode (§6.8)
+    each span also keeps its slots' occupants, so the sweep can poison
+    and bury what it frees.
 
     Payloads are an extensible variant so the runtime library stays
     independent of the interpreter's value type; the interpreter registers
@@ -28,16 +39,19 @@ type placement =
 
 type obj = {
   addr : int;  (** serial number, for traces and poison diagnostics *)
-  size : int;  (** requested bytes *)
-  category : Metrics.category;
   mutable payload : payload;
   placement : placement;
-  mutable marked : int;  (** mark epoch of the last cycle that reached it *)
+  mutable marked : int;
+      (** stack objects: mark epoch of the last cycle that reached it (a
+          heap object's is its span slot's) *)
   mutable freed : bool;
+      (** set by tcfree, stack release and the poison-mode sweep; read
+          {!is_freed} *)
   mutable poisoned : bool;
 }
 
-type objs = { mutable objs : obj array; mutable len : int }
+(* Poison mode: a span slot's occupant, so the sweep can poison it. *)
+type Mspan.occupant += Occupant of obj
 
 type config = {
   gogc : int;  (** heap growth percentage between GCs (GOGC) *)
@@ -72,10 +86,9 @@ type t = {
   pages : Pageheap.t;
   central : Mcentral.t;
   mutable caches : Mcache.t array;  (** one per logical processor *)
-  heap_objs : objs array;
-      (** one per logical processor: the heap objects it allocated since
-          the last sweep kept them, freed ones included until the next
-          sweep or growth drops them *)
+  large_spans : Mspan.t list array;
+      (** one per logical processor: the dedicated spans of the large
+          objects it allocated, until a sweep finds them freed *)
   metric_shards : Metrics.t array;
       (** one metric stripe per logical processor;
           [metric_shards.(0) == metrics] *)
@@ -112,13 +125,11 @@ type t = {
           reports *)
 }
 
-(* The owner of frame-slot storage, and the filler of the object arrays'
-   spare slots.  Freed, so marking and tcfree pass it by. *)
+(* The owner of frame-slot storage.  Freed, so marking and tcfree pass
+   it by. *)
 let no_obj =
   {
     addr = 0;
-    size = 0;
-    category = Metrics.Cat_other;
     payload = No_payload;
     placement = On_stack;
     marked = 0;
@@ -141,8 +152,7 @@ let create ?(config = default_config) ?(nprocs = 1) () =
     pages;
     central;
     caches = Array.init nprocs Mcache.create;
-    heap_objs =
-      Array.init nprocs (fun _ -> { objs = Array.make 256 no_obj; len = 0 });
+    large_spans = Array.make nprocs [];
     metric_shards;
     live = Atomic.make 0;
     max_live = Atomic.make 0;
@@ -203,37 +213,6 @@ let merged_metrics t =
   m.Metrics.max_heap <- Atomic.get t.max_live;
   m
 
-let filter_objs s keep =
-  let kept = ref 0 in
-  for i = 0 to s.len - 1 do
-    let o = Array.unsafe_get s.objs i in
-    if keep o then begin
-      Array.unsafe_set s.objs !kept o;
-      incr kept
-    end
-  done;
-  Array.fill s.objs !kept (s.len - !kept) no_obj;
-  s.len <- !kept
-
-(* Drop the freed entries of a full object array, then double it if it is
-   still more than half full.  Dropping first bounds the array by the
-   live objects even when no sweep runs (GC off) and tcfree frees most
-   of what is allocated. *)
-let grow s =
-  filter_objs s (fun o -> not o.freed);
-  if 2 * s.len > Array.length s.objs then begin
-    let objs = Array.make (2 * Array.length s.objs) no_obj in
-    Array.blit s.objs 0 objs 0 s.len;
-    s.objs <- objs
-  end
-
-(* Record a heap object in its processor's array, for the sweep. *)
-let track t p obj =
-  let s = Array.unsafe_get t.heap_objs p in
-  if s.len = Array.length s.objs then grow s;
-  Array.unsafe_set s.objs s.len obj;
-  s.len <- s.len + 1
-
 (** Allocate a heap object of [size] bytes on behalf of [thread].
     Checks GC pacing first (setting [gc_requested] — the interpreter runs
     the cycle at its next safepoint, keeping collection out of the middle
@@ -244,27 +223,27 @@ let alloc_heap t ~thread ~category ~size ~payload : obj =
   if t.gc_window_left > 0 then
     t.gc_window_left <- max 0 (t.gc_window_left - max 1 size);
   let thread = proc t thread in
+  let class_idx = Sizeclass.class_for_size (max 1 size) in
   let placement =
-    match Sizeclass.class_for_size (max 1 size) with
-    | Some class_idx ->
-      let span, slot =
-        Mcache.alloc t.caches.(thread) t.central class_idx
-      in
-      On_heap (span, slot)
-    | None ->
+    if class_idx >= 0 then
+      let cache = t.caches.(thread) in
+      let slot = Mcache.alloc cache t.central class_idx in
+      On_heap (Mcache.span cache class_idx, slot)
+    else begin
       (* Large object: dedicated span, pushed straight to mcentral-like
          shared ownership (fig. 9 treats it outside any mcache). *)
       let span = Mspan.create_large size in
       Pageheap.alloc_pages t.pages span.Mspan.npages;
       span.Mspan.state <- Mspan.In_mcentral;
       ignore (Mspan.alloc_slot span);
+      t.large_spans.(thread) <- span :: t.large_spans.(thread);
       On_heap (span, 0)
+    end
   in
+  let addr = fresh_addr t in
   let obj =
     {
-      addr = fresh_addr t;
-      size;
-      category;
+      addr;
       payload;
       placement;
       marked = 0;
@@ -272,7 +251,15 @@ let alloc_heap t ~thread ~category ~size ~payload : obj =
       poisoned = false;
     }
   in
-  track t thread obj;
+  (match placement with
+  | On_heap (span, slot) ->
+    Mspan.fill span slot ~addr ~size ~cat:(Metrics.category_index category);
+    if t.config.poison_on_free then begin
+      if Array.length span.Mspan.occupants = 0 then
+        span.Mspan.occupants <- Array.make span.Mspan.nslots Mspan.Vacant;
+      span.Mspan.occupants.(slot) <- Occupant obj
+    end
+  | On_stack -> ());
   Metrics.count_alloc (metrics_for t thread) ~category ~heap:true ~bytes:size;
   bump_live t size;
   obj
@@ -283,8 +270,6 @@ let alloc_stack ?(thread = 0) t ~category ~size ~payload : obj =
   let obj =
     {
       addr = fresh_addr t;
-      size;
-      category;
       payload;
       placement = On_stack;
       marked = 0;
@@ -297,6 +282,13 @@ let alloc_stack ?(thread = 0) t ~category ~size ~payload : obj =
 
 let is_stack_obj obj =
   match obj.placement with On_stack -> true | On_heap _ -> false
+
+let[@inline] is_freed obj =
+  obj.freed
+  ||
+  match obj.placement with
+  | On_heap (span, slot) -> Mspan.addr span slot <> obj.addr
+  | On_stack -> false
 
 (* Tombstones are diagnostic detail for corruption reports; they are only
    recorded in poison mode, where wrong frees are being hunted — normal

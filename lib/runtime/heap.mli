@@ -3,10 +3,17 @@
     collector.
 
     A reference names its object by holding the {!obj} record itself;
-    nothing looks an object up by address.  The heap keeps only what the
-    sweep needs: one growable array of heap objects per logical
-    processor, appended to by that processor's domain alone.  Stack
-    objects enter no table.
+    nothing looks an object up by address.  The heap holds no reference
+    to an object it allocated: the object's span slot records its
+    address, requested size, category and mark epoch ({!Mspan.t}), and
+    the sweep walks spans — each processor's mcache spans, mcentral's
+    lists and a per-processor list of large-object spans.  Only poison
+    mode keeps the objects themselves, in their slots, so the sweep can
+    poison them.  Stack objects enter no table.
+
+    Whether an object is freed is {!is_freed}, exact in every mode: a
+    GC-swept object's slot no longer records its address, even after a
+    later allocation takes the slot over.
 
     There is one heap mode at every domain count.  One atomic count holds
     the live heap bytes ({!live_bytes}); event counters are striped per
@@ -25,21 +32,23 @@ type placement =
 
 type obj = {
   addr : int;
-      (** serial number, for traces and poison diagnostics only; 0 for
-          {!no_obj} *)
-  size : int;  (** requested bytes *)
-  category : Metrics.category;
+      (** serial number, for traces, poison diagnostics and the freed
+          check of {!is_freed}; 0 for {!no_obj}.  A heap object's
+          requested size and category are in its span slot. *)
   mutable payload : payload;
   placement : placement;
-  mutable marked : int;  (** mark epoch of the last cycle that reached it *)
+  mutable marked : int;
+      (** stack objects: mark epoch of the last cycle that reached it; a
+          heap object's mark is its span slot's *)
   mutable freed : bool;
+      (** set by tcfree, stack release and the poison-mode sweep; the
+          GC sweep of a heap object shows in its slot instead, so read
+          {!is_freed} *)
   mutable poisoned : bool;
 }
 
-(** A processor's heap objects: [objs.(0 .. len - 1)], in allocation
-    order, possibly including objects tcfree has freed since the last
-    sweep. *)
-type objs = { mutable objs : obj array; mutable len : int }
+(** A poison-mode span slot's occupant. *)
+type Mspan.occupant += Occupant of obj
 
 type config = {
   gogc : int;  (** heap growth percentage between GCs (GOGC) *)
@@ -62,7 +71,9 @@ type t = {
   pages : Pageheap.t;
   central : Mcentral.t;
   mutable caches : Mcache.t array;  (** one per logical processor *)
-  heap_objs : objs array;  (** one per logical processor *)
+  large_spans : Mspan.t list array;
+      (** one per logical processor: the dedicated spans of the large
+          objects it allocated, until a sweep finds them freed *)
   metric_shards : Metrics.t array;
       (** one stripe per logical processor; [metric_shards.(0) == metrics] *)
   live : int Atomic.t;  (** live heap bytes, read by {!live_bytes} *)
@@ -89,7 +100,7 @@ type t = {
 }
 
 (** A heap with [nprocs] logical processors (default 1): one mcache, one
-    object array and one metric stripe each.  With more than one, several
+    large-span list and one metric stripe each.  With more than one, several
     domains may mutate the heap, so mcentral, the page heap, tcfree and
     the tombstones take locks. *)
 val create : ?config:config -> ?nprocs:int -> unit -> t
@@ -118,17 +129,14 @@ val merged_metrics : t -> Metrics.t
 (** Is the simulated concurrent collector running? (§5 give-up check.) *)
 val gc_running : t -> bool
 
-(** [filter_objs s keep]: keep the entries of [s] that satisfy [keep],
-    in order, in place. *)
-val filter_objs : objs -> (obj -> bool) -> unit
-
 (** The sentinel object: what a pointer into a frame slot names as its
     owner, and what a poisoned map header names as its buckets.  Its
     [addr] is 0 and it counts as freed, so the collector skips it. *)
 val no_obj : obj
 
 (** Allocate on the heap: picks a span via the thread's mcache (or a
-    dedicated span for large objects), updates metrics, and requests a GC
+    dedicated span for large objects), records the object in its slot,
+    updates metrics, and requests a GC
     cycle when pacing demands one (the cycle itself runs at the
     interpreter's next safepoint). *)
 val alloc_heap :
@@ -142,6 +150,11 @@ val alloc_stack :
   payload:payload -> obj
 
 val is_stack_obj : obj -> bool
+
+(** Has the object been freed — by tcfree, at scope exit, or by a GC
+    sweep?  For a heap object, also true once its slot no longer records
+    its address. *)
+val is_freed : obj -> bool
 
 (** Record how an address died (poison mode only — diagnostics). *)
 val bury : t -> int -> string -> unit

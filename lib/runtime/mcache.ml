@@ -15,7 +15,7 @@ let create thread_id =
 
 (* Refill path: the cached span is absent or full.  Out of line so the
    hit path below stays closure-free and small enough to inline. *)
-let rec alloc_refill t (central : Mcentral.t) class_idx : Mspan.t * int =
+let rec alloc_refill t (central : Mcentral.t) class_idx =
   (match t.spans.(class_idx) with
   | Some span ->
     (* span has filled: hand it to mcentral before acquiring a new one *)
@@ -26,22 +26,26 @@ let rec alloc_refill t (central : Mcentral.t) class_idx : Mspan.t * int =
     Mcentral.acquire_span central class_idx ~for_thread:t.thread_id
   in
   t.spans.(class_idx) <- Some span;
-  match Mspan.alloc_slot span with
-  | Some slot -> (span, slot)
-  | None -> alloc_refill t central class_idx
+  let slot = Mspan.alloc_slot span in
+  if slot >= 0 then slot else alloc_refill t central class_idx
 
 (** Allocate a slot of [class_idx]; swaps in a new span from mcentral
-    when the cached one is full.  Returns the span and slot.  The common
-    case — cached span with a free slot — is a single match with no
-    closure allocation. *)
-let alloc t (central : Mcentral.t) class_idx : Mspan.t * int =
+    when the cached one is full.  Returns the slot, in {!span}
+    [t class_idx].  The common case — cached span with a free slot —
+    allocates nothing. *)
+let alloc t (central : Mcentral.t) class_idx =
   match t.spans.(class_idx) with
-  | Some span -> begin
-    match Mspan.alloc_slot span with
-    | Some slot -> (span, slot)
-    | None -> alloc_refill t central class_idx
-  end
+  | Some span ->
+    let slot = Mspan.alloc_slot span in
+    if slot >= 0 then slot else alloc_refill t central class_idx
   | None -> alloc_refill t central class_idx
+
+(** The span [class_idx] allocates from: the one {!alloc} last returned
+    a slot of. *)
+let span t class_idx =
+  match t.spans.(class_idx) with
+  | Some span -> span
+  | None -> invalid_arg "Mcache.span: no span cached for the class"
 
 (** Whether [span] is currently owned by this cache — the condition the
     paper's TcfreeSmall requires for the lock-free fast path. *)

@@ -9,8 +9,13 @@ type t = {
 val create : int -> t
 
 (** Allocate a slot of the class, swapping in a new span from mcentral
-    when the cached one fills up.  Returns the span and slot index. *)
-val alloc : t -> Mcentral.t -> int -> Mspan.t * int
+    when the cached one fills up.  Returns the slot index; the slot is in
+    {!span} of the class. *)
+val alloc : t -> Mcentral.t -> int -> int
+
+(** The span the class currently allocates from.
+    @raise Invalid_argument before the class's first {!alloc}. *)
+val span : t -> int -> Mspan.t
 
 (** Whether this cache currently owns [span] — the TcfreeSmall fast-path
     condition. *)

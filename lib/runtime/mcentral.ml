@@ -61,6 +61,13 @@ let release_span t (span : Mspan.t) =
       span :: t.partial.(span.Mspan.class_idx);
   if t.locked then Mutex.unlock t.lock
 
+(** Apply [f] to every span this mcentral holds, partial and full. *)
+let iter_spans t f =
+  for c = 0 to Sizeclass.n_classes - 1 do
+    List.iter f t.partial.(c);
+    List.iter f t.full.(c)
+  done
+
 (** After a GC sweep some full spans have free slots again and some spans
     are completely empty; rebucket them and return empty spans' pages. *)
 let rebucket_after_sweep t =

@@ -21,6 +21,10 @@ val acquire_span : t -> int -> for_thread:int -> Mspan.t
 (** Hand a span back from an mcache. *)
 val release_span : t -> Mspan.t -> unit
 
+(** Apply a function to every span held here, partial and full (the
+    sweep; the world is stopped, so no lock is taken). *)
+val iter_spans : t -> (Mspan.t -> unit) -> unit
+
 (** Post-sweep maintenance: re-bucket partial/full spans and return empty
     spans' pages to the page heap. *)
 val rebucket_after_sweep : t -> unit

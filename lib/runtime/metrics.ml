@@ -107,15 +107,13 @@ let count_alloc m ~category ~heap ~bytes =
   end
   else m.stack_allocs.(idx) <- m.stack_allocs.(idx) + 1
 
-let count_tcfree m ~category ~source ~bytes =
-  let cidx = category_index category in
+let count_tcfree m cidx ~source ~bytes =
   m.tcfreed_objects.(cidx) <- m.tcfreed_objects.(cidx) + 1;
   m.freed_bytes <- m.freed_bytes + bytes;
   let sidx = source_index source in
   m.freed_by_source.(sidx) <- m.freed_by_source.(sidx) + bytes
 
-let count_gc_free m ~category =
-  let cidx = category_index category in
+let count_gc_free m cidx =
   m.gc_freed_objects.(cidx) <- m.gc_freed_objects.(cidx) + 1
 
 let count_giveup m reason =

@@ -54,10 +54,13 @@ val free_ratio : t -> float
 
 val count_alloc : t -> category:category -> heap:bool -> bytes:int -> unit
 
-val count_tcfree :
-  t -> category:category -> source:free_source -> bytes:int -> unit
+(** [count_tcfree m cidx ~source ~bytes]: one object of category index
+    [cidx] ({!category_index}) freed by tcfree. *)
+val count_tcfree : t -> int -> source:free_source -> bytes:int -> unit
 
-val count_gc_free : t -> category:category -> unit
+(** [count_gc_free m cidx]: one object of category index [cidx]
+    ({!category_index}) swept by the GC. *)
+val count_gc_free : t -> int -> unit
 
 val count_giveup : t -> giveup -> unit
 

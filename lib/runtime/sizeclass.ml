@@ -33,7 +33,7 @@ let n_classes = Array.length sizes
 (** Reference lookup, kept as the oracle for the direct-mapped tables
     below (and their equivalence test). *)
 let class_for_size_search bytes =
-  if bytes > max_small then None
+  if bytes > max_small then -1
   else begin
     (* binary search for the first class >= bytes *)
     let lo = ref 0 and hi = ref (n_classes - 1) in
@@ -41,7 +41,7 @@ let class_for_size_search bytes =
       let mid = (!lo + !hi) / 2 in
       if sizes.(mid) >= bytes then hi := mid else lo := mid + 1
     done;
-    Some !lo
+    !lo
   end
 
 (* Direct-mapped size→class tables, Go's size_to_class8/size_to_class128
@@ -81,15 +81,14 @@ let size_to_class16 : int array =
   done;
   t
 
-(** Smallest class index whose size fits [bytes]; [None] for large
+(** Smallest class index whose size fits [bytes]; −1 for large
     objects.  O(1): one table load on both small-object branches. *)
 let class_for_size bytes =
   if bytes <= small_cutoff then
-    if bytes <= 0 then Some 0
-    else Some size_to_class8.((bytes + 7) lsr 3)
+    if bytes <= 0 then 0 else size_to_class8.((bytes + 7) lsr 3)
   else if bytes <= max_small then
-    Some size_to_class16.((bytes - small_cutoff + 15) lsr 4)
-  else None
+    size_to_class16.((bytes - small_cutoff + 15) lsr 4)
+  else -1
 
 let class_size idx = sizes.(idx)
 

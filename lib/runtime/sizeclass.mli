@@ -10,14 +10,14 @@ val sizes : int array
 
 val n_classes : int
 
-(** Smallest class whose slot fits [bytes]; [None] for large objects.
+(** Smallest class whose slot fits [bytes]; −1 for large objects.
     O(1) via direct-mapped size→class tables (Go's size_to_class8
     scheme). *)
-val class_for_size : int -> int option
+val class_for_size : int -> int
 
 (** The original binary-search lookup, kept as the oracle the table
     lookup is property-tested against. *)
-val class_for_size_search : int -> int option
+val class_for_size_search : int -> int
 
 val class_size : int -> int
 

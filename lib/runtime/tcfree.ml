@@ -20,9 +20,16 @@ type outcome =
   | Freed of int  (** bytes reclaimed *)
   | Gave_up of Metrics.giveup
 
-(* Shared bookkeeping once a free has been decided.  [metrics] is the
+(* Shared bookkeeping once a free has been decided: release the slot and
+   count the bytes and category its record holds.  [metrics] is the
    calling thread's stripe ([Heap.metrics_for]). *)
-let reclaim (heap : Heap.t) (metrics : Metrics.t) (obj : Heap.obj) ~source =
+let reclaim (heap : Heap.t) (metrics : Metrics.t) (obj : Heap.obj) span slot
+    ~source =
+  let size = span.Mspan.sizes.(slot) in
+  Metrics.count_tcfree metrics
+    (Bytes.get_uint8 span.Mspan.cats slot)
+    ~source ~bytes:size;
+  Mspan.free_slot span slot;
   obj.Heap.freed <- true;
   if heap.Heap.config.Heap.poison_on_free then begin
     obj.Heap.poisoned <- true;
@@ -30,11 +37,9 @@ let reclaim (heap : Heap.t) (metrics : Metrics.t) (obj : Heap.obj) ~source =
   end
   else obj.Heap.payload <- Heap.No_payload;
   Heap.bury heap obj.Heap.addr "tcfree";
-  Metrics.count_tcfree metrics ~category:obj.Heap.category
-    ~source ~bytes:obj.Heap.size;
-  Heap.drop_live heap obj.Heap.size;
+  Heap.drop_live heap size;
   metrics.Metrics.tcfree_success <- metrics.Metrics.tcfree_success + 1;
-  Freed obj.Heap.size
+  Freed size
 
 let tcfree_small (heap : Heap.t) metrics ~thread (obj : Heap.obj) span slot
     ~source =
@@ -42,8 +47,7 @@ let tcfree_small (heap : Heap.t) metrics ~thread (obj : Heap.obj) span slot
   match span.Mspan.state with
   | Mspan.In_mcache owner
     when owner = cache.Mcache.thread_id && Mcache.owns cache span ->
-    Mspan.free_slot span slot;
-    reclaim heap metrics obj ~source
+    reclaim heap metrics obj span slot ~source
   | Mspan.In_mcache _ -> Gave_up Metrics.Ownership_changed
   | Mspan.In_mcentral | Mspan.Dangling | Mspan.Free ->
     (* span filled up and was swapped out since the allocation: freeing
@@ -53,11 +57,10 @@ let tcfree_small (heap : Heap.t) metrics ~thread (obj : Heap.obj) span slot
 let tcfree_large (heap : Heap.t) metrics (obj : Heap.obj) span slot ~source =
   (* Step 1 of fig. 9: return the pages and mark the span dangling; the
      GC mark phase skips dangling spans and the sweep retires them. *)
-  Mspan.free_slot span slot;
   span.Mspan.state <- Mspan.Dangling;
   Pageheap.free_pages heap.Heap.pages span.Mspan.npages;
   heap.Heap.dangling_spans <- span :: heap.Heap.dangling_spans;
-  reclaim heap metrics obj ~source
+  reclaim heap metrics obj span slot ~source
 
 module Trace = Gofree_obs.Trace
 module Json = Gofree_obs.Json
@@ -101,7 +104,7 @@ let tcfree_impl (heap : Heap.t) ~thread ~source (obj : Heap.obj) : outcome =
     Gave_up reason
   in
   if obj == Heap.no_obj then give_up Metrics.Not_an_object
-  else if obj.Heap.freed then give_up Metrics.Already_freed
+  else if Heap.is_freed obj then give_up Metrics.Already_freed
   else if Heap.is_stack_obj obj then give_up Metrics.Stack_object
   else if Heap.gc_running heap then give_up Metrics.Gc_running
   else

@@ -21,7 +21,7 @@ let alloc heap ?(size = 64) children =
 
 let set_roots heap objs = heap.Heap.iter_roots <- (fun k -> List.iter k !objs)
 
-let alive (obj : Heap.obj) = not obj.Heap.freed
+let alive (obj : Heap.obj) = not (Heap.is_freed obj)
 
 let test_mark_sweep_chain () =
   let heap = make_heap () in
@@ -183,6 +183,58 @@ let test_poison_mode_marks_payload () =
   Gc_collector.collect heap;
   Alcotest.(check bool) "poisoned on sweep" true obj.Heap.poisoned
 
+(* A GC-swept object reads as freed even after a later allocation takes
+   its slot over, so a tcfree through a stale reference to it gives up
+   instead of freeing the slot's new occupant. *)
+let test_stale_tcfree_after_sweep () =
+  let heap = make_heap () in
+  set_roots heap (ref []);
+  let stale = alloc heap [] in
+  Gc_collector.collect heap;
+  Alcotest.(check bool) "swept" false (alive stale);
+  let fresh = alloc heap [] in
+  (match (stale.Heap.placement, fresh.Heap.placement) with
+  | Heap.On_heap (s1, i1), Heap.On_heap (s2, i2) ->
+    Alcotest.(check bool) "slot reused" true (s1 == s2 && i1 = i2)
+  | _ -> Alcotest.fail "expected heap placements");
+  heap.Heap.gc_window_left <- 0;
+  (match Tcfree.tcfree heap ~thread:0 ~source:Metrics.Src_slice stale with
+  | Tcfree.Gave_up Metrics.Already_freed -> ()
+  | Tcfree.Gave_up _ -> Alcotest.fail "gave up for another reason"
+  | Tcfree.Freed _ -> Alcotest.fail "freed the slot's new occupant");
+  Alcotest.(check bool) "new occupant allocated" true (alive fresh);
+  Alcotest.(check int) "live bytes" 64 (Heap.live_bytes heap)
+
+(* Large objects are swept from every processor's large-span list, not
+   only from processor 0's. *)
+let test_large_objects_swept_on_every_proc () =
+  let heap = Heap.create ~nprocs:2 () in
+  heap.Heap.trace_payload <- trace_children;
+  let size = Sizeclass.max_small + 1 in
+  let large d =
+    Heap.alloc_heap heap ~thread:d ~category:Metrics.Cat_slice ~size
+      ~payload:(Children (ref []))
+  in
+  let kept = large 1 in
+  let dead = List.init 3 (fun _ -> large 1) in
+  let dead0 = large 0 in
+  set_roots heap (ref [ kept ]);
+  let used = heap.Heap.pages.Pageheap.used_pages in
+  Gc_collector.collect heap;
+  Alcotest.(check bool) "rooted large object kept" true (alive kept);
+  Alcotest.(check bool) "domain-1 large objects swept" false
+    (List.exists alive dead);
+  Alcotest.(check bool) "domain-0 large object swept" false (alive dead0);
+  Alcotest.(check int) "swept objects" 4
+    heap.Heap.metrics.Metrics.gc_swept_objects;
+  Alcotest.(check int) "live bytes" size (Heap.live_bytes heap);
+  Alcotest.(check int) "pages returned"
+    (used - (4 * Sizeclass.pages_for_large size))
+    heap.Heap.pages.Pageheap.used_pages;
+  Alcotest.(check int) "only the live span still listed" 1
+    (List.length heap.Heap.large_spans.(1)
+    + List.length heap.Heap.large_spans.(0))
+
 (* -------------------------------------------------------------- *)
 (* Multi-domain heap: concurrent mutators, then the one collector   *)
 (* -------------------------------------------------------------- *)
@@ -258,7 +310,7 @@ let test_parallel_collect_equivalence () =
           | Some [ head ] ->
             Alcotest.(check bool) "head fate matches rooting"
               (c mod 2 = 0)
-              (not head.Heap.freed)
+              (alive head)
           | _ -> ())
         row)
     heads;
@@ -311,7 +363,7 @@ let test_parallel_collect_during_allocation_pressure () =
     (m.Metrics.tcfree_success > 0);
   List.iter
     (fun (o : Heap.obj) ->
-      Alcotest.(check bool) "rooted object present" true (not o.Heap.freed))
+      Alcotest.(check bool) "rooted object present" true (alive o))
     !rooted;
   match Metrics.check_conservation ~live_objects:live m with
   | Ok () -> ()
@@ -334,6 +386,10 @@ let suite =
     Alcotest.test_case "empty spans return pages" `Quick
       test_empty_spans_return_pages;
     Alcotest.test_case "poison mode" `Quick test_poison_mode_marks_payload;
+    Alcotest.test_case "stale tcfree after sweep gives up" `Quick
+      test_stale_tcfree_after_sweep;
+    Alcotest.test_case "large objects swept on every processor" `Quick
+      test_large_objects_swept_on_every_proc;
     Alcotest.test_case "parallel collect = sequential verdict" `Quick
       test_parallel_collect_equivalence;
     Alcotest.test_case "parallel collect under allocation pressure" `Quick

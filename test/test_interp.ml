@@ -21,23 +21,32 @@ let minor_words f =
   let w1 = Gc.minor_words () in
   int_of_float (w1 -. w0 -. empty)
 
-(* Host words the bytecode engine allocates per loop iteration of the
-   program [src_of n]: the difference between a 20k- and a 10k-iteration
-   run, over 10k. *)
-let vm_words_per_iteration src_of =
+(* Growth of the host counter [count] per loop iteration of the program
+   [src_of n] on the bytecode engine: the difference between a [2n]- and
+   an [n]-iteration run, over [n]. *)
+let vm_per_iteration ?(n = 10_000) count src_of =
   let run n =
     let compiled = Helpers.compile (src_of n) in
     let config =
       { Gofree_interp.Interp.default_config with
         engine = Gofree_interp.Interp.Eng_bytecode }
     in
-    let w0 = Gc.minor_words () in
+    let w0 = count () in
     ignore (Gofree_interp.Runner.run ~config compiled);
-    Gc.minor_words () -. w0
+    count () -. w0
   in
-  let w10 = run 10_000 in
-  let w20 = run 20_000 in
-  (w20 -. w10) /. 10_000.
+  let w1 = run n in
+  let w2 = run (2 * n) in
+  (w2 -. w1) /. float_of_int n
+
+(* Host words the bytecode engine allocates per loop iteration. *)
+let vm_words_per_iteration = vm_per_iteration Gc.minor_words
+
+(* Host words promoted to the major heap per loop iteration.  Enough
+   iterations that the simulated GC runs several cycles and the host
+   several minor collections. *)
+let vm_promoted_per_iteration =
+  vm_per_iteration ~n:100_000 (fun () -> (Gc.quick_stat ()).Gc.promoted_words)
 
 let suite =
   [
@@ -1016,4 +1025,36 @@ func main() {
         if w > 11.0 then
           Alcotest.failf "x := P{...}: %.2f host words per iteration, want \
                           <= 11" w);
+    Alcotest.test_case "dropped heap objects are not promoted" `Quick
+      (fun () ->
+        (* A factory loop whose [&P{}] objects only the simulated GC
+           reclaims: the heap keeps no reference to them, so they die in
+           the host's minor heap.  A per-object table kept for the sweep
+           promotes each object and its payload (about 24 words). *)
+        let w =
+          vm_promoted_per_iteration
+            (Printf.sprintf
+               {|
+type P struct {
+  a int
+  b int
+}
+
+func mk(i int) *P {
+  return &P{a: i, b: i + 1}
+}
+
+func main() {
+  s := 0
+  for i := 0; i < %d; i++ {
+    p := mk(i)
+    s = (s + p.b) %% 1000
+  }
+  println(s)
+}
+|})
+        in
+        if w > 1.0 then
+          Alcotest.failf "p := mk(i): %.2f host words promoted per iteration, \
+                          want <= 1" w);
   ]

@@ -178,7 +178,7 @@ let prop_span_slots_never_negative =
           && span.Rt.Mspan.allocated <= span.Rt.Mspan.nslots
           && span.Rt.Mspan.free_index <= span.Rt.Mspan.nslots
           && List.for_all (fun s -> s < span.Rt.Mspan.free_index)
-               span.Rt.Mspan.free_list)
+               (Rt.Mspan.free_slots span))
         spans true)
 
 let prop_sizeclass_roundtrip =
@@ -186,8 +186,8 @@ let prop_sizeclass_roundtrip =
     QCheck.(int_range 1 32768)
     (fun size ->
       match Rt.Sizeclass.class_for_size size with
-      | None -> false
-      | Some idx ->
+      | -1 -> false
+      | idx ->
         Rt.Sizeclass.class_size idx >= size
         && (idx = 0 || Rt.Sizeclass.class_size (idx - 1) < size))
 

@@ -17,16 +17,15 @@ let test_size_classes () =
   List.iter
     (fun size ->
       match Sizeclass.class_for_size size with
-      | None -> Alcotest.failf "size %d should be small" size
-      | Some idx ->
+      | -1 -> Alcotest.failf "size %d should be small" size
+      | idx ->
         Alcotest.(check bool) "class fits" true
           (Sizeclass.class_size idx >= size);
         if idx > 0 then
           Alcotest.(check bool) "class is tight" true
             (Sizeclass.class_size (idx - 1) < size))
     [ 1; 8; 9; 16; 100; 1000; 4097; 32768 ];
-  Alcotest.(check (option int)) "large object" None
-    (Sizeclass.class_for_size 32769)
+  Alcotest.(check int) "large object" (-1) (Sizeclass.class_for_size 32769)
 
 let test_span_waste_bound () =
   (* pages_for_class keeps slot waste under 12.5% like Go *)
@@ -43,9 +42,9 @@ let test_span_waste_bound () =
 
 let test_span_bump_and_revert () =
   let span = Mspan.create_small 0 in
-  let s1 = Mspan.alloc_slot span |> Option.get in
-  let s2 = Mspan.alloc_slot span |> Option.get in
-  let s3 = Mspan.alloc_slot span |> Option.get in
+  let s1 = Mspan.alloc_slot span in
+  let s2 = Mspan.alloc_slot span in
+  let s3 = Mspan.alloc_slot span in
   Alcotest.(check (list int)) "bump order" [ 0; 1; 2 ] [ s1; s2; s3 ];
   Alcotest.(check int) "allocated" 3 span.Mspan.allocated;
   (* freeing the top slot reverts the free index *)
@@ -54,35 +53,38 @@ let test_span_bump_and_revert () =
   (* freeing a middle slot goes to the free list *)
   Mspan.free_slot span s1;
   Alcotest.(check int) "free index unchanged" 2 span.Mspan.free_index;
-  Alcotest.(check (list int)) "free list" [ 0 ] span.Mspan.free_list;
+  Alcotest.(check (list int)) "free list" [ 0 ] (Mspan.free_slots span);
   (* freeing slot 1 now cascades the revert over slot 0 as well *)
   Mspan.free_slot span s2;
   Alcotest.(check int) "cascaded revert" 0 span.Mspan.free_index;
-  Alcotest.(check (list int)) "free list drained" [] span.Mspan.free_list;
+  Alcotest.(check (list int)) "free list drained" []
+    (Mspan.free_slots span);
   Alcotest.(check int) "empty" 0 span.Mspan.allocated
 
 let test_span_free_list_reuse () =
   let span = Mspan.create_small 0 in
-  let a = Mspan.alloc_slot span |> Option.get in
-  let _b = Mspan.alloc_slot span |> Option.get in
+  let a = Mspan.alloc_slot span in
+  let _b = Mspan.alloc_slot span in
   Mspan.free_slot span a;
   (* next allocation reuses the freed slot before bumping *)
-  let c = Mspan.alloc_slot span |> Option.get in
+  let c = Mspan.alloc_slot span in
   Alcotest.(check int) "reused slot" a c
 
 let test_mcache_swaps_full_spans () =
   let pages = Pageheap.create () in
   let central = Mcentral.create pages in
   let cache = Mcache.create 0 in
-  let class_idx = Sizeclass.class_for_size 8192 |> Option.get in
-  let span0, _ = Mcache.alloc cache central class_idx in
+  let class_idx = Sizeclass.class_for_size 8192 in
+  ignore (Mcache.alloc cache central class_idx);
+  let span0 = Mcache.span cache class_idx in
   let nslots = span0.Mspan.nslots in
   (* exhaust the first span *)
   for _ = 2 to nslots do
     ignore (Mcache.alloc cache central class_idx)
   done;
   (* next allocation forces a swap *)
-  let span1, _ = Mcache.alloc cache central class_idx in
+  ignore (Mcache.alloc cache central class_idx);
+  let span1 = Mcache.span cache class_idx in
   Alcotest.(check bool) "new span" true
     (span1.Mspan.span_id <> span0.Mspan.span_id);
   Alcotest.(check bool) "old span in mcentral" true
@@ -121,9 +123,14 @@ let test_heap_alloc_and_metrics () =
     Heap.alloc_heap heap ~thread:0 ~category:Metrics.Cat_slice ~size:100
       ~payload:Heap.No_payload
   in
-  let tracked = heap.Heap.heap_objs.(0) in
-  Alcotest.(check bool) "tracked for the sweep" true
-    (tracked.Heap.len = 1 && tracked.Heap.objs.(0) == obj);
+  (match obj.Heap.placement with
+  | Heap.On_heap (span, slot) ->
+    Alcotest.(check bool) "recorded in its slot for the sweep" true
+      (Mspan.addr span slot = obj.Heap.addr
+      && span.Mspan.sizes.(slot) = 100
+      && Bytes.get_uint8 span.Mspan.cats slot
+         = Metrics.category_index Metrics.Cat_slice)
+  | Heap.On_stack -> Alcotest.fail "expected a heap placement");
   Alcotest.(check int) "alloced bytes" 100
     heap.Heap.metrics.Metrics.alloced_bytes;
   Alcotest.(check int) "heap slice count" 1
@@ -134,32 +141,56 @@ let test_heap_alloc_and_metrics () =
   in
   Alcotest.(check int) "stack allocs don't count bytes" 100
     heap.Heap.metrics.Metrics.alloced_bytes;
-  Alcotest.(check int) "stack objects are not tracked" 1 tracked.Heap.len;
+  Alcotest.(check bool) "stack objects take no slot" true
+    (Heap.is_stack_obj sobj && Heap.live_bytes heap = 100);
   Heap.release_stack heap sobj;
   Alcotest.(check bool) "stack object released" true sobj.Heap.freed
 
-(* With GC off no sweep ever compacts the object array: a full array
-   drops its freed entries before it grows, so alloc+tcfree churn keeps
-   it at a small constant capacity instead of one entry per
-   allocation. *)
-let test_object_array_bounded_without_gc () =
-  let config = { Heap.default_config with Heap.gc_disabled = true } in
-  let heap = Heap.create ~config () in
-  let tracked = heap.Heap.heap_objs.(0) in
-  let cap0 = Array.length tracked.Heap.objs in
-  for _ = 1 to 100_000 do
+type Heap.payload += Blob of int array
+
+(* Allocate [n] heap objects with boxed payloads, tcfree every other one,
+   and drop them all; the weak array sees each object and its payload.
+   Out of line so that no register or stack slot of the caller keeps the
+   last ones reachable. *)
+let[@inline never] alloc_and_drop heap n =
+  let seen = Weak.create (2 * n) in
+  for i = 0 to n - 1 do
+    let blob = Array.make 8 i in
     let o =
       Heap.alloc_heap heap ~thread:0 ~category:Metrics.Cat_slice ~size:64
-        ~payload:Heap.No_payload
+        ~payload:(Blob blob)
     in
-    match Tcfree.tcfree heap ~thread:0 ~source:Metrics.Src_slice o with
-    | Tcfree.Freed _ -> ()
-    | Tcfree.Gave_up _ -> Alcotest.fail "tcfree gave up"
+    Weak.set seen (2 * i) (Some (Obj.repr o));
+    Weak.set seen ((2 * i) + 1) (Some (Obj.repr blob));
+    if i mod 2 = 0 then
+      match Tcfree.tcfree heap ~thread:0 ~source:Metrics.Src_slice o with
+      | Tcfree.Freed _ -> ()
+      | Tcfree.Gave_up _ -> Alcotest.fail "tcfree gave up"
   done;
-  Alcotest.(check int) "capacity unchanged" cap0
-    (Array.length tracked.Heap.objs);
-  Alcotest.(check bool) "small constant capacity" true (cap0 <= 1024);
-  Alcotest.(check int) "heap empty" 0 (Heap.live_bytes heap)
+  seen
+
+(* The heap holds no reference to an object it allocated: once the
+   program drops a heap object, the host collects it and its payload,
+   whether or not the simulated GC ever runs.  A table of objects kept
+   for the sweep would keep them all (and promote each one). *)
+let dropped_objects_collected config () =
+  let heap = Heap.create ~config () in
+  let n = 10_000 in
+  let seen = alloc_and_drop heap n in
+  Gc.full_major ();
+  let kept = ref 0 in
+  for i = 0 to Weak.length seen - 1 do
+    if Weak.check seen i then incr kept
+  done;
+  Alcotest.(check int) "objects and payloads the host still holds" 0 !kept;
+  Alcotest.(check int) "the untouched half is still live" (n / 2 * 64)
+    (Heap.live_bytes heap)
+
+let test_dropped_objects_collected_with_gc =
+  dropped_objects_collected Heap.default_config
+
+let test_dropped_objects_collected_without_gc =
+  dropped_objects_collected { Heap.default_config with Heap.gc_disabled = true }
 
 let test_large_object_dedicated_span () =
   let heap = Heap.create () in
@@ -182,8 +213,10 @@ let suite =
       test_span_bump_and_revert;
     Alcotest.test_case "span free-list reuse" `Quick
       test_span_free_list_reuse;
-    Alcotest.test_case "object array bounded without GC" `Quick
-      test_object_array_bounded_without_gc;
+    Alcotest.test_case "GC off: no object kept alive" `Quick
+      test_dropped_objects_collected_without_gc;
+    Alcotest.test_case "GC on: no object kept alive" `Quick
+      test_dropped_objects_collected_with_gc;
     Alcotest.test_case "mcache swaps full spans" `Quick
       test_mcache_swaps_full_spans;
     Alcotest.test_case "mcentral reuses partial spans" `Quick

@@ -5,11 +5,11 @@
 
 module Sc = Gofree_runtime.Sizeclass
 
-let opt_class = Alcotest.(option int)
+let class_idx = Alcotest.int
 
 let test_exhaustive () =
   for bytes = -8 to Sc.max_small + 1 do
-    Alcotest.check opt_class
+    Alcotest.check class_idx
       (Printf.sprintf "class_for_size %d" bytes)
       (Sc.class_for_size_search bytes)
       (Sc.class_for_size bytes)
@@ -18,9 +18,9 @@ let test_exhaustive () =
 let test_class_size_roundtrip () =
   (* every class maps back to itself: its slot size is its own class *)
   for c = 0 to Sc.n_classes - 1 do
-    Alcotest.check opt_class
+    Alcotest.check class_idx
       (Printf.sprintf "class of size-of-class %d" c)
-      (Some c)
+      c
       (Sc.class_for_size (Sc.class_size c))
   done
 
