@@ -40,12 +40,18 @@ type operand =
 
 (* One entry per opcode: its name and operand kinds.  [def] registers
    the entry and returns the opcode, so a number, its name and its
-   operands are written once, on one line. *)
-let specs : (string * operand array) option array = Array.make 256 None
+   operands are written once, on one line.  It is inlined, so an entry
+   of literals is static data and registering it calls nothing: each
+   call here would be a frame descriptor of every gofreec binary.
+   [ndefs] counts the registrations, for the check below the table that
+   no number was given twice. *)
+let specs : (string * operand list) option array = Array.make 256 None
 
-let def op name operands =
-  assert (specs.(op) = None);
-  specs.(op) <- Some (name, Array.of_list operands);
+let ndefs = ref 0
+
+let[@inline] def op name operands =
+  Array.unsafe_set specs op (Some (name, operands));
+  incr ndefs;
   op
 
 (* Grouped: control flow, stack shuffling, the unboxed int/bool fast
@@ -153,7 +159,7 @@ let map_columns_code key value =
 
 let op_make_map = def 81 "make_map" [ Site; Enum map_columns ]
 let op_new = def 82 "new" [ Site; Tbl "zero" ]
-let op_slice_lit = def 83 "slice_lit" [ Site; Int ]  (* pop n copied V *)
+let op_slice_lit = def 83 "slice_lit" [ Site; Int; Tbl "zero" ]  (* pop n copied V *)
 let op_struct_lit = def 84 "struct_lit" [ Int ]  (* pop n copied V *)
 let op_addr_struct_lit = def 85 "addr_struct_lit" [ Site; Int ]
 let op_append = def 86 "append" [ Site; Int; Tbl "zero" ]
@@ -345,6 +351,25 @@ let op_store_map_iv = def 185 "store_map_iv" []
 let op_store_map_vi = def 186 "store_map_vi" []
     (* pop key V, map V, value I *)
 
+(* An element field of a slice of structs, addressed in its slot of the
+   flat store: [a[i].f] read, and [&a[i].f]. *)
+let op_elem_field_v = def 187 "elem_field_v" [ Field ]
+    (* pop idx I, slice V; push V *)
+let op_elem_field_i = def 188 "elem_field_i" [ Field ]
+    (* pop idx I, slice V; push I *)
+let op_addr_elem_field = def 189 "addr_elem_field" [ Field ]
+    (* pop idx I, slice V; push V *)
+(* = vload a; rload i; elem_field_i/_v: the slice a frame local, the
+   index a register *)
+let op_elem_field_i_sr =
+  def 190 "elem_field_i_sr" [ Slot; Name; Reg; Name; Field ]  (* push I *)
+let op_elem_field_v_sr =
+  def 191 "elem_field_v_sr" [ Slot; Name; Reg; Name; Field ]  (* push V *)
+(* [append(s, T{...})]: the literal's n fields straight into the flat
+   store, with no struct value between *)
+let op_append_fields = def 192 "append_fields" [ Site; Int; Tbl "zero" ]
+    (* pop n copied V, base V; push V *)
+
 (** The rotated back edge that re-tests head test [op], if it has one. *)
 let rotated op =
   if op >= op_jlt_rr_not && op <= op_jne_rr_not then
@@ -355,8 +380,15 @@ let rotated op =
   else None
 
 let n_opcodes =
-  let n = ref 0 in
-  Array.iteri (fun op s -> if s <> None then n := op + 1) specs;
+  let n = ref 0 and defined = ref 0 in
+  Array.iteri
+    (fun op s ->
+      if s <> None then begin
+        n := op + 1;
+        incr defined
+      end)
+    specs;
+  assert (!defined = !ndefs);
   !n
 
 let spec op = if op >= 0 && op < n_opcodes then specs.(op) else None
@@ -367,7 +399,8 @@ let op_name op =
   | None -> Printf.sprintf "op%d" op
 
 (** Operand kinds of an opcode; empty for an undefined one. *)
-let operands op = match spec op with Some (_, kinds) -> kinds | None -> [||]
+let operands op =
+  match spec op with Some (_, kinds) -> Array.of_list kinds | None -> [||]
 
 (** Operand count per opcode (instruction width − 1). *)
 let arity op = Array.length (operands op)

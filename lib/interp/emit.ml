@@ -545,7 +545,28 @@ let rec emit_i f (e : Tast.expr) =
     emit_v f k;
     let z = tbl_add f.zeros (fun () -> Value.VInt 0) in
     op2 f ~dv:(-2) ~di:1 B.op_mapget_i z (new_cache f)
-  | Tast.Tfield (a, idx, name) when is_int e -> begin
+  | Tast.Tfield
+      ( {
+          Tast.desc =
+            Tast.Tindex
+              ({ Tast.desc = Tast.Tvar a; _ }, { Tast.desc = Tast.Tvar i; _ });
+          ty = Types.Struct _;
+          _;
+        },
+        idx,
+        _ )
+    when is_int e && frame_local f a && reg f i >= 0 ->
+    opn f ~dv:0 ~di:1 B.op_elem_field_i_sr
+      [ slot f a; name_idx f a.Tast.v_name; reg f i; name_idx f i.Tast.v_name;
+        idx ]
+  | Tast.Tfield ({ Tast.desc = Tast.Tindex (a, i); ty = Types.Struct _; _ }, idx, _)
+    when is_int e ->
+    emit_v f a;
+    emit_i f i;
+    op1 f ~dv:(-1) ~di:0 B.op_elem_field_i idx
+  | Tast.Tfield
+      (({ Tast.desc = Tast.Tderef a; ty = Types.Struct _; _ } | a), idx, name)
+    when is_int e -> begin
     match a.Tast.desc with
     | Tast.Tvar v when not (is_global v) ->
       (* [vload; field_i] fused: one dispatch, no V-stack traffic *)
@@ -649,7 +670,13 @@ and emit_b f (e : Tast.expr) =
     emit_v f k;
     let z = tbl_add f.zeros (fun () -> Value.VBool false) in
     op2 f ~dv:(-2) ~di:1 B.op_mapget_b z (new_cache f)
-  | Tast.Tfield (a, idx, name) when is_bool e ->
+  | Tast.Tfield ({ Tast.desc = Tast.Tindex _; ty = Types.Struct _; _ }, _, _)
+    when is_bool e ->
+    emit_v_raw f e;
+    op0 f ~dv:(-1) ~di:1 B.op_unbox_b
+  | Tast.Tfield
+      (({ Tast.desc = Tast.Tderef a; ty = Types.Struct _; _ } | a), idx, name)
+    when is_bool e ->
     emit_v f a;
     op3 f ~dv:(-1) ~di:1 B.op_field_b idx (new_cache f) (name_idx f name)
   | _ ->
@@ -677,12 +704,13 @@ and emit_v f (e : Tast.expr) =
   | _ -> emit_v_raw f e
 
 (* [emit_v], then the assignment copy of a struct value — unless the
-   value is fresh, a struct literal or a call result (a [return] copies
-   its struct values), which nothing else can reach. *)
+   value is fresh, which nothing else can reach: a struct literal, a
+   call result (a [return] copies its struct values) or an element read
+   from a flat store ({!Value.slice_elem}). *)
 and emit_v_copy f (e : Tast.expr) =
   emit_v f e;
   match e.Tast.desc with
-  | Tast.Tstruct_lit _ | Tast.Tcall _ -> ()
+  | Tast.Tstruct_lit _ | Tast.Tcall _ | Tast.Tindex _ -> ()
   | _ -> if is_struct e.Tast.ty then op0 f ~dv:0 ~di:0 B.op_copy
 
 (* [R[r] op k] for the register local [e]: one [<op>k_r] pushing the
@@ -740,7 +768,30 @@ and emit_v_raw f (e : Tast.expr) =
     emit_operand f k;
     if word_operand k then op2 f ~dv:0 ~di:(-1) B.op_mapget_iv z (new_cache f)
     else op2 f ~dv:(-1) ~di:0 B.op_mapget_v z (new_cache f)
-  | Tast.Tfield (a, idx, name) -> begin
+  | Tast.Tfield
+      ( {
+          Tast.desc =
+            Tast.Tindex
+              ({ Tast.desc = Tast.Tvar a; _ }, { Tast.desc = Tast.Tvar i; _ });
+          ty = Types.Struct _;
+          _;
+        },
+        idx,
+        _ )
+    when frame_local f a && reg f i >= 0 ->
+    opn f ~dv:1 ~di:0 B.op_elem_field_v_sr
+      [ slot f a; name_idx f a.Tast.v_name; reg f i; name_idx f i.Tast.v_name;
+        idx ]
+  | Tast.Tfield ({ Tast.desc = Tast.Tindex (a, i); ty = Types.Struct _; _ }, idx, _)
+    ->
+    (* an element's field, read in its slot of the flat store *)
+    emit_v f a;
+    emit_i f i;
+    op1 f ~dv:0 ~di:(-1) B.op_elem_field_v idx
+  | Tast.Tfield
+      (({ Tast.desc = Tast.Tderef a; ty = Types.Struct _; _ } | a), idx, name)
+    -> begin
+    (* [( *p).f] reads through [p], as [Interp.eval] does *)
     match a.Tast.desc with
     | Tast.Tvar v when not (is_global v) ->
       opn f ~dv:1 ~di:0 B.op_sfield_v
@@ -781,13 +832,15 @@ and emit_v_raw f (e : Tast.expr) =
     List.iter (emit_i f) es;
     let n = List.length es in
     op2 f ~dv:1 ~di:(-n) B.op_slice_lit_i (tbl_add f.sites site) n
-  | Tast.Tslice_lit (site, _, es) ->
+  | Tast.Tslice_lit (site, elem, es) ->
     List.iter
       (fun e ->
         emit_v_copy f e)
       es;
     let n = List.length es in
-    op2 f ~dv:(1 - n) ~di:0 B.op_slice_lit (tbl_add f.sites site) n
+    let tenv = f.ctx.tenv in
+    let z = tbl_add f.zeros (fun () -> Value.zero tenv elem) in
+    op3 f ~dv:(1 - n) ~di:0 B.op_slice_lit (tbl_add f.sites site) n z
   | Tast.Tstruct_lit (_, es) ->
     List.iter
       (fun e ->
@@ -807,6 +860,15 @@ and emit_v_raw f (e : Tast.expr) =
     List.iter (emit_i f) vs;
     let n = List.length vs in
     op2 f ~dv:0 ~di:(-n) B.op_append_i (tbl_add f.sites site) n
+  | Tast.Tappend
+      (site, s, [ { Tast.desc = Tast.Tstruct_lit (_, (_ :: _ as es)); ty; _ } ])
+    ->
+    emit_v f s;
+    List.iter (emit_v_copy f) es;
+    let n = List.length es in
+    let tenv = f.ctx.tenv in
+    let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
+    op3 f ~dv:(-n) ~di:0 B.op_append_fields (tbl_add f.sites site) n z
   | Tast.Tappend (site, s, vs) ->
     emit_v f s;
     List.iter
@@ -975,6 +1037,15 @@ and emit_addr f (lv : Tast.lvalue) =
     | Types.Ptr _, _ ->
       emit_v f base;
       op1 f ~dv:0 ~di:0 B.op_addr_field_ptr idx
+    | _, Tast.Tderef p ->
+      (* [( *p).f]: through the pointer, as [p.f] *)
+      emit_v f p;
+      op1 f ~dv:0 ~di:0 B.op_addr_field_ptr idx
+    | _, Tast.Tindex (a, i) ->
+      (* an element's field: its slot of the flat store *)
+      emit_v f a;
+      emit_i f i;
+      op1 f ~dv:0 ~di:(-1) B.op_addr_elem_field idx
     | _, Tast.Tvar v ->
       let opc =
         if is_global v then B.op_addr_field_gslot else B.op_addr_field_slot

@@ -160,9 +160,16 @@ type state = {
           sites); flushed into the telemetry registry by the runner *)
   mutable ic_misses : int;
   mutable yield_at : int;
+      (** the step count at which the safepoint fast path next gives way
+          to {!safepoint_slow}: the earlier of [next_yield] and the step
+          the attached sampler's next sample falls due *)
+  mutable next_yield : int;
       (** next step count at which to yield; advances by
           [config.yield_every] — equivalent to [steps mod yield_every]
-          without the division on the safepoint fast path *)
+          without the division *)
+  mutable sampled : int;
+      (** the steps of this state already added to the sampler's
+          clock *)
   mutable dom : int;
       (** index of the domain currently executing this state's
           goroutine — its P, whose mcache it allocates from.  Set by the
@@ -327,7 +334,8 @@ let pin _st fr v =
   | Value.VUnit | Value.VInt _ | Value.VFloat _ | Value.VBool _ | Value.VStr _
   | Value.VNil ->
     v
-  | Value.VPtr _ | Value.VIptr _ | Value.VSlice _ | Value.VIslice _
+  | Value.VPtr _ | Value.VIptr _ | Value.VEptr _ | Value.VSlice _
+  | Value.VIslice _
   | Value.VMap _ | Value.VStruct _ | Value.VTuple _ | Value.VPoison ->
     fr.temps <- v :: fr.temps;
     v
@@ -406,11 +414,31 @@ let iter_roots_par (p : parctx) ~(globals : binding array)
       Array.iter (fun v -> Value.trace v k) g.g_pending)
     p.p_regs
 
+(* Add the steps [st] ran since it last did to the sampler's clock, and
+   snapshot the heap at each sample step the clock passed.  At one
+   domain it passes at most one, the step it lands on: the safepoint
+   fast path gives way there ([yield_at]).  With several domains, the
+   others' steps may carry it past more. *)
+let sample st sampler =
+  let n = st.steps - st.sampled in
+  st.sampled <- st.steps;
+  let step = Rt.Sampler.advance sampler n in
+  let every = Rt.Sampler.every sampler in
+  let heap = st.heap in
+  for k = ((step - n) / every) + 1 to step / every do
+    Rt.Sampler.record sampler ~step:(k * every)
+      ~span_bytes:(Rt.Pageheap.used_bytes heap.Rt.Heap.pages)
+      (Rt.Heap.merged_metrics heap)
+  done
+
 let fiber_done p (g : goroutine) =
   Mutex.lock p.p_mutex;
   g.g_pending <- [||];
   (match List.assq_opt g p.p_regs with
   | Some gst ->
+    (match gst.heap.Rt.Heap.sampler with
+    | Some sampler -> sample gst sampler
+    | None -> ());
     p.p_steps_done <- p.p_steps_done + gst.steps;
     p.p_ic_hits <- p.p_ic_hits + gst.ic_hits;
     p.p_ic_misses <- p.p_ic_misses + gst.ic_misses
@@ -496,8 +524,9 @@ let spawn_goroutine st fid args =
       g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 }
   in
   let gst =
-    { st with current = g; steps = 0; yield_at = st.config.yield_every;
-      unwinding = None; ic_hits = 0; ic_misses = 0 }
+    { st with current = g; steps = 0; yield_at = 1;
+      next_yield = st.config.yield_every; sampled = 0; unwinding = None;
+      ic_hits = 0; ic_misses = 0 }
   in
   p.p_regs <- (g, gst) :: p.p_regs;
   p.p_live <- p.p_live + 1;
@@ -574,31 +603,31 @@ let safepoint_slow st =
     if st.par.p_nd > 1 then par_gc st st.par
     else Rt.Gc_collector.collect heap
   end;
-  (* An attached sampler sends every safepoint here, so its own clock
-     counts the run's safepoints across all goroutines. *)
+  (* The sampler's clock counts the run's safepoints across all
+     goroutines: this state's since it last came here are added now, at
+     the latest at the step the next sample falls due (see [yield_at]),
+     and a finished goroutine's in [fiber_done]. *)
   (match heap.Rt.Heap.sampler with
-  | Some sampler ->
-    let step = Rt.Sampler.tick sampler in
-    if Rt.Sampler.due sampler ~step then
-      Rt.Sampler.record sampler ~step
-        ~span_bytes:(Rt.Pageheap.used_bytes heap.Rt.Heap.pages)
-        (Rt.Heap.merged_metrics heap)
+  | Some sampler -> sample st sampler
   | None -> ());
-  if st.steps >= st.yield_at then begin
-    st.yield_at <- st.steps + st.config.yield_every;
+  if st.steps >= st.next_yield then begin
+    st.next_yield <- st.steps + st.config.yield_every;
     Effect.perform Yield
-  end
+  end;
+  (* after a yield, other goroutines have moved the clock on *)
+  st.yield_at <-
+    (match heap.Rt.Heap.sampler with
+    | Some sampler -> min st.next_yield (st.steps + Rt.Sampler.until_due sampler)
+    | None -> st.next_yield)
 
 (* Safepoint: maybe run a GC cycle; also the yield point. *)
 let safepoint st =
   st.steps <- st.steps + 1;
   let fr = cur_frame st in
   if fr.temps != [] then fr.temps <- [];
-  let heap = st.heap in
   if
     st.steps >= st.yield_at
-    || heap.Rt.Heap.gc_requested
-    || heap.Rt.Heap.sampler != None
+    || st.heap.Rt.Heap.gc_requested
     || st.steps > st.config.max_steps
   then safepoint_slow st
 
@@ -946,10 +975,11 @@ and value_eq (a : Value.value) (b : Value.value) =
   | VBool x, VBool y -> x = y
   | VStr x, VStr y -> String.equal x y
   | VNil, VNil -> true
-  | VNil, (VPtr _ | VIptr _ | VSlice _ | VIslice _ | VMap _)
-  | (VPtr _ | VIptr _ | VSlice _ | VIslice _ | VMap _), VNil ->
+  | VNil, (VPtr _ | VIptr _ | VEptr _ | VSlice _ | VIslice _ | VMap _)
+  | (VPtr _ | VIptr _ | VEptr _ | VSlice _ | VIslice _ | VMap _), VNil ->
     false
   | VPtr x, VPtr y -> x.p_arr == y.p_arr && x.p_idx = y.p_idx
+  | VEptr x, VEptr y -> x.e_arr == y.e_arr && x.e_base = y.e_base
   | VIptr x, VIptr y -> x.ip_ints == y.ip_ints && x.ip_idx = y.ip_idx
   | VMap x, VMap y -> x == y
   | VSlice x, VSlice y ->
@@ -987,6 +1017,7 @@ let tcfree_binding st (b : binding) (kind : Tast.free_kind) =
   end
   | Value.VPtr { Value.p_owner = owner; _ }
   | Value.VIptr { Value.ip_owner = owner; _ }
+  | Value.VEptr { Value.e_owner = owner; _ }
     when kind = Tast.Free_obj ->
     if owner != Rt.Heap.no_obj then
       ignore
@@ -1009,7 +1040,7 @@ let index_value heap (va : Value.value) (vi : int) : Value.value =
   | Value.VSlice s ->
     if vi < 0 || vi >= s.Value.s_len then
       raise (Panic (Value.VStr "index out of range"));
-    Value.read_elem s.Value.s_cells (s.Value.s_off + vi)
+    Value.slice_elem s vi
   | Value.VStr s ->
     if vi < 0 || vi >= String.length s then
       raise (Panic (Value.VStr "index out of range"));
@@ -1027,7 +1058,7 @@ let store_index (va : Value.value) (vi : int) (v : Value.value) =
   | Value.VSlice s ->
     if vi < 0 || vi >= s.Value.s_len then
       raise (Panic (Value.VStr "index out of range"));
-    Value.store s.Value.s_cells (s.Value.s_off + vi) v
+    Value.set_elem s vi v
   | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
   | _ -> raise (Runtime_error "cannot assign into this value")
 
@@ -1043,15 +1074,40 @@ let addr_index (va : Value.value) (vi : int) : Value.value =
   | Value.VSlice s ->
     if vi < 0 || vi >= s.Value.s_len then
       raise (Panic (Value.VStr "index out of range"));
-    Value.VPtr
-      { Value.p_owner = s.Value.s_obj; p_arr = s.Value.s_cells;
-        p_idx = s.Value.s_off + vi }
+    if s.Value.s_w = 0 then
+      Value.VPtr
+        { Value.p_owner = s.Value.s_obj; p_arr = s.Value.s_cells;
+          p_idx = s.Value.s_off + vi }
+    else
+      Value.VEptr
+        { Value.e_owner = s.Value.s_obj; e_arr = s.Value.s_cells;
+          e_base = Value.elem_slot s vi; e_w = s.Value.s_w }
   | _ -> raise (Runtime_error "cannot take address of this element")
+
+(* [a[i].f] of a slice of structs: field [fidx] of element [i] read in
+   its slot, with [a[i]]'s errors. *)
+let index_field heap (va : Value.value) (vi : int) fidx : Value.value =
+  match va with
+  | Value.VSlice s when s.Value.s_w > 0 && vi >= 0 && vi < s.Value.s_len ->
+    Value.read_elem s.Value.s_cells (Value.elem_slot s vi + fidx)
+  | _ ->
+    ignore (index_value heap va vi : Value.value);
+    raise (Runtime_error "field of non-struct")
+
+(* [&a[i].f] of a slice of structs: a pointer to the field's slot. *)
+let addr_index_field heap (va : Value.value) (vi : int) fidx : Value.value =
+  match va with
+  | Value.VSlice s when s.Value.s_w > 0 && vi >= 0 && vi < s.Value.s_len ->
+    Value.field_ptr s.Value.s_obj s.Value.s_cells (Value.elem_slot s vi + fidx)
+  | _ ->
+    ignore (index_value heap va vi : Value.value);
+    raise (Runtime_error "field of non-struct")
 
 (* [*p]. *)
 let deref heap (v : Value.value) : Value.value =
   match v with
   | Value.VPtr p -> Value.read_ptr p
+  | Value.VEptr e -> Value.load_struct e.Value.e_arr e.Value.e_base e.Value.e_w
   | Value.VIptr p -> Value.vint (Value.read_iptr heap p)
   | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
   | _ -> raise (Runtime_error "dereference of a non-pointer")
@@ -1060,6 +1116,7 @@ let deref heap (v : Value.value) : Value.value =
 let store_deref (p : Value.value) (v : Value.value) =
   match p with
   | Value.VPtr p -> Value.store p.Value.p_arr p.Value.p_idx v
+  | Value.VEptr e -> Value.store_struct e.Value.e_arr e.Value.e_base v
   | Value.VIptr p -> p.Value.ip_ints.(p.Value.ip_idx) <- as_int v
   | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
   | _ -> raise (Runtime_error "assignment through non-pointer")
@@ -1076,7 +1133,7 @@ let length st (v : Value.value) =
 let capacity (v : Value.value) =
   match v with
   | Value.VIslice s -> Array.length s.i_ints - s.i_off
-  | Value.VSlice s -> Array.length s.Value.s_cells - s.Value.s_off
+  | Value.VSlice s -> Value.cap s
   | Value.VNil -> 0
   | _ -> raise (Runtime_error "cap of unsupported value")
 
@@ -1093,7 +1150,7 @@ let reslice (base : Value.value) (lo : int option)
       raise (Panic (Value.VStr "slice bounds out of range"));
     Value.VIslice { s with i_off = s.i_off + lo; i_len = hi - lo }
   | Value.VSlice s ->
-    let cap = Array.length s.Value.s_cells - s.Value.s_off in
+    let cap = Value.cap s in
     let lo = bound 0 lo in
     let hi = bound s.Value.s_len hi in
     if lo < 0 || hi > cap || lo > hi then
@@ -1111,12 +1168,13 @@ let reslice (base : Value.value) (lo : int option)
     Value.VNil
   | _ -> raise (Runtime_error "slice of unsupported value")
 
-(* [copy(dst, src)], with memmove semantics: every source element is read
+(* [copy(dst, src)], with memmove semantics: every source slot is read
    (and poison-checked) before the first write, so overlapping views of
-   one backing array copy correctly, like Go.  Each element is stored
-   into its destination in place ({!Value.store}); a struct read from the
+   one backing array copy correctly, like Go.  A struct element is its
+   fields' slots in a flat store.  Each slot is stored into its
+   destination in place ({!Value.store}); a nested struct read from the
    destination's own backing array is copied first, since a store into
-   an earlier destination element may be a store into it. *)
+   an earlier destination slot may be a store into it. *)
 let slice_copy st (vd : Value.value) (vs : Value.value) : int =
   match (vd, vs) with
   | Value.VIslice d, Value.VIslice s ->
@@ -1129,14 +1187,16 @@ let slice_copy st (vd : Value.value) (vs : Value.value) : int =
     n
   | Value.VSlice d, Value.VSlice s ->
     let n = min d.Value.s_len s.Value.s_len in
+    let w = max 1 s.Value.s_w in
     let overlap = d.Value.s_cells == s.Value.s_cells in
+    let src = Value.elem_slot s 0 and dst = Value.elem_slot d 0 in
     let snapshot =
-      Array.init n (fun i ->
-          let v = Value.read_elem s.Value.s_cells (s.Value.s_off + i) in
+      Array.init (n * w) (fun k ->
+          let v = Value.read_elem s.Value.s_cells (src + k) in
           if overlap then Value.copy v else v)
     in
-    for i = 0 to n - 1 do
-      Value.store d.Value.s_cells (d.Value.s_off + i) snapshot.(i)
+    for k = 0 to (n * w) - 1 do
+      Value.store d.Value.s_cells (dst + k) snapshot.(k)
     done;
     n
   | Value.VNil, _ | _, Value.VNil -> 0
@@ -1147,38 +1207,52 @@ let grown_cap old_cap new_len = max (max (2 * old_cap) new_len) 4
 
 (* [append] to a value-store slice of the [n] elements of [elems] from
    [off] (already assignment-copied).  Within capacity each is stored
-   into its slot in place ({!Value.store}), as Go writes the backing
-   array.  Growth copies the live elements into a fresh heap
-   array whose spare capacity holds [zero_of]'s zeros, as [make] fills a
-   store.  The moved elements are copied with [Value.copy], as
-   [slice_copy] does, so a struct element of the new store is not the
-   old store's. *)
+   into its slot in place ({!Value.store}, {!Value.store_struct} for a
+   struct element of a flat store), as Go writes the backing array.
+   Growth allocates one fresh heap store in the element zero's layout
+   ({!Value.make_store}'s), copies the live slots into it — a nested
+   struct field copied ({!Value.copy}), so the new store shares nothing
+   with the old — and fills the spare capacity with zero slots. *)
+let grow_values st fr ~site ~zero_of old old_slot old_len old_cap elems off n
+    =
+  let cap = grown_cap old_cap (old_len + n) in
+  alloc_slice st fr ~site ~growth:true
+    (Value.grown_store (zero_of ()) old old_slot old_len elems off n cap)
+    ~cap ~len:(old_len + n)
+
 let append_values st fr ~site ~zero_of (base : Value.value)
     (elems : Value.value array) off n : Value.value =
-  let old_len, old_off, old_cells =
-    match base with
-    | Value.VSlice s -> (s.Value.s_len, s.Value.s_off, s.Value.s_cells)
-    | Value.VNil -> (0, 0, [||])
-    | Value.VPoison -> raise (Value.Corruption "append to freed slice")
-    | _ -> raise (Runtime_error "append to non-slice")
-  in
-  let new_len = old_len + n in
   match base with
-  | Value.VSlice s when old_off + new_len <= Array.length old_cells ->
+  | Value.VSlice s when s.Value.s_len + n <= Value.cap s ->
     (* room within the view's capacity: write in place *)
     for j = 0 to n - 1 do
-      Value.store old_cells (old_off + old_len + j) elems.(off + j)
+      Value.set_elem s (s.Value.s_len + j) elems.(off + j)
     done;
-    Value.VSlice { s with Value.s_len = new_len }
+    Value.VSlice { s with Value.s_len = s.Value.s_len + n }
+  | Value.VSlice s ->
+    grow_values st fr ~site ~zero_of s.Value.s_cells (Value.elem_slot s 0)
+      s.Value.s_len (Value.cap s) elems off n
+  | Value.VNil -> grow_values st fr ~site ~zero_of [||] 0 0 0 elems off n
+  | Value.VPoison -> raise (Value.Corruption "append to freed slice")
+  | _ -> raise (Runtime_error "append to non-slice")
+
+(* [append(base, T{...})] of a struct literal whose [w] fields, already
+   assignment-copied, are [fields] from [off]: {!append_values} of that
+   struct, with the fields stored straight into their slots when the
+   element fits the capacity. *)
+let append_fields st fr ~site ~zero_of (base : Value.value)
+    (fields : Value.value array) off w : Value.value =
+  match base with
+  | Value.VSlice s when s.Value.s_w = w && s.Value.s_len < Value.cap s ->
+    let slot = Value.elem_slot s s.Value.s_len in
+    for j = 0 to w - 1 do
+      Value.store s.Value.s_cells (slot + j) fields.(off + j)
+    done;
+    Value.VSlice { s with Value.s_len = s.Value.s_len + 1 }
   | _ ->
-    let cap = grown_cap (Array.length old_cells - old_off) new_len in
-    let cells = Array.make cap Value.VNil in
-    for i = 0 to old_len - 1 do
-      cells.(i) <- Value.copy (Value.read_elem old_cells (old_off + i))
-    done;
-    Array.blit elems off cells old_len n;
-    Value.fill_zero cells new_len (zero_of ());
-    alloc_slice st fr ~site ~growth:true (Value.Cells cells) ~cap ~len:new_len
+    append_values st fr ~site ~zero_of base
+      [| Value.VStruct (Array.sub fields off w) |]
+      0 1
 
 (* [append] to an int slice, the elements unboxed; spare capacity holds
    zeros. *)
@@ -1348,14 +1422,25 @@ let rec eval st (e : Tast.expr) : Value.value =
     | Value.VNil -> zero ()  (* reading a nil map yields the zero value *)
     | _ -> raise (Runtime_error "not a map")
   end
-  | Tast.Tfield (a, idx, name) -> begin
-    let base =
-      match eval st a with
-      | Value.VPtr p -> Value.read_ptr p
-      | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
-      | v -> v
-    in
-    match base with
+  | Tast.Tfield ({ Tast.desc = Tast.Tindex (a, i); ty = Types.Struct _; _ }, idx, _)
+    ->
+    (* an element of a slice of structs: read in its flat store *)
+    let va = eval st a in
+    let vi = as_int (eval st i) in
+    index_field st.heap va vi idx
+  | Tast.Tfield
+      (({ Tast.desc = Tast.Tderef a; ty = Types.Struct _; _ } | a), idx, name)
+    -> begin
+    (* [( *p).f] reads through [p] like [p.f]: no copy of the pointee, so
+       a nested struct read here still aliases its storage *)
+    match eval st a with
+    | Value.VPtr p -> begin
+      match Value.read_ptr p with
+      | Value.VStruct fields -> Value.read_elem fields idx
+      | _ -> raise (Runtime_error ("field access ." ^ name ^ " on non-struct"))
+    end
+    | Value.VEptr e -> Value.read_elem e.Value.e_arr (e.Value.e_base + idx)
+    | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | Value.VStruct fields -> Value.read_elem fields idx
     | _ -> raise (Runtime_error ("field access ." ^ name ^ " on non-struct"))
   end
@@ -1383,14 +1468,15 @@ let rec eval st (e : Tast.expr) : Value.value =
     in
     pin st (cur_frame st) (Value.VPtr (Value.cell_ptr obj c))
   | Tast.Tslice_lit (site, elem, es) ->
+    let n = List.length es in
     let store =
       if elem = Types.Int then
         Value.Ints (Array.of_list (List.map (fun e -> as_int (eval st e)) es))
       else
-        Value.Cells
+        Value.grown_store (zero_of st elem ()) [||] 0 0
           (Array.of_list (List.map (fun e -> Value.copy (eval st e)) es))
+          0 n n
     in
-    let n = List.length es in
     alloc_slice st (cur_frame st) ~site ~growth:false store ~cap:n ~len:n
   | Tast.Tstruct_lit (_, es) ->
     Value.VStruct
@@ -1486,44 +1572,51 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
     let vi = as_int (eval st i) in
     addr_index va vi
   | Tast.Lmap _ -> raise (Runtime_error "cannot take address of map element")
+  | Tast.Lfield ({ Tast.desc = Tast.Tindex (a, i); ty = Types.Struct _; _ }, idx, _)
+    ->
+    (* a field of an element of a slice of structs: its slot *)
+    let va = eval st a in
+    let vi = as_int (eval st i) in
+    addr_index_field st.heap va vi idx
+  | Tast.Lfield
+      ((({ Tast.ty = Types.Ptr _; _ } as base) | { Tast.desc = Tast.Tderef base; _ }),
+        idx, _) -> begin
+    (* pointer base, or [( *p).f]: the field lives inside the pointee *)
+    match eval st base with
+    | Value.VPtr p -> begin
+      match Value.read_ptr p with
+      | Value.VStruct fields -> Value.field_ptr p.Value.p_owner fields idx
+      | _ -> raise (Runtime_error "field of non-struct")
+    end
+    | Value.VEptr e ->
+      Value.field_ptr e.Value.e_owner e.Value.e_arr (e.Value.e_base + idx)
+    | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
+    | _ -> raise (Runtime_error "field of non-pointer")
+  end
   | Tast.Lfield (base, idx, _) -> begin
+    (* struct-valued base: find its storage without copying *)
     let owner, fields =
-      match base.Tast.ty with
-      | Types.Ptr _ -> begin
-        (* pointer base: the field lives inside the pointee *)
-        match eval st base with
-        | Value.VPtr p -> begin
-          match Value.read_ptr p with
-          | Value.VStruct fields -> (p.Value.p_owner, fields)
-          | _ -> raise (Runtime_error "field of non-struct")
-        end
-        | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
-        | _ -> raise (Runtime_error "field of non-pointer")
+      match base.Tast.desc with
+      | Tast.Tvar v -> begin
+        let c, owner =
+          match lookup_binding st v with
+          | Bdirect c -> (c, Rt.Heap.no_obj)
+          | Bboxed (obj, c) -> (c, obj)
+          | Bunbound -> raise (Runtime_error "unbound variable")
+        in
+        match Value.read_cell c with
+        | Value.VStruct fields -> (owner, fields)
+        | _ -> raise (Runtime_error "field of non-struct")
       end
       | _ -> begin
-        (* struct-valued base: find its storage without copying *)
-        match base.Tast.desc with
-        | Tast.Tvar v -> begin
-          let c, owner =
-            match lookup_binding st v with
-            | Bdirect c -> (c, Rt.Heap.no_obj)
-            | Bboxed (obj, c) -> (c, obj)
-            | Bunbound -> raise (Runtime_error "unbound variable")
-          in
-          match Value.read_cell c with
-          | Value.VStruct fields -> (owner, fields)
-          | _ -> raise (Runtime_error "field of non-struct")
-        end
-        | _ -> begin
-          (* nested struct value (s.inner.f, a[i].f, …): evaluating the
-             base yields its field array itself, so the pointer still
-             aliases the storage.  The owner is conservatively the base's
-             owning object when it is an element/deref; for pure
-             temporaries there is no owner. *)
-          match eval st base with
-          | Value.VStruct fields -> (owner_of_struct_base st base, fields)
-          | _ -> raise (Runtime_error "field of non-struct")
-        end
+        (* nested struct value (s.inner.f, a[i].in.f, …): evaluating the
+           base yields its field array itself, so the pointer still
+           aliases the storage.  The owner is conservatively the base's
+           owning object when it is an element/deref; for pure
+           temporaries there is no owner. *)
+        match eval st base with
+        | Value.VStruct fields -> (owner_of_struct_base st base, fields)
+        | _ -> raise (Runtime_error "field of non-struct")
       end
     in
     Value.field_ptr owner fields idx

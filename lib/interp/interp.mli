@@ -117,8 +117,13 @@ type state = {
           sites); flushed into the telemetry registry by the runner *)
   mutable ic_misses : int;
   mutable yield_at : int;
+      (** the step count at which the safepoint fast path next gives way
+          to the slow path: the earlier of [next_yield] and the step the
+          attached sampler's next sample falls due *)
+  mutable next_yield : int;
       (** next step count at which to yield (advances by
           [config.yield_every]) *)
+  mutable sampled : int;  (** steps already added to the sampler's clock *)
   mutable dom : int;
       (** index of the domain currently executing this state's
           goroutine — the P whose mcache it allocates from *)
@@ -205,8 +210,8 @@ val push_frame : state -> int -> frame
     its statement pins. *)
 val pop_frame : state -> frame -> int -> unit
 
-(** Statement boundary: step accounting, pin reset, GC poll, sampler
-    poll, cooperative yield. *)
+(** Statement boundary: step accounting, pin reset, and the slow path
+    when a GC request, a yield or a sample falls due ([yield_at]). *)
 val safepoint : state -> unit
 
 (** The safepoint's slow path (budget check, GC — stop-the-world
@@ -331,13 +336,21 @@ val index_value : Rt.Heap.t -> Value.value -> int -> Value.value
 (** [a[i] = v]: bounds check, then the assignment ({!Value.store}). *)
 val store_index : Value.value -> int -> Value.value -> unit
 
-(** [&a[i]]. *)
+(** [&a[i]]: a slot pointer, or a flat store's struct element
+    ({!Value.eptr}). *)
 val addr_index : Value.value -> int -> Value.value
+
+(** [index_field heap a i f]: [a[i].f] of a slice of structs, read in
+    the element's slot of the flat store, with [a[i]]'s errors. *)
+val index_field : Rt.Heap.t -> Value.value -> int -> int -> Value.value
+
+(** [&a[i].f] of a slice of structs: a pointer to the field's slot. *)
+val addr_index_field : Rt.Heap.t -> Value.value -> int -> int -> Value.value
 
 (** [*p]. *)
 val deref : Rt.Heap.t -> Value.value -> Value.value
 
-(** [*p = v], an assignment ({!Value.store}). *)
+(** [*p = v], an assignment ({!Value.store}, {!Value.store_struct}). *)
 val store_deref : Value.value -> Value.value -> unit
 
 (** [len] of a slice, string, map or nil. *)
@@ -351,17 +364,32 @@ val capacity : Value.value -> int
 val reslice : Value.value -> int option -> int option -> Value.value
 
 (** [copy(dst, src)], returning the count copied.  Memmove semantics:
-    every source element is read (poison-checked) before the first write,
+    every source slot is read (poison-checked) before the first write,
     so overlapping views of one backing store copy correctly; each is
-    stored into its destination element in place ({!Value.store}). *)
+    stored into its destination slot in place ({!Value.store}). *)
 val slice_copy : state -> Value.value -> Value.value -> int
 
 (** [append_values st fr ~site ~zero_of base elems off n]: append the
     [n] already-evaluated, assignment-copied elements of [elems] from
     [off] to a value-store slice: stored into its backing array within
-    capacity ({!Value.store}), else into a fresh heap array whose
-    spare capacity holds the element's zeros ({!Value.fill_zero}). *)
+    capacity ({!Value.set_elem}), else into one fresh heap store whose
+    spare capacity holds zero slots ({!Value.grown_store}). *)
 val append_values :
+  state ->
+  frame ->
+  site:Tast.alloc_site ->
+  zero_of:(unit -> Value.value) ->
+  Value.value ->
+  Value.value array ->
+  int ->
+  int ->
+  Value.value
+
+(** [append_fields st fr ~site ~zero_of base fields off w]:
+    {!append_values} of one struct literal whose [w] assignment-copied
+    fields are [fields] from [off], stored straight into the element's
+    slots when it fits the capacity. *)
+val append_fields :
   state ->
   frame ->
   site:Tast.alloc_site ->

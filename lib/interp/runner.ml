@@ -105,7 +105,9 @@ let run_program ?(config = Interp.default_config)
       unwinding = None;
       ic_hits = 0;
       ic_misses = 0;
-      yield_at = config.Interp.yield_every;
+      yield_at = 1;
+      next_yield = config.Interp.yield_every;
+      sampled = 0;
       dom = 0;
       par;
     }

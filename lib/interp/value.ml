@@ -1,38 +1,51 @@
 (** Runtime values of MiniGo and their payload representation inside the
     simulated heap.
 
-    Mutable storage comes in two kinds, chosen by a slice's element type
-    alone.  A [[]int] backing store is a bare [int array] ({!VIslice}):
-    its elements are unboxed words that hold no address, Go's "noscan"
-    object, so the simulated mark ({!trace_payload}) never walks them,
-    the host GC finds nothing in them to follow or promote, and storing
-    an int into one allocates nothing.
-    Every other slice's backing store is a [value array] ({!slice})
-    holding its elements directly, a struct value is a [value array]
-    holding its fields directly (a nested struct field is a {!VStruct}
-    inside its parent's array), and a frame variable or heap box is a
-    {!cell}, a one-element array.  A pointer is an (owner object, array,
-    index) triple — {!ptr} into a value array, {!iptr} into an int store
-    — so [&s[i]], [&local], [&x.f], [new(T)] and [&T{}] all dereference
-    in one array access while the GC keeps the owning heap object alive.
+    Mutable storage comes in three layouts, chosen by a slice's element
+    type alone.  A [[]int] backing store is a bare [int array]
+    ({!VIslice}): its elements are unboxed words.  A slice of structs
+    with [w] fields is one flat [value array] with [w] slots per element
+    ({!slice} with [s_w = w]): element [i]'s fields sit at [w * i ..],
+    so growth is one allocation and a slot copy, and spare capacity
+    holds zero slots.  Any other slice's store is a [value array]
+    holding one element per slot ([s_w = 0]).  A struct value is a
+    [value array] holding its fields directly (a nested struct field is
+    a {!VStruct} inside its parent's array or slot), and a frame
+    variable or heap box is a {!cell}, a one-element array.
+
+    Whether the simulated mark walks a store is decided by the element
+    type at allocation: a type with no pointer, slice or map anywhere in
+    it — the types whose zero value holds no [VNil] — is Go's "noscan"
+    object ({!Pints}, {!Pnoscan}), which {!trace_payload} never walks
+    and poison mode still fills.
+
+    A pointer is an (owner object, array, slot) triple — {!ptr} into a
+    value array, {!iptr} into an int store — so [&s[i]], [&local],
+    [&x.f], [new(T)] and [&T{}] all dereference in one array access
+    while the GC keeps the owning heap object alive.  A pointer to a
+    struct element of a flat store is an {!eptr}, the element's first
+    slot and its width; a field pointer into a flat store is an ordinary
+    {!ptr} to the field's slot.
     A map's buckets are typed the same way, by its static key and value
     types ({!buckets}): int and bool keys and values as words of an
     [int array], string keys in a [string array], the rest as values.
 
     Struct values have Go's value semantics: a declaration, a parameter,
-    a result and a slice, map or literal element each hold their own
-    field array ({!copy}), and storing a whole struct into a location
-    that already holds one writes the fields into that location's array
-    ({!store}), so a field pointer taken before the store sees the new
-    fields.  Slice values are headers (backing-array object + store +
-    offset + length) copied freely while sharing the backing store.
-    Every reference holds its heap object's record ({!Heap.obj}), never
-    an address: nothing is looked up to reach an object, and a stale
-    reference to a freed object still names that object, not whatever
-    reuses its slot.  A pointer into a frame slot names {!Heap.no_obj}.
+    a result and a map or literal element each hold their own field
+    array ({!copy}), reading a flat store's element makes a fresh struct
+    ({!slice_elem}), and storing a whole struct into a location that
+    already holds one writes the fields into that location ({!store},
+    {!store_struct}), so a field pointer taken before the store sees the
+    new fields.  Slice values are headers (backing-array object + store
+    + width + offset + length) copied freely while sharing the backing
+    store.  Every reference holds its heap object's record
+    ({!Heap.obj}), never an address: nothing is looked up to reach an
+    object, and a stale reference to a freed object still names that
+    object, not whatever reuses its slot.  A pointer into a frame slot
+    names {!Heap.no_obj}.
 
-    Freed memory in poison mode (§6.8): a freed value store's elements
-    become [VPoison], the fields of a struct it held included; a freed
+    Freed memory in poison mode (§6.8): a freed value store's slots
+    become [VPoison], the fields of a nested struct included; a freed
     int store's become {!poison_int}, and a read that finds that sentinel
     is a read of freed memory exactly when the store's owner is freed
     ({!read_int}).
@@ -53,6 +66,7 @@ type value =
   | VNil
   | VPtr of ptr
   | VIptr of iptr  (** pointer to an element of an int store *)
+  | VEptr of eptr  (** pointer to a struct element of a flat store *)
   | VSlice of slice
   | VIslice of {
       i_obj : Heap.obj;  (** backing-array object *)
@@ -73,7 +87,14 @@ and ptr = {
           frame slot *)
   p_arr : value array;
       (** a cell, a slice backing store or a struct's fields *)
-  p_idx : int;  (** the element of [p_arr] pointed at *)
+  p_idx : int;  (** the slot of [p_arr] pointed at *)
+}
+
+and eptr = {
+  e_owner : Heap.obj;  (** the flat store's backing-array object *)
+  e_arr : value array;  (** the flat store *)
+  e_base : int;  (** the slot of the element's first field *)
+  e_w : int;  (** the element's field count *)
 }
 
 and iptr = {
@@ -84,9 +105,12 @@ and iptr = {
 
 and slice = {
   s_obj : Heap.obj;  (** backing-array object *)
-  s_cells : value array;  (** the shared backing store, one element each *)
-  s_off : int;  (** view offset into the backing array *)
-  s_len : int;  (** view length; capacity = Array.length s_cells − s_off *)
+  s_cells : value array;  (** the shared backing store *)
+  s_w : int;
+      (** 0: one element per slot; [w > 0]: struct elements of [w]
+          fields, [w] slots each *)
+  s_off : int;  (** view offset into the backing array, in elements *)
+  s_len : int;  (** view length, in elements; capacity: {!cap} *)
 }
 
 type map_data = {
@@ -136,7 +160,11 @@ type buckets = {
 (** Heap payloads carrying interpreter values. *)
 type Heap.payload +=
   | Pcells of value array
-      (** slice backing store, or a box (whose payload is its own cell) *)
+      (** a scanned slice backing store, or a box (whose payload is its
+          own cell) *)
+  | Pnoscan of value array
+      (** a value store whose element type holds no address: never
+          traced *)
   | Pints of int array  (** int-slice backing store: pointer-free *)
   | Pmap of map_data
   | Pbuckets of buckets
@@ -181,11 +209,6 @@ let read_elem (a : value array) i =
   | VPoison -> raise (Corruption "read of freed memory")
   | v -> v
 
-let read_ptr p =
-  match Array.unsafe_get p.p_arr p.p_idx with
-  | VPoison -> raise (Corruption "read of freed memory")
-  | v -> v
-
 (* ---- Int stores ----------------------------------------------------
 
    A freed int store (poison mode) holds [poison_int] in every element.
@@ -209,17 +232,13 @@ let read_int heap owner (a : int array) i =
 
 let read_iptr heap p = read_int heap p.ip_owner p.ip_ints p.ip_idx
 
-(** A fresh backing store, of the kind its element type selects: an int
-    store for [int] elements, else a value store. *)
-type store = Cells of value array | Ints of int array
-
 (** Deep-copy for assignment: a struct value gets its own field array,
     a nested struct its own too; everything else has reference or
     immutable semantics. *)
 let rec copy = function
   | VStruct fields -> VStruct (Array.map copy fields)
   | ( VUnit | VInt _ | VFloat _ | VBool _ | VStr _ | VNil | VPtr _ | VIptr _
-    | VSlice _ | VIslice _ | VMap _ | VTuple _ | VPoison ) as v ->
+    | VEptr _ | VSlice _ | VIslice _ | VMap _ | VTuple _ | VPoison ) as v ->
     v
 
 (** [store a i v]: Go's assignment [a[i] = v].  When the location holds
@@ -237,38 +256,140 @@ and store_fields dst src =
     store dst j (Array.unsafe_get src j)
   done
 
-(** Set [cells.(from) ..] to the zero [z]: a struct zero is mutable, so
-    each element gets its own copy; any other zero is immutable and
-    shared. *)
-let fill_zero cells from z =
+(* ---- Flat struct stores --------------------------------------------
+
+   A struct element of a flat store is the [w] slots from its first
+   field's.  Reading one whole makes a fresh struct, each field
+   poison-checked and copied, so nothing aliases the store; storing one
+   writes each field into its slot with {!store}, so a field pointer
+   into the element, a nested struct's included, sees the new value. *)
+
+let load_struct (a : value array) base w =
+  VStruct (Array.init w (fun j -> copy (read_elem a (base + j))))
+
+let store_struct (a : value array) base v =
+  match v with
+  | VStruct src ->
+    for j = 0 to Array.length src - 1 do
+      store a (base + j) (Array.unsafe_get src j)
+    done
+  | _ -> raise (Corruption "read of freed memory")
+
+let read_ptr p =
+  match Array.unsafe_get p.p_arr p.p_idx with
+  | VPoison -> raise (Corruption "read of freed memory")
+  | v -> v
+
+(** The slot of element [i] of a value slice: a struct element's first
+    field's in a flat store. *)
+let[@inline] elem_slot s i =
+  if s.s_w = 0 then s.s_off + i else (s.s_off + i) * s.s_w
+
+(** A value slice's capacity, in elements. *)
+let cap s =
+  (if s.s_w = 0 then Array.length s.s_cells
+   else Array.length s.s_cells / s.s_w)
+  - s.s_off
+
+(** Element [i] of a value slice, poison-checked: a struct element as a
+    fresh struct. *)
+let slice_elem s i =
+  if s.s_w = 0 then read_elem s.s_cells (s.s_off + i)
+  else load_struct s.s_cells (elem_slot s i) s.s_w
+
+(** A fresh backing store, in the layout its element type selects: an
+    int store for [int] elements; else the slots, the flat struct width
+    (0 for one element per slot) and whether the mark scans it. *)
+type store = Vals of value array * int * bool | Ints of int array
+
+(* Whether a zero value holds a [VNil]: exactly when its type has a
+   pointer, slice or map anywhere in it, the types whose zero is nil.
+   The zero value is a function of the static element type, so this is
+   the static type's verdict. *)
+let rec scanned = function
+  | VNil -> true
+  | VStruct fields -> Array.exists scanned fields
+  | _ -> false
+
+(* The flat width of an element whose zero is [z]: a struct's field
+   count; 0, one element per slot, for any other element and for a
+   struct with no fields, which holds nothing to flatten. *)
+let width = function VStruct fields -> Array.length fields | _ -> 0
+
+(* [fill_zero a w z from]: the elements of the [w]-wide store [a] from
+   element [from] on become the zero [z]: a struct's fields slot by slot,
+   a nested struct field a fresh copy each; any other zero is immutable
+   and shared. *)
+let fill_zero (a : value array) w z from =
   match z with
-  | VStruct _ ->
-    for i = from to Array.length cells - 1 do cells.(i) <- copy z done
+  | VStruct fields when w > 0 ->
+    for e = from to (Array.length a / w) - 1 do
+      for j = 0 to w - 1 do
+        Array.unsafe_set a ((e * w) + j) (copy (Array.unsafe_get fields j))
+      done
+    done
   | _ ->
-    if from < Array.length cells then
-      Array.fill cells from (Array.length cells - from) z
+    if from < Array.length a then Array.fill a from (Array.length a - from) z
+
+(** [grown_store z old old_slot old_len elems off n cap]: a fresh value
+    store of [cap] elements in the layout of the element zero [z]: the
+    [old_len] elements of [old] from slot [old_slot], each slot
+    poison-checked and copied, then the [n] fresh values of [elems] from
+    [off], which it takes over, then zero elements. *)
+let grown_store z (old : value array) old_slot old_len (elems : value array)
+    off n cap : store =
+  let w = width z in
+  let stride = max 1 w in
+  let a = Array.make (cap * stride) (if w = 0 then z else VUnit) in
+  for k = 0 to (old_len * stride) - 1 do
+    Array.unsafe_set a k (copy (read_elem old (old_slot + k)))
+  done;
+  for e = 0 to n - 1 do
+    let v = elems.(off + e) in
+    if w = 0 then Array.unsafe_set a (old_len + e) v
+    else
+      match v with
+      | VStruct fields ->
+        for j = 0 to w - 1 do
+          Array.unsafe_set a (((old_len + e) * w) + j) fields.(j)
+        done
+      | _ -> raise (Corruption "read of freed memory")
+  done;
+  if w > 0 then fill_zero a w z (old_len + n);
+  Vals (a, w, scanned z)
 
 (** A backing store of [n] zero values: an int store exactly when the
-    zero is [VInt 0], else a value store filled by {!fill_zero}. *)
+    zero is [VInt 0], else a value store in the zero's layout. *)
 let make_store n (zero_of : unit -> value) : store =
   match zero_of () with
   | VInt 0 -> Ints (Array.make n 0)
-  | z ->
-    let cells = Array.make n z in
-    fill_zero cells 1 z;
-    Cells cells
+  | VStruct fields as z when Array.length fields > 0 ->
+    grown_store z [||] 0 0 [||] 0 0 n
+  | z -> Vals (Array.make n z, 0, scanned z)
 
-let store_payload = function Cells a -> Pcells a | Ints a -> Pints a
+(** [set_elem s i v]: Go's [s[i] = v] in a value slice's store, [i] in
+    bounds: {!store} into its slot, or {!store_struct} into a flat
+    store's element. *)
+let set_elem s i v =
+  if s.s_w = 0 then store s.s_cells (s.s_off + i) v
+  else store_struct s.s_cells (elem_slot s i) v
+
+let store_payload = function
+  | Vals (a, _, true) -> Pcells a
+  | Vals (a, _, false) -> Pnoscan a
+  | Ints a -> Pints a
 
 (** The slice header over the first [len] elements of the store owned by
     [obj]. *)
 let slice_of obj store len =
   match store with
-  | Cells a -> VSlice { s_obj = obj; s_cells = a; s_off = 0; s_len = len }
+  | Vals (a, w, _) ->
+    VSlice { s_obj = obj; s_cells = a; s_w = w; s_off = 0; s_len = len }
   | Ints a -> VIslice { i_obj = obj; i_ints = a; i_off = 0; i_len = len }
 
 let owner_of = function
   | VPtr p -> p.p_owner
+  | VEptr e -> e.e_owner
   | VSlice s -> s.s_obj
   | _ -> Heap.no_obj
 
@@ -296,6 +417,7 @@ let rec trace (v : value) (k : Heap.obj -> unit) =
   | VStr _ | VUnit | VInt _ | VFloat _ | VBool _ | VNil | VPoison -> ()
   | VPtr p -> k p.p_owner
   | VIptr p -> k p.ip_owner
+  | VEptr e -> k e.e_owner
   | VSlice s -> k s.s_obj
   | VIslice s -> k s.i_obj
   | VMap o -> k o
@@ -305,16 +427,20 @@ let rec trace (v : value) (k : Heap.obj -> unit) =
     done
   | VTuple vs -> List.iter (fun v -> trace v k) vs
 
-(** Payload tracer registered with the heap.  An int store is Go's
-    noscan object: its elements hold no address, so it is not traced. *)
+(** Payload tracer registered with the heap.  An int store and a noscan
+    value store are Go's noscan objects: their elements hold no address,
+    so they are not traced.  Returns whether it walked the payload. *)
 let trace_payload (p : Heap.payload) (k : Heap.obj -> unit) =
   match p with
   | Pcells elems ->
     for i = 0 to Array.length elems - 1 do
       trace (Array.unsafe_get elems i) k
-    done
-  | Pmap md -> k md.md_buckets
-  | Pbuckets bk ->
+    done;
+    true
+  | Pmap md ->
+    k md.md_buckets;
+    true
+  | Pbuckets bk when bk.bk_wv > 0 ->
     (* the int and string columns hold no address *)
     let wv = bk.bk_wv in
     for b = 0 to Array.length bk.bk_v - 1 do
@@ -324,8 +450,9 @@ let trace_payload (p : Heap.payload) (k : Heap.obj -> unit) =
           trace v.(t) k
         done
       done
-    done
-  | _ -> ()
+    done;
+    true
+  | _ -> false
 
 (* Every element of [a] becomes [VPoison]; a struct element's fields
    first, so a pointer into them reads poison too. *)
@@ -344,7 +471,7 @@ let rec poison_elems (a : value array) =
     instead of silently yielding the old data. *)
 let poison_payload (p : Heap.payload) =
   match p with
-  | Pcells elems -> poison_elems elems
+  | Pcells elems | Pnoscan elems -> poison_elems elems
   | Pints ints -> Array.fill ints 0 (Array.length ints) poison_int
   | Pbuckets bk ->
     (* every bucket becomes one poisoned entry, whose hash no key has *)
@@ -753,12 +880,9 @@ let rec to_string ?heap = function
   | VBool b -> string_of_bool b
   | VStr s -> s
   | VNil -> "<nil>"
-  | VPtr _ | VIptr _ -> "<ptr>"
+  | VPtr _ | VIptr _ | VEptr _ -> "<ptr>"
   | VSlice s ->
-    let elems =
-      List.init s.s_len (fun i ->
-          to_string ?heap (read_elem s.s_cells (s.s_off + i)))
-    in
+    let elems = List.init s.s_len (fun i -> to_string ?heap (slice_elem s i)) in
     "[" ^ String.concat " " elems ^ "]"
   | VIslice s ->
     let elem i =

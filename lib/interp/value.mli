@@ -1,23 +1,29 @@
 (** Runtime values of MiniGo and their payload representation inside the
     simulated heap.
 
-    Mutable storage comes in two kinds, chosen by a slice's element type
-    alone.  A [[]int] backing store is a bare [int array] ({!VIslice}),
-    Go's pointer-free "noscan" object: the simulated mark does not trace
-    it and the host GC finds no pointer in it.  Every other slice's
-    backing store is a [value array] holding its elements directly; a
-    struct value is a [value array] holding its fields directly, a nested
-    struct as a {!VStruct} inside its parent's array; and a frame variable
-    or heap box is a {!cell}, a one-element array.  A pointer is an
-    (owner object, array, index) triple — {!ptr} into a value array, a
-    struct's fields included, {!iptr} into an int store — so the GC can
-    keep the owning heap object alive while the interpreter mutates
-    through the array directly.  Storing a whole struct into a location
-    that holds one writes into that struct's array ({!store}), so field
-    pointers taken before the store stay valid, as in Go.  A map's
-    buckets are typed the same way, by its static key and value types
-    ({!buckets}).  Every reference holds its heap object's record, never
-    an address to look up. *)
+    Mutable storage comes in three layouts, chosen by a slice's element
+    type alone.  A [[]int] backing store is a bare [int array]
+    ({!VIslice}).  A slice of structs with [w] fields is one flat [value
+    array] with [w] slots per element ([s_w = w]): growth is one
+    allocation and a slot copy, and spare capacity holds zero slots.
+    Every other slice's backing store is a [value array] holding one
+    element per slot ([s_w = 0]).  A struct value is a [value array]
+    holding its fields directly, a nested struct as a {!VStruct} inside
+    its parent's array or slot; a frame variable or heap box is a
+    {!cell}, a one-element array.  A store whose element type has no
+    pointer, slice or map anywhere in it is Go's pointer-free "noscan"
+    object ({!Pints}, {!Pnoscan}): the simulated mark does not trace it
+    and the host GC finds no simulated address in it.  A pointer is an
+    (owner object, array, slot) triple — {!ptr} into a value array, a
+    struct's fields included, {!eptr} to a struct element of a flat
+    store, {!iptr} into an int store — so the GC can keep the owning
+    heap object alive while the interpreter mutates through the array
+    directly.  Storing a whole
+    struct into a location that holds one writes into that location
+    ({!store}, {!store_struct}), so field pointers taken before the
+    store stay valid, as in Go.  A map's buckets are typed the same way,
+    by its static key and value types ({!buckets}).  Every reference
+    holds its heap object's record, never an address to look up. *)
 
 module Heap := Gofree_runtime.Heap
 
@@ -30,6 +36,7 @@ type value =
   | VNil
   | VPtr of ptr
   | VIptr of iptr  (** pointer to an element of an int store *)
+  | VEptr of eptr  (** pointer to a struct element of a flat store *)
   | VSlice of slice
   | VIslice of {
       i_obj : Heap.obj;  (** backing-array object *)
@@ -52,7 +59,14 @@ and ptr = {
           frame slot *)
   p_arr : value array;
       (** a cell, a slice backing store or a struct's fields *)
-  p_idx : int;  (** the element of [p_arr] pointed at *)
+  p_idx : int;  (** the slot of [p_arr] pointed at *)
+}
+
+and eptr = {
+  e_owner : Heap.obj;  (** the flat store's backing-array object *)
+  e_arr : value array;  (** the flat store *)
+  e_base : int;  (** the slot of the element's first field *)
+  e_w : int;  (** the element's field count *)
 }
 
 and iptr = {
@@ -63,9 +77,12 @@ and iptr = {
 
 and slice = {
   s_obj : Heap.obj;  (** backing-array object *)
-  s_cells : value array;  (** shared backing store, one element each *)
-  s_off : int;  (** view offset into the backing array *)
-  s_len : int;  (** view length; capacity = Array.length s_cells − s_off *)
+  s_cells : value array;  (** shared backing store *)
+  s_w : int;
+      (** 0: one element per slot; [w > 0]: struct elements of [w]
+          fields, [w] slots each *)
+  s_off : int;  (** view offset into the backing array, in elements *)
+  s_len : int;  (** view length, in elements; capacity: {!cap} *)
 }
 
 type map_data = {
@@ -108,7 +125,11 @@ type buckets = {
 
 type Heap.payload +=
   | Pcells of value array
-      (** slice backing store, or a box (whose payload is its own cell) *)
+      (** a scanned slice backing store, or a box (whose payload is its
+          own cell) *)
+  | Pnoscan of value array
+      (** a value store whose element type holds no address: never
+          traced, poisoned on free *)
   | Pints of int array  (** int-slice backing store: pointer-free *)
   | Pmap of map_data
   | Pbuckets of buckets
@@ -149,6 +170,27 @@ val read_elem : value array -> int -> value
 (** Read through a pointer; raises {!Corruption} on poison. *)
 val read_ptr : ptr -> value
 
+(** [load_struct a base w]: the struct whose [w] fields are the slots of
+    [a] from [base], as a fresh struct, each field poison-checked and
+    {!copy}'d. *)
+val load_struct : value array -> int -> int -> value
+
+(** [store_struct a base v]: write the fields of struct [v] into the
+    slots of [a] from [base] with {!store}, so pointers into them stay
+    valid. *)
+val store_struct : value array -> int -> value -> unit
+
+(** The slot of element [i] of a value slice: a struct element's first
+    field's in a flat store. *)
+val elem_slot : slice -> int -> int
+
+(** A value slice's capacity, in elements. *)
+val cap : slice -> int
+
+(** Element [i] of a value slice, poison-checked; a flat store's struct
+    element as a fresh struct. *)
+val slice_elem : slice -> int -> value
+
 (** {2 Int stores}
 
     Poison mode fills a freed int store with {!poison_int}.  Reading that
@@ -170,18 +212,31 @@ val check_int : Heap.t -> Heap.obj -> unit
 (** Read through an int pointer, poison-checked like {!read_int}. *)
 val read_iptr : Heap.t -> iptr -> int
 
-(** A fresh backing store. *)
-type store = Cells of value array | Ints of int array
+(** A fresh backing store: a value store's slots, its flat struct
+    width (0 for one element per slot) and whether the mark scans it;
+    or an int store. *)
+type store = Vals of value array * int * bool | Ints of int array
 
 (** [make_store n zero_of]: a backing store of [n] zero values, an int
-    store exactly when the zero is [VInt 0]; one fresh struct per element
-    when the zero is a struct. *)
+    store exactly when the zero is [VInt 0], flat when it is a struct
+    with fields, scanned exactly when the zero holds a [VNil] (its type
+    has a pointer, slice or map in it). *)
 val make_store : int -> (unit -> value) -> store
 
-(** [fill_zero cells from z]: set the elements of [cells] from [from] on
-    to the zero [z], a fresh copy each when [z] is a struct, else [z]
-    itself. *)
-val fill_zero : value array -> int -> value -> unit
+(** [grown_store z old old_slot old_len elems off n cap]: a fresh value
+    store of [cap] elements in the layout of the element zero [z]: the
+    [old_len] elements of [old] from slot [old_slot], each slot
+    poison-checked and {!copy}'d, then the [n] fresh values of [elems]
+    from [off], which it takes over, then zero elements (a struct's
+    fields slot by slot, a nested struct a fresh copy each). *)
+val grown_store :
+  value -> value array -> int -> int -> value array -> int -> int -> int ->
+  store
+
+(** [set_elem s i v]: Go's [s[i] = v] in a value slice's store, [i] in
+    bounds: {!store} into its slot, or {!store_struct} into a flat
+    store's element. *)
+val set_elem : slice -> int -> value -> unit
 
 val store_payload : store -> Heap.payload
 
@@ -209,9 +264,10 @@ val zero : Minigo.Types.env -> Minigo.Types.t -> value
 (** Objects referenced by a value (GC tracing). *)
 val trace : value -> (Heap.obj -> unit) -> unit
 
-(** Payload tracer registered with the heap; an int store is not
-    traced. *)
-val trace_payload : Heap.payload -> (Heap.obj -> unit) -> unit
+(** Payload tracer registered with the heap; false for a payload it
+    does not walk (a noscan store), which the GC's scan-work count
+    leaves out. *)
+val trace_payload : Heap.payload -> (Heap.obj -> unit) -> bool
 
 (** Poison-mode payload corruption: every owned element becomes
     [VPoison], the fields of a struct element included, or {!poison_int}

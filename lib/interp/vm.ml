@@ -57,12 +57,16 @@
     pointers), so pooling cannot change observable behaviour.
 
     Storage is {!Value}'s: a [[]int] element is an unboxed word of an
-    [int array] store, any other slice element sits directly in its
-    [value array] store, a struct field directly in its struct's [value
-    array], and a frame variable or heap box is a one-element cell, so a
-    load or store through a slot, an index, a field or a pointer is a
-    single array access.  Storing a whole struct writes its fields into
-    the struct the location holds ({!Value.store}).  An int travels between the int
+    [int array] store, a struct element's fields are [w] consecutive
+    slots of its flat store, any other slice element sits directly in
+    its [value array] store, a struct field directly in its struct's
+    [value array], and a frame variable or heap box is a one-element
+    cell, so a load or store through a slot, an index, a field or a
+    pointer is a single array access; [a[i].f] reads and addresses its
+    slot in place ([elem_field_v], [elem_field_i], [addr_elem_field] and
+    the [_sr] forms), and [append(s, T{...})] stores the literal's fields
+    straight into it ([append_fields]).  Storing a whole struct writes
+    its fields into the struct the location holds ({!Value.store}).  An int travels between the int
     operand stack and an int store with no box on either side
     ([index_i], [store_index_i], [append_i], [slice_lit_i]); a read that
     finds {!Value.poison_int} leaves the fast path for the poison check.
@@ -104,7 +108,9 @@
     as often, in the same order relative to its other effects, as the
     unfused sequence, and raises the same errors in the same order, so
     step counts, yield points, GC points and the sampler's clock do not
-    move.  In {!loop}, fused safepoints take one step guard,
+    move.  A sample falling due is one more reason for the step guard to
+    fail: it is folded into [yield_at], so the guard never tests for a
+    sampler.  In {!loop}, fused safepoints take one step guard,
     {!steps_only}, checked once up front for all the safepoints the
     instruction may count (three for a rotated back edge, which counts
     two when the test fails); when it fails, {!full} runs the unfused
@@ -163,10 +169,8 @@ let[@inline] vm_safepoint (r : regs) =
   st.steps <- steps;
   (* most statements pin nothing: skip the write barrier then *)
   if r.x_fr.temps != [] then r.x_fr.temps <- [];
-  let heap = st.heap in
   if
-    steps >= st.yield_at || heap.Rt.Heap.gc_requested
-    || heap.Rt.Heap.sampler != None
+    steps >= st.yield_at || st.heap.Rt.Heap.gc_requested
     || steps > st.config.max_steps
   then safepoint_slow r
 
@@ -186,7 +190,7 @@ let[@inline] pget (p : Value.ptr) =
   Array.unsafe_get p.Value.p_arr p.Value.p_idx
 
 (* Whether the next [n] statement safepoints would each only count
-   their step: no yield, GC request, sampler or step limit falls due
+   their step: no yield, sample, GC request or step limit falls due
    within them, and there are no pinned temps to clear.  The one step
    guard of {!loop}'s fused safepoints ([safepoint], [safepoints n],
    [loop_rinc] and the rotated back edges): when it holds they add
@@ -195,10 +199,8 @@ let[@inline] pget (p : Value.ptr) =
 let[@inline] steps_only (r : regs) n =
   let st = r.x_st in
   let steps = st.steps + n in
-  let heap = st.heap in
   not
-    (steps >= st.yield_at || heap.Rt.Heap.gc_requested
-    || heap.Rt.Heap.sampler != None
+    (steps >= st.yield_at || st.heap.Rt.Heap.gc_requested
     || steps > st.config.max_steps
     || r.x_fr.temps != [])
 
@@ -295,25 +297,37 @@ let[@inline] slot_value (r : regs) s nidx : Value.value =
     | v -> v)
   | Bunbound -> unbound_local r nidx
 
+(* Count a hit of field site [cidx] whose cached base shape is [shape]
+   (1 = struct value, 2 = pointer), or a miss that caches it. *)
+let field_site (r : regs) cidx shape =
+  let st = r.x_st in
+  let c = r.x_f.B.bf_caches.(cidx) in
+  if c.B.c_a = shape then st.ic_hits <- st.ic_hits + 1
+  else begin
+    st.ic_misses <- st.ic_misses + 1;
+    c.B.c_a <- shape
+  end
+
 (* Shared by the three field opcodes: base normalization (implicit
    pointer dereference), the struct-shape inline-cache bookkeeping, and
    the field read. *)
 let field_value (r : regs) (va : Value.value) fidx cidx nidx : Value.value =
-  let shape, base =
-    match va with
-    | Value.VPtr p -> (2, Value.read_ptr p)
-    | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
-    | v -> (1, v)
-  in
-  match base with
+  match va with
+  | Value.VPtr p -> (
+    match Value.read_ptr p with
+    | Value.VStruct fields ->
+      field_site r cidx 2;
+      Value.read_elem fields fidx
+    | _ ->
+      raise
+        (Runtime_error
+           ("field access ." ^ r.x_f.B.bf_names.(nidx) ^ " on non-struct")))
+  | Value.VEptr e ->
+    field_site r cidx 2;
+    Value.read_elem e.Value.e_arr (e.Value.e_base + fidx)
+  | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
   | Value.VStruct fields ->
-    let st = r.x_st in
-    let c = r.x_f.B.bf_caches.(cidx) in
-    if c.B.c_a = shape then st.ic_hits <- st.ic_hits + 1
-    else begin
-      st.ic_misses <- st.ic_misses + 1;
-      c.B.c_a <- shape
-    end;
+    field_site r cidx 1;
     Value.read_elem fields fidx
   | _ ->
     raise
@@ -342,14 +356,15 @@ let store_field_int (va : Value.value) fidx n =
     | Value.VPoison -> raise (Value.Corruption "read of freed memory")
     | _ -> raise (Runtime_error "field of non-struct")
   end
+  | Value.VEptr e -> e.Value.e_arr.(e.Value.e_base + fidx) <- Value.vint n
   | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
   | _ -> raise (Runtime_error "field of non-pointer")
 
 (* The fields of the struct that frame slot [s] points to, or [[||]]
-   when it holds anything else (a field form's [Bunbound], nil, poison
-   and struct-value shapes, all left to {!full}): the shape the fast
-   field forms of {!loop} read.  A struct the program reads a field of
-   has at least one. *)
+   when it holds anything else (a field form's [Bunbound], nil, poison,
+   struct-value and flat-store-element shapes, all left to {!full}): the
+   shape the fast field forms of {!loop} read.  A struct the program
+   reads a field of has at least one. *)
 let[@inline] ptr_fields (r : regs) s : Value.value array =
   match Array.unsafe_get r.x_slots s with
   | Bdirect c | Bboxed (_, c) -> begin
@@ -972,6 +987,51 @@ let rec loop (r : regs) pc sp_v sp_i =
           Array.unsafe_set stk_i sp_i n;
           loop r (pc + 5) sp_v (sp_i + 1)
         end
+      | _ -> full r pc sp_v sp_i
+    end
+    | Bunbound -> full r pc sp_v sp_i
+  end
+  | 190 (* elem_field_i_sr, an int field of a live flat store's element *)
+    -> begin
+    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
+    | Bdirect c | Bboxed (_, c) -> begin
+      let vi =
+        Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+      in
+      match cget c with
+      | Value.VSlice s when s.Value.s_w > 0 && vi >= 0 && vi < s.Value.s_len
+        -> begin
+        match
+          Array.unsafe_get s.Value.s_cells
+            (((s.Value.s_off + vi) * s.Value.s_w) + Array.unsafe_get code (pc + 5))
+        with
+        | Value.VInt n ->
+          Array.unsafe_set stk_i sp_i n;
+          loop r (pc + 6) sp_v (sp_i + 1)
+        | _ -> full r pc sp_v sp_i
+      end
+      | _ -> full r pc sp_v sp_i
+    end
+    | Bunbound -> full r pc sp_v sp_i
+  end
+  | 191 (* elem_field_v_sr, a field of a live flat store's element *) -> begin
+    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
+    | Bdirect c | Bboxed (_, c) -> begin
+      let vi =
+        Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
+      in
+      match cget c with
+      | Value.VSlice s when s.Value.s_w > 0 && vi >= 0 && vi < s.Value.s_len
+        -> begin
+        match
+          Array.unsafe_get s.Value.s_cells
+            (((s.Value.s_off + vi) * s.Value.s_w) + Array.unsafe_get code (pc + 5))
+        with
+        | Value.VPoison -> full r pc sp_v sp_i
+        | v ->
+          Array.unsafe_set r.x_stk_v sp_v v;
+          loop r (pc + 6) (sp_v + 1) sp_i
+      end
       | _ -> full r pc sp_v sp_i
     end
     | Bunbound -> full r pc sp_v sp_i
@@ -1631,11 +1691,12 @@ and full (r : regs) pc sp_v sp_i =
   | 83 (* slice_lit *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
+    let zero = r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 3)) () in
     Array.unsafe_set stk_v (sp_v - n)
       (alloc_slice r.x_st r.x_fr ~site ~growth:false
-         (Value.Cells (Array.sub stk_v (sp_v - n) n))
+         (Value.grown_store zero [||] 0 0 stk_v (sp_v - n) n n)
          ~cap:n ~len:n);
-    loop r (pc + 3) (sp_v - n + 1) sp_i
+    loop r (pc + 4) (sp_v - n + 1) sp_i
   | 84 (* struct_lit *) ->
     let n = Array.unsafe_get code (pc + 1) in
     Array.unsafe_set stk_v (sp_v - n)
@@ -1699,6 +1760,9 @@ and full (r : regs) pc sp_v sp_i =
           (Value.field_ptr p.Value.p_owner fields fidx)
       | _ -> raise (Runtime_error "field of non-struct")
     end
+    | Value.VEptr e ->
+      Array.unsafe_set stk_v (sp_v - 1)
+        (Value.field_ptr e.Value.e_owner e.Value.e_arr (e.Value.e_base + fidx))
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "field of non-pointer"));
     loop r (pc + 2) sp_v sp_i
@@ -1874,6 +1938,57 @@ and full (r : regs) pc sp_v sp_i =
      after the base, like [Interp.owner_of_struct_base].  The walker
      checks the base for a struct before the spine runs; the base's
      static type is a struct, so that error cannot fire in either. *)
+  | 187 (* elem_field_v *) ->
+    Array.unsafe_set stk_v (sp_v - 1)
+      (index_field r.x_st.heap
+         (Array.unsafe_get stk_v (sp_v - 1))
+         (Array.unsafe_get stk_i (sp_i - 1))
+         (Array.unsafe_get code (pc + 1)));
+    loop r (pc + 2) sp_v (sp_i - 1)
+  | 188 (* elem_field_i *) ->
+    Array.unsafe_set stk_i (sp_i - 1)
+      (as_int
+         (index_field r.x_st.heap
+            (Array.unsafe_get stk_v (sp_v - 1))
+            (Array.unsafe_get stk_i (sp_i - 1))
+            (Array.unsafe_get code (pc + 1))));
+    loop r (pc + 2) (sp_v - 1) sp_i
+  | 190 (* elem_field_i_sr = vload; rload; elem_field_i *) ->
+    let va =
+      slot_value r (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get code (pc + 2))
+    in
+    Array.unsafe_set stk_i sp_i
+      (as_int
+         (index_field r.x_st.heap va
+            (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
+            (Array.unsafe_get code (pc + 5))));
+    loop r (pc + 6) sp_v (sp_i + 1)
+  | 191 (* elem_field_v_sr = vload; rload; elem_field_v *) ->
+    let va =
+      slot_value r (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get code (pc + 2))
+    in
+    Array.unsafe_set stk_v sp_v
+      (index_field r.x_st.heap va
+         (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
+         (Array.unsafe_get code (pc + 5)));
+    loop r (pc + 6) (sp_v + 1) sp_i
+  | 192 (* append_fields *) ->
+    let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
+    let n = Array.unsafe_get code (pc + 2) in
+    let zero_of = r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 3)) in
+    let base = Array.unsafe_get stk_v (sp_v - n - 1) in
+    Array.unsafe_set stk_v (sp_v - n - 1)
+      (append_fields r.x_st r.x_fr ~site ~zero_of base stk_v (sp_v - n) n);
+    loop r (pc + 4) (sp_v - n) sp_i
+  | 189 (* addr_elem_field *) ->
+    Array.unsafe_set stk_v (sp_v - 1)
+      (addr_index_field r.x_st.heap
+         (Array.unsafe_get stk_v (sp_v - 1))
+         (Array.unsafe_get stk_i (sp_i - 1))
+         (Array.unsafe_get code (pc + 1)));
+    loop r (pc + 2) sp_v (sp_i - 1)
   | 137 (* addr_field_val *) ->
     (match Array.unsafe_get stk_v (sp_v - 2) with
     | Value.VStruct fields ->

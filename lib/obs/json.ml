@@ -13,20 +13,25 @@ type t =
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Whether [c] must be escaped in a JSON string. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
 
 (* Stdlib's [Float] is left unlinked (here, in [Registry] and in
@@ -71,8 +76,17 @@ let to_string j =
   to_buffer buf j;
   Buffer.contents buf
 
+(* Indentation, cut from one run of spaces rather than made per line. *)
+let spaces = String.make 64 ' '
+
+let rec pad buf n =
+  if n > 64 then begin
+    Buffer.add_string buf spaces;
+    pad buf (n - 64)
+  end
+  else Buffer.add_substring buf spaces 0 n
+
 let rec pretty_to_buffer buf indent (j : t) =
-  let pad n = Buffer.add_string buf (String.make n ' ') in
   match j with
   | List [] | Obj [] | Null | Bool _ | Int _ | Float _ | Str _ ->
     to_buffer buf j
@@ -81,24 +95,24 @@ let rec pretty_to_buffer buf indent (j : t) =
     List.iteri
       (fun i j ->
         if i > 0 then Buffer.add_string buf ",\n";
-        pad (indent + 2);
+        pad buf (indent + 2);
         pretty_to_buffer buf (indent + 2) j)
       js;
     Buffer.add_char buf '\n';
-    pad indent;
+    pad buf indent;
     Buffer.add_char buf ']'
   | Obj fields ->
     Buffer.add_string buf "{\n";
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string buf ",\n";
-        pad (indent + 2);
+        pad buf (indent + 2);
         add_escaped buf k;
         Buffer.add_string buf ": ";
         pretty_to_buffer buf (indent + 2) v)
       fields;
     Buffer.add_char buf '\n';
-    pad indent;
+    pad buf indent;
     Buffer.add_char buf '}'
 
 let to_string_pretty j =

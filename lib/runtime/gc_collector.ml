@@ -10,6 +10,12 @@
     A heap object's mark is its span slot's ({!Mspan.mark}); a stack
     object's is its record's [marked].
 
+    Scan work ([gc_scan_words]) is Go's pacer unit: the words of every
+    marked heap object whose payload the mark walks, the requested size
+    its slot records, rounded up.  A noscan object, whose
+    [Heap.trace_payload] walks nothing, is marked but costs none.  Stack
+    objects are frame storage, scanned with the roots, and not counted.
+
     Sweep: span by span, as Go sweeps.  It walks every in-use span —
     each processor's mcache spans, mcentral's partial and full lists and
     each processor's large-object spans — and frees every allocated slot
@@ -67,8 +73,13 @@ let mark (heap : Heap.t) =
     (* A dangling large span's contents are skipped by marking (fig. 9):
        its object is already freed, so it is never pushed; nothing to
        special-case. *)
-    heap.Heap.trace_payload obj.Heap.payload
-      (if Heap.is_stack_obj obj then push_from_stack else push_from_heap)
+    match obj.Heap.placement with
+    | Heap.On_heap (span, slot) ->
+      if heap.Heap.trace_payload obj.Heap.payload push_from_heap then
+        metrics.Metrics.gc_scan_words <-
+          metrics.Metrics.gc_scan_words + ((span.Mspan.sizes.(slot) + 7) / 8)
+    | Heap.On_stack ->
+      ignore (heap.Heap.trace_payload obj.Heap.payload push_from_stack : bool)
   done
 
 (* Poison mode: poison and bury the occupant of a slot being swept. *)
@@ -89,6 +100,7 @@ let poison_occupant (heap : Heap.t) (span : Mspan.t) slot =
 let sweep_span (heap : Heap.t) epoch (span : Mspan.t) =
   let metrics = heap.Heap.metrics in
   let poison = heap.Heap.config.Heap.poison_on_free in
+  metrics.Metrics.gc_spans_swept <- metrics.Metrics.gc_spans_swept + 1;
   let unmarked = ref (span.Mspan.allocated - span.Mspan.nmarked) in
   span.Mspan.nmarked <- 0;
   let bytes = ref 0 and slot = ref 0 in

@@ -108,7 +108,10 @@ type t = {
       (** remaining bytes of the simulated concurrent-mark window *)
   mutable dangling_spans : Mspan.t list;  (** fig. 9 step-1 output *)
   (* mutator hooks, registered by the interpreter *)
-  mutable trace_payload : payload -> (obj -> unit) -> unit;
+  mutable trace_payload : payload -> (obj -> unit) -> bool;
+      (** hand a payload's references to the continuation; false when it
+          walked nothing (a noscan payload): the mark counts the words
+          of the scanned objects it reaches *)
   mutable poison_payload : payload -> unit;
       (** poison mode: overwrite the payload's contents so any later read
           through a stale reference fails loudly (§6.8) *)
@@ -163,7 +166,7 @@ let create ?(config = default_config) ?(nprocs = 1) () =
     next_gc = config.min_heap;
     gc_window_left = 0;
     dangling_spans = [];
-    trace_payload = (fun _ _ -> ());
+    trace_payload = (fun _ _ -> false);
     poison_payload = (fun _ -> ());
     iter_roots = (fun _ -> ());
     gc_requested = false;

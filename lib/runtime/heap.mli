@@ -87,7 +87,10 @@ type t = {
   mutable next_gc : int;
   mutable gc_window_left : int;
   mutable dangling_spans : Mspan.t list;  (** fig. 9 step-1 output *)
-  mutable trace_payload : payload -> (obj -> unit) -> unit;
+  mutable trace_payload : payload -> (obj -> unit) -> bool;
+      (** hand a payload's references to the continuation; false when it
+          walked nothing (a noscan payload): the mark counts the words
+          of the scanned objects it reaches *)
   mutable poison_payload : payload -> unit;
   mutable iter_roots : (obj -> unit) -> unit;
   mutable gc_requested : bool;

@@ -58,6 +58,10 @@ type t = {
   (* GC work, in objects *)
   mutable gc_marked_objects : int;
   mutable gc_swept_objects : int;
+  mutable gc_scan_words : int;
+      (** words of the marked heap objects whose payload the mark walks:
+          Go's scan work, the pacer's unit *)
+  mutable gc_spans_swept : int;  (** in-use spans the sweep walked *)
 }
 
 let category_index = function Cat_slice -> 0 | Cat_map -> 1 | Cat_other -> 2
@@ -93,6 +97,8 @@ let create () =
     poison_reads = 0;
     gc_marked_objects = 0;
     gc_swept_objects = 0;
+    gc_scan_words = 0;
+    gc_spans_swept = 0;
   }
 
 let free_ratio m =
@@ -148,7 +154,9 @@ let merge_into ~(dst : t) (src : t) =
     dst.heap_to_stack_pointers + src.heap_to_stack_pointers;
   dst.poison_reads <- dst.poison_reads + src.poison_reads;
   dst.gc_marked_objects <- dst.gc_marked_objects + src.gc_marked_objects;
-  dst.gc_swept_objects <- dst.gc_swept_objects + src.gc_swept_objects
+  dst.gc_swept_objects <- dst.gc_swept_objects + src.gc_swept_objects;
+  dst.gc_scan_words <- dst.gc_scan_words + src.gc_scan_words;
+  dst.gc_spans_swept <- dst.gc_spans_swept + src.gc_spans_swept
 
 let merged (shards : t array) : t =
   let dst = create () in
@@ -253,6 +261,8 @@ let to_json (m : t) : Json.t =
       ("poison_reads", Json.Int m.poison_reads);
       ("gc_marked_objects", Json.Int m.gc_marked_objects);
       ("gc_swept_objects", Json.Int m.gc_swept_objects);
+      ("gc_scan_words", Json.Int m.gc_scan_words);
+      ("gc_spans_swept", Json.Int m.gc_spans_swept);
     ]
 
 (** Inverse of {!to_json}; raises {!Gofree_obs.Json.Parse_error} on shape
@@ -283,4 +293,6 @@ let of_json (j : Json.t) : t =
     poison_reads = Json.get_int "poison_reads" j;
     gc_marked_objects = Json.get_int "gc_marked_objects" j;
     gc_swept_objects = Json.get_int "gc_swept_objects" j;
+    gc_scan_words = Json.get_int "gc_scan_words" j;
+    gc_spans_swept = Json.get_int "gc_spans_swept" j;
   }

@@ -39,6 +39,10 @@ type t = {
   mutable poison_reads : int;
   mutable gc_marked_objects : int;
   mutable gc_swept_objects : int;
+  mutable gc_scan_words : int;
+      (** words of the marked heap objects whose payload the mark walks
+          (Go's scan work); deterministic at one domain *)
+  mutable gc_spans_swept : int;  (** in-use spans the sweep walked *)
 }
 
 val category_index : category -> int

@@ -2,7 +2,10 @@
     the heap counters into a bounded ring so long runs still dump a
     tractable time series (`--metrics-json` includes it).  The step
     clock is the sampler's own: one run-wide count of the safepoints
-    that reached it, across all goroutines and domains. *)
+    across all goroutines and domains.  The interpreter advances it in
+    bulk, by the steps a goroutine ran since it last did, and runs its
+    slow path at the step the next sample falls due ({!until_due}), so
+    the fast path never tests for a sampler. *)
 
 module Json = Gofree_obs.Json
 module Ring = Gofree_obs.Ring
@@ -21,7 +24,7 @@ type sample = {
    several mutators can reach a sampling safepoint concurrently, and
    [Ring.push] mutates head/length state that would corrupt under a
    race.  Uncontended at one domain.  [clock] is atomic for the same
-   reason, so every tick gets a distinct step. *)
+   reason, so every advance covers distinct steps. *)
 type t = {
   every : int;
   ring : sample Ring.t;
@@ -40,10 +43,12 @@ let create ?(capacity = 4096) ~every () =
 
 let every t = t.every
 
-let tick t = Atomic.fetch_and_add t.clock 1 + 1
+(** Add [n] safepoints to the clock; returns the clock after. *)
+let advance t n = Atomic.fetch_and_add t.clock n + n
 
-(** Should a snapshot be taken at interpreter step [step]? *)
-let due t ~step = step mod t.every = 0
+(** Safepoints until the clock next reaches a sample step (1 to
+    [every]). *)
+let until_due t = t.every - (Atomic.get t.clock mod t.every)
 
 let record t ~step ~span_bytes (m : Metrics.t) =
   let s =

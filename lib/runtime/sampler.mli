@@ -1,6 +1,6 @@
 (** Periodic metrics sampler: bounded time series of heap counters,
     snapshotted every N interpreter steps, counted on the sampler's own
-    run-wide clock ({!tick}). *)
+    run-wide clock ({!advance}). *)
 
 type sample = {
   sm_step : int;
@@ -21,13 +21,15 @@ val create : ?capacity:int -> every:int -> unit -> t
 
 val every : t -> int
 
-(** Advance the run-wide step clock by one and return the new step.
-    Safe from several domains at once: each tick gets a distinct
-    step. *)
-val tick : t -> int
+(** [advance t n]: add [n] safepoints to the run-wide step clock and
+    return the clock after.  Safe from several domains at once: each
+    advance covers distinct steps. *)
+val advance : t -> int -> int
 
-(** Should a snapshot be taken at interpreter step [step]? *)
-val due : t -> step:int -> bool
+(** Safepoints until the clock next reaches a sample step, from 1 to
+    [every]: the countdown the interpreter folds into the step at which
+    its safepoint fast path gives way. *)
+val until_due : t -> int
 
 val record : t -> step:int -> span_bytes:int -> Metrics.t -> unit
 

@@ -2019,9 +2019,122 @@ let struct_value_cases =
           [ 1; 512 ]);
   ]
 
+(* ---- struct slices --------------------------------------------------- *)
+
+(* A []struct's backing store is one flat array of field slots: element
+   and field pointers kept across an in-place append, growth that leaves
+   the old store as it was, whole-element stores through a pointer,
+   copy() and range by value, reslicing into spare capacity, nested
+   structs, scanned and noscan element types, and the fused field forms
+   of a pointer into a flat store.  The program and its output are
+   committed as test/golden/struct_slices.go and struct_slices.out. *)
+let struct_slice_cases =
+  let golden name = Test_disasm.read_file (Test_disasm.golden name) in
+  (* The fig-1 trap of the int-slice cases with a []P, whose store is
+     noscan: without back-propagation GoFree frees the alias [al], which
+     is [s2]'s store, at the inner scope's exit; [read] then reads [s2]
+     again. *)
+  let trap read =
+    Printf.sprintf
+      {|
+type P struct {
+  x    int
+  name string
+}
+
+var acc int
+func main() {
+  s2 := make([]P, 4+rand(2))
+  s2[0] = P{x: 77, name: "a"}
+  s2[1].x = 5000
+  p := &s2[1]
+  f := &s2[1].x
+  view := s2[1:3]
+  {
+    s1 := make([]P, 3+rand(2))
+    ps := &s1
+    *ps = s2
+    al := *ps
+    if len(al) > 0 { acc += al[0].x }
+  }
+  %s
+}
+|}
+      read
+  in
+  [
+    Alcotest.test_case "struct slices (golden)" `Quick (fun () ->
+        let name = "struct slices" in
+        let src = golden "struct_slices.go" in
+        let expected = golden "struct_slices.out" in
+        List.iter
+          (fun (ename, engine) ->
+            List.iter
+              (fun (mode, config, poison) ->
+                let r = run_mode ~engine ~config ~poison src in
+                Alcotest.(check string)
+                  (Printf.sprintf "%s: output (%s, %s)" name ename mode)
+                  expected r.Gofree_interp.Runner.output;
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: poison reads (%s, %s)" name ename mode)
+                  0 r.Gofree_interp.Runner.metrics.Rt.Metrics.poison_reads)
+              [ ("plain", Gofree_core.Config.gofree, false);
+                ("go", Gofree_core.Config.go, false);
+                ("poison", Gofree_core.Config.gofree, true) ])
+          engines;
+        check_fused ~name src
+          [ ("growth", "append_fields"); ("growth", "elem_field_i_sr");
+            ("pointers", "addr_elem_field"); ("spare", "elem_field_v");
+            ("fieldForms", "index_ff") ];
+        check_identical ~name src;
+        check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
+          src;
+        check_repeatable ~name src;
+        List.iter
+          (fun yield_every -> check_sampled_identical ~name ~yield_every src)
+          [ 1; 512 ]);
+    Alcotest.test_case "struct slices: stale reads after a wrong free" `Quick
+      (fun () ->
+        let unsound = Gofree_core.Config.unsound_no_backprop in
+        Alcotest.(check bool) "the unsound variant frees the alias" true
+          (List.exists
+             (fun (_, v, _) -> v = "al")
+             (Helpers.inserted_vars
+                (Helpers.compile ~config:unsound (trap "println(s2[0].x)"))));
+        List.iter
+          (fun (what, read) ->
+            let src = trap read in
+            List.iter
+              (fun (ename, engine) ->
+                (match run_mode ~engine ~config:unsound ~poison:true src with
+                | _ ->
+                  Alcotest.failf "%s (%s): the stale read went unnoticed" what
+                    ename
+                | exception Gofree_interp.Value.Corruption _ -> ());
+                match run_mode ~engine ~poison:true src with
+                | _ -> ()
+                | exception Gofree_interp.Value.Corruption msg ->
+                  Alcotest.failf "%s (%s): the sound analysis mis-freed: %s"
+                    what ename msg)
+              engines)
+          [
+            ("s[i].f", "println(s2[0].x)");
+            ("s[i]", "e := s2[0]\n  println(e.name)");
+            ("sub-slice", "println(view[0].x)");
+            ("&s[i]", "println(p.x)");
+            ("*(&s[i])", "q := *p\n  println(q.x)");
+            ("(*p).f", "println((*p).x)");
+            ("&s[i].f", "println(*f)");
+            ("println(s)", "println(s2)");
+            ("copy", "d := make([]P, 2)\n  copy(d, s2)\n  println(d[0].x)");
+            ("append growth", "s3 := append(s2, P{x: 1})\n  println(len(s3))");
+          ]);
+  ]
+
 let suite =
   workload_cases @ feature_cases @ storage_cases @ aliasing_cases
   @ struct_addr_cases @ call_cases @ range_order_cases @ concurrent_cases
   @ fused_cases @ register_param_cases @ yield_point_cases
   @ rotated_loop_cases @ int_slice_cases @ struct_value_cases
+  @ struct_slice_cases
   @ [ QCheck_alcotest.to_alcotest prop_random_identical ]

@@ -8,7 +8,11 @@ open Gofree_runtime
 type Heap.payload += Children of Heap.obj list ref
 
 let trace_children payload k =
-  match payload with Children l -> List.iter k !l | _ -> ()
+  match payload with
+  | Children l ->
+    List.iter k !l;
+    true
+  | _ -> false
 
 let make_heap ?config () =
   let heap = Heap.create ?config () in

@@ -801,6 +801,43 @@ func main() {
               Alcotest.failf "%s: %.2f host words per iteration, bound %.0f"
                 name w bound)
           cases);
+    Alcotest.test_case "noscan struct store adds no scan work" `Quick
+      (fun () ->
+        (* The mark reaches a []Pt store and a []Node store alike, but
+           walks only the one whose element type holds a pointer: the
+           first adds nothing to the scan-work count, the second its
+           words. *)
+        let open Gofree_interp.Value in
+        let module Rt = Gofree_runtime in
+        let module T = Minigo.Types in
+        let tenv = T.create_env () in
+        T.add_struct tenv "Pt" [ ("x", T.Int); ("name", T.String) ];
+        T.add_struct tenv "Node" [ ("v", T.Int); ("next", T.Ptr (T.Struct "Node")) ];
+        let heap = Rt.Heap.create () in
+        heap.Rt.Heap.trace_payload <- trace_payload;
+        let alloc name n =
+          let store = make_store n (fun () -> zero tenv (T.Struct name)) in
+          Rt.Heap.alloc_heap heap ~thread:0 ~category:Rt.Metrics.Cat_slice
+            ~size:(n * 24) ~payload:(store_payload store)
+        in
+        let m = heap.Rt.Heap.metrics in
+        let pts = alloc "Pt" 8 in
+        Alcotest.(check bool) "[]Pt is noscan" false
+          (trace_payload pts.Rt.Heap.payload ignore);
+        heap.Rt.Heap.iter_roots <- (fun k -> k pts);
+        Rt.Gc_collector.collect heap;
+        Alcotest.(check int) "[]Pt marked" 1 m.Rt.Metrics.gc_marked_objects;
+        Alcotest.(check int) "[]Pt adds no scan words" 0
+          m.Rt.Metrics.gc_scan_words;
+        let nodes = alloc "Node" 8 in
+        Alcotest.(check bool) "[]Node is scanned" true
+          (trace_payload nodes.Rt.Heap.payload ignore);
+        heap.Rt.Heap.iter_roots <- (fun k -> k pts; k nodes);
+        Rt.Gc_collector.collect heap;
+        Alcotest.(check int) "both marked" 3 m.Rt.Metrics.gc_marked_objects;
+        Alcotest.(check int) "[]Node's 192 bytes" 24 m.Rt.Metrics.gc_scan_words;
+        Alcotest.(check bool) "spans swept" true
+          (m.Rt.Metrics.gc_spans_swept > 0));
     Alcotest.test_case "poisoned slice store faults s[i] and &s[i]" `Quick
       (fun () ->
         let open Gofree_interp.Value in
@@ -820,16 +857,20 @@ func main() {
         (* a value store: freed elements become VPoison *)
         let store =
           match make_store 4 (fun () -> VStr "") with
-          | Cells a -> a
-          | Ints _ -> Alcotest.fail "a string zero makes a value store"
+          | Vals (a, 0, false) -> a
+          | _ -> Alcotest.fail "a string zero makes a noscan value store"
         in
         store.(2) <- VInt 7;
         let owner =
           Rt.Heap.alloc_heap heap ~thread:0 ~category:Rt.Metrics.Cat_slice
             ~size:32 ~payload:(Pcells store)
         in
-        let s = { s_obj = owner; s_cells = store; s_off = 1; s_len = 3 } in
-        let p = { p_owner = owner; p_arr = s.s_cells; p_idx = s.s_off + 1 } in
+        let s =
+          { s_obj = owner; s_cells = store; s_w = 0; s_off = 1; s_len = 3 }
+        in
+        let p =
+          { p_owner = owner; p_arr = s.s_cells; p_idx = s.s_off + 1 }
+        in
         Alcotest.(check bool)
           "s[1] before" true
           (read_elem s.s_cells 2 = VInt 7);
@@ -843,7 +884,7 @@ func main() {
         let ints =
           match make_store 4 (fun () -> VInt 0) with
           | Ints a -> a
-          | Cells _ -> Alcotest.fail "an int zero makes an int store"
+          | Vals _ -> Alcotest.fail "an int zero makes an int store"
         in
         let obj =
           Rt.Heap.alloc_heap heap ~thread:0 ~category:Rt.Metrics.Cat_slice
@@ -905,7 +946,7 @@ func main() {
         let store =
           match make_store 1000 (fun () -> zero_int) with
           | Ints a -> a
-          | Cells _ -> Alcotest.fail "make([]int, 1000) is not an int store"
+          | Vals _ -> Alcotest.fail "make([]int, 1000) is not an int store"
         in
         let words =
           Obj.reachable_words (Obj.repr store)
@@ -921,13 +962,13 @@ func main() {
         if words > 1001 then
           Alcotest.failf
             "make([]int, 1000) of large ints is %d words, want <= 1001" words;
-        (* make([]P, 2): each element is its own struct *)
+        (* make([]P, 2): one flat store, a slot per element's field *)
         Minigo.Types.add_struct tenv "P" [ ("x", Minigo.Types.Int) ];
         let ps = make_store 2 (fun () -> zero tenv (Minigo.Types.Struct "P")) in
         (match ps with
-        | Cells [| VStruct a; VStruct b |] ->
+        | Vals (([| VInt 0; VInt 0 |] as a), 1, false) ->
           a.(0) <- VInt 3;
-          Alcotest.(check bool) "s[1].x untouched" true (b.(0) = VInt 0)
+          Alcotest.(check bool) "s[1].x untouched" true (a.(1) = VInt 0)
         | _ -> Alcotest.fail "make([]P, 2) store"));
     Alcotest.test_case "struct values hold their fields inline" `Quick
       (fun () ->
@@ -944,10 +985,10 @@ func main() {
         let w = minor_words (fun () -> ignore (Sys.opaque_identity (V.copy p))) in
         if w > 6 then
           Alcotest.failf "copy of a 3-int-field struct: %d words, want <= 6" w;
-        (* append growth of a 64-element []P to capacity 128: the
-           129-word store, a 6-word copy per moved element and a 6-word
-           zero per spare slot come to 891 words; with a cell per field
-           the copies and zeros alone take 1524 *)
+        (* append growth of a 64-element []P to capacity 128: one flat
+           store of 3 slots per element (385 words) and the element zero
+           (6); a field array per element took 891 words, a cell per
+           field 1524 more *)
         let c = Helpers.compile "func main() {}\n" in
         let program = c.Gofree_core.Pipeline.c_program in
         let heap = Gofree_runtime.Heap.create () in
@@ -971,6 +1012,8 @@ func main() {
             ic_hits = 0;
             ic_misses = 0;
             yield_at = max_int;
+            next_yield = max_int;
+            sampled = 0;
             dom = 0;
             par = I.make_parctx ~nd:1 ~seed:0L;
           }
@@ -983,10 +1026,10 @@ func main() {
         in
         let full =
           match V.make_store 64 zero_p with
-          | V.Cells a ->
+          | V.Vals (a, 3, false) ->
             V.VSlice { V.s_obj = Gofree_runtime.Heap.no_obj; s_cells = a;
-                       s_off = 0; s_len = 64 }
-          | V.Ints _ -> Alcotest.fail "make([]P, 64) is an int store"
+                       s_w = 3; s_off = 0; s_len = 64 }
+          | _ -> Alcotest.fail "make([]P, 64) is a flat noscan store"
         in
         let elems = [| V.copy p |] in
         let grown = ref V.VNil in
@@ -996,9 +1039,9 @@ func main() {
                 I.append_values st fr ~site ~zero_of:zero_p full elems 0 1)
         in
         Alcotest.(check int) "capacity after growth" 128 (I.capacity !grown);
-        if w > 1200 then
+        if w > 400 then
           Alcotest.failf "append growth of a 64-element []P: %d words, want \
-                          <= 1200" w;
+                          <= 400" w;
         (* [x := P{...}] on the bytecode engine: the literal's field array
            and its VStruct box (6 words), the declaration's cell and
            binding (4); copying the fresh literal would add another 6 *)

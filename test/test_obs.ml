@@ -248,8 +248,14 @@ let test_ring_wraparound () =
 
 let test_sampler () =
   let s = Rt.Sampler.create ~capacity:3 ~every:5 () in
-  Alcotest.(check bool) "due at multiple" true (Rt.Sampler.due s ~step:10);
-  Alcotest.(check bool) "not due off-cadence" false (Rt.Sampler.due s ~step:7);
+  Alcotest.(check int) "fresh clock: a full period to go" 5
+    (Rt.Sampler.until_due s);
+  Alcotest.(check int) "advance returns the clock" 7 (Rt.Sampler.advance s 7);
+  Alcotest.(check int) "off-cadence: steps to the next multiple" 3
+    (Rt.Sampler.until_due s);
+  ignore (Rt.Sampler.advance s 3 : int);
+  Alcotest.(check int) "at a multiple: a full period again" 5
+    (Rt.Sampler.until_due s);
   let m = Rt.Metrics.create () in
   for step = 1 to 5 do
     m.Rt.Metrics.heap_live <- step * 100;

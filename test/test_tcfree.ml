@@ -113,6 +113,8 @@ let test_stale_map_header_under_poison () =
       ic_hits = 0;
       ic_misses = 0;
       yield_at = max_int;
+      next_yield = max_int;
+      sampled = 0;
       dom = 0;
       par = I.make_parctx ~nd:1 ~seed:0L;
     }
