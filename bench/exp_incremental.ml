@@ -10,10 +10,6 @@
     - {b unit-warm}: the same edit with the function-granular cache on —
       only the edited function's SCC unit re-solves.
 
-    Also the intra-package parallel scaling of the analysis (walkall is
-    the dominant pass): a wide one-package call DAG force-built with 1,
-    2 and 4 worker domains.
-
     Run with [dune exec bench/main.exe -- --only incremental]; the same
     measurements land in [BENCH_gofree.json] under ["incremental"]. *)
 
@@ -212,12 +208,8 @@ let measure_subject ~options sub =
         ("unit_warm_units_resolved", Json.Int unit_resolved);
       ] )
 
-(* ---------------------------------------------------------------- *)
-(* Intra-package parallel scaling                                    *)
-(* ---------------------------------------------------------------- *)
-
 (** [n] independent slice-heavy functions: one package whose call graph
-    is a wide DAG, so the unit scheduler can keep every worker busy. *)
+    is a wide DAG of [n + 1] units. *)
 let wide_src ?(stmts = 24) n =
   let b = Buffer.create (n * 600) in
   for i = 0 to n - 1 do
@@ -240,40 +232,6 @@ let wide_src ?(stmts = 24) n =
   Buffer.add_string b "\tprintln(total)\n}\n";
   Buffer.contents b
 
-let measure_parallel ~options () =
-  let nfuncs = 64 in
-  let root = make_tree [ ("main.go", wide_src nfuncs) ] in
-  let at_jobs jobs =
-    ignore (B.Driver.build ~jobs ~force:true root);
-    let samples = ref [] in
-    for _ = 1 to options.runs do
-      Gc.major ();
-      let t0 = Unix.gettimeofday () in
-      ignore (B.Driver.build ~jobs ~force:true root);
-      samples := ((Unix.gettimeofday () -. t0) *. 1000.0) :: !samples
-    done;
-    median_ms !samples
-  in
-  let per_jobs = List.map (fun j -> (j, at_jobs j)) [ 1; 2; 4 ] in
-  let base = List.assoc 1 per_jobs in
-  let cores = Domain.recommended_domain_count () in
-  List.iter
-    (fun (j, ms) ->
-      Printf.printf
-        "  walkall scaling: jobs %d  %8.2f ms  (%.2fx, %d core host)\n%!" j
-        ms (base /. ms) cores)
-    per_jobs;
-  Json.Obj
-    [
-      ("funcs", Json.Int nfuncs);
-      ("host_cores", Json.Int cores);
-      ( "force_build_ms_by_jobs",
-        Json.Obj
-          (List.map
-             (fun (j, ms) -> (string_of_int j, Json.Float ms))
-             per_jobs) );
-    ]
-
 (* ---------------------------------------------------------------- *)
 (* Entry points                                                      *)
 (* ---------------------------------------------------------------- *)
@@ -291,9 +249,7 @@ let measure ~options () : Json.t =
     @ [ multipkg_subject; wide64 ]
   in
   let rows = List.map (measure_subject ~options) subjects in
-  let parallel = measure_parallel ~options () in
-  Json.Obj
-    [ ("subjects", Json.Obj rows); ("parallel_walkall", parallel) ]
+  Json.Obj [ ("subjects", Json.Obj rows) ]
 
 let run ~options () =
   heading "Incremental rebuild latency (cold / package-warm / unit-warm)";

@@ -158,7 +158,7 @@ let run_build ~runs socket =
   in
   let request force =
     Rpc.Build
-      { dir = root; config = Gofree_api.Preset.(to_config default); force; jobs = 1;
+      { dir = root; config = Gofree_api.Preset.(to_config default); force;
         run = false; cache_dir = None;
         options = Gofree_api.default_run_options }
   in

@@ -192,11 +192,6 @@ let dir_arg =
          ~doc:"Root of a multi-package MiniGo tree: root files are \
                package main, each subdirectory is one package")
 
-let jobs_arg =
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ]
-         ~doc:"Analyze up to $(docv) independent packages in parallel \
-               (0 = pick from the machine)" ~docv:"N")
-
 let cache_arg =
   Arg.(value & opt (some string) None & info [ "cache-dir" ]
          ~doc:"Summary store location (default DIR/.gofree-cache)")
@@ -219,13 +214,13 @@ let build_cmd =
            ~doc:"Write per-package timing and cache statistics as JSON \
                  into $(docv)")
   in
-  let build dir config jobs cache_dir force run stats options metrics obs
+  let build dir config cache_dir force run stats options metrics obs
       stats_json =
     (* metrics only exist after execution *)
     let run = run || obs.metrics_json <> None in
     let options = with_effective_sampling obs options in
     start_trace obs;
-    let b = ok (Gofree_api.build_dir ~config ?cache_dir ~jobs ~force dir) in
+    let b = ok (Gofree_api.build_dir ~config ?cache_dir ~force dir) in
     let bstats = Gofree_api.build_stats b in
     if stats then Format.printf "%a@." Gofree_api.pp_build_stats bstats;
     (match stats_json with
@@ -247,10 +242,10 @@ let build_cmd =
   in
   Cmd.v
     (Cmd.info "build"
-       ~doc:"Compile a multi-package tree (incremental, parallel); link \
-             and optionally run it")
+       ~doc:"Compile a multi-package tree (incremental); link and \
+             optionally run it")
     Term.(
-      const build $ dir_arg $ config_term $ jobs_arg $ cache_arg
+      const build $ dir_arg $ config_term $ cache_arg
       $ force_flag $ run_flag $ stats_flag $ run_options_term
       $ metrics_flag $ obs_term $ stats_json_arg)
 
@@ -380,7 +375,7 @@ let client_cmd =
            ~doc:"telemetry: print the snapshot in Prometheus text \
                  exposition format instead of JSON")
   in
-  let client socket meth target config options explain run force jobs
+  let client socket meth target config options explain run force
       cache_dir requests concurrency raw prometheus =
     let module C = Gofree_server.Client in
     let print_response j =
@@ -472,7 +467,7 @@ let client_cmd =
           match target with
           | Some dir ->
             Gofree_server.Rpc.Build
-              { dir; config; force; jobs; run; cache_dir; options }
+              { dir; config; force; run; cache_dir; options }
           | None -> fail "build needs a DIR argument"
         end
         | Some "stats" -> Gofree_server.Rpc.Stats
@@ -504,7 +499,7 @@ let client_cmd =
        ~doc:"Send requests to a serving daemon and print the responses")
     Term.(
       const client $ socket_arg $ method_arg $ target_arg $ config_term
-      $ run_options_term $ explain_flag $ run_flag $ force_flag $ jobs_arg
+      $ run_options_term $ explain_flag $ run_flag $ force_flag
       $ cache_arg $ requests_arg $ concurrency_arg $ raw_flag
       $ prometheus_flag)
 

@@ -511,17 +511,15 @@ type unit_cache = Gofree_build.Driver.unit_cache
 
 (** Build the multi-package tree rooted at [dir] (incremental through
     the on-disk typed package records, summary store and
-    function-granular unit records, parallel analysis on [jobs]
-    domains).  [unit_cache]
-    defaults to the on-disk unit cache under the tree's cache
-    directory. *)
-let build_dir ?(config = Gofree_core.Config.gofree) ?cache_dir ?(jobs = 0)
+    function-granular unit records).  [unit_cache] defaults to the
+    on-disk unit cache under the tree's cache directory. *)
+let build_dir ?(config = Gofree_core.Config.gofree) ?cache_dir
     ?(force = false) ?unit_cache (dir : string) : (build, error) result =
   wrap_errors (fun () ->
       {
         bb_config = config;
         bb_result =
-          Gofree_build.Driver.build ~config ?cache_dir ~jobs ~force
+          Gofree_build.Driver.build ~config ?cache_dir ~force
             ?unit_cache dir;
       })
 

@@ -1,12 +1,11 @@
-(** Incremental, parallel multi-package build driver: a frontend that
+(** Incremental multi-package build driver: a frontend that
     parses and typechecks only the packages whose sources or imported
     interfaces changed (the rest come from typed records, relocated onto
     the build's id bases), per-package escape analysis against stored
     dependency summaries (§4.4), two-level content-hash caching of the
     analysis (package entries over function-granular unit records),
-    wave-parallel analysis on OCaml domains with in-package analysis
-    units fanned out to a shared worker pool, and linking into one
-    runnable {!Tast.program}. *)
+    packages analyzed one at a time in dependency-wave order, and
+    linking into one runnable {!Tast.program}. *)
 
 open Minigo
 module Core := Gofree_core
@@ -34,7 +33,6 @@ type stats = {
   bs_frontend_hits : int;  (** packages taken from their typed records *)
   bs_frontend_misses : int;  (** packages parsed and typechecked *)
   bs_corrupt : int;  (** corrupt cache records met (each one a miss) *)
-  bs_jobs : int;
   bs_total_ms : float;
 }
 
@@ -49,7 +47,8 @@ type result = {
 (** The function-granular cache the driver consults on package-level
     misses: a record by (package, unit content key), and wholesale
     replacement of a package's record set after its analysis.  Both
-    must be thread-safe (package schedulers run on parallel domains). *)
+    must be thread-safe (the daemon's builds share its resident unit
+    table across worker threads). *)
 type unit_cache = {
   uc_lookup : pkg:string -> key:string -> Store.unit_record option;
   uc_commit : pkg:string -> Store.unit_record list -> unit;
@@ -66,15 +65,14 @@ val no_unit_cache : unit_cache
 val disk_unit_cache : dir:string -> unit_cache
 
 (** Build the tree rooted at the directory.  [cache_dir] defaults to
-    [<root>/.gofree-cache]; [jobs = 0] picks a worker count from the
-    machine; [force] ignores all three cache levels (typed records,
-    package entries, unit records) while still refreshing them.  [unit_cache] defaults to {!disk_unit_cache} under
+    [<root>/.gofree-cache]; [force] ignores all three cache levels
+    (typed records, package entries, unit records) while still
+    refreshing them.  [unit_cache] defaults to {!disk_unit_cache} under
     [cache_dir].  Raises {!Error} or {!Loader.Error} on build
     problems. *)
 val build :
   ?config:Core.Config.t ->
   ?cache_dir:string ->
-  ?jobs:int ->
   ?force:bool ->
   ?unit_cache:unit_cache ->
   string ->

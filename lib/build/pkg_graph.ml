@@ -1,9 +1,8 @@
 (** The import graph: cycle detection and topological scheduling.
 
     [waves] computes Kahn levels — wave [i] holds every package whose
-    imports all live in waves [< i] — which is exactly the parallelism
-    structure of the build: packages within one wave are independent and
-    can be analyzed concurrently.  Import cycles are illegal (as in Go);
+    imports all live in waves [< i]; the build analyzes wave by wave,
+    and packages within one wave are independent.  Import cycles are illegal (as in Go);
     the offending cycle is reported by name. *)
 
 exception Cycle of string list

@@ -1,5 +1,5 @@
-(** Import-graph scheduling: Kahn levels for the parallel build, cycle
-    detection with a readable witness. *)
+(** Import-graph scheduling: Kahn levels (the build's dependency waves),
+    cycle detection with a readable witness. *)
 
 exception Cycle of string list
 

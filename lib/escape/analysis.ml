@@ -172,15 +172,12 @@ let mode_signature ?(field_sensitive = false) mode use_ipa backprop =
     unit is {e not} analyzed (no [func_result]s for its functions) and
     the summaries are installed for its dependents — callers are
     expected to replay the unit's recorded insertions/decisions
-    themselves.  [pool] runs independent ready units on worker domains;
-    the calling thread acts as the scheduler and is the only submitter
-    (workers never submit, so a full queue cannot deadlock).  Results
-    are deterministic and identical across sequential, parallel, cached
+    themselves.  Results are deterministic and identical across cached
     and uncached runs: in-SCC calls use default tags and a unit's
     summaries are published only after the whole unit, exactly as the
     monolithic solver did. *)
 let analyze ?(mode = Propagate.Gofree) ?(use_ipa = true) ?(backprop = true)
-    ?(field_sensitive = false) ?(imported = []) ?(config_sig = "") ?pool
+    ?(field_sensitive = false) ?(imported = []) ?(config_sig = "")
     ?unit_lookup (p : Tast.program) : t =
   let summaries = Hashtbl.create 16 in
   (* Seed the table with the stored tags of already-analyzed packages:
@@ -193,8 +190,6 @@ let analyze ?(mode = Propagate.Gofree) ?(use_ipa = true) ?(backprop = true)
       imported;
   let funcs = Hashtbl.create 16 in
   let cg = Callgraph.build p.Tast.p_funcs in
-  let nunits = Array.length cg.Callgraph.cg_units in
-  let reports = Array.make nunits None in
   let msig = mode_signature ~field_sensitive mode use_ipa backprop in
   (* Key of a unit; callable only once every dependency's summaries are
      published (deps precede the unit in reverse topological order). *)
@@ -206,10 +201,9 @@ let analyze ?(mode = Propagate.Gofree) ?(use_ipa = true) ?(backprop = true)
           Option.map Summary.to_string (Hashtbl.find_opt summaries name))
       u
   in
-  (* Analyze one unit against [tbl] (the summary view it may read).
-     Functions within one SCC see default tags for in-SCC calls (their
-     summaries are published only after the unit). *)
-  let solve_unit tbl (u : Callgraph.unit_def) =
+  (* Analyze one unit.  Functions within one SCC see default tags for
+     in-SCC calls (their summaries are published only after the unit). *)
+  let solve_unit (u : Callgraph.unit_def) =
     List.map
       (fun (f : Tast.func) ->
         let tid = Gofree_obs.Trace.domain_tid () in
@@ -218,7 +212,7 @@ let analyze ?(mode = Propagate.Gofree) ?(use_ipa = true) ?(backprop = true)
             ("build:" ^ f.Tast.f_name)
             (fun () ->
               Build.build_function ~field_mode:field_sensitive
-                ~tenv:p.Tast.p_tenv ~summaries:tbl f)
+                ~tenv:p.Tast.p_tenv ~summaries f)
         in
         (* completeness, outlived and points-to propagation run fused
            inside one walkall pass, so a single span covers them *)
@@ -266,96 +260,21 @@ let analyze ?(mode = Propagate.Gofree) ?(use_ipa = true) ?(backprop = true)
         true
     end
   in
-  let report (u : Callgraph.unit_def) key cached =
-    reports.(u.Callgraph.u_id) <-
-      Some
-        {
-          ur_id = u.Callgraph.u_id;
-          ur_funcs = Callgraph.unit_names u;
-          ur_key = key;
-          ur_cached = cached;
-        }
+  (* Bottom-up solve: byte-for-byte the monolithic order. *)
+  let units =
+    Array.to_list cg.Callgraph.cg_units
+    |> List.map (fun (u : Callgraph.unit_def) ->
+           let key = key_of u in
+           let cached = try_cache u key in
+           if not cached then install (solve_unit u);
+           {
+             ur_id = u.Callgraph.u_id;
+             ur_funcs = Callgraph.unit_names u;
+             ur_key = key;
+             ur_cached = cached;
+           })
   in
-  (match pool with
-  | None ->
-    (* Sequential bottom-up solve: byte-for-byte the monolithic order. *)
-    Array.iter
-      (fun u ->
-        let key = key_of u in
-        let cached = try_cache u key in
-        if not cached then install (solve_unit summaries u);
-        report u key cached)
-      cg.Callgraph.cg_units
-  | Some pool ->
-    (* Dependency-counting scheduler.  This thread owns [ready] and is
-       the only pool submitter; worker jobs publish results and wake it
-       via [cond].  Workers read a per-unit snapshot of the summary
-       table taken under the lock, never the live table. *)
-    let mutex = Mutex.create () in
-    let cond = Condition.create () in
-    let pending =
-      Array.map (fun u -> List.length u.Callgraph.u_deps) cg.Callgraph.cg_units
-    in
-    let failures = ref [] in
-    let ready = Queue.create () in
-    let completed = ref 0 in
-    Array.iter
-      (fun (u : Callgraph.unit_def) ->
-        if pending.(u.Callgraph.u_id) = 0 then
-          Queue.push u.Callgraph.u_id ready)
-      cg.Callgraph.cg_units;
-    (* with the lock held *)
-    let complete uid =
-      incr completed;
-      List.iter
-        (fun d ->
-          pending.(d) <- pending.(d) - 1;
-          if pending.(d) = 0 then Queue.push d ready)
-        cg.Callgraph.cg_units.(uid).Callgraph.u_dependents;
-      Condition.broadcast cond
-    in
-    Mutex.lock mutex;
-    while !completed < nunits do
-      if Queue.is_empty ready then Condition.wait cond mutex
-      else begin
-        let uid = Queue.pop ready in
-        let u = cg.Callgraph.cg_units.(uid) in
-        let key = key_of u in
-        let cached = try_cache u key in
-        report u key cached;
-        if cached then complete uid
-        else begin
-          let snapshot = Hashtbl.copy summaries in
-          Mutex.unlock mutex;
-          let job () =
-            let outcome =
-              try Ok (solve_unit snapshot u) with e -> Error e
-            in
-            Mutex.lock mutex;
-            (match outcome with
-            | Ok results -> install results
-            | Error e -> failures := e :: !failures);
-            complete uid;
-            Mutex.unlock mutex
-          in
-          (* [submit] only refuses while shutting down, which a build
-             never does mid-analysis; run inline rather than hang. *)
-          if not (Gofree_sched.Pool.submit pool job) then job ();
-          Mutex.lock mutex
-        end
-      end
-    done;
-    let failed = !failures in
-    Mutex.unlock mutex;
-    (match failed with e :: _ -> raise e | [] -> ()));
-  {
-    mode;
-    funcs;
-    summaries;
-    units =
-      Array.to_list reports
-      |> List.map (function Some r -> r | None -> assert false);
-  }
+  { mode; funcs; summaries; units }
 
 let func_result t name = Hashtbl.find_opt t.funcs name
 

@@ -59,10 +59,8 @@ val mode_signature :
     returning the unit's stored summaries skips its analysis (no
     [func_result]s for its functions — the caller replays the unit's
     recorded insertions/decisions) while the summaries are installed for
-    dependents.  [pool] solves independent ready units on worker
-    domains; the calling thread schedules and is the only submitter.
-    Results are deterministic and identical across sequential, parallel,
-    cached and uncached runs. *)
+    dependents.  Results are deterministic and identical across cached
+    and uncached runs. *)
 val analyze :
   ?mode:Propagate.mode ->
   ?use_ipa:bool ->
@@ -70,7 +68,6 @@ val analyze :
   ?field_sensitive:bool ->
   ?imported:Summary.t list ->
   ?config_sig:string ->
-  ?pool:Gofree_sched.Pool.t ->
   ?unit_lookup:(key:string -> funcs:string list -> Summary.t list option) ->
   Tast.program ->
   t

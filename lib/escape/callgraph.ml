@@ -4,12 +4,11 @@
     graph — the smallest group of functions the escape analysis must
     solve together (in-SCC calls see default tags either way, §4.4, so a
     unit's result depends only on its own bodies and the summaries of
-    the units it calls into).  Units carry everything a scheduler or a
-    cache needs:
+    the units it calls into).  Units carry everything the solver and
+    the cache need:
 
-    - a dependency DAG over units ([u_deps]/[u_dependents]), emitted in
-      reverse topological order (callees first), so ready units can be
-      solved in parallel and bottom-up;
+    - reverse topological order (callees first), so units are solved
+      bottom-up;
     - a content key ({!unit_key}): hash of the unit's pretty-printed
       bodies, the summary {e contents} of every out-of-unit callee, and
       the configuration signature.  Two analysis runs with equal keys
@@ -26,8 +25,6 @@ open Minigo
 type unit_def = {
   u_id : int;  (** index into the reverse-topological unit array *)
   u_funcs : Tast.func list;  (** the SCC, in Tarjan discovery order *)
-  u_deps : int list;  (** units this unit calls into; always [< u_id] *)
-  u_dependents : int list;  (** units calling into this one *)
   u_body_hash : string;  (** digest of the unit's pretty-printed bodies *)
   u_callees : string list;
       (** sorted distinct out-of-unit callee names, imported/external
@@ -145,10 +142,6 @@ let build (funcs : Tast.func list) : t =
                   (fun c -> not (in_unit c))
                   (List.concat_map callees_of comp))
            in
-           let deps =
-             List.sort_uniq compare
-               (List.filter_map (Hashtbl.find_opt cg_unit_of) callees)
-           in
            let body_hash =
              Digest.to_hex
                (Digest.string
@@ -158,24 +151,11 @@ let build (funcs : Tast.func list) : t =
            {
              u_id = i;
              u_funcs = comp;
-             u_deps = deps;
-             u_dependents = [];
              u_body_hash = body_hash;
              u_callees = callees;
            })
          components)
   in
-  Array.iter
-    (fun u ->
-      List.iter
-        (fun d ->
-          units.(d) <-
-            { (units.(d)) with u_dependents = u.u_id :: units.(d).u_dependents })
-        u.u_deps)
-    units;
-  Array.iteri
-    (fun i u -> units.(i) <- { u with u_dependents = List.rev u.u_dependents })
-    units;
   { cg_units = units; cg_unit_of }
 
 let unit_names (u : unit_def) : string list =

@@ -1,5 +1,5 @@
-(** Call-graph condensation into analysis units: SCCs with a dependency
-    DAG (reverse topological order, callees first) and content keys for
+(** Call-graph condensation into analysis units: SCCs in reverse
+    topological order (callees first) with content keys for
     function-granular caching.  Tarjan runs on an explicit stack, so
     pathologically deep call chains cannot overflow the OCaml stack. *)
 
@@ -8,8 +8,6 @@ open Minigo
 type unit_def = {
   u_id : int;  (** index into the reverse-topological unit array *)
   u_funcs : Tast.func list;  (** the SCC, in Tarjan discovery order *)
-  u_deps : int list;  (** units this unit calls into; always [< u_id] *)
-  u_dependents : int list;  (** units calling into this one *)
   u_body_hash : string;  (** digest of the unit's pretty-printed bodies *)
   u_callees : string list;
       (** sorted distinct out-of-unit callee names (imported/external

@@ -203,8 +203,9 @@ let stmt_mentions_members members (s : Tast.stmt) =
 
 (* A compiler temporary; the placeholder id is renumbered program-wide
    by {!assign_temp_ids}.  The name must be derived from the insertion
-   itself (never from a counter): instrumentation runs on parallel
-   worker domains and the names feed build fingerprints. *)
+   itself (never from a counter): the names feed build fingerprints,
+   which must not depend on the order functions are instrumented or
+   replayed in. *)
 let mk_temp ~name ~ty (block : Tast.block) (v : Tast.var) : Tast.var =
   {
     Tast.v_id = -1;

@@ -53,11 +53,11 @@ let parse_and_check (source : string) : Tast.program =
 
 (** Escape-analyze an already-typechecked program under [config] —
     the one place the configuration is lowered onto the analysis knobs
-    (mode, IPA, backprop, signature).  [pool] and [unit_lookup] thread
-    through to the analysis-unit scheduler: the build driver passes its
-    worker pool and function-granular cache here. *)
-let analyze_program ?(config = Config.gofree) ?(imported = []) ?pool
-    ?unit_lookup (program : Tast.program) : Gofree_escape.Analysis.t =
+    (mode, IPA, backprop, signature).  [unit_lookup] threads through
+    to the analysis-unit solver: the build driver passes its
+    function-granular cache here. *)
+let analyze_program ?(config = Config.gofree) ?(imported = []) ?unit_lookup
+    (program : Tast.program) : Gofree_escape.Analysis.t =
   let mode =
     if config.Config.insert_tcfree then Gofree_escape.Propagate.Gofree
     else Gofree_escape.Propagate.Go_base
@@ -75,7 +75,7 @@ let analyze_program ?(config = Config.gofree) ?(imported = []) ?pool
   phase "escape" (fun () ->
       Gofree_escape.Analysis.analyze ~mode ~use_ipa:config.Config.ipa
         ~backprop:config.Config.backprop ~field_sensitive ~imported
-        ~config_sig:(Config.signature config) ?pool ?unit_lookup program)
+        ~config_sig:(Config.signature config) ?unit_lookup program)
 
 (** Analyze and instrument an already-typechecked program.  [imported]
     seeds the analysis with stored summaries of other packages (separate

@@ -18,8 +18,7 @@ val parse_and_check : string -> Tast.program
 
 (** Escape-analyze an already-typechecked program, lowering [config]
     onto the analysis knobs (mode/IPA/backprop and the configuration
-    signature feeding the unit content keys).  [pool] runs independent
-    analysis units on worker domains; [unit_lookup] is the
+    signature feeding the unit content keys).  [unit_lookup] is the
     function-granular unit cache (see {!Gofree_escape.Analysis.analyze}).
     The build driver uses this entry point and instruments selectively
     (replaying cached units); {!compile_program} is this plus whole-
@@ -27,7 +26,6 @@ val parse_and_check : string -> Tast.program
 val analyze_program :
   ?config:Config.t ->
   ?imported:Gofree_escape.Summary.t list ->
-  ?pool:Gofree_sched.Pool.t ->
   ?unit_lookup:
     (key:string -> funcs:string list -> Gofree_escape.Summary.t list option) ->
   Tast.program ->

@@ -118,7 +118,6 @@ let request_of_event (cfg : config) (targets : target array)
         dir = Option.get cfg.build_dir;
         config;
         force = false;
-        jobs = 1;
         run = false;
         cache_dir = None;
         options = Gofree_api.default_run_options;

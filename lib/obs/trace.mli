@@ -4,8 +4,8 @@
     or chrome://tracing.
 
     The tracer is a process-wide singleton so every layer — compiler
-    pipeline, build driver (including its worker domains), runtime and
-    interpreter — writes into one stream.  When disabled (the default),
+    pipeline, build driver, runtime, interpreter and the daemon's worker
+    domains — writes into one stream.  When disabled (the default),
     every emit function is a single atomic load and branch: no allocation,
     no formatting.  Hot call sites that build argument lists should still
     guard with {!enabled} so the arguments are only constructed when a
@@ -40,7 +40,8 @@ val tid_main : int
 (** Track 1: the simulated runtime — GC cycles and tcfree activity. *)
 val tid_runtime : int
 
-(** Track of build worker domain [i] (10 + i). *)
+(** Track of worker domain [i] (10 + i); the daemon's pool worker [k]
+    is [i = 16 + k]. *)
 val tid_worker : int -> int
 
 (** Track of goroutine/fiber [gid] (100 + gid). *)
@@ -51,7 +52,7 @@ val tid_fiber : int -> int
 val tid_reader : int -> int
 
 (** The current domain's default track: {!tid_main} unless
-    {!set_domain_tid} was called on this domain (the build driver pins
+    {!set_domain_tid} was called on this domain (the daemon's pool pins
     each worker domain to its own track, so pipeline spans emitted inside
     a worker land on the worker's track). *)
 val domain_tid : unit -> int

@@ -3,16 +3,11 @@
     Jobs are held in per-{e key} FIFO queues drained {e round-robin}
     across the keys: the daemon keys submissions by client connection,
     so one client pipelining hundreds of requests cannot starve the
-    others — each rotation serves at most one job per key.  Submitters
-    that use plain {!submit} share one key, which degenerates to the
-    original single FIFO (the build driver's scheduler is unchanged).
+    others — each rotation serves at most one job per key.
 
-    Admission comes in two flavors:
-    - {!submit} blocks while the queue is at capacity — the passive
-      backpressure the build driver wants;
-    - {!try_submit} never blocks: past the given high-watermark it
-      returns [`Full] and the caller sheds the work explicitly (the
-      daemon's [overloaded] response).
+    Admission never blocks: past the given high-watermark {!try_submit}
+    returns [`Full] and the caller sheds the work explicitly (the
+    daemon's [overloaded] response).
 
     {!shutdown} stops intake, lets the workers finish every queued job
     (drain semantics — in-flight requests still get their responses)
@@ -27,12 +22,10 @@ type t = {
           re-enters at the back after yielding one job *)
   mutex : Mutex.t;
   not_empty : Condition.t;
-  not_full : Condition.t;
   capacity : int;
   mutable depth : int;  (** total queued jobs, across keys *)
   mutable max_depth : int;  (** high-watermark of [depth] over the pool's life *)
   mutable stopping : bool;
-  mutable in_flight : int;  (** jobs currently executing on a worker *)
   mutable workers : unit Domain.t array;
 }
 
@@ -65,8 +58,6 @@ let dequeue_locked (t : t) : job =
   job
 
 let worker (t : t) (index : int) () =
-  (* pool workers get their own trace tracks, clear of the build
-     driver's analysis workers (tid_worker 0..) *)
   Gofree_obs.Trace.set_domain_tid (Gofree_obs.Trace.tid_worker (16 + index));
   let rec loop () =
     Mutex.lock t.mutex;
@@ -79,13 +70,8 @@ let worker (t : t) (index : int) () =
     end
     else begin
       let job = dequeue_locked t in
-      t.in_flight <- t.in_flight + 1;
-      Condition.signal t.not_full;
       Mutex.unlock t.mutex;
       (try job () with _ -> ());
-      Mutex.lock t.mutex;
-      t.in_flight <- t.in_flight - 1;
-      Mutex.unlock t.mutex;
       loop ()
     end
   in
@@ -99,12 +85,10 @@ let create ?(workers = 0) ?(capacity = 64) () : t =
       rotation = Queue.create ();
       mutex = Mutex.create ();
       not_empty = Condition.create ();
-      not_full = Condition.create ();
       capacity = max 1 capacity;
       depth = 0;
       max_depth = 0;
       stopping = false;
-      in_flight = 0;
       workers = [||];
     }
   in
@@ -129,19 +113,6 @@ let max_queue_depth (t : t) : int =
   n
 
 let capacity (t : t) = t.capacity
-
-(** Enqueue [job] under [key] (default a shared key), blocking while the
-    queue is full.  [false] iff the pool is shutting down and the job
-    was not accepted. *)
-let submit ?(key = 0) (t : t) (job : job) : bool =
-  Mutex.lock t.mutex;
-  while t.depth >= t.capacity && not t.stopping do
-    Condition.wait t.not_full t.mutex
-  done;
-  let accepted = not t.stopping in
-  if accepted then enqueue_locked t ~key job;
-  Mutex.unlock t.mutex;
-  accepted
 
 (** Non-blocking admission: enqueue [job] under [key] unless the queue
     already holds [watermark] jobs (default: capacity) — then [`Full],
@@ -173,6 +144,5 @@ let shutdown (t : t) : unit =
   let already = t.stopping in
   t.stopping <- true;
   Condition.broadcast t.not_empty;
-  Condition.broadcast t.not_full;
   Mutex.unlock t.mutex;
   if not already then Array.iter Domain.join t.workers

@@ -1,18 +1,9 @@
 (** Bounded work queue feeding a fixed pool of worker [Domain]s.
 
-    One pool abstraction shared by the daemon (request execution), the
-    build driver (package analysis) and the in-package analysis-unit
-    scheduler.  Jobs live in per-{e key} FIFO queues drained round-robin
-    across keys, so a submitter keying by client gets per-client
-    fairness; plain {!submit} shares one key and behaves like a single
-    FIFO.  {!shutdown} drains every accepted job before joining the
-    workers.
-
-    Deadlock rule for nested use: a job running ON a pool worker must
-    never {!submit} to the same pool — with the queue full every worker
-    could block in [submit] and nobody would drain.  Schedulers that
-    feed the pool therefore run on their own thread and are the sole
-    submitters; worker jobs only signal them. *)
+    The daemon's request executor.  Jobs live in per-{e key} FIFO
+    queues drained round-robin across keys, so a submitter keying by
+    client gets per-client fairness.  {!shutdown} drains every accepted
+    job before joining the workers. *)
 
 type job = unit -> unit
 
@@ -34,16 +25,11 @@ val max_queue_depth : t -> int
 
 val capacity : t -> int
 
-(** Enqueue [job] under [key] (default: one shared key), blocking while
-    the queue is full.  [false] iff the pool is shutting down and the
-    job was not accepted.  Exceptions escaping a job are swallowed; jobs
-    must report their own errors. *)
-val submit : ?key:int -> t -> job -> bool
-
 (** Non-blocking admission control: enqueue under [key] unless the
     queue already holds [watermark] jobs (default: capacity), then
     [`Full] — the caller sheds the work explicitly instead of blocking.
-    [`Stopping] when the pool no longer accepts work. *)
+    [`Stopping] when the pool no longer accepts work.  Exceptions
+    escaping a job are swallowed; jobs must report their own errors. *)
 val try_submit :
   ?key:int -> ?watermark:int -> t -> job -> [ `Accepted | `Full | `Stopping ]
 

@@ -166,7 +166,7 @@ let unit_cache (t : t) ~(disk : Driver.unit_cache) : Driver.unit_cache =
 (** Build the tree at [dir], or return the resident linked result.
     [force] bypasses (and refreshes) both this cache and the on-disk
     summary store. *)
-let build (t : t) ~(config : Gofree_api.config) ?cache_dir ~jobs ~force
+let build (t : t) ~(config : Gofree_api.config) ?cache_dir ~force
     (dir : string) : (Gofree_api.build * bool, Gofree_api.error) result =
   match Gofree_api.tree_key ~config dir with
   | Error e -> Error e
@@ -182,7 +182,7 @@ let build (t : t) ~(config : Gofree_api.config) ?cache_dir ~jobs ~force
             | None -> Filename.concat dir ".gofree-cache")
       in
       match
-        Gofree_api.build_dir ~config ?cache_dir ~jobs ~force
+        Gofree_api.build_dir ~config ?cache_dir ~force
           ~unit_cache:(unit_cache t ~disk) dir
       with
       | Error e -> Error e

@@ -66,7 +66,6 @@ type request =
       dir : string;
       config : Gofree_api.config;
       force : bool;  (** also bypasses the daemon's resident cache *)
-      jobs : int;
       run : bool;
       cache_dir : string option;
       options : Gofree_api.run_options;
@@ -210,14 +209,13 @@ let request_of_json (j : Json.t) : incoming =
           explain = opt_bool ~default:false "explain" params;
         }
     | "build" ->
+      (* older clients send a "jobs" param; builds are serial and it is
+         ignored like any other unknown param *)
       Build
         {
           dir = req_string "dir" params;
           config = config_of_params params;
           force = opt_bool ~default:false "force" params;
-          (* default 1: build-internal analysis domains would multiply
-             with the daemon's own worker pool *)
-          jobs = opt_int ~default:1 "jobs" params;
           run = opt_bool ~default:false "run" params;
           cache_dir = opt_string "cache_dir" params;
           options = options_of_params params;
@@ -309,11 +307,10 @@ let request_to_json ?(id = Json.Null) ?deadline_ms (r : request) : Json.t =
     | Analyze { src; config; explain } ->
       src_fields src @ config_field config
       @ if explain then [ ("explain", Json.Bool true) ] else []
-    | Build { dir; config; force; jobs; run; cache_dir; options } ->
+    | Build { dir; config; force; run; cache_dir; options } ->
       [ ("dir", Json.Str dir) ]
       @ config_field config
       @ (if force then [ ("force", Json.Bool true) ] else [])
-      @ [ ("jobs", Json.Int jobs) ]
       @ (if run then [ ("run", Json.Bool true) ] else [])
       @ (match cache_dir with
         | Some d -> [ ("cache_dir", Json.Str d) ]

@@ -562,9 +562,9 @@ let handle (t : t) (r : Rpc.request) : (Json.t, string * string) result =
       | Ok o -> Ok (outcome_json ~cached o)
     end
   end
-  | Rpc.Build { dir; config; force; jobs; run; cache_dir; options } ->
+  | Rpc.Build { dir; config; force; run; cache_dir; options } ->
   begin
-    match Cache.build t.cache ~config ?cache_dir ~jobs ~force dir with
+    match Cache.build t.cache ~config ?cache_dir ~force dir with
     | Error e -> Error (api e)
     | Ok (b, resident) -> begin
       let packages, store_hits = Gofree_api.build_cache_counts b in

@@ -8,7 +8,7 @@ type P struct {
   tag string
 }
 
-var done map[int]int
+var done []int
 
 // make, a literal and append growth, with negative ints and ints
 // outside the small-int range
@@ -124,7 +124,8 @@ func nested() {
   println("map", m["a"], m["b"], len(m["missing"]))
 }
 
-// a []int handed to goroutines: each fills its own part
+// a []int handed to goroutines: each fills its own part and sets only
+// its own done slot
 func fill(part []int, id int) {
   for i := 0; i < len(part); i++ {
     part[i] = id*10000 + i*1031
@@ -133,7 +134,7 @@ func fill(part []int, id int) {
 }
 
 func workers() {
-  done = make(map[int]int)
+  done = make([]int, 3)
   data := make([]int, 12)
   for g := 0; g < 3; g++ {
     go fill(data[g*4:g*4+4], g)
@@ -141,6 +142,16 @@ func workers() {
   spin := 0
   for k := 0; k < 3000; k++ {
     spin += k % 7
+  }
+  // then wait for every worker: each slot is non-zero once it is done
+  waiting := true
+  for waiting {
+    waiting = false
+    for i := 0; i < 3; i++ {
+      if done[i] == 0 {
+        waiting = true
+      }
+    }
   }
   println("workers", spin, data, done[0], done[1], done[2])
 }

@@ -350,15 +350,6 @@ let test_equivalence_with_single_file () =
     "frees actually happened" true
     (mm.Gofree_runtime.Metrics.freed_bytes > 0)
 
-let test_parallel_matches_sequential () =
-  let root = make_tree tree_files in
-  let seq = B.Driver.build ~jobs:1 ~force:true root in
-  let par = B.Driver.build ~jobs:4 ~force:true root in
-  Alcotest.(check (list triple3))
-    "same insertions with domains"
-    (inserted_triples seq.B.Driver.b_inserted)
-    (inserted_triples par.B.Driver.b_inserted)
-
 (* ---------------------------------------------------------------- *)
 (* Incrementality: warm cache, replay, transitive invalidation       *)
 (* ---------------------------------------------------------------- *)
@@ -659,8 +650,6 @@ let suite =
       test_unknown_package_rejected;
     Alcotest.test_case "multi-package == single-file insertions" `Quick
       test_equivalence_with_single_file;
-    Alcotest.test_case "parallel build matches sequential" `Quick
-      test_parallel_matches_sequential;
     Alcotest.test_case "warm cache skips analysis" `Quick
       test_warm_cache_skips_analysis;
     Alcotest.test_case "change invalidates transitively" `Quick

@@ -219,13 +219,13 @@ let unit_counts (r : B.Driver.result) =
     compare against a from-scratch cold build of the edited tree: the
     results must be byte-identical and only the edited function's unit
     re-solved ([exp_hits] units replayed from the cache). *)
-let check_one_edit ?(jobs = 0) ?unit_cache ~rel ~fname ~exp_hits
+let check_one_edit ?unit_cache ~rel ~fname ~exp_hits
     ~exp_misses () =
   let root = make_tree tree_files in
   ignore (B.Driver.build root);
   let edited = copy_edit tree_files rel fname in
   write_file (Filename.concat root rel) (List.assoc rel edited);
-  let warm = B.Driver.build ~jobs ?unit_cache root in
+  let warm = B.Driver.build ?unit_cache root in
   let cold = B.Driver.build (make_tree edited) in
   Alcotest.(check string)
     (fname ^ ": warm rebuild byte-identical to cold")
@@ -255,11 +255,56 @@ let test_every_function_edit () =
       check_one_edit ~rel ~fname ~exp_hits ~exp_misses:1 ())
     edit_cases
 
-let test_parallel_warm_rebuild () =
-  (* the pooled scheduler takes the same cache hits and produces the
-     same bytes *)
-  check_one_edit ~jobs:4 ~rel:"util/util.go" ~fname:"Sum" ~exp_hits:6
-    ~exp_misses:1 ()
+(* The build's trace, which perfbench's layer split reads: one
+   [wave N] span per dependency wave, on the main track.  A cold build
+   nests one [analyze:<pkg>] span per package; a warm one analyzes
+   nothing and marks every package a cache hit. *)
+let test_build_trace_spans () =
+  let module Json = Gofree_obs.Json in
+  let module Trace = Gofree_obs.Trace in
+  let root = make_tree tree_files in
+  let traced () =
+    Trace.start ();
+    let r = B.Driver.build root in
+    let events = Json.get_list "traceEvents" (Json.parse (Trace.stop ())) in
+    (r.B.Driver.b_stats, events)
+  in
+  let named ph prefix events =
+    List.filter_map
+      (fun e ->
+        let name = Json.get_string "name" e in
+        if Json.get_string "ph" e = ph && String.starts_with ~prefix name
+        then Some name
+        else None)
+      events
+  in
+  let check_build label (st : B.Driver.stats) events ~analyzed =
+    let pkgs = st.B.Driver.bs_pkgs in
+    let nwaves =
+      1 + List.fold_left (fun m r -> max m r.B.Driver.pr_wave) 0 pkgs
+    in
+    Alcotest.(check (list string)) (label ^ ": one span per wave")
+      (List.init nwaves (Printf.sprintf "wave %d"))
+      (named "B" "wave " events);
+    Alcotest.(check (list string)) (label ^ ": analyze spans")
+      (if analyzed then List.map (fun r -> "analyze:" ^ r.B.Driver.pr_name) pkgs
+       else [])
+      (named "B" "analyze:" events);
+    Alcotest.(check int) (label ^ ": cache hit instants")
+      (if analyzed then 0 else List.length pkgs)
+      (List.length (named "i" "cache hit" events));
+    List.iter
+      (fun e ->
+        if Json.get_string "ph" e <> "M" then
+          Alcotest.(check int)
+            (label ^ ": " ^ Json.get_string "name" e ^ " on the main track")
+            Trace.tid_main (Json.get_int "tid" e))
+      events
+  in
+  let cold, cold_events = traced () in
+  check_build "cold" cold cold_events ~analyzed:true;
+  let warm, warm_events = traced () in
+  check_build "warm" warm warm_events ~analyzed:false
 
 let test_no_unit_cache_fallback () =
   (* with unit caching disabled the same edit degrades to package-level
@@ -359,11 +404,13 @@ let test_deep_chain_condenses () =
   Array.iter
     (fun u ->
       List.iter
-        (fun d ->
-          if d >= u.E.Callgraph.u_id then
+        (fun c ->
+          match Hashtbl.find_opt cg.E.Callgraph.cg_unit_of c with
+          | Some d when d >= u.E.Callgraph.u_id ->
             Alcotest.failf "unit %d depends forward on %d"
-              u.E.Callgraph.u_id d)
-        u.E.Callgraph.u_deps)
+              u.E.Callgraph.u_id d
+          | _ -> ())
+        u.E.Callgraph.u_callees)
     cg.E.Callgraph.cg_units;
   (* reverse topological: the leaf first, main last *)
   Alcotest.(check int) "leaf is unit 0" 0
@@ -382,25 +429,24 @@ let test_deep_cycle_is_one_unit () =
   Alcotest.(check int) "the SCC holds every function" n
     (List.length cg.E.Callgraph.cg_units.(0).E.Callgraph.u_funcs)
 
-let test_deep_chain_pooled_analysis () =
-  (* the dependency scheduler walks a 2k-deep unit chain with worker
-     domains and reproduces the sequential summaries exactly *)
-  let tp = Typecheck.check (Parser.parse (chain_src 2_000)) in
-  let seq = E.Analysis.analyze tp in
-  let pool = Gofree_sched.Pool.create ~workers:4 () in
-  let par =
-    Fun.protect
-      ~finally:(fun () -> Gofree_sched.Pool.shutdown pool)
-      (fun () -> E.Analysis.analyze ~pool tp)
-  in
-  let dump (a : E.Analysis.t) =
-    Hashtbl.fold
-      (fun name s acc -> (name, E.Summary.to_string s) :: acc)
-      a.E.Analysis.summaries []
-    |> List.sort compare
-  in
-  Alcotest.(check (list (pair string string)))
-    "pooled summaries == sequential" (dump seq) (dump par)
+let test_deep_chain_analysis () =
+  (* the solver walks a 2k-deep unit chain bottom-up: one unit and one
+     summary per function, the leaf solved first *)
+  let n = 2_000 in
+  let tp = Typecheck.check (Parser.parse (chain_src n)) in
+  let a = E.Analysis.analyze tp in
+  Alcotest.(check (list int)) "one unit per function, in solve order"
+    (List.init (n + 1) Fun.id)
+    (List.map (fun ur -> ur.E.Analysis.ur_id) a.E.Analysis.units);
+  Alcotest.(check (list string)) "leaf solved first"
+    [ Printf.sprintf "f%d" (n - 1) ]
+    (List.hd a.E.Analysis.units).E.Analysis.ur_funcs;
+  Alcotest.(check (list string)) "one summary per function"
+    (List.sort compare
+       (List.map (fun (f : Tast.func) -> f.Tast.f_name) tp.Tast.p_funcs))
+    (List.sort compare
+       (Hashtbl.fold (fun name _ acc -> name :: acc) a.E.Analysis.summaries
+          []))
 
 (* ---------------------------------------------------------------- *)
 (* Unit-record store round-trips                                     *)
@@ -967,8 +1013,8 @@ let suite =
   [
     Alcotest.test_case "every function edit re-solves one unit" `Quick
       test_every_function_edit;
-    Alcotest.test_case "parallel warm rebuild identical" `Quick
-      test_parallel_warm_rebuild;
+    Alcotest.test_case "build trace: wave and analyze spans" `Quick
+      test_build_trace_spans;
     Alcotest.test_case "package-level fallback without unit cache" `Quick
       test_no_unit_cache_fallback;
     Alcotest.test_case "formatting-only edit replays every unit" `Quick
@@ -979,8 +1025,8 @@ let suite =
       test_deep_chain_condenses;
     Alcotest.test_case "10k cycle is one unit" `Quick
       test_deep_cycle_is_one_unit;
-    Alcotest.test_case "deep chain: pooled analysis == sequential" `Quick
-      test_deep_chain_pooled_analysis;
+    Alcotest.test_case "deep chain: one summary per function" `Quick
+      test_deep_chain_analysis;
     Alcotest.test_case "unit store round-trip" `Quick
       test_unit_store_roundtrip;
     Alcotest.test_case "unit store save/load/corrupt" `Quick

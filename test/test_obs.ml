@@ -332,7 +332,6 @@ let test_stats_json () =
       bs_frontend_hits = 1;
       bs_frontend_misses = 1;
       bs_corrupt = 0;
-      bs_jobs = 2;
       bs_total_ms = 3.5;
     }
   in

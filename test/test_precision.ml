@@ -4,9 +4,8 @@
 
     - the two execution engines stay byte-identical to each other
       {e within} each mode (output, step count, metrics JSON);
-    - analysis is deterministic across pooled and sequential builds,
-      and warm cache replays are byte-identical to cold builds, in
-      every mode;
+    - analysis is deterministic: forced rebuilds and warm cache
+      replays are byte-identical to cold builds, in every mode;
     - precision is monotone: no mode ever inserts {e fewer} tcfree
       calls than the baseline on the six paper workloads or on
       generated programs;
@@ -155,7 +154,7 @@ let test_poison_all_modes () =
         modes)
     programs
 
-(* ---- pooled == sequential, warm == cold, per mode ----------------- *)
+(* ---- forced == cold, warm == cold, per mode ----------------------- *)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -273,18 +272,16 @@ let test_build_determinism_per_mode () =
   List.iter
     (fun (mname, config) ->
       let root = make_tree () in
-      let sequential = B.Driver.build ~config ~jobs:1 root in
-      let pooled = B.Driver.build ~config ~jobs:4 ~force:true root in
+      let cold = B.Driver.build ~config root in
+      let forced = B.Driver.build ~config ~force:true root in
       Alcotest.(check string)
-        (mname ^ ": pooled build == sequential build")
-        (build_fingerprint sequential)
-        (build_fingerprint pooled);
+        (mname ^ ": forced rebuild == cold build")
+        (build_fingerprint cold) (build_fingerprint forced);
       (* third build replays everything from the store *)
       let warm = B.Driver.build ~config root in
       Alcotest.(check string)
         (mname ^ ": warm replay == cold build")
-        (build_fingerprint sequential)
-        (build_fingerprint warm);
+        (build_fingerprint cold) (build_fingerprint warm);
       Alcotest.(check int)
         (mname ^ ": warm build re-solved nothing")
         0 warm.B.Driver.b_stats.B.Driver.bs_unit_misses)
@@ -362,7 +359,7 @@ let suite =
         `Quick test_monotonicity_generated;
       Alcotest.test_case "poison silent in every mode" `Quick
         test_poison_all_modes;
-      Alcotest.test_case "pooled/sequential/warm builds identical per mode"
+      Alcotest.test_case "cold/forced/warm builds identical per mode"
         `Quick test_build_determinism_per_mode;
       Alcotest.test_case "tree build frees fields" `Quick
         test_tree_field_frees;

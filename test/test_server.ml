@@ -78,7 +78,7 @@ let test_rpc_v2_config_roundtrip () =
           options = Gofree_api.default_run_options };
       Rpc.Explain { src = Rpc.Inline src_free; config };
       Rpc.Build
-        { dir = "/tmp/tree"; config; force = false; jobs = 1; run = false;
+        { dir = "/tmp/tree"; config; force = false; run = false;
           cache_dir = None; options = Gofree_api.default_run_options };
     ]
   in
@@ -103,6 +103,30 @@ let test_rpc_v2_config_roundtrip () =
               (C.signature (config_of inc.Rpc.rq_request)))
         (requests config))
     Gofree_api.Preset.named
+
+(* Builds are serial: a client that still sends the retired "jobs"
+   param gets the same request as one that does not (unknown params are
+   ignored), and encoding never emits it. *)
+let test_rpc_build_ignores_jobs () =
+  let line params =
+    Printf.sprintf
+      "{\"schema\":\"gofree-rpc-v2\",\"id\":1,\"method\":\"build\",\
+       \"params\":{\"dir\":\"/tmp/tree\",\"force\":true%s}}"
+      params
+  in
+  let decoded params =
+    match Rpc.decode (line params) with
+    | Ok { Rpc.rq_request = Rpc.Build _ as r; _ } -> r
+    | Ok _ -> Alcotest.fail "decoded to the wrong method"
+    | Error (_, m) -> Alcotest.failf "build rejected: %s" m
+  in
+  let encode r = Rpc.request_to_json ~id:(Json.Int 1) r in
+  Alcotest.(check string) "\"jobs\": 4 decodes like no jobs"
+    (Json.to_string (encode (decoded "")))
+    (Json.to_string (encode (decoded ",\"jobs\":4")));
+  Alcotest.(check bool) "encoded build carries no jobs key" true
+    (Json.member "jobs" (Json.get "params" (encode (decoded ",\"jobs\":4")))
+     = None)
 
 (* v1 envelopes — the flat preset-name "config" under the old schema
    tag — must still decode, to the same configuration *)
@@ -229,7 +253,6 @@ let test_build_resident_cache () =
                dir = root;
                config = Gofree_api.Preset.(to_config default);
                force;
-               jobs = 1;
                run = false;
                cache_dir = None;
                options = Gofree_api.default_run_options;
@@ -812,6 +835,8 @@ let suite =
     Alcotest.test_case "rpc v2 config round-trip" `Quick
       test_rpc_v2_config_roundtrip;
     Alcotest.test_case "rpc v1 compatibility" `Quick test_rpc_v1_compat;
+    Alcotest.test_case "rpc build ignores a jobs param" `Quick
+      test_rpc_build_ignores_jobs;
     Alcotest.test_case "rpc precision config applies" `Quick
       test_rpc_precision_config_applies;
     Alcotest.test_case "analyze round-trip" `Quick test_analyze_roundtrip;
