@@ -11,8 +11,7 @@
 
     The dispatch loop itself lives in {!Vm}; the opcode numbering here
     and the literal patterns of its [match] must stay in sync (the
-    differential suite and the disassembler golden tests hold the
-    line). *)
+    disassembler tests check every literal arm against this table). *)
 
 open Minigo
 
@@ -57,8 +56,10 @@ let[@inline] def op name operands =
 (* Grouped: control flow, stack shuffling, the unboxed int/bool fast
    path (operands on a native-int stack, so hot arithmetic/compare/branch
    never allocates), generic value ops, memory/call/allocation ops.  The
-   numbering is frozen by the Vm match and the disasm goldens — append
-   only.  Stack effects: I = the native-int stack, V = the value stack. *)
+   numbering is dense, 0 to [n_opcodes - 1] with no gap, and no code
+   depends on the order of the numbers.  {!Vm} matches them as literals:
+   test_disasm checks each literal arm against this table.  Stack
+   effects: I = the native-int stack, V = the value stack. *)
 let op_halt = def 0 "halt" []
 let op_safepoint = def 1 "safepoint" []
 let op_jmp = def 2 "jmp" [ Target ]
@@ -81,68 +82,67 @@ let op_unbox_i = def 18 "unbox_i" []  (* V -> I (expects an int) *)
 let op_unbox_b = def 19 "unbox_b" []  (* V -> I (truthy) *)
 let op_copy = def 20 "copy" []  (* top of V := Value.copy top *)
 let op_pop_v = def 21 "pop_v" []
-let op_pop_i = def 22 "pop_i" []
-let op_add_i = def 23 "add_i" []
-let op_sub_i = def 24 "sub_i" []
-let op_mul_i = def 25 "mul_i" []
-let op_div_i = def 26 "div_i" []
-let op_mod_i = def 27 "mod_i" []
-let op_and_i = def 28 "and_i" []
-let op_or_i = def 29 "or_i" []
-let op_xor_i = def 30 "xor_i" []
-let op_shl_i = def 31 "shl_i" []
-let op_shr_i = def 32 "shr_i" []
-let op_neg_i = def 33 "neg_i" []
-let op_lt_i = def 34 "lt_i" []
-let op_le_i = def 35 "le_i" []
-let op_gt_i = def 36 "gt_i" []
-let op_ge_i = def 37 "ge_i" []
-let op_eq_i = def 38 "eq_i" []
-let op_ne_i = def 39 "ne_i" []
-let op_not_b = def 40 "not_b" []
-let op_binop = def 41 "binop" [ Binop ]  (* generic eval_binop on two V *)
-let op_neg_v = def 42 "neg_v" []
-let op_decl = def 43 "decl" [ Tbl "decl" ]  (* pop V, run the declarer *)
-let op_decl_zero = def 44 "decl_zero" [ Tbl "decl"; Tbl "zero" ]
-let op_store_slot = def 45 "store_slot" [ Slot; Name ]  (* pop V, copy *)
-let op_store_gslot = def 46 "store_gslot" [ Slot; Name ]
-let op_store_slot_i = def 47 "store_slot_i" [ Slot; Name ]  (* pop I *)
-let op_store_gslot_i = def 48 "store_gslot_i" [ Slot; Name ]
-let op_store_slot_b = def 49 "store_slot_b" [ Slot; Name ]
-let op_store_gslot_b = def 50 "store_gslot_b" [ Slot; Name ]
-let op_store_deref = def 51 "store_deref" []  (* pop ptr V, value V *)
-let op_store_index = def 52 "store_index" []  (* pop idx I, base V, value V *)
-let op_store_map = def 53 "store_map" []  (* pop key V, map V, value V *)
-let op_store_thru = def 54 "store_thru" []  (* pop ptr V, value V *)
-let op_index_v = def 55 "index_v" []  (* pop idx I, base V, push V *)
-let op_index_i = def 56 "index_i" []  (* same, push I (also string byte) *)
-let op_index_b = def 57 "index_b" []
-let op_field_v = def 58 "field_v" [ Field; Cache; Name ]  (* pop base V *)
-let op_field_i = def 59 "field_i" [ Field; Cache; Name ]
-let op_field_b = def 60 "field_b" [ Field; Cache; Name ]
-let op_mapget_v = def 61 "mapget_v" [ Tbl "zero"; Cache ]  (* pop key, map V *)
-let op_mapget_i = def 62 "mapget_i" [ Tbl "zero"; Cache ]
-let op_mapget_b = def 63 "mapget_b" [ Tbl "zero"; Cache ]
-let op_mapget_ok = def 64 "mapget_ok" [ Tbl "zero" ]  (* push VTuple *)
-let op_len = def 65 "len" []  (* pop V, push I *)
-let op_cap = def 66 "cap" []
-let op_itoa = def 67 "itoa" []  (* pop I, push V *)
-let op_rand = def 68 "rand" []  (* pop I, push I *)
-let op_substr = def 69 "substr" []  (* pop hi I, lo I, string V; push V *)
-let op_slice_sub = def 70 "slice_sub" [ Key "flags" ]
+let op_add_i = def 22 "add_i" []
+let op_sub_i = def 23 "sub_i" []
+let op_mul_i = def 24 "mul_i" []
+let op_div_i = def 25 "div_i" []
+let op_mod_i = def 26 "mod_i" []
+let op_and_i = def 27 "and_i" []
+let op_or_i = def 28 "or_i" []
+let op_xor_i = def 29 "xor_i" []
+let op_shl_i = def 30 "shl_i" []
+let op_shr_i = def 31 "shr_i" []
+let op_neg_i = def 32 "neg_i" []
+let op_lt_i = def 33 "lt_i" []
+let op_le_i = def 34 "le_i" []
+let op_gt_i = def 35 "gt_i" []
+let op_ge_i = def 36 "ge_i" []
+let op_eq_i = def 37 "eq_i" []
+let op_ne_i = def 38 "ne_i" []
+let op_not_b = def 39 "not_b" []
+let op_binop = def 40 "binop" [ Binop ]  (* generic eval_binop on two V *)
+let op_neg_v = def 41 "neg_v" []
+let op_decl = def 42 "decl" [ Tbl "decl" ]  (* pop V, run the declarer *)
+let op_decl_zero = def 43 "decl_zero" [ Tbl "decl"; Tbl "zero" ]
+let op_store_slot = def 44 "store_slot" [ Slot; Name ]  (* pop V, copy *)
+let op_store_gslot = def 45 "store_gslot" [ Slot; Name ]
+let op_store_slot_i = def 46 "store_slot_i" [ Slot; Name ]  (* pop I *)
+let op_store_gslot_i = def 47 "store_gslot_i" [ Slot; Name ]
+let op_store_slot_b = def 48 "store_slot_b" [ Slot; Name ]
+let op_store_gslot_b = def 49 "store_gslot_b" [ Slot; Name ]
+let op_store_deref = def 50 "store_deref" []  (* pop ptr V, value V *)
+let op_store_index = def 51 "store_index" []  (* pop idx I, base V, value V *)
+let op_store_map = def 52 "store_map" []  (* pop key V, map V, value V *)
+let op_store_thru = def 53 "store_thru" []  (* pop ptr V, value V *)
+let op_index_v = def 54 "index_v" []  (* pop idx I, base V, push V *)
+let op_index_i = def 55 "index_i" []  (* same, push I (also string byte) *)
+let op_index_b = def 56 "index_b" []
+let op_field_v = def 57 "field_v" [ Field; Cache; Name ]  (* pop base V *)
+let op_field_i = def 58 "field_i" [ Field; Cache; Name ]
+let op_field_b = def 59 "field_b" [ Field; Cache; Name ]
+let op_mapget_v = def 60 "mapget_v" [ Tbl "zero"; Cache ]  (* pop key, map V *)
+let op_mapget_i = def 61 "mapget_i" [ Tbl "zero"; Cache ]
+let op_mapget_b = def 62 "mapget_b" [ Tbl "zero"; Cache ]
+let op_mapget_ok = def 63 "mapget_ok" [ Tbl "zero" ]  (* push VTuple *)
+let op_len = def 64 "len" []  (* pop V, push I *)
+let op_cap = def 65 "cap" []
+let op_itoa = def 66 "itoa" []  (* pop I, push V *)
+let op_rand = def 67 "rand" []  (* pop I, push I *)
+let op_substr = def 68 "substr" []  (* pop hi I, lo I, string V; push V *)
+let op_slice_sub = def 69 "slice_sub" [ Key "flags" ]
     (* bit0 lo, bit1 hi: pop those bounds I, base V *)
-let op_slice_copy = def 71 "slice_copy" []  (* pop src V, dst V; push I *)
-let op_deref = def 72 "deref" []  (* pop V, push V *)
-let op_call = def 73 "call" [ Tbl "fn"; Key "nargs" ]
+let op_slice_copy = def 70 "slice_copy" []  (* pop src V, dst V; push I *)
+let op_deref = def 71 "deref" []  (* pop V, push V *)
+let op_call = def 72 "call" [ Tbl "fn"; Key "nargs" ]
     (* pop args V, push pinned result V *)
-let op_call_undef = def 74 "call_undef" [ Name; Key "nargs" ]
-let op_go = def 75 "go" [ Tbl "fn"; Key "nargs" ]  (* args already copied *)
-let op_go_undef = def 76 "go_undef" [ Name; Key "nargs" ]
-let op_defer = def 77 "defer" [ Tbl "fn"; Key "nargs" ]
-let op_defer_undef = def 78 "defer_undef" [ Name; Key "nargs" ]
-let op_check_len = def 79 "check_len" []
+let op_call_undef = def 73 "call_undef" [ Name; Key "nargs" ]
+let op_go = def 74 "go" [ Tbl "fn"; Key "nargs" ]  (* args already copied *)
+let op_go_undef = def 75 "go_undef" [ Name; Key "nargs" ]
+let op_defer = def 76 "defer" [ Tbl "fn"; Key "nargs" ]
+let op_defer_undef = def 77 "defer_undef" [ Name; Key "nargs" ]
+let op_check_len = def 78 "check_len" []
     (* peek I: negative-length panic before cap eval *)
-let op_make_slice = def 80 "make_slice" [ Site; Tbl "zero"; Key "cap" ]
+let op_make_slice = def 79 "make_slice" [ Site; Tbl "zero"; Key "cap" ]
     (* pop [cap I,] len I *)
 (* A map's bucket columns ({!Value.key_kind}/{!Value.val_kind}), one
    code per pair, shown key/value. *)
@@ -157,85 +157,72 @@ let map_columns_code key value =
   (3 * match key with Value.Kint -> 0 | Kbool -> 1 | Kstr -> 2 | Kval -> 3)
   + match value with Value.Vint -> 0 | Vbool -> 1 | Vval -> 2
 
-let op_make_map = def 81 "make_map" [ Site; Enum map_columns ]
-let op_new = def 82 "new" [ Site; Tbl "zero" ]
-let op_slice_lit = def 83 "slice_lit" [ Site; Int; Tbl "zero" ]  (* pop n copied V *)
-let op_struct_lit = def 84 "struct_lit" [ Int ]  (* pop n copied V *)
-let op_addr_struct_lit = def 85 "addr_struct_lit" [ Site; Int ]
-let op_append = def 86 "append" [ Site; Int; Tbl "zero" ]
+let op_make_map = def 80 "make_map" [ Site; Enum map_columns ]
+let op_new = def 81 "new" [ Site; Tbl "zero" ]
+let op_slice_lit = def 82 "slice_lit" [ Site; Int; Tbl "zero" ]  (* pop n copied V *)
+let op_struct_lit = def 83 "struct_lit" [ Int ]  (* pop n copied V *)
+let op_addr_struct_lit = def 84 "addr_struct_lit" [ Site; Int ]
+let op_append = def 85 "append" [ Site; Int; Tbl "zero" ]
     (* pop n copied elems V, base V *)
-let op_addr_slot = def 87 "addr_slot" [ Slot; Name ]  (* push VPtr *)
-let op_addr_gslot = def 88 "addr_gslot" [ Slot; Name ]
-let op_addr_index = def 89 "addr_index" []  (* pop idx I, base V; push VPtr *)
-let op_addr_field_ptr = def 90 "addr_field_ptr" [ Field ]
+let op_addr_slot = def 86 "addr_slot" [ Slot; Name ]  (* push VPtr *)
+let op_addr_gslot = def 87 "addr_gslot" [ Slot; Name ]
+let op_addr_index = def 88 "addr_index" []  (* pop idx I, base V; push VPtr *)
+let op_addr_field_ptr = def 89 "addr_field_ptr" [ Field ]
     (* pop ptr-base V; push VPtr *)
-let op_addr_field_slot = def 91 "addr_field_slot" [ Slot; Field; Name ]
-let op_addr_field_gslot = def 92 "addr_field_gslot" [ Slot; Field; Name ]
+let op_addr_field_slot = def 90 "addr_field_slot" [ Slot; Field; Name ]
+let op_addr_field_gslot = def 91 "addr_field_gslot" [ Slot; Field; Name ]
 let op_tuple_check =
-  def 93 "tuple_check" [ Int; Enum [| "decl"; "assign" |] ]  (* peek V *)
-let op_tuple_get = def 94 "tuple_get" [ Int ]  (* peek tuple V, push elt V *)
-let op_print = def 95 "print" [ Int ]  (* pop n strings V *)
-let op_tostr = def 96 "tostr" []  (* pop V, push VStr *)
-let op_tcfree = def 97 "tcfree" [ Slot; Enum [| "slice"; "map"; "obj" |] ]
-let op_delete = def 98 "delete" []  (* pop key V, map V *)
-let op_panic = def 99 "panic" []  (* pop V *)
-let op_recover = def 100 "recover" []  (* push V *)
-let op_range_start = def 101 "range_start" [ Target ]
+  def 92 "tuple_check" [ Int; Enum [| "decl"; "assign" |] ]  (* peek V *)
+let op_tuple_get = def 93 "tuple_get" [ Int ]  (* peek tuple V, push elt V *)
+let op_print = def 94 "print" [ Int ]  (* pop n strings V *)
+let op_tostr = def 95 "tostr" []  (* pop V, push VStr *)
+let op_tcfree = def 96 "tcfree" [ Slot; Enum [| "slice"; "map"; "obj" |] ]
+let op_delete = def 97 "delete" []  (* pop key V, map V *)
+let op_panic = def 98 "panic" []  (* pop V *)
+let op_recover = def 99 "recover" []  (* push V *)
+let op_range_start = def 100 "range_start" [ Target ]
     (* the exit: pop map V, push key iterator *)
-let op_range_next = def 102 "range_next" [ Tbl "decl"; Target ]  (* the end *)
-let op_range_pop = def 103 "range_pop" []  (* drop the top iterator (break) *)
-let op_thunk_v = def 104 "thunk_v" [ Tbl "thunk" ]  (* push V *)
-(* retired: opcode numbers are never reused *)
-let _ = def 105 "retired" []
-
+let op_range_next = def 101 "range_next" [ Tbl "decl"; Target ]  (* the end *)
+let op_range_pop = def 102 "range_pop" []  (* drop the top iterator (break) *)
+let op_thunk_v = def 103 "thunk_v" [ Tbl "thunk" ]  (* push V *)
 (* Superinstructions: fusions of the sequences above that dominate hot
    loops.  Each replicates its unfused expansion exactly (same
    evaluation order, same panics in the same order), so observable
    behaviour cannot differ; they only cut dispatches and the
-   allocations the expansion's boxing steps would make. *)
-let op_addk_i = def 106 "addk_i" [ Int ]  (* top of I += k *)
-let op_subk_i = def 107 "subk_i" [ Int ]
-let op_mulk_i = def 108 "mulk_i" [ Int ]
-let op_divk_i = def 109 "divk_i" [ Int ]
+   allocations the expansion's boxing steps would make.  A fused form
+   stays only while a measured workload dispatches it (EXPERIMENTS.md,
+   "Opcode economy"). *)
+let op_addk_i = def 104 "addk_i" [ Int ]  (* top of I += k *)
+let op_subk_i = def 105 "subk_i" [ Int ]
+let op_mulk_i = def 106 "mulk_i" [ Int ]
+let op_divk_i = def 107 "divk_i" [ Int ]
     (* keeps the divide-by-zero panic when k = 0 *)
-let op_modk_i = def 110 "modk_i" [ Int ]
-let op_ltk_i = def 111 "ltk_i" [ Int ]  (* top of I := top < k *)
-let op_lek_i = def 112 "lek_i" [ Int ]
-let op_gtk_i = def 113 "gtk_i" [ Int ]
-let op_gek_i = def 114 "gek_i" [ Int ]
-let op_eqk_i = def 115 "eqk_i" [ Int ]
-let op_nek_i = def 116 "nek_i" [ Int ]
-let op_sfield_v = def 117 "sfield_v" [ Slot; Field; Cache; Name; Name ]
-let op_sfield_i = def 118 "sfield_i" [ Slot; Field; Cache; Name; Name ]
+let op_modk_i = def 108 "modk_i" [ Int ]
+let op_sfield_v = def 109 "sfield_v" [ Slot; Field; Cache; Name; Name ]
+let op_sfield_i = def 110 "sfield_i" [ Slot; Field; Cache; Name; Name ]
     (* = [vload slot; field_i f] fused *)
-let op_fstore_i = def 119 "fstore_i" [ Field ]
+let op_fstore_i = def 111 "fstore_i" [ Field ]
     (* pop ptr-base V, value I; store *)
-let op_jlt_not = def 120 "jlt_not" [ Target ]  (* pop 2 I, jump unless a < b *)
-let op_jle_not = def 121 "jle_not" [ Target ]
-let op_jgt_not = def 122 "jgt_not" [ Target ]
-let op_jge_not = def 123 "jge_not" [ Target ]
-let op_jeq_not = def 124 "jeq_not" [ Target ]
-let op_jne_not = def 125 "jne_not" [ Target ]
-let op_jltk_not = def 126 "jltk_not" [ Int; Target ]
-    (* pop 1 I, jump unless a < k *)
-let op_jlek_not = def 127 "jlek_not" [ Int; Target ]
-let op_jgtk_not = def 128 "jgtk_not" [ Int; Target ]
-let op_jgek_not = def 129 "jgek_not" [ Int; Target ]
-let op_jeqk_not = def 130 "jeqk_not" [ Int; Target ]
-let op_jnek_not = def 131 "jnek_not" [ Int; Target ]
-let op_iinc = def 132 "iinc" [ Slot; Delta; Name ]  (* int local += k *)
+let op_jlt_not = def 112 "jlt_not" [ Target ]  (* pop 2 I, jump unless a < b *)
+let op_jge_not = def 113 "jge_not" [ Target ]
+let op_jlek_not = def 114 "jlek_not" [ Int; Target ]
+    (* pop 1 I, jump unless a <= k *)
+let op_jgtk_not = def 115 "jgtk_not" [ Int; Target ]
+let op_jgek_not = def 116 "jgek_not" [ Int; Target ]
+let op_jeqk_not = def 117 "jeqk_not" [ Int; Target ]
+let op_jnek_not = def 118 "jnek_not" [ Int; Target ]
 
 (* Register locals: int/bool locals kept unboxed in the call's register
    file (the first [bf_nregs] words of its int-stack window) instead of a
    frame cell.  See {!Emit.register_slots} for which locals qualify. *)
-let op_rload = def 133 "rload" [ Reg; Name ]  (* push register -> I *)
-let op_rstore = def 134 "rstore" [ Reg; Name ]  (* pop I into register *)
-let op_rinc = def 135 "rinc" [ Reg; Delta; Name ]  (* register += k *)
+let op_rload = def 119 "rload" [ Reg; Name ]  (* push register -> I *)
+let op_rstore = def 120 "rstore" [ Reg; Name ]  (* pop I into register *)
+let op_rinc = def 121 "rinc" [ Reg; Delta; Name ]  (* register += k *)
 
 (* Address of a field of a nested struct value ([a[i].p.x], [f().q.y]):
    the base struct is evaluated, then its owner spine again, exactly like
    [Interp.eval_addr] and [owner_of_struct_base]. *)
-let op_addr_field_val = def 137 "addr_field_val" [ Field ]
+let op_addr_field_val = def 122 "addr_field_val" [ Field ]
     (* pop owner-spine V, struct V; push VPtr owned by [Value.owner_of]
        of the spine *)
 
@@ -243,142 +230,114 @@ let op_addr_field_val = def 137 "addr_field_val" [ Field ]
    operands, read in place.  Each performs exactly the safepoints of the
    sequence it replaces, through the same [Vm.vm_safepoint], in the same
    order, and raises the same errors in the same order. *)
-let op_safepoints = def 138 "safepoints" [ Int ]  (* n safepoints in a row *)
-let op_loop_rinc = def 139 "loop_rinc" [ Reg; Delta; Name; Target ]
+let op_safepoints = def 123 "safepoints" [ Int ]  (* n safepoints in a row *)
+let op_loop_rinc = def 124 "loop_rinc" [ Reg; Delta; Name; Target ]
     (* = safepoint; rinc; jmp head; safepoint (the head's), then on to
        the condition *)
 let op_jlt_rlen_not =
-  def 140 "jlt_rlen_not" [ Reg; Name; Slot; Name; Target ]
+  def 125 "jlt_rlen_not" [ Reg; Name; Slot; Name; Target ]
     (* = rload; vload; len; jlt_not *)
-let op_jlt_rr_not = def 141 "jlt_rr_not" [ Reg; Name; Reg; Name; Target ]
+let op_jlt_rr_not = def 126 "jlt_rr_not" [ Reg; Name; Reg; Name; Target ]
     (* = rload; rload; jlt_not *)
-let op_jle_rr_not = def 142 "jle_rr_not" [ Reg; Name; Reg; Name; Target ]
-let op_jgt_rr_not = def 143 "jgt_rr_not" [ Reg; Name; Reg; Name; Target ]
-let op_jge_rr_not = def 144 "jge_rr_not" [ Reg; Name; Reg; Name; Target ]
-let op_jeq_rr_not = def 145 "jeq_rr_not" [ Reg; Name; Reg; Name; Target ]
-let op_jne_rr_not = def 146 "jne_rr_not" [ Reg; Name; Reg; Name; Target ]
-let op_index_i_sr = def 147 "index_i_sr" [ Slot; Name; Reg; Name ]
+let op_index_i_sr = def 127 "index_i_sr" [ Slot; Name; Reg; Name ]
     (* = vload; rload; index_i *)
-let op_store_index_sr = def 148 "store_index_sr" [ Slot; Name; Reg; Name ]
-    (* = vload; rload; store_index: pop value V *)
 
 (* Int-slice forms: the element travels on the int stack, so storing,
    appending or building a [[]int] boxes nothing. *)
-let op_store_index_i = def 149 "store_index_i" []
+let op_store_index_i = def 128 "store_index_i" []
     (* pop idx I, base V, value I *)
 let op_store_i_sr =
-  def 150 "store_i_sr" [ Slot; Name; Reg; Name ]
+  def 129 "store_i_sr" [ Slot; Name; Reg; Name ]
     (* = vload; rload; store_index_i: pop value I *)
-let op_slice_lit_i = def 151 "slice_lit_i" [ Site; Int ]  (* pop n I *)
-let op_append_i = def 136 "append_i" [ Site; Int ]  (* pop n I, base V *)
-    (* numbered out of order so that the table stays dense *)
+let op_slice_lit_i = def 130 "slice_lit_i" [ Site; Int ]  (* pop n I *)
+let op_append_i = def 131 "append_i" [ Site; Int ]  (* pop n I, base V *)
 
 (* Field-operand forms: fields of a frame local — a struct or a pointer
    to one — read in place, each exactly as [sfield_v]/[sfield_i] read
    it, inline-cache bookkeeping included; the scanner shapes
    [p.f < len(p.g)], [p.f[p.g]], [len(p.f)] and [p.f = p.f + k]. *)
-let op_flen = def 152 "flen" [ Slot; Field; Cache; Name; Name ]
+let op_flen = def 132 "flen" [ Slot; Field; Cache; Name; Name ]
     (* = sfield_v; len: push I *)
 let op_index_ff =
-  def 153 "index_ff" [ Slot; Field; Cache; Field; Cache; Name; Name; Name ]
+  def 133 "index_ff" [ Slot; Field; Cache; Field; Cache; Name; Name; Name ]
     (* = sfield_v p.f; sfield_i p.g; index_i: push I *)
 let op_jlt_flen_not =
-  def 154 "jlt_flen_not"
+  def 134 "jlt_flen_not"
     [ Slot; Field; Cache; Field; Cache; Name; Name; Name; Target ]
     (* = sfield_i p.f; sfield_v p.g; len; jlt_not *)
-let op_finc = def 155 "finc" [ Slot; Field; Cache; Delta; Name; Name ]
+let op_finc = def 135 "finc" [ Slot; Field; Cache; Delta; Name; Name ]
     (* [p.f = p.f + k] through a pointer: = sfield_i; addk_i; vload;
        fstore_i *)
 
 (* Register-operand forms: an int op whose operand is a register local
    reads the register in place instead of going through [rload]. *)
-let op_add_r = def 156 "add_r" [ Reg; Name ]  (* = rload; add_i *)
-let op_sub_r = def 157 "sub_r" [ Reg; Name ]
-let op_mul_r = def 158 "mul_r" [ Reg; Name ]
-let op_addk_r = def 159 "addk_r" [ Reg; Int; Name ]  (* = rload; addk_i: push I *)
-let op_mulk_r = def 160 "mulk_r" [ Reg; Int; Name ]
-let op_divk_r = def 161 "divk_r" [ Reg; Int; Name ]
-let op_modk_r = def 162 "modk_r" [ Reg; Int; Name ]
-let op_jlt_rk_not = def 163 "jlt_rk_not" [ Reg; Name; Int; Target ]
-    (* = rload; jltk_not *)
-let op_jle_rk_not = def 164 "jle_rk_not" [ Reg; Name; Int; Target ]
-let op_jgt_rk_not = def 165 "jgt_rk_not" [ Reg; Name; Int; Target ]
-let op_jge_rk_not = def 166 "jge_rk_not" [ Reg; Name; Int; Target ]
-let op_jeq_rk_not = def 167 "jeq_rk_not" [ Reg; Name; Int; Target ]
-let op_jne_rk_not = def 168 "jne_rk_not" [ Reg; Name; Int; Target ]
+let op_add_r = def 136 "add_r" [ Reg; Name ]  (* = rload; add_i *)
+let op_sub_r = def 137 "sub_r" [ Reg; Name ]
+let op_addk_r = def 138 "addk_r" [ Reg; Int; Name ]  (* = rload; addk_i: push I *)
+let op_mulk_r = def 139 "mulk_r" [ Reg; Int; Name ]
+let op_modk_r = def 140 "modk_r" [ Reg; Int; Name ]
+let op_jlt_rk_not = def 141 "jlt_rk_not" [ Reg; Name; Int; Target ]
+    (* = rload; iconst k; jlt_not *)
+let op_jle_rk_not = def 142 "jle_rk_not" [ Reg; Name; Int; Target ]
+    (* = rload; jlek_not *)
+let op_jgt_rk_not = def 143 "jgt_rk_not" [ Reg; Name; Int; Target ]
+let op_jge_rk_not = def 144 "jge_rk_not" [ Reg; Name; Int; Target ]
+let op_jeq_rk_not = def 145 "jeq_rk_not" [ Reg; Name; Int; Target ]
+let op_jne_rk_not = def 146 "jne_rk_not" [ Reg; Name; Int; Target ]
 
 (* Rotated counted loops: a [loop_rinc] back edge that re-tests the
-   loop's condition itself, a copy of the head's [j*_rr_not],
-   [jlt_rlen_not] or [j*_rk_not] — the operands after the three targets.
-   = safepoint; rinc; jmp head; safepoint; the head's test, then, when
-   it holds, the body's leading safepoint.  The targets: the head's test
-   (where the unfused sequence would go on), the body past its leading
-   safepoint, and the loop's exit. *)
+   loop's condition itself, a copy of the head's [jlt_rr_not],
+   [jlt_rlen_not] or [jlt_rk_not] — the operands after the three
+   targets.  = safepoint; rinc; jmp head; safepoint; the head's test,
+   then, when it holds, the body's leading safepoint.  The targets: the
+   head's test (where the unfused sequence would go on), the body past
+   its leading safepoint, and the loop's exit. *)
 let rotated_operands = [ Reg; Delta; Name; Target; Target; Target ]
 
 let op_loop_lt_rr =
-  def 169 "loop_lt_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
-let op_loop_le_rr =
-  def 170 "loop_le_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
-let op_loop_gt_rr =
-  def 171 "loop_gt_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
-let op_loop_ge_rr =
-  def 172 "loop_ge_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
-let op_loop_eq_rr =
-  def 173 "loop_eq_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
-let op_loop_ne_rr =
-  def 174 "loop_ne_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
+  def 147 "loop_lt_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
 let op_loop_lt_rlen =
-  def 175 "loop_lt_rlen" (rotated_operands @ [ Reg; Name; Slot; Name ])
-let op_loop_lt_rk = def 176 "loop_lt_rk" (rotated_operands @ [ Reg; Name; Int ])
-let op_loop_le_rk = def 177 "loop_le_rk" (rotated_operands @ [ Reg; Name; Int ])
-let op_loop_gt_rk = def 178 "loop_gt_rk" (rotated_operands @ [ Reg; Name; Int ])
-let op_loop_ge_rk = def 179 "loop_ge_rk" (rotated_operands @ [ Reg; Name; Int ])
-let op_loop_eq_rk = def 180 "loop_eq_rk" (rotated_operands @ [ Reg; Name; Int ])
-let op_loop_ne_rk = def 181 "loop_ne_rk" (rotated_operands @ [ Reg; Name; Int ])
+  def 148 "loop_lt_rlen" (rotated_operands @ [ Reg; Name; Slot; Name ])
+let op_loop_lt_rk = def 149 "loop_lt_rk" (rotated_operands @ [ Reg; Name; Int ])
 
 (* Word-operand map forms: an int or bool key or value travels on the
    int stack, so reading or storing one boxes nothing.  Each is the
    boxed form's bucket operation with the box left out. *)
-let op_mapget_ii = def 182 "mapget_ii" [ Cache ]
+let op_mapget_ii = def 150 "mapget_ii" [ Cache ]
     (* pop key I, map V; push I *)
-let op_mapget_iv = def 183 "mapget_iv" [ Tbl "zero"; Cache ]
-    (* pop key I, map V; push V *)
-let op_store_map_ii = def 184 "store_map_ii" []
+let op_store_map_ii = def 151 "store_map_ii" []
     (* pop key I, map V, value I *)
-let op_store_map_iv = def 185 "store_map_iv" []
-    (* pop key I, map V, value V *)
-let op_store_map_vi = def 186 "store_map_vi" []
+let op_store_map_vi = def 152 "store_map_vi" []
     (* pop key V, map V, value I *)
 
 (* An element field of a slice of structs, addressed in its slot of the
    flat store: [a[i].f] read, and [&a[i].f]. *)
-let op_elem_field_v = def 187 "elem_field_v" [ Field ]
+let op_elem_field_v = def 153 "elem_field_v" [ Field ]
     (* pop idx I, slice V; push V *)
-let op_elem_field_i = def 188 "elem_field_i" [ Field ]
+let op_elem_field_i = def 154 "elem_field_i" [ Field ]
     (* pop idx I, slice V; push I *)
-let op_addr_elem_field = def 189 "addr_elem_field" [ Field ]
+let op_addr_elem_field = def 155 "addr_elem_field" [ Field ]
     (* pop idx I, slice V; push V *)
 (* = vload a; rload i; elem_field_i/_v: the slice a frame local, the
    index a register *)
 let op_elem_field_i_sr =
-  def 190 "elem_field_i_sr" [ Slot; Name; Reg; Name; Field ]  (* push I *)
+  def 156 "elem_field_i_sr" [ Slot; Name; Reg; Name; Field ]  (* push I *)
 let op_elem_field_v_sr =
-  def 191 "elem_field_v_sr" [ Slot; Name; Reg; Name; Field ]  (* push V *)
+  def 157 "elem_field_v_sr" [ Slot; Name; Reg; Name; Field ]  (* push V *)
 (* [append(s, T{...})]: the literal's n fields straight into the flat
    store, with no struct value between *)
-let op_append_fields = def 192 "append_fields" [ Site; Int; Tbl "zero" ]
+let op_append_fields = def 158 "append_fields" [ Site; Int; Tbl "zero" ]
     (* pop n copied V, base V; push V *)
 
 (** The rotated back edge that re-tests head test [op], if it has one. *)
 let rotated op =
-  if op >= op_jlt_rr_not && op <= op_jne_rr_not then
-    Some (op_loop_lt_rr + (op - op_jlt_rr_not))
+  if op = op_jlt_rr_not then Some op_loop_lt_rr
   else if op = op_jlt_rlen_not then Some op_loop_lt_rlen
-  else if op >= op_jlt_rk_not && op <= op_jne_rk_not then
-    Some (op_loop_lt_rk + (op - op_jlt_rk_not))
+  else if op = op_jlt_rk_not then Some op_loop_lt_rk
   else None
 
+(* One past the highest number; the table being dense, also the number
+   of opcodes (test_disasm checks both). *)
 let n_opcodes =
   let n = ref 0 and defined = ref 0 in
   Array.iteri

@@ -205,29 +205,28 @@ let opjmps f ~dv ~di op pre ls post =
 
 let opjmp f ~dv ~di op pre l = opjmps f ~dv ~di op pre [ l ] []
 
-(* Emit [jmpifnot l], fusing an immediately preceding integer compare
-   (plain or constant-operand) into one compare-and-branch
-   superinstruction.  Safe because [mark] resets [last_pos], so no
-   label can point at the branch being absorbed, and opcode values are
-   unique, so the width + opcode-range check proves the preceding words
-   really are that compare. *)
+(* The compare-and-branch that a stack compare [op] fuses into. *)
+let jcmp_opcode op =
+  if op = B.op_lt_i then Some B.op_jlt_not
+  else if op = B.op_ge_i then Some B.op_jge_not
+  else None
+
+(* Emit [jmpifnot l], fusing an immediately preceding [lt_i] or [ge_i]
+   into one compare-and-branch superinstruction.  Safe because [mark]
+   resets [last_pos], so no label can point at the branch being
+   absorbed, and opcode values are unique, so the width + opcode check
+   proves the preceding word really is that compare. *)
 let opjmpifnot f l =
   let code = f.code in
   let p = f.last_pos in
   let fused =
-    p >= 0
+    p >= 0 && p = code.iv_n - 1
     &&
-    let op = code.iv_a.(p) in
-    if p = code.iv_n - 1 && op >= B.op_lt_i && op <= B.op_ne_i then begin
-      code.iv_a.(p) <- B.op_jlt_not + (op - B.op_lt_i);
+    match jcmp_opcode code.iv_a.(p) with
+    | Some jop ->
+      code.iv_a.(p) <- jop;
       true
-    end
-    else if p = code.iv_n - 2 && op >= B.op_ltk_i && op <= B.op_nek_i
-    then begin
-      code.iv_a.(p) <- B.op_jltk_not + (op - B.op_ltk_i);
-      true
-    end
-    else false
+    | None -> false
   in
   if fused then begin
     f.patches <- (code.iv_n, l) :: f.patches;
@@ -353,26 +352,35 @@ let int_binop_k_opcode = function
   | Ast.Bmod -> Some B.op_modk_i
   | _ -> None
 
-let int_cmpk_opcode = function
-  | Ast.Blt -> B.op_ltk_i
-  | Ast.Ble -> B.op_lek_i
-  | Ast.Bgt -> B.op_gtk_i
-  | Ast.Bge -> B.op_gek_i
-  | Ast.Beq -> B.op_eqk_i
-  | Ast.Bne -> B.op_nek_i
-  | _ -> assert false
+(* Branch unless [x op k]: [<] has no constant form, and takes
+   [iconst k; jlt_not]. *)
+let jcmpk_opcode = function
+  | Ast.Ble -> Some B.op_jlek_not
+  | Ast.Bgt -> Some B.op_jgtk_not
+  | Ast.Bge -> Some B.op_jgek_not
+  | Ast.Beq -> Some B.op_jeqk_not
+  | Ast.Bne -> Some B.op_jnek_not
+  | _ -> None
+
+(* Branch unless [R[r] op k]. *)
+let jcmp_rk_opcode = function
+  | Ast.Blt -> Some B.op_jlt_rk_not
+  | Ast.Ble -> Some B.op_jle_rk_not
+  | Ast.Bgt -> Some B.op_jgt_rk_not
+  | Ast.Bge -> Some B.op_jge_rk_not
+  | Ast.Beq -> Some B.op_jeq_rk_not
+  | Ast.Bne -> Some B.op_jne_rk_not
+  | _ -> None
 
 (* Register-operand forms: [I[top] op= R[r]] and [R[r] op k]. *)
 let reg_binop_opcode = function
   | Ast.Badd -> Some B.op_add_r
   | Ast.Bsub -> Some B.op_sub_r
-  | Ast.Bmul -> Some B.op_mul_r
   | _ -> None
 
 let reg_k_opcode = function
   | Ast.Badd -> Some B.op_addk_r
   | Ast.Bmul -> Some B.op_mulk_r
-  | Ast.Bdiv -> Some B.op_divk_r
   | Ast.Bmod -> Some B.op_modk_r
   | _ -> None
 
@@ -632,22 +640,12 @@ and emit_b f (e : Tast.expr) =
     op1 f ~dv:0 ~di:1 B.op_iconst 1;
     mark f l_end
   | Tast.Tbinop (op, a, b)
-    when is_bool e && is_int a && is_int b && int_cmp_opcode op <> None
-    -> begin
-    match (a.Tast.desc, b.Tast.desc) with
-    | _, Tast.Tint k ->
-      emit_i f a;
-      op1 f ~dv:0 ~di:0 (int_cmpk_opcode op) k
-    | Tast.Tint k, _ ->
-      emit_i f b;
-      op1 f ~dv:0 ~di:0 (int_cmpk_opcode (mirror_cmp op)) k
-    | _ ->
-      emit_i f a;
-      emit_i f b;
-      (match int_cmp_opcode op with
-      | Some opc -> op0 f ~dv:0 ~di:(-1) opc
-      | None -> assert false)
-  end
+    when is_bool e && is_int a && is_int b && int_cmp_opcode op <> None ->
+    emit_i f a;
+    emit_i f b;
+    (match int_cmp_opcode op with
+    | Some opc -> op0 f ~dv:0 ~di:(-1) opc
+    | None -> assert false)
   | Tast.Tbinop ((Ast.Beq | Ast.Bne) as op, a, b)
     when is_bool e && is_bool a && is_bool b ->
     (* bool equality on the 0/1 encoding agrees with value_eq *)
@@ -765,9 +763,8 @@ and emit_v_raw f (e : Tast.expr) =
     let tenv = f.ctx.tenv in
     let ty = e.Tast.ty in
     let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
-    emit_operand f k;
-    if word_operand k then op2 f ~dv:0 ~di:(-1) B.op_mapget_iv z (new_cache f)
-    else op2 f ~dv:(-1) ~di:0 B.op_mapget_v z (new_cache f)
+    emit_v f k;
+    op2 f ~dv:(-1) ~di:0 B.op_mapget_v z (new_cache f)
   | Tast.Tfield
       ( {
           Tast.desc =
@@ -940,12 +937,14 @@ and emit_v_raw f (e : Tast.expr) =
     op1 f ~dv:(-1) ~di:0 B.op_mapget_ok z
   | Tast.Trecover -> op0 f ~dv:1 ~di:0 B.op_recover
 
-(* Branch to [l] unless [c] holds.  A register compared with a register,
-   or with the length of a frame local, is read in place by one
-   compare-and-branch superinstruction; [a && b] branches on each operand
-   in turn, short-circuiting like the reference walker, without
-   materializing the flag; anything else is evaluated onto the I stack
-   for a (compare-fused) [jmpifnot]. *)
+(* Branch to [l] unless [c] holds.  A register less than a register or
+   than the length of a frame local, and a register compared with a
+   constant, are read in place by one compare-and-branch
+   superinstruction; any other int compared with a constant, [<] aside,
+   is evaluated onto the I stack for one [j<cmp>k_not]; [a && b]
+   branches on each operand in turn, short-circuiting like the reference
+   walker, without materializing the flag; anything else is evaluated
+   onto the I stack for a (compare-fused) [jmpifnot]. *)
 and emit_cond f (c : Tast.expr) l =
   match c.Tast.desc with
   | Tast.Tbinop (Ast.Band, a, b) ->
@@ -973,37 +972,36 @@ and emit_cond f (c : Tast.expr) l =
     | None -> assert false
   end
   | Tast.Tbinop
-      (op, { Tast.desc = Tast.Tvar a; _ }, { Tast.desc = Tast.Tvar b; _ })
+      (Ast.Blt, { Tast.desc = Tast.Tvar a; _ }, { Tast.desc = Tast.Tvar b; _ })
     when a.Tast.v_ty = Types.Int && b.Tast.v_ty = Types.Int && reg f a >= 0
-         && reg f b >= 0 && int_cmp_opcode op <> None ->
-    let opc =
-      match int_cmp_opcode op with
-      | Some opc -> B.op_jlt_rr_not + (opc - B.op_lt_i)
-      | None -> assert false
-    in
-    opjmp f ~dv:0 ~di:0 opc
+         && reg f b >= 0 ->
+    opjmp f ~dv:0 ~di:0 B.op_jlt_rr_not
       [ reg f a; name_idx f a.Tast.v_name; reg f b; name_idx f b.Tast.v_name ]
       l
   | Tast.Tbinop (op, a, { Tast.desc = Tast.Tint k; _ })
-    when reg_int f a && int_cmp_opcode op <> None ->
-    emit_jcmp_rk f op a k l
+    when is_int a && int_cmp_opcode op <> None ->
+    emit_jcmpk f op a k l
   | Tast.Tbinop (op, { Tast.desc = Tast.Tint k; _ }, b)
-    when reg_int f b && int_cmp_opcode op <> None ->
-    emit_jcmp_rk f (mirror_cmp op) b k l
+    when is_int b && int_cmp_opcode op <> None ->
+    emit_jcmpk f (mirror_cmp op) b k l
   | _ ->
     emit_b f c;
     opjmpifnot f l
 
-(* Branch to [l] unless register local [e] compares with [k]: one
-   [j*_rk_not]. *)
-and emit_jcmp_rk f op (e : Tast.expr) k l =
-  match (e.Tast.desc, int_cmp_opcode op) with
-  | Tast.Tvar v, Some opc ->
-    opjmp f ~dv:0 ~di:0
-      (B.op_jlt_rk_not + (opc - B.op_lt_i))
-      [ reg f v; name_idx f v.Tast.v_name; k ]
-      l
-  | _ -> assert false
+(* Branch to [l] unless int [e] compares with [k]: one [j<cmp>_rk_not]
+   when [e] is a register local, [e] and one [j<cmp>k_not] otherwise,
+   or for [<], [e; iconst k; jlt_not]. *)
+and emit_jcmpk f op (e : Tast.expr) k l =
+  match (e.Tast.desc, jcmp_rk_opcode op, jcmpk_opcode op) with
+  | Tast.Tvar v, Some opr, _ when reg f v >= 0 ->
+    opjmp f ~dv:0 ~di:0 opr [ reg f v; name_idx f v.Tast.v_name; k ] l
+  | _, _, Some opk ->
+    emit_i f e;
+    opjmp f ~dv:0 ~di:(-1) opk [ k ] l
+  | _ ->
+    emit_i f e;
+    op1 f ~dv:0 ~di:1 B.op_iconst k;
+    opjmp f ~dv:0 ~di:(-2) B.op_jlt_not [] l
 
 (* An int or bool variable onto the I stack: its register, or its frame
    or global cell through [local]/[global]. *)
@@ -1085,11 +1083,6 @@ and emit_assign f (lv : Tast.lvalue) =
   | Tast.Lderef e ->
     emit_v f e;
     op0 f ~dv:(-2) ~di:0 B.op_store_deref
-  | Tast.Lindex
-      ({ Tast.desc = Tast.Tvar a; _ }, { Tast.desc = Tast.Tvar i; _ })
-    when frame_local f a && reg f i >= 0 ->
-    opn f ~dv:(-1) ~di:0 B.op_store_index_sr
-      [ slot f a; name_idx f a.Tast.v_name; reg f i; name_idx f i.Tast.v_name ]
   | Tast.Lindex (a, i) ->
     emit_v f a;
     emit_i f i;
@@ -1111,27 +1104,22 @@ let free_kind_code = function
   | Tast.Free_map -> 1
   | Tast.Free_obj -> 2
 
-(* Recognize [v = v + k] / [v = k + v] / [v = v - k] on a local int
-   variable: the whole statement collapses to one in-place [iinc]. *)
-let iinc_delta f (v : Tast.var) (e : Tast.expr) : int option =
-  if is_global v then None
-  else
-    let same (a : Tast.expr) =
-      match a.Tast.desc with
-      | Tast.Tvar v2 -> (not (is_global v2)) && slot f v2 = slot f v
-      | _ -> false
-    in
-    match e.Tast.desc with
-    | Tast.Tbinop (Ast.Badd, a, { Tast.desc = Tast.Tint k; _ }) when same a
-      ->
-      Some k
-    | Tast.Tbinop (Ast.Badd, { Tast.desc = Tast.Tint k; _ }, b) when same b
-      ->
-      Some k
-    | Tast.Tbinop (Ast.Bsub, a, { Tast.desc = Tast.Tint k; _ }) when same a
-      ->
-      Some (-k)
-    | _ -> None
+(* Recognize [v = v + k] / [v = k + v] / [v = v - k] on a register
+   local: the whole statement collapses to one in-place [rinc]. *)
+let rinc_delta f (v : Tast.var) (e : Tast.expr) : int option =
+  let same (a : Tast.expr) =
+    match a.Tast.desc with
+    | Tast.Tvar v2 -> (not (is_global v2)) && slot f v2 = slot f v
+    | _ -> false
+  in
+  match e.Tast.desc with
+  | Tast.Tbinop (Ast.Badd, a, { Tast.desc = Tast.Tint k; _ }) when same a ->
+    Some k
+  | Tast.Tbinop (Ast.Badd, { Tast.desc = Tast.Tint k; _ }, b) when same b ->
+    Some k
+  | Tast.Tbinop (Ast.Bsub, a, { Tast.desc = Tast.Tint k; _ }) when same a ->
+    Some (-k)
+  | _ -> None
 
 (* [Some (k, name)] when [e] is [p.f + k], [k + p.f] or [p.f - k] for
    the int field [fidx], named [name], of local [p]: the right-hand side
@@ -1208,19 +1196,13 @@ let rec emit_stmt f (s : Tast.stmt) =
     (* right-hand side first, then target resolution *)
     match lv with
     | Tast.Lvar v when reg f v >= 0 -> begin
-      match iinc_delta f v e with
+      match rinc_delta f v e with
       | Some k ->
         op3 f ~dv:0 ~di:0 B.op_rinc (reg f v) k (name_idx f v.Tast.v_name)
       | None ->
         emit_reg_value f v e;
         op2 f ~dv:0 ~di:(-1) B.op_rstore (reg f v)
           (name_idx f v.Tast.v_name)
-    end
-    | Tast.Lvar v when iinc_delta f v e <> None -> begin
-      match iinc_delta f v e with
-      | Some k ->
-        op3 f ~dv:0 ~di:0 B.op_iinc (slot f v) k (name_idx f v.Tast.v_name)
-      | None -> assert false
     end
     | Tast.Lfield (({ Tast.desc = Tast.Tvar p; _ } as base), fidx, _)
       when (match base.Tast.ty with Types.Ptr _ -> true | _ -> false)
@@ -1243,19 +1225,14 @@ let rec emit_stmt f (s : Tast.stmt) =
       emit_i f e;
       emit_v f base;
       op1 f ~dv:(-1) ~di:(-1) B.op_fstore_i fidx
-    | Tast.Lmap (m, k) when word_operand e || word_operand k ->
-      (* an int or bool value or key stays on the I stack: no box *)
-      let wv = word_operand e and wk = word_operand k in
+    | Tast.Lmap (m, k) when word_operand e ->
+      (* an int or bool value, and key, stays on the I stack: no box *)
+      let wk = word_operand k in
       emit_operand f e;
       emit_v f m;
       emit_operand f k;
-      let opc =
-        if wv && wk then B.op_store_map_ii
-        else if wv then B.op_store_map_vi
-        else B.op_store_map_iv
-      in
-      let words = Bool.to_int wv + Bool.to_int wk in
-      op0 f ~dv:(words - 3) ~di:(-words) opc
+      if wk then op0 f ~dv:(-1) ~di:(-2) B.op_store_map_ii
+      else op0 f ~dv:(-2) ~di:(-1) B.op_store_map_vi
     | Tast.Lindex (a, i) when is_int_slice a -> begin
       (* the element stays on the I stack: no box *)
       emit_i f e;
@@ -1341,7 +1318,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     let back =
       match post with
       | Some (Tast.Sassign (Tast.Lvar v, e)) when reg f v >= 0 ->
-        Option.map (fun k -> (v, k)) (iinc_delta f v e)
+        Option.map (fun k -> (v, k)) (rinc_delta f v e)
       | _ -> None
     in
     let l_cond = new_label f in

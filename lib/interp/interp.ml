@@ -812,24 +812,6 @@ let map_store_vi st hdr key n =
     map_added st md bk b j
   end
 
-(* [map_store] of an int or bool key given as its word. *)
-let map_store_iv st hdr k v =
-  let md = map_data st hdr in
-  let bk = map_buckets st md in
-  let h = Hashtbl.hash k in
-  let b = Value.bucket_of bk h in
-  let j = Value.find_int bk b h k in
-  if j >= 0 then begin
-    Value.set_value bk b j v;
-    map_replaced md
-  end
-  else begin
-    let j = Value.add bk b h in
-    Value.set_key_int bk b j k;
-    Value.set_value bk b j v;
-    map_added st md bk b j
-  end
-
 (* [map_store] of an int or bool key and value, both given as words. *)
 let map_store_ii st hdr k n =
   let md = map_data st hdr in

@@ -290,9 +290,6 @@ val map_store : state -> Rt.Heap.obj -> Value.value -> Value.value -> unit
     as 0/1). *)
 val map_store_vi : state -> Rt.Heap.obj -> Value.value -> int -> unit
 
-(** {!map_store} with an int or bool key as its int-stack word. *)
-val map_store_iv : state -> Rt.Heap.obj -> int -> Value.value -> unit
-
 (** {!map_store} with both the key and the value as int-stack words. *)
 val map_store_ii : state -> Rt.Heap.obj -> int -> int -> unit
 

@@ -41,9 +41,9 @@
     store's write barrier aside) and never raises: the jumps, the
     compare-and-branches on the int stack, on two registers and on a
     register and a constant, int arithmetic and compares other than
-    division and shifts, [iconst], [box_i], [pop_v]/[pop_i], the
+    division and shifts, [iconst], [box_i], [pop_v], the
     register accesses and the register-operand forms other than
-    [divk_r]/[modk_r].  Every other opcode's implementation is in
+    [modk_r].  Every other opcode's implementation is in
     {!full}, and {!loop} may still complete its common shape (a
     safepoint with nothing to do, a live slice element, a frame cell
     holding a pointer to a struct, a division by a nonzero constant).
@@ -72,8 +72,7 @@
     finds {!Value.poison_int} leaves the fast path for the poison check.
     An int or bool map key or value travels between the int stack and
     the int column of the map's typed buckets the same way
-    ([mapget_ii], [mapget_iv], [store_map_ii], [store_map_iv],
-    [store_map_vi]).
+    ([mapget_ii], [store_map_ii], [store_map_vi]).
 
     Every opcode's implementation replicates the corresponding step of
     the reference walker ({!Interp.eval}, [Interp.exec_stmt]) and calls
@@ -86,20 +85,22 @@
     pooled, and blocks with no stack-allocation site open no scope (see
     {!Emit}).
 
-    Superinstructions fuse the hot sequences the emitter recognises:
-    - constant-operand arithmetic and compares, compare-and-branch,
-      field reads and stores;
+    Superinstructions fuse the hot sequences the emitter recognises,
+    and only those a measured workload dispatches:
+    - constant-operand arithmetic, compare-and-branch ([jlt_not],
+      [jge_not], and [j<cmp>k_not] for every compare but [<]), field
+      reads and stores;
     - the register-operand forms, an int op reading a register local in
-      place: [I[top] op= R[r]] ([add_r], [sub_r], [mul_r]), [R[r] op k]
-      ([addk_r], [mulk_r], [divk_r], [modk_r]) and the branch on
-      [R[r] <cmp> k] ([j<cmp>_rk_not]);
+      place: [I[top] op= R[r]] ([add_r], [sub_r]), [R[r] op k]
+      ([addk_r], [mulk_r], [modk_r]) and the branch on [R[r] <cmp> k]
+      ([j<cmp>_rk_not]);
     - the loop and indexing forms that read a register or frame slot in
       place: a counted loop's back edge ([loop_rinc]), [reg < len(local)]
-      and register-register branches, slot-indexed reads and stores, runs
+      and [reg < reg] branches, slot-indexed int reads and stores, runs
       of statement safepoints ([safepoints n]);
-    - the rotated back edges ([loop_<cmp>_rr], [loop_lt_rlen],
-      [loop_<cmp>_rk]): [loop_rinc] followed by a copy of the loop
-      head's one-instruction test, then, when the test holds, the body's
+    - the rotated back edges ([loop_lt_rr], [loop_lt_rlen],
+      [loop_lt_rk]): [loop_rinc] followed by a copy of the loop head's
+      one-instruction test, then, when the test holds, the body's
       leading statement safepoint, landing past it;
     - the field-operand forms of a local struct or struct pointer [p]:
       [p.f < len(p.g)], [p.f[p.g]], [len(p.f)] and [p.f = p.f + k].
@@ -115,9 +116,9 @@
     instruction may count (three for a rotated back edge, which counts
     two when the test fails); when it fails, {!full} runs the unfused
     safepoints one by one — for a rotated back edge, [loop_rinc]'s two,
-    then on to the head's unchanged test.  The opcode numbering is
-    frozen in {!Bytecode}; the literal patterns below must stay in
-    sync. *)
+    then on to the head's unchanged test.  The opcode numbers are
+    {!Bytecode}'s; the literal patterns below must stay in sync, one
+    name comment per number, which test_disasm checks. *)
 
 open Minigo
 module B = Bytecode
@@ -415,9 +416,9 @@ let cached_buckets (r : regs) hdr cidx : Value.buckets =
     bk
   end
 
-(* [mapget_v] and [mapget_iv]: an absent key's zero value is freshly
-   made per read.  [mapget_i], [mapget_b] and [mapget_ii] push the
-   value's int-stack word, 0 for an absent key. *)
+(* [mapget_v]: an absent key's zero value is freshly made per read.
+   [mapget_i], [mapget_b] and [mapget_ii] push the value's int-stack
+   word, 0 for an absent key. *)
 let mapget_value (r : regs) (vm : Value.value) (vk : Value.value) zidx cidx :
     Value.value =
   match vm with
@@ -440,18 +441,6 @@ let mapget_word (r : regs) (vm : Value.value) (vk : Value.value) cidx =
     let j = Value.find bk b h vk in
     if j >= 0 then Value.int_at bk b j else 0
   | Value.VNil -> 0
-  | _ -> raise (Runtime_error "not a map")
-
-let mapget_iv (r : regs) (vm : Value.value) k zidx cidx : Value.value =
-  match vm with
-  | Value.VMap hdr ->
-    let bk = cached_buckets r hdr cidx in
-    let h = Hashtbl.hash k in
-    let b = Value.bucket_of bk h in
-    let j = Value.find_int bk b h k in
-    let zero = r.x_f.B.bf_zeros.(zidx) in
-    if j >= 0 then Value.value_at bk b j zero else zero ()
-  | Value.VNil -> r.x_f.B.bf_zeros.(zidx) ()
   | _ -> raise (Runtime_error "not a map")
 
 let mapget_ii (r : regs) (vm : Value.value) k cidx =
@@ -524,7 +513,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 1 (* safepoint, when it only counts the step *) when steps_only r 1 ->
     count_steps r 1;
     loop r (pc + 1) sp_v sp_i
-  | 138 (* safepoints n, when they only count their steps *)
+  | 123 (* safepoints n, when they only count their steps *)
     when steps_only r (Array.unsafe_get code (pc + 1)) ->
     count_steps r (Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
@@ -560,44 +549,43 @@ let rec loop (r : regs) pc sp_v sp_i =
     | _ -> full r pc sp_v sp_i
   end
   | 21 (* pop_v *) -> loop r (pc + 1) (sp_v - 1) sp_i
-  | 22 (* pop_i *) -> loop r (pc + 1) sp_v (sp_i - 1)
-  | 23 (* add_i *) ->
+  | 22 (* add_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2) + Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 24 (* sub_i *) ->
+  | 23 (* sub_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2) - Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 25 (* mul_i *) ->
+  | 24 (* mul_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2) * Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 28 (* and_i *) ->
+  | 27 (* and_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2)
       land Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 29 (* or_i *) ->
+  | 28 (* or_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2)
       lor Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 30 (* xor_i *) ->
+  | 29 (* xor_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2)
       lxor Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 33 (* neg_i *) ->
+  | 32 (* neg_i *) ->
     Array.unsafe_set stk_i (sp_i - 1) (-Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 1) sp_v sp_i
-  | 34 (* lt_i *) ->
+  | 33 (* lt_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (if Array.unsafe_get stk_i (sp_i - 2) < Array.unsafe_get stk_i (sp_i - 1)
        then 1
        else 0);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 35 (* le_i *) ->
+  | 34 (* le_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (if
          Array.unsafe_get stk_i (sp_i - 2)
@@ -605,13 +593,13 @@ let rec loop (r : regs) pc sp_v sp_i =
        then 1
        else 0);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 36 (* gt_i *) ->
+  | 35 (* gt_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (if Array.unsafe_get stk_i (sp_i - 2) > Array.unsafe_get stk_i (sp_i - 1)
        then 1
        else 0);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 37 (* ge_i *) ->
+  | 36 (* ge_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (if
          Array.unsafe_get stk_i (sp_i - 2)
@@ -619,13 +607,13 @@ let rec loop (r : regs) pc sp_v sp_i =
        then 1
        else 0);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 38 (* eq_i *) ->
+  | 37 (* eq_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (if Array.unsafe_get stk_i (sp_i - 2) = Array.unsafe_get stk_i (sp_i - 1)
        then 1
        else 0);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 39 (* ne_i *) ->
+  | 38 (* ne_i *) ->
     Array.unsafe_set stk_i (sp_i - 2)
       (if
          Array.unsafe_get stk_i (sp_i - 2)
@@ -633,11 +621,11 @@ let rec loop (r : regs) pc sp_v sp_i =
        then 1
        else 0);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 40 (* not_b *) ->
+  | 39 (* not_b *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) lxor 1);
     loop r (pc + 1) sp_v sp_i
-  | 56 (* index_i, a live element of an int slice in range *) -> begin
+  | 55 (* index_i, a live element of an int slice in range *) -> begin
     let vi = Array.unsafe_get stk_i (sp_i - 1) in
     match Array.unsafe_get r.x_stk_v (sp_v - 1) with
     | Value.VIslice s when vi >= 0 && vi < s.i_len ->
@@ -652,7 +640,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       loop r (pc + 1) (sp_v - 1) sp_i
     | _ -> full r pc sp_v sp_i
   end
-  | 65 (* len, of a slice or string *) -> begin
+  | 64 (* len, of a slice or string *) -> begin
     match Array.unsafe_get r.x_stk_v (sp_v - 1) with
     | Value.VIslice s ->
       Array.unsafe_set stk_i sp_i s.i_len;
@@ -665,63 +653,27 @@ let rec loop (r : regs) pc sp_v sp_i =
       loop r (pc + 1) (sp_v - 1) (sp_i + 1)
     | _ -> full r pc sp_v sp_i
   end
-  | 106 (* addk_i *) ->
+  | 104 (* addk_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) + Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
-  | 107 (* subk_i *) ->
+  | 105 (* subk_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) - Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
-  | 108 (* mulk_i *) ->
+  | 106 (* mulk_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) * Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
-  | 109 (* divk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
+  | 107 (* divk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) / Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
-  | 110 (* modk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
+  | 108 (* modk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) mod Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
-  | 111 (* ltk_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) < Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 112 (* lek_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) <= Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 113 (* gtk_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) > Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 114 (* gek_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) >= Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 115 (* eqk_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) = Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 116 (* nek_i *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (if Array.unsafe_get stk_i (sp_i - 1) <> Array.unsafe_get code (pc + 1)
-       then 1
-       else 0);
-    loop r (pc + 2) sp_v sp_i
-  | 118 (* sfield_i, through a pointer, an int field *) -> begin
+  | 110 (* sfield_i, through a pointer, an int field *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
     | fields -> begin
@@ -733,7 +685,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       | _ -> full r pc sp_v sp_i
     end
   end
-  | 117 (* sfield_v, through a pointer *) -> begin
+  | 109 (* sfield_v, through a pointer *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
     | fields -> begin
@@ -745,152 +697,104 @@ let rec loop (r : regs) pc sp_v sp_i =
         loop r (pc + 6) (sp_v + 1) sp_i
     end
   end
-  | 120 (* jlt_not *) ->
+  | 112 (* jlt_not *) ->
     if Array.unsafe_get stk_i (sp_i - 2) < Array.unsafe_get stk_i (sp_i - 1)
     then loop r (pc + 2) sp_v (sp_i - 2)
     else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 121 (* jle_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 2) <= Array.unsafe_get stk_i (sp_i - 1)
-    then loop r (pc + 2) sp_v (sp_i - 2)
-    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 122 (* jgt_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 2) > Array.unsafe_get stk_i (sp_i - 1)
-    then loop r (pc + 2) sp_v (sp_i - 2)
-    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 123 (* jge_not *) ->
+  | 113 (* jge_not *) ->
     if Array.unsafe_get stk_i (sp_i - 2) >= Array.unsafe_get stk_i (sp_i - 1)
     then loop r (pc + 2) sp_v (sp_i - 2)
     else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 124 (* jeq_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 2) = Array.unsafe_get stk_i (sp_i - 1)
-    then loop r (pc + 2) sp_v (sp_i - 2)
-    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 125 (* jne_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 2) <> Array.unsafe_get stk_i (sp_i - 1)
-    then loop r (pc + 2) sp_v (sp_i - 2)
-    else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 127 (* jlek_not *) ->
+  | 114 (* jlek_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) <= Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 128 (* jgtk_not *) ->
+  | 115 (* jgtk_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) > Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 126 (* jltk_not *) ->
-    if Array.unsafe_get stk_i (sp_i - 1) < Array.unsafe_get code (pc + 1)
-    then loop r (pc + 3) sp_v (sp_i - 1)
-    else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 129 (* jgek_not *) ->
+  | 116 (* jgek_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) >= Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 130 (* jeqk_not *) ->
+  | 117 (* jeqk_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) = Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 131 (* jnek_not *) ->
+  | 118 (* jnek_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) <> Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 133 (* rload *) ->
+  | 119 (* rload *) ->
     Array.unsafe_set stk_i sp_i
       (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1)));
     loop r (pc + 3) sp_v (sp_i + 1)
-  | 134 (* rstore *) ->
+  | 120 (* rstore *) ->
     Array.unsafe_set stk_i
       (r.x_rb + Array.unsafe_get code (pc + 1))
       (Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 3) sp_v (sp_i - 1)
-  | 135 (* rinc *) ->
+  | 121 (* rinc *) ->
     let i = r.x_rb + Array.unsafe_get code (pc + 1) in
     Array.unsafe_set stk_i i
       (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
     loop r (pc + 4) sp_v sp_i
-  | 139 (* loop_rinc, when both safepoints only count their step *)
+  | 124 (* loop_rinc, when both safepoints only count their step *)
     when steps_only r 2 ->
     count_steps r 2;
     rinc_at r code pc;
     loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 140 (* jlt_rlen_not, of a slice or string in a bound cell *) ->
+  | 125 (* jlt_rlen_not, of a slice or string in a bound cell *) ->
     let n = slot_len r (Array.unsafe_get code (pc + 3)) in
     if n < 0 then full r pc sp_v sp_i
     else if reg_at r code (pc + 1) < n then loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 141 (* jlt_rr_not *) ->
+  | 126 (* jlt_rr_not *) ->
     if reg_at r code (pc + 1) < reg_at r code (pc + 3) then
       loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 142 (* jle_rr_not *) ->
-    if reg_at r code (pc + 1) <= reg_at r code (pc + 3) then
-      loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 143 (* jgt_rr_not *) ->
-    if reg_at r code (pc + 1) > reg_at r code (pc + 3) then
-      loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 144 (* jge_rr_not *) ->
-    if reg_at r code (pc + 1) >= reg_at r code (pc + 3) then
-      loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 145 (* jeq_rr_not *) ->
-    if reg_at r code (pc + 1) = reg_at r code (pc + 3) then
-      loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 146 (* jne_rr_not *) ->
-    if reg_at r code (pc + 1) <> reg_at r code (pc + 3) then
-      loop r (pc + 6) sp_v sp_i
-    else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
   (* Register-operand forms. *)
-  | 156 (* add_r *) ->
+  | 136 (* add_r *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) + reg_at r code (pc + 1));
     loop r (pc + 3) sp_v sp_i
-  | 157 (* sub_r *) ->
+  | 137 (* sub_r *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) - reg_at r code (pc + 1));
     loop r (pc + 3) sp_v sp_i
-  | 158 (* mul_r *) ->
-    Array.unsafe_set stk_i (sp_i - 1)
-      (Array.unsafe_get stk_i (sp_i - 1) * reg_at r code (pc + 1));
-    loop r (pc + 3) sp_v sp_i
-  | 159 (* addk_r *) ->
+  | 138 (* addk_r *) ->
     Array.unsafe_set stk_i sp_i
       (reg_at r code (pc + 1) + Array.unsafe_get code (pc + 2));
     loop r (pc + 4) sp_v (sp_i + 1)
-  | 160 (* mulk_r *) ->
+  | 139 (* mulk_r *) ->
     Array.unsafe_set stk_i sp_i
       (reg_at r code (pc + 1) * Array.unsafe_get code (pc + 2));
     loop r (pc + 4) sp_v (sp_i + 1)
-  | 161 (* divk_r, k <> 0 *) when Array.unsafe_get code (pc + 2) <> 0 ->
-    Array.unsafe_set stk_i sp_i
-      (reg_at r code (pc + 1) / Array.unsafe_get code (pc + 2));
-    loop r (pc + 4) sp_v (sp_i + 1)
-  | 162 (* modk_r, k <> 0 *) when Array.unsafe_get code (pc + 2) <> 0 ->
+  | 140 (* modk_r, k <> 0 *) when Array.unsafe_get code (pc + 2) <> 0 ->
     Array.unsafe_set stk_i sp_i
       (reg_at r code (pc + 1) mod Array.unsafe_get code (pc + 2));
     loop r (pc + 4) sp_v (sp_i + 1)
-  | 163 (* jlt_rk_not *) ->
+  | 141 (* jlt_rk_not *) ->
     if reg_at r code (pc + 1) < Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 164 (* jle_rk_not *) ->
+  | 142 (* jle_rk_not *) ->
     if reg_at r code (pc + 1) <= Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 165 (* jgt_rk_not *) ->
+  | 143 (* jgt_rk_not *) ->
     if reg_at r code (pc + 1) > Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 166 (* jge_rk_not *) ->
+  | 144 (* jge_rk_not *) ->
     if reg_at r code (pc + 1) >= Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 167 (* jeq_rk_not *) ->
+  | 145 (* jeq_rk_not *) ->
     if reg_at r code (pc + 1) = Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 168 (* jne_rk_not *) ->
+  | 146 (* jne_rk_not *) ->
     if reg_at r code (pc + 1) <> Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
@@ -898,37 +802,12 @@ let rec loop (r : regs) pc sp_v sp_i =
      steps: [rinc], the head's test on its operands (from pc + 7 on),
      then {!back_edge}.  Any other case goes to {!full}'s [loop_rinc]
      with nothing done. *)
-  | 169 (* loop_lt_rr *) when steps_only r 3 ->
+  | 147 (* loop_lt_rr *) when steps_only r 3 ->
     rinc_at r code pc;
     loop r
       (back_edge r code pc (reg_at r code (pc + 7) < reg_at r code (pc + 9)))
       sp_v sp_i
-  | 170 (* loop_le_rr *) when steps_only r 3 ->
-    rinc_at r code pc;
-    loop r
-      (back_edge r code pc (reg_at r code (pc + 7) <= reg_at r code (pc + 9)))
-      sp_v sp_i
-  | 171 (* loop_gt_rr *) when steps_only r 3 ->
-    rinc_at r code pc;
-    loop r
-      (back_edge r code pc (reg_at r code (pc + 7) > reg_at r code (pc + 9)))
-      sp_v sp_i
-  | 172 (* loop_ge_rr *) when steps_only r 3 ->
-    rinc_at r code pc;
-    loop r
-      (back_edge r code pc (reg_at r code (pc + 7) >= reg_at r code (pc + 9)))
-      sp_v sp_i
-  | 173 (* loop_eq_rr *) when steps_only r 3 ->
-    rinc_at r code pc;
-    loop r
-      (back_edge r code pc (reg_at r code (pc + 7) = reg_at r code (pc + 9)))
-      sp_v sp_i
-  | 174 (* loop_ne_rr *) when steps_only r 3 ->
-    rinc_at r code pc;
-    loop r
-      (back_edge r code pc (reg_at r code (pc + 7) <> reg_at r code (pc + 9)))
-      sp_v sp_i
-  | 175 (* loop_lt_rlen, of a slice or string in a bound cell *)
+  | 148 (* loop_lt_rlen, of a slice or string in a bound cell *)
     when steps_only r 3 ->
     (* the slot is not the register: its length may be read first *)
     let n = slot_len r (Array.unsafe_get code (pc + 9)) in
@@ -937,43 +816,13 @@ let rec loop (r : regs) pc sp_v sp_i =
       rinc_at r code pc;
       loop r (back_edge r code pc (reg_at r code (pc + 7) < n)) sp_v sp_i
     end
-  | 176 (* loop_lt_rk *) when steps_only r 3 ->
+  | 149 (* loop_lt_rk *) when steps_only r 3 ->
     rinc_at r code pc;
     loop r
       (back_edge r code pc
          (reg_at r code (pc + 7) < Array.unsafe_get code (pc + 9)))
       sp_v sp_i
-  | 177 (* loop_le_rk *) when steps_only r 3 ->
-    rinc_at r code pc;
-    loop r
-      (back_edge r code pc
-         (reg_at r code (pc + 7) <= Array.unsafe_get code (pc + 9)))
-      sp_v sp_i
-  | 178 (* loop_gt_rk *) when steps_only r 3 ->
-    rinc_at r code pc;
-    loop r
-      (back_edge r code pc
-         (reg_at r code (pc + 7) > Array.unsafe_get code (pc + 9)))
-      sp_v sp_i
-  | 179 (* loop_ge_rk *) when steps_only r 3 ->
-    rinc_at r code pc;
-    loop r
-      (back_edge r code pc
-         (reg_at r code (pc + 7) >= Array.unsafe_get code (pc + 9)))
-      sp_v sp_i
-  | 180 (* loop_eq_rk *) when steps_only r 3 ->
-    rinc_at r code pc;
-    loop r
-      (back_edge r code pc
-         (reg_at r code (pc + 7) = Array.unsafe_get code (pc + 9)))
-      sp_v sp_i
-  | 181 (* loop_ne_rk *) when steps_only r 3 ->
-    rinc_at r code pc;
-    loop r
-      (back_edge r code pc
-         (reg_at r code (pc + 7) <> Array.unsafe_get code (pc + 9)))
-      sp_v sp_i
-  | 147 (* index_i_sr, a live element of an int slice in range *) -> begin
+  | 127 (* index_i_sr, a live element of an int slice in range *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
       let vi =
@@ -991,7 +840,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     end
     | Bunbound -> full r pc sp_v sp_i
   end
-  | 190 (* elem_field_i_sr, an int field of a live flat store's element *)
+  | 156 (* elem_field_i_sr, an int field of a live flat store's element *)
     -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
@@ -1014,7 +863,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     end
     | Bunbound -> full r pc sp_v sp_i
   end
-  | 191 (* elem_field_v_sr, a field of a live flat store's element *) -> begin
+  | 157 (* elem_field_v_sr, a field of a live flat store's element *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
       let vi =
@@ -1036,23 +885,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     end
     | Bunbound -> full r pc sp_v sp_i
   end
-  | 148 (* store_index_sr, a non-struct value into a live slice *) -> begin
-    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
-    | Bdirect c | Bboxed (_, c) -> begin
-      let vi =
-        Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))
-      in
-      match (cget c, Array.unsafe_get r.x_stk_v (sp_v - 1)) with
-      | Value.VSlice s, v
-        when vi >= 0 && vi < s.Value.s_len
-             && (match v with Value.VStruct _ -> false | _ -> true) ->
-        Array.unsafe_set s.Value.s_cells (s.Value.s_off + vi) v;
-        loop r (pc + 5) (sp_v - 1) sp_i
-      | _ -> full r pc sp_v sp_i
-    end
-    | Bunbound -> full r pc sp_v sp_i
-  end
-  | 149 (* store_index_i, into a live int slice in range *) -> begin
+  | 128 (* store_index_i, into a live int slice in range *) -> begin
     let vi = Array.unsafe_get stk_i (sp_i - 1) in
     match Array.unsafe_get r.x_stk_v (sp_v - 1) with
     | Value.VIslice s when vi >= 0 && vi < s.i_len ->
@@ -1061,7 +894,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       loop r (pc + 1) (sp_v - 1) (sp_i - 2)
     | _ -> full r pc sp_v sp_i
   end
-  | 150 (* store_i_sr, into a live int slice in range *) -> begin
+  | 129 (* store_i_sr, into a live int slice in range *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
       let vi =
@@ -1076,7 +909,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     end
     | Bunbound -> full r pc sp_v sp_i
   end
-  | 136 (* append_i, of one int, within the int slice's capacity *)
+  | 131 (* append_i, of one int, within the int slice's capacity *)
     when Array.unsafe_get code (pc + 2) = 1 -> begin
     match Array.unsafe_get r.x_stk_v (sp_v - 1) with
     | Value.VIslice s when s.i_off + s.i_len < Array.length s.i_ints ->
@@ -1090,7 +923,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   (* The field-operand forms, when the frame slot holds a pointer to a
      struct and the fields have the shapes the scanner reads: an int,
      and a string or a slice. *)
-  | 152 (* flen *) -> begin
+  | 132 (* flen *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
     | fields -> begin
@@ -1109,7 +942,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       end
     end
   end
-  | 155 (* finc, an int field through a pointer *) -> begin
+  | 135 (* finc, an int field through a pointer *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
     | fields -> begin
@@ -1122,7 +955,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       | _ -> full r pc sp_v sp_i
     end
   end
-  | 153 (* index_ff, a byte of a string field at an int field *) -> begin
+  | 133 (* index_ff, a byte of a string field at an int field *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
     | fields -> begin
@@ -1138,7 +971,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       | _ -> full r pc sp_v sp_i
     end
   end
-  | 154 (* jlt_flen_not, an int field against a string field's length *)
+  | 134 (* jlt_flen_not, an int field against a string field's length *)
     -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
@@ -1261,102 +1094,102 @@ and full (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v (sp_v - 1)
       (Value.copy (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) sp_v sp_i
-  | 26 (* div_i *) ->
+  | 25 (* div_i *) ->
     let b = Array.unsafe_get stk_i (sp_i - 1) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
     Array.unsafe_set stk_i (sp_i - 2) (Array.unsafe_get stk_i (sp_i - 2) / b);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 27 (* mod_i *) ->
+  | 26 (* mod_i *) ->
     let b = Array.unsafe_get stk_i (sp_i - 1) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
     Array.unsafe_set stk_i (sp_i - 2)
       (Array.unsafe_get stk_i (sp_i - 2) mod b);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 31 (* shl_i *) ->
+  | 30 (* shl_i *) ->
     let b = Array.unsafe_get stk_i (sp_i - 1) in
     if b < 0 then raise (Panic (Value.VStr "negative shift amount"));
     Array.unsafe_set stk_i (sp_i - 2)
       (if b >= 63 then 0 else Array.unsafe_get stk_i (sp_i - 2) lsl b);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 32 (* shr_i *) ->
+  | 31 (* shr_i *) ->
     let b = Array.unsafe_get stk_i (sp_i - 1) in
     if b < 0 then raise (Panic (Value.VStr "negative shift amount"));
     Array.unsafe_set stk_i (sp_i - 2)
       (if b >= 63 then 0 else Array.unsafe_get stk_i (sp_i - 2) asr b);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 41 (* binop *) ->
+  | 40 (* binop *) ->
     let vb = Array.unsafe_get stk_v (sp_v - 1) in
     let va = Array.unsafe_get stk_v (sp_v - 2) in
     Array.unsafe_set stk_v (sp_v - 2)
       (eval_binop r.x_f.B.bf_binops.(Array.unsafe_get code (pc + 1)) va vb);
     loop r (pc + 2) (sp_v - 1) sp_i
-  | 42 (* neg_v *) ->
+  | 41 (* neg_v *) ->
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VInt n -> Array.unsafe_set stk_v (sp_v - 1) (Value.VInt (-n))
     | Value.VFloat x -> Array.unsafe_set stk_v (sp_v - 1) (Value.VFloat (-.x))
     | _ -> raise (Runtime_error "cannot negate"));
     loop r (pc + 1) sp_v sp_i
-  | 43 (* decl *) ->
+  | 42 (* decl *) ->
     declare r (Array.unsafe_get code (pc + 1)) (Array.unsafe_get stk_v (sp_v - 1));
     loop r (pc + 2) (sp_v - 1) sp_i
-  | 44 (* decl_zero *) ->
+  | 43 (* decl_zero *) ->
     declare r (Array.unsafe_get code (pc + 1))
       (r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 2)) ());
     loop r (pc + 3) sp_v sp_i
-  | 45 (* store_slot *) -> begin
+  | 44 (* store_slot *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
       Value.store c 0 (Array.unsafe_get stk_v (sp_v - 1));
       loop r (pc + 3) (sp_v - 1) sp_i
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2))
   end
-  | 46 (* store_gslot *) -> begin
+  | 45 (* store_gslot *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
       Value.store c 0 (Array.unsafe_get stk_v (sp_v - 1));
       loop r (pc + 3) (sp_v - 1) sp_i
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2))
   end
-  | 47 (* store_slot_i *) -> begin
+  | 46 (* store_slot_i *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
       cset c (Value.vint (Array.unsafe_get stk_i (sp_i - 1)));
       loop r (pc + 3) sp_v (sp_i - 1)
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2))
   end
-  | 48 (* store_gslot_i *) -> begin
+  | 47 (* store_gslot_i *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
       cset c (Value.vint (Array.unsafe_get stk_i (sp_i - 1)));
       loop r (pc + 3) sp_v (sp_i - 1)
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2))
   end
-  | 49 (* store_slot_b *) -> begin
+  | 48 (* store_slot_b *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
       cset c (Value.vbool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
       loop r (pc + 3) sp_v (sp_i - 1)
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2))
   end
-  | 50 (* store_gslot_b *) -> begin
+  | 49 (* store_gslot_b *) -> begin
     match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) ->
       cset c (Value.vbool (Array.unsafe_get stk_i (sp_i - 1) <> 0));
       loop r (pc + 3) sp_v (sp_i - 1)
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2))
   end
-  | 51 (* store_deref *) ->
+  | 50 (* store_deref *) ->
     store_deref
       (Array.unsafe_get stk_v (sp_v - 1))
       (Array.unsafe_get stk_v (sp_v - 2));
     loop r (pc + 1) (sp_v - 2) sp_i
-  | 52 (* store_index *) ->
+  | 51 (* store_index *) ->
     store_index
       (Array.unsafe_get stk_v (sp_v - 1))
       (Array.unsafe_get stk_i (sp_i - 1))
       (Array.unsafe_get stk_v (sp_v - 2));
     loop r (pc + 1) (sp_v - 2) (sp_i - 1)
-  | 53 (* store_map *) ->
+  | 52 (* store_map *) ->
     let vk = Array.unsafe_get stk_v (sp_v - 1) in
     let vm = Array.unsafe_get stk_v (sp_v - 2) in
     let v = Array.unsafe_get stk_v (sp_v - 3) in
@@ -1364,7 +1197,7 @@ and full (r : regs) pc sp_v sp_i =
     | Value.VMap hdr -> map_store r.x_st hdr vk (Value.copy v)
     | vm -> not_a_map_store vm);
     loop r (pc + 1) (sp_v - 3) sp_i
-  | 184 (* store_map_ii *) ->
+  | 151 (* store_map_ii *) ->
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VMap hdr ->
       map_store_ii r.x_st hdr
@@ -1372,15 +1205,7 @@ and full (r : regs) pc sp_v sp_i =
         (Array.unsafe_get stk_i (sp_i - 2))
     | vm -> not_a_map_store vm);
     loop r (pc + 1) (sp_v - 1) (sp_i - 2)
-  | 185 (* store_map_iv *) ->
-    (match Array.unsafe_get stk_v (sp_v - 1) with
-    | Value.VMap hdr ->
-      map_store_iv r.x_st hdr
-        (Array.unsafe_get stk_i (sp_i - 1))
-        (Value.copy (Array.unsafe_get stk_v (sp_v - 2)))
-    | vm -> not_a_map_store vm);
-    loop r (pc + 1) (sp_v - 2) (sp_i - 1)
-  | 186 (* store_map_vi *) ->
+  | 152 (* store_map_vi *) ->
     (match Array.unsafe_get stk_v (sp_v - 2) with
     | Value.VMap hdr ->
       map_store_vi r.x_st hdr
@@ -1388,31 +1213,31 @@ and full (r : regs) pc sp_v sp_i =
         (Array.unsafe_get stk_i (sp_i - 1))
     | vm -> not_a_map_store vm);
     loop r (pc + 1) (sp_v - 2) (sp_i - 1)
-  | 54 (* store_thru *) ->
+  | 53 (* store_thru *) ->
     let p = Array.unsafe_get stk_v (sp_v - 1) in
     let v = Array.unsafe_get stk_v (sp_v - 2) in
     (match p with
     | Value.VPtr p -> Value.store p.Value.p_arr p.Value.p_idx v
     | _ -> raise (Runtime_error "bad field target"));
     loop r (pc + 1) (sp_v - 2) sp_i
-  | 55 (* index_v *) ->
+  | 54 (* index_v *) ->
     let vi = Array.unsafe_get stk_i (sp_i - 1) in
     let va = Array.unsafe_get stk_v (sp_v - 1) in
     Array.unsafe_set stk_v (sp_v - 1) (index_value r.x_st.heap va vi);
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 56 (* index_i *) ->
+  | 55 (* index_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (index_int r.x_st.heap
          (Array.unsafe_get stk_v (sp_v - 1))
          (Array.unsafe_get stk_i (sp_i - 1)));
     loop r (pc + 1) (sp_v - 1) sp_i
-  | 57 (* index_b *) ->
+  | 56 (* index_b *) ->
     let vi = Array.unsafe_get stk_i (sp_i - 1) in
     let va = Array.unsafe_get stk_v (sp_v - 1) in
     Array.unsafe_set stk_i (sp_i - 1)
       (if truthy (index_value r.x_st.heap va vi) then 1 else 0);
     loop r (pc + 1) (sp_v - 1) sp_i
-  | 58 (* field_v *) -> begin
+  | 57 (* field_v *) -> begin
     (* field_value, inlined for the two cached shapes *)
     match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
@@ -1457,7 +1282,7 @@ and full (r : regs) pc sp_v sp_i =
            (Array.unsafe_get code (pc + 3)));
       loop r (pc + 4) sp_v sp_i
   end
-  | 59 (* field_i *) -> begin
+  | 58 (* field_i *) -> begin
     match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
       match pget p with
@@ -1504,7 +1329,7 @@ and full (r : regs) pc sp_v sp_i =
               (Array.unsafe_get code (pc + 3))));
       loop r (pc + 4) (sp_v - 1) (sp_i + 1)
   end
-  | 60 (* field_b *) ->
+  | 59 (* field_b *) ->
     let va = Array.unsafe_get stk_v (sp_v - 1) in
     Array.unsafe_set stk_i sp_i
       (if
@@ -1516,7 +1341,7 @@ and full (r : regs) pc sp_v sp_i =
        then 1
        else 0);
     loop r (pc + 4) (sp_v - 1) (sp_i + 1)
-  | 61 (* mapget_v *) ->
+  | 60 (* mapget_v *) ->
     let vk = Array.unsafe_get stk_v (sp_v - 1) in
     let vm = Array.unsafe_get stk_v (sp_v - 2) in
     Array.unsafe_set stk_v (sp_v - 2)
@@ -1524,28 +1349,20 @@ and full (r : regs) pc sp_v sp_i =
          (Array.unsafe_get code (pc + 1))
          (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v - 1) sp_i
-  | 62 (* mapget_i *) | 63 (* mapget_b *) ->
+  | 61 (* mapget_i *) | 62 (* mapget_b *) ->
     let vk = Array.unsafe_get stk_v (sp_v - 1) in
     let vm = Array.unsafe_get stk_v (sp_v - 2) in
     Array.unsafe_set stk_i sp_i
       (mapget_word r vm vk (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v - 2) (sp_i + 1)
-  | 182 (* mapget_ii *) ->
+  | 150 (* mapget_ii *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (mapget_ii r
          (Array.unsafe_get stk_v (sp_v - 1))
          (Array.unsafe_get stk_i (sp_i - 1))
          (Array.unsafe_get code (pc + 1)));
     loop r (pc + 2) (sp_v - 1) sp_i
-  | 183 (* mapget_iv *) ->
-    Array.unsafe_set stk_v (sp_v - 1)
-      (mapget_iv r
-         (Array.unsafe_get stk_v (sp_v - 1))
-         (Array.unsafe_get stk_i (sp_i - 1))
-         (Array.unsafe_get code (pc + 1))
-         (Array.unsafe_get code (pc + 2)));
-    loop r (pc + 3) sp_v (sp_i - 1)
-  | 64 (* mapget_ok *) ->
+  | 63 (* mapget_ok *) ->
     let vk = Array.unsafe_get stk_v (sp_v - 1) in
     let vm = Array.unsafe_get stk_v (sp_v - 2) in
     let zidx = Array.unsafe_get code (pc + 1) in
@@ -1567,22 +1384,22 @@ and full (r : regs) pc sp_v sp_i =
     in
     Array.unsafe_set stk_v (sp_v - 2) res;
     loop r (pc + 2) (sp_v - 1) sp_i
-  | 65 (* len *) ->
+  | 64 (* len *) ->
     Array.unsafe_set stk_i sp_i
       (length r.x_st (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) (sp_v - 1) (sp_i + 1)
-  | 66 (* cap *) ->
+  | 65 (* cap *) ->
     Array.unsafe_set stk_i sp_i (capacity (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) (sp_v - 1) (sp_i + 1)
-  | 67 (* itoa *) ->
+  | 66 (* itoa *) ->
     Array.unsafe_set stk_v sp_v
       (Value.VStr (Value.itoa (Array.unsafe_get stk_i (sp_i - 1))));
     loop r (pc + 1) (sp_v + 1) (sp_i - 1)
-  | 68 (* rand *) ->
+  | 67 (* rand *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (rand_int r.x_st (Array.unsafe_get stk_i (sp_i - 1)));
     loop r (pc + 1) sp_v sp_i
-  | 69 (* substr *) ->
+  | 68 (* substr *) ->
     let hi = Array.unsafe_get stk_i (sp_i - 1) in
     let lo = Array.unsafe_get stk_i (sp_i - 2) in
     (match Array.unsafe_get stk_v (sp_v - 1) with
@@ -1594,7 +1411,7 @@ and full (r : regs) pc sp_v sp_i =
           (Value.VStr (String.sub s lo (hi - lo)))
     | _ -> raise (Runtime_error "substr on non-string"));
     loop r (pc + 1) sp_v (sp_i - 2)
-  | 70 (* slice_sub *) ->
+  | 69 (* slice_sub *) ->
     let flags = Array.unsafe_get code (pc + 1) in
     let npop = (flags land 1) + ((flags land 2) lsr 1) in
     let hi =
@@ -1608,17 +1425,17 @@ and full (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v (sp_v - 1)
       (reslice (Array.unsafe_get stk_v (sp_v - 1)) lo hi);
     loop r (pc + 2) sp_v (sp_i - npop)
-  | 71 (* slice_copy *) ->
+  | 70 (* slice_copy *) ->
     Array.unsafe_set stk_i sp_i
       (slice_copy r.x_st
          (Array.unsafe_get stk_v (sp_v - 2))
          (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) (sp_v - 2) (sp_i + 1)
-  | 72 (* deref *) ->
+  | 71 (* deref *) ->
     Array.unsafe_set stk_v (sp_v - 1)
       (deref r.x_st.heap (Array.unsafe_get stk_v (sp_v - 1)));
     loop r (pc + 1) sp_v sp_i
-  | 73 (* call *) ->
+  | 72 (* call *) ->
     let f = Array.unsafe_get r.x_f.B.bf_prog (Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     let st = r.x_st in
@@ -1628,36 +1445,36 @@ and full (r : regs) pc sp_v sp_i =
          (call_fn st ~nslots:f.B.bf_nslots ~body:!run_ref ~zeros:zeros_ret f stk_v
             (sp_v - n)));
     loop r (pc + 3) (sp_v - n + 1) sp_i
-  | 74 (* call_undef *) ->
+  | 73 (* call_undef *) ->
     raise
       (Runtime_error
          ("undefined function "
          ^ r.x_f.B.bf_names.(Array.unsafe_get code (pc + 1))))
-  | 75 (* go *) ->
+  | 74 (* go *) ->
     let fid = Array.unsafe_get code (pc + 1) in
     let n = Array.unsafe_get code (pc + 2) in
     spawn_goroutine r.x_st fid (Array.sub stk_v (sp_v - n) n);
     loop r (pc + 3) (sp_v - n) sp_i
-  | 76 (* go_undef *) ->
+  | 75 (* go_undef *) ->
     raise
       (Runtime_error
          ("undefined function "
          ^ r.x_f.B.bf_names.(Array.unsafe_get code (pc + 1))))
-  | 77 (* defer *) ->
+  | 76 (* defer *) ->
     let fid = Array.unsafe_get code (pc + 1) in
     let n = Array.unsafe_get code (pc + 2) in
     r.x_fr.defers <- (fid, Array.sub stk_v (sp_v - n) n) :: r.x_fr.defers;
     loop r (pc + 3) (sp_v - n) sp_i
-  | 78 (* defer_undef *) ->
+  | 77 (* defer_undef *) ->
     raise
       (Runtime_error
          ("undefined function "
          ^ r.x_f.B.bf_names.(Array.unsafe_get code (pc + 1))))
-  | 79 (* check_len *) ->
+  | 78 (* check_len *) ->
     if Array.unsafe_get stk_i (sp_i - 1) < 0 then
       raise (Panic (Value.VStr "makeslice: negative length"));
     loop r (pc + 1) sp_v sp_i
-  | 80 (* make_slice *) ->
+  | 79 (* make_slice *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let zero_of = r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 2)) in
     let has_cap = Array.unsafe_get code (pc + 3) = 1 in
@@ -1667,14 +1484,14 @@ and full (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v sp_v
       (make_slice_obj r.x_st r.x_fr ~site ~len ~cap ~zero_of);
     loop r (pc + 4) (sp_v + 1) (sp_i - npop)
-  | 81 (* make_map *) ->
+  | 80 (* make_map *) ->
     let cols = Array.unsafe_get code (pc + 2) in
     Array.unsafe_set stk_v sp_v
       (make_map_obj r.x_st r.x_fr
          ~site:r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1))
          ~key:B.map_key_kinds.(cols / 3) ~value:B.map_val_kinds.(cols mod 3));
     loop r (pc + 3) (sp_v + 1) sp_i
-  | 82 (* new *) ->
+  | 81 (* new *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let c =
       Value.cell (r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 2)) ())
@@ -1688,7 +1505,7 @@ and full (r : regs) pc sp_v sp_i =
       (pin r.x_st r.x_fr
          (Value.VPtr (Value.cell_ptr obj c)));
     loop r (pc + 3) (sp_v + 1) sp_i
-  | 83 (* slice_lit *) ->
+  | 82 (* slice_lit *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     let zero = r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 3)) () in
@@ -1697,12 +1514,12 @@ and full (r : regs) pc sp_v sp_i =
          (Value.grown_store zero [||] 0 0 stk_v (sp_v - n) n n)
          ~cap:n ~len:n);
     loop r (pc + 4) (sp_v - n + 1) sp_i
-  | 84 (* struct_lit *) ->
+  | 83 (* struct_lit *) ->
     let n = Array.unsafe_get code (pc + 1) in
     Array.unsafe_set stk_v (sp_v - n)
       (Value.VStruct (field_array stk_v sp_v n));
     loop r (pc + 2) (sp_v - n + 1) sp_i
-  | 85 (* addr_struct_lit *) ->
+  | 84 (* addr_struct_lit *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     let v = Value.VStruct (field_array stk_v sp_v n) in
@@ -1716,7 +1533,7 @@ and full (r : regs) pc sp_v sp_i =
       (pin r.x_st r.x_fr
          (Value.VPtr (Value.cell_ptr obj c)));
     loop r (pc + 3) (sp_v - n + 1) sp_i
-  | 86 (* append *) ->
+  | 85 (* append *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     let zero_of = r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 3)) in
@@ -1724,7 +1541,7 @@ and full (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v (sp_v - n - 1)
       (append_values r.x_st r.x_fr ~site ~zero_of base stk_v (sp_v - n) n);
     loop r (pc + 4) (sp_v - n) sp_i
-  | 87 (* addr_slot *) ->
+  | 86 (* addr_slot *) ->
     (match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c ->
       Array.unsafe_set stk_v sp_v
@@ -1734,7 +1551,7 @@ and full (r : regs) pc sp_v sp_i =
         (Value.VPtr (Value.cell_ptr obj c))
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v + 1) sp_i
-  | 88 (* addr_gslot *) ->
+  | 87 (* addr_gslot *) ->
     (match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c ->
       Array.unsafe_set stk_v sp_v
@@ -1744,13 +1561,13 @@ and full (r : regs) pc sp_v sp_i =
         (Value.VPtr (Value.cell_ptr obj c))
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v + 1) sp_i
-  | 89 (* addr_index *) ->
+  | 88 (* addr_index *) ->
     Array.unsafe_set stk_v (sp_v - 1)
       (addr_index
          (Array.unsafe_get stk_v (sp_v - 1))
          (Array.unsafe_get stk_i (sp_i - 1)));
     loop r (pc + 1) sp_v (sp_i - 1)
-  | 90 (* addr_field_ptr *) ->
+  | 89 (* addr_field_ptr *) ->
     let fidx = Array.unsafe_get code (pc + 1) in
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
@@ -1766,7 +1583,7 @@ and full (r : regs) pc sp_v sp_i =
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "field of non-pointer"));
     loop r (pc + 2) sp_v sp_i
-  | 91 (* addr_field_slot *) ->
+  | 90 (* addr_field_slot *) ->
     let fidx = Array.unsafe_get code (pc + 2) in
     let c, owner =
       match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
@@ -1780,7 +1597,7 @@ and full (r : regs) pc sp_v sp_i =
         (Value.field_ptr owner fields fidx)
     | _ -> raise (Runtime_error "field of non-struct"));
     loop r (pc + 4) (sp_v + 1) sp_i
-  | 92 (* addr_field_gslot *) ->
+  | 91 (* addr_field_gslot *) ->
     let fidx = Array.unsafe_get code (pc + 2) in
     let c, owner =
       match
@@ -1796,7 +1613,7 @@ and full (r : regs) pc sp_v sp_i =
         (Value.field_ptr owner fields fidx)
     | _ -> raise (Runtime_error "field of non-struct"));
     loop r (pc + 4) (sp_v + 1) sp_i
-  | 93 (* tuple_check *) ->
+  | 92 (* tuple_check *) ->
     let n = Array.unsafe_get code (pc + 1) in
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VTuple vs when List.length vs = n -> ()
@@ -1807,23 +1624,23 @@ and full (r : regs) pc sp_v sp_i =
               "multi-value declaration mismatch"
             else "multi-value assignment mismatch")));
     loop r (pc + 3) sp_v sp_i
-  | 94 (* tuple_get *) ->
+  | 93 (* tuple_get *) ->
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VTuple vs ->
       Array.unsafe_set stk_v sp_v
         (List.nth vs (Array.unsafe_get code (pc + 1)))
     | _ -> raise (Runtime_error "expected a tuple"));
     loop r (pc + 2) (sp_v + 1) sp_i
-  | 95 (* print *) ->
+  | 94 (* print *) ->
     let n = Array.unsafe_get code (pc + 1) in
     let parts = List.map (show r.x_st) (popped stk_v sp_v n) in
     Interp.emit_str r.x_st (String.concat " " parts ^ "\n");
     loop r (pc + 2) (sp_v - n) sp_i
-  | 96 (* tostr *) ->
+  | 95 (* tostr *) ->
     Array.unsafe_set stk_v (sp_v - 1)
       (Value.VStr (show r.x_st (Array.unsafe_get stk_v (sp_v - 1))));
     loop r (pc + 1) sp_v sp_i
-  | 97 (* tcfree *) ->
+  | 96 (* tcfree *) ->
     let s = Array.unsafe_get code (pc + 1) in
     let kind =
       match Array.unsafe_get code (pc + 2) with
@@ -1835,7 +1652,7 @@ and full (r : regs) pc sp_v sp_i =
     | Bunbound -> ()  (* declaration never executed on this path *)
     | b -> tcfree_binding r.x_st b kind);
     loop r (pc + 3) sp_v sp_i
-  | 98 (* delete *) ->
+  | 97 (* delete *) ->
     let vk = Array.unsafe_get stk_v (sp_v - 1) in
     let vm = Array.unsafe_get stk_v (sp_v - 2) in
     (match vm with
@@ -1843,15 +1660,15 @@ and full (r : regs) pc sp_v sp_i =
     | Value.VNil -> ()
     | _ -> raise (Runtime_error "delete on non-map"));
     loop r (pc + 1) (sp_v - 2) sp_i
-  | 99 (* panic *) -> raise (Panic (Array.unsafe_get stk_v (sp_v - 1)))
-  | 100 (* recover *) ->
+  | 98 (* panic *) -> raise (Panic (Array.unsafe_get stk_v (sp_v - 1)))
+  | 99 (* recover *) ->
     (match r.x_st.unwinding with
     | Some v ->
       r.x_st.unwinding <- None;
       Array.unsafe_set stk_v sp_v (Value.VStr (show r.x_st v))
     | None -> Array.unsafe_set stk_v sp_v (Value.VStr ""));
     loop r (pc + 1) (sp_v + 1) sp_i
-  | 101 (* range_start *) -> begin
+  | 100 (* range_start *) -> begin
     match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VMap hdr ->
       r.x_iters <- map_range_keys r.x_st hdr :: r.x_iters;
@@ -1859,7 +1676,7 @@ and full (r : regs) pc sp_v sp_i =
     | Value.VNil -> loop r (Array.unsafe_get code (pc + 1)) (sp_v - 1) sp_i
     | _ -> raise (Runtime_error "range over non-map")
   end
-  | 102 (* range_next *) -> begin
+  | 101 (* range_next *) -> begin
     match r.x_iters with
     | keys :: outer -> begin
       match keys with
@@ -1874,27 +1691,27 @@ and full (r : regs) pc sp_v sp_i =
     end
     | [] -> raise (Runtime_error "vm: range_next without iterator")
   end
-  | 103 (* range_pop *) ->
+  | 102 (* range_pop *) ->
     r.x_iters <- List.tl r.x_iters;
     loop r (pc + 1) sp_v sp_i
-  | 104 (* thunk_v *) ->
+  | 103 (* thunk_v *) ->
     Array.unsafe_set stk_v sp_v
       (r.x_f.B.bf_thunks.(Array.unsafe_get code (pc + 1)) r.x_st r.x_fr);
     loop r (pc + 2) (sp_v + 1) sp_i
   (* Superinstructions.  Each case is the literal composition of its
      unfused expansion above — same evaluation order, same panics. *)
-  | 109 (* divk_i *) ->
+  | 107 (* divk_i *) ->
     let b = Array.unsafe_get code (pc + 1) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
     Array.unsafe_set stk_i (sp_i - 1) (Array.unsafe_get stk_i (sp_i - 1) / b);
     loop r (pc + 2) sp_v sp_i
-  | 110 (* modk_i *) ->
+  | 108 (* modk_i *) ->
     let b = Array.unsafe_get code (pc + 1) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) mod b);
     loop r (pc + 2) sp_v sp_i
-  | 117 (* sfield_v = vload; field_v *) ->
+  | 109 (* sfield_v = vload; field_v *) ->
     Array.unsafe_set stk_v sp_v
       (slot_field r
          (Array.unsafe_get code (pc + 1))
@@ -1903,7 +1720,7 @@ and full (r : regs) pc sp_v sp_i =
          (Array.unsafe_get code (pc + 4))
          (Array.unsafe_get code (pc + 5)));
     loop r (pc + 6) (sp_v + 1) sp_i
-  | 118 (* sfield_i = vload; field_i *) ->
+  | 110 (* sfield_i = vload; field_i *) ->
     Array.unsafe_set stk_i sp_i
       (as_int
          (slot_field r
@@ -1913,39 +1730,20 @@ and full (r : regs) pc sp_v sp_i =
             (Array.unsafe_get code (pc + 4))
             (Array.unsafe_get code (pc + 5))));
     loop r (pc + 6) sp_v (sp_i + 1)
-  | 119 (* fstore_i = addr_field_ptr; store_thru, value from I *) ->
+  | 111 (* fstore_i = addr_field_ptr; store_thru, value from I *) ->
     store_field_int
       (Array.unsafe_get stk_v (sp_v - 1))
       (Array.unsafe_get code (pc + 1))
       (Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 2) (sp_v - 1) (sp_i - 1)
-  | 132 (* iinc = iload; addk_i; store_slot_i, same slot *) -> begin
-    match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
-    | Bdirect c | Bboxed (_, c) ->
-      (match cget c with
-      | Value.VInt n -> cset c (Value.vint (n + Array.unsafe_get code (pc + 2)))
-      | _ ->
-        cset c
-          (Value.VInt
-             (as_int (Value.read_cell c) + Array.unsafe_get code (pc + 2))));
-      loop r (pc + 4) sp_v sp_i
-    | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 3))
-  end
-  (* Register locals: no frame cell, no boxing, no binding check — the
-     emitter only registerizes locals whose every read follows their
-     declaration's [rstore]. *)
-  (* Nested struct-value field address: the owner spine re-evaluated
-     after the base, like [Interp.owner_of_struct_base].  The walker
-     checks the base for a struct before the spine runs; the base's
-     static type is a struct, so that error cannot fire in either. *)
-  | 187 (* elem_field_v *) ->
+  | 153 (* elem_field_v *) ->
     Array.unsafe_set stk_v (sp_v - 1)
       (index_field r.x_st.heap
          (Array.unsafe_get stk_v (sp_v - 1))
          (Array.unsafe_get stk_i (sp_i - 1))
          (Array.unsafe_get code (pc + 1)));
     loop r (pc + 2) sp_v (sp_i - 1)
-  | 188 (* elem_field_i *) ->
+  | 154 (* elem_field_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (as_int
          (index_field r.x_st.heap
@@ -1953,7 +1751,7 @@ and full (r : regs) pc sp_v sp_i =
             (Array.unsafe_get stk_i (sp_i - 1))
             (Array.unsafe_get code (pc + 1))));
     loop r (pc + 2) (sp_v - 1) sp_i
-  | 190 (* elem_field_i_sr = vload; rload; elem_field_i *) ->
+  | 156 (* elem_field_i_sr = vload; rload; elem_field_i *) ->
     let va =
       slot_value r (Array.unsafe_get code (pc + 1))
         (Array.unsafe_get code (pc + 2))
@@ -1964,7 +1762,7 @@ and full (r : regs) pc sp_v sp_i =
             (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
             (Array.unsafe_get code (pc + 5))));
     loop r (pc + 6) sp_v (sp_i + 1)
-  | 191 (* elem_field_v_sr = vload; rload; elem_field_v *) ->
+  | 157 (* elem_field_v_sr = vload; rload; elem_field_v *) ->
     let va =
       slot_value r (Array.unsafe_get code (pc + 1))
         (Array.unsafe_get code (pc + 2))
@@ -1974,7 +1772,7 @@ and full (r : regs) pc sp_v sp_i =
          (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
          (Array.unsafe_get code (pc + 5)));
     loop r (pc + 6) (sp_v + 1) sp_i
-  | 192 (* append_fields *) ->
+  | 158 (* append_fields *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     let zero_of = r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 3)) in
@@ -1982,14 +1780,18 @@ and full (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v (sp_v - n - 1)
       (append_fields r.x_st r.x_fr ~site ~zero_of base stk_v (sp_v - n) n);
     loop r (pc + 4) (sp_v - n) sp_i
-  | 189 (* addr_elem_field *) ->
+  | 155 (* addr_elem_field *) ->
     Array.unsafe_set stk_v (sp_v - 1)
       (addr_index_field r.x_st.heap
          (Array.unsafe_get stk_v (sp_v - 1))
          (Array.unsafe_get stk_i (sp_i - 1))
          (Array.unsafe_get code (pc + 1)));
     loop r (pc + 2) sp_v (sp_i - 1)
-  | 137 (* addr_field_val *) ->
+  (* Nested struct-value field address: the owner spine re-evaluated
+     after the base, like [Interp.owner_of_struct_base].  The walker
+     checks the base for a struct before the spine runs; the base's
+     static type is a struct, so that error cannot fire in either. *)
+  | 122 (* addr_field_val *) ->
     (match Array.unsafe_get stk_v (sp_v - 2) with
     | Value.VStruct fields ->
       Array.unsafe_set stk_v (sp_v - 2)
@@ -2002,20 +1804,20 @@ and full (r : regs) pc sp_v sp_i =
   (* Loop and indexing superinstructions.  Each performs the safepoints
      of the sequence it replaces, in the same order relative to its other
      effects, and raises the same errors in the same order. *)
-  | 138 (* safepoints n *) ->
+  | 123 (* safepoints n *) ->
     for _ = 1 to Array.unsafe_get code (pc + 1) do
       vm_safepoint r
     done;
     loop r (pc + 2) sp_v sp_i
-  | 139 (* loop_rinc = safepoint; rinc; jmp head; safepoint *)
-  | 169 | 170 | 171 | 172 | 173 | 174 | 175 | 176 | 177 | 178 | 179 | 180
-  | 181 (* a rotated back edge: its loop_rinc, then on to the head's
-           unchanged test *) ->
+  | 124 (* loop_rinc = safepoint; rinc; jmp head; safepoint *)
+  | 147 (* loop_lt_rr *) | 148 (* loop_lt_rlen *)
+  | 149 (* loop_lt_rk: a rotated back edge runs its loop_rinc, then goes
+           on to the head's unchanged test *) ->
     vm_safepoint r;
     rinc_at r code pc;
     vm_safepoint r;
     loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 140 (* jlt_rlen_not = rload; vload; len; jlt_not *) ->
+  | 125 (* jlt_rlen_not = rload; vload; len; jlt_not *) ->
     let a = Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1)) in
     let n =
       length r.x_st
@@ -2024,7 +1826,7 @@ and full (r : regs) pc sp_v sp_i =
     in
     if a < n then loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 147 (* index_i_sr = vload; rload; index_i *) ->
+  | 127 (* index_i_sr = vload; rload; index_i *) ->
     let va =
       slot_value r (Array.unsafe_get code (pc + 1))
         (Array.unsafe_get code (pc + 2))
@@ -2033,22 +1835,13 @@ and full (r : regs) pc sp_v sp_i =
       (index_int r.x_st.heap va
          (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))));
     loop r (pc + 5) sp_v (sp_i + 1)
-  | 148 (* store_index_sr = vload; rload; store_index *) ->
-    let va =
-      slot_value r (Array.unsafe_get code (pc + 1))
-        (Array.unsafe_get code (pc + 2))
-    in
-    store_index va
-      (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
-      (Array.unsafe_get stk_v (sp_v - 1));
-    loop r (pc + 5) (sp_v - 1) sp_i
-  | 149 (* store_index_i *) ->
+  | 128 (* store_index_i *) ->
     store_int
       (Array.unsafe_get stk_v (sp_v - 1))
       (Array.unsafe_get stk_i (sp_i - 1))
       (Array.unsafe_get stk_i (sp_i - 2));
     loop r (pc + 1) (sp_v - 1) (sp_i - 2)
-  | 150 (* store_i_sr = vload; rload; store_index_i *) ->
+  | 129 (* store_i_sr = vload; rload; store_index_i *) ->
     let va =
       slot_value r (Array.unsafe_get code (pc + 1))
         (Array.unsafe_get code (pc + 2))
@@ -2057,7 +1850,7 @@ and full (r : regs) pc sp_v sp_i =
       (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
       (Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 5) sp_v (sp_i - 1)
-  | 151 (* slice_lit_i *) ->
+  | 130 (* slice_lit_i *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     Array.unsafe_set stk_v sp_v
@@ -2065,7 +1858,7 @@ and full (r : regs) pc sp_v sp_i =
          (Value.Ints (Array.sub stk_i (sp_i - n) n))
          ~cap:n ~len:n);
     loop r (pc + 3) (sp_v + 1) (sp_i - n)
-  | 136 (* append_i *) ->
+  | 131 (* append_i *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     Array.unsafe_set stk_v (sp_v - 1)
@@ -2073,13 +1866,7 @@ and full (r : regs) pc sp_v sp_i =
          (Array.unsafe_get stk_v (sp_v - 1))
          stk_i (sp_i - n) n);
     loop r (pc + 3) sp_v (sp_i - n)
-  | 161 (* divk_r = rload; divk_i *) ->
-    let a = reg_at r code (pc + 1) in
-    let b = Array.unsafe_get code (pc + 2) in
-    if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
-    Array.unsafe_set stk_i sp_i (a / b);
-    loop r (pc + 4) sp_v (sp_i + 1)
-  | 162 (* modk_r = rload; modk_i *) ->
+  | 140 (* modk_r = rload; modk_i *) ->
     let a = reg_at r code (pc + 1) in
     let b = Array.unsafe_get code (pc + 2) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
@@ -2087,7 +1874,7 @@ and full (r : regs) pc sp_v sp_i =
     loop r (pc + 4) sp_v (sp_i + 1)
   (* Field-operand forms: the reads of the [sfield_v]/[sfield_i] they
      replace, in the same order, through the same [slot_field]. *)
-  | 152 (* flen = sfield_v; len *) ->
+  | 132 (* flen = sfield_v; len *) ->
     Array.unsafe_set stk_i sp_i
       (length r.x_st
          (slot_field r
@@ -2097,7 +1884,7 @@ and full (r : regs) pc sp_v sp_i =
             (Array.unsafe_get code (pc + 4))
             (Array.unsafe_get code (pc + 5))));
     loop r (pc + 6) sp_v (sp_i + 1)
-  | 153 (* index_ff = sfield_v p.f; sfield_i p.g; index_i *) ->
+  | 133 (* index_ff = sfield_v p.f; sfield_i p.g; index_i *) ->
     let s = Array.unsafe_get code (pc + 1) in
     let np = Array.unsafe_get code (pc + 6) in
     let va =
@@ -2117,7 +1904,7 @@ and full (r : regs) pc sp_v sp_i =
     in
     Array.unsafe_set stk_i sp_i (index_int r.x_st.heap va vi);
     loop r (pc + 9) sp_v (sp_i + 1)
-  | 154 (* jlt_flen_not = sfield_i p.f; sfield_v p.g; len; jlt_not *) ->
+  | 134 (* jlt_flen_not = sfield_i p.f; sfield_v p.g; len; jlt_not *) ->
     let s = Array.unsafe_get code (pc + 1) in
     let np = Array.unsafe_get code (pc + 6) in
     let a =
@@ -2138,7 +1925,7 @@ and full (r : regs) pc sp_v sp_i =
     in
     if a < n then loop r (pc + 10) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 9)) sp_v sp_i
-  | 155 (* finc = sfield_i p.f; addk_i k; vload p; fstore_i f *) ->
+  | 135 (* finc = sfield_i p.f; addk_i k; vload p; fstore_i f *) ->
     let s = Array.unsafe_get code (pc + 1) in
     let fidx = Array.unsafe_get code (pc + 2) in
     let np = Array.unsafe_get code (pc + 5) in

@@ -1,6 +1,6 @@
 // Rotated counted loops: a loop with a register post statement and a
-// one-instruction condition re-tests the condition at its back edge and
-// lands past the body's leading safepoint.  Every condition form
+// one-instruction `<` condition re-tests the condition at its back edge
+// and lands past the body's leading safepoint.  Every condition form
 // (register against register, register against a constant, a register
 // against len of a local) under each comparison, zero-trip loops, break
 // and continue, a bound changed by the body, a slice the body

@@ -248,6 +248,81 @@ func main() {
 }
 |}
 
+(* The forms that no other program the suite lowers emits (see
+   {!opcode_coverage_cases}): bitwise ops and a subtraction on the int
+   stack, a compare and [||] in value context, a bool global and an
+   address-taken bool local, a float negation, a [[]bool] element, a
+   [map[string]bool] read, comma-ok, [new], the address of a global, a
+   [break] out of a map range, and the address of a map element (a
+   run-time error, so its function is lowered but never called). *)
+let src_rare_forms =
+  {|
+var flag bool
+var counter int
+
+type Pt struct {
+  x int
+  y int
+}
+
+// &m[k] lowers to a run-time error; never called
+func mapElemAddr(m map[int]int) {
+  p := &m[1]
+  println(*p)
+}
+
+func main() {
+  xs := []int{12, 5, 3}
+  a := xs[0]
+  b := xs[1]
+  println(xs[0]-xs[1], a&b, a|b, a^b, a>>xs[2])
+  lt := a < xs[1]
+  ge := a >= xs[2]
+  either := lt || ge
+  println(lt, ge, either)
+  flag = xs[1] < xs[2]
+  if flag || xs[0] > 10 {
+    println("flag", flag)
+  }
+  ok := false
+  pb := &ok
+  ok = a > b
+  println(*pb)
+  pg := &counter
+  *pg = 7
+  println(counter)
+  f := 1.5
+  g := -f
+  println(g)
+  bs := []bool{true, false}
+  if bs[1] {
+    println("bs1")
+  }
+  mb := make(map[string]bool)
+  mb["x"] = true
+  if mb["x"] {
+    println("mb")
+  }
+  m := make(map[int]int)
+  m[1] = 10
+  m[2] = 20
+  m[3] = 30
+  v, found := m[2]
+  println(v, found)
+  p := new(Pt)
+  p.x = 3
+  println(p.x)
+  n := 0
+  for k := range m {
+    n = n + k
+    if n > 0 {
+      break
+    }
+  }
+  println(n > 0)
+}
+|}
+
 let feature_cases =
   List.map
     (fun (name, src) ->
@@ -262,6 +337,7 @@ let feature_cases =
       ("structs+pointers", src_structs);
       ("slices", src_slices);
       ("ic invalidation", src_ic_invalidation);
+      ("rare forms", src_rare_forms);
     ]
 
 (* ---- register locals and scope elision ---------------------------- *)
@@ -343,8 +419,8 @@ let check_emitted ~name src facts =
           List.exists
             (fun l ->
               List.mem (opcode l)
-                [ "rload"; "rstore"; "rinc"; "add_r"; "sub_r"; "mul_r";
-                  "addk_r"; "mulk_r"; "divk_r"; "modk_r"; "jlt_rk_not";
+                [ "rload"; "rstore"; "rinc"; "add_r"; "sub_r"; "addk_r";
+                  "mulk_r"; "modk_r"; "jlt_rk_not";
                   "jle_rk_not"; "jgt_rk_not"; "jge_rk_not"; "jeq_rk_not";
                   "jne_rk_not" ]
               && String.ends_with ~suffix:("; " ^ v) l)
@@ -1103,9 +1179,9 @@ let concurrent_cases =
 (* ---- loop and indexing superinstructions -------------------------- *)
 
 (* The emitter fuses a counted loop's back edge ([loop_rinc], or a
-   rotated [loop_*] that re-tests the condition), register
-   compares and [i < len(x)] ([j*_rr_not], [jlt_rlen_not]), slot-indexed
-   reads and stores ([index_i_sr], [store_index_sr]) and runs of
+   rotated [loop_lt_*] that re-tests the condition), [i < j] and
+   [i < len(x)] ([jlt_rr_not], [jlt_rlen_not]), slot-indexed int reads
+   and stores ([index_i_sr], [store_i_sr]) and runs of
    statement safepoints ([safepoints n]).  Each fused form must perform
    exactly the safepoints of the sequence it replaces, so besides the
    output and metrics the sampled series (one sample every few steps)
@@ -1510,14 +1586,14 @@ let fused_cases =
     case "fused loops" src_fused_loops ~yields:[ 512; 3 ]
       ~fused:
         [ ("skip", "loop_lt_rr"); ("steps", "jlt_rr_not");
-          ("steps", "jne_rr_not"); ("steps", "jge_rr_not");
+          ("steps", "ne_i"); ("steps", "jge_not");
           ("lens", "jlt_rlen_not"); ("lens", "index_i_sr");
           ("forever", "safepoints"); ("forever", "loop_rinc");
           ("scan", "jlt_rlen_not"); ("scan", "jnek_not") ];
     case "fused index panics" src_fused_panics ~yields:[ 512 ]
       ~fused:
         [ ("readPast", "index_i_sr"); ("writePast", "store_i_sr");
-          ("writePastStr", "store_index_sr"); ("readNil", "index_i_sr");
+          ("writePastStr", "store_index"); ("readNil", "index_i_sr");
           ("writeNil", "store_i_sr") ];
     case "fused forms under goroutines" src_fused_goroutines
       ~yields:[ 1; 2; 5 ]
@@ -1596,7 +1672,7 @@ let register_param_cases =
             Cell ("reduce", "b"); Reg ("pick", "flag"); Reg ("depth", "n");
             Reg ("worker", "even") ];
         check_fused ~name src
-          [ ("sumBelow", "jlt_rr_not"); ("order", "jgt_rr_not");
+          [ ("sumBelow", "jlt_rr_not"); ("order", "gt_i");
             ("worker", "jlt_rr_not") ];
         check_identical ~name src;
         check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
@@ -1681,7 +1757,7 @@ let yield_point_cases =
         let name = "yield points" in
         check_fused ~name src_yield_points
           [ ("worker", "loop_rinc"); ("worker", "jlt_rr_not");
-            ("worker", "loop_lt_rr"); ("worker", "loop_gt_rk") ];
+            ("worker", "loop_lt_rr"); ("worker", "jgt_rk_not") ];
         List.iter
           (fun yield_every ->
             check_yields_identical ~name ~yield_every src_yield_points;
@@ -1692,10 +1768,11 @@ let yield_point_cases =
 
 (* ---- rotated loops ------------------------------------------------- *)
 
-(* A counted loop whose condition is one compare-and-branch re-tests it
-   at the back edge and lands past the body's leading safepoint; an int
-   op on a register local reads the register in place.  The program —
-   every condition form and comparison, zero-trip loops, break and
+(* A counted loop whose condition is one [<] compare-and-branch re-tests
+   it at the back edge and lands past the body's leading safepoint; any
+   other condition keeps [loop_rinc]; an int op on a register local reads
+   the register in place.  The program — every condition form and
+   comparison, zero-trip loops, break and
    continue, a bound the body changes, a slice the body reassigns,
    shrinks or grows, bodies that keep the unrotated back edge, divide by
    zero on a register, goroutines in rotated loops — and its output are
@@ -1766,20 +1843,21 @@ let rotated_loop_cases =
               (run_mode ~engine src).Gofree_interp.Runner.output)
           engines;
         check_fused ~name src
-          [ ("rr", "loop_lt_rr"); ("rr", "loop_le_rr"); ("rr", "loop_gt_rr");
-            ("rr", "loop_ge_rr"); ("rr", "loop_ne_rr"); ("rr", "loop_eq_rr");
-            ("rk", "loop_lt_rk"); ("rk", "loop_le_rk"); ("rk", "loop_gt_rk");
-            ("rk", "loop_ge_rk"); ("rk", "loop_ne_rk"); ("rk", "loop_eq_rk");
+          [ ("rr", "loop_lt_rr"); ("rr", "le_i"); ("rr", "gt_i");
+            ("rr", "jge_not"); ("rr", "ne_i"); ("rr", "eq_i");
+            ("rr", "loop_rinc"); ("rk", "loop_lt_rk"); ("rk", "jle_rk_not");
+            ("rk", "jgt_rk_not"); ("rk", "jge_rk_not"); ("rk", "jne_rk_not");
+            ("rk", "jeq_rk_not"); ("rk", "loop_rinc");
             ("zeroTrip", "loop_lt_rlen"); ("slices", "loop_lt_rlen");
             ("jumps", "loop_lt_rr"); ("jumps", "loop_lt_rk");
             ("unrotated", "loop_rinc"); ("operands", "add_r");
-            ("operands", "sub_r"); ("operands", "mul_r");
-            ("operands", "mulk_r"); ("operands", "divk_r");
+            ("operands", "sub_r"); ("operands", "mul_i");
+            ("operands", "mulk_r"); ("operands", "divk_i");
             ("operands", "modk_r"); ("operands", "jlt_rk_not");
             ("operands", "jge_rk_not"); ("operands", "jeq_rk_not");
-            ("operands", "jne_rk_not"); ("divZero", "divk_r");
+            ("operands", "jne_rk_not"); ("divZero", "divk_i");
             ("modZero", "modk_r"); ("worker", "loop_lt_rlen");
-            ("worker", "loop_lt_rr"); ("worker", "loop_gt_rk") ];
+            ("worker", "loop_lt_rr"); ("worker", "jgt_rk_not") ];
         Alcotest.(check bool)
           (name ^ ": unrotated keeps no rotated back edge")
           false
@@ -1793,7 +1871,7 @@ let rotated_loop_cases =
         check_poison_silent ~name src;
         check_fused ~name:"rotated yields" src_rotated_yields
           [ ("worker", "loop_lt_rr"); ("worker", "loop_lt_rlen");
-            ("worker", "loop_gt_rk"); ("main", "loop_lt_rk") ];
+            ("worker", "jgt_rk_not"); ("main", "loop_lt_rk") ];
         List.iter
           (fun yield_every ->
             List.iter
@@ -2131,10 +2209,60 @@ func main() {
           ]);
   ]
 
+(* ---- every opcode is emitted --------------------------------------- *)
+
+module B = Gofree_interp.Bytecode
+
+(* The opcodes no program the suite lowers can emit, each with why.  The
+   type checker rejects a call, [go] or [defer] naming a function the
+   program does not define, so these three are reached only by a typed
+   program whose callee is missing from the lowered program. *)
+let never_emitted =
+  [ B.op_call_undef (* a call to a function the program lacks *);
+    B.op_go_undef (* a [go] statement starting one *);
+    B.op_defer_undef (* a [defer] of one *) ]
+
+(* Lowering, without running them, the golden corpus, the seven
+   perfbench programs and this file's own programs emits every opcode
+   the table defines but {!never_emitted}: each one the VM keeps is
+   one these differential cases can reach. *)
+let opcode_coverage_cases =
+  [
+    Alcotest.test_case "every opcode is emitted" `Quick (fun () ->
+        let seen = Array.make B.n_opcodes false in
+        let mark (f : B.fn) =
+          let code = f.B.bf_code in
+          let pc = ref 0 in
+          while !pc < Array.length code do
+            seen.(code.(!pc)) <- true;
+            pc := !pc + 1 + B.arity code.(!pc)
+          done
+        in
+        List.iter
+          (fun src -> Array.iter mark (Test_disasm.lower src))
+          (List.map Test_disasm.read_file
+             (Test_disasm.golden_programs () @ Test_disasm.perfbench_programs)
+          @ [ src_goroutines; src_panic_recover; src_map_churn; src_structs;
+              src_slices; src_ic_invalidation; src_registers; src_scopes;
+              src_register_goroutines; src_aliasing; src_struct_addr;
+              src_calls; src_fused_loops; src_fused_panics;
+              src_fused_goroutines; field_operands; field_operands_unfused;
+              src_yield_points; src_rotated_yields; src_freed_bound;
+              src_rare_forms ]);
+        let missing =
+          List.filter
+            (fun op -> not (seen.(op) || List.mem op never_emitted))
+            (List.init B.n_opcodes Fun.id)
+        in
+        Alcotest.(check (list string))
+          "opcodes no program emits" []
+          (List.map B.op_name missing));
+  ]
+
 let suite =
   workload_cases @ feature_cases @ storage_cases @ aliasing_cases
   @ struct_addr_cases @ call_cases @ range_order_cases @ concurrent_cases
   @ fused_cases @ register_param_cases @ yield_point_cases
   @ rotated_loop_cases @ int_slice_cases @ struct_value_cases
-  @ struct_slice_cases
+  @ struct_slice_cases @ opcode_coverage_cases
   @ [ QCheck_alcotest.to_alcotest prop_random_identical ]

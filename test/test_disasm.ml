@@ -139,14 +139,120 @@ let perfbench_programs =
     (fun p -> Filename.concat dir (p ^ ".go"))
     [ "gocompiler"; "hugo"; "badger"; "json"; "scheck"; "slayout"; "fanout" ]
 
+(* Every program of the golden corpus, in name order. *)
+let golden_programs () =
+  let dir = Filename.dirname (golden "calls.go") in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".go")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
 let test_walks () =
   List.iter
     (fun path ->
       let name = Filename.basename path in
       Array.iter (check_walk name) (lower (read_file path)))
-    (perfbench_programs
-    @ [ golden "arith_loop.go"; golden "maps_structs.go"; golden "calls.go";
-        golden "int_slices.go"; golden "loops.go" ])
+    (perfbench_programs @ golden_programs ())
+
+(* ---- the dispatch loop's literals ---------------------------------- *)
+
+(* A source file of the interpreter library, beside the test binary's
+   directory under [dune runtest], or from the repository root. *)
+let interp_source name =
+  let rel = Filename.concat "lib/interp" name in
+  let beside =
+    Filename.concat (Filename.dirname Sys.executable_name) ("../" ^ rel)
+  in
+  read_file (if Sys.file_exists beside then beside else rel)
+
+(* The index of [sub] in [s] at or after [from]. *)
+let rec find_from s sub from =
+  if from + String.length sub > String.length s then None
+  else if String.sub s from (String.length sub) = sub then Some from
+  else find_from s sub (from + 1)
+
+(* The run of characters satisfying [ok] at [i] in [s], and its end. *)
+let span ok s i =
+  let j = ref i in
+  while !j < String.length s && ok s.[!j] do incr j done;
+  (String.sub s i (!j - i), !j)
+
+let is_digit c = c >= '0' && c <= '9'
+
+let is_ident c = is_digit c || (c >= 'a' && c <= 'z') || c = '_'
+
+(* The integer literals of a [match] arm line, each with the first word
+   of the comment right after it, or [""] when none follows. *)
+let arm_literals line =
+  let rec from i acc =
+    match String.index_from_opt line i '|' with
+    | None -> List.rev acc
+    | Some bar -> (
+      let _, i = span (( = ) ' ') line (bar + 1) in
+      match span is_digit line i with
+      | "", _ -> from i acc
+      | digits, i ->
+        let _, j = span (( = ) ' ') line i in
+        let name =
+          if find_from line "(*" j = Some j then
+            fst (span is_ident line (snd (span (( = ) ' ') line (j + 2))))
+          else ""
+        in
+        from i ((int_of_string digits, name) :: acc))
+  in
+  from 0 []
+
+(* [Vm.loop] and [Vm.full] match opcodes as integer literals.  Every
+   literal of a top-level arm must carry its opcode's name as the first
+   word of the comment that follows it ([| 112 (* jlt_not *)]), every
+   opcode of the table must have an arm, and the table must be dense:
+   [n_opcodes] is the number of [def]s in bytecode.ml.  Renumbering the
+   table without the match, or the match without the table, fails
+   here rather than as a run-time divergence. *)
+let test_vm_literals () =
+  let src = interp_source "vm.ml" in
+  let at sub from =
+    match find_from src sub from with
+    | Some i -> i
+    | None -> Alcotest.failf "vm.ml has no %S" sub
+  in
+  let from = at "let rec loop " 0 in
+  let upto = at "let release_scopes " from in
+  let armed = Array.make B.n_opcodes false in
+  let misnamed = ref [] in
+  List.iter
+    (fun line ->
+      if String.starts_with ~prefix:"  | " line then
+        List.iter
+          (fun (n, name) ->
+            if n >= B.n_opcodes || B.op_name n <> name then
+              misnamed :=
+                Printf.sprintf "%d (* %s, but the table says %s" n name
+                  (B.op_name n)
+                :: !misnamed
+            else armed.(n) <- true)
+          (arm_literals line))
+    (String.split_on_char '\n' (String.sub src from (upto - from)));
+  Alcotest.(check (list string))
+    "vm.ml arms whose comment does not name their opcode" []
+    (List.rev !misnamed);
+  Alcotest.(check (list string))
+    "opcodes with no vm.ml arm" []
+    (List.filter_map
+       (fun op -> if armed.(op) then None else Some (B.op_name op))
+       (List.init B.n_opcodes Fun.id));
+  (* the table's [def N "name"] entries *)
+  let table = interp_source "bytecode.ml" in
+  let rec defs i n =
+    match find_from table "def " i with
+    | None -> n
+    | Some i -> (
+      match span is_digit table (i + 4) with
+      | "", j -> defs j n
+      | _, j ->
+        defs j (if find_from table " \"" j = Some j then n + 1 else n))
+  in
+  Alcotest.(check int) "n_opcodes = the number of defs" (defs 0 0) B.n_opcodes
 
 (* A function header names each parameter's home: [name:rN] for an int
    or bool parameter bound into register N, [name:sN] for a frame slot
@@ -188,6 +294,8 @@ let suite =
       test_disasm_matches_run;
     Alcotest.test_case "every opcode named" `Quick test_opcode_names;
     Alcotest.test_case "listings walk to the end" `Quick test_walks;
+    Alcotest.test_case "vm.ml literals match the table" `Quick
+      test_vm_literals;
     Alcotest.test_case "headers name parameter homes" `Quick
       test_param_headers;
   ]
