@@ -26,7 +26,10 @@ let compile_phase_timings source : (string * float) list =
          compiled.Gofree_core.Pipeline.c_analysis program
      in
      let layout = Gofree_interp.Layout.of_program program in
-     ignore (Gofree_interp.Emit.lower program decisions layout)
+     ignore
+       (Gofree_interp.Emit.lower
+          ~roots:(Gofree_interp.Emit.entry_points program)
+          program decisions layout)
    with _ -> ());
   let doc = Trace.stop () in
   let events = Json.get_list "traceEvents" (Json.parse doc) in

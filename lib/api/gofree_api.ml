@@ -376,7 +376,9 @@ let disassemble (c : compilation) : string =
   in
   let layout = Gofree_interp.Layout.of_program program in
   Gofree_interp.Bytecode.disasm
-    (Gofree_interp.Emit.lower program decisions layout)
+    (Gofree_interp.Emit.lower
+       ~roots:(Gofree_interp.Emit.all_functions layout)
+       program decisions layout)
 
 (** Compile and disassemble one source string. *)
 let disassemble_string ?config (source : string) : (string, error) result =

@@ -24,15 +24,17 @@
     package changes size, but the relative ids are stable because
     typechecking is deterministic.
 
-    Every file is sealed with a digest of its contents; one that does
-    not match is a corrupt record, logged, counted and missed. *)
+    Every record body is binary ({!Gofree_escape.Codec}, the encoding the
+    typed records use), and every file is sealed with a digest of its
+    contents; one that does not match is a corrupt record, logged,
+    counted and missed. *)
 
 open Minigo
 module E = Gofree_escape
 
 (* Bump when the file layout changes: a stale-format file then simply
    misses. *)
-let format_version = "gofree-sum-v2"
+let format_version = "gofree-sum-v3"
 
 type entry = {
   e_pkg : string;
@@ -77,126 +79,48 @@ let key ~(sources : (string * string) list) ~(dep_keys : string list)
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* ---------------------------------------------------------------- *)
-(* Serialization                                                     *)
+(* Serialization ({!Gofree_escape.Codec})                            *)
 (* ---------------------------------------------------------------- *)
 
-let kind_atom = function
-  | Tast.Free_slice -> "slice"
-  | Tast.Free_map -> "map"
-  | Tast.Free_obj -> "obj"
+let w_free w (func, rel, fidx, kind) =
+  let open E.Codec in
+  w_str w func;
+  w_int w rel;
+  w_int w fidx;
+  w_free_kind w kind
 
-let kind_of_atom = function
-  | "slice" -> Some Tast.Free_slice
-  | "map" -> Some Tast.Free_map
-  | "obj" -> Some Tast.Free_obj
-  | _ -> None
-
-let to_sexps (e : entry) : E.Sexp.t list =
-  let atom s = E.Sexp.Atom s in
-  let int n = atom (string_of_int n) in
-  [
-    E.Sexp.List [ atom "format"; atom format_version ];
-    E.Sexp.List [ atom "package"; atom e.e_pkg ];
-    E.Sexp.List [ atom "key"; atom e.e_key ];
-    E.Sexp.List [ atom "nvars"; int e.e_nvars ];
-    E.Sexp.List [ atom "nsites"; int e.e_nsites ];
-    E.Sexp.List
-      (atom "summaries" :: List.map E.Summary.to_sexp e.e_summaries);
-    E.Sexp.List
-      (atom "frees"
-      :: List.map
-           (fun (func, rel, fidx, kind) ->
-             E.Sexp.List
-               [ atom "free"; atom func; int rel; int fidx;
-                 atom (kind_atom kind) ])
-           e.e_frees);
-    E.Sexp.List
-      (atom "site-heap"
-      :: List.map (fun b -> atom (string_of_bool b)) e.e_site_heap);
-    E.Sexp.List (atom "var-boxed" :: List.map int e.e_var_boxed);
-  ]
+let r_free r =
+  let open E.Codec in
+  let func = r_str r in
+  let rel = r_int r in
+  let fidx = r_int r in
+  (func, rel, fidx, r_free_kind r)
 
 let to_string (e : entry) : string =
-  String.concat "\n" (List.map E.Sexp.to_string (to_sexps e)) ^ "\n"
+  let open E.Codec in
+  let w = writer () in
+  w_str w e.e_pkg;
+  w_str w e.e_key;
+  w_int w e.e_nvars;
+  w_int w e.e_nsites;
+  w_list w E.Summary.write e.e_summaries;
+  w_list w w_free e.e_frees;
+  w_list w w_bool e.e_site_heap;
+  w_list w w_int e.e_var_boxed;
+  contents w
 
-exception Bad of string
-
-let of_string (s : string) : (entry, string) result =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-  let int_atom = function
-    | E.Sexp.Atom a -> begin
-      match int_of_string_opt a with
-      | Some n -> n
-      | None -> fail "expected an integer, got %s" a
-    end
-    | E.Sexp.List _ -> fail "expected an integer"
-  in
-  let bool_atom = function
-    | E.Sexp.Atom "true" -> true
-    | E.Sexp.Atom "false" -> false
-    | _ -> fail "expected a boolean"
-  in
-  match E.Sexp.of_string_many s with
-  | Error m -> Error m
-  | Ok forms -> begin
-    let field name =
-      List.find_map
-        (function
-          | E.Sexp.List (E.Sexp.Atom head :: rest) when head = name ->
-            Some rest
-          | _ -> None)
-        forms
-    in
-    let req name =
-      match field name with
-      | Some rest -> rest
-      | None -> fail "missing (%s ...)" name
-    in
-    match
-      let str1 name =
-        match req name with
-        | [ E.Sexp.Atom a ] -> a
-        | _ -> fail "malformed (%s ...)" name
-      in
-      if str1 "format" <> format_version then
-        fail "stale format %s" (str1 "format");
-      let summaries =
-        List.map
-          (fun sx ->
-            match E.Summary.of_sexp sx with
-            | Ok s -> s
-            | Error m -> fail "bad summary: %s" m)
-          (req "summaries")
-      in
-      let frees =
-        List.map
-          (function
-            | E.Sexp.List
-                [ E.Sexp.Atom "free"; E.Sexp.Atom func; rel; fidx;
-                  E.Sexp.Atom k ]
-              -> begin
-              match kind_of_atom k with
-              | Some kind -> (func, int_atom rel, int_atom fidx, kind)
-              | None -> fail "bad free kind %s" k
-            end
-            | _ -> fail "malformed free")
-          (req "frees")
-      in
-      {
-        e_pkg = str1 "package";
-        e_key = str1 "key";
-        e_nvars = int_atom (List.nth (req "nvars") 0);
-        e_nsites = int_atom (List.nth (req "nsites") 0);
-        e_summaries = summaries;
-        e_frees = frees;
-        e_site_heap = List.map bool_atom (req "site-heap");
-        e_var_boxed = List.map int_atom (req "var-boxed");
-      }
-    with
-    | e -> Ok e
-    | exception Bad m -> Error m
-    | exception Failure m -> Error m
-  end
+let of_string : string -> (entry, string) result =
+  E.Codec.decode (fun r ->
+      let open E.Codec in
+      let e_pkg = r_str r in
+      let e_key = r_str r in
+      let e_nvars = r_int r in
+      let e_nsites = r_int r in
+      let e_summaries = r_list r E.Summary.read in
+      let e_frees = r_list r r_free in
+      let e_site_heap = r_list r r_bool in
+      { e_pkg; e_key; e_nvars; e_nsites; e_summaries; e_frees; e_site_heap;
+        e_var_boxed = r_list r r_int })
 
 (* ---------------------------------------------------------------- *)
 (* Function-granular unit records                                    *)
@@ -209,7 +133,7 @@ let of_string (s : string) : (entry, string) result =
    {e function}'s first id (not the package base): they stay stable even
    when an earlier function in the same package grows or shrinks. *)
 
-let units_format_version = "gofree-units-v2"
+let units_format_version = "gofree-units-v3"
 
 type unit_record = {
   u_key : string;  (** {!Gofree_escape.Callgraph.unit_key} content key *)
@@ -225,152 +149,49 @@ type unit_record = {
       (** boxed variables: function, function-relative var id *)
 }
 
-let unit_record_to_sexp (u : unit_record) : E.Sexp.t =
-  let atom s = E.Sexp.Atom s in
-  let int n = atom (string_of_int n) in
-  E.Sexp.List
-    [
-      atom "unit";
-      E.Sexp.List [ atom "key"; atom u.u_key ];
-      E.Sexp.List (atom "funcs" :: List.map atom u.u_funcs);
-      E.Sexp.List
-        (atom "summaries" :: List.map E.Summary.to_sexp u.u_summaries);
-      E.Sexp.List
-        (atom "frees"
-        :: List.map
-             (fun (func, rel, fidx, kind) ->
-               E.Sexp.List
-                 [ atom "free"; atom func; int rel; int fidx;
-                   atom (kind_atom kind) ])
-             u.u_frees);
-      E.Sexp.List
-        (atom "sites"
-        :: List.map
-             (fun (func, rel, heap) ->
-               E.Sexp.List
-                 [ atom "site"; atom func; int rel;
-                   atom (string_of_bool heap) ])
-             u.u_sites);
-      E.Sexp.List
-        (atom "boxed"
-        :: List.map
-             (fun (func, rel) ->
-               E.Sexp.List [ atom "box"; atom func; int rel ])
-             u.u_boxed);
-    ]
-
-let unit_record_of_sexp (sx : E.Sexp.t) : (unit_record, string) result =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-  let int_atom = function
-    | E.Sexp.Atom a -> begin
-      match int_of_string_opt a with
-      | Some n -> n
-      | None -> fail "expected an integer, got %s" a
-    end
-    | E.Sexp.List _ -> fail "expected an integer"
-  in
-  let str_atom = function
-    | E.Sexp.Atom a -> a
-    | E.Sexp.List _ -> fail "expected an atom"
-  in
-  match sx with
-  | E.Sexp.List (E.Sexp.Atom "unit" :: fields) -> begin
-    let field name =
-      List.find_map
-        (function
-          | E.Sexp.List (E.Sexp.Atom head :: rest) when head = name ->
-            Some rest
-          | _ -> None)
-        fields
-    in
-    let req name =
-      match field name with
-      | Some rest -> rest
-      | None -> fail "missing (%s ...) in unit" name
-    in
-    match
-      {
-        u_key =
-          (match req "key" with
-          | [ E.Sexp.Atom a ] -> a
-          | _ -> fail "malformed (key ...)");
-        u_funcs = List.map str_atom (req "funcs");
-        u_summaries =
-          List.map
-            (fun sx ->
-              match E.Summary.of_sexp sx with
-              | Ok s -> s
-              | Error m -> fail "bad summary: %s" m)
-            (req "summaries");
-        u_frees =
-          List.map
-            (function
-              | E.Sexp.List
-                  [ E.Sexp.Atom "free"; E.Sexp.Atom func; rel; fidx;
-                    E.Sexp.Atom k ] -> begin
-                match kind_of_atom k with
-                | Some kind -> (func, int_atom rel, int_atom fidx, kind)
-                | None -> fail "bad free kind %s" k
-              end
-              | _ -> fail "malformed free")
-            (req "frees");
-        u_sites =
-          List.map
-            (function
-              | E.Sexp.List
-                  [ E.Sexp.Atom "site"; E.Sexp.Atom func; rel;
-                    E.Sexp.Atom heap ] -> begin
-                match bool_of_string_opt heap with
-                | Some h -> (func, int_atom rel, h)
-                | None -> fail "bad site decision %s" heap
-              end
-              | _ -> fail "malformed site")
-            (req "sites");
-        u_boxed =
-          List.map
-            (function
-              | E.Sexp.List [ E.Sexp.Atom "box"; E.Sexp.Atom func; rel ] ->
-                (func, int_atom rel)
-              | _ -> fail "malformed box")
-            (req "boxed");
-      }
-    with
-    | u -> Ok u
-    | exception Bad m -> Error m
-    | exception Failure m -> Error m
-  end
-  | _ -> Error "expected (unit ...)"
-
 let units_to_string (records : unit_record list) : string =
-  String.concat "\n"
-    (E.Sexp.to_string
-       (E.Sexp.List
-          [ E.Sexp.Atom "format"; E.Sexp.Atom units_format_version ])
-    :: List.map
-         (fun u -> E.Sexp.to_string (unit_record_to_sexp u))
-         records)
-  ^ "\n"
+  let open E.Codec in
+  let w = writer ~size:1024 () in
+  w_list w
+    (fun w u ->
+      w_str w u.u_key;
+      w_list w w_str u.u_funcs;
+      w_list w E.Summary.write u.u_summaries;
+      w_list w w_free u.u_frees;
+      w_list w
+        (fun w (func, rel, heap) ->
+          w_str w func;
+          w_int w rel;
+          w_bool w heap)
+        u.u_sites;
+      w_list w
+        (fun w (func, rel) ->
+          w_str w func;
+          w_int w rel)
+        u.u_boxed)
+    records;
+  contents w
 
-let units_of_string (s : string) : (unit_record list, string) result =
-  match E.Sexp.of_string_many s with
-  | Error m -> Error m
-  | Ok [] -> Error "empty unit file"
-  | Ok (header :: records) -> begin
-    match header with
-    | E.Sexp.List [ E.Sexp.Atom "format"; E.Sexp.Atom v ]
-      when v = units_format_version -> begin
-      let rec parse acc = function
-        | [] -> Ok (List.rev acc)
-        | sx :: rest -> begin
-          match unit_record_of_sexp sx with
-          | Ok u -> parse (u :: acc) rest
-          | Error m -> Error m
-        end
-      in
-      parse [] records
-    end
-    | _ -> Error "stale unit-file format"
-  end
+let units_of_string : string -> (unit_record list, string) result =
+  E.Codec.decode (fun r ->
+      let open E.Codec in
+      r_list r (fun r ->
+          let u_key = r_str r in
+          let u_funcs = r_list r r_str in
+          let u_summaries = r_list r E.Summary.read in
+          let u_frees = r_list r r_free in
+          let u_sites =
+            r_list r (fun r ->
+                let func = r_str r in
+                let rel = r_int r in
+                (func, rel, r_bool r))
+          in
+          let u_boxed =
+            r_list r (fun r ->
+                let func = r_str r in
+                (func, r_int r))
+          in
+          { u_key; u_funcs; u_summaries; u_frees; u_sites; u_boxed }))
 
 (* ---------------------------------------------------------------- *)
 (* Sealed files                                                      *)

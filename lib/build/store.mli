@@ -8,8 +8,8 @@
       dependency keys and configuration;
     - [<pkg>.units]: function-granular analysis-unit records.
 
-    Every record is sealed with a digest of its body (and every file
-    names its format).  A record that fails either check is a corrupt
+    Every record body is binary ({!Gofree_escape.Codec}), sealed with a
+    digest of the body, and every file names its format.  A record that fails either check is a corrupt
     record — logged, reported to [on_corrupt], and treated as a miss. *)
 
 open Minigo
@@ -36,6 +36,8 @@ val key :
   config:Gofree_core.Config.t ->
   string
 
+(** The entry's record body; [of_string] reads exactly what it writes
+    and is [Error] on anything else. *)
 val to_string : entry -> string
 
 val of_string : string -> (entry, string) result

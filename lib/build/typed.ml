@@ -13,9 +13,10 @@
     package and struct names are stored; the rest is derived from the
     program ({!Typecheck.iface_of_program}), as the typecheck derives it.
 
-    Integers are zigzag varints.  The format carries no version of its
-    own: the store seals each record with a tag digested from this file
-    and from the sources of every type it encodes. *)
+    Integers are zigzag varints ({!Gofree_escape.Codec}).  The format
+    carries no version of its own: the store seals each record with a
+    tag digested from this file, the codec and the sources of every
+    type it encodes. *)
 
 open Minigo
 
@@ -38,101 +39,17 @@ type body = {
 (* Primitives                                                        *)
 (* ---------------------------------------------------------------- *)
 
-module Strings = Hashtbl.Make (String)
+(* The shared primitives, with this record kind's own tables: a writer's
+   [wx] is its type table, a reader's [rx] its types and last position. *)
+open Gofree_escape.Codec
 
-type w = {
-  buf : Buffer.t;
-  strings : int Strings.t;
-  types : (Types.t, int) Hashtbl.t;
-}
-
-let w_int w n =
-  let z = ref ((n lsl 1) lxor (n asr 62)) in
-  while !z < 0 || !z >= 0x80 do
-    Buffer.add_char w.buf (Char.unsafe_chr (!z land 0x7f lor 0x80));
-    z := !z lsr 7
-  done;
-  Buffer.add_char w.buf (Char.unsafe_chr !z)
-
-let w_bool w b = w_int w (if b then 1 else 0)
-
-(* A string's first occurrence is written inline; later ones by index. *)
-let w_str w s =
-  match Strings.find_opt w.strings s with
-  | Some i -> w_int w i
-  | None ->
-    let i = Strings.length w.strings in
-    Strings.replace w.strings s i;
-    w_int w i;
-    w_int w (String.length s);
-    Buffer.add_string w.buf s
-
-let w_list w f xs =
-  w_int w (List.length xs);
-  List.iter (f w) xs
-
-let w_opt w f = function
-  | None -> w_int w 0
-  | Some x ->
-    w_int w 1;
-    f w x
-
-type r = {
-  s : string;
-  stop : int;  (** end of the record within [s] *)
-  mutable i : int;
-  mutable strs : string array;
-  mutable nstrs : int;
+type tables = {
   mutable tys : Types.t array;
   mutable ntys : int;
   mutable last_pos : Token.pos;
 }
 
-exception Malformed
-
-let r_int r =
-  let i = ref r.i in
-  let c = ref (Char.code r.s.[!i]) in
-  let z = ref (!c land 0x7f) and shift = ref 7 in
-  while !c land 0x80 <> 0 do
-    incr i;
-    c := Char.code r.s.[!i];
-    z := !z lor ((!c land 0x7f) lsl !shift);
-    shift := !shift + 7
-  done;
-  r.i <- !i + 1;
-  (!z lsr 1) lxor (- (!z land 1))
-
-let r_bool r = r_int r <> 0
-
-let r_str r =
-  let i = r_int r in
-  if i < r.nstrs then r.strs.(i)
-  else if i = r.nstrs then begin
-    let n = r_int r in
-    let s = String.sub r.s r.i n in
-    r.i <- r.i + n;
-    if r.nstrs = Array.length r.strs then begin
-      let a = Array.make (max 16 (2 * r.nstrs)) "" in
-      Array.blit r.strs 0 a 0 r.nstrs;
-      r.strs <- a
-    end;
-    r.strs.(i) <- s;
-    r.nstrs <- i + 1;
-    s
-  end
-  else raise Malformed
-
-(* in order: each element's bytes follow the previous one's *)
-let rec r_n r f n =
-  if n = 0 then []
-  else
-    let x = f r in
-    x :: r_n r f (n - 1)
-
-let r_list r f = r_n r f (r_int r)
-
-let r_opt r f = if r_int r = 0 then None else Some (f r)
+type r = tables Gofree_escape.Codec.r
 
 (* ---------------------------------------------------------------- *)
 (* Leaves                                                            *)
@@ -146,11 +63,11 @@ let w_pos w (p : Token.pos) =
 let r_pos r : Token.pos =
   let line = r_int r in
   let col = r_int r in
-  let last = r.last_pos in
+  let last = r.rx.last_pos in
   if last.Token.line = line && last.Token.col = col then last
   else begin
     let p = { Token.line; col } in
-    r.last_pos <- p;
+    r.rx.last_pos <- p;
     p
   end
 
@@ -167,11 +84,11 @@ let rec w_ty w (t : Types.t) =
   | Types.Nil -> w_int w 5
   | Types.Ptr _ | Types.Slice _ | Types.Map _ | Types.Struct _
   | Types.Tuple _ -> begin
-    match Hashtbl.find_opt w.types t with
+    match Hashtbl.find_opt w.wx t with
     | Some i -> w_int w (6 + i)
     | None ->
-      let i = Hashtbl.length w.types in
-      Hashtbl.replace w.types t i;
+      let i = Hashtbl.length w.wx in
+      Hashtbl.replace w.wx t i;
       w_int w (6 + i);
       match t with
       | Types.Ptr t ->
@@ -205,15 +122,15 @@ let rec r_ty r : Types.t =
   | 5 -> Types.Nil
   | code ->
     let i = code - 6 in
-    if i < r.ntys then r.tys.(i)
-    else if i = r.ntys then begin
+    if i < r.rx.ntys then r.rx.tys.(i)
+    else if i = r.rx.ntys then begin
       (* reserve the slot first: components take the indices after it *)
-      if r.ntys = Array.length r.tys then begin
-        let a = Array.make (max 16 (2 * r.ntys)) Types.Unit in
-        Array.blit r.tys 0 a 0 r.ntys;
-        r.tys <- a
+      if r.rx.ntys = Array.length r.rx.tys then begin
+        let a = Array.make (max 16 (2 * r.rx.ntys)) Types.Unit in
+        Array.blit r.rx.tys 0 a 0 r.rx.ntys;
+        r.rx.tys <- a
       end;
-      r.ntys <- i + 1;
+      r.rx.ntys <- i + 1;
       let t =
         match r_int r with
         | 0 -> Types.Ptr (r_ty r)
@@ -225,7 +142,7 @@ let rec r_ty r : Types.t =
         | 4 -> Types.Tuple (r_list r r_ty)
         | _ -> raise Malformed
       in
-      r.tys.(i) <- t;
+      r.rx.tys.(i) <- t;
       t
     end
     else raise Malformed
@@ -242,18 +159,6 @@ let binop_code (op : Ast.binop) =
 let r_binop r =
   let i = r_int r in
   if i < 0 || i >= Array.length binops then raise Malformed else binops.(i)
-
-let w_free_kind w = function
-  | Tast.Free_slice -> w_int w 0
-  | Tast.Free_map -> w_int w 1
-  | Tast.Free_obj -> w_int w 2
-
-let r_free_kind r =
-  match r_int r with
-  | 0 -> Tast.Free_slice
-  | 1 -> Tast.Free_map
-  | 2 -> Tast.Free_obj
-  | _ -> raise Malformed
 
 (* A variable record in full (declarations and imported globals). *)
 let w_var_record w (v : Tast.var) =
@@ -790,10 +695,7 @@ let decode_program r =
 (* ---------------------------------------------------------------- *)
 
 let encode (h : header) (b : body) : string =
-  let w =
-    { buf = Buffer.create 8192; strings = Strings.create 256;
-      types = Hashtbl.create 64 }
-  in
+  let w = writer ~size:8192 (Hashtbl.create 64) in
   w_str w h.th_source;
   w_str w h.th_clause;
   w_list w
@@ -813,11 +715,7 @@ let encode (h : header) (b : body) : string =
   w_int w c.Typecheck.c_next_scope;
   w_int w c.Typecheck.c_next_site;
   encode_program w ~imported:b.tb_imported ~iface:b.tb_iface b.tb_program;
-  Buffer.contents w.buf
-
-let reader s ~off ~len =
-  { s; stop = off + len; i = off; strs = [||]; nstrs = 0; tys = [||];
-    ntys = 0; last_pos = Token.dummy_pos }
+  contents w
 
 let guard f =
   try Ok (f ()) with Malformed | Invalid_argument _ ->
@@ -827,9 +725,10 @@ type cursor = r
 
 let decode_header (s : string) ~off ~len : (header * cursor, string) result =
   guard (fun () ->
-      if off < 0 || len < 0 || off + len > String.length s then
-        raise Malformed;
-      let r = reader s ~off ~len in
+      let r =
+        reader s ~off ~len
+          { tys = [||]; ntys = 0; last_pos = Token.dummy_pos }
+      in
       let th_source = r_str r in
       let th_clause = r_str r in
       let th_imports =
@@ -848,8 +747,10 @@ let decode_header (s : string) ~off ~len : (header * cursor, string) result =
 
 let decode_body (cursor : cursor) : (body, string) result =
   guard (fun () ->
-      (* a copy of the position, so the body can be decoded again *)
-      let r = { cursor with i = cursor.i } in
+      (* a copy of the position and the type table's fill, so the body
+         can be decoded again *)
+      let rx = { cursor.rx with ntys = cursor.rx.ntys } in
+      let r = { cursor with i = cursor.i; rx } in
       let c_next_var = r_int r in
       let c_next_scope = r_int r in
       let c_next_site = r_int r in

@@ -36,19 +36,32 @@ type t = {
   cg_unit_of : (string, int) Hashtbl.t;  (** function name → unit id *)
 }
 
+let add_callee acc name =
+  if not (List.mem name !acc) then acc := name :: !acc
+
+(* Add the names [e] calls to [acc]. *)
+let visit_calls acc (e : Tast.expr) =
+  Tast.iter_expr
+    (fun (e : Tast.expr) ->
+      match e.Tast.desc with
+      | Tast.Tcall (name, _) -> add_callee acc name
+      | _ -> ())
+    e
+
 let callees_of (f : Tast.func) : string list =
   let acc = ref [] in
-  let add name = if not (List.mem name !acc) then acc := name :: !acc in
-  let visit_expr (e : Tast.expr) =
-    match e.Tast.desc with Tast.Tcall (name, _) -> add name | _ -> ()
-  in
   Tast.iter_stmts
     (fun s ->
       (match s with
-      | Tast.Sgo (name, _) | Tast.Sdefer (name, _) -> add name
+      | Tast.Sgo (name, _) | Tast.Sdefer (name, _) -> add_callee acc name
       | _ -> ());
-      Tast.iter_stmt_exprs (fun e -> Tast.iter_expr visit_expr e) s)
+      Tast.iter_stmt_exprs (visit_calls acc) s)
     f.Tast.f_body;
+  !acc
+
+let expr_callees (e : Tast.expr) : string list =
+  let acc = ref [] in
+  visit_calls acc e;
   !acc
 
 (* Tarjan SCC condensation on an explicit frame stack; components come

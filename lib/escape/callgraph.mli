@@ -22,6 +22,9 @@ type t = {
 (** Callee names reachable from a function body (including go/defer). *)
 val callees_of : Tast.func -> string list
 
+(** Names an expression calls (a global initialiser's callees). *)
+val expr_callees : Tast.expr -> string list
+
 (** Strongly connected components, callees first (iterative Tarjan). *)
 val condense : Tast.func list -> Tast.func list list
 

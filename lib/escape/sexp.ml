@@ -1,7 +1,6 @@
-(** Minimal s-expressions, used to serialize function summaries and the
-    build cache.  Hand-rolled so the escape library stays dependency-free:
-    atoms are quoted only when they contain delimiters, and [;] starts a
-    line comment (handy for annotating stored summary files). *)
+(** Minimal s-expressions, printed only: the canonical text of a function
+    summary ({!Summary.to_string}), which analysis-unit keys digest.
+    Atoms are quoted only when they contain delimiters. *)
 
 type t = Atom of string | List of t list
 
@@ -50,101 +49,3 @@ let to_string t =
   let buf = Buffer.create 256 in
   add_sexp buf t;
   Buffer.contents buf
-
-(* -------------------------------------------------------------- *)
-(* Parsing                                                         *)
-(* -------------------------------------------------------------- *)
-
-exception Parse_error of string
-
-let parse_many src =
-  let n = String.length src in
-  let pos = ref 0 in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt in
-  let rec skip_ws () =
-    if !pos < n then
-      match src.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        incr pos;
-        skip_ws ()
-      | ';' ->
-        while !pos < n && src.[!pos] <> '\n' do
-          incr pos
-        done;
-        skip_ws ()
-      | _ -> ()
-  in
-  let parse_quoted () =
-    (* opening quote already consumed *)
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string at offset %d" !pos;
-      match src.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        if !pos + 1 >= n then fail "dangling escape at offset %d" !pos;
-        (match src.[!pos + 1] with
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | c -> Buffer.add_char buf c);
-        pos := !pos + 2;
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Atom (Buffer.contents buf)
-  in
-  let parse_bare () =
-    let start = !pos in
-    let delim c =
-      match c with
-      | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> true
-      | _ -> false
-    in
-    while !pos < n && not (delim src.[!pos]) do
-      incr pos
-    done;
-    Atom (String.sub src start (!pos - start))
-  in
-  let rec parse_one () =
-    skip_ws ();
-    if !pos >= n then fail "unexpected end of input";
-    match src.[!pos] with
-    | '(' ->
-      incr pos;
-      parse_list []
-    | ')' -> fail "unexpected ')' at offset %d" !pos
-    | '"' ->
-      incr pos;
-      parse_quoted ()
-    | _ -> parse_bare ()
-  and parse_list acc =
-    skip_ws ();
-    if !pos >= n then fail "unterminated list";
-    if src.[!pos] = ')' then begin
-      incr pos;
-      List (List.rev acc)
-    end
-    else parse_list (parse_one () :: acc)
-  in
-  let rec top acc =
-    skip_ws ();
-    if !pos >= n then List.rev acc else top (parse_one () :: acc)
-  in
-  top []
-
-let of_string_many src =
-  match parse_many src with
-  | xs -> Ok xs
-  | exception Parse_error m -> Error m
-
-let of_string src =
-  match of_string_many src with
-  | Error m -> Error m
-  | Ok [ x ] -> Ok x
-  | Ok [] -> Error "empty input"
-  | Ok _ -> Error "trailing content after s-expression"

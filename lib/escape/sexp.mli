@@ -1,13 +1,7 @@
-(** Minimal s-expressions for serializing summaries and build caches.
-    [;] starts a line comment; atoms containing delimiters are printed
-    quoted with the usual backslash escapes. *)
+(** Minimal s-expressions, printed only: the canonical text of a
+    function summary, which analysis-unit keys digest.  Atoms containing
+    delimiters are printed quoted with the usual backslash escapes. *)
 
 type t = Atom of string | List of t list
 
 val to_string : t -> string
-
-(** Parse exactly one s-expression (surrounding whitespace/comments ok). *)
-val of_string : string -> (t, string) result
-
-(** Parse a whole file of s-expressions. *)
-val of_string_many : string -> (t list, string) result

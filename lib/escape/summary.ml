@@ -80,7 +80,9 @@ let default ~name ~nparams ~nresults =
 (* -------------------------------------------------------------- *)
 (* Serialization (paper §4.4: a callee's extended parameter tag is
    everything a caller needs, which is what makes separate compilation
-   possible — the build driver stores these per package).           *)
+   possible — the build driver stores these per package).  The text
+   form only feeds the unit keys' digests; the store keeps the binary
+   record of [write].                                                *)
 (* -------------------------------------------------------------- *)
 
 let target_to_sexp = function
@@ -137,94 +139,86 @@ let to_sexp s =
      ]
     @
     (* The fields section is omitted when empty, keeping the baseline
-       wire format byte-identical to the pre-field-sensitive one. *)
+       text (and so every unit key) as it was before field
+       sensitivity. *)
     match s.s_fields with
     | [] -> []
     | ffs -> [ Sexp.List (Sexp.Atom "fields" :: List.map field ffs) ])
 
-exception Bad of string
-
-let of_sexp sx =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-  let int_atom = function
-    | Sexp.Atom a -> begin
-      match int_of_string_opt a with
-      | Some n -> n
-      | None -> fail "expected an integer, got %s" a
-    end
-    | Sexp.List _ -> fail "expected an integer atom"
-  in
-  let bool_atom = function
-    | Sexp.Atom "true" -> true
-    | Sexp.Atom "false" -> false
-    | _ -> fail "expected a boolean atom"
-  in
-  let target = function
-    | Sexp.Atom "heap" -> `Heap
-    | Sexp.Atom "defer" -> `Defer
-    | Sexp.List [ Sexp.Atom "return"; i ] -> `Return (int_atom i)
-    | Sexp.List [ Sexp.Atom "pfield"; i; f ] ->
-      `Param_field (int_atom i, int_atom f)
-    | _ -> fail "malformed flow target"
-  in
-  let flow = function
-    | Sexp.List [ Sexp.Atom "flow"; p; t; d ] ->
-      { pf_param = int_atom p; pf_target = target t; pf_derefs = int_atom d }
-    | _ -> fail "malformed flow"
-  in
-  let content = function
-    | Sexp.List [ Sexp.Atom "content"; h; i; r ] ->
-      {
-        ct_heap_alloc = bool_atom h;
-        ct_incomplete = bool_atom i;
-        ret_incomplete = bool_atom r;
-      }
-    | _ -> fail "malformed content tag"
-  in
-  let field = function
-    | Sexp.List [ Sexp.Atom "field"; p; f; h; ci; si ] ->
-      {
-        ff_param = int_atom p;
-        ff_field = int_atom f;
-        ff_heap = bool_atom h;
-        ff_content_incomplete = bool_atom ci;
-        ff_slot_incomplete = bool_atom si;
-      }
-    | _ -> fail "malformed field fact"
-  in
-  match
-    match sx with
-    | Sexp.List
-        (Sexp.Atom "summary"
-        :: Sexp.List [ Sexp.Atom "name"; Sexp.Atom name ]
-        :: Sexp.List [ Sexp.Atom "nparams"; np ]
-        :: Sexp.List (Sexp.Atom "flows" :: flows)
-        :: Sexp.List (Sexp.Atom "contents" :: contents)
-        :: rest) ->
-      let fields =
-        match rest with
-        | [] -> []
-        | [ Sexp.List (Sexp.Atom "fields" :: ffs) ] -> List.map field ffs
-        | _ -> fail "malformed summary tail"
-      in
-      {
-        s_name = name;
-        s_nparams = int_atom np;
-        s_flows = List.map flow flows;
-        s_contents = Array.of_list (List.map content contents);
-        s_fields = fields;
-      }
-    | _ -> fail "malformed summary"
-  with
-  | s -> Ok s
-  | exception Bad m -> Error m
-
 let to_string s = Sexp.to_string (to_sexp s)
 
-let of_string str =
-  match Sexp.of_string str with
-  | Error m -> Error m
-  | Ok sx -> of_sexp sx
+let write w s =
+  let open Codec in
+  w_str w s.s_name;
+  w_int w s.s_nparams;
+  w_list w
+    (fun w f ->
+      w_int w f.pf_param;
+      (match f.pf_target with
+      | `Return i ->
+        w_int w 0;
+        w_int w i
+      | `Heap -> w_int w 1
+      | `Defer -> w_int w 2
+      | `Param_field (i, fld) ->
+        w_int w 3;
+        w_int w i;
+        w_int w fld);
+      w_int w f.pf_derefs)
+    s.s_flows;
+  w_list w
+    (fun w ct ->
+      w_bool w ct.ct_heap_alloc;
+      w_bool w ct.ct_incomplete;
+      w_bool w ct.ret_incomplete)
+    (Array.to_list s.s_contents);
+  w_list w
+    (fun w ff ->
+      w_int w ff.ff_param;
+      w_int w ff.ff_field;
+      w_bool w ff.ff_heap;
+      w_bool w ff.ff_content_incomplete;
+      w_bool w ff.ff_slot_incomplete)
+    s.s_fields
+
+(* Each field is bound in writing order: OCaml does not evaluate a
+   record's fields in order. *)
+let read r =
+  let open Codec in
+  let s_name = r_str r in
+  let s_nparams = r_int r in
+  let s_flows =
+    r_list r (fun r ->
+        let pf_param = r_int r in
+        let pf_target =
+          match r_int r with
+          | 0 -> `Return (r_int r)
+          | 1 -> `Heap
+          | 2 -> `Defer
+          | 3 ->
+            let i = r_int r in
+            `Param_field (i, r_int r)
+          | _ -> raise Malformed
+        in
+        { pf_param; pf_target; pf_derefs = r_int r })
+  in
+  let s_contents =
+    r_list r (fun r ->
+        let ct_heap_alloc = r_bool r in
+        let ct_incomplete = r_bool r in
+        { ct_heap_alloc; ct_incomplete; ret_incomplete = r_bool r })
+  in
+  let s_fields =
+    r_list r (fun r ->
+        let ff_param = r_int r in
+        let ff_field = r_int r in
+        let ff_heap = r_bool r in
+        let ff_content_incomplete = r_bool r in
+        { ff_param; ff_field; ff_heap; ff_content_incomplete;
+          ff_slot_incomplete = r_bool r })
+  in
+  { s_name; s_nparams; s_flows; s_contents = Array.of_list s_contents;
+    s_fields }
 
 let pp fmt s =
   let target_str = function

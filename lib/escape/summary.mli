@@ -48,8 +48,8 @@ type t = {
   s_contents : content_tag array;
   s_fields : field_fact list;
       (** always empty outside field-sensitive mode; omitted from the
-          serialized form when empty, so baseline summaries keep the
-          historical wire format *)
+          text form when empty, so baseline summaries keep their
+          historical text *)
 }
 
 (** Conservative tag for an unknown callee (recursion, §4.4): parameters
@@ -57,16 +57,17 @@ type t = {
 val default : name:string -> nparams:int -> nresults:int -> t
 
 (** Serialization, the paper's separate-compilation story (§4.4): a
-    callee's stored tag is all a caller's analysis needs.  [of_string]
-    and [of_sexp] accept exactly what [to_string] / [to_sexp] produce
-    and are total (malformed input yields [Error]). *)
+    callee's stored tag is all a caller's analysis needs.  The build
+    cache stores summaries in the binary encoding of {!Codec}: [read]
+    accepts exactly what [write] produces and raises {!Codec.Malformed}
+    (or [Invalid_argument] past the end of its input) on anything else.
+    [to_string] is the canonical text of a summary, which the analysis
+    unit keys digest; it is never read back. *)
 
-val to_sexp : t -> Sexp.t
+val write : _ Codec.w -> t -> unit
 
-val of_sexp : Sexp.t -> (t, string) result
+val read : _ Codec.r -> t
 
 val to_string : t -> string
-
-val of_string : string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit

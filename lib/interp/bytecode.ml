@@ -6,8 +6,8 @@
     with jump-to-jump chains threaded).  Values that cannot be encoded
     as ints live in per-function side tables: a constant pool, the
     allocation sites, zero-value makers, the homes of declared
-    variables ({!home}), the error-path thunks, and the
-    inline-cache records for map-key and struct-field access sites.
+    variables ({!home}), and the inline-cache records for map-key and
+    struct-field access sites.
 
     The dispatch loop itself lives in {!Vm}; the opcode numbering here
     and the literal patterns of its [match] must stay in sync (the
@@ -184,7 +184,6 @@ let op_range_start = def 100 "range_start" [ Target ]
     (* the exit: pop map V, push key iterator *)
 let op_range_next = def 101 "range_next" [ Tbl "decl"; Target ]  (* the end *)
 let op_range_pop = def 102 "range_pop" []  (* drop the top iterator (break) *)
-let op_thunk_v = def 103 "thunk_v" [ Tbl "thunk" ]  (* push V *)
 (* Superinstructions: fusions of the sequences above that dominate hot
    loops.  Each replicates its unfused expansion exactly (same
    evaluation order, same panics in the same order), so observable
@@ -192,37 +191,37 @@ let op_thunk_v = def 103 "thunk_v" [ Tbl "thunk" ]  (* push V *)
    allocations the expansion's boxing steps would make.  A fused form
    stays only while a measured workload dispatches it (EXPERIMENTS.md,
    "Opcode economy"). *)
-let op_addk_i = def 104 "addk_i" [ Int ]  (* top of I += k *)
-let op_subk_i = def 105 "subk_i" [ Int ]
-let op_mulk_i = def 106 "mulk_i" [ Int ]
-let op_divk_i = def 107 "divk_i" [ Int ]
+let op_addk_i = def 103 "addk_i" [ Int ]  (* top of I += k *)
+let op_subk_i = def 104 "subk_i" [ Int ]
+let op_mulk_i = def 105 "mulk_i" [ Int ]
+let op_divk_i = def 106 "divk_i" [ Int ]
     (* keeps the divide-by-zero panic when k = 0 *)
-let op_modk_i = def 108 "modk_i" [ Int ]
-let op_sfield_v = def 109 "sfield_v" [ Slot; Field; Cache; Name; Name ]
-let op_sfield_i = def 110 "sfield_i" [ Slot; Field; Cache; Name; Name ]
+let op_modk_i = def 107 "modk_i" [ Int ]
+let op_sfield_v = def 108 "sfield_v" [ Slot; Field; Cache; Name; Name ]
+let op_sfield_i = def 109 "sfield_i" [ Slot; Field; Cache; Name; Name ]
     (* = [vload slot; field_i f] fused *)
-let op_fstore_i = def 111 "fstore_i" [ Field ]
+let op_fstore_i = def 110 "fstore_i" [ Field ]
     (* pop ptr-base V, value I; store *)
-let op_jlt_not = def 112 "jlt_not" [ Target ]  (* pop 2 I, jump unless a < b *)
-let op_jge_not = def 113 "jge_not" [ Target ]
-let op_jlek_not = def 114 "jlek_not" [ Int; Target ]
+let op_jlt_not = def 111 "jlt_not" [ Target ]  (* pop 2 I, jump unless a < b *)
+let op_jge_not = def 112 "jge_not" [ Target ]
+let op_jlek_not = def 113 "jlek_not" [ Int; Target ]
     (* pop 1 I, jump unless a <= k *)
-let op_jgtk_not = def 115 "jgtk_not" [ Int; Target ]
-let op_jgek_not = def 116 "jgek_not" [ Int; Target ]
-let op_jeqk_not = def 117 "jeqk_not" [ Int; Target ]
-let op_jnek_not = def 118 "jnek_not" [ Int; Target ]
+let op_jgtk_not = def 114 "jgtk_not" [ Int; Target ]
+let op_jgek_not = def 115 "jgek_not" [ Int; Target ]
+let op_jeqk_not = def 116 "jeqk_not" [ Int; Target ]
+let op_jnek_not = def 117 "jnek_not" [ Int; Target ]
 
 (* Register locals: int/bool locals kept unboxed in the call's register
    file (the first [bf_nregs] words of its int-stack window) instead of a
    frame cell.  See {!Emit.register_slots} for which locals qualify. *)
-let op_rload = def 119 "rload" [ Reg; Name ]  (* push register -> I *)
-let op_rstore = def 120 "rstore" [ Reg; Name ]  (* pop I into register *)
-let op_rinc = def 121 "rinc" [ Reg; Delta; Name ]  (* register += k *)
+let op_rload = def 118 "rload" [ Reg; Name ]  (* push register -> I *)
+let op_rstore = def 119 "rstore" [ Reg; Name ]  (* pop I into register *)
+let op_rinc = def 120 "rinc" [ Reg; Delta; Name ]  (* register += k *)
 
 (* Address of a field of a nested struct value ([a[i].p.x], [f().q.y]):
    the base struct is evaluated, then its owner spine again, exactly like
    [Interp.eval_addr] and [owner_of_struct_base]. *)
-let op_addr_field_val = def 122 "addr_field_val" [ Field ]
+let op_addr_field_val = def 121 "addr_field_val" [ Field ]
     (* pop owner-spine V, struct V; push VPtr owned by [Value.owner_of]
        of the spine *)
 
@@ -230,60 +229,60 @@ let op_addr_field_val = def 122 "addr_field_val" [ Field ]
    operands, read in place.  Each performs exactly the safepoints of the
    sequence it replaces, through the same [Vm.vm_safepoint], in the same
    order, and raises the same errors in the same order. *)
-let op_safepoints = def 123 "safepoints" [ Int ]  (* n safepoints in a row *)
-let op_loop_rinc = def 124 "loop_rinc" [ Reg; Delta; Name; Target ]
+let op_safepoints = def 122 "safepoints" [ Int ]  (* n safepoints in a row *)
+let op_loop_rinc = def 123 "loop_rinc" [ Reg; Delta; Name; Target ]
     (* = safepoint; rinc; jmp head; safepoint (the head's), then on to
        the condition *)
 let op_jlt_rlen_not =
-  def 125 "jlt_rlen_not" [ Reg; Name; Slot; Name; Target ]
+  def 124 "jlt_rlen_not" [ Reg; Name; Slot; Name; Target ]
     (* = rload; vload; len; jlt_not *)
-let op_jlt_rr_not = def 126 "jlt_rr_not" [ Reg; Name; Reg; Name; Target ]
+let op_jlt_rr_not = def 125 "jlt_rr_not" [ Reg; Name; Reg; Name; Target ]
     (* = rload; rload; jlt_not *)
-let op_index_i_sr = def 127 "index_i_sr" [ Slot; Name; Reg; Name ]
+let op_index_i_sr = def 126 "index_i_sr" [ Slot; Name; Reg; Name ]
     (* = vload; rload; index_i *)
 
 (* Int-slice forms: the element travels on the int stack, so storing,
    appending or building a [[]int] boxes nothing. *)
-let op_store_index_i = def 128 "store_index_i" []
+let op_store_index_i = def 127 "store_index_i" []
     (* pop idx I, base V, value I *)
 let op_store_i_sr =
-  def 129 "store_i_sr" [ Slot; Name; Reg; Name ]
+  def 128 "store_i_sr" [ Slot; Name; Reg; Name ]
     (* = vload; rload; store_index_i: pop value I *)
-let op_slice_lit_i = def 130 "slice_lit_i" [ Site; Int ]  (* pop n I *)
-let op_append_i = def 131 "append_i" [ Site; Int ]  (* pop n I, base V *)
+let op_slice_lit_i = def 129 "slice_lit_i" [ Site; Int ]  (* pop n I *)
+let op_append_i = def 130 "append_i" [ Site; Int ]  (* pop n I, base V *)
 
 (* Field-operand forms: fields of a frame local — a struct or a pointer
    to one — read in place, each exactly as [sfield_v]/[sfield_i] read
    it, inline-cache bookkeeping included; the scanner shapes
    [p.f < len(p.g)], [p.f[p.g]], [len(p.f)] and [p.f = p.f + k]. *)
-let op_flen = def 132 "flen" [ Slot; Field; Cache; Name; Name ]
+let op_flen = def 131 "flen" [ Slot; Field; Cache; Name; Name ]
     (* = sfield_v; len: push I *)
 let op_index_ff =
-  def 133 "index_ff" [ Slot; Field; Cache; Field; Cache; Name; Name; Name ]
+  def 132 "index_ff" [ Slot; Field; Cache; Field; Cache; Name; Name; Name ]
     (* = sfield_v p.f; sfield_i p.g; index_i: push I *)
 let op_jlt_flen_not =
-  def 134 "jlt_flen_not"
+  def 133 "jlt_flen_not"
     [ Slot; Field; Cache; Field; Cache; Name; Name; Name; Target ]
     (* = sfield_i p.f; sfield_v p.g; len; jlt_not *)
-let op_finc = def 135 "finc" [ Slot; Field; Cache; Delta; Name; Name ]
+let op_finc = def 134 "finc" [ Slot; Field; Cache; Delta; Name; Name ]
     (* [p.f = p.f + k] through a pointer: = sfield_i; addk_i; vload;
        fstore_i *)
 
 (* Register-operand forms: an int op whose operand is a register local
    reads the register in place instead of going through [rload]. *)
-let op_add_r = def 136 "add_r" [ Reg; Name ]  (* = rload; add_i *)
-let op_sub_r = def 137 "sub_r" [ Reg; Name ]
-let op_addk_r = def 138 "addk_r" [ Reg; Int; Name ]  (* = rload; addk_i: push I *)
-let op_mulk_r = def 139 "mulk_r" [ Reg; Int; Name ]
-let op_modk_r = def 140 "modk_r" [ Reg; Int; Name ]
-let op_jlt_rk_not = def 141 "jlt_rk_not" [ Reg; Name; Int; Target ]
+let op_add_r = def 135 "add_r" [ Reg; Name ]  (* = rload; add_i *)
+let op_sub_r = def 136 "sub_r" [ Reg; Name ]
+let op_addk_r = def 137 "addk_r" [ Reg; Int; Name ]  (* = rload; addk_i: push I *)
+let op_mulk_r = def 138 "mulk_r" [ Reg; Int; Name ]
+let op_modk_r = def 139 "modk_r" [ Reg; Int; Name ]
+let op_jlt_rk_not = def 140 "jlt_rk_not" [ Reg; Name; Int; Target ]
     (* = rload; iconst k; jlt_not *)
-let op_jle_rk_not = def 142 "jle_rk_not" [ Reg; Name; Int; Target ]
+let op_jle_rk_not = def 141 "jle_rk_not" [ Reg; Name; Int; Target ]
     (* = rload; jlek_not *)
-let op_jgt_rk_not = def 143 "jgt_rk_not" [ Reg; Name; Int; Target ]
-let op_jge_rk_not = def 144 "jge_rk_not" [ Reg; Name; Int; Target ]
-let op_jeq_rk_not = def 145 "jeq_rk_not" [ Reg; Name; Int; Target ]
-let op_jne_rk_not = def 146 "jne_rk_not" [ Reg; Name; Int; Target ]
+let op_jgt_rk_not = def 142 "jgt_rk_not" [ Reg; Name; Int; Target ]
+let op_jge_rk_not = def 143 "jge_rk_not" [ Reg; Name; Int; Target ]
+let op_jeq_rk_not = def 144 "jeq_rk_not" [ Reg; Name; Int; Target ]
+let op_jne_rk_not = def 145 "jne_rk_not" [ Reg; Name; Int; Target ]
 
 (* Rotated counted loops: a [loop_rinc] back edge that re-tests the
    loop's condition itself, a copy of the head's [jlt_rr_not],
@@ -295,38 +294,38 @@ let op_jne_rk_not = def 146 "jne_rk_not" [ Reg; Name; Int; Target ]
 let rotated_operands = [ Reg; Delta; Name; Target; Target; Target ]
 
 let op_loop_lt_rr =
-  def 147 "loop_lt_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
+  def 146 "loop_lt_rr" (rotated_operands @ [ Reg; Name; Reg; Name ])
 let op_loop_lt_rlen =
-  def 148 "loop_lt_rlen" (rotated_operands @ [ Reg; Name; Slot; Name ])
-let op_loop_lt_rk = def 149 "loop_lt_rk" (rotated_operands @ [ Reg; Name; Int ])
+  def 147 "loop_lt_rlen" (rotated_operands @ [ Reg; Name; Slot; Name ])
+let op_loop_lt_rk = def 148 "loop_lt_rk" (rotated_operands @ [ Reg; Name; Int ])
 
 (* Word-operand map forms: an int or bool key or value travels on the
    int stack, so reading or storing one boxes nothing.  Each is the
    boxed form's bucket operation with the box left out. *)
-let op_mapget_ii = def 150 "mapget_ii" [ Cache ]
+let op_mapget_ii = def 149 "mapget_ii" [ Cache ]
     (* pop key I, map V; push I *)
-let op_store_map_ii = def 151 "store_map_ii" []
+let op_store_map_ii = def 150 "store_map_ii" []
     (* pop key I, map V, value I *)
-let op_store_map_vi = def 152 "store_map_vi" []
+let op_store_map_vi = def 151 "store_map_vi" []
     (* pop key V, map V, value I *)
 
 (* An element field of a slice of structs, addressed in its slot of the
    flat store: [a[i].f] read, and [&a[i].f]. *)
-let op_elem_field_v = def 153 "elem_field_v" [ Field ]
+let op_elem_field_v = def 152 "elem_field_v" [ Field ]
     (* pop idx I, slice V; push V *)
-let op_elem_field_i = def 154 "elem_field_i" [ Field ]
+let op_elem_field_i = def 153 "elem_field_i" [ Field ]
     (* pop idx I, slice V; push I *)
-let op_addr_elem_field = def 155 "addr_elem_field" [ Field ]
+let op_addr_elem_field = def 154 "addr_elem_field" [ Field ]
     (* pop idx I, slice V; push V *)
 (* = vload a; rload i; elem_field_i/_v: the slice a frame local, the
    index a register *)
 let op_elem_field_i_sr =
-  def 156 "elem_field_i_sr" [ Slot; Name; Reg; Name; Field ]  (* push I *)
+  def 155 "elem_field_i_sr" [ Slot; Name; Reg; Name; Field ]  (* push I *)
 let op_elem_field_v_sr =
-  def 157 "elem_field_v_sr" [ Slot; Name; Reg; Name; Field ]  (* push V *)
+  def 156 "elem_field_v_sr" [ Slot; Name; Reg; Name; Field ]  (* push V *)
 (* [append(s, T{...})]: the literal's n fields straight into the flat
    store, with no struct value between *)
-let op_append_fields = def 158 "append_fields" [ Site; Int; Tbl "zero" ]
+let op_append_fields = def 157 "append_fields" [ Site; Int; Tbl "zero" ]
     (* pop n copied V, base V; push V *)
 
 (** The rotated back edge that re-tests head test [op], if it has one. *)
@@ -440,7 +439,6 @@ type fn = {
   bf_binops : Ast.binop array;
   bf_names : string array;  (* variable/callee names for errors/disasm *)
   bf_decls : home array;  (* [decl] operands *)
-  bf_thunks : (Interp.state -> Interp.frame -> Value.value) array;
   bf_caches : cache array;
   bf_params : home array;  (* in declaration order *)
   bf_pnames : string array;

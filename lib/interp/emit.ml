@@ -16,15 +16,14 @@
     [Interp.eval_addr]) step by step and call the same shared helpers
     in the same order — the differential suite holds the VM and the
     walker to byte-identical observable behaviour.  A declaration names
-    its variable's home ({!declare}: slot, boxing decision, box size);
-    three error paths (the address of a map element, break/continue
-    outside a loop) raise from a [thunk_v] closure.  Two storage
-    decisions depart from the walker without changing anything
-    observable: int/bool locals and parameters that nothing but this
-    function's bytecode can see live in native registers
+    its variable's home ({!declare}: slot, boxing decision, box size).
+    Two storage decisions depart from the walker without changing
+    anything observable: int/bool locals and parameters that nothing but
+    this function's bytecode can see live in native registers
     ({!register_slots}), and blocks that cannot stack-allocate open no
-    scope ({!stack_allocates}).  {!param_homes} tells the VM where
-    each parameter goes. *)
+    scope ({!stack_allocates}).  {!param_homes} tells the VM where each
+    parameter goes.  A run lowers only the functions its entry points
+    reach ({!lower}). *)
 
 open Minigo
 module B = Bytecode
@@ -89,7 +88,6 @@ type fctx = {
   names : string tbl;
   names_tbl : (string, int) Hashtbl.t;
   decls : B.home tbl;
-  thunks : (Interp.state -> Interp.frame -> Value.value) tbl;
   mutable ncaches : int;
   mutable labels : int array;  (* label id -> code offset, -1 unset *)
   mutable nlabels : int;
@@ -120,7 +118,6 @@ let fctx ctx regs =
     names = tbl ();
     names_tbl = Hashtbl.create 16;
     decls = tbl ();
-    thunks = tbl ();
     ncaches = 0;
     labels = Array.make 16 (-1);
     nlabels = 0;
@@ -1024,12 +1021,7 @@ and emit_addr f (lv : Tast.lvalue) =
     emit_v f a;
     emit_i f i;
     op0 f ~dv:0 ~di:(-1) B.op_addr_index
-  | Tast.Lmap _ ->
-    let t =
-      tbl_add f.thunks (fun _ _ ->
-          raise (Interp.Runtime_error "cannot take address of map element"))
-    in
-    op1 f ~dv:1 ~di:0 B.op_thunk_v t
+  | Tast.Lmap _ -> invalid_arg "Emit: address of a map element"
   | Tast.Lfield (base, idx, _) -> begin
     match (base.Tast.ty, base.Tast.desc) with
     | Types.Ptr _, _ ->
@@ -1410,12 +1402,7 @@ let rec emit_stmt f (s : Tast.stmt) =
       | Krange (_, l_end) :: _ ->
         op0 f ~dv:0 ~di:0 B.op_range_pop;
         opjmp f ~dv:0 ~di:0 B.op_jmp [] l_end
-      | [] ->
-        (* break outside any loop: unreachable after parsing, but keep
-           the reference behaviour (Break_loop escapes) *)
-        let t = tbl_add f.thunks (fun _ _ -> raise Interp.Break_loop) in
-        op1 f ~dv:1 ~di:0 B.op_thunk_v t;
-        op0 f ~dv:(-1) ~di:0 B.op_pop_v
+      | [] -> invalid_arg "Emit: break outside a loop"
     in
     unwind f.scopes
   end
@@ -1427,10 +1414,7 @@ let rec emit_stmt f (s : Tast.stmt) =
         unwind rest
       | Kfor (_, l_post) :: _ -> opjmp f ~dv:0 ~di:0 B.op_jmp [] l_post
       | Krange (l_next, _) :: _ -> opjmp f ~dv:0 ~di:0 B.op_jmp [] l_next
-      | [] ->
-        let t = tbl_add f.thunks (fun _ _ -> raise Interp.Continue_loop) in
-        op1 f ~dv:1 ~di:0 B.op_thunk_v t;
-        op0 f ~dv:(-1) ~di:0 B.op_pop_v
+      | [] -> invalid_arg "Emit: continue outside a loop"
     in
     unwind f.scopes
   end
@@ -1516,7 +1500,6 @@ let emit_func (ctx : ctx) (fn : Tast.func) fid : B.fn =
     bf_binops = tbl_array f.binops;
     bf_names = tbl_array f.names;
     bf_decls = tbl_array f.decls;
-    bf_thunks = tbl_array f.thunks;
     bf_caches = Array.init f.ncaches (fun _ -> B.fresh_cache ());
     bf_params = param_homes ctx regs fn;
     bf_pnames =
@@ -1531,15 +1514,86 @@ let emit_func (ctx : ctx) (fn : Tast.func) fid : B.fn =
     bf_prog = [||];
   }
 
-(** Lower every function of the program to bytecode (emits an ["emit"]
-    trace span next to parse/typecheck/escape/instrument). *)
-let lower (program : Tast.program) (decisions : Decisions.t)
-    (layout : Layout.t) : B.program =
+(* What an unlowered function id points to: nothing calls it, so entering
+   it is a lowering bug, and falling off its empty body says so. *)
+let unlowered (fn : Tast.func) : B.fn =
+  {
+    B.bf_name = fn.Tast.f_name;
+    bf_nslots = 0;
+    bf_nregs = 0;
+    bf_max_v = 0;
+    bf_max_i = 0;
+    bf_code = [| B.op_halt |];
+    bf_consts = [||];
+    bf_sites = [||];
+    bf_zeros = [||];
+    bf_binops = [||];
+    bf_names = [||];
+    bf_decls = [||];
+    bf_caches = [||];
+    bf_params = [||];
+    bf_pnames = [||];
+    bf_zeros_ret =
+      (fun _ ->
+        failwith
+          ("internal error: function " ^ fn.Tast.f_name ^ " was not lowered"));
+    bf_prog = [||];
+  }
+
+(** Lower the functions reachable from [roots] to bytecode, once per
+    program.  A call
+    names its callee ([Tcall], [Sgo], [Sdefer]) and MiniGo has no
+    function values, so {!Gofree_escape.Callgraph.callees_of} is exact:
+    no other function can run.  Every other id gets a stub that fails,
+    naming the function, if it is ever entered.  The ["emit"] trace span
+    (next to parse/typecheck/escape/instrument) ends with how many of
+    the program's functions were lowered. *)
+let lower ~(roots : string list) (program : Tast.program)
+    (decisions : Decisions.t) (layout : Layout.t) : B.program =
   let module Trace = Gofree_obs.Trace in
-  Trace.with_span ~tid:(Trace.domain_tid ()) "emit" (fun () ->
-      let ctx = { tenv = program.Tast.p_tenv; decisions; layout } in
-      let prog =
-        Array.mapi (fun i fn -> emit_func ctx fn i) layout.Layout.l_funcs
-      in
-      Array.iter (fun f -> f.B.bf_prog <- prog) prog;
-      prog)
+  let tid = Trace.domain_tid () in
+  Trace.begin_span ~tid "emit";
+  let ctx = { tenv = program.Tast.p_tenv; decisions; layout } in
+  let funcs = layout.Layout.l_funcs in
+  let reached = Array.make (Array.length funcs) false in
+  let count = ref 0 in
+  let rec visit = function
+    | [] -> ()
+    | name :: rest -> begin
+      match Layout.func_id layout name with
+      | Some fid when not reached.(fid) ->
+        reached.(fid) <- true;
+        incr count;
+        visit
+          (List.rev_append (Gofree_escape.Callgraph.callees_of funcs.(fid)) rest)
+      | _ -> visit rest
+    end
+  in
+  visit roots;
+  let prog =
+    Array.mapi
+      (fun i fn -> if reached.(i) then emit_func ctx fn i else unlowered fn)
+      funcs
+  in
+  Array.iter (fun f -> f.B.bf_prog <- prog) prog;
+  Trace.end_span ~tid "emit"
+    ~args:
+      [ ("lowered", Gofree_obs.Json.Int !count);
+        ("functions", Gofree_obs.Json.Int (Array.length funcs)) ];
+  prog
+
+(** Every function's name: the roots that lower the whole program. *)
+let all_functions (layout : Layout.t) =
+  Array.fold_right
+    (fun (f : Tast.func) acc -> f.Tast.f_name :: acc)
+    layout.Layout.l_funcs []
+
+(** The functions a run enters from outside the code: [main] and every
+    function a global initialiser calls. *)
+let entry_points (program : Tast.program) =
+  "main"
+  :: List.concat_map
+       (function
+         | _, Some e -> Gofree_escape.Callgraph.expr_callees e
+         | _, None -> [])
+       program.Tast.p_globals

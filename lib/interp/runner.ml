@@ -113,11 +113,13 @@ let run_program ?(config = Interp.default_config)
     }
   in
   (* Lower once, before anything executes, so even the global
-     initializers' calls run bytecode. *)
+     initializers' calls run bytecode; only what they and main reach. *)
   (match config.Interp.engine with
   | Interp.Eng_reference -> ()  (* the default dispatch, call_by_id *)
   | Interp.Eng_bytecode ->
-    Vm.install st (Emit.lower program decisions layout));
+    Vm.install st
+      (Emit.lower ~roots:(Emit.entry_points program) program decisions
+         layout));
   heap.Rt.Heap.trace_payload <- Value.trace_payload;
   heap.Rt.Heap.poison_payload <- Value.poison_payload;
   heap.Rt.Heap.iter_roots <-

@@ -513,7 +513,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 1 (* safepoint, when it only counts the step *) when steps_only r 1 ->
     count_steps r 1;
     loop r (pc + 1) sp_v sp_i
-  | 123 (* safepoints n, when they only count their steps *)
+  | 122 (* safepoints n, when they only count their steps *)
     when steps_only r (Array.unsafe_get code (pc + 1)) ->
     count_steps r (Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
@@ -653,27 +653,27 @@ let rec loop (r : regs) pc sp_v sp_i =
       loop r (pc + 1) (sp_v - 1) (sp_i + 1)
     | _ -> full r pc sp_v sp_i
   end
-  | 104 (* addk_i *) ->
+  | 103 (* addk_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) + Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
-  | 105 (* subk_i *) ->
+  | 104 (* subk_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) - Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
-  | 106 (* mulk_i *) ->
+  | 105 (* mulk_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) * Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
-  | 107 (* divk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
+  | 106 (* divk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) / Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
-  | 108 (* modk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
+  | 107 (* modk_i, k <> 0 *) when Array.unsafe_get code (pc + 1) <> 0 ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) mod Array.unsafe_get code (pc + 1));
     loop r (pc + 2) sp_v sp_i
-  | 110 (* sfield_i, through a pointer, an int field *) -> begin
+  | 109 (* sfield_i, through a pointer, an int field *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
     | fields -> begin
@@ -685,7 +685,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       | _ -> full r pc sp_v sp_i
     end
   end
-  | 109 (* sfield_v, through a pointer *) -> begin
+  | 108 (* sfield_v, through a pointer *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
     | fields -> begin
@@ -697,104 +697,104 @@ let rec loop (r : regs) pc sp_v sp_i =
         loop r (pc + 6) (sp_v + 1) sp_i
     end
   end
-  | 112 (* jlt_not *) ->
+  | 111 (* jlt_not *) ->
     if Array.unsafe_get stk_i (sp_i - 2) < Array.unsafe_get stk_i (sp_i - 1)
     then loop r (pc + 2) sp_v (sp_i - 2)
     else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 113 (* jge_not *) ->
+  | 112 (* jge_not *) ->
     if Array.unsafe_get stk_i (sp_i - 2) >= Array.unsafe_get stk_i (sp_i - 1)
     then loop r (pc + 2) sp_v (sp_i - 2)
     else loop r (Array.unsafe_get code (pc + 1)) sp_v (sp_i - 2)
-  | 114 (* jlek_not *) ->
+  | 113 (* jlek_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) <= Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 115 (* jgtk_not *) ->
+  | 114 (* jgtk_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) > Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 116 (* jgek_not *) ->
+  | 115 (* jgek_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) >= Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 117 (* jeqk_not *) ->
+  | 116 (* jeqk_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) = Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 118 (* jnek_not *) ->
+  | 117 (* jnek_not *) ->
     if Array.unsafe_get stk_i (sp_i - 1) <> Array.unsafe_get code (pc + 1)
     then loop r (pc + 3) sp_v (sp_i - 1)
     else loop r (Array.unsafe_get code (pc + 2)) sp_v (sp_i - 1)
-  | 119 (* rload *) ->
+  | 118 (* rload *) ->
     Array.unsafe_set stk_i sp_i
       (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1)));
     loop r (pc + 3) sp_v (sp_i + 1)
-  | 120 (* rstore *) ->
+  | 119 (* rstore *) ->
     Array.unsafe_set stk_i
       (r.x_rb + Array.unsafe_get code (pc + 1))
       (Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 3) sp_v (sp_i - 1)
-  | 121 (* rinc *) ->
+  | 120 (* rinc *) ->
     let i = r.x_rb + Array.unsafe_get code (pc + 1) in
     Array.unsafe_set stk_i i
       (Array.unsafe_get stk_i i + Array.unsafe_get code (pc + 2));
     loop r (pc + 4) sp_v sp_i
-  | 124 (* loop_rinc, when both safepoints only count their step *)
+  | 123 (* loop_rinc, when both safepoints only count their step *)
     when steps_only r 2 ->
     count_steps r 2;
     rinc_at r code pc;
     loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 125 (* jlt_rlen_not, of a slice or string in a bound cell *) ->
+  | 124 (* jlt_rlen_not, of a slice or string in a bound cell *) ->
     let n = slot_len r (Array.unsafe_get code (pc + 3)) in
     if n < 0 then full r pc sp_v sp_i
     else if reg_at r code (pc + 1) < n then loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 126 (* jlt_rr_not *) ->
+  | 125 (* jlt_rr_not *) ->
     if reg_at r code (pc + 1) < reg_at r code (pc + 3) then
       loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
   (* Register-operand forms. *)
-  | 136 (* add_r *) ->
+  | 135 (* add_r *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) + reg_at r code (pc + 1));
     loop r (pc + 3) sp_v sp_i
-  | 137 (* sub_r *) ->
+  | 136 (* sub_r *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) - reg_at r code (pc + 1));
     loop r (pc + 3) sp_v sp_i
-  | 138 (* addk_r *) ->
+  | 137 (* addk_r *) ->
     Array.unsafe_set stk_i sp_i
       (reg_at r code (pc + 1) + Array.unsafe_get code (pc + 2));
     loop r (pc + 4) sp_v (sp_i + 1)
-  | 139 (* mulk_r *) ->
+  | 138 (* mulk_r *) ->
     Array.unsafe_set stk_i sp_i
       (reg_at r code (pc + 1) * Array.unsafe_get code (pc + 2));
     loop r (pc + 4) sp_v (sp_i + 1)
-  | 140 (* modk_r, k <> 0 *) when Array.unsafe_get code (pc + 2) <> 0 ->
+  | 139 (* modk_r, k <> 0 *) when Array.unsafe_get code (pc + 2) <> 0 ->
     Array.unsafe_set stk_i sp_i
       (reg_at r code (pc + 1) mod Array.unsafe_get code (pc + 2));
     loop r (pc + 4) sp_v (sp_i + 1)
-  | 141 (* jlt_rk_not *) ->
+  | 140 (* jlt_rk_not *) ->
     if reg_at r code (pc + 1) < Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 142 (* jle_rk_not *) ->
+  | 141 (* jle_rk_not *) ->
     if reg_at r code (pc + 1) <= Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 143 (* jgt_rk_not *) ->
+  | 142 (* jgt_rk_not *) ->
     if reg_at r code (pc + 1) > Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 144 (* jge_rk_not *) ->
+  | 143 (* jge_rk_not *) ->
     if reg_at r code (pc + 1) >= Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 145 (* jeq_rk_not *) ->
+  | 144 (* jeq_rk_not *) ->
     if reg_at r code (pc + 1) = Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 146 (* jne_rk_not *) ->
+  | 145 (* jne_rk_not *) ->
     if reg_at r code (pc + 1) <> Array.unsafe_get code (pc + 3) then
       loop r (pc + 5) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
@@ -802,12 +802,12 @@ let rec loop (r : regs) pc sp_v sp_i =
      steps: [rinc], the head's test on its operands (from pc + 7 on),
      then {!back_edge}.  Any other case goes to {!full}'s [loop_rinc]
      with nothing done. *)
-  | 147 (* loop_lt_rr *) when steps_only r 3 ->
+  | 146 (* loop_lt_rr *) when steps_only r 3 ->
     rinc_at r code pc;
     loop r
       (back_edge r code pc (reg_at r code (pc + 7) < reg_at r code (pc + 9)))
       sp_v sp_i
-  | 148 (* loop_lt_rlen, of a slice or string in a bound cell *)
+  | 147 (* loop_lt_rlen, of a slice or string in a bound cell *)
     when steps_only r 3 ->
     (* the slot is not the register: its length may be read first *)
     let n = slot_len r (Array.unsafe_get code (pc + 9)) in
@@ -816,13 +816,13 @@ let rec loop (r : regs) pc sp_v sp_i =
       rinc_at r code pc;
       loop r (back_edge r code pc (reg_at r code (pc + 7) < n)) sp_v sp_i
     end
-  | 149 (* loop_lt_rk *) when steps_only r 3 ->
+  | 148 (* loop_lt_rk *) when steps_only r 3 ->
     rinc_at r code pc;
     loop r
       (back_edge r code pc
          (reg_at r code (pc + 7) < Array.unsafe_get code (pc + 9)))
       sp_v sp_i
-  | 127 (* index_i_sr, a live element of an int slice in range *) -> begin
+  | 126 (* index_i_sr, a live element of an int slice in range *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
       let vi =
@@ -840,7 +840,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     end
     | Bunbound -> full r pc sp_v sp_i
   end
-  | 156 (* elem_field_i_sr, an int field of a live flat store's element *)
+  | 155 (* elem_field_i_sr, an int field of a live flat store's element *)
     -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
@@ -863,7 +863,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     end
     | Bunbound -> full r pc sp_v sp_i
   end
-  | 157 (* elem_field_v_sr, a field of a live flat store's element *) -> begin
+  | 156 (* elem_field_v_sr, a field of a live flat store's element *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
       let vi =
@@ -885,7 +885,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     end
     | Bunbound -> full r pc sp_v sp_i
   end
-  | 128 (* store_index_i, into a live int slice in range *) -> begin
+  | 127 (* store_index_i, into a live int slice in range *) -> begin
     let vi = Array.unsafe_get stk_i (sp_i - 1) in
     match Array.unsafe_get r.x_stk_v (sp_v - 1) with
     | Value.VIslice s when vi >= 0 && vi < s.i_len ->
@@ -894,7 +894,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       loop r (pc + 1) (sp_v - 1) (sp_i - 2)
     | _ -> full r pc sp_v sp_i
   end
-  | 129 (* store_i_sr, into a live int slice in range *) -> begin
+  | 128 (* store_i_sr, into a live int slice in range *) -> begin
     match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c | Bboxed (_, c) -> begin
       let vi =
@@ -909,7 +909,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     end
     | Bunbound -> full r pc sp_v sp_i
   end
-  | 131 (* append_i, of one int, within the int slice's capacity *)
+  | 130 (* append_i, of one int, within the int slice's capacity *)
     when Array.unsafe_get code (pc + 2) = 1 -> begin
     match Array.unsafe_get r.x_stk_v (sp_v - 1) with
     | Value.VIslice s when s.i_off + s.i_len < Array.length s.i_ints ->
@@ -923,7 +923,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   (* The field-operand forms, when the frame slot holds a pointer to a
      struct and the fields have the shapes the scanner reads: an int,
      and a string or a slice. *)
-  | 132 (* flen *) -> begin
+  | 131 (* flen *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
     | fields -> begin
@@ -942,7 +942,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       end
     end
   end
-  | 135 (* finc, an int field through a pointer *) -> begin
+  | 134 (* finc, an int field through a pointer *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
     | fields -> begin
@@ -955,7 +955,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       | _ -> full r pc sp_v sp_i
     end
   end
-  | 133 (* index_ff, a byte of a string field at an int field *) -> begin
+  | 132 (* index_ff, a byte of a string field at an int field *) -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
     | fields -> begin
@@ -971,7 +971,7 @@ let rec loop (r : regs) pc sp_v sp_i =
       | _ -> full r pc sp_v sp_i
     end
   end
-  | 134 (* jlt_flen_not, an int field against a string field's length *)
+  | 133 (* jlt_flen_not, an int field against a string field's length *)
     -> begin
     match ptr_fields r (Array.unsafe_get code (pc + 1)) with
     | [||] -> full r pc sp_v sp_i
@@ -1197,7 +1197,7 @@ and full (r : regs) pc sp_v sp_i =
     | Value.VMap hdr -> map_store r.x_st hdr vk (Value.copy v)
     | vm -> not_a_map_store vm);
     loop r (pc + 1) (sp_v - 3) sp_i
-  | 151 (* store_map_ii *) ->
+  | 150 (* store_map_ii *) ->
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VMap hdr ->
       map_store_ii r.x_st hdr
@@ -1205,7 +1205,7 @@ and full (r : regs) pc sp_v sp_i =
         (Array.unsafe_get stk_i (sp_i - 2))
     | vm -> not_a_map_store vm);
     loop r (pc + 1) (sp_v - 1) (sp_i - 2)
-  | 152 (* store_map_vi *) ->
+  | 151 (* store_map_vi *) ->
     (match Array.unsafe_get stk_v (sp_v - 2) with
     | Value.VMap hdr ->
       map_store_vi r.x_st hdr
@@ -1355,7 +1355,7 @@ and full (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_i sp_i
       (mapget_word r vm vk (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v - 2) (sp_i + 1)
-  | 150 (* mapget_ii *) ->
+  | 149 (* mapget_ii *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (mapget_ii r
          (Array.unsafe_get stk_v (sp_v - 1))
@@ -1694,24 +1694,20 @@ and full (r : regs) pc sp_v sp_i =
   | 102 (* range_pop *) ->
     r.x_iters <- List.tl r.x_iters;
     loop r (pc + 1) sp_v sp_i
-  | 103 (* thunk_v *) ->
-    Array.unsafe_set stk_v sp_v
-      (r.x_f.B.bf_thunks.(Array.unsafe_get code (pc + 1)) r.x_st r.x_fr);
-    loop r (pc + 2) (sp_v + 1) sp_i
   (* Superinstructions.  Each case is the literal composition of its
      unfused expansion above — same evaluation order, same panics. *)
-  | 107 (* divk_i *) ->
+  | 106 (* divk_i *) ->
     let b = Array.unsafe_get code (pc + 1) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
     Array.unsafe_set stk_i (sp_i - 1) (Array.unsafe_get stk_i (sp_i - 1) / b);
     loop r (pc + 2) sp_v sp_i
-  | 108 (* modk_i *) ->
+  | 107 (* modk_i *) ->
     let b = Array.unsafe_get code (pc + 1) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
     Array.unsafe_set stk_i (sp_i - 1)
       (Array.unsafe_get stk_i (sp_i - 1) mod b);
     loop r (pc + 2) sp_v sp_i
-  | 109 (* sfield_v = vload; field_v *) ->
+  | 108 (* sfield_v = vload; field_v *) ->
     Array.unsafe_set stk_v sp_v
       (slot_field r
          (Array.unsafe_get code (pc + 1))
@@ -1720,7 +1716,7 @@ and full (r : regs) pc sp_v sp_i =
          (Array.unsafe_get code (pc + 4))
          (Array.unsafe_get code (pc + 5)));
     loop r (pc + 6) (sp_v + 1) sp_i
-  | 110 (* sfield_i = vload; field_i *) ->
+  | 109 (* sfield_i = vload; field_i *) ->
     Array.unsafe_set stk_i sp_i
       (as_int
          (slot_field r
@@ -1730,20 +1726,20 @@ and full (r : regs) pc sp_v sp_i =
             (Array.unsafe_get code (pc + 4))
             (Array.unsafe_get code (pc + 5))));
     loop r (pc + 6) sp_v (sp_i + 1)
-  | 111 (* fstore_i = addr_field_ptr; store_thru, value from I *) ->
+  | 110 (* fstore_i = addr_field_ptr; store_thru, value from I *) ->
     store_field_int
       (Array.unsafe_get stk_v (sp_v - 1))
       (Array.unsafe_get code (pc + 1))
       (Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 2) (sp_v - 1) (sp_i - 1)
-  | 153 (* elem_field_v *) ->
+  | 152 (* elem_field_v *) ->
     Array.unsafe_set stk_v (sp_v - 1)
       (index_field r.x_st.heap
          (Array.unsafe_get stk_v (sp_v - 1))
          (Array.unsafe_get stk_i (sp_i - 1))
          (Array.unsafe_get code (pc + 1)));
     loop r (pc + 2) sp_v (sp_i - 1)
-  | 154 (* elem_field_i *) ->
+  | 153 (* elem_field_i *) ->
     Array.unsafe_set stk_i (sp_i - 1)
       (as_int
          (index_field r.x_st.heap
@@ -1751,7 +1747,7 @@ and full (r : regs) pc sp_v sp_i =
             (Array.unsafe_get stk_i (sp_i - 1))
             (Array.unsafe_get code (pc + 1))));
     loop r (pc + 2) (sp_v - 1) sp_i
-  | 156 (* elem_field_i_sr = vload; rload; elem_field_i *) ->
+  | 155 (* elem_field_i_sr = vload; rload; elem_field_i *) ->
     let va =
       slot_value r (Array.unsafe_get code (pc + 1))
         (Array.unsafe_get code (pc + 2))
@@ -1762,7 +1758,7 @@ and full (r : regs) pc sp_v sp_i =
             (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
             (Array.unsafe_get code (pc + 5))));
     loop r (pc + 6) sp_v (sp_i + 1)
-  | 157 (* elem_field_v_sr = vload; rload; elem_field_v *) ->
+  | 156 (* elem_field_v_sr = vload; rload; elem_field_v *) ->
     let va =
       slot_value r (Array.unsafe_get code (pc + 1))
         (Array.unsafe_get code (pc + 2))
@@ -1772,7 +1768,7 @@ and full (r : regs) pc sp_v sp_i =
          (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
          (Array.unsafe_get code (pc + 5)));
     loop r (pc + 6) (sp_v + 1) sp_i
-  | 158 (* append_fields *) ->
+  | 157 (* append_fields *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     let zero_of = r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 3)) in
@@ -1780,7 +1776,7 @@ and full (r : regs) pc sp_v sp_i =
     Array.unsafe_set stk_v (sp_v - n - 1)
       (append_fields r.x_st r.x_fr ~site ~zero_of base stk_v (sp_v - n) n);
     loop r (pc + 4) (sp_v - n) sp_i
-  | 155 (* addr_elem_field *) ->
+  | 154 (* addr_elem_field *) ->
     Array.unsafe_set stk_v (sp_v - 1)
       (addr_index_field r.x_st.heap
          (Array.unsafe_get stk_v (sp_v - 1))
@@ -1791,7 +1787,7 @@ and full (r : regs) pc sp_v sp_i =
      after the base, like [Interp.owner_of_struct_base].  The walker
      checks the base for a struct before the spine runs; the base's
      static type is a struct, so that error cannot fire in either. *)
-  | 122 (* addr_field_val *) ->
+  | 121 (* addr_field_val *) ->
     (match Array.unsafe_get stk_v (sp_v - 2) with
     | Value.VStruct fields ->
       Array.unsafe_set stk_v (sp_v - 2)
@@ -1804,20 +1800,20 @@ and full (r : regs) pc sp_v sp_i =
   (* Loop and indexing superinstructions.  Each performs the safepoints
      of the sequence it replaces, in the same order relative to its other
      effects, and raises the same errors in the same order. *)
-  | 123 (* safepoints n *) ->
+  | 122 (* safepoints n *) ->
     for _ = 1 to Array.unsafe_get code (pc + 1) do
       vm_safepoint r
     done;
     loop r (pc + 2) sp_v sp_i
-  | 124 (* loop_rinc = safepoint; rinc; jmp head; safepoint *)
-  | 147 (* loop_lt_rr *) | 148 (* loop_lt_rlen *)
-  | 149 (* loop_lt_rk: a rotated back edge runs its loop_rinc, then goes
+  | 123 (* loop_rinc = safepoint; rinc; jmp head; safepoint *)
+  | 146 (* loop_lt_rr *) | 147 (* loop_lt_rlen *)
+  | 148 (* loop_lt_rk: a rotated back edge runs its loop_rinc, then goes
            on to the head's unchanged test *) ->
     vm_safepoint r;
     rinc_at r code pc;
     vm_safepoint r;
     loop r (Array.unsafe_get code (pc + 4)) sp_v sp_i
-  | 125 (* jlt_rlen_not = rload; vload; len; jlt_not *) ->
+  | 124 (* jlt_rlen_not = rload; vload; len; jlt_not *) ->
     let a = Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 1)) in
     let n =
       length r.x_st
@@ -1826,7 +1822,7 @@ and full (r : regs) pc sp_v sp_i =
     in
     if a < n then loop r (pc + 6) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 5)) sp_v sp_i
-  | 127 (* index_i_sr = vload; rload; index_i *) ->
+  | 126 (* index_i_sr = vload; rload; index_i *) ->
     let va =
       slot_value r (Array.unsafe_get code (pc + 1))
         (Array.unsafe_get code (pc + 2))
@@ -1835,13 +1831,13 @@ and full (r : regs) pc sp_v sp_i =
       (index_int r.x_st.heap va
          (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3))));
     loop r (pc + 5) sp_v (sp_i + 1)
-  | 128 (* store_index_i *) ->
+  | 127 (* store_index_i *) ->
     store_int
       (Array.unsafe_get stk_v (sp_v - 1))
       (Array.unsafe_get stk_i (sp_i - 1))
       (Array.unsafe_get stk_i (sp_i - 2));
     loop r (pc + 1) (sp_v - 1) (sp_i - 2)
-  | 129 (* store_i_sr = vload; rload; store_index_i *) ->
+  | 128 (* store_i_sr = vload; rload; store_index_i *) ->
     let va =
       slot_value r (Array.unsafe_get code (pc + 1))
         (Array.unsafe_get code (pc + 2))
@@ -1850,7 +1846,7 @@ and full (r : regs) pc sp_v sp_i =
       (Array.unsafe_get stk_i (r.x_rb + Array.unsafe_get code (pc + 3)))
       (Array.unsafe_get stk_i (sp_i - 1));
     loop r (pc + 5) sp_v (sp_i - 1)
-  | 130 (* slice_lit_i *) ->
+  | 129 (* slice_lit_i *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     Array.unsafe_set stk_v sp_v
@@ -1858,7 +1854,7 @@ and full (r : regs) pc sp_v sp_i =
          (Value.Ints (Array.sub stk_i (sp_i - n) n))
          ~cap:n ~len:n);
     loop r (pc + 3) (sp_v + 1) (sp_i - n)
-  | 131 (* append_i *) ->
+  | 130 (* append_i *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
     Array.unsafe_set stk_v (sp_v - 1)
@@ -1866,7 +1862,7 @@ and full (r : regs) pc sp_v sp_i =
          (Array.unsafe_get stk_v (sp_v - 1))
          stk_i (sp_i - n) n);
     loop r (pc + 3) sp_v (sp_i - n)
-  | 140 (* modk_r = rload; modk_i *) ->
+  | 139 (* modk_r = rload; modk_i *) ->
     let a = reg_at r code (pc + 1) in
     let b = Array.unsafe_get code (pc + 2) in
     if b = 0 then raise (Panic (Value.VStr "integer divide by zero"));
@@ -1874,7 +1870,7 @@ and full (r : regs) pc sp_v sp_i =
     loop r (pc + 4) sp_v (sp_i + 1)
   (* Field-operand forms: the reads of the [sfield_v]/[sfield_i] they
      replace, in the same order, through the same [slot_field]. *)
-  | 132 (* flen = sfield_v; len *) ->
+  | 131 (* flen = sfield_v; len *) ->
     Array.unsafe_set stk_i sp_i
       (length r.x_st
          (slot_field r
@@ -1884,7 +1880,7 @@ and full (r : regs) pc sp_v sp_i =
             (Array.unsafe_get code (pc + 4))
             (Array.unsafe_get code (pc + 5))));
     loop r (pc + 6) sp_v (sp_i + 1)
-  | 133 (* index_ff = sfield_v p.f; sfield_i p.g; index_i *) ->
+  | 132 (* index_ff = sfield_v p.f; sfield_i p.g; index_i *) ->
     let s = Array.unsafe_get code (pc + 1) in
     let np = Array.unsafe_get code (pc + 6) in
     let va =
@@ -1904,7 +1900,7 @@ and full (r : regs) pc sp_v sp_i =
     in
     Array.unsafe_set stk_i sp_i (index_int r.x_st.heap va vi);
     loop r (pc + 9) sp_v (sp_i + 1)
-  | 134 (* jlt_flen_not = sfield_i p.f; sfield_v p.g; len; jlt_not *) ->
+  | 133 (* jlt_flen_not = sfield_i p.f; sfield_v p.g; len; jlt_not *) ->
     let s = Array.unsafe_get code (pc + 1) in
     let np = Array.unsafe_get code (pc + 6) in
     let a =
@@ -1925,7 +1921,7 @@ and full (r : regs) pc sp_v sp_i =
     in
     if a < n then loop r (pc + 10) sp_v sp_i
     else loop r (Array.unsafe_get code (pc + 9)) sp_v sp_i
-  | 135 (* finc = sfield_i p.f; addk_i k; vload p; fstore_i f *) ->
+  | 134 (* finc = sfield_i p.f; addk_i k; vload p; fstore_i f *) ->
     let s = Array.unsafe_get code (pc + 1) in
     let fidx = Array.unsafe_get code (pc + 2) in
     let np = Array.unsafe_get code (pc + 5) in

@@ -276,9 +276,11 @@ let rec check_expr st (e : Ast.expr) : Tast.expr =
       in
       mk (Types.Ptr (Types.Struct sname)) pos
         (Tast.Taddr_struct_lit (site, sname, inits))
-    | _ ->
-      let lv, ty = check_lvalue st inner in
-      mk (Types.Ptr ty) pos (Tast.Taddr lv)
+    | _ -> begin
+      match check_lvalue st inner with
+      | Tast.Lmap _, _ -> error pos "cannot take address of map element"
+      | lv, ty -> mk (Types.Ptr ty) pos (Tast.Taddr lv)
+    end
   end
   | Ast.Ederef a ->
     let a = check_expr st a in
@@ -838,8 +840,12 @@ and check_stmt st (s : Ast.stmt) : Tast.stmt list =
     | _ -> error pos "defer requires a function call"
   end
   | Ast.Spanic e -> [ Tast.Spanic (check_expr st e) ]
-  | Ast.Sbreak -> [ Tast.Sbreak ]
-  | Ast.Scontinue -> [ Tast.Scontinue ]
+  | Ast.Sbreak ->
+    if st.loop_depth = 0 then error pos "break is not in a loop";
+    [ Tast.Sbreak ]
+  | Ast.Scontinue ->
+    if st.loop_depth = 0 then error pos "continue is not in a loop";
+    [ Tast.Scontinue ]
   | Ast.Sdelete (m, k) ->
     let m = check_expr st m in
     let k = check_expr st k in

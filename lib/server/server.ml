@@ -612,15 +612,13 @@ let outcome_name = function
   | Ok _ -> "ok"
   | Error (code, _) -> code
 
-(* Send one request's response, mark it on the reader track, and log an
-   info line with the whole latency decomposition and the [path] that
-   answered it: ["reader"] or ["pool"]. *)
+(* Log an info line with the whole latency decomposition and the [path]
+   that answered it (["reader"] or ["pool"]), then send the response and
+   mark it on the reader track.  The line goes first: once the client
+   has the response it may send its next request, and that request's
+   line must not land before this one's. *)
 let reply (t : t) (c : conn) ~rid ~meth ~id ~path ~queue_wait_ms
     ~service_ms ~total_ms outcome =
-  respond t c ~id outcome;
-  if Trace.enabled () then
-    Trace.instant ~args:[ ("req", Json.Int rid) ]
-      ~tid:(Trace.tid_reader c.c_id) "rpc:respond";
   if Log.enabled Log.Info then
     Log.log Log.Info "request"
       [
@@ -632,7 +630,11 @@ let reply (t : t) (c : conn) ~rid ~meth ~id ~path ~queue_wait_ms
         ("queue_wait_ms", Json.Float queue_wait_ms);
         ("service_ms", Json.Float service_ms);
         ("total_ms", Json.Float total_ms);
-      ]
+      ];
+  respond t c ~id outcome;
+  if Trace.enabled () then
+    Trace.instant ~args:[ ("req", Json.Int rid) ]
+      ~tid:(Trace.tid_reader c.c_id) "rpc:respond"
 
 (* Record one request's latency split — receipt [t_recv], start of
    service [t_start] (dequeue, or receipt on the reader), done now —

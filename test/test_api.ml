@@ -192,6 +192,42 @@ let test_cli_rejects_closure_engine () =
       Alcotest.(check bool) "--engine closure exits non-zero" true
         (run "closure" <> 0))
 
+(* A [break] or [continue] outside a loop and the address of a map
+   element are type errors on the command line (exit 1, one
+   [gofreec: type error] line), never an uncaught exception (exit 125). *)
+let test_cli_type_errors () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "gofreec.exe" in
+  let src = Filename.temp_file "gofree-typeerr" ".go" in
+  let err = Filename.temp_file "gofree-typeerr" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; err ])
+    (fun () ->
+      List.iter
+        (fun (what, body, at, message) ->
+          Out_channel.with_open_bin src (fun oc ->
+              output_string oc ("func main() {\n  println(1)\n" ^ body ^ "\n}\n"));
+          List.iter
+            (fun engine ->
+              let code =
+                Sys.command
+                  (Printf.sprintf "%s run %s --engine %s > %s 2> %s"
+                     (Filename.quote exe) (Filename.quote src) engine
+                     Filename.null (Filename.quote err))
+              in
+              let label = what ^ " (" ^ engine ^ ")" in
+              Alcotest.(check int) (label ^ ": exit code") 1 code;
+              Alcotest.(check string) (label ^ ": message")
+                ("gofreec: type error at " ^ at ^ ": " ^ message ^ "\n")
+                (In_channel.with_open_bin err In_channel.input_all))
+            [ "reference"; "bytecode" ])
+        [
+          ("break", "  break", "3:3", "break is not in a loop");
+          ("continue", "  continue", "3:3", "continue is not in a loop");
+          ( "&m[k]",
+            "  m := make(map[int]int)\n  p := &m[1]\n  println(*p)",
+            "4:8", "cannot take address of map element" );
+        ])
+
 (* [--domains] above the host's core count prints one warning line on
    stderr and changes nothing else: same exit code, same output.  At the
    core count there is no warning. *)
@@ -450,6 +486,8 @@ let suite =
     Alcotest.test_case "error discipline" `Quick test_error_discipline;
     Alcotest.test_case "cli rejects --engine closure" `Quick
       test_cli_rejects_closure_engine;
+    Alcotest.test_case "cli type errors exit 1, not 125" `Quick
+      test_cli_type_errors;
     Alcotest.test_case "cli warns when --domains exceeds the cores" `Quick
       test_cli_warns_oversubscribed_domains;
     Alcotest.test_case "source key" `Quick test_source_key;

@@ -533,28 +533,85 @@ let sample_entry =
     e_var_boxed = [ 1; 3 ];
   }
 
-let golden_entry_text =
-  "(format gofree-sum-v2)\n\
-   (package util)\n\
-   (key 0123456789abcdef)\n\
-   (nvars 5)\n\
-   (nsites 2)\n\
-   (summaries (summary (name util.MakeRange) (nparams 1) (flows (flow 0 \
-   heap 1)) (contents (content true false false))))\n\
-   (frees (free util.MakeRange 3 -1 slice))\n\
-   (site-heap true false)\n\
-   (var-boxed 1 3)\n"
+(* The entry's {!Gofree_escape.Codec} encoding, field by field:
+   varints are zigzagged (n is written as 2n, -1 as 1), and a string's
+   first occurrence is its index, length and bytes, a later one its
+   index alone. *)
+let golden_entry_bytes =
+  String.concat ""
+    [
+      "\000\008util";  (* package: string #0, 4 bytes *)
+      "\002\0320123456789abcdef";  (* key: string #1, 16 bytes *)
+      "\010";  (* nvars 5 *)
+      "\004";  (* nsites 2 *)
+      "\002";  (* one summary *)
+      "\004\028util.MakeRange";  (* its name: string #2, 14 bytes *)
+      "\002";  (* nparams 1 *)
+      "\002\000\002\002";  (* one flow: param 0 to the heap, 1 deref *)
+      "\002\002\000\000";  (* one content tag: heap alloc, complete *)
+      "\000";  (* no field facts *)
+      "\002\004\006\001\000";
+      (* one free: string #2, var 3, whole variable (-1), slice *)
+      "\004\002\000";  (* two site decisions: heap, stack *)
+      "\004\002\006";  (* boxed vars 1 and 3 *)
+    ]
 
 let test_store_golden () =
   Alcotest.(check string)
-    "serialized entry matches the golden file" golden_entry_text
-    (B.Store.to_string sample_entry)
+    "serialized entry matches the golden bytes" golden_entry_bytes
+    (B.Store.to_string sample_entry);
+  (* the file is the sealed form of those bytes *)
+  let dir = Filename.concat (make_tree []) "cache" in
+  B.Store.save ~dir sample_entry;
+  Alcotest.(check string)
+    "the stored file: format, body digest, body"
+    (Printf.sprintf "gofree-sum-v3 %s\n%s"
+       (Digest.to_hex (Digest.string golden_entry_bytes))
+       golden_entry_bytes)
+    (In_channel.with_open_bin (B.Store.entry_path ~dir ~pkg:"util")
+       In_channel.input_all)
 
 let test_store_roundtrip () =
   match B.Store.of_string (B.Store.to_string sample_entry) with
   | Error e -> Alcotest.failf "round-trip failed: %s" e
   | Ok e ->
     Alcotest.(check bool) "round-trip identity" true (e = sample_entry)
+
+(* Entries and unit records of random shape, with test_summary's
+   summaries and names, decode to themselves. *)
+let prop_store_records_roundtrip =
+  let open QCheck.Gen in
+  let name = Test_summary.name_gen in
+  let free =
+    map4
+      (fun f rel fidx k -> (f, rel, fidx, k))
+      name (0 -- 5000) (-1 -- 6)
+      (oneofl [ Tast.Free_slice; Tast.Free_map; Tast.Free_obj ])
+  in
+  let summaries = list_size (0 -- 4) Test_summary.summary_gen in
+  let entry =
+    let* e_pkg = name and* e_key = name in
+    let* e_nvars = 0 -- 100_000 and* e_nsites = 0 -- 100_000 in
+    let* e_summaries = summaries and* e_frees = list_size (0 -- 6) free in
+    let* e_site_heap = list_size (0 -- 40) bool
+    and* e_var_boxed = list_size (0 -- 8) (0 -- 100_000) in
+    return
+      { B.Store.e_pkg; e_key; e_nvars; e_nsites; e_summaries; e_frees;
+        e_site_heap; e_var_boxed }
+  in
+  let unit_record =
+    let* u_key = name and* u_funcs = list_size (1 -- 4) name in
+    let* u_summaries = summaries and* u_frees = list_size (0 -- 6) free in
+    let* u_sites =
+      list_size (0 -- 8) (map3 (fun f rel h -> (f, rel, h)) name (0 -- 300) bool)
+    and* u_boxed = list_size (0 -- 4) (pair name (0 -- 300)) in
+    return { B.Store.u_key; u_funcs; u_summaries; u_frees; u_sites; u_boxed }
+  in
+  QCheck.Test.make ~count:300 ~name:"store records round-trip"
+    (QCheck.make (pair entry (list_size (0 -- 5) unit_record)))
+    (fun (e, us) ->
+      B.Store.of_string (B.Store.to_string e) = Ok e
+      && B.Store.units_of_string (B.Store.units_to_string us) = Ok us)
 
 let test_store_save_load () =
   let root = make_tree [] in
@@ -631,10 +688,11 @@ let test_stored_summary_survives_store () =
     Alcotest.(check bool)
       "stored MakeRange returns a fresh heap allocation" true
       mk.E.Summary.s_contents.(0).E.Summary.ct_heap_alloc;
-    (match E.Summary.of_string (E.Summary.to_string mk) with
-    | Ok s ->
-      Alcotest.(check bool) "summary text round-trip" true (s = mk)
-    | Error err -> Alcotest.failf "summary did not re-parse: %s" err)
+    let w = E.Codec.writer () in
+    E.Summary.write w mk;
+    match E.Codec.decode E.Summary.read (E.Codec.contents w) with
+    | Ok s -> Alcotest.(check bool) "summary record round-trip" true (s = mk)
+    | Error err -> Alcotest.failf "summary did not decode: %s" err
 
 let suite =
   [
@@ -665,6 +723,7 @@ let suite =
       test_missing_main_rejected;
     Alcotest.test_case "store golden file" `Quick test_store_golden;
     Alcotest.test_case "store round-trip" `Quick test_store_roundtrip;
+    QCheck_alcotest.to_alcotest prop_store_records_roundtrip;
     Alcotest.test_case "store save/load/miss" `Quick test_store_save_load;
     Alcotest.test_case "store concurrent saves" `Quick
       test_store_concurrent_saves;

@@ -252,9 +252,8 @@ func main() {
    {!opcode_coverage_cases}): bitwise ops and a subtraction on the int
    stack, a compare and [||] in value context, a bool global and an
    address-taken bool local, a float negation, a [[]bool] element, a
-   [map[string]bool] read, comma-ok, [new], the address of a global, a
-   [break] out of a map range, and the address of a map element (a
-   run-time error, so its function is lowered but never called). *)
+   [map[string]bool] read, comma-ok, [new], the address of a global and
+   a [break] out of a map range. *)
 let src_rare_forms =
   {|
 var flag bool
@@ -263,12 +262,6 @@ var counter int
 type Pt struct {
   x int
   y int
-}
-
-// &m[k] lowers to a run-time error; never called
-func mapElemAddr(m map[int]int) {
-  p := &m[1]
-  println(*p)
 }
 
 func main() {
@@ -2209,9 +2202,169 @@ func main() {
           ]);
   ]
 
-(* ---- every opcode is emitted --------------------------------------- *)
+(* ---- reachable lowering -------------------------------------------- *)
 
 module B = Gofree_interp.Bytecode
+
+(* A run lowers only what [main] and the global initialisers reach:
+   [build], [square] and [seed] only through initialisers, [report] only
+   through a [defer], [worker] only through a [go].  [never] (which
+   allocates and starts a goroutine), [orphan] (reached only from
+   [never]) and the cycle [ping]/[pong] are never lowered. *)
+let src_unreachable =
+  {|
+var table []int = build(6)
+var base int = seed() + 1
+
+func seed() int {
+  return 7
+}
+
+func square(i int) int {
+  return i * i
+}
+
+func build(n int) []int {
+  s := make([]int, 0, 1)
+  for i := 0; i < n; i = i + 1 {
+    s = append(s, square(i))
+  }
+  return s
+}
+
+func orphan(s []int) {
+  println(len(s))
+}
+
+func never(n int) []int {
+  s := make([]int, n)
+  s[0] = square(n)
+  go orphan(s)
+  return s
+}
+
+func ping(n int) int {
+  if n == 0 {
+    return 0
+  }
+  return pong(n - 1)
+}
+
+func pong(n int) int {
+  return ping(n)
+}
+
+func sum(s []int) int {
+  t := 0
+  for i := 0; i < len(s); i = i + 1 {
+    t = t + s[i]
+  }
+  return t
+}
+
+func worker(k int, done []int) {
+  done[k] = sum(make([]int, k+1)) + k
+}
+
+func report(t int) {
+  println("base", t)
+}
+
+func main() {
+  defer report(base)
+  done := make([]int, 1)
+  go worker(0, done)
+  total := 0
+  for r := 0; r < 300; r = r + 1 {
+    xs := make([]int, 16)
+    xs[r%16] = r
+    total = total + sum(xs) + sum(table)
+  }
+  println(total, len(table), done[0])
+}
+|}
+
+let unlowered_names = [ "never"; "orphan"; "ping"; "pong" ]
+
+(* A state that runs bytecode from [prog] and nothing else. *)
+let vm_state src prog =
+  let module I = Gofree_interp.Interp in
+  let c = Helpers.compile src in
+  let program = c.Gofree_core.Pipeline.c_program in
+  let st =
+    {
+      I.program;
+      decisions =
+        Gofree_interp.Decisions.of_analysis c.Gofree_core.Pipeline.c_analysis
+          program;
+      layout = Gofree_interp.Layout.of_program program;
+      heap = Gofree_runtime.Heap.create ();
+      output = Buffer.create 16;
+      globals = [||];
+      config = I.default_config;
+      dispatch = I.call_by_id;
+      current =
+        { I.g_id = 0; g_frames = [||]; g_depth = 0; g_pending = [||];
+          g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 };
+      steps = 0;
+      unwinding = None;
+      ic_hits = 0;
+      ic_misses = 0;
+      yield_at = max_int;
+      next_yield = max_int;
+      sampled = 0;
+      dom = 0;
+      par = I.make_parctx ~nd:1 ~seed:0L;
+    }
+  in
+  Gofree_interp.Vm.install st prog;
+  st
+
+let reachable_cases =
+  [
+    Alcotest.test_case "reachable lowering" `Quick (fun () ->
+        let name = "reachable lowering" in
+        check_identical ~name src_unreachable;
+        check_identical ~name:(name ^ " (go)") ~config:Gofree_core.Config.go
+          src_unreachable;
+        check_poison_silent ~name src_unreachable;
+        let c = Helpers.compile src_unreachable in
+        let program = c.Gofree_core.Pipeline.c_program in
+        let layout = Gofree_interp.Layout.of_program program in
+        let prog =
+          Gofree_interp.Emit.lower
+            ~roots:(Gofree_interp.Emit.entry_points program)
+            program
+            (Gofree_interp.Decisions.of_analysis
+               c.Gofree_core.Pipeline.c_analysis program)
+            layout
+        in
+        (* a stub's body is one [halt]; every function here has more *)
+        Alcotest.(check (list string))
+          "lowered: main, what initialisers reach, go and defer targets"
+          [ "seed"; "square"; "build"; "sum"; "worker"; "report"; "main" ]
+          (List.filter_map
+             (fun (f : B.fn) ->
+               if Array.length f.B.bf_code > 1 then Some f.B.bf_name
+               else None)
+             (Array.to_list prog));
+        (* entering a stub fails, naming the function *)
+        List.iter
+          (fun fname ->
+            let st = vm_state src_unreachable prog in
+            match
+              Gofree_interp.Interp.call_function st fname
+                [| Gofree_interp.Value.VInt 1; Gofree_interp.Value.VNil |]
+            with
+            | _ -> Alcotest.failf "entering unlowered %s returned" fname
+            | exception Failure m ->
+              Alcotest.(check string) ("entering " ^ fname)
+                ("internal error: function " ^ fname ^ " was not lowered")
+                m)
+          unlowered_names);
+  ]
+
+(* ---- every opcode is emitted --------------------------------------- *)
 
 (* The opcodes no program the suite lowers can emit, each with why.  The
    type checker rejects a call, [go] or [defer] naming a function the
@@ -2248,7 +2401,7 @@ let opcode_coverage_cases =
               src_calls; src_fused_loops; src_fused_panics;
               src_fused_goroutines; field_operands; field_operands_unfused;
               src_yield_points; src_rotated_yields; src_freed_bound;
-              src_rare_forms ]);
+              src_rare_forms; src_unreachable ]);
         let missing =
           List.filter
             (fun op -> not (seen.(op) || List.mem op never_emitted))
@@ -2264,5 +2417,5 @@ let suite =
   @ struct_addr_cases @ call_cases @ range_order_cases @ concurrent_cases
   @ fused_cases @ register_param_cases @ yield_point_cases
   @ rotated_loop_cases @ int_slice_cases @ struct_value_cases
-  @ struct_slice_cases @ opcode_coverage_cases
+  @ struct_slice_cases @ reachable_cases @ opcode_coverage_cases
   @ [ QCheck_alcotest.to_alcotest prop_random_identical ]

@@ -82,8 +82,10 @@ let lower src =
     Gofree_interp.Decisions.of_analysis c.Gofree_core.Pipeline.c_analysis
       program
   in
-  Gofree_interp.Emit.lower program decisions
-    (Gofree_interp.Layout.of_program program)
+  let layout = Gofree_interp.Layout.of_program program in
+  Gofree_interp.Emit.lower
+    ~roots:(Gofree_interp.Emit.all_functions layout)
+    program decisions layout
 
 (* Walking a function by the table's widths lands exactly on the end of
    its code, every opcode met is defined, and every jump target is the

@@ -684,6 +684,83 @@ let cold_build root =
     ~cache_dir:(Filename.concat (make_tree []) "cold-cache")
     root
 
+(* A warm build's run lowers only what main and the global initialisers
+   reach (the [emit] span's [lowered] of [functions]): lib.Build and
+   lib.fill only through lib's initialiser, lib.Unused, lib.unusedHelper
+   and main.orphan never.  Output and metrics stay those of a cold build
+   on both engines. *)
+let test_warm_build_lowers_reachable () =
+  let module Json = Gofree_obs.Json in
+  let module Trace = Gofree_obs.Trace in
+  let root =
+    make_tree
+      [
+        ( "lib/lib.go",
+          {|package lib
+
+var Table []int = Build(4)
+
+func fill(i int) int {
+	return i * 3
+}
+
+func Build(n int) []int {
+	s := make([]int, 0, 1)
+	for i := 0; i < n; i++ {
+		s = append(s, fill(i))
+	}
+	return s
+}
+
+func Used(x int) int {
+	return x + Table[1]
+}
+
+func Unused(n int) []int {
+	return make([]int, n)
+}
+
+func unusedHelper() int {
+	return len(Unused(3))
+}
+|} );
+        ( "main.go",
+          {|package main
+
+import "lib"
+
+func orphan() {
+	println("never")
+}
+
+func main() {
+	println(lib.Used(2))
+}
+|} );
+      ]
+  in
+  ignore (B.Driver.build root);
+  let warm = B.Driver.build root in
+  Alcotest.(check string) "warm == cold" (full_fingerprint (cold_build root))
+    (full_fingerprint warm);
+  Trace.start ();
+  let run =
+    Gofree_interp.Runner.run_program ~decisions:(decisions_of warm)
+      warm.B.Driver.b_program
+  in
+  let events = Json.get_list "traceEvents" (Json.parse (Trace.stop ())) in
+  Alcotest.(check string) "output" "5\n" run.Gofree_interp.Runner.output;
+  match
+    List.filter
+      (fun e -> Json.get_string "name" e = "emit" && Json.get_string "ph" e = "E")
+      events
+  with
+  | [ e ] ->
+    let args = Json.get "args" e in
+    Alcotest.(check (pair int int)) "lowered of functions" (4, 7)
+      (Json.get_int "lowered" args, Json.get_int "functions" args)
+  | es -> Alcotest.failf "%d emit spans, want 1" (List.length es)
+
 let typechecked (r : B.Driver.result) =
   List.filter_map
     (fun (p : B.Driver.pkg_report) ->
@@ -1043,4 +1120,6 @@ let suite =
       test_unchanged_units_not_rewritten;
     Alcotest.test_case "corrupt records are counted misses" `Quick
       test_corrupt_records_are_misses;
+    Alcotest.test_case "warm build lowers only reachable functions" `Quick
+      test_warm_build_lowers_reachable;
   ]

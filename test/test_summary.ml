@@ -219,29 +219,36 @@ let test_default_summary_shape () =
     s.Summary.s_contents
 
 (* ---------------------------------------------------------------- *)
-(* Serialization (§4.4 separate compilation): text round-trips        *)
+(* Serialization (§4.4 separate compilation): record round-trips      *)
 (* ---------------------------------------------------------------- *)
+
+let name_gen : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  oneof
+    [
+      (* plain and qualified identifiers *)
+      map2
+        (fun a b -> Printf.sprintf "%s.%s" a b)
+        (string_size ~gen:(char_range 'a' 'z') (1 -- 8))
+        (string_size ~gen:(char_range 'A' 'Z') (1 -- 8));
+      string_size ~gen:(char_range 'a' 'z') (1 -- 12);
+      (* hostile names: quotes, delimiters, bytes past 0x7f *)
+      return "has space";
+      return "quo\"te\\slash";
+      return "parens()\nand;comment";
+      return "\000\255";
+    ]
 
 let summary_gen : Summary.t QCheck.Gen.t =
   let open QCheck.Gen in
-  let name_gen =
-    oneof
-      [
-        (* plain and qualified identifiers *)
-        map2
-          (fun a b -> Printf.sprintf "%s.%s" a b)
-          (string_size ~gen:(char_range 'a' 'z') (1 -- 8))
-          (string_size ~gen:(char_range 'A' 'Z') (1 -- 8));
-        string_size ~gen:(char_range 'a' 'z') (1 -- 12);
-        (* hostile names: the quoting path must hold *)
-        return "has space";
-        return "quo\"te\\slash";
-        return "parens()\nand;comment";
-      ]
-  in
   let target_gen =
     oneof
-      [ return `Heap; return `Defer; map (fun i -> `Return i) (0 -- 3) ]
+      [
+        return `Heap;
+        return `Defer;
+        map (fun i -> `Return i) (0 -- 3);
+        map2 (fun i f -> `Param_field (i, f)) (0 -- 3) (0 -- 5);
+      ]
   in
   let flow_gen =
     map3
@@ -254,35 +261,48 @@ let summary_gen : Summary.t QCheck.Gen.t =
         { Summary.ct_heap_alloc = h; ct_incomplete = i; ret_incomplete = r })
       bool bool bool
   in
+  let field_gen =
+    map3
+      (fun (p, f) h (ci, si) ->
+        { Summary.ff_param = p; ff_field = f; ff_heap = h;
+          ff_content_incomplete = ci; ff_slot_incomplete = si })
+      (pair (0 -- 3) (0 -- 5)) bool (pair bool bool)
+  in
   map3
-    (fun name (nparams, flows) contents ->
+    (fun name (nparams, flows) (contents, fields) ->
       {
         Summary.s_name = name;
         s_nparams = nparams;
         s_flows = flows;
         s_contents = Array.of_list contents;
-        s_fields = [];
+        s_fields = fields;
       })
     name_gen
     (pair (0 -- 4) (list_size (0 -- 6) flow_gen))
-    (list_size (0 -- 3) content_gen)
+    (pair (list_size (0 -- 3) content_gen) (list_size (0 -- 2) field_gen))
 
 let summary_arb =
   QCheck.make ~print:(Format.asprintf "%a" Summary.pp) summary_gen
 
+(* A summary's record, as the build cache stores it. *)
+let summary_bytes s =
+  let w = Codec.writer () in
+  Summary.write w s;
+  Codec.contents w
+
 let prop_summary_roundtrip =
-  QCheck.Test.make ~count:500 ~name:"summary text round-trip identity"
+  QCheck.Test.make ~count:500 ~name:"summary record round-trip identity"
     summary_arb (fun s ->
-      match Summary.of_string (Summary.to_string s) with
+      match Codec.decode Summary.read (summary_bytes s) with
       | Ok s' -> s' = s
-      | Error e -> QCheck.Test.fail_reportf "did not re-parse: %s" e)
+      | Error e -> QCheck.Test.fail_reportf "did not decode: %s" e)
 
 let test_default_roundtrip () =
   let s = Summary.default ~name:"unknown.Fn" ~nparams:3 ~nresults:2 in
-  match Summary.of_string (Summary.to_string s) with
+  match Codec.decode Summary.read (summary_bytes s) with
   | Ok s' ->
     Alcotest.(check bool) "default survives serialization" true (s' = s)
-  | Error e -> Alcotest.failf "default did not re-parse: %s" e
+  | Error e -> Alcotest.failf "default did not decode: %s" e
 
 let test_golden_summary_text () =
   let s =
@@ -309,18 +329,25 @@ let test_golden_summary_text () =
     (Summary.to_string s)
 
 let test_malformed_rejected () =
+  let good =
+    summary_bytes (Summary.default ~name:"f" ~nparams:1 ~nresults:1)
+  in
   List.iter
-    (fun bad ->
-      match Summary.of_string bad with
-      | Ok _ -> Alcotest.failf "accepted malformed input %S" bad
+    (fun (what, bad) ->
+      match Codec.decode Summary.read bad with
+      | Ok _ -> Alcotest.failf "accepted %s: %S" what bad
       | Error _ -> ())
     [
-      "";
-      "(";
-      "(summary)";
-      "(summary (name x) (nparams no) (flows) (contents))";
-      "(summary (name x) (nparams 1) (flows (flow 0 nowhere 0)) (contents))";
-      "(summary (name x) (nparams 1) (flows)) trailing";
+      ("empty input", "");
+      ("a truncation", String.sub good 0 (String.length good - 1));
+      ("a trailing byte", good ^ "\000");
+      (* name "f", 1 param, one flow from param 0 to target code 9 *)
+      ("an unknown flow target", "\000\002f\002\002\000\018\000\000\000");
+      (* ... to the heap, then a content tag whose boolean is 2 *)
+      ("a boolean that is neither 0 nor 1",
+       "\000\002f\002\002\000\002\000\002\004\000\000\000");
+      ("a string index never defined", "\006");
+      ("a negative list length", "\000\002f\002\001");
     ]
 
 let suite =

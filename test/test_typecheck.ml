@@ -185,6 +185,16 @@ let suite =
     rejects "assign to expression" (wrap "1 + 2 = 3");
     rejects "multi-value in expression"
       "func f() (int, int) { return 1, 2 }\nfunc main() {\nx := f() + 1\nprintln(x)\n}";
+    rejects "break outside a loop" (wrap "println(1)\nbreak");
+    rejects "continue outside a loop" (wrap "if true {\ncontinue\n}");
+    checks "break and continue in loops"
+      (wrap
+         "for i := 0; i < 3; i++ {\nif i == 1 {\ncontinue\n}\nbreak\n}\n\
+          m := make(map[int]int)\nfor k := range m {\nprintln(k)\nbreak\n}");
+    rejects "address of a map element"
+      (wrap "m := make(map[int]int)\np := &m[1]\nprintln(*p)");
+    checks "address of a slice element"
+      (wrap "s := make([]int, 2)\np := &s[1]\n*p = 3\nprintln(s[1])");
     Alcotest.test_case "decl and loop depths" `Quick test_depths;
     Alcotest.test_case "unique variable ids" `Quick test_unique_ids;
     Alcotest.test_case "allocation sites" `Quick test_sites;
