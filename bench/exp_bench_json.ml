@@ -67,11 +67,7 @@ let setting_json (results : run_result array) : Json.t =
       ("wall_ns", Json.Float (med (fun r -> r.r_time_ms *. 1e6)));
       ("gc_time_ns", Json.Float (med (fun r -> r.r_gc_time_ms *. 1e6)));
       ("gc_cycles", Json.Float (med (fun r -> r.r_gcs)));
-      ( "maxheap_bytes",
-        Json.Float
-          (med (fun r ->
-               r.r_maxheap
-               *. float_of_int Gofree_runtime.Sizeclass.page_size)) );
+      ("maxheap_bytes", Json.Float (med (fun r -> r.r_maxheap)));
       ("alloced_bytes", Json.Float (med (fun r -> r.r_alloced)));
       ("freed_bytes", Json.Float (med (fun r -> r.r_freed)));
       ("free_ratio", Json.Float (Gofree_runtime.Metrics.free_ratio m));
@@ -115,9 +111,7 @@ let run ~options () =
         ("seed", Json.Int options.seed);
         ("engine", Json.Str (engine_name options.engine));
         ("workloads", Json.List workloads);
-        ("incremental", Exp_incremental.measure ~options ());
         ("load", Exp_load.measure ~options ());
-        ("telemetry", Exp_telemetry.measure ~options ());
         ("precision", Exp_precision.measure ~options ());
         ("parallel", Exp_parallel.measure ~options ());
       ]

@@ -3,8 +3,7 @@
     the paper finds no significant difference (p = 0.496).
 
     Also prints a scaling curve against the O(N^3) connection-graph
-    baseline, the complexity argument of §3.2 / Table 3, and registers
-    bechamel micro-benchmarks for precise per-pass timing. *)
+    baseline, the complexity argument of §3.2 / Table 3. *)
 
 open Bench_common
 module Stats = Gofree_stats.Stats
@@ -98,30 +97,3 @@ let run ~options () =
   print_endline
     "\nDoubling the function should roughly 4x the O(N^2) analyses and \
      8x the connection graph."
-
-(** Bechamel micro-benchmarks: one [Test.make] per compilation stage, so
-    `bench/main.exe --bechamel` gives allocation-free per-pass timings. *)
-let bechamel_tests () =
-  let open Bechamel in
-  let source = Gofree_workloads.Progen.package ~funcs:25 ~stmts:18 () in
-  let program = Gofree_core.Pipeline.parse_and_check source in
-  [
-    Test.make ~name:"parse+typecheck"
-      (Staged.stage (fun () ->
-           ignore (Gofree_core.Pipeline.parse_and_check source)));
-    Test.make ~name:"analysis-go"
-      (Staged.stage (fun () ->
-           ignore
-             (Gofree_escape.Analysis.analyze
-                ~mode:Gofree_escape.Propagate.Go_base program)));
-    Test.make ~name:"analysis-gofree"
-      (Staged.stage (fun () ->
-           ignore
-             (Gofree_escape.Analysis.analyze
-                ~mode:Gofree_escape.Propagate.Gofree program)));
-    Test.make ~name:"analysis-conngraph"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun f -> ignore (Gofree_baselines.Conn_graph.analyze f))
-             program.Minigo.Tast.p_funcs));
-  ]

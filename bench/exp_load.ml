@@ -25,12 +25,26 @@
     harness's consistency verdict — so "the daemon under load serves the
     same bytes as a lone client" is asserted, not assumed.
 
+    A fourth part checks that the server's own request-latency p99 tells
+    the client's story: closed-loop points at 1, 4 and 8 clients, each on
+    a fresh daemon so that its request histogram holds exactly that
+    point's requests, then one telemetry scrape.  A request's server time
+    lies inside its client round trip, so a point's server p99 may not
+    exceed its client p99 by more than the histogram's bucket slack.  (A
+    scrape before and after a point on one long-lived daemon isolates
+    the point's bucket counts, but not its maximum, which caps the
+    bucket interpolation: without it the estimate sits near the bucket's
+    upper edge.)
+
     [measure ~options ()] returns the machine-readable section embedded
     in [BENCH_gofree.json] under ["load"]; [run ~options ()] prints the
     tables. *)
 
 module Json = Gofree_obs.Json
+module Reg = Gofree_obs.Registry
 module Server = Gofree_server.Server
+module Client = Gofree_server.Client
+module Rpc = Gofree_server.Rpc
 module Harness = Gofree_load.Harness
 module Schedule = Gofree_load.Schedule
 
@@ -126,6 +140,8 @@ type campaign = {
   c_capacity_rps : float;  (** closed-loop achieved, 4 clients *)
   c_rate_sweep : point list;
   c_closed_loop : point list;
+  c_p99_check : (point * float) list;
+      (** fresh-daemon points, each with the server's request p99 *)
   c_cold : point;
   c_warm : point;
 }
@@ -149,10 +165,46 @@ let run_point ~socket ~scale ~seed ~duration_s ~label ~clients ~arrival ()
   in
   point_of_report ~label (ok_exn (Harness.run cfg))
 
+(* p99 of the daemon's request histogram, over every request it has
+   served *)
+let server_request_p99_ms ~socket =
+  match Client.call_once ~socket Rpc.Telemetry with
+  | Ok doc -> begin
+    match
+      Reg.Snapshot.find_histogram "gofree_rpc_request_ms"
+        (Reg.Snapshot.of_json doc)
+    with
+    | Some h -> Reg.Snapshot.quantile h 99.0
+    | None -> failwith "telemetry scrape: no gofree_rpc_request_ms histogram"
+  end
+  | Error (code, m) ->
+    failwith (Printf.sprintf "telemetry scrape: %s: %s" code m)
+
+(* one closed-loop point on a fresh daemon, with the server's p99 over
+   exactly its requests *)
+let p99_check_point ~scale ~seed ~clients : point * float =
+  let socket = fresh_socket () in
+  let t = Server.start ~socket () in
+  Fun.protect
+    ~finally:(fun () -> Server.stop t)
+    (fun () ->
+      let p =
+        run_point ~socket ~scale ~seed:(seed + clients) ~duration_s:1.0
+          ~label:(Printf.sprintf "%d clients" clients)
+          ~clients ~arrival:Schedule.Closed ()
+      in
+      (p, server_request_p99_ms ~socket))
+
 let measure_campaign ~(options : Bench_common.options) : campaign =
   let scale = load_scale ~options in
   let seed = options.seed in
   let duration_s = 1.2 in
+  (* -- server vs client p99: a fresh daemon per point -- *)
+  let p99_check =
+    List.map
+      (fun clients -> p99_check_point ~scale ~seed ~clients)
+      [ 1; 4; 8 ]
+  in
   (* -- warm vs cold: fresh daemon, then its resident cache -- *)
   let socket = fresh_socket () in
   let t = Server.start ~shed_watermark ~socket () in
@@ -210,6 +262,7 @@ let measure_campaign ~(options : Bench_common.options) : campaign =
         c_capacity_rps = capacity_rps;
         c_rate_sweep = rate_sweep;
         c_closed_loop = closed_loop;
+        c_p99_check = p99_check;
         c_cold = cold;
         c_warm = warm;
       })
@@ -224,6 +277,18 @@ let campaign_json (c : campaign) : Json.t =
       ("capacity_rps", Json.Float c.c_capacity_rps);
       ("rate_sweep", Json.List (List.map point_json c.c_rate_sweep));
       ("closed_loop", Json.List (List.map point_json c.c_closed_loop));
+      ( "p99_check",
+        Json.List
+          (List.map
+             (fun (p, server_p99) ->
+               Json.Obj
+                 [
+                   ("label", Json.Str p.p_label);
+                   ("ok", Json.Int p.p_ok);
+                   ("client_p99_ms", Json.Float p.p_p99_ms);
+                   ("server_request_p99_ms", Json.Float server_p99);
+                 ])
+             c.c_p99_check) );
       ("cold", point_json c.c_cold);
       ("warm", point_json c.c_warm);
     ]
@@ -254,6 +319,14 @@ let run ~options () =
   print_points "load: open-loop rate sweep (Poisson, 4 clients)"
     c.c_rate_sweep;
   print_points "load: closed-loop client sweep" c.c_closed_loop;
+  print_points "load: server vs client p99 (closed loop, fresh daemon each)"
+    (List.map fst c.c_p99_check);
+  List.iter
+    (fun (p, server_p99) ->
+      Printf.printf "  %-10s server request p99 %.1f ms, client p99 %.1f ms\n"
+        p.p_label server_p99 p.p_p99_ms)
+    c.c_p99_check;
+  print_newline ();
   print_points "load: cold daemon vs resident cache (closed loop, 4 clients)"
     [ c.c_cold; c.c_warm ];
   let over =
@@ -267,8 +340,18 @@ let run ~options () =
   let all_identical =
     List.for_all
       (fun p -> p.p_identical)
-      (c.c_cold :: c.c_warm :: (c.c_rate_sweep @ c.c_closed_loop))
+      (c.c_cold :: c.c_warm
+      :: (c.c_rate_sweep @ c.c_closed_loop @ List.map fst c.c_p99_check))
   in
   Printf.printf "  outputs byte-identical across every point: %b\n\n"
     all_identical;
-  if not all_identical then failwith "load changed response payloads"
+  if not all_identical then failwith "load changed response payloads";
+  List.iter
+    (fun (p, server_p99) ->
+      if p.p_ok > 0 && server_p99 > (p.p_p99_ms *. 1.5) +. 5.0 then
+        failwith
+          (Printf.sprintf
+             "load: server request p99 %.1f ms exceeds client p99 %.1f ms at \
+              %s"
+             server_p99 p.p_p99_ms p.p_label))
+    c.c_p99_check

@@ -10,7 +10,7 @@
     - [compare FILE]  run under Go and GoFree and print both metric sets;
     - [build DIR]     compile a multi-package tree incrementally;
     - [serve]         long-running compile/analysis daemon on a Unix
-                      socket (newline-delimited JSON, [gofree-rpc-v1]);
+                      socket (newline-delimited JSON, [gofree-rpc-v2]);
     - [client]        drive a serving daemon from the shell;
     - [load]          load-generation harness against a serving daemon
                       ([gofree-load-v1] report, SLO-gated exit code).
@@ -325,7 +325,7 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the persistent compile/analysis daemon (gofree-rpc-v1 \
+       ~doc:"Run the persistent compile/analysis daemon (gofree-rpc-v2 \
              over a Unix socket)")
     Term.(
       const serve $ socket_arg $ workers_arg $ queue_arg $ shed_arg

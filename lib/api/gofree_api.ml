@@ -13,9 +13,9 @@
 
 module Json = Gofree_obs.Json
 
-(** Bumped on incompatible changes to the signatures below; also the
-    major version of the [gofree-rpc-v1] wire protocol that mirrors this
-    API. *)
+(** Bumped on incompatible changes to the signatures below.  The
+    [gofree-rpc-v2] wire protocol mirrors this API; its tag versions
+    separately. *)
 let api_version = 1
 
 (* ---------------------------------------------------------------- *)

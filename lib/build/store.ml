@@ -133,7 +133,7 @@ let of_string : string -> (entry, string) result =
    {e function}'s first id (not the package base): they stay stable even
    when an earlier function in the same package grows or shrinks. *)
 
-let units_format_version = "gofree-units-v3"
+let units_format_version = "gofree-units-v4"
 
 type unit_record = {
   u_key : string;  (** {!Gofree_escape.Callgraph.unit_key} content key *)

@@ -198,7 +198,7 @@ let analyze ?(mode = Propagate.Gofree) ?(use_ipa = true) ?(backprop = true)
       ~callee_summary:(fun name ->
         if not use_ipa then None
         else
-          Option.map Summary.to_string (Hashtbl.find_opt summaries name))
+          Option.map Summary.encode (Hashtbl.find_opt summaries name))
       u
   in
   (* Analyze one unit.  Functions within one SCC see default tags for

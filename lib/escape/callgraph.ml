@@ -176,13 +176,14 @@ let unit_names (u : unit_def) : string list =
 
 (* The key must be stable across processes and runs: Digest of a
    canonical text.  [callee_summary] resolves an out-of-unit callee to
-   the {e content} of its summary ([Summary.to_string]); [None] means
-   the analysis would use the conservative default tag there, which is
-   itself part of the content. *)
+   the {e content} of its summary (its [Summary.encode] bytes), which
+   enters the text as its own digest, so binary bytes cannot run into
+   the next line; [None] means the analysis would use the conservative
+   default tag there, which is itself part of the content. *)
 let unit_key ~(config_sig : string) ~(mode_sig : string)
     ~(callee_summary : string -> string option) (u : unit_def) : string =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf "gofree-unit-key-v1\n";
+  Buffer.add_string buf "gofree-unit-key-v2\n";
   Buffer.add_string buf config_sig;
   Buffer.add_char buf '\n';
   Buffer.add_string buf mode_sig;
@@ -194,7 +195,9 @@ let unit_key ~(config_sig : string) ~(mode_sig : string)
       Buffer.add_string buf c;
       Buffer.add_char buf '=';
       Buffer.add_string buf
-        (match callee_summary c with Some s -> s | None -> "<default>");
+        (match callee_summary c with
+        | Some s -> Digest.to_hex (Digest.string s)
+        | None -> "<default>");
       Buffer.add_char buf '\n')
     u.u_callees;
   Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -80,72 +80,9 @@ let default ~name ~nparams ~nresults =
 (* -------------------------------------------------------------- *)
 (* Serialization (paper §4.4: a callee's extended parameter tag is
    everything a caller needs, which is what makes separate compilation
-   possible — the build driver stores these per package).  The text
-   form only feeds the unit keys' digests; the store keeps the binary
-   record of [write].                                                *)
+   possible — the build driver stores these per package, and the
+   analysis unit keys digest each callee's [encode]d record).        *)
 (* -------------------------------------------------------------- *)
-
-let target_to_sexp = function
-  | `Return i -> Sexp.List [ Sexp.Atom "return"; Sexp.Atom (string_of_int i) ]
-  | `Heap -> Sexp.Atom "heap"
-  | `Defer -> Sexp.Atom "defer"
-  | `Param_field (i, f) ->
-    Sexp.List
-      [
-        Sexp.Atom "pfield"; Sexp.Atom (string_of_int i);
-        Sexp.Atom (string_of_int f);
-      ]
-
-let to_sexp s =
-  let flow f =
-    Sexp.List
-      [
-        Sexp.Atom "flow";
-        Sexp.Atom (string_of_int f.pf_param);
-        target_to_sexp f.pf_target;
-        Sexp.Atom (string_of_int f.pf_derefs);
-      ]
-  in
-  let content ct =
-    Sexp.List
-      [
-        Sexp.Atom "content";
-        Sexp.Atom (string_of_bool ct.ct_heap_alloc);
-        Sexp.Atom (string_of_bool ct.ct_incomplete);
-        Sexp.Atom (string_of_bool ct.ret_incomplete);
-      ]
-  in
-  let field ff =
-    Sexp.List
-      [
-        Sexp.Atom "field";
-        Sexp.Atom (string_of_int ff.ff_param);
-        Sexp.Atom (string_of_int ff.ff_field);
-        Sexp.Atom (string_of_bool ff.ff_heap);
-        Sexp.Atom (string_of_bool ff.ff_content_incomplete);
-        Sexp.Atom (string_of_bool ff.ff_slot_incomplete);
-      ]
-  in
-  Sexp.List
-    ([
-       Sexp.Atom "summary";
-       Sexp.List [ Sexp.Atom "name"; Sexp.Atom s.s_name ];
-       Sexp.List
-         [ Sexp.Atom "nparams"; Sexp.Atom (string_of_int s.s_nparams) ];
-       Sexp.List (Sexp.Atom "flows" :: List.map flow s.s_flows);
-       Sexp.List
-         (Sexp.Atom "contents"
-         :: Array.to_list (Array.map content s.s_contents));
-     ]
-    @
-    (* The fields section is omitted when empty, keeping the baseline
-       text (and so every unit key) as it was before field
-       sensitivity. *)
-    match s.s_fields with
-    | [] -> []
-    | ffs -> [ Sexp.List (Sexp.Atom "fields" :: List.map field ffs) ])
-
-let to_string s = Sexp.to_string (to_sexp s)
 
 let write w s =
   let open Codec in
@@ -180,6 +117,11 @@ let write w s =
       w_bool w ff.ff_content_incomplete;
       w_bool w ff.ff_slot_incomplete)
     s.s_fields
+
+let encode s =
+  let w = Codec.writer ~size:64 () in
+  write w s;
+  Codec.contents w
 
 (* Each field is bound in writing order: OCaml does not evaluate a
    record's fields in order. *)

@@ -47,9 +47,7 @@ type t = {
   s_flows : param_flow list;
   s_contents : content_tag array;
   s_fields : field_fact list;
-      (** always empty outside field-sensitive mode; omitted from the
-          text form when empty, so baseline summaries keep their
-          historical text *)
+      (** always empty outside field-sensitive mode *)
 }
 
 (** Conservative tag for an unknown callee (recursion, §4.4): parameters
@@ -61,13 +59,14 @@ val default : name:string -> nparams:int -> nresults:int -> t
     cache stores summaries in the binary encoding of {!Codec}: [read]
     accepts exactly what [write] produces and raises {!Codec.Malformed}
     (or [Invalid_argument] past the end of its input) on anything else.
-    [to_string] is the canonical text of a summary, which the analysis
-    unit keys digest; it is never read back. *)
+    [encode] is one summary's record with a string table of its own:
+    equal summaries give equal bytes, which the analysis unit keys
+    digest. *)
 
 val write : _ Codec.w -> t -> unit
 
 val read : _ Codec.r -> t
 
-val to_string : t -> string
+val encode : t -> string
 
 val pp : Format.formatter -> t -> unit

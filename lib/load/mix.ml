@@ -1,7 +1,7 @@
 (** The workload-mix model: a weighted blend of request kinds.
 
     A mix is written [analyze=4,run=2,explain=1,stats=1,build=0] — each
-    term a method of the [gofree-rpc-v1] protocol with an integer
+    term a method of the [gofree-rpc-v2] protocol with an integer
     weight.  Sampling is by cumulative weight over one uniform draw, so
     a mix plus a {!Rng} stream yields a deterministic request kind
     sequence. *)

@@ -643,10 +643,21 @@ and check_lvalue st (e : Ast.expr) : Tast.lvalue * Types.t =
                (Types.to_string t)
     in
     check_field_access st pos sname fname;
+    if in_map_element a then
+      error pos "field %s of a map element is not addressable" fname;
     (match Types.field_index st.tenv sname fname with
     | Some (idx, fty) -> (Tast.Lfield (a, idx, fname), fty)
     | None -> error pos "struct %s has no field %s" sname fname)
   | _ -> error pos "expression is not assignable"
+
+(* A struct value stored in a map, or a struct-valued field of one, at
+   any depth: not addressable, as in Go.  A pointer element ([m[k].f]
+   with [map[K]*T]) is, since the field then lives in the pointee. *)
+and in_map_element (e : Tast.expr) =
+  match e.Tast.ty, e.Tast.desc with
+  | Types.Struct _, Tast.Tmap_get _ -> true
+  | Types.Struct _, Tast.Tfield (b, _, _) -> in_map_element b
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)

@@ -35,13 +35,7 @@ let tag = function
   | Telemetry -> "gofree-telemetry-v1"
   | Precision -> "gofree-precision-v1"
 
-(** Older tags of the same family that consumers still accept.  RPC v1
-    (flat preset-name ["config"]) remains decodable by the v2 daemon;
-    producers always stamp the current {!tag}. *)
-let legacy_tags = function Rpc -> [ "gofree-rpc-v1" ] | _ -> []
-
-let of_tag s =
-  List.find_opt (fun t -> tag t = s || List.mem s (legacy_tags t)) all
+let of_tag s = List.find_opt (fun t -> tag t = s) all
 
 (** The [("schema", ...)] field a document of kind [t] must carry; by
     convention the first field of the object. *)
@@ -56,7 +50,7 @@ let check t (j : Json.t) : (unit, string) result =
     Error
       (Printf.sprintf "document has no \"schema\" field (expected %s)"
          (tag t))
-  | Some (Json.Str s) when s = tag t || List.mem s (legacy_tags t) -> Ok ()
+  | Some (Json.Str s) when s = tag t -> Ok ()
   | Some (Json.Str s) -> begin
     match of_tag s with
     | Some _ ->

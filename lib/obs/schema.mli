@@ -19,11 +19,6 @@ val all : t list
 (** The wire tag, e.g. [gofree-metrics-v1]. *)
 val tag : t -> string
 
-(** Older tags of the same family still accepted by {!check} (e.g. the
-    RPC daemon decodes [gofree-rpc-v1] envelopes); producers always
-    stamp the current {!tag}. *)
-val legacy_tags : t -> string list
-
 val of_tag : string -> t option
 
 (** The [("schema", ...)] field a document of kind [t] must carry. *)

@@ -1,4 +1,4 @@
-(** Client side of the [gofree-rpc-v1] protocol — what [gofreec client]
+(** Client side of the [gofree-rpc-v2] protocol — what [gofreec client]
     and the benches speak. *)
 
 module Json = Gofree_obs.Json

@@ -30,8 +30,7 @@
                  "precision":{"field_sensitive":true,
                               "placement":"last_use"}}}
       v}
-    - or, as in [gofree-rpc-v1] (whose envelopes the daemon still
-      decodes), a preset name string ([gofree] | [go] | [all-targets]
+    - or a preset name string ([gofree] | [go] | [all-targets]
       | [no-ipa] | [field-sensitive] | [last-use] | [precise]).
     Execution knobs ([gc_off], [poison], [gogc], [seed],
     [sample_every], [engine], [domains]) mirror the CLI flags;
@@ -135,8 +134,8 @@ let src_of_params params =
   | None, None -> bad "one of params \"source\" or \"file\" is required"
   | Some _, Some _ -> bad "params \"source\" and \"file\" are exclusive"
 
-(* ["config"]: a structured object (v2) or a preset name string (v1).
-   Absent means the paper's default configuration. *)
+(* ["config"]: a structured object or a preset name string.  Absent
+   means the paper's default configuration. *)
 let config_of_params params =
   match Json.member "config" params with
   | None | Some Json.Null -> Gofree_api.Preset.(to_config default)

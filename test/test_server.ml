@@ -128,26 +128,32 @@ let test_rpc_build_ignores_jobs () =
     (Json.member "jobs" (Json.get "params" (encode (decoded ",\"jobs\":4")))
      = None)
 
-(* v1 envelopes — the flat preset-name "config" under the old schema
-   tag — must still decode, to the same configuration *)
-let test_rpc_v1_compat () =
+(* a preset name string as "config" decodes to that preset's
+   configuration *)
+let test_rpc_preset_config () =
   let module C = Gofree_core.Config in
+  let line schema config =
+    Printf.sprintf
+      "{\"schema\":%S,\"id\":1,\"method\":\"analyze\",\
+       \"params\":{\"source\":\"func main() {}\",\"config\":%S}}"
+      schema config
+  in
   List.iter
     (fun (name, cfg) ->
-      let line =
-        Printf.sprintf
-          "{\"schema\":\"gofree-rpc-v1\",\"id\":1,\"method\":\"analyze\",\
-           \"params\":{\"source\":\"func main() {}\",\"config\":%S}}"
-          name
-      in
-      match Rpc.decode line with
-      | Error (_, m) -> Alcotest.failf "v1 %s rejected: %s" name m
+      match Rpc.decode (line "gofree-rpc-v2" name) with
+      | Error (_, m) -> Alcotest.failf "preset %s rejected: %s" name m
       | Ok { Rpc.rq_request = Rpc.Analyze { config; _ }; _ } ->
         Alcotest.(check string)
-          ("v1 preset " ^ name ^ " maps to the same config")
+          ("preset " ^ name ^ " maps to the same config")
           (C.signature cfg) (C.signature config)
       | Ok _ -> Alcotest.fail "decoded to the wrong method")
     Gofree_api.Preset.named;
+  (* a gofree-rpc-v1 envelope is an unknown schema *)
+  (match Rpc.decode (line "gofree-rpc-v1" "gofree") with
+  | Error (Json.Int 1, _) -> ()
+  | Error (id, _) ->
+    Alcotest.failf "v1 envelope echoed wrong id %s" (Json.to_string id)
+  | Ok _ -> Alcotest.fail "v1 envelope accepted");
   (* malformed structured configs are decode errors, not crashes *)
   let bad =
     "{\"schema\":\"gofree-rpc-v2\",\"id\":1,\"method\":\"analyze\",\
@@ -157,11 +163,7 @@ let test_rpc_v1_compat () =
   | Error (Json.Int 1, _) -> ()
   | Error (id, _) ->
     Alcotest.failf "bad config echoed wrong id %s" (Json.to_string id)
-  | Ok _ -> Alcotest.fail "unknown config field accepted");
-  Alcotest.(check bool) "rpc-v1 is a legacy tag of Rpc" true
-    (Gofree_obs.Schema.check Gofree_obs.Schema.Rpc
-       (Json.Obj [ ("schema", Json.Str "gofree-rpc-v1") ])
-    = Ok ())
+  | Ok _ -> Alcotest.fail "unknown config field accepted")
 
 (* a precision config sent over the wire changes what the daemon
    computes: field-sensitive mode frees strictly more here *)
@@ -407,7 +409,7 @@ let test_disconnect_mid_request_keeps_serving () =
       Client.close c;
       (* a partial line then a hangup must not wedge the reader either *)
       let c2 = Client.connect ~socket in
-      Client.send_line c2 {|{"schema":"gofree-rpc-v1","id":2,"met|};
+      Client.send_line c2 {|{"schema":"gofree-rpc-v2","id":2,"met|};
       Client.close c2;
       (* daemon is still alive and correct *)
       match Client.call_once ~socket (run_req (src_print 5)) with
@@ -834,7 +836,8 @@ let suite =
   [
     Alcotest.test_case "rpc v2 config round-trip" `Quick
       test_rpc_v2_config_roundtrip;
-    Alcotest.test_case "rpc v1 compatibility" `Quick test_rpc_v1_compat;
+    Alcotest.test_case "rpc preset config strings" `Quick
+      test_rpc_preset_config;
     Alcotest.test_case "rpc build ignores a jobs param" `Quick
       test_rpc_build_ignores_jobs;
     Alcotest.test_case "rpc precision config applies" `Quick

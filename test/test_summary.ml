@@ -284,27 +284,21 @@ let summary_gen : Summary.t QCheck.Gen.t =
 let summary_arb =
   QCheck.make ~print:(Format.asprintf "%a" Summary.pp) summary_gen
 
-(* A summary's record, as the build cache stores it. *)
-let summary_bytes s =
-  let w = Codec.writer () in
-  Summary.write w s;
-  Codec.contents w
-
 let prop_summary_roundtrip =
   QCheck.Test.make ~count:500 ~name:"summary record round-trip identity"
     summary_arb (fun s ->
-      match Codec.decode Summary.read (summary_bytes s) with
+      match Codec.decode Summary.read (Summary.encode s) with
       | Ok s' -> s' = s
       | Error e -> QCheck.Test.fail_reportf "did not decode: %s" e)
 
 let test_default_roundtrip () =
   let s = Summary.default ~name:"unknown.Fn" ~nparams:3 ~nresults:2 in
-  match Codec.decode Summary.read (summary_bytes s) with
+  match Codec.decode Summary.read (Summary.encode s) with
   | Ok s' ->
     Alcotest.(check bool) "default survives serialization" true (s' = s)
   | Error e -> Alcotest.failf "default did not decode: %s" e
 
-let test_golden_summary_text () =
+let test_golden_summary_bytes () =
   let s =
     {
       Summary.s_name = "util.MakeRange";
@@ -322,15 +316,27 @@ let test_golden_summary_text () =
       s_fields = [];
     }
   in
+  (* name (string 0, 14 bytes), 1 param, one flow 0 -> return 0 with
+     2 derefs, one content tag (true, false, false), no field facts;
+     ints are zigzag varints *)
   Alcotest.(check string)
-    "golden stored-summary text"
-    "(summary (name util.MakeRange) (nparams 1) (flows (flow 0 (return 0) \
-     2)) (contents (content true false false)))"
-    (Summary.to_string s)
+    "golden summary record"
+    "\000\028util.MakeRange\002\002\000\000\000\004\002\002\000\000\000"
+    (Summary.encode s);
+  (* the unit keys digest these bytes: a changed tag changes them *)
+  Alcotest.(check bool)
+    "a changed weight changes the bytes" false
+    (Summary.encode s
+    = Summary.encode
+        {
+          s with
+          Summary.s_flows =
+            [ { Summary.pf_param = 0; pf_target = `Return 0; pf_derefs = 1 } ];
+        })
 
 let test_malformed_rejected () =
   let good =
-    summary_bytes (Summary.default ~name:"f" ~nparams:1 ~nresults:1)
+    Summary.encode (Summary.default ~name:"f" ~nparams:1 ~nresults:1)
   in
   List.iter
     (fun (what, bad) ->
@@ -368,7 +374,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_summary_roundtrip;
     Alcotest.test_case "default summary round-trip" `Quick
       test_default_roundtrip;
-    Alcotest.test_case "golden summary text" `Quick test_golden_summary_text;
+    Alcotest.test_case "golden summary bytes" `Quick test_golden_summary_bytes;
     Alcotest.test_case "malformed summaries rejected" `Quick
       test_malformed_rejected;
   ]

@@ -22,6 +22,11 @@ let rejects name src =
 
 let wrap body = "func main() {\n" ^ body ^ "\n}"
 
+(* [body] inside main, after [m := make(map[int]T)] with T a struct *)
+let map_of_structs body =
+  "type T struct { x int }\nfunc main() {\nm := make(map[int]T)\n" ^ body
+  ^ "\nprintln(m[1].x)\n}"
+
 let find_var program func name =
   let f = Tast.find_func program func |> Option.get in
   let found = ref None in
@@ -193,6 +198,19 @@ let suite =
           m := make(map[int]int)\nfor k := range m {\nprintln(k)\nbreak\n}");
     rejects "address of a map element"
       (wrap "m := make(map[int]int)\np := &m[1]\nprintln(*p)");
+    rejects "assign to a map element's field"
+      (map_of_structs "m[1].x = 5");
+    rejects "address of a map element's field"
+      (map_of_structs "p := &m[1].x\n*p = 7");
+    rejects "increment a map element's field" (map_of_structs "m[1].x++");
+    rejects "op-assign a map element's field" (map_of_structs "m[1].x += 2");
+    rejects "assign to a nested field of a map element"
+      "type I struct { x int }\ntype T struct { in I }\nfunc main() {\n\
+       m := make(map[int]T)\nm[1].in.x = 5\n}";
+    checks "assign through a map of pointers"
+      "type T struct { x int }\nfunc main() {\nm := make(map[int]*T)\n\
+       m[1] = &T{x: 1}\nm[1].x = 5\np := &m[1].x\n*p = 7\nm[1].x++\n\
+       m[1].x += 2\nprintln(m[1].x)\n}";
     checks "address of a slice element"
       (wrap "s := make([]int, 2)\np := &s[1]\n*p = 3\nprintln(s[1])");
     Alcotest.test_case "decl and loop depths" `Quick test_depths;
