@@ -200,8 +200,28 @@ let units_of_string : string -> (unit_record list, string) result =
 (* Every record file starts with one line, [<format> <digest>], where
    the digest is the MD5 of the rest of the file.  A reader trusts the
    rest only when both match: a truncated or bit-flipped file fails the
-   digest, a file of another format version or another kind fails the
-   format, and each is a corrupt record — a miss, counted and logged. *)
+   digest, a file of another kind fails the format, and each is a
+   corrupt record — a miss, counted and logged.  A file of the same kind
+   at another format version was written by another build of gofreec:
+   it is not read, a plain miss, neither counted nor logged. *)
+
+(* The kind of a format name, the part before its version:
+   [gofree-sum] of [gofree-sum-v3]. *)
+let kind_of format =
+  let rec at i =
+    if i + 1 >= String.length format then None
+    else if format.[i] = '-' && format.[i + 1] = 'v' then
+      Some (String.sub format 0 i)
+    else at (i + 1)
+  in
+  at 0
+
+(* [f] names another version of [format]'s kind. *)
+let other_version ~format f =
+  f <> format
+  && match (kind_of f, kind_of format) with
+     | Some k, Some k' -> k = k'
+     | _ -> false
 
 let write_sealed ~format body oc =
   output_string oc format;
@@ -210,15 +230,18 @@ let write_sealed ~format body oc =
   output_char oc '\n';
   output_string oc body
 
-let unseal ~format (s : string) : (string, string) result =
+(* The verified body; [Ok None] for a file of another version of the
+   same kind. *)
+let unseal ~format (s : string) : (string option, string) result =
   match String.index_opt s '\n' with
   | None -> Error "truncated header"
   | Some nl -> begin
     let body = String.sub s (nl + 1) (String.length s - nl - 1) in
     match String.split_on_char ' ' (String.sub s 0 nl) with
     | [ f; digest ] when f = format ->
-      if Digest.to_hex (Digest.string body) = digest then Ok body
+      if Digest.to_hex (Digest.string body) = digest then Ok (Some body)
       else Error "body digest mismatch"
+    | [ f; _ ] when other_version ~format f -> Ok None
     | _ -> Error "foreign format"
   end
 
@@ -243,13 +266,19 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* The verified body of a sealed file, decoded by [decode]; [None] when
-   absent or unreadable (a plain miss) or corrupt (a counted miss). *)
+   absent, unreadable or of another version (a plain miss) or corrupt (a
+   counted miss). *)
 let read_sealed ~format ~on_corrupt ~decode path =
   match read_file path with
   | exception Sys_error _ -> None
   | s -> begin
-    match Result.bind (unseal ~format s) decode with
-    | Ok v -> Some v
+    let decoded =
+      Result.bind (unseal ~format s) (function
+        | None -> Ok None
+        | Some body -> Result.map Option.some (decode body))
+    in
+    match decoded with
+    | Ok v -> v
     | Error reason ->
       corrupt ~on_corrupt path reason;
       None
@@ -402,6 +431,9 @@ let load_typed ?(on_corrupt = ignore) ~dir () :
     in
     match String.index_opt s '\n' with
     | Some nl when String.sub s 0 nl = typed_format_version -> from (nl + 1)
+    | Some nl
+      when other_version ~format:typed_format_version (String.sub s 0 nl) ->
+      ()
     | _ -> corrupt "foreign format"
   end);
   records

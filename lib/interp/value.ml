@@ -186,8 +186,15 @@ let field_ptr owner (fields : value array) i =
    structurally everywhere (maps, ==, caches), so one box can appear in
    any number of cells; loop counters and small lengths dominate cell
    stores, and reusing their boxes keeps those stores off the OCaml
-   allocator. *)
-let small_ints = Array.init 1024 (fun i -> VInt i)
+   allocator.  Filled in a loop: [Array.init] would create the array
+   from the young box of [VInt 0], and a major-heap array created from
+   a young value forces a minor collection at start-up. *)
+let small_ints =
+  let a = Array.make 1024 VUnit in
+  for i = 0 to 1023 do
+    a.(i) <- VInt i
+  done;
+  a
 
 let vint n =
   if n >= 0 && n < 1024 then Array.unsafe_get small_ints n else VInt n

@@ -57,8 +57,9 @@ let dequeue_locked (t : t) : job =
   t.depth <- t.depth - 1;
   job
 
-let worker (t : t) (index : int) () =
+let worker (t : t) ~domain_init (index : int) () =
   Gofree_obs.Trace.set_domain_tid (Gofree_obs.Trace.tid_worker (16 + index));
+  domain_init ();
   let rec loop () =
     Mutex.lock t.mutex;
     while t.depth = 0 && not t.stopping do
@@ -77,7 +78,7 @@ let worker (t : t) (index : int) () =
   in
   loop ()
 
-let create ?(workers = 0) ?(capacity = 64) () : t =
+let create ?(workers = 0) ?(capacity = 64) ~domain_init () : t =
   let workers = if workers > 0 then workers else default_workers () in
   let t =
     {
@@ -92,7 +93,8 @@ let create ?(workers = 0) ?(capacity = 64) () : t =
       workers = [||];
     }
   in
-  t.workers <- Array.init workers (fun i -> Domain.spawn (worker t i));
+  t.workers <-
+    Array.init workers (fun i -> Domain.spawn (worker t ~domain_init i));
   t
 
 let size (t : t) = Array.length t.workers

@@ -9,10 +9,13 @@ type job = unit -> unit
 
 type t
 
-(** [create ?workers ?capacity ()] spawns the worker domains.
-    [workers <= 0] (the default) picks
-    [min 4 (recommended_domain_count - 1)]. *)
-val create : ?workers:int -> ?capacity:int -> unit -> t
+(** [create ?workers ?capacity ~domain_init ()] spawns the worker
+    domains; each runs [domain_init] before its first job, for
+    per-domain settings such as the minor heap size, which [Gc.set]
+    applies to the calling domain only.  [workers <= 0] (the
+    default) picks [min 4 (recommended_domain_count - 1)]. *)
+val create :
+  ?workers:int -> ?capacity:int -> domain_init:(unit -> unit) -> unit -> t
 
 (** Number of worker domains. *)
 val size : t -> int

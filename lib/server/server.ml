@@ -123,6 +123,21 @@ let now_ms () = Unix.gettimeofday () *. 1000.
 (* Lifecycle                                                         *)
 (* ---------------------------------------------------------------- *)
 
+(* The minor heap of the main domain (the reader threads) and of each
+   worker domain, in words: 512K, 4 MiB, twice OCaml's default.  In
+   OCaml 5 every minor collection stops every domain, so each one is a
+   handshake between the main domain and the workers, and under load
+   the handshakes, not the requests' own work, set the latency.  Twice
+   the heap makes half the collections per request.  A 1M-word heap was
+   faster again, but each domain's heap is resident memory: the daemon's
+   peak RSS rose 19% at 1M words, past perfbench's 15% bound, against 6%
+   at 512K (EXPERIMENTS.md, "Daemon minor heaps"). *)
+let minor_heap_words = 512 * 1024
+
+(* [Gc.set] sizes the calling domain's minor heap only. *)
+let size_minor_heap () =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words }
+
 let create ?(workers = 0) ?(queue_capacity = 64) ?shed_watermark
     ?(default_deadline_ms = 0) ~socket () : t =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -146,6 +161,7 @@ let create ?(workers = 0) ?(queue_capacity = 64) ?shed_watermark
   (* the daemon's lifetime turns the runtime instruments (GC pause/gap,
      tcfree counters) on; [serve] releases on the way out *)
   Reg.acquire_runtime ();
+  size_minor_heap ();
   let reg = Reg.create () in
   let histo help name =
     Reg.histogram reg ~help ~buckets:latency_buckets_ms name
@@ -153,7 +169,9 @@ let create ?(workers = 0) ?(queue_capacity = 64) ?shed_watermark
   {
     socket_path = socket;
     listen_fd;
-    pool = Pool.create ~workers ~capacity:queue_capacity ();
+    pool =
+      Pool.create ~workers ~capacity:queue_capacity
+        ~domain_init:size_minor_heap ();
     shed_watermark =
       (match shed_watermark with
       | Some w -> min (max 1 w) queue_capacity
@@ -500,6 +518,16 @@ let stats_json (t : t) : Json.t =
           ] );
       ("latency_ms", Json.Obj latency);
       ("latency_recent_ms", Json.Obj (ring_latency_fields lats));
+      ( "host_gc",
+        (* the OCaml runtime's own collections over the process's life,
+           every domain's: each minor one stops them all *)
+        let g = Gc.quick_stat () in
+        Json.Obj
+          [
+            ("minor_collections", Json.Int g.Gc.minor_collections);
+            ("major_collections", Json.Int g.Gc.major_collections);
+            ("minor_words", Json.Float g.Gc.minor_words);
+          ] );
     ]
 
 (** The [telemetry] verb: one [gofree-telemetry-v1] document merging

@@ -446,6 +446,50 @@ let test_sampler_locked () =
     "ring holds samples" true
     (List.length (Rt.Sampler.samples s) > 0)
 
+(* ---------------------------------------------------------------- *)
+(* The golden corpus at two domains                                   *)
+(* ---------------------------------------------------------------- *)
+
+(* Programs of the golden corpus whose goroutines print: their lines
+   interleave in any order, so they compare as sorted lines.  None
+   does; every program waits for its goroutines and prints from [main]
+   only, so each must print its [.out] exactly. *)
+let golden_goroutines_print : string list = []
+
+let test_golden_two_domains () =
+  List.iter
+    (fun path ->
+      let name = Filename.remove_extension (Filename.basename path) in
+      let expected =
+        Test_disasm.read_file (Filename.remove_extension path ^ ".out")
+      in
+      let canon =
+        if List.mem name golden_goroutines_print then sorted_lines
+        else Fun.id
+      in
+      let c =
+        match Gofree_api.compile_string (Test_disasm.read_file path) with
+        | Ok c -> c
+        | Error e -> Alcotest.fail (Gofree_api.error_message e)
+      in
+      List.iter
+        (fun poison ->
+          let what =
+            Printf.sprintf "%s --domains 2%s" name
+              (if poison then " --poison" else "")
+          in
+          let options =
+            { Gofree_api.default_run_options with domains = 2; poison }
+          in
+          match Gofree_api.run_compilation ~options c with
+          | Ok o ->
+            Alcotest.(check string) what (canon expected)
+              (canon o.Gofree_api.output)
+          | Error e ->
+            Alcotest.failf "%s: %s" what (Gofree_api.error_message e))
+        [ false; true ])
+    (Test_disasm.golden_programs ())
+
 let suite =
   [
     Alcotest.test_case "domains=1 identical: six workloads x two engines"
@@ -468,4 +512,6 @@ let suite =
       test_metrics_striping;
     Alcotest.test_case "sampler ring safe under concurrent recorders"
       `Quick test_sampler_locked;
+    Alcotest.test_case "golden corpus at --domains 2, plain and poison"
+      `Quick test_golden_two_domains;
   ]

@@ -47,6 +47,13 @@ func main() {
 let src_print n =
   Printf.sprintf "func main() {\n\txs := make([]int, %d)\n\tprintln(len(xs))\n}\n" n
 
+(* [n] short-lived slices: the run allocates far more host memory
+   than one minor heap *)
+let src_churn n =
+  Printf.sprintf
+    "func main() {\n\tk := 0\n\tfor i := 0; i < %d; i++ {\n\t\txs := make([]int, 8)\n\t\txs[0] = 1\n\t\tk += xs[0]\n\t}\n\tprintln(k)\n}\n"
+    n
+
 let analyze ?(explain = false) src =
   Rpc.Analyze { src = Rpc.Inline src; config = Gofree_api.Preset.(to_config default); explain }
 
@@ -832,6 +839,28 @@ let test_stats_counters () =
       Alcotest.(check bool) "p50 <= p95 <= p99 <= max" true
         (p50 <= p95 && p95 <= p99 && p99 <= max_ms))
 
+(* [stats.host_gc] reads the OCaml runtime's collection counts.  A
+   [run] whose interpreter allocates several minor heaps' worth on its
+   worker must show as more minor words and minor collections. *)
+let test_stats_host_gc () =
+  with_server (fun _ socket ->
+      let c = Client.connect ~socket in
+      let host_gc () = Json.get "host_gc" (call_ok c Rpc.Stats) in
+      let before = host_gc () in
+      let r = call_ok c (run_req (src_churn 60000)) in
+      Alcotest.(check string) "program output" "60000\n"
+        (Json.get_string "output" r);
+      let after = host_gc () in
+      Client.close c;
+      Alcotest.(check bool) "major_collections present" true
+        (Json.get_int "major_collections" after >= 0);
+      Alcotest.(check bool) "minor_words grow" true
+        (Json.get_float "minor_words" after
+        > Json.get_float "minor_words" before);
+      Alcotest.(check bool) "minor_collections grow" true
+        (Json.get_int "minor_collections" after
+        > Json.get_int "minor_collections" before))
+
 let suite =
   [
     Alcotest.test_case "rpc v2 config round-trip" `Quick
@@ -871,4 +900,5 @@ let suite =
     Alcotest.test_case "shutdown drains in-flight work" `Quick
       test_shutdown_drains;
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
+    Alcotest.test_case "stats host_gc counts grow" `Quick test_stats_host_gc;
   ]
